@@ -27,6 +27,8 @@ from fractions import Fraction
 import math
 import re
 
+import numpy as np
+
 from .errors import DepthExceededError, PrecisionError
 
 __all__ = [
@@ -43,6 +45,7 @@ __all__ = [
     "parse_element",
     "format_element",
     "binomial_mod_p",
+    "gamma_matrix",
 ]
 
 INFINITY = Fraction(10**12)  # sentinel ordering value for the zero element
@@ -108,18 +111,13 @@ class NormFieldElement:
     def pi_power(cls, p: int, exponent: Fraction | int, prec: Fraction | int,
                  coeff: int = 1) -> "NormFieldElement":
         e = Fraction(exponent)
-        m = 0
-        while (e * p**m).denominator != 1:
-            m += 1
+        m = _grid_level(e, p)
         return cls(p, m, {int(e * p**m): coeff}, _to_grid(prec, p, m))
 
     @classmethod
     def from_terms(cls, p: int, terms: dict[Fraction, int],
                    prec: Fraction | int) -> "NormFieldElement":
-        m = 0
-        for e in terms:
-            while (Fraction(e) * p**m).denominator != 1:
-                m += 1
+        m = max((_grid_level(e, p) for e in terms), default=0)
         return cls(p, m, {int(Fraction(e) * p**m): c for e, c in terms.items()},
                    _to_grid(prec, p, m))
 
@@ -340,6 +338,21 @@ class NormFieldElement:
         return f"<{format_element(self)} + O(pi^{self.prec})>"
 
 
+def _grid_level(e: Fraction | int, p: int) -> int:
+    """Least level m with e on the grid (1/p^m)Z.
+
+    ValueError when the denominator of e is not a power of p: no level holds
+    such an exponent.
+    """
+    den, m = Fraction(e).denominator, 0
+    while den % p == 0:
+        den //= p
+        m += 1
+    if den != 1:
+        raise ValueError(f"exponent {e} lies on no (1/{p}^m)Z grid")
+    return m
+
+
 def _to_grid(prec: Fraction | int, p: int, m: int) -> int:
     f = Fraction(prec) * p**m
     if f.denominator != 1:
@@ -371,6 +384,53 @@ def _pow_window(x: NormFieldElement, k: int, prec_num: int) -> NormFieldElement:
         if k:
             base = _mul_window(base, base, prec_num)
     return result
+
+
+def gamma_matrix(p: int, m: int, a: int, mod_power: int, dom_lo: int,
+                 dom_hi: int, row_lo: int, row_hi: int) -> np.ndarray:
+    """Matrix of gamma_a, t |-> G = (1+t)^a - 1, on a level-m monomial window.
+
+    Entry [n - row_lo, q - dom_lo] is the exact coefficient of t^n in G^q for
+    q in [dom_lo, dom_hi) and n in [row_lo, row_hi).  Writing G = t*U, the
+    columns t^q * U^q come from one table of U (from binomial_mod_p, so a
+    window needing C(a, k) with k >= p^mod_power raises PrecisionError) and
+    one back-substituted U^-1: one truncated convolution mod p per column,
+    upward from U^0 and downward from U^-1.
+    """
+    if a % p == 0:
+        raise ValueError("gamma exponent must be a p-adic unit")
+    A = np.zeros((max(row_hi - row_lo, 0), max(dom_hi - dom_lo, 0)),
+                 dtype=np.int64)
+    # column q only reaches rows n < row_hi, i.e. U^q below t^(row_hi - q)
+    L = row_hi - dom_lo
+    if not A.size or L <= 0:
+        return A
+    U = np.array([binomial_mod_p(a, k, p, mod_power) for k in range(1, L + 1)],
+                 dtype=np.int64)
+
+    def put(q, V):
+        lo, hi = max(row_lo, q), min(row_hi, q + L)
+        if lo < hi:
+            A[lo - row_lo:hi - row_lo, q - dom_lo] = V[lo - q:hi - q]
+
+    V = np.zeros(L, dtype=np.int64)
+    V[0] = 1
+    for q in range(max(dom_hi, 0)):
+        if q >= dom_lo:
+            put(q, V)
+        V = np.convolve(V, U)[:L] % p
+    if dom_lo < 0:
+        Uinv = np.zeros(L, dtype=np.int64)
+        c = pow(int(U[0]), -1, p)
+        Uinv[0] = c
+        for k in range(1, L):
+            Uinv[k] = -c * int(np.dot(U[1:k + 1], Uinv[k - 1::-1])) % p
+        V = Uinv
+        for q in range(-1, dom_lo - 1, -1):
+            if q < dom_hi:
+                put(q, V)
+            V = np.convolve(V, Uinv)[:L] % p
+    return A
 
 
 def _one_plus_t_pow_minus_one(p: int, m: int, a: int, mod_power: int,
@@ -607,10 +667,7 @@ class RelativeNormElement:
 
     @classmethod
     def from_terms(cls, p: int, terms: dict[Fraction, NormFieldElement]) -> "RelativeNormElement":
-        mx = 0
-        for e in terms:
-            while (Fraction(e) * p**mx).denominator != 1:
-                mx += 1
+        mx = max((_grid_level(e, p) for e in terms), default=0)
         return cls(p, mx, {int(Fraction(e) * p**mx): c for e, c in terms.items()})
 
     def x_terms(self) -> dict[Fraction, NormFieldElement]:

@@ -11,6 +11,12 @@ TS3 is executable: 1 - gamma^(p^m) is inverted on the complement of the
 level-m subspace, diagonally in the geometric direction and by an exact
 window solve in the arithmetic direction, with the residual certified to
 vanish on the window and the measured loss constant c3 reported.
+
+The arithmetic-direction solve and the level-m Herr complex of the
+decompletion comparison both read gamma off ``normfield.gamma_matrix``,
+which fills a whole monomial window from one power table of the
+substitution series; the TS3 residual, the c4 probe and the idempotency of
+the character averaging recheck it through element arithmetic.
 """
 
 from __future__ import annotations
@@ -22,9 +28,10 @@ from fractions import Fraction
 
 import numpy as np
 
-from .complexes import _echelon_fp, _kernel, _kernel_fp
+from .complexes import _echelon_fp, _kernel_fp, _omega_residues
 from .errors import InvariantError, NonStabilizationError, PrecisionError
-from .normfield import NormFieldElement, RelativeNormElement, format_element
+from .normfield import (NormFieldElement, RelativeNormElement, format_element,
+                        gamma_matrix)
 
 __all__ = [
     "TraceOperator",
@@ -302,8 +309,9 @@ def invert_one_minus_gamma(z, m: int, i: int = 0, chi: int | None = None,
 
     Direction 1 is diagonal in the x-monomials: each term is divided by the
     exact multiplier 1 - (1 + pi^(1/p^mx))^(p^m * j).  Direction 0 is an
-    exact triangular window solve against the substitution action.  In both
-    cases the residual is certified to vanish on the window and the loss
+    exact window solve of (gamma_matrix - I), restricted to the rows and
+    columns off the level-m grid.  In both cases the residual is certified,
+    through element arithmetic, to vanish on the window, and the loss
     v(z) - v(y) is the measured c3.
     """
     if i == 1:
@@ -356,22 +364,12 @@ def invert_one_minus_gamma(z, m: int, i: int = 0, chi: int | None = None,
             f"{lo_z + pad} grid steps at level {K}")
     # both the unknowns and the constraints live on the complement of the
     # level-m grid; the leakage of gamma into level-m rows is projected away
-    row_idx = [n for n in range(lo_y, hi_rows) if n % f]
-    pos = {n: r for r, n in enumerate(row_idx)}
-    cols, support = [], []
-    for q in range(lo_y, hi_rows):
-        if q % f == 0:
-            continue
-        mono = NormFieldElement(p, K, {q: 1}, hi_rows + 1)
-        delta = mono.gamma(a_res, mod_power) - mono
-        col = np.zeros(len(row_idx), dtype=np.int64)
-        for n, cc in delta.coeffs.items():
-            if n in pos:
-                col[pos[n]] = cc
-        cols.append(col)
-        support.append(q)
-    A = np.stack(cols, axis=1)
-    b = np.zeros(len(row_idx), dtype=np.int64)
+    support = [n for n in range(lo_y, hi_rows) if n % f]
+    pos = {n: r for r, n in enumerate(support)}
+    off = np.array(support) - lo_y
+    A = gamma_matrix(p, K, a_res, mod_power, lo_y, hi_rows, lo_y, hi_rows)
+    A = (A - np.eye(hi_rows - lo_y, dtype=np.int64))[np.ix_(off, off)] % p
+    b = np.zeros(len(support), dtype=np.int64)
     for n, cc in z.coeffs.items():
         if n in pos:
             b[pos[n]] = (-cc) % p
@@ -462,10 +460,6 @@ def decompose_element(z: RelativeNormElement, m: int):
 # -- decompletion comparison -------------------------------------------------
 
 
-def _omega_residue(p: int, u: int, M: int) -> int:
-    return pow(u, p ** (M - 1), p ** M)
-
-
 def _herr_level_dims(sc_phi: int, sc_gamma: int, delta_exponent: int | None,
                      p: int, level: int, b: int, chi: int):
     """H^0, H^1 of the two-operator complex on the level-`level` grid.
@@ -485,17 +479,6 @@ def _herr_level_dims(sc_phi: int, sc_gamma: int, delta_exponent: int | None,
     mod = level + 10
     a_chi = chi % p ** mod
 
-    def subst_matrix(a_res, mpow, dom_lo, dom_hi, row_lo, row_hi):
-        """Matrix of gamma_a from the monomial domain into the row window."""
-        A = np.zeros((row_hi - row_lo, dom_hi - dom_lo), dtype=np.int64)
-        for j, q in enumerate(range(dom_lo, dom_hi)):
-            mono = NormFieldElement(p, level, {q: 1}, row_hi + 1)
-            img = mono if a_res == 1 else mono.gamma(a_res, mpow)
-            for n, cc in img.coeffs.items():
-                if row_lo <= n < row_hi:
-                    A[n - row_lo, j] = cc % p
-        return A
-
     def phi_matrix(dom_lo, dom_hi, row_lo, row_hi):
         A = np.zeros((row_hi - row_lo, dom_hi - dom_lo), dtype=np.int64)
         for j, q in enumerate(range(dom_lo, dom_hi)):
@@ -510,7 +493,7 @@ def _herr_level_dims(sc_phi: int, sc_gamma: int, delta_exponent: int | None,
                 A[q - row_lo, j] = (A[q - row_lo, j] + 1) % p
         return A
 
-    gam = lambda *w: subst_matrix(a_chi, mod, *w)
+    gam = lambda *w: gamma_matrix(p, level, a_chi, mod, *w)
 
     def fix_basis(dom_lo, dom_hi):
         """Column basis of the image of the idempotent averaging the
@@ -518,16 +501,9 @@ def _herr_level_dims(sc_phi: int, sc_gamma: int, delta_exponent: int | None,
         size = dom_hi - dom_lo
         if delta_exponent is None:
             return np.eye(size, dtype=np.int64)
-        M = level + 10
         acc = np.zeros((size, size), dtype=np.int64)
-        for u in range(1, p):
-            if u == 1:
-                G = np.eye(size, dtype=np.int64)
-            elif u == p - 1:
-                G = subst_matrix(-1, mod, dom_lo, dom_hi, dom_lo, dom_hi)
-            else:
-                a = _omega_residue(p, u, M)
-                G = subst_matrix(a, M, dom_lo, dom_hi, dom_lo, dom_hi)
+        for u, a in _omega_residues(p, mod).items():
+            G = gamma_matrix(p, level, a, mod, dom_lo, dom_hi, dom_lo, dom_hi)
             e = delta_exponent % (p - 1)
             acc = (acc + pow(u, e, p) * G) % p
         P = (pow(p - 1, -1, p) * acc) % p

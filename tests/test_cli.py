@@ -146,6 +146,13 @@ def test_trace_keeps_coarse_grid(runner):
     assert doc["projection"] == "pi^-2 + pi^3"
 
 
+def test_trace_off_grid_exponent_exits_2(runner):
+    res = runner.invoke(main, ["trace", "pi^(1/25)"])
+    assert res.exit_code == 2
+    assert res.exception is None or isinstance(res.exception, SystemExit)
+    assert "Traceback" not in res.output
+
+
 def test_ts_report_deterministic(runner):
     args = ["ts-report", "--prime", "3", "--samples", "10", "--seed", "42"]
     first = runner.invoke(main, args)

@@ -2,11 +2,12 @@
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
-from phigamma.errors import DepthExceededError
+from phigamma.errors import DepthExceededError, PrecisionError
 from phigamma.normfield import (
     ASExtension,
     NormFieldElement,
@@ -16,6 +17,7 @@ from phigamma.normfield import (
     format_element,
     frobenius_e,
     gamma_e,
+    gamma_matrix,
     parse_element,
     raise_perfection,
     v_e,
@@ -236,3 +238,55 @@ def test_relative_gamma_tilde_fractional_monomial():
     # multiplier is (1 + pi^(1/3))
     coeff = gt.parts[1]
     assert coeff.terms() == {Fraction(0): 1, Fraction(1, 3): 1}
+
+
+def test_relative_from_terms_rejects_off_grid_exponent():
+    one = NormFieldElement.one(3, 6)
+    with pytest.raises(ValueError):
+        RelativeNormElement.from_terms(3, {Fraction(1, 6): one})
+
+
+def test_from_terms_rejects_denominator_prime_to_p():
+    with pytest.raises(ValueError):
+        NormFieldElement.from_terms(3, {Fraction(1, 25): 1}, 24)
+    with pytest.raises(ValueError):
+        NormFieldElement.pi_power(5, Fraction(2, 15), 24)
+    x = NormFieldElement.from_terms(5, {Fraction(1, 25): 1, Fraction(-2): 3}, 4)
+    assert x.m == 2 and x.terms() == {Fraction(-2): 3, Fraction(1, 25): 1}
+
+
+# -- gamma window matrices ---------------------------------------------------
+
+
+def element_gamma_matrix(p, m, a, mod_power, dom_lo, dom_hi, row_lo, row_hi):
+    """Reference: gamma applied to each monomial t^q as an element."""
+    A = np.zeros((row_hi - row_lo, dom_hi - dom_lo), dtype=np.int64)
+    for j, q in enumerate(range(dom_lo, dom_hi)):
+        img = NormFieldElement(p, m, {q: 1}, row_hi + 1).gamma(a, mod_power)
+        for n, c in img.coeffs.items():
+            if row_lo <= n < row_hi:
+                A[n - row_lo, j] = c
+    return A
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+@pytest.mark.parametrize("m", [0, 1, 2])
+def test_gamma_matrix_matches_element_gamma(p, m):
+    omega2 = pow(2, p**11, p**12)  # Teichmuller residue of 2 mod p^12
+    windows = [(2, 9, 0, 14),       # positive exponents only
+               (-9, -2, -14, 0),    # negative exponents only
+               (-6, 6, -10, 8),     # straddling 0
+               (-4, 3, 1, 5)]       # rows cut off the low columns
+    for a in (1 + p, -1, omega2):
+        for w in windows:
+            assert np.array_equal(gamma_matrix(p, m, a, 12, *w),
+                                  element_gamma_matrix(p, m, a, 12, *w))
+
+
+def test_gamma_matrix_binomial_precision():
+    # rows up to t^11 from t^0 need C(a, k) for k up to 12 > 3^2
+    with pytest.raises(PrecisionError):
+        gamma_matrix(3, 0, 4, 2, 0, 5, 0, 12)
+    assert gamma_matrix(3, 0, 4, 2, 0, 5, 0, 8).shape == (8, 5)
+    with pytest.raises(ValueError):
+        gamma_matrix(3, 0, 6, 12, 0, 5, 0, 8)

@@ -286,6 +286,21 @@ def test_decompletion_twist_pairs_equal():
     assert r["degrees"] == {0: (0, 0), 1: (2, 2)}
 
 
+@pytest.mark.parametrize("p, level, n, dims", [
+    (5, 1, 0, {0: (1, 1), 1: (2, 2)}),
+    (5, 1, 3, {0: (0, 0), 1: (1, 1)}),
+    (3, 2, 1, {0: (0, 0), 1: (2, 2)}),
+])
+def test_decompletion_closed_form_dims(p, level, n, dims):
+    # Z/p(n) over Q_p: h0 = [n = 0 mod p-1], h2 = [n = 1 mod p-1], and
+    # h1 = 1 + h0 + h2 by the Euler characteristic
+    I = identity_matrix(p, 1, 1, 60)
+    D = tate_twist(make_module(p, 1, I, [("gamma", I, 1 + p)]), n)
+    r = decompletion_compare(D, level)
+    assert r["equal"]
+    assert r["degrees"] == dims
+
+
 def test_decompletion_matches_engine_report():
     from phigamma.complexes import cohomology, herr_complex
     rep = cohomology(herr_complex(trivial_module()), schedule=(16, 32, 64))
