@@ -16,6 +16,15 @@ depth b, coboundaries are drawn from depth 2b subject to a bottom-support
 condition, and d o d = 0 is certified by exact matrix composition.  Dims
 are accepted once they agree across the last three window doublings; there
 is no a priori bound, and every report carries its stabilization trace.
+
+Window operator matrices are assembled from exact int64 columns: gamma_a
+columns pi^n U^n from one binomial table of U = ((1+pi)^a - 1)/pi and its
+powers (normfield.power_rows, shared with normfield.gamma_matrix), phi
+columns as powers of (1+pi)^p - 1, whose negative powers are finite Laurent
+polynomials mod p^s.  Output windows reach p*b + max(2s + 4, (p-1)(s-1) + 2)
+below 0, the depth of phi's tail.  Matrix products mod q = p^s run in
+float64 BLAS over inner slices of length k with (q-1)^2 k < 2^53, where
+every partial sum is an exact integer (_matmul_mod).
 """
 
 from __future__ import annotations
@@ -35,8 +44,8 @@ from .errors import (
     PrecisionError,
 )
 from .modules import PhiGammaModule, _thaw
-from .normfield import NormFieldElement, format_element
-from .wittside import ArithLiftElement
+from .normfield import NormFieldElement, format_element, power_rows
+from .wittside import ArithLiftElement, binomial_table_mod_ps
 
 __all__ = [
     "OpTerm",
@@ -292,7 +301,7 @@ def semidirect_gamma_complex(D: PhiGammaModule) -> GammaComplex:
     T = GammaComplex(D, "finite", "semidirect", (1, 2, 1), (d0, d1),
                      ((phi,), (phi, phi), (phi,)))
     mats = _finite_diff_matrices(T)
-    if ((mats[1].astype(object) @ mats[0]) % q).any():
+    if _matmul_mod(mats[1], mats[0], q).any():
         raise InvariantError("semidirect complex: d^2 != 0")
     return T
 
@@ -429,50 +438,64 @@ def _subquotient_profile(Z: np.ndarray, B: np.ndarray, p: int,
     return sorted(d for d in divisors if d > 1)
 
 
+def _matmul_mod(A: np.ndarray, B: np.ndarray, q: int) -> np.ndarray:
+    """Exact A @ B mod q for int64 matrices with entries in [0, q).
+
+    float64 BLAS over slices of the inner dimension of length k with
+    (q-1)^2 k < 2^53, so every partial sum is an exactly represented
+    integer; the object product only where (q-1)^2 >= 2^53.
+    """
+    step = (2**53 - 1) // (q - 1) ** 2
+    if step == 0:
+        return ((A.astype(object) @ B.astype(object)) % q).astype(np.int64)
+    assert (q - 1) ** 2 * step < 2**53
+    out = np.zeros((A.shape[0], B.shape[1]), dtype=np.int64)
+    for i in range(0, A.shape[1], step):
+        part = A[:, i:i + step].astype(np.float64) @ B[i:i + step].astype(
+            np.float64)
+        out += np.fmod(part, q, out=part).astype(np.int64)
+        out %= q
+    return out
+
+
 # -- window operator matrices ------------------------------------------------
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)
 def _ring_column_series(p: int, s: int, ring: tuple, bot: int, top: int):
-    """Per n in [-bot, top): (lead exponent, coeff array) of ring(pi^n)."""
-    win = bot + top
+    """Per n in [-bot, top): (lead exponent, int64 coefficients from the lead
+    up to pi^top) of ring(pi^n) mod p^s.  Every coefficient is exact."""
     if ring[0] == "id":
         return tuple((n, np.ones(1, dtype=np.int64)) for n in range(-bot, top))
-    prec0 = top + 2 * bot + 16
-    pi = ArithLiftElement.pi_power(p, s, 1, prec0)
-    g = _apply_ring(ring, pi)
-    out = [None] * win
-
-    def pack(n, x):
-        lo = min(x.coeffs, default=0)
-        hi = min(x.prec_num, top)
-        arr = np.zeros(max(hi - lo, 1), dtype=np.int64)
-        for m, c in x.coeffs.items():
-            if lo <= m < hi:
-                arr[m - lo] = c
-        out[n + bot] = (lo, arr)
-
-    cur = ArithLiftElement.one(p, s, prec0)
-    for n in range(0, top):
-        pack(n, cur)
-        cur = (cur * g).truncate_to_num(top + 2)
-    cur = g.inverse()
-    for n in range(1, bot + 1):
-        pack(-n, cur)
-        if n < bot:
-            # keep slack: each multiply by g^(-1) costs one top coefficient
-            cur = (cur * cur_step(g)).truncate_to_num(top + (bot - n) + 4)
-    return tuple(out)
+    if ring[0] == "phi":
+        return _phi_columns(p, s, bot, top)
+    a, mod_power = ring[1], ring[2]
+    if a % p == 0:
+        raise ValueError("gamma exponent must be a p-adic unit")
+    # gamma(pi^n) = pi^n U^n with U = ((1+pi)^a - 1)/pi a unit series
+    U = binomial_table_mod_ps(a, bot + top, p, s, mod_power)
+    rows = power_rows(U, p ** s, -bot, top)
+    return tuple((n, rows[n + bot, :top - n].copy()) for n in range(-bot, top))
 
 
-_GINV_CACHE: dict = {}
+def _phi_columns(p: int, s: int, bot: int, top: int):
+    """phi(pi^n) = G^n, G = (1+pi)^p - 1 = pi^p F(1/pi), F(x) = (1+x)^p - x^p.
 
-
-def cur_step(g: ArithLiftElement) -> ArithLiftElement:
-    key = (g.p, g.s, tuple(sorted(g.coeffs.items())), g.prec_num)
-    if key not in _GINV_CACHE:
-        _GINV_CACHE[key] = g.inverse()
-    return _GINV_CACHE[key]
+    For n >= 0, G^n = pi^n H^n with H = G/pi.  For n < 0, F = 1 + E with E
+    divisible by p, so F^n mod p^s is a polynomial in 1/pi of degree at most
+    (p-1)(s-1): phi(pi^n) is a finite Laurent polynomial, computed exactly.
+    """
+    q = p ** s
+    H = np.array([math.comb(p, k) % q for k in range(1, p + 1)] + [0] * top,
+                 dtype=np.int64)[:top]
+    up = power_rows(H, q, 0, top)
+    deg = (p - 1) * (s - 1)
+    F = np.array([math.comb(p, j) % q if j < p else 0
+                  for j in range(deg + 1)], dtype=np.int64)
+    down = power_rows(F, q, -bot, 0)
+    cols = [(p * n - deg, down[n + bot, ::-1].copy()) for n in range(-bot, 0)]
+    cols += [(n, up[n, :top - n].copy()) for n in range(top)]
+    return tuple(cols)
 
 
 def _entry_array(x: ArithLiftElement, top: int):
@@ -581,14 +604,6 @@ def _delta_actions(D: PhiGammaModule, bot: int, top: int):
     return omegas, acts
 
 
-def _digits(n: int, p: int) -> list[int]:
-    out = []
-    while n:
-        out.append(n % p)
-        n //= p
-    return out or [0]
-
-
 def delta_project(D: PhiGammaModule, bottom: int,
                   top: int | None = None) -> DeltaProjection:
     """e_Delta = (p-1)^(-1) sum_delta omega(delta)^e * delta on the window.
@@ -605,7 +620,7 @@ def delta_project(D: PhiGammaModule, bottom: int,
     omegas, acts = _delta_actions(D, bottom, top)
     E = sum(acts) % q
     E = (E * pow(p - 1, -1, q)) % q
-    if ((E.astype(object) @ E - E) % q).any():
+    if not np.array_equal(_matmul_mod(E, E, q), E):
         raise InvariantError("Delta projector is not idempotent")
     stack = np.vstack([(A - np.eye(A.shape[0], dtype=np.int64)) % q
                        for A in acts])
@@ -725,6 +740,12 @@ def _entry_prec_floor(D: PhiGammaModule) -> int | None:
     return min(precs) if precs else None
 
 
+def _out_depth(p: int, s: int, b: int) -> int:
+    """Bottom depth of a window holding every image of [-b, T): phi(pi^-b)
+    reaches pi^(-pb - (p-1)(s-1)) (see _phi_columns)."""
+    return p * b + max(2 * s + 4, (p - 1) * (s - 1) + 2)
+
+
 def _window_dims(T: GammaComplex, b: int):
     D = T.module
     p, s, r = D.p, D.s, D.rank
@@ -738,7 +759,7 @@ def _window_dims(T: GammaComplex, b: int):
         raise PrecisionError(
             f"window {b} below the acyclic-tail bound {_tail_floor(D)}")
     b1 = 2 * b
-    bo = p * b1 + 2 * s + 4
+    bo = _out_depth(p, s, b1)
     win_o = bo + top
 
     def domain(bi):
@@ -748,8 +769,11 @@ def _window_dims(T: GammaComplex, b: int):
             X = np.eye(r * (bi + top), dtype=np.int64)
         d0 = _block_matrix(D, T.diffs[0], bi, bo, top)
         d1 = _block_matrix(D, T.diffs[1], bi, bo, top)
-        X2 = np.kron(np.eye(2, dtype=np.int64), X)
-        return (d0 @ X) % q, (d1 @ X2) % q, X
+        # d1 takes two window slots: d1 @ diag(X, X)
+        w = X.shape[0]
+        d1X = np.hstack([_matmul_mod(d1[:, :w], X, q),
+                         _matmul_mod(d1[:, w:], X, q)])
+        return _matmul_mod(d0, X, q), d1X, X
 
     d0s, d1s, X0 = domain(b)
     d0w, d1w, _ = domain(b1)
@@ -769,15 +793,14 @@ def _window_dims(T: GammaComplex, b: int):
     # H^0: kernel of d0 on the depth-b window (exact)
     h0 = s * k0 - _image_length(d0s, p, s)
     K0 = _kernel(d0s, p, s)
-    prof0 = _span_profile((X0.astype(object) @ K0 % q).astype(np.int64), p, s)
+    prof0 = _span_profile(_matmul_mod(X0, K0, q), p, s)
 
     # H^1: exact cocycles at depth b, coboundaries from depth 2b whose
     # image stays above the bottom cut
     Z1 = _kernel(d1s, p, s)
-    Zw = (np.kron(np.eye(2, dtype=np.int64), X0).astype(object)
-          @ Z1 % q).astype(np.int64)
+    Zw = np.vstack([_matmul_mod(X0, Z1[:k0], q), _matmul_mod(X0, Z1[k0:], q)])
     supp0 = _kernel(rows(d0w, outside, 2), p, s)
-    Bw = (rows(d0w, inside, 2).astype(object) @ supp0 % q).astype(np.int64)
+    Bw = _matmul_mod(rows(d0w, inside, 2), supp0, q)
     lz, lb = _image_length(Zw, p, s), _image_length(Bw, p, s)
     if _image_length(np.hstack([Zw, Bw]), p, s) != lz:
         raise InvariantError("coboundaries escape the cocycle space")
@@ -786,7 +809,7 @@ def _window_dims(T: GammaComplex, b: int):
 
     # H^2: full depth-b window modulo deep coboundaries
     supp1 = _kernel(rows(d1w, outside, 1), p, s)
-    B2 = (rows(d1w, inside, 1).astype(object) @ supp1 % q).astype(np.int64)
+    B2 = _matmul_mod(rows(d1w, inside, 1), supp1, q)
     lb2 = _image_length(B2, p, s)
     if _image_length(np.hstack([X0, B2]), p, s) != s * k0:
         raise InvariantError("coboundaries escape the window")
@@ -800,13 +823,13 @@ def certify_d_squared(T: GammaComplex, b: int) -> bool:
     """Exact composition d1 o d0 through a window wide enough to hold both
     images; zero entrywise or InvariantError."""
     D = T.module
-    q = D.p ** D.s
-    bo = D.p * b + 2 * D.s + 4
-    bo2 = D.p * bo + 2 * D.s + 4
+    p, s = D.p, D.s
+    bo = _out_depth(p, s, b)
+    bo2 = _out_depth(p, s, bo)
     top = max(b, _tail_floor(D))
     d0 = _block_matrix(D, T.diffs[0], b, bo, top)
     d1 = _block_matrix(D, T.diffs[1], bo, bo2, top)
-    if ((d1.astype(object) @ d0) % q).any():
+    if _matmul_mod(d1, d0, p ** s).any():
         raise InvariantError("d^2 != 0 on the certification window")
     return True
 

@@ -75,10 +75,6 @@ def mat_transpose(A):
     return [list(col) for col in zip(*A)]
 
 
-def mat_agrees(A, B) -> bool:
-    return all(a.agrees_with(b) for ra, rb in zip(A, B) for a, b in zip(ra, rb))
-
-
 def mat_kron(A, B):
     rb = len(B)
     return [[A[i // rb][j // rb] * B[i % rb][j % rb]

@@ -46,6 +46,7 @@ __all__ = [
     "format_element",
     "binomial_mod_p",
     "gamma_matrix",
+    "power_rows",
 ]
 
 INFINITY = Fraction(10**12)  # sentinel ordering value for the zero element
@@ -394,8 +395,7 @@ def gamma_matrix(p: int, m: int, a: int, mod_power: int, dom_lo: int,
     q in [dom_lo, dom_hi) and n in [row_lo, row_hi).  Writing G = t*U, the
     columns t^q * U^q come from one table of U (from binomial_mod_p, so a
     window needing C(a, k) with k >= p^mod_power raises PrecisionError) and
-    one back-substituted U^-1: one truncated convolution mod p per column,
-    upward from U^0 and downward from U^-1.
+    its powers mod p from power_rows.
     """
     if a % p == 0:
         raise ValueError("gamma exponent must be a p-adic unit")
@@ -407,30 +407,46 @@ def gamma_matrix(p: int, m: int, a: int, mod_power: int, dom_lo: int,
         return A
     U = np.array([binomial_mod_p(a, k, p, mod_power) for k in range(1, L + 1)],
                  dtype=np.int64)
-
-    def put(q, V):
+    powers = power_rows(U, p, dom_lo, dom_hi)
+    for q in range(dom_lo, dom_hi):
         lo, hi = max(row_lo, q), min(row_hi, q + L)
         if lo < hi:
-            A[lo - row_lo:hi - row_lo, q - dom_lo] = V[lo - q:hi - q]
+            A[lo - row_lo:hi - row_lo, q - dom_lo] = powers[q - dom_lo,
+                                                            lo - q:hi - q]
+    return A
 
+
+def power_rows(U: np.ndarray, modulus: int, lo: int, hi: int) -> np.ndarray:
+    """Row n - lo holds U^n mod modulus for n in [lo, hi), cut to len(U).
+
+    U is a power series, constant term first.  Rows come from one truncated
+    convolution each, upward from U^0 and, for n < 0, downward from the
+    back-substituted U^-1 (which needs U[0] to be a unit mod modulus).
+    int64 convolutions are exact while (modulus - 1)^2 * len(U) < 2^63.
+    """
+    L = len(U)
+    assert (modulus - 1) ** 2 * L < 2**63, "power_rows would overflow int64"
+    rows = np.zeros((max(hi - lo, 0), L), dtype=np.int64)
     V = np.zeros(L, dtype=np.int64)
     V[0] = 1
-    for q in range(max(dom_hi, 0)):
-        if q >= dom_lo:
-            put(q, V)
-        V = np.convolve(V, U)[:L] % p
-    if dom_lo < 0:
+    for n in range(max(hi, 0)):
+        if n >= lo:
+            rows[n - lo] = V
+        if n + 1 < hi:
+            V = np.convolve(V, U)[:L] % modulus
+    if lo < 0:
         Uinv = np.zeros(L, dtype=np.int64)
-        c = pow(int(U[0]), -1, p)
+        c = pow(int(U[0]), -1, modulus)
         Uinv[0] = c
         for k in range(1, L):
-            Uinv[k] = -c * int(np.dot(U[1:k + 1], Uinv[k - 1::-1])) % p
+            Uinv[k] = -c * int(np.dot(U[1:k + 1], Uinv[k - 1::-1])) % modulus
         V = Uinv
-        for q in range(-1, dom_lo - 1, -1):
-            if q < dom_hi:
-                put(q, V)
-            V = np.convolve(V, Uinv)[:L] % p
-    return A
+        for n in range(-1, lo - 1, -1):
+            if n < hi:
+                rows[n - lo] = V
+            if n > lo:
+                V = np.convolve(V, Uinv)[:L] % modulus
+    return rows
 
 
 def _one_plus_t_pow_minus_one(p: int, m: int, a: int, mod_power: int,

@@ -24,6 +24,8 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+import numpy as np
+
 from .errors import PrecisionError
 from .normfield import NormFieldElement, flat_normalization
 
@@ -38,7 +40,6 @@ __all__ = [
     "witt_neg",
     "witt_sub",
     "witt_inverse",
-    "witt_scalar",
     "ghost_check",
     "phi_A",
     "gamma_A",
@@ -75,6 +76,41 @@ def binomial_mod_ps(a: int, k: int, p: int, s: int,
             f"need the exponent mod p^{s + _legendre_vp_factorial(k, p)} "
             f"for C(a, {k}) mod p^{s}")
     return math.comb(a % p**mod_power, k) % p**s
+
+
+def binomial_table_mod_ps(a: int, L: int, p: int, s: int,
+                          mod_power: int | None = None) -> np.ndarray:
+    """[C(a, k) mod p^s for k = 1..L], the values of binomial_mod_ps.
+
+    One pass of C(a, k) = C(a, k-1) (a-k+1)/k, keeping the unit part mod
+    p^s and the p-valuation apart, so a residue a of hundreds of digits
+    costs O(L) small operations.  Raises PrecisionError exactly when some
+    binomial_mod_ps(a, k, ...) with k <= L would.
+    """
+    q = p**s
+    if mod_power is not None:
+        if L and mod_power < s + _legendre_vp_factorial(L, p):
+            raise PrecisionError(
+                f"need the exponent mod p^{s + _legendre_vp_factorial(L, p)}"
+                f" for C(a, {L}) mod p^{s}")
+        a %= p**mod_power
+    out = np.zeros(L, dtype=np.int64)
+    unit, val = 1, 0
+    for k in range(1, L + 1):
+        num = a - k + 1
+        if num == 0:
+            break   # 0 <= a < k: C(a, k) and every later entry vanish
+        while num % p == 0:
+            num //= p
+            val += 1
+        den = k
+        while den % p == 0:
+            den //= p
+            val -= 1
+        unit = unit * (num % q) * pow(den, -1, q) % q
+        if val < s:
+            out[k - 1] = unit * p**val % q
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -242,11 +278,9 @@ class ArithLiftElement:
     def one_plus_pi_power(self, a: int, mod_power: int | None,
                           width: int) -> "ArithLiftElement":
         """(1+pi)^a - 1 to pi^width; a exact when mod_power is None."""
-        coeffs = {}
-        for k in range(1, width):
-            c = binomial_mod_ps(a, k, self.p, self.s, mod_power)
-            if c:
-                coeffs[k] = c
+        table = binomial_table_mod_ps(a, max(width - 1, 0), self.p, self.s,
+                                      mod_power)
+        coeffs = {k: int(c) for k, c in enumerate(table, start=1) if c}
         return ArithLiftElement(self.p, self.s, coeffs, width)
 
     def frobenius(self) -> "ArithLiftElement":
@@ -504,12 +538,6 @@ def witt_neg(x: WittVector) -> WittVector:
 
 def witt_sub(x: WittVector, y: WittVector) -> WittVector:
     return witt_add(x, witt_neg(y))
-
-
-def witt_scalar(c: int, x: WittVector) -> WittVector:
-    """Multiplication by the integer constant c (image of c in W_s)."""
-    prec = min(comp.prec for comp in x.components)
-    return witt_mul(WittVector.from_constant(x.p, x.s, c, prec), x)
 
 
 def witt_inverse(x: WittVector) -> WittVector:

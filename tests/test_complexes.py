@@ -18,8 +18,12 @@ from phigamma.complexes import (
     phi_cone,
     semidirect_gamma_complex,
     _finite_diff_matrices,
+    _matmul_mod,
     _op,
+    _ring_column_series,
+    ring_gamma,
     RING_ID,
+    RING_PHI,
 )
 from phigamma.errors import InvariantError, PrecisionError
 from phigamma.modules import identity_matrix, make_module, tate_twist
@@ -30,9 +34,9 @@ CHI = 1 + P
 SCHEDULE = (8, 16, 32)
 
 
-def trivial(s=1, prec=200):
-    I = identity_matrix(P, s, 1, prec)
-    return make_module(P, s, I, [("gamma", I, CHI)])
+def trivial(s=1, prec=200, p=P):
+    I = identity_matrix(p, s, 1, prec)
+    return make_module(p, s, I, [("gamma", I, 1 + p)])
 
 
 def random_lift(rng, prec=40, lo=-5, hi=20):
@@ -94,7 +98,75 @@ def test_cone_over_zero_complex_is_shift():
         assert all(v.is_zero() for slot in out for v in slot)
 
 
-# -- Delta projection --------------------------------------------------------
+# -- window columns and exact products --------------------------------------
+
+
+def column_dicts(p, s, ring, bot, top):
+    cols = _ring_column_series(p, s, ring, bot, top)
+    return {n: {lead + i: int(c) for i, c in enumerate(arr) if c}
+            for n, (lead, arr) in zip(range(-bot, top), cols)}
+
+
+def element_column(p, s, ring, n, top, prec):
+    x = ArithLiftElement.pi_power(p, s, n, prec)
+    y = x.frobenius() if ring == RING_PHI else x.gamma(ring[1], ring[2])
+    return {m: c for m, c in y.coeffs.items() if m < top}
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+@pytest.mark.parametrize("s", [1, 2, 3])
+def test_gamma_columns_match_element_gamma(p, s):
+    bot, top = 6, 10
+    omega2 = pow(2, p**99, p**100)  # Teichmuller residue of 2 mod p^100
+    for ring in (ring_gamma(1 + p), ring_gamma(-1), ring_gamma(omega2, 100)):
+        cols = column_dicts(p, s, ring, bot, top)
+        for n in range(-bot, top):
+            # the element path keeps every coefficient below pi^top at this
+            # precision
+            assert cols[n] == element_column(p, s, ring, n, top,
+                                             top + p * bot + 40), (ring, n)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_phi_columns_match_element_frobenius(p):
+    bot, top = 6, 10
+    cols = column_dicts(p, 1, RING_PHI, bot, top)
+    for n in range(-bot, top):
+        assert cols[n] == element_column(p, 1, RING_PHI, n, top, top + 40)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+@pytest.mark.parametrize("s", [2, 3, 6])
+def test_phi_columns_are_exact_inverses(p, s):
+    # phi(pi^n) phi(pi^-n) = 1; top > p n keeps phi(pi^n) untruncated
+    bot = 6
+    top = p * bot + 1
+    cols = _ring_column_series(p, s, RING_PHI, bot, top)
+    for n in range(1, bot + 1):
+        lead_up, up = cols[bot + n]
+        lead_dn, dn = cols[bot - n]
+        prod = np.convolve(up, dn) % p**s
+        one = np.zeros_like(prod)
+        one[-(lead_up + lead_dn)] = 1
+        assert np.array_equal(prod, one), n
+
+
+def test_matmul_mod_matches_object_product():
+    rng = np.random.default_rng(61)
+    # q = 31^5: (q-1)^2 * 40 > 2^53, so the inner dimension 40 is split;
+    # q = 7^10: (q-1)^2 >= 2^53 takes the object product
+    for q, shape in ((3, (7, 5, 9)), (7**6, (30, 200, 20)),
+                     (31**5, (6, 40, 4)), (7**10, (5, 8, 3))):
+        m, k, n = shape
+        A = rng.integers(0, q, size=(m, k))
+        B = rng.integers(0, q, size=(k, n))
+        for X, Y in ((A, B), (np.full_like(A, q - 1), np.full_like(B, q - 1))):
+            want = (X.astype(object) @ Y.astype(object)) % q
+            got = _matmul_mod(X, Y, q)
+            assert got.dtype == np.int64
+            assert np.array_equal(got, want.astype(np.int64)), q
+
+
 
 
 def test_delta_projector_is_idempotent_on_vectors():
@@ -164,6 +236,25 @@ def test_stabilization_trace_is_recorded():
     rep = cohomology(herr_complex(trivial(), "delta"), SCHEDULE)
     assert [w for w, _ in rep.trace] == list(SCHEDULE)
     assert all(d == rep.dims for _, d in rep.trace)
+
+
+@pytest.mark.parametrize("p, s, mode, schedule, dims", [
+    (5, 2, "delta", (8, 16, 32), (2, 4, 0)),
+    (3, 3, "delta", (8, 16, 32), (3, 6, 0)),
+    # H^2 of the free mode is H^0(Z/9(1)) over Q_3(zeta_3): mu_3, length 1
+    (3, 2, "free", (16, 32, 64), (2, 7, 1)),
+])
+def test_trivial_closed_form_lengths(p, s, mode, schedule, dims):
+    # Euler characteristic -s [K:Q_p]; H^0 = Z/p^s, H^2 dual to H^0(Z/p^s(1))
+    rep = cohomology(herr_complex(trivial(s, p=p), mode), schedule)
+    assert rep.dims == dims
+    assert rep.euler == -s * (1 if mode == "delta" else p - 1)
+    assert rep.verdict == "stable"
+
+
+@pytest.mark.parametrize("mode", ["delta", "free"])
+def test_d_squared_certified_at_p7_s4(mode):
+    assert certify_d_squared(herr_complex(trivial(4, p=7), mode), 8)
 
 
 def test_report_serialization_round_trip():

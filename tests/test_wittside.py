@@ -1,13 +1,19 @@
 """Arithmetic-lift and Witt-coordinate models of the lift ring mod p^s."""
 
+import math
 import random
 from fractions import Fraction
 
+import pytest
+
+from phigamma.errors import PrecisionError
 from phigamma.normfield import NormFieldElement, frobenius_e, gamma_e, parse_element
 from phigamma.wittside import (
     ArithLiftElement,
     WeakNeighborhood,
     WittVector,
+    binomial_mod_ps,
+    binomial_table_mod_ps,
     ghost_check,
     phi_A,
     gamma_A,
@@ -33,6 +39,41 @@ def random_nf(rng, p=3, m=0, lo=-3, width=PREC, allow_zero=True):
 
 def random_witt(rng, p=3, s=3, lo=0):
     return WittVector(p, s, [random_nf(rng, p, 0, lo) for _ in range(s)])
+
+
+# -- binomial tables ---------------------------------------------------------
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+@pytest.mark.parametrize("s", [1, 2, 4])
+def test_binomial_table_matches_comb(p, s):
+    q = p**s
+    L = 3 * p**2
+    omega2 = pow(2, p**59, p**60)
+    for a in (1 + p, -1, -7, 2, omega2, 10**40 + 1):
+        want = [math.comb(a, k) % q if a >= 0
+                else (-1) ** k * math.comb(k - a - 1, k) % q
+                for k in range(1, L + 1)]
+        assert list(binomial_table_mod_ps(a, L, p, s)) == want
+        assert list(binomial_table_mod_ps(a, L, p, s, 60)) == [
+            math.comb(a % p**60, k) % q for k in range(1, L + 1)]
+
+
+@pytest.mark.parametrize("p, s, mod_power", [(3, 1, 4), (3, 2, 5), (5, 3, 4),
+                                             (7, 1, 2)])
+def test_binomial_table_precision_boundary(p, s, mod_power):
+    a = pow(2, p**30, p**31)
+    # first k whose binomial the residue mod p^mod_power does not pin down
+    k = 1
+    while True:
+        try:
+            binomial_mod_ps(a, k, p, s, mod_power)
+        except PrecisionError:
+            break
+        k += 1
+    binomial_table_mod_ps(a, k - 1, p, s, mod_power)
+    with pytest.raises(PrecisionError):
+        binomial_table_mod_ps(a, k, p, s, mod_power)
 
 
 # -- arithmetic-lift model --------------------------------------------------
