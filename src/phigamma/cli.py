@@ -46,23 +46,12 @@ from .modules import module_from_json
 from .normfield import NormFieldElement, format_element, parse_element
 from .tatesen import tate_sen_certificate, tau_projection
 from .wittside import WittVector
-from .zmodlin import module_profile
+from .zmodlin import _is_prime, module_profile
 
 EXIT_OK = 0
 EXIT_MATH = 1
 EXIT_PARSE = 2
 EXIT_PRECISION = 3
-
-
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
 
 
 @dataclass(frozen=True)

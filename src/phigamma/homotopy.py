@@ -17,6 +17,7 @@ from .errors import InvariantError
 from .zmodlin import (
     PresentedModule,
     ZModMatrix,
+    divisors_length,
     image_length,
     kernel_cokernel,
     kernel_generators,
@@ -287,6 +288,9 @@ def les_check(ses: ShortExactSequence) -> dict:
     if not degs:
         return {"exact": True, "nodes": 0, "first_failure": None}
     lo, hi = degs[0] - 1, degs[-1] + 1
+    # cocycles and cohomology lengths are computed once per degree here and
+    # kept only for this call: ``diffs`` is public and may change between
+    # calls
     data = {}
     for n in range(lo, hi + 2):
         i_n = ses.mat(ses.inc, n, A, B)
@@ -294,19 +298,19 @@ def les_check(ses: ShortExactSequence) -> dict:
         r_n1 = ses.mat(ses.retr, n + 1, B, A)
         s_n = ses.mat(ses.sect, n, C, B)
         ZA, ZB, ZC = A.cocycles(n), B.cocycles(n), C.cocycles(n)
-        BB, BC = B.coboundaries(n), C.coboundaries(n)
+        BA, BB, BC = A.coboundaries(n), B.coboundaries(n), C.coboundaries(n)
         im_i = _induced_image_length(i_n @ ZA, BB)
         im_p = _induced_image_length(p_n @ ZB, BC)
         delta_gens = r_n1 @ (B.diff(n) @ (s_n @ ZC))
         im_d = _induced_image_length(delta_gens, A.coboundaries(n + 1))
-        hA = A.cohomology_length(n)
-        hB = B.cohomology_length(n)
-        hC = C.cohomology_length(n)
-        data[n] = (im_i, im_p, im_d, hA, hB, hC, delta_gens)
+        hA = subquotient_presentation(ZA, BA).length()
+        hB = subquotient_presentation(ZB, BB).length()
+        hC = subquotient_presentation(ZC, BC).length()
+        data[n] = (im_i, im_p, im_d, hA, hB, hC, delta_gens, ZA)
     checked = 0
     for n in range(lo, hi + 1):
-        im_i, im_p, im_d, hA, hB, hC, dg = data[n]
-        za1 = A.cocycles(n + 1)
+        im_i, im_p, im_d, hA, hB, hC, dg, _ = data[n]
+        za1 = data[n + 1][7]
         if image_length(_hstack(p, s, [za1, dg])) != image_length(za1):
             return {"exact": False, "nodes": checked,
                     "first_failure": (f"delta at degree {n}",
@@ -460,9 +464,14 @@ class SpectralPage:
         return self.lengths.get((pp, qq), 0)
 
 
-def _window_kernel(DC: DoubleComplex, cols_idx, rows_idx):
+def _window_kernel(DC: DoubleComplex, cols_idx, rows_idx, memo: dict):
     """Kernel generators for the total-differential constraints carrying
-    the listed column spots into the listed row spots."""
+    the listed column spots into the listed row spots.  They depend only on
+    the two lists, which repeat from page to page once the window covers
+    the grid, so each is computed once per memo."""
+    key = (tuple(cols_idx), tuple(rows_idx))
+    if key in memo:
+        return memo[key]
     p, s = DC.p, DC.s
     sizes = [DC.rank(*pq) for pq in cols_idx]
     row_sizes = [DC.rank(*pq) for pq in rows_idx]
@@ -478,18 +487,11 @@ def _window_kernel(DC: DoubleComplex, cols_idx, rows_idx):
             else:
                 continue
             M[roff[i]:roff[i + 1], coff[j]:coff[j + 1]] = blk
-    return kernel_generators(ZModMatrix(p, s, M)), coff
+    memo[key] = kernel_generators(ZModMatrix(p, s, M)), coff
+    return memo[key]
 
 
-def _mul(p, s, a: np.ndarray, b: np.ndarray) -> ZModMatrix:
-    if a.size and b.size:
-        out = (a.astype(object) @ b.astype(object)) % p ** s
-    else:
-        out = np.zeros((a.shape[0], b.shape[1]), dtype=object)
-    return ZModMatrix(p, s, out.astype(np.int64))
-
-
-def _zr_span(DC: DoubleComplex, pp: int, qq: int, r: int):
+def _zr_span(DC: DoubleComplex, pp: int, qq: int, r: int, memo: dict):
     """Leading components of x ∈ F_p Tot with dx ∈ F_{p+r}, and the d_r
     values d_h(x_{p+r-1}) of the same generating solutions."""
     p, s = DC.p, DC.s
@@ -498,18 +500,19 @@ def _zr_span(DC: DoubleComplex, pp: int, qq: int, r: int):
                 if qq - t >= 0 and DC.rank(pp + t, qq - t)]
     rows_idx = [(pp + t, qq - t + 1) for t in range(r)
                 if DC.rank(pp + t, qq - t + 1)]
-    K, coff = _window_kernel(DC, cols_idx, rows_idx)
+    K, coff = _window_kernel(DC, cols_idx, rows_idx, memo)
     lead = ZModMatrix(p, s, K.entries[: DC.rank(pp, qq)])
     last = (pp + r - 1, qq - r + 1)
     if cols_idx and cols_idx[-1] == last and tgt_rank:
         j = len(cols_idx) - 1
-        dr = _mul(p, s, DC.d_h(*last).entries, K.entries[coff[j]:coff[j + 1]])
+        dr = DC.d_h(*last) @ ZModMatrix(p, s, K.entries[coff[j]:coff[j + 1]])
     else:
         dr = ZModMatrix.zeros(p, s, tgt_rank, K.cols)
     return lead, dr
 
 
-def _br_span(DC: DoubleComplex, pp: int, qq: int, r: int) -> ZModMatrix:
+def _br_span(DC: DoubleComplex, pp: int, qq: int, r: int,
+             memo: dict) -> ZModMatrix:
     """Column-p components of d(y) for y ∈ F_{p-r+1} with dy ∈ F_p."""
     p, s = DC.p, DC.s
     tgt = DC.rank(pp, qq)
@@ -520,14 +523,14 @@ def _br_span(DC: DoubleComplex, pp: int, qq: int, r: int) -> ZModMatrix:
         return ZModMatrix.zeros(p, s, tgt, 0)
     rows_idx = [(pp - t, qq + t) for t in range(r - 1, 0, -1)
                 if DC.rank(pp - t, qq + t)]
-    K, coff = _window_kernel(DC, cols_idx, rows_idx)
+    K, coff = _window_kernel(DC, cols_idx, rows_idx, memo)
     acc = ZModMatrix.zeros(p, s, tgt, K.cols)
     for j, (cp, cq) in enumerate(cols_idx):
-        blk = K.entries[coff[j]:coff[j + 1]]
+        blk = ZModMatrix(p, s, K.entries[coff[j]:coff[j + 1]])
         if (cp + 1, cq) == (pp, qq):
-            acc = acc + _mul(p, s, DC.d_h(cp, cq).entries, blk)
+            acc = acc + DC.d_h(cp, cq) @ blk
         if (cp, cq + 1) == (pp, qq):
-            acc = acc + _mul(p, s, DC.d_v(cp, cq).entries, blk)
+            acc = acc + DC.d_v(cp, cq) @ blk
     return acc
 
 
@@ -541,22 +544,32 @@ def spectral_E_pages(DC: DoubleComplex, r_max: int | None = None):
     abutment dict pairs each E_∞ diagonal sum with the total cohomology
     length in that degree.
     """
+    p = DC.p
     W, H = DC.extent()
     if r_max is None:
         r_max = max(W + H, 2)
     spots = sorted(DC.ranks)
     pages = []
     prev = None
+    # per-call memos: window kernels by spot lists, E_r profiles by their
+    # (Z_r, B_r) spans; both repeat once r outgrows the grid
+    kernels, quotients = {}, {}
     for r in range(1, r_max + 1):
         profiles, lengths, d_lengths = {}, {}, {}
+        # a d_r with a nonzero target lands on a spot, so every B_r span
+        # this page needs is one of these
+        Bsp = {pq: _br_span(DC, *pq, r, kernels) for pq in spots}
         for pp, qq in spots:
-            Z, dr = _zr_span(DC, pp, qq, r)
-            Bsp = _br_span(DC, pp, qq, r)
-            mod = subquotient_presentation(Z, Bsp)
-            profiles[(pp, qq)] = module_profile(mod)
-            lengths[(pp, qq)] = mod.length()
+            Z, dr = _zr_span(DC, pp, qq, r, kernels)
+            key = (Z, Bsp[(pp, qq)])
+            if key not in quotients:
+                quotients[key] = module_profile(
+                    subquotient_presentation(*key))
+            prof = quotients[key]
+            profiles[(pp, qq)] = list(prof)
+            lengths[(pp, qq)] = divisors_length(p, prof)
             if dr.rows and dr.cols:
-                Bt = _br_span(DC, pp + r, qq - r + 1, r)
+                Bt = Bsp[(pp + r, qq - r + 1)]
                 d_lengths[(pp, qq)] = _induced_image_length(dr, Bt)
             else:
                 d_lengths[(pp, qq)] = 0

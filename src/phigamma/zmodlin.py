@@ -1,10 +1,20 @@
 """Exact linear algebra over Z/p^s.
 
-Matrices carry their modulus (p, s) with entries stored as canonical
-representatives in [0, p^s).  The workhorse is a Smith normal form adapted
-to the local ring Z/p^s: pivots are chosen by minimal p-adic valuation, so
-the diagonal consists of p-powers (units normalized to 1) with a divisibility
-chain.  Kernels, cokernels and module profiles are all derived from it.
+Matrices carry their modulus (p, s) with entries stored in int64 as
+canonical representatives in [0, p^s).  Entries given as anything but an
+integer ndarray (such as parsed JSON) are checked once, at construction:
+they must be integers, and they are reduced mod p^s before numpy sees
+them.  The modulus must satisfy (p^s - 1)^2 < 2^63, so that a product of
+two entries fits in int64; products of matrices are summed over inner
+slices of length k with (p^s - 1)^2 k < 2^63 (_matmul_mod), one slice for
+every matrix in the declared scope p^s <= 7^6.
+
+The workhorse is a Smith normal form adapted to the local ring Z/p^s:
+pivots are chosen by minimal p-adic valuation, so the diagonal consists of
+p-powers (units normalized to 1) with a divisibility chain.  It clears a
+pivot's row and column with whole-array int64 updates and builds the
+transforms U, V only on request.  Kernels, cokernels and module profiles
+are all derived from it.
 
 Finite modules are presented as cokernels of relation matrices
 (PresentedModule); their isomorphism class is captured by the list of
@@ -15,6 +25,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -22,11 +33,15 @@ __all__ = [
     "ZModMatrix",
     "SmithForm",
     "PresentedModule",
+    "divisors_length",
     "smith_normal_form",
     "kernel_cokernel",
     "module_profile",
     "solve",
 ]
+
+
+_INT64_BOUND = 2**63
 
 
 def _is_prime(n: int) -> bool:
@@ -40,23 +55,71 @@ def _is_prime(n: int) -> bool:
     return True
 
 
+def _is_int(x) -> bool:
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
+def _reduced_entries(entries, q: int) -> np.ndarray:
+    """Integer entries of any size, reduced mod q, as an int64 array."""
+    a = np.array(entries, dtype=object)
+    if a.ndim != 2:
+        raise ValueError("entries must be two-dimensional")
+    flat = a.ravel()
+    for x in flat:
+        if not _is_int(x):
+            raise ValueError(f"matrix entry {x!r} is not an integer")
+    return np.array([int(x) % q for x in flat],
+                    dtype=np.int64).reshape(a.shape)
+
+
+def _matmul_mod(A: np.ndarray, B: np.ndarray, q: int) -> np.ndarray:
+    """Exact A @ B mod q for int64 matrices with entries in [0, q).
+
+    int64 products over slices of the inner dimension of length k with
+    (q-1)^2 k < 2^63, so no partial sum overflows.
+    """
+    step = (_INT64_BOUND - 1) // (q - 1) ** 2
+    assert step >= 1 and (q - 1) ** 2 * step < _INT64_BOUND
+    if A.shape[1] <= step:
+        return (A @ B) % q
+    out = np.zeros((A.shape[0], B.shape[1]), dtype=np.int64)
+    for i in range(0, A.shape[1], step):
+        out += (A[:, i:i + step] @ B[i:i + step]) % q
+        out %= q
+    return out
+
+
+@lru_cache(maxsize=64, typed=True)
+def _modulus(p: int, s: int) -> int:
+    """p^s after checking that Z/p^s is a ring this module can work in."""
+    if not (_is_int(p) and _is_int(s)):
+        raise ValueError(f"p = {p!r} and s = {s!r} must be integers")
+    if not _is_prime(p):
+        raise ValueError(f"p = {p} is not prime")
+    if s < 1:
+        raise ValueError(f"s = {s} must be positive")
+    q = p**s
+    if (q - 1) ** 2 >= _INT64_BOUND:
+        raise ValueError(f"modulus {p}^{s} is too large for int64 "
+                         "arithmetic: need (p^s - 1)^2 < 2^63")
+    return q
+
+
 class ZModMatrix:
-    """Matrix over Z/p^s with canonical entries in [0, p^s)."""
+    """Matrix over Z/p^s with canonical int64 entries in [0, p^s)."""
 
     __slots__ = ("p", "s", "rows", "cols", "entries")
 
     def __init__(self, p: int, s: int, entries):
-        if not _is_prime(p):
-            raise ValueError(f"p = {p} is not prime")
-        if s < 1:
-            raise ValueError(f"s = {s} must be positive")
+        q = _modulus(p, s)
         self.p = p
         self.s = s
-        q = p**s
-        a = np.array(entries, dtype=np.int64)
-        if a.ndim != 2:
-            raise ValueError("entries must be two-dimensional")
-        self.entries = np.mod(a, q)
+        if isinstance(entries, np.ndarray) and entries.dtype.kind == "i":
+            if entries.ndim != 2:
+                raise ValueError("entries must be two-dimensional")
+            self.entries = np.mod(entries.astype(np.int64, copy=False), q)
+        else:
+            self.entries = _reduced_entries(entries, q)
         self.rows, self.cols = self.entries.shape
 
     @property
@@ -90,8 +153,9 @@ class ZModMatrix:
         self._check_ring(other)
         if self.cols != other.rows:
             raise ValueError("dimension mismatch in product")
-        prod = (self.entries.astype(object) @ other.entries.astype(object)) % self.modulus
-        return ZModMatrix(self.p, self.s, prod.astype(np.int64))
+        return ZModMatrix(self.p, self.s,
+                          _matmul_mod(self.entries, other.entries,
+                                      self.modulus))
 
     def __add__(self, other: "ZModMatrix") -> "ZModMatrix":
         self._check_ring(other)
@@ -145,11 +209,12 @@ class ZModMatrix:
 
 @dataclass(frozen=True)
 class SmithForm:
-    """D = U @ A @ V with D diagonal (p-powers/units) and U, V unimodular."""
+    """D = U @ A @ V with D diagonal (p-powers/units) and U, V unimodular;
+    U and V are None when the transforms were not requested."""
 
     D: ZModMatrix
-    U: ZModMatrix
-    V: ZModMatrix
+    U: ZModMatrix | None
+    V: ZModMatrix | None
 
     @property
     def diagonal(self) -> list[int]:
@@ -205,91 +270,79 @@ class PresentedModule:
 
     def length(self) -> int:
         """p-adic length: sum of exponents of the elementary divisors."""
-        total = 0
-        for d in self.profile():
-            e = 0
-            while d > 1:
-                d //= self.p
-                e += 1
-            total += e
-        return total
+        return divisors_length(self.p, self.profile())
 
     def is_zero(self) -> bool:
         return self.length() == 0
 
 
-def _unit_inverse(a: int, q: int) -> int:
-    return pow(a, -1, q)
+def divisors_length(p: int, divisors) -> int:
+    """p-adic length of (+) Z/d over p-power divisors d."""
+    total = 0
+    for d in divisors:
+        while d > 1:
+            d //= p
+            total += 1
+    return total
 
 
-def smith_normal_form(A: ZModMatrix) -> SmithForm:
+def _swap(X: np.ndarray, i: int, j: int) -> None:
+    """Swap rows i and j of X in place (pass X.T to swap columns)."""
+    t = X[i].copy()
+    X[i] = X[j]
+    X[j] = t
+
+
+def smith_normal_form(A: ZModMatrix, transforms: bool = True) -> SmithForm:
     """Smith normal form over Z/p^s by minimal-valuation pivoting.
 
     Returns D = U @ A @ V with diagonal entries that are p-powers (units
-    normalized to 1), each dividing the next, and U, V invertible.
+    normalized to 1), each dividing the next, and U, V invertible.  The
+    pivot is the first entry of least valuation of the trailing block in
+    row-major order; gcd(x, p^s) = p^min(v(x), s) ranks the entries.  With
+    transforms=False, U and V are None and only D is computed.
     """
     p, s, q = A.p, A.s, A.modulus
-    M = A.entries.astype(object).copy()
-    rows, cols = M.shape
-    U = np.eye(rows, dtype=object)
-    V = np.eye(cols, dtype=object)
+    rows, cols = A.rows, A.cols
+    M = A.entries.copy()
+    U = np.eye(rows, dtype=np.int64) if transforms else None
+    V = np.eye(cols, dtype=np.int64) if transforms else None
+    D = np.zeros((rows, cols), dtype=np.int64)
+    for k in range(min(rows, cols)):
+        if M[k, k] % p:
+            pk = 1  # the block's first entry is a unit
+        else:
+            g = np.gcd(M[k:, k:], q)
+            at = int(g.argmin())
+            pk = int(g.flat[at])
+            if pk == q:
+                break  # trailing block is zero
+            bi, bj = divmod(at, cols - k)
+            bi, bj = bi + k, bj + k
+            if bi != k:
+                _swap(M, k, bi)
+                if transforms:
+                    _swap(U, k, bi)
+            if bj != k:
+                _swap(M.T, k, bj)
+                if transforms:
+                    _swap(V.T, k, bj)
+        # normalize the pivot to pk, then clear its column and row; every
+        # entry of the block is divisible by pk
+        inv = pow(int(M[k, k]) // pk, -1, q)
+        row = M[k, k + 1:] * inv % q
+        f = M[k + 1:, k] // pk
+        M[k + 1:, k + 1:] = (M[k + 1:, k + 1:] - f[:, None] * row) % q
+        D[k, k] = pk
+        if transforms:
+            U[k] = U[k] * inv % q
+            U[k + 1:] = (U[k + 1:] - f[:, None] * U[k]) % q
+            V[:, k + 1:] = (V[:, k + 1:] - V[:, k, None] * (row // pk)) % q
 
-    # precompute valuation table lazily via helper
-    def val(x: int) -> int:
-        x %= q
-        if x == 0:
-            return s
-        v = 0
-        while x % p == 0:
-            x //= p
-            v += 1
-        return v
-
-    n = min(rows, cols)
-    for k in range(n):
-        # locate minimal-valuation entry in the trailing block
-        best = None
-        best_v = s
-        for i in range(k, rows):
-            for j in range(k, cols):
-                v = val(M[i, j])
-                if v < best_v:
-                    best_v, best = v, (i, j)
-                    if v == 0:
-                        break
-            if best_v == 0:
-                break
-        if best is None:
-            break  # trailing block is zero
-        bi, bj = best
-        if bi != k:
-            M[[k, bi]] = M[[bi, k]]
-            U[[k, bi]] = U[[bi, k]]
-        if bj != k:
-            M[:, [k, bj]] = M[:, [bj, k]]
-            V[:, [k, bj]] = V[:, [bj, k]]
-        piv = int(M[k, k]) % q
-        unit = piv // (p**best_v)
-        inv = _unit_inverse(unit, q)
-        # normalize pivot to a pure p-power
-        M[k, :] = (M[k, :] * inv) % q
-        U[k, :] = (U[k, :] * inv) % q
-        pk = p**best_v
-        # clear column and row; every entry has valuation >= best_v
-        for i in range(rows):
-            if i != k and M[i, k] % q:
-                f = (int(M[i, k]) // pk) % q
-                M[i, :] = (M[i, :] - f * M[k, :]) % q
-                U[i, :] = (U[i, :] - f * U[k, :]) % q
-        for j in range(cols):
-            if j != k and M[k, j] % q:
-                f = (int(M[k, j]) // pk) % q
-                M[:, j] = (M[:, j] - f * M[:, k]) % q
-                V[:, j] = (V[:, j] - f * V[:, k]) % q
-
-    D = ZModMatrix(A.p, A.s, M.astype(np.int64))
-    return SmithForm(D, ZModMatrix(A.p, A.s, U.astype(np.int64)),
-                     ZModMatrix(A.p, A.s, V.astype(np.int64)))
+    if not transforms:
+        return SmithForm(ZModMatrix(p, s, D), None, None)
+    return SmithForm(ZModMatrix(p, s, D), ZModMatrix(p, s, U),
+                     ZModMatrix(p, s, V))
 
 
 def kernel_cokernel(A: ZModMatrix) -> tuple[PresentedModule, PresentedModule]:
@@ -300,7 +353,7 @@ def kernel_cokernel(A: ZModMatrix) -> tuple[PresentedModule, PresentedModule]:
     ker ~ (+) Z/p^(v_i) (+) (Z/p^s)^free; coker(A) ~ (+) Z/p^(v_i) over the
     diagonal positions plus free rows.
     """
-    sf = smith_normal_form(A)
+    sf = smith_normal_form(A, transforms=False)
     p, s = A.p, A.s
     vals = sf.valuations
     ndiag = len(vals)
@@ -342,7 +395,7 @@ def module_profile(M: PresentedModule) -> list[int]:
     p, s = M.p, M.s
     if M.generators == 0:
         return []
-    sf = smith_normal_form(M.relations)
+    sf = smith_normal_form(M.relations, transforms=False)
     vals = sf.valuations
     divisors = [p ** min(v, s) for v in vals if v > 0]
     divisors += [p**s] * (M.generators - len(vals))
@@ -351,7 +404,7 @@ def module_profile(M: PresentedModule) -> list[int]:
 
 def image_length(A: ZModMatrix) -> int:
     """p-adic length of the column space of A."""
-    sf = smith_normal_form(A)
+    sf = smith_normal_form(A, transforms=False)
     return sum(A.s - v for v in sf.valuations if v < A.s)
 
 
@@ -359,8 +412,8 @@ def solve(A: ZModMatrix, b) -> np.ndarray | None:
     """One solution x of A x = b over Z/p^s, or None if inconsistent."""
     q = A.modulus
     sf = smith_normal_form(A)
-    c = (sf.U.entries.astype(object) @ np.array(b, dtype=object)) % q
-    y = np.zeros(A.cols, dtype=object)
+    c = _matmul_mod(sf.U.entries, _reduced_entries([b], q).T, q)[:, 0]
+    y = np.zeros((A.cols, 1), dtype=np.int64)
     vals = sf.valuations
     for i in range(A.rows):
         ci = int(c[i]) % q
@@ -371,5 +424,4 @@ def solve(A: ZModMatrix, b) -> np.ndarray | None:
             y[i] = ci // d
         elif ci:
             return None
-    x = (sf.V.entries.astype(object) @ y) % q
-    return x.astype(np.int64)
+    return _matmul_mod(sf.V.entries, y, q)[:, 0]

@@ -236,3 +236,26 @@ def test_check_module_rejects_garbage(runner, tmp_path):
 def test_unknown_subcommand_exits_2(runner):
     res = runner.invoke(main, ["frobnicate"])
     assert res.exit_code == 2
+
+
+def _tower_file(tmp_path, entry):
+    path = tmp_path / "tower.json"
+    path.write_text(json.dumps({"format": "tower", "p": 3, "s": 2,
+                                "ranks": [1, 1], "maps": [[[entry]]],
+                                "tail": "constant"}))
+    return str(path)
+
+
+def test_tower_float_entry_exits_2(runner, tmp_path):
+    res = runner.invoke(main, ["tower", _tower_file(tmp_path, 1.5)])
+    assert res.exit_code == 2
+    assert "not an integer" in res.output
+
+
+def test_tower_huge_entry_is_read_mod_q(runner, tmp_path):
+    # 2^64 is an integer like any other: it is reduced mod 9 on reading,
+    # where numpy's int64 used to overflow with a traceback
+    huge = runner.invoke(main, ["tower", _tower_file(tmp_path, 2**64)])
+    assert huge.exit_code == 0
+    small = runner.invoke(main, ["tower", _tower_file(tmp_path, 2**64 % 9)])
+    assert huge.output == small.output

@@ -146,3 +146,143 @@ def test_presented_module_divisor_round_trip(a, b):
     divisors = sorted(d for d in (3 ** (a % 3), 3 ** (b % 3)) if d > 1)
     M = PresentedModule.from_divisors(3, 2, divisors)
     assert module_profile(M) == divisors
+
+
+# -- the int64 kernel against the object-dtype loop it replaced -------------
+
+
+def _reference_smith(p, s, entries):
+    """The object-dtype Smith form the int64 kernel replaced, kept as the
+    reference: same pivot rule, one row or column update at a time."""
+    q = p**s
+    M = np.array(entries, dtype=np.int64).astype(object) % q
+    rows, cols = M.shape
+    U = np.eye(rows, dtype=object)
+    V = np.eye(cols, dtype=object)
+
+    def val(x):
+        x %= q
+        if x == 0:
+            return s
+        v = 0
+        while x % p == 0:
+            x //= p
+            v += 1
+        return v
+
+    for k in range(min(rows, cols)):
+        best, best_v = None, s
+        for i in range(k, rows):
+            for j in range(k, cols):
+                v = val(M[i, j])
+                if v < best_v:
+                    best_v, best = v, (i, j)
+                    if v == 0:
+                        break
+            if best_v == 0:
+                break
+        if best is None:
+            break
+        bi, bj = best
+        if bi != k:
+            M[[k, bi]] = M[[bi, k]]
+            U[[k, bi]] = U[[bi, k]]
+        if bj != k:
+            M[:, [k, bj]] = M[:, [bj, k]]
+            V[:, [k, bj]] = V[:, [bj, k]]
+        pk = p**best_v
+        inv = pow(int(M[k, k]) % q // pk, -1, q)
+        M[k, :] = (M[k, :] * inv) % q
+        U[k, :] = (U[k, :] * inv) % q
+        for i in range(rows):
+            if i != k and M[i, k] % q:
+                f = (int(M[i, k]) // pk) % q
+                M[i, :] = (M[i, :] - f * M[k, :]) % q
+                U[i, :] = (U[i, :] - f * U[k, :]) % q
+        for j in range(cols):
+            if j != k and M[k, j] % q:
+                f = (int(M[k, j]) // pk) % q
+                M[:, j] = (M[:, j] - f * M[:, k]) % q
+                V[:, j] = (V[:, j] - f * V[:, k]) % q
+    return M.astype(np.int64), U.astype(np.int64), V.astype(np.int64)
+
+
+def _seeded_matrices(seed, count):
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        p = int(rng.choice([3, 5, 7]))
+        s = int(rng.integers(1, 7))
+        rows, cols = int(rng.integers(0, 10)), int(rng.integers(0, 10))
+        e = rng.integers(0, p**s, size=(rows, cols))
+        # p-divisible blocks, zero columns and rank drops
+        e = e * p ** rng.integers(0, s + 1, size=(rows, cols))
+        if rows and cols and rng.random() < 0.3:
+            e[:, rng.integers(0, cols)] = 0
+        if rows > 1 and rng.random() < 0.3:
+            e[-1] = (e[0] * int(rng.integers(0, p**s))) % p**s
+        yield ZModMatrix(p, s, e)
+
+
+def test_smith_matches_reference_loop():
+    for A in _seeded_matrices(23, 600):
+        D, U, V = _reference_smith(A.p, A.s, A.entries)
+        sf = smith_normal_form(A)
+        assert np.array_equal(sf.D.entries, D)
+        assert np.array_equal(sf.U.entries, U)
+        assert np.array_equal(sf.V.entries, V)
+        assert sf.U @ A @ sf.V == sf.D
+        bare = smith_normal_form(A, transforms=False)
+        assert bare.D == sf.D
+        assert bare.U is None and bare.V is None
+
+
+def test_smith_of_empty_matrices():
+    for rows, cols in ((0, 0), (0, 3), (4, 0)):
+        A = ZModMatrix.zeros(5, 2, rows, cols)
+        sf = smith_normal_form(A)
+        assert sf.D == A and sf.diagonal == []
+        assert sf.U == ZModMatrix.identity(5, 2, rows)
+        assert sf.V == ZModMatrix.identity(5, 2, cols)
+
+
+def test_product_matches_object_product_at_largest_modulus():
+    q = 7**6
+    rng = np.random.default_rng(29)
+    for a, b in ((np.full((5, 64), q - 1), np.full((64, 3), q - 1)),
+                 (rng.integers(0, q, (6, 64)), rng.integers(0, q, (64, 7)))):
+        got = ZModMatrix(7, 6, a) @ ZModMatrix(7, 6, b)
+        want = (a.astype(object) @ b.astype(object)) % q
+        assert np.array_equal(got.entries, want.astype(np.int64))
+
+
+def test_product_slices_the_inner_dimension_near_the_int64_bound():
+    # q = 2^31 - 1 is prime and (q-1)^2 k < 2^63 only for k <= 2
+    p = 2**31 - 1
+    rng = np.random.default_rng(31)
+    a = rng.integers(p - 50, p, (3, 9))
+    b = rng.integers(p - 50, p, (9, 2))
+    got = ZModMatrix(p, 1, a) @ ZModMatrix(p, 1, b)
+    want = (a.astype(object) @ b.astype(object)) % p
+    assert np.array_equal(got.entries, want.astype(np.int64))
+
+
+def test_modulus_beyond_int64_products_rejected():
+    with pytest.raises(ValueError, match="too large"):
+        ZModMatrix(7, 12, [[1]])
+
+
+def test_entries_must_be_integers():
+    with pytest.raises(ValueError, match="not an integer"):
+        ZModMatrix(3, 2, [[1.5]])
+    with pytest.raises(ValueError, match="not an integer"):
+        ZModMatrix(3, 2, [[True]])
+    with pytest.raises(ValueError, match="two-dimensional"):
+        ZModMatrix(3, 2, [1, 2])
+    with pytest.raises(ValueError):
+        ZModMatrix(3.0, 2, [[1]])
+
+
+def test_large_and_negative_entries_are_reduced():
+    A = ZModMatrix(3, 2, [[2**64, -1], [9**40 + 4, 10]])
+    assert A.entries.tolist() == [[2**64 % 9, 8], [4, 1]]
+    assert A.entries.dtype == np.int64
