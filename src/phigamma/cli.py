@@ -22,7 +22,6 @@ from .complexes import (
     cohomology,
     gamma_complex,
     herr_complex,
-    phi_cone,
     semidirect_gamma_complex,
 )
 from .errors import (
@@ -67,14 +66,18 @@ class JobSpec:
     seed: int
 
     def __post_init__(self):
-        if self.p == 2 or not _is_prime(self.p):
-            raise ValueError(f"prime must be odd and prime, got {self.p}")
+        check_prime(self.p)
         if not 1 <= self.s <= 6:
             raise ValueError(f"power must lie in [1, 6], got {self.s}")
         if any(a >= b for a, b in zip(self.schedule, self.schedule[1:])):
             raise ValueError("window schedule must be strictly increasing")
         if self.fmt not in ("csv", "json"):
             raise ValueError(f"format must be csv or json, got {self.fmt!r}")
+
+
+def check_prime(p: int) -> None:
+    if p == 2 or not _is_prime(p):
+        raise ValueError(f"prime must be odd and prime, got {p}")
 
 
 def make_schedule(window: int, doublings: int) -> tuple:
@@ -121,17 +124,20 @@ def read_input(path: str) -> str:
     return text
 
 
+prime_option = click.option("--prime", "-p", default=3, show_default=True,
+                            help="Odd prime p.")
+report_option = click.option(
+    "--report", default=None, type=click.Path(),
+    help="Write the report to this path instead of stdout.")
 common = [
-    click.option("--prime", "-p", default=3, show_default=True,
-                 help="Odd prime p."),
+    prime_option,
     click.option("--power", "-s", default=1, show_default=True,
                  help="Coefficient precision: work over Z/p^s."),
     click.option("--format", "fmt", default="csv", show_default=True,
                  type=click.Choice(["csv", "json"])),
     click.option("--seed", default=0, show_default=True,
                  help="Seed for sampled checks."),
-    click.option("--report", default=None, type=click.Path(),
-                 help="Write the report to this path instead of stdout."),
+    report_option,
 ]
 
 
@@ -194,12 +200,12 @@ def cohomology_cmd(module_file, window, doublings, mode, kind, prime, power,
 @click.option("--depth-budget", default=2, show_default=True)
 @click.option("--window", default=24, show_default=True,
               help="Certified precision window for the input element.")
-@with_common
+@prime_option
+@report_option
 @guarded
-def solve_as_cmd(expr, depth_budget, window, prime, power, fmt, seed,
-                 report):
+def solve_as_cmd(expr, depth_budget, window, prime, report):
     """Solve a^p - a = b for an element expression such as "pi^-3"."""
-    JobSpec("solve-as", None, prime, 1, (1, 2), fmt, seed)
+    check_prime(prime)
     b = parse_element(expr, prime, Fraction(window))
     sol = solve_as_general(b, depth_budget=depth_budget)
     emit(json.dumps(sol.to_json(), sort_keys=True, indent=2), report)
@@ -229,18 +235,25 @@ def solve_phi1_cmd(components, window, prime, power, fmt, seed, report):
               help="Project onto the level-m grid.")
 @click.option("--grid-level", default=1, show_default=True,
               help="Perfection level the input expression lives at.")
-@click.option("--window", default=24, show_default=True)
-@with_common
+@click.option("--window", default=24, show_default=True,
+              help="Certified precision window (an exponent bound).")
+@prime_option
+@report_option
 @guarded
-def trace_cmd(expr, level, grid_level, window, prime, power, fmt, seed,
-              report):
+def trace_cmd(expr, level, grid_level, window, prime, report):
     """Normalized trace projection of an element expression."""
-    JobSpec("trace", None, prime, power, (1, 2), fmt, seed)
+    check_prime(prime)
+    if grid_level < 0:
+        raise ValueError(f"grid level must be nonnegative, got {grid_level}")
     x = parse_element(expr, prime, Fraction(window))
-    z = NormFieldElement(
-        prime, grid_level,
-        {e * prime ** grid_level: c for e, c in x.terms().items()},
-        Fraction(window))
+    f = prime ** grid_level
+    off_grid = [e for e in x.terms() if (e * f).denominator != 1]
+    if off_grid:
+        raise ValueError(f"exponent {off_grid[0]} is finer than the "
+                         f"level-{grid_level} grid")
+    z = NormFieldElement(prime, grid_level,
+                         {int(e * f): c for e, c in x.terms().items()},
+                         window * f)
     out = tau_projection(z, level, 0)
     doc = {"input": expr, "level": level, "projection": format_element(out)}
     emit(json.dumps(doc, sort_keys=True, indent=2), report)
@@ -260,9 +273,9 @@ def ts_report_cmd(level, samples, prime, power, fmt, seed, report):
 
 @main.command("cone")
 @click.argument("map_file", type=click.Path())
-@with_common
+@report_option
 @guarded
-def cone_cmd(map_file, prime, power, fmt, seed, report):
+def cone_cmd(map_file, report):
     """Mapping cone of a chain-map file and its long-exact-sequence
     verdict."""
     doc = json.loads(read_input(map_file))
@@ -289,9 +302,9 @@ def cone_cmd(map_file, prime, power, fmt, seed, report):
 
 @main.command("spectral")
 @click.argument("grid_file", type=click.Path())
-@with_common
+@report_option
 @guarded
-def spectral_cmd(grid_file, prime, power, fmt, seed, report):
+def spectral_cmd(grid_file, report):
     """Spectral pages of a double-complex file, checked against the
     total complex."""
     DC = DoubleComplex.from_json(read_input(grid_file))
@@ -314,9 +327,9 @@ def spectral_cmd(grid_file, prime, power, fmt, seed, report):
 
 @main.command("tower")
 @click.argument("tower_file", type=click.Path())
-@with_common
+@report_option
 @guarded
-def tower_cmd(tower_file, prime, power, fmt, seed, report):
+def tower_cmd(tower_file, report):
     """lim and lim^1 of a tower file."""
     T = Tower.from_json(read_input(tower_file))
     lim, lim1 = tower_lim_lim1(T)
@@ -331,9 +344,9 @@ def tower_cmd(tower_file, prime, power, fmt, seed, report):
 
 @main.command("check-module")
 @click.argument("module_file", type=click.Path())
-@with_common
+@report_option
 @guarded
-def check_module_cmd(module_file, prime, power, fmt, seed, report):
+def check_module_cmd(module_file, report):
     """Validate a module description file and summarize it."""
     D = module_from_json(read_input(module_file))
     out = {

@@ -22,9 +22,12 @@ columns pi^n U^n from one binomial table of U = ((1+pi)^a - 1)/pi and its
 powers (normfield.power_rows, shared with normfield.gamma_matrix), phi
 columns as powers of (1+pi)^p - 1, whose negative powers are finite Laurent
 polynomials mod p^s.  Output windows reach p*b + max(2s + 4, (p-1)(s-1) + 2)
-below 0, the depth of phi's tail.  Matrix products mod q = p^s run in
-float64 BLAS over inner slices of length k with (q-1)^2 k < 2^53, where
-every partial sum is an exact integer (_matmul_mod).
+below 0, the depth of phi's tail.  This module has no elimination of its
+own: window products mod p^s go through zmodlin._matmul_mod, and kernels,
+lengths and elementary divisors are read from zmodlin's Smith form
+(kernel_generators, and module_profile of subquotient_presentation).  Only
+isomorphism invariants reach a report, so reports do not depend on which
+generators a kernel comes with.
 """
 
 from __future__ import annotations
@@ -46,6 +49,14 @@ from .errors import (
 from .modules import PhiGammaModule, _thaw
 from .normfield import NormFieldElement, format_element, power_rows
 from .wittside import ArithLiftElement, binomial_table_mod_ps
+from .zmodlin import (
+    ZModMatrix,
+    _matmul_mod,
+    divisors_length,
+    kernel_generators,
+    module_profile,
+    subquotient_presentation,
+)
 
 __all__ = [
     "OpTerm",
@@ -306,158 +317,6 @@ def semidirect_gamma_complex(D: PhiGammaModule) -> GammaComplex:
     return T
 
 
-# -- exact linear algebra mod p^s (vectorized) -------------------------------
-
-
-def _echelon_fp(A: np.ndarray, p: int):
-    """Row echelon over F_p; returns (reduced matrix, pivot columns)."""
-    M = A.copy() % p
-    rows, cols = M.shape
-    piv, r = [], 0
-    for c in range(cols):
-        if r == rows:
-            break
-        nz = np.nonzero(M[r:, c])[0]
-        if nz.size == 0:
-            continue
-        k = r + nz[0]
-        if k != r:
-            M[[r, k]] = M[[k, r]]
-        M[r] = (M[r] * pow(int(M[r, c]), -1, p)) % p
-        hit = M[:, c] != 0
-        hit[r] = False
-        if hit.any():
-            M[hit] = (M[hit] - np.outer(M[hit, c], M[r])) % p
-        piv.append(c)
-        r += 1
-    return M, piv
-
-
-def _kernel_fp(A: np.ndarray, p: int) -> np.ndarray:
-    R, piv = _echelon_fp(A, p)
-    cols = A.shape[1]
-    free = [c for c in range(cols) if c not in piv]
-    K = np.zeros((cols, len(free)), dtype=np.int64)
-    for i, fc in enumerate(free):
-        K[fc, i] = 1
-        for r, pc in enumerate(piv):
-            K[pc, i] = (-R[r, fc]) % p
-    return K
-
-
-def _smith_vals(A: np.ndarray, p: int, s: int, track=False):
-    """Diagonal p-valuations of the Smith form; optionally the column
-    transform V (so kernel vectors can be read off)."""
-    q = p ** s
-    M = A.copy() % q
-    rows, cols = M.shape
-    V = np.eye(cols, dtype=np.int64) if track else None
-    vals = []
-    k = 0
-    for v in range(s):
-        pv, pv1 = p ** v, p ** (v + 1)
-        while k < min(rows, cols):
-            block = M[k:, k:]
-            cand = np.argwhere(block % pv1 != 0)
-            if cand.size == 0:
-                break
-            i, j = cand[0]
-            i, j = k + int(i), k + int(j)
-            if i != k:
-                M[[k, i]] = M[[i, k]]
-            if j != k:
-                M[:, [k, j]] = M[:, [j, k]]
-                if track:
-                    V[:, [k, j]] = V[:, [j, k]]
-            inv = pow(int(M[k, k]) // pv, -1, q)
-            M[k] = (M[k] * inv) % q
-            # column phase: clear row k right of the pivot
-            f = (M[k, k + 1:] // pv) % q
-            if f.any():
-                M[:, k + 1:] = (M[:, k + 1:] - np.outer(M[:, k], f)) % q
-                if track:
-                    V[:, k + 1:] = (V[:, k + 1:] - np.outer(V[:, k], f)) % q
-            # row phase: clear column k below the pivot
-            g = (M[k + 1:, k] // pv) % q
-            if g.any():
-                M[k + 1:] = (M[k + 1:] - np.outer(g, M[k])) % q
-            vals.append(v)
-            k += 1
-        if k == min(rows, cols):
-            break
-    return (vals, V) if track else vals
-
-
-def _image_length(A: np.ndarray, p: int, s: int) -> int:
-    if A.size == 0:
-        return 0
-    if s == 1:
-        return len(_echelon_fp(A, p)[1])
-    return sum(s - v for v in _smith_vals(A, p, s))
-
-
-def _kernel(A: np.ndarray, p: int, s: int) -> np.ndarray:
-    if A.size == 0:
-        return np.eye(A.shape[1], dtype=np.int64)
-    if s == 1:
-        return _kernel_fp(A, p)
-    vals, V = _smith_vals(A, p, s, track=True)
-    q = p ** s
-    gens = []
-    for i, v in enumerate(vals):
-        if v > 0:
-            gens.append((V[:, i] * p ** (s - v)) % q)
-    for j in range(len(vals), A.shape[1]):
-        gens.append(V[:, j])
-    if not gens:
-        return np.zeros((A.shape[1], 0), dtype=np.int64)
-    return np.stack(gens, axis=1)
-
-
-def _span_profile(G: np.ndarray, p: int, s: int) -> list[int]:
-    """Elementary divisors of the submodule spanned by the columns of G."""
-    if G.size == 0:
-        return []
-    vals = [0] * len(_echelon_fp(G, p)[1]) if s == 1 else _smith_vals(G, p, s)
-    return sorted(p ** (s - v) for v in vals if v < s)
-
-
-def _subquotient_profile(Z: np.ndarray, B: np.ndarray, p: int,
-                         s: int) -> list[int]:
-    """Divisors of span(Z)/span(B); requires span(B) inside span(Z)."""
-    kz = Z.shape[1]
-    if kz == 0:
-        return []
-    if B.size == 0:
-        return _span_profile(Z, p, s)
-    rel = _kernel(np.hstack([Z, (-B) % p ** s]), p, s)[:kz, :]
-    vals = ([0] * len(_echelon_fp(rel, p)[1]) if s == 1
-            else _smith_vals(rel, p, s))
-    divisors = [p ** min(v, s) for v in vals if v > 0]
-    divisors += [p ** s] * (kz - len(vals))
-    return sorted(d for d in divisors if d > 1)
-
-
-def _matmul_mod(A: np.ndarray, B: np.ndarray, q: int) -> np.ndarray:
-    """Exact A @ B mod q for int64 matrices with entries in [0, q).
-
-    float64 BLAS over slices of the inner dimension of length k with
-    (q-1)^2 k < 2^53, so every partial sum is an exactly represented
-    integer; the object product only where (q-1)^2 >= 2^53.
-    """
-    step = (2**53 - 1) // (q - 1) ** 2
-    if step == 0:
-        return ((A.astype(object) @ B.astype(object)) % q).astype(np.int64)
-    assert (q - 1) ** 2 * step < 2**53
-    out = np.zeros((A.shape[0], B.shape[1]), dtype=np.int64)
-    for i in range(0, A.shape[1], step):
-        part = A[:, i:i + step].astype(np.float64) @ B[i:i + step].astype(
-            np.float64)
-        out += np.fmod(part, q, out=part).astype(np.int64)
-        out %= q
-    return out
-
-
 # -- window operator matrices ------------------------------------------------
 
 
@@ -624,7 +483,7 @@ def delta_project(D: PhiGammaModule, bottom: int,
         raise InvariantError("Delta projector is not idempotent")
     stack = np.vstack([(A - np.eye(A.shape[0], dtype=np.int64)) % q
                        for A in acts])
-    basis = _kernel(stack, p, s)
+    basis = kernel_generators(ZModMatrix(p, s, stack)).entries
     return DeltaProjection(p, s, bottom, top, D.delta_character_exponent,
                            tuple(sorted(omegas.items())), E, basis)
 
@@ -697,20 +556,32 @@ def _finite_diff_matrices(T: GammaComplex) -> list[np.ndarray]:
     return mats
 
 
+def _subquotient(Z: np.ndarray, B: np.ndarray, p: int, s: int,
+                 escape: str = ""):
+    """Length and elementary divisors of span(Z)/span(B); B must lie in
+    span(Z), else InvariantError with the message escape."""
+    try:
+        prof = module_profile(subquotient_presentation(ZModMatrix(p, s, Z),
+                                                       ZModMatrix(p, s, B)))
+    except InvariantError:
+        raise InvariantError(escape) from None
+    return divisors_length(p, prof), tuple(prof)
+
+
 def _finite_report(T: GammaComplex) -> CohomologyReport:
     D = T.module
     p, s, r = D.p, D.s, D.rank
     mats = _finite_diff_matrices(T)
     dims, profiles = [], []
     for n in range(T.n_terms):
-        dom = s * r * T.slots[n]
-        out_len = _image_length(mats[n], p, s) if n < len(mats) else 0
-        in_img = mats[n - 1] if n >= 1 else np.zeros((r * T.slots[n], 0),
-                                                     dtype=np.int64)
-        dims.append(dom - out_len - _image_length(in_img, p, s))
-        Z = (_kernel(mats[n], p, s) if n < len(mats)
-             else np.eye(r * T.slots[n], dtype=np.int64))
-        profiles.append(tuple(_subquotient_profile(Z, in_img, p, s)))
+        width = r * T.slots[n]
+        Z = (kernel_generators(ZModMatrix(p, s, mats[n])).entries
+             if n < len(mats) else np.eye(width, dtype=np.int64))
+        B = mats[n - 1] if n >= 1 else np.zeros((width, 0), dtype=np.int64)
+        length, prof = _subquotient(
+            Z, B, p, s, f"H^{n}: coboundaries escape the cocycle space")
+        dims.append(length)
+        profiles.append(prof)
     euler = sum((-1) ** i * d for i, d in enumerate(dims))
     dims = tuple(dims)
     return CohomologyReport(p, s, T.mode, T.kind, dims, tuple(profiles),
@@ -790,33 +661,33 @@ def _window_dims(T: GammaComplex, b: int):
         w = M.shape[0] // copies
         return np.vstack([M[idx + k * w] for k in range(copies)])
 
+    def kernel(A):
+        return kernel_generators(ZModMatrix(p, s, A)).entries
+
+    # lengths are read off the profiles: the columns of X0 are a basis of a
+    # free direct summand, so X0 carries each space isomorphically onto its
+    # span in the window
+
     # H^0: kernel of d0 on the depth-b window (exact)
-    h0 = s * k0 - _image_length(d0s, p, s)
-    K0 = _kernel(d0s, p, s)
-    prof0 = _span_profile(_matmul_mod(X0, K0, q), p, s)
+    K0 = kernel(d0s)
+    h0, prof0 = _subquotient(_matmul_mod(X0, K0, q),
+                             np.zeros((X0.shape[0], 0), dtype=np.int64), p, s)
 
     # H^1: exact cocycles at depth b, coboundaries from depth 2b whose
     # image stays above the bottom cut
-    Z1 = _kernel(d1s, p, s)
+    Z1 = kernel(d1s)
     Zw = np.vstack([_matmul_mod(X0, Z1[:k0], q), _matmul_mod(X0, Z1[k0:], q)])
-    supp0 = _kernel(rows(d0w, outside, 2), p, s)
+    supp0 = kernel(rows(d0w, outside, 2))
     Bw = _matmul_mod(rows(d0w, inside, 2), supp0, q)
-    lz, lb = _image_length(Zw, p, s), _image_length(Bw, p, s)
-    if _image_length(np.hstack([Zw, Bw]), p, s) != lz:
-        raise InvariantError("coboundaries escape the cocycle space")
-    h1 = lz - lb
-    prof1 = _subquotient_profile(Zw, Bw, p, s)
+    h1, prof1 = _subquotient(Zw, Bw, p, s,
+                             "coboundaries escape the cocycle space")
 
     # H^2: full depth-b window modulo deep coboundaries
-    supp1 = _kernel(rows(d1w, outside, 1), p, s)
+    supp1 = kernel(rows(d1w, outside, 1))
     B2 = _matmul_mod(rows(d1w, inside, 1), supp1, q)
-    lb2 = _image_length(B2, p, s)
-    if _image_length(np.hstack([X0, B2]), p, s) != s * k0:
-        raise InvariantError("coboundaries escape the window")
-    h2 = s * k0 - lb2
-    prof2 = _subquotient_profile(X0, B2, p, s)
+    h2, prof2 = _subquotient(X0, B2, p, s, "coboundaries escape the window")
 
-    return (h0, h1, h2), (tuple(prof0), tuple(prof1), tuple(prof2))
+    return (h0, h1, h2), (prof0, prof1, prof2)
 
 
 def certify_d_squared(T: GammaComplex, b: int) -> bool:

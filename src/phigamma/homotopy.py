@@ -17,11 +17,13 @@ from .errors import InvariantError
 from .zmodlin import (
     PresentedModule,
     ZModMatrix,
+    _is_int,
     divisors_length,
     image_length,
     kernel_cokernel,
     kernel_generators,
     module_profile,
+    subquotient_presentation,
 )
 
 __all__ = [
@@ -41,25 +43,18 @@ __all__ = [
 ]
 
 
+def _rank(r) -> int:
+    """A rank read from input: a nonnegative integer, never truncated."""
+    if not _is_int(r) or r < 0:
+        raise ValueError(f"rank {r!r} is not a nonnegative integer")
+    return int(r)
+
+
 def _hstack(p, s, mats):
     cols = [m.entries for m in mats if m.cols]
     if not cols:
         return ZModMatrix.zeros(p, s, mats[0].rows, 0)
     return ZModMatrix(p, s, np.hstack(cols))
-
-
-def subquotient_presentation(span: ZModMatrix,
-                             sub: ZModMatrix) -> PresentedModule:
-    """span(Z)/span(B) presented on the columns of Z; requires B ⊆ Z."""
-    p, s = span.p, span.s
-    if sub.cols:
-        if image_length(_hstack(p, s, [span, sub])) != image_length(span):
-            raise InvariantError("denominator is not contained in the span")
-    paired = _hstack(p, s, [span, sub.scale(-1)]) if sub.cols else span
-    rel = kernel_generators(paired)
-    top = ZModMatrix(p, s, rel.entries[: span.cols]) if rel.cols else \
-        ZModMatrix.zeros(p, s, span.cols, 0)
-    return PresentedModule(top, span.cols)
 
 
 # -- chain complexes ---------------------------------------------------------
@@ -70,7 +65,8 @@ class ChainComplexZ:
 
     def __init__(self, p: int, s: int, ranks: dict, diffs: dict):
         self.p, self.s = p, s
-        self.ranks = {int(n): int(r) for n, r in ranks.items() if r}
+        ranks = {int(n): _rank(r) for n, r in ranks.items()}
+        self.ranks = {n: r for n, r in ranks.items() if r}
         self.diffs = {}
         for n, d in diffs.items():
             n = int(n)
@@ -342,8 +338,9 @@ class DoubleComplex:
             pq = self._key(key)
             if pq[0] < 0 or pq[1] < 0:
                 raise InvariantError("grid must be first-quadrant")
+            r = _rank(r)
             if r:
-                self.ranks[pq] = int(r)
+                self.ranks[pq] = r
         self.dh = {self._key(k): self._mat(v) for k, v in dh.items()}
         self.dv = {self._key(k): self._mat(v) for k, v in dv.items()}
         for (pp, qq), m in self.dh.items():
@@ -617,7 +614,7 @@ class Tower:
     def __post_init__(self):
         if self.tail not in ("constant", "zero"):
             raise InvariantError("tail convention must be constant or zero")
-        self.ranks = [int(r) for r in self.ranks]
+        self.ranks = [_rank(r) for r in self.ranks]
         self.maps = [m if isinstance(m, ZModMatrix)
                      else ZModMatrix(self.p, self.s, m) for m in self.maps]
         if len(self.maps) != max(len(self.ranks) - 1, 0):

@@ -16,22 +16,26 @@ The arithmetic-direction solve and the level-m Herr complex of the
 decompletion comparison both read gamma off ``normfield.gamma_matrix``,
 which fills a whole monomial window from one power table of the
 substitution series; the TS3 residual, the c4 probe and the idempotency of
-the character averaging recheck it through element arithmetic.
+the character averaging recheck it through element arithmetic.  The level-m
+complex builds each gamma matrix once, on its widest window, and reads its
+ranks and kernels from zmodlin.  The TS3 solve keeps its own row echelon
+over F_p (_solve_fp): its matrices are singular, and the reported c3 rests
+on the particular solution that sets the free unknowns to 0.
 """
 
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .complexes import _echelon_fp, _kernel_fp, _omega_residues
+from .complexes import _omega_residues
 from .errors import InvariantError, NonStabilizationError, PrecisionError
 from .normfield import (NormFieldElement, RelativeNormElement, format_element,
                         gamma_matrix)
+from .zmodlin import ZModMatrix, image_length, kernel_generators
 
 __all__ = [
     "TraceOperator",
@@ -292,7 +296,33 @@ def ts1_witness_search(p: int, s: int, n: int, c: Fraction) -> TS1Witness:
 # -- TS3: inverting 1 - gamma^(p^m) off the trace image ----------------------
 
 
+def _echelon_fp(A: np.ndarray, p: int):
+    """Row echelon over F_p; returns (reduced matrix, pivot columns)."""
+    M = A.copy() % p
+    rows, cols = M.shape
+    piv, r = [], 0
+    for c in range(cols):
+        if r == rows:
+            break
+        nz = np.nonzero(M[r:, c])[0]
+        if nz.size == 0:
+            continue
+        k = r + nz[0]
+        if k != r:
+            M[[r, k]] = M[[k, r]]
+        M[r] = (M[r] * pow(int(M[r, c]), -1, p)) % p
+        hit = M[:, c] != 0
+        hit[r] = False
+        if hit.any():
+            M[hit] = (M[hit] - np.outer(M[hit, c], M[r])) % p
+        piv.append(c)
+        r += 1
+    return M, piv
+
+
 def _solve_fp(A: np.ndarray, b: np.ndarray, p: int):
+    """The solution of A x = b over F_p whose free unknowns are 0 (the
+    reduced row echelon form fixes it), or None if there is none."""
     aug = np.hstack([A, b.reshape(-1, 1) % p])
     R, piv = _echelon_fp(aug, p)
     if A.shape[1] in piv:
@@ -477,73 +507,71 @@ def _herr_level_dims(sc_phi: int, sc_gamma: int, delta_exponent: int | None,
     D0 = B1 + 2 * f            # deep coboundary sources for H^1
     RD = p * D0 + 4 * f        # rows needed to watch their full images
     mod = level + 10
-    a_chi = chi % p ** mod
+    # every window below is [lo, T); an entry of a gamma matrix depends only
+    # on its pair of monomials, so each matrix is built once on the widest
+    # window and the narrower ones are its lower right corners
+    G = gamma_matrix(p, level, chi % p ** mod, mod, -D0, T, -RD, T)
 
-    def phi_matrix(dom_lo, dom_hi, row_lo, row_hi):
-        A = np.zeros((row_hi - row_lo, dom_hi - dom_lo), dtype=np.int64)
-        for j, q in enumerate(range(dom_lo, dom_hi)):
-            if row_lo <= p * q < row_hi:
-                A[p * q - row_lo, j] = 1
-        return A
+    def rank(M):
+        return image_length(ZModMatrix(p, 1, M))
 
-    def one_minus(op, scale, dom_lo, dom_hi, row_lo, row_hi):
-        A = (-scale * op(dom_lo, dom_hi, row_lo, row_hi)) % p
-        for j, q in enumerate(range(dom_lo, dom_hi)):
-            if row_lo <= q < row_hi:
-                A[q - row_lo, j] = (A[q - row_lo, j] + 1) % p
-        return A
+    def kernel(M):
+        return kernel_generators(ZModMatrix(p, 1, M)).entries
 
-    gam = lambda *w: gamma_matrix(p, level, a_chi, mod, *w)
+    def one_minus(dom_lo, row_lo):
+        """1 - sc_phi*phi and 1 - sc_gamma*gamma from [dom_lo, T) to
+        [row_lo, T); phi sends pi^n to pi^(pn)."""
+        n = np.arange(dom_lo, T)
+        j = np.arange(T - dom_lo)
+        ident = np.zeros((T - row_lo, T - dom_lo), dtype=np.int64)
+        ident[n[n >= row_lo] - row_lo, j[n >= row_lo]] = 1
+        phi = np.zeros_like(ident)
+        seen = (p * n >= row_lo) & (p * n < T)
+        phi[p * n[seen] - row_lo, j[seen]] = 1
+        return ((ident - sc_phi * phi) % p,
+                (ident - sc_gamma * G[row_lo + RD:, dom_lo + D0:]) % p)
 
-    def fix_basis(dom_lo, dom_hi):
-        """Column basis of the image of the idempotent averaging the
-        character-twisted substitution action of the order p-1 torus."""
-        size = dom_hi - dom_lo
-        if delta_exponent is None:
-            return np.eye(size, dtype=np.int64)
-        acc = np.zeros((size, size), dtype=np.int64)
-        for u, a in _omega_residues(p, mod).items():
-            G = gamma_matrix(p, level, a, mod, dom_lo, dom_hi, dom_lo, dom_hi)
-            e = delta_exponent % (p - 1)
-            acc = (acc + pow(u, e, p) * G) % p
+    # the idempotent averaging the character-twisted substitution action of
+    # the order p-1 torus; its image on [lo, T) is the kernel of 1 - P there
+    P = None
+    if delta_exponent is not None:
+        e = delta_exponent % (p - 1)
+        acc = sum(pow(u, e, p) * gamma_matrix(p, level, a, mod, -D0, T,
+                                               -D0, T)
+                  for u, a in _omega_residues(p, mod).items())
         P = (pow(p - 1, -1, p) * acc) % p
         if ((P @ P - P) % p).any():
             raise InvariantError("character averaging is not idempotent")
-        _, piv = _echelon_fp(P.copy(), p)
-        return P[:, piv] % p
 
-    rank = lambda M: len(_echelon_fp(M.copy() % p, p)[1])
+    def fix_basis(lo):
+        eye = np.eye(T - lo, dtype=np.int64)
+        return eye if P is None else kernel(eye - P[lo + D0:, lo + D0:])
 
     # H^0: joint kernel of 1-phi and 1-gamma on the fix space; both images
     # are fully visible on rows [-p*B0, T), so the kernel is exact
-    X0 = fix_basis(-B0, T)
-    F0 = one_minus(phi_matrix, sc_phi, -B0, T, -p * B0, T)
-    G0 = one_minus(gam, sc_gamma, -B0, T, -p * B0, T)
-    h0 = _kernel_fp(np.vstack([F0 @ X0 % p, G0 @ X0 % p]), p).shape[1]
+    X0 = fix_basis(-B0)
+    F0, G0 = one_minus(-B0, -p * B0)
+    h0 = X0.shape[1] - rank(np.vstack([F0 @ X0 % p, G0 @ X0 % p]))
 
     # H^1 cocycles: pairs (a, c) in the degree-1 window with d1 = 0 on
     # fully visible rows [-p*B1, T)
-    X1 = fix_basis(-B1, T)
-    G1 = one_minus(gam, sc_gamma, -B1, T, -p * B1, T)
-    F1 = one_minus(phi_matrix, sc_phi, -B1, T, -p * B1, T)
+    X1 = fix_basis(-B1)
+    F1, G1 = one_minus(-B1, -p * B1)
     M1 = np.hstack([G1 @ X1 % p, (-(F1 @ X1)) % p])
-    KZ = _kernel_fp(M1, p)
+    KZ = kernel(M1)
     n1 = X1.shape[1]
-    raw1 = X1.shape[0]
     Z = np.vstack([X1 @ KZ[:n1] % p, X1 @ KZ[n1:] % p])
 
     # coboundaries from deep sources whose image stays inside the window
-    XD = fix_basis(-D0, T)
-    FD = one_minus(phi_matrix, sc_phi, -D0, T, -RD, T)
-    GD = one_minus(gam, sc_gamma, -D0, T, -RD, T)
+    XD = fix_basis(-D0)
+    FD, GD = one_minus(-D0, -RD)
     MD = np.vstack([FD @ XD % p, GD @ XD % p])
     keep = [r for r in range(RD - B1)] + \
         [RD + T + r for r in range(RD - B1)]
-    KB = _kernel_fp(MD[keep], p)
+    KB = kernel(MD[keep])
     inside = [r for r in range(RD - B1, RD + T)] + \
         [RD + T + r for r in range(RD - B1, RD + T)]
-    B = MD[inside] @ KB % p if KB.size else np.zeros((2 * raw1, 0),
-                                                     dtype=np.int64)
+    B = MD[inside] @ KB % p
     rz = rank(Z)
     if rank(np.hstack([Z, B])) != rz:
         raise InvariantError("window coboundaries escape the cocycle space")

@@ -5,15 +5,22 @@ canonical representatives in [0, p^s).  Entries given as anything but an
 integer ndarray (such as parsed JSON) are checked once, at construction:
 they must be integers, and they are reduced mod p^s before numpy sees
 them.  The modulus must satisfy (p^s - 1)^2 < 2^63, so that a product of
-two entries fits in int64; products of matrices are summed over inner
-slices of length k with (p^s - 1)^2 k < 2^63 (_matmul_mod), one slice for
-every matrix in the declared scope p^s <= 7^6.
+two entries fits in int64.
 
-The workhorse is a Smith normal form adapted to the local ring Z/p^s:
-pivots are chosen by minimal p-adic valuation, so the diagonal consists of
-p-powers (units normalized to 1) with a divisibility chain.  It clears a
-pivot's row and column with whole-array int64 updates and builds the
-transforms U, V only on request.  Kernels, cokernels and module profiles
+This module holds the package's Z/p^s elimination and its product of
+matrices mod p^s; the Herr window engine (complexes), the decompletion
+comparison (tatesen) and the homological engine (homotopy) all read
+lengths, kernels and profiles from it.  Products (_matmul_mod) are summed
+over slices of the inner dimension whose length k follows from q = p^s:
+float64 BLAS while (q-1)^2 k < 2^53, int64 while (q-1)^2 k < 2^63.
+
+The elimination (_eliminate) is a Smith normal form adapted to the local
+ring Z/p^s: the pivot is the first entry of least p-adic valuation of the
+trailing block in row-major order, so the diagonal consists of p-powers
+(units normalized to 1) with a divisibility chain.  Each pivot update
+touches only the rows with a nonzero entry in the pivot column and the
+columns with one in the pivot row, and the transforms U and V are built
+only when asked for.  Kernels, cokernels, subquotients and module profiles
 are all derived from it.
 
 Finite modules are presented as cokernels of relation matrices
@@ -29,6 +36,8 @@ from functools import lru_cache
 
 import numpy as np
 
+from .errors import InvariantError
+
 __all__ = [
     "ZModMatrix",
     "SmithForm",
@@ -37,6 +46,7 @@ __all__ = [
     "smith_normal_form",
     "kernel_cokernel",
     "module_profile",
+    "subquotient_presentation",
     "solve",
 ]
 
@@ -72,20 +82,43 @@ def _reduced_entries(entries, q: int) -> np.ndarray:
                     dtype=np.int64).reshape(a.shape)
 
 
+def _mod(x: np.ndarray, q: int) -> np.ndarray:
+    """x mod q, in place, for an int64 array, by floor division: numpy's
+    floor division of int64 by a scalar is several times cheaper than its
+    remainder."""
+    t = x // q
+    t *= q
+    x -= t
+    return x
+
+
+_FLOAT_BOUND = 2**53
+
+
 def _matmul_mod(A: np.ndarray, B: np.ndarray, q: int) -> np.ndarray:
     """Exact A @ B mod q for int64 matrices with entries in [0, q).
 
-    int64 products over slices of the inner dimension of length k with
-    (q-1)^2 k < 2^63, so no partial sum overflows.
+    The inner dimension is summed in slices of length k with (q-1)^2 k
+    below 2^53 in float64 BLAS, where every partial sum is an exactly
+    represented integer, or, when (q-1)^2 >= 2^53, below 2^63 in int64.
+    A modulus with (q-1)^2 >= 2^63 is refused, as everywhere in this module.
     """
-    step = (_INT64_BOUND - 1) // (q - 1) ** 2
-    assert step >= 1 and (q - 1) ** 2 * step < _INT64_BOUND
-    if A.shape[1] <= step:
-        return (A @ B) % q
-    out = np.zeros((A.shape[0], B.shape[1]), dtype=np.int64)
+    c = (q - 1) ** 2
+    if c >= _INT64_BOUND:
+        raise ValueError(f"modulus {q} is too large for int64 arithmetic: "
+                         "need (q - 1)^2 < 2^63")
+    dtype, bound = ((np.float64, _FLOAT_BOUND) if c < _FLOAT_BOUND
+                    else (np.int64, _INT64_BOUND))
+    step = (bound - 1) // c
+    assert c * step < bound
+    out = None
     for i in range(0, A.shape[1], step):
-        out += (A[:, i:i + step] @ B[i:i + step]) % q
-        out %= q
+        part = _mod((A[:, i:i + step].astype(dtype, copy=False)
+                     @ B[i:i + step].astype(dtype, copy=False)
+                     ).astype(np.int64, copy=False), q)
+        out = part if out is None else _mod(out + part, q)
+    if out is None:
+        return np.zeros((A.shape[0], B.shape[1]), dtype=np.int64)
     return out
 
 
@@ -117,7 +150,7 @@ class ZModMatrix:
         if isinstance(entries, np.ndarray) and entries.dtype.kind == "i":
             if entries.ndim != 2:
                 raise ValueError("entries must be two-dimensional")
-            self.entries = np.mod(entries.astype(np.int64, copy=False), q)
+            self.entries = _mod(entries.astype(np.int64), q)
         else:
             self.entries = _reduced_entries(entries, q)
         self.rows, self.cols = self.entries.shape
@@ -167,9 +200,6 @@ class ZModMatrix:
 
     def __neg__(self) -> "ZModMatrix":
         return ZModMatrix(self.p, self.s, -self.entries)
-
-    def scale(self, c: int) -> "ZModMatrix":
-        return ZModMatrix(self.p, self.s, self.entries * (c % self.modulus))
 
     def transpose(self) -> "ZModMatrix":
         return ZModMatrix(self.p, self.s, self.entries.T)
@@ -226,11 +256,6 @@ class SmithForm:
         """Valuations of the diagonal entries (s meaning the entry is 0)."""
         return [self.D.valuation(x) for x in self.diagonal]
 
-    @property
-    def rank_profile(self) -> list[int]:
-        """Valuations of the nonzero diagonal entries."""
-        return [v for v in self.valuations if v < self.D.s]
-
 
 @dataclass(frozen=True)
 class PresentedModule:
@@ -286,11 +311,94 @@ def divisors_length(p: int, divisors) -> int:
     return total
 
 
-def _swap(X: np.ndarray, i: int, j: int) -> None:
-    """Swap rows i and j of X in place (pass X.T to swap columns)."""
-    t = X[i].copy()
-    X[i] = X[j]
-    X[j] = t
+def _eliminate(M: np.ndarray, p: int, s: int, U: np.ndarray | None = None,
+               Vt: np.ndarray | None = None) -> list[int]:
+    """Smith elimination of M (int64, entries in [0, p^s)) in place; returns
+    the valuations of the nonzero pivots, in order.
+
+    The pivot is the first entry of least valuation of the trailing block
+    M[k:, k:] in row-major order.  Row operations are repeated on U and
+    column operations on the rows of Vt (V transposed) when they are given.
+    Only the trailing block is kept up to date, and an update touches only
+    the rows with a nonzero entry in the pivot column and the span of
+    columns with one in the pivot row.  The least valuation v of the block
+    never falls, and a row with no entry of valuation v gets none from an
+    update, so the search resumes at the first row not yet ruled out (lo)
+    and scans ahead in growing slices; rows are rescanned only when v rises.
+    """
+    q = p**s
+    rows, cols = M.shape
+    vals = []
+    v, lo = 0, 0
+    for k in range(min(rows, cols)):
+        if v == 0 and M[k, k] % p:
+            bi = bj = k  # a unit at the block's first entry
+        else:
+            bi = -1
+        while bi < 0:
+            # entries of valuation v are those not divisible by p^(v+1)
+            step = 8
+            while lo < rows:
+                blk = M[lo:lo + step, k:]
+                hit = blk % p ** (v + 1) != 0
+                at = int(hit.argmax())
+                if hit.flat[at]:
+                    bi, bj = divmod(at, cols - k)
+                    bi, bj = bi + lo, bj + k
+                    break
+                lo += step
+                step *= 2
+            else:
+                v, lo = v + 1, k
+                if v == s:
+                    return vals  # the trailing block is zero
+        if bi != k:
+            M[[k, bi], k:] = M[[bi, k], k:]
+            if U is not None:
+                U[[k, bi]] = U[[bi, k]]
+        if bj != k:
+            col = M[k:, k].copy()
+            M[k:, k] = M[k:, bj]
+            M[k:, bj] = col
+            if Vt is not None:
+                Vt[[k, bj]] = Vt[[bj, k]]
+        lo = bi + 1
+        # normalize the pivot to p^v, then clear its column and row; every
+        # entry of the block is divisible by p^v
+        pk = p**v
+        inv = pow(int(M[k, k]) // pk, -1, q)
+        row = _mod(M[k, k + 1:] * inv, q)
+        hit_rows = M[k + 1:, k].nonzero()[0] + (k + 1)
+        hit_cols = row.nonzero()[0]
+        if hit_rows.size:
+            f = M[hit_rows, k] // pk
+            if hit_cols.size:
+                a, b = hit_cols[0], hit_cols[-1] + 1
+                span = slice(k + 1 + a, k + 1 + b)
+                blk = M[hit_rows, span]
+                blk -= f[:, None] * row[a:b]
+                M[hit_rows, span] = _mod(blk, q)
+        if U is not None:
+            U[k] = _mod(U[k] * inv, q)
+            if hit_rows.size:
+                blk = U[hit_rows]
+                blk -= f[:, None] * U[k]
+                U[hit_rows] = _mod(blk, q)
+        if Vt is not None and hit_cols.size:
+            nz = Vt[k].nonzero()[0]
+            a, b = nz[0], nz[-1] + 1
+            g = row[hit_cols] // pk
+            c = hit_cols + (k + 1)
+            blk = Vt[c, a:b]
+            blk -= g[:, None] * Vt[k, a:b]
+            Vt[c, a:b] = _mod(blk, q)
+        vals.append(v)
+    return vals
+
+
+def _valuations(A: ZModMatrix) -> list[int]:
+    """Valuations of the nonzero diagonal entries of A's Smith form."""
+    return _eliminate(A.entries.copy(), A.p, A.s)
 
 
 def smith_normal_form(A: ZModMatrix, transforms: bool = True) -> SmithForm:
@@ -299,50 +407,24 @@ def smith_normal_form(A: ZModMatrix, transforms: bool = True) -> SmithForm:
     Returns D = U @ A @ V with diagonal entries that are p-powers (units
     normalized to 1), each dividing the next, and U, V invertible.  The
     pivot is the first entry of least valuation of the trailing block in
-    row-major order; gcd(x, p^s) = p^min(v(x), s) ranks the entries.  With
-    transforms=False, U and V are None and only D is computed.
+    row-major order (_eliminate).  With transforms=False, U and V are None
+    and only D is computed.
     """
-    p, s, q = A.p, A.s, A.modulus
-    rows, cols = A.rows, A.cols
-    M = A.entries.copy()
+    p, s, rows, cols = A.p, A.s, A.rows, A.cols
+    if not rows or not cols:
+        if not transforms:
+            return SmithForm(A, None, None)
+        return SmithForm(A, ZModMatrix.identity(p, s, rows),
+                         ZModMatrix.identity(p, s, cols))
     U = np.eye(rows, dtype=np.int64) if transforms else None
-    V = np.eye(cols, dtype=np.int64) if transforms else None
+    Vt = np.eye(cols, dtype=np.int64) if transforms else None
     D = np.zeros((rows, cols), dtype=np.int64)
-    for k in range(min(rows, cols)):
-        if M[k, k] % p:
-            pk = 1  # the block's first entry is a unit
-        else:
-            g = np.gcd(M[k:, k:], q)
-            at = int(g.argmin())
-            pk = int(g.flat[at])
-            if pk == q:
-                break  # trailing block is zero
-            bi, bj = divmod(at, cols - k)
-            bi, bj = bi + k, bj + k
-            if bi != k:
-                _swap(M, k, bi)
-                if transforms:
-                    _swap(U, k, bi)
-            if bj != k:
-                _swap(M.T, k, bj)
-                if transforms:
-                    _swap(V.T, k, bj)
-        # normalize the pivot to pk, then clear its column and row; every
-        # entry of the block is divisible by pk
-        inv = pow(int(M[k, k]) // pk, -1, q)
-        row = M[k, k + 1:] * inv % q
-        f = M[k + 1:, k] // pk
-        M[k + 1:, k + 1:] = (M[k + 1:, k + 1:] - f[:, None] * row) % q
-        D[k, k] = pk
-        if transforms:
-            U[k] = U[k] * inv % q
-            U[k + 1:] = (U[k + 1:] - f[:, None] * U[k]) % q
-            V[:, k + 1:] = (V[:, k + 1:] - V[:, k, None] * (row // pk)) % q
-
+    for i, v in enumerate(_eliminate(A.entries.copy(), p, s, U, Vt)):
+        D[i, i] = p**v
     if not transforms:
         return SmithForm(ZModMatrix(p, s, D), None, None)
     return SmithForm(ZModMatrix(p, s, D), ZModMatrix(p, s, U),
-                     ZModMatrix(p, s, V))
+                     ZModMatrix(p, s, Vt.T))
 
 
 def kernel_cokernel(A: ZModMatrix) -> tuple[PresentedModule, PresentedModule]:
@@ -353,59 +435,61 @@ def kernel_cokernel(A: ZModMatrix) -> tuple[PresentedModule, PresentedModule]:
     ker ~ (+) Z/p^(v_i) (+) (Z/p^s)^free; coker(A) ~ (+) Z/p^(v_i) over the
     diagonal positions plus free rows.
     """
-    sf = smith_normal_form(A, transforms=False)
     p, s = A.p, A.s
-    vals = sf.valuations
-    ndiag = len(vals)
-
-    ker_div = [p**v for v in vals if 0 < v] + [p**s] * (A.cols - ndiag)
-    ker_div = [d for d in ker_div if d > 1]
-    coker_div = [p ** min(v, s) for v in vals if v > 0] + [p**s] * (A.rows - ndiag)
-    coker_div = [d for d in coker_div if d > 1]
-
+    vals = _valuations(A)
+    torsion = [p**v for v in vals if v > 0]
+    ker_div = torsion + [p**s] * (A.cols - len(vals))
+    coker_div = torsion + [p**s] * (A.rows - len(vals))
     return (
         PresentedModule.from_divisors(p, s, sorted(ker_div)),
         PresentedModule.from_divisors(p, s, sorted(coker_div)),
     )
 
 
+def _kernel(A: ZModMatrix) -> tuple[list[int], np.ndarray]:
+    """Pivot valuations of A and columns generating ker(A): the columns of V
+    from the first pivot of positive valuation on, each scaled by
+    p^(s - v) for its diagonal valuation v (v = s past the pivots)."""
+    p, s = A.p, A.s
+    Vt = np.eye(A.cols, dtype=np.int64)
+    vals = _eliminate(A.entries.copy(), p, s, Vt=Vt)
+    first = vals.count(0)  # the valuations do not decrease
+    scale = np.array([p ** (s - v) for v in vals[first:]]
+                     + [1] * (A.cols - len(vals)), dtype=np.int64)
+    return vals, (Vt[first:] * scale[:, None]).T
+
+
 def kernel_generators(A: ZModMatrix) -> ZModMatrix:
     """Columns generating ker(A) as a submodule of (Z/p^s)^cols."""
-    sf = smith_normal_form(A)
-    p, s = A.p, A.s
-    vals = sf.valuations
-    gens = []
-    for i, v in enumerate(vals):
-        if v > 0:
-            e = np.zeros(A.cols, dtype=np.int64)
-            e[i] = p ** (s - v)
-            gens.append(e)
-    for j in range(len(vals), A.cols):
-        e = np.zeros(A.cols, dtype=np.int64)
-        e[j] = 1
-        gens.append(e)
-    if not gens:
-        return ZModMatrix.zeros(p, s, A.cols, 0)
-    G = np.stack(gens, axis=1)
-    return sf.V @ ZModMatrix(p, s, G)
+    return ZModMatrix(A.p, A.s, _kernel(A)[1])
 
 
 def module_profile(M: PresentedModule) -> list[int]:
     """Elementary divisors (p-powers > 1) of coker(relations), ascending."""
     p, s = M.p, M.s
-    if M.generators == 0:
-        return []
-    sf = smith_normal_form(M.relations, transforms=False)
-    vals = sf.valuations
-    divisors = [p ** min(v, s) for v in vals if v > 0]
-    divisors += [p**s] * (M.generators - len(vals))
-    return sorted(d for d in divisors if d > 1)
+    vals = _valuations(M.relations)
+    divisors = [p**v for v in vals if v > 0]
+    return sorted(divisors + [p**s] * (M.generators - len(vals)))
 
 
 def image_length(A: ZModMatrix) -> int:
     """p-adic length of the column space of A."""
-    sf = smith_normal_form(A, transforms=False)
-    return sum(A.s - v for v in sf.valuations if v < A.s)
+    return sum(A.s - v for v in _valuations(A))
+
+
+def subquotient_presentation(span: ZModMatrix,
+                             sub: ZModMatrix) -> PresentedModule:
+    """span(Z)/span(B) presented on the columns of Z: the relations are the
+    Z-parts of the kernel of [Z, -B].  Requires B inside span(Z), which
+    the same elimination checks by lengths (InvariantError otherwise)."""
+    p, s = span.p, span.s
+    if not sub.cols:
+        return PresentedModule(kernel_generators(span), span.cols)
+    paired = ZModMatrix(p, s, np.hstack([span.entries, -sub.entries]))
+    vals, K = _kernel(paired)
+    if sum(s - v for v in vals) != image_length(span):
+        raise InvariantError("denominator is not contained in the span")
+    return PresentedModule(ZModMatrix(p, s, K[:span.cols]), span.cols)
 
 
 def solve(A: ZModMatrix, b) -> np.ndarray | None:

@@ -153,6 +153,38 @@ def test_trace_off_grid_exponent_exits_2(runner):
     assert "Traceback" not in res.output
 
 
+def test_trace_window_is_an_exponent_bound(runner):
+    # --window 24 certifies exponents below 24 at every grid level, so
+    # pi^10 survives the projection at grid level 1
+    res = runner.invoke(main, ["trace", "pi^3 + pi^10", "--level", "1",
+                               "--grid-level", "1", "--window", "24"])
+    assert res.exit_code == 0
+    assert json.loads(res.output)["projection"] == "pi^3 + pi^10"
+
+
+@pytest.mark.parametrize("expr, grid, message", [
+    ("pi^(1/9) + pi^3", "1", "finer than the level-1 grid"),
+    ("pi^3", "-1", "grid level must be nonnegative"),
+])
+def test_trace_off_grid_input_exits_2(runner, expr, grid, message):
+    res = runner.invoke(main, ["trace", expr, "--grid-level", grid])
+    assert res.exit_code == 2
+    assert message in res.output
+
+
+@pytest.mark.parametrize("argv", [
+    ["cone", "@", "--prime", "5"], ["spectral", "@", "--power", "2"],
+    ["tower", "@", "--format", "json"], ["check-module", "@", "--seed", "1"],
+    ["solve-as", "pi^-3", "--power", "2"], ["trace", "pi^3", "--seed", "1"],
+])
+def test_commands_take_no_ignored_options(runner, tmp_path, argv):
+    path = tmp_path / "input.json"
+    path.write_text("{}")
+    res = runner.invoke(main, [str(path) if a == "@" else a for a in argv])
+    assert res.exit_code == 2
+    assert "No such option" in res.output
+
+
 def test_ts_report_deterministic(runner):
     args = ["ts-report", "--prime", "3", "--samples", "10", "--seed", "42"]
     first = runner.invoke(main, args)
@@ -259,3 +291,29 @@ def test_tower_huge_entry_is_read_mod_q(runner, tmp_path):
     assert huge.exit_code == 0
     small = runner.invoke(main, ["tower", _tower_file(tmp_path, 2**64 % 9)])
     assert huge.output == small.output
+
+
+def test_tower_float_rank_exits_2(runner, tmp_path):
+    path = tmp_path / "tower.json"
+    path.write_text(json.dumps({"format": "tower", "p": 3, "s": 2,
+                                "ranks": [1.5, 1], "maps": [[[3]]],
+                                "tail": "constant"}))
+    res = runner.invoke(main, ["tower", str(path)])
+    assert res.exit_code == 2
+    assert "rank 1.5 is not a nonnegative integer" in res.output
+
+
+@pytest.mark.parametrize("rank", [1.0, True, "1"])
+def test_complex_ranks_must_be_integers(runner, tmp_path, rank):
+    X = json.loads(ChainComplexZ(3, 2, {0: 1, 1: 1}, {0: [[3]]}).to_json())
+    X["ranks"]["0"] = rank
+    doc = {"format": "chain-map", "src": X, "dst": X,
+           "blocks": {"0": [[1]], "1": [[1]]}}
+    path = tmp_path / "map.json"
+    path.write_text(json.dumps(doc))
+    assert runner.invoke(main, ["cone", str(path)]).exit_code == 2
+    DC = json.loads(DoubleComplex(3, 2, {(0, 0): 1}, {}, {}).to_json())
+    DC["ranks"]["0,0"] = rank
+    path = tmp_path / "grid.json"
+    path.write_text(json.dumps(DC))
+    assert runner.invoke(main, ["spectral", str(path)]).exit_code == 2

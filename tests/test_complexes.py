@@ -21,12 +21,14 @@ from phigamma.complexes import (
     _matmul_mod,
     _op,
     _ring_column_series,
+    _subquotient,
     ring_gamma,
     RING_ID,
     RING_PHI,
 )
 from phigamma.errors import InvariantError, PrecisionError
 from phigamma.modules import identity_matrix, make_module, tate_twist
+from phigamma.tatesen import _echelon_fp
 from phigamma.wittside import ArithLiftElement
 
 P = 3
@@ -154,9 +156,10 @@ def test_phi_columns_are_exact_inverses(p, s):
 def test_matmul_mod_matches_object_product():
     rng = np.random.default_rng(61)
     # q = 31^5: (q-1)^2 * 40 > 2^53, so the inner dimension 40 is split;
-    # q = 7^10: (q-1)^2 >= 2^53 takes the object product
+    # q = 7^10 and 2^31 - 1: (q-1)^2 >= 2^53 takes int64 slices
     for q, shape in ((3, (7, 5, 9)), (7**6, (30, 200, 20)),
-                     (31**5, (6, 40, 4)), (7**10, (5, 8, 3))):
+                     (31**5, (6, 40, 4)), (7**10, (5, 8, 3)),
+                     (2**31 - 1, (3, 9, 2)), (7**6, (3, 0, 2))):
         m, k, n = shape
         A = rng.integers(0, q, size=(m, k))
         B = rng.integers(0, q, size=(k, n))
@@ -165,6 +168,10 @@ def test_matmul_mod_matches_object_product():
             got = _matmul_mod(X, Y, q)
             assert got.dtype == np.int64
             assert np.array_equal(got, want.astype(np.int64)), q
+    # (q-1)^2 >= 2^63 is refused, as by ZModMatrix
+    one = np.ones((1, 1), dtype=np.int64)
+    with pytest.raises(ValueError):
+        _matmul_mod(one, one, 7**12)
 
 
 
@@ -344,6 +351,15 @@ def test_semidirect_random_fixtures_square_to_zero():
             assert all(v.is_zero() for slot in out for v in slot)
 
 
+def test_subquotient_escape_names_its_degree():
+    # span(B) is not inside span(Z): the caller's message is raised
+    Z = np.array([[1], [0]], dtype=np.int64)
+    B = np.array([[0], [1]], dtype=np.int64)
+    with pytest.raises(InvariantError, match="escape the window"):
+        _subquotient(Z, B, P, 2, "coboundaries escape the window")
+    assert _subquotient(Z, 3 * Z, P, 2, "") == (1, (3,))
+
+
 def test_semidirect_broken_relation_rejected():
     rng = random.Random(61)
     D = relative_fixture(rng)
@@ -361,10 +377,23 @@ def test_semidirect_broken_relation_rejected():
         semidirect_gamma_complex(D_bad)
 
 
+def _kernel_fp(A, p):
+    """Kernel basis over F_p from the reduced row echelon form; kept here so
+    that the oracle below does not share the Smith kernel under test."""
+    R, piv = _echelon_fp(A, p)
+    cols = A.shape[1]
+    free = [c for c in range(cols) if c not in piv]
+    K = np.zeros((cols, len(free)), dtype=np.int64)
+    for i, fc in enumerate(free):
+        K[fc, i] = 1
+        for r, pc in enumerate(piv):
+            K[pc, i] = (-R[r, fc]) % p
+    return K
+
+
 def _bar_h01(A, B, p):
     """H^0, H^1 of the elementary abelian square <A, B> acting on (F_p)^r,
     assuming the norm of each generator vanishes on the module."""
-    from phigamma.complexes import _kernel_fp, _echelon_fp
     r = A.shape[0]
     I = np.eye(r, dtype=np.int64)
     d0 = np.vstack([(A - I) % p, (B - I) % p])
@@ -378,7 +407,8 @@ def _bar_h01(A, B, p):
 
 def test_semidirect_matches_finite_quotient_oracle():
     rng = random.Random(67)
-    for rank in (2, 2, 3):
+    checked = 0
+    for rank in (2, 2, 3) * 4:
         D = relative_fixture(rng, rank=rank, square_zero=True)
         q = P
         mats = {g.tag: np.array(
@@ -391,6 +421,10 @@ def test_semidirect_matches_finite_quotient_oracle():
             continue  # oracle only valid when inflation is an isomorphism
         rep = cohomology(semidirect_gamma_complex(D))
         assert rep.dims[:2] == _bar_h01(A, B, P)
+        if ((A - np.eye(rank, dtype=np.int64)) % P).any():
+            checked += 1  # a case whose d0 is nonzero
+    # the norm filter drops about half the draws; enough must remain
+    assert checked >= 3
 
 
 # -- explicit cocycles -------------------------------------------------------

@@ -1,5 +1,7 @@
 """Smith forms, kernels/cokernels and module profiles over Z/p^s."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -223,8 +225,25 @@ def _seeded_matrices(seed, count):
         yield ZModMatrix(p, s, e)
 
 
+def _sparse_matrices(seed, count):
+    """Tall and wide matrices at about 5% density, shaped like the window
+    matrices of the Herr engine, so that the sparse row and column updates
+    and the resumed pivot search meet long runs of zero rows and columns."""
+    rng = np.random.default_rng(seed)
+    for i in range(count):
+        p = int(rng.choice([3, 5, 7]))
+        s = int(rng.integers(1, 4))
+        short, long = int(rng.integers(4, 12)), int(rng.integers(24, 48))
+        rows, cols = (long, short) if i % 2 else (short, long)
+        e = rng.integers(0, p**s, size=(rows, cols))
+        e = e * (rng.random((rows, cols)) < 0.05)
+        e = e * p ** rng.integers(0, s, size=(rows, cols))
+        yield ZModMatrix(p, s, e)
+
+
 def test_smith_matches_reference_loop():
-    for A in _seeded_matrices(23, 600):
+    for A in itertools.chain(_seeded_matrices(23, 600),
+                             _sparse_matrices(37, 200)):
         D, U, V = _reference_smith(A.p, A.s, A.entries)
         sf = smith_normal_form(A)
         assert np.array_equal(sf.D.entries, D)
@@ -234,6 +253,21 @@ def test_smith_matches_reference_loop():
         bare = smith_normal_form(A, transforms=False)
         assert bare.D == sf.D
         assert bare.U is None and bare.V is None
+
+
+def test_kernel_generators_are_scaled_columns_of_V():
+    # the definition the generators had when they were V @ G
+    for A in itertools.chain(_seeded_matrices(43, 200),
+                             _sparse_matrices(47, 60)):
+        p, s = A.p, A.s
+        sf = smith_normal_form(A)
+        vals = sf.valuations
+        cols = [sf.V.entries[:, i] * p ** (s - v)
+                for i, v in enumerate(vals) if v > 0]
+        cols += [sf.V.entries[:, j] for j in range(len(vals), A.cols)]
+        want = (np.stack(cols, axis=1) if cols
+                else np.zeros((A.cols, 0), dtype=np.int64))
+        assert kernel_generators(A) == ZModMatrix(p, s, want)
 
 
 def test_smith_of_empty_matrices():
