@@ -129,22 +129,11 @@ prime_option = click.option("--prime", "-p", default=3, show_default=True,
 report_option = click.option(
     "--report", default=None, type=click.Path(),
     help="Write the report to this path instead of stdout.")
-common = [
-    prime_option,
-    click.option("--power", "-s", default=1, show_default=True,
-                 help="Coefficient precision: work over Z/p^s."),
-    click.option("--format", "fmt", default="csv", show_default=True,
-                 type=click.Choice(["csv", "json"])),
-    click.option("--seed", default=0, show_default=True,
-                 help="Seed for sampled checks."),
-    report_option,
-]
-
-
-def with_common(fn):
-    for opt in reversed(common):
-        fn = opt(fn)
-    return fn
+power_option = click.option("--power", "-s", default=1, show_default=True,
+                            type=click.IntRange(1, 6),
+                            help="Coefficient precision: work over Z/p^s.")
+seed_option = click.option("--seed", default=0, show_default=True,
+                           help="Seed for sampled checks.")
 
 
 @click.group()
@@ -164,7 +153,12 @@ def main():
                    "free: torsion-free Gamma (base Q_p(zeta_p)).")
 @click.option("--complex", "kind", default="herr", show_default=True,
               type=click.Choice(["herr", "gamma", "semidirect"]))
-@with_common
+@prime_option
+@power_option
+@click.option("--format", "fmt", default="csv", show_default=True,
+              type=click.Choice(["csv", "json"]))
+@seed_option
+@report_option
 @guarded
 def cohomology_cmd(module_file, window, doublings, mode, kind, prime, power,
                    fmt, seed, report):
@@ -214,12 +208,14 @@ def solve_as_cmd(expr, depth_budget, window, prime, report):
 @main.command("solve-phi1")
 @click.argument("components")
 @click.option("--window", default=24, show_default=True)
-@with_common
+@prime_option
+@power_option
+@report_option
 @guarded
-def solve_phi1_cmd(components, window, prime, power, fmt, seed, report):
+def solve_phi1_cmd(components, window, prime, power, report):
     """Solve (phi - 1)y = z for a Witt vector given as
     "comp0; comp1; ..." element expressions."""
-    JobSpec("solve-phi1", None, prime, power, (1, 2), fmt, seed)
+    check_prime(prime)
     parts = [parse_element(t.strip(), prime, Fraction(window))
              for t in components.split(";")]
     if len(parts) != power:
@@ -261,12 +257,15 @@ def trace_cmd(expr, level, grid_level, window, prime, report):
 
 @main.command("ts-report")
 @click.option("--level", "-m", default=0, show_default=True)
-@click.option("--samples", default=50, show_default=True)
-@with_common
+@click.option("--samples", default=50, show_default=True,
+              type=click.IntRange(min=0))
+@prime_option
+@seed_option
+@report_option
 @guarded
-def ts_report_cmd(level, samples, prime, power, fmt, seed, report):
+def ts_report_cmd(level, samples, prime, seed, report):
     """Tate-Sen constants certificate (c1..c4) with sampled evidence."""
-    JobSpec("ts-report", None, prime, power, (1, 2), fmt, seed)
+    check_prime(prime)
     cert = tate_sen_certificate(prime, level, samples, seed)
     emit(cert.to_json(), report)
 

@@ -291,45 +291,57 @@ class NormFieldElement:
         # inverting the unit part of G and raising it to the deepest negative
         # exponent costs certified terms; widen the working window to cover it
         width = self.prec_num - 2 * min(min(self.coeffs), 0) + 2
-        G = _one_plus_t_pow_minus_one(self.p, self.m, a, mod_power, width)
+        G = NormFieldElement(self.p, self.m,
+                             {k: binomial_mod_p(a, k, self.p, mod_power)
+                              for k in range(1, width)}, width)
         return self.substitute_generator(G)
 
     def substitute_generator(self, G: "NormFieldElement") -> "NormFieldElement":
         """Evaluate at t |-> G for a G with v(G) = one grid step.
 
         Valuation-preserving, so the output window equals the input window.
+        The sum of c_n * G^n accumulates in int64 from dense powers, one
+        truncated convolution mod p per exponent step: G^k on [k, prec)
+        upward from G^0, and G^-k on [-k, work) downward from G.inverse(),
+        with slack work = prec - 2*lo + 2 for the least exponent lo < 0.
+        Independent of gamma_matrix and power_rows, which it rechecks.
         """
         if G.m != self.m or G.p != self.p:
             raise ValueError("substitution series must live on the same grid")
+        if min(G.coeffs, default=None) != 1:
+            raise ValueError("substitution series must have valuation one step")
         if not self.coeffs:
             return self
-        prec = self.prec_num
-        p = self.p
-        result = NormFieldElement(p, self.m, {}, prec)
-        # group by exponent, using iterated powers of G (and of its inverse)
-        exps = sorted(self.coeffs)
-        pos = [n for n in exps if n >= 0]
-        neg = [n for n in exps if n < 0]
-        if pos:
-            power = _pow_window(G, pos[0], prec)
-            last = pos[0]
-            for n in pos:
-                if n != last:
-                    power = _mul_window(power, _pow_window(G, n - last, prec), prec)
-                    last = n
-                result = result + power.scale(self.coeffs[n]).truncate_to_num(prec)
-        if neg:
-            # negative powers shift information downward; carry window slack
-            work = prec - 2 * neg[0] + 2
-            Ginv = G.inverse()
-            power = _pow_window(Ginv, -neg[-1], work)
-            last = neg[-1]
-            for n in reversed(neg):
-                if n != last:
-                    power = _mul_window(power, _pow_window(Ginv, last - n, work), work)
-                    last = n
-                result = result + power.scale(self.coeffs[n]).truncate_to_num(prec)
-        return NormFieldElement(p, self.m, result.coeffs, prec)
+        p, prec = self.p, self.prec_num
+        lo, hi = min(self.coeffs), max(self.coeffs)
+        base = min(lo, 0)
+        if (p - 1) ** 2 * (prec - 2 * base + 2) >= 2**63:
+            raise ValueError("window too wide for int64 products mod p")
+        acc = np.zeros(prec - base, dtype=np.int64)
+        if hi >= 0:
+            # g[j] is the coefficient of t^(j+1); power[i] that of t^(k+i)
+            g = _dense(G, 1, prec)
+            power = np.zeros(prec, dtype=np.int64)
+            power[0] = 1
+            for k in range(hi + 1):
+                if k in self.coeffs:
+                    acc[k - base:] += self.coeffs[k] * power
+                if k < hi:
+                    width = prec - k - 1
+                    power = np.convolve(power, g[:width])[:width] % p
+        if lo < 0:
+            # power[i] is the coefficient of t^(i-k) in G^-k
+            work = prec - 2 * lo + 2
+            ginv = _dense(G.inverse(), -1, work)
+            power = ginv
+            for k in range(1, -lo + 1):
+                if -k in self.coeffs:
+                    acc[-k - base:] += self.coeffs[-k] * power[:prec + k]
+                if k < -lo:
+                    power = np.convolve(power, ginv)[:work + k + 1] % p
+        acc %= p
+        return NormFieldElement(p, self.m, {int(n) + base: int(acc[n])
+                                            for n in np.flatnonzero(acc)}, prec)
 
     def truncate_to_num(self, prec_num: int) -> "NormFieldElement":
         n = min(prec_num, self.prec_num)
@@ -361,30 +373,13 @@ def _to_grid(prec: Fraction | int, p: int, m: int) -> int:
     return int(f)
 
 
-def _mul_window(a: NormFieldElement, b: NormFieldElement, prec_num: int) -> NormFieldElement:
-    """Product truncated to a caller-managed window (coefficients exact there)."""
-    p = a.p
-    coeffs: dict[int, int] = {}
-    for n1, c1 in a.coeffs.items():
-        for n2, c2 in b.coeffs.items():
-            n = n1 + n2
-            if n < prec_num:
-                coeffs[n] = (coeffs.get(n, 0) + c1 * c2) % p
-    return NormFieldElement(p, a.m, coeffs, max(prec_num, 0) or prec_num)
-
-
-def _pow_window(x: NormFieldElement, k: int, prec_num: int) -> NormFieldElement:
-    if k < 0:
-        raise ValueError("negative power in window helper")
-    result = NormFieldElement(x.p, x.m, {0: 1}, prec_num)
-    base = x
-    while k:
-        if k & 1:
-            result = _mul_window(result, base, prec_num)
-        k >>= 1
-        if k:
-            base = _mul_window(base, base, prec_num)
-    return result
+def _dense(x: NormFieldElement, lo: int, hi: int) -> np.ndarray:
+    """Coefficients of x on the exponents [lo, hi) as an int64 vector."""
+    out = np.zeros(max(hi - lo, 0), dtype=np.int64)
+    for n, c in x.coeffs.items():
+        if lo <= n < hi:
+            out[n - lo] = c
+    return out
 
 
 def gamma_matrix(p: int, m: int, a: int, mod_power: int, dom_lo: int,
@@ -447,17 +442,6 @@ def power_rows(U: np.ndarray, modulus: int, lo: int, hi: int) -> np.ndarray:
             if n > lo:
                 V = np.convolve(V, Uinv)[:L] % modulus
     return rows
-
-
-def _one_plus_t_pow_minus_one(p: int, m: int, a: int, mod_power: int,
-                              width: int) -> NormFieldElement:
-    """(1+t)^a - 1 truncated to t^width on the level-m grid."""
-    coeffs = {}
-    for k in range(1, max(width, 2)):
-        c = binomial_mod_p(a, k, p, mod_power)
-        if c:
-            coeffs[k] = c
-    return NormFieldElement(p, m, coeffs, max(width, 2))
 
 
 # -- module-level operation names ------------------------------------------
@@ -801,6 +785,8 @@ def parse_element(text: str, p: int, prec: Fraction | int) -> NormFieldElement:
             c = int(mt.group("coeff") or 1)
             num = int(mt.group("num"))
             den = int(mt.group("den") or 1)
+            if den == 0:
+                raise ValueError(f"zero denominator in term {raw!r}")
             e = Fraction(num, den)
         terms[e] = terms.get(e, 0) + c
     return NormFieldElement.from_terms(p, terms, prec)

@@ -16,11 +16,14 @@ The arithmetic-direction solve and the level-m Herr complex of the
 decompletion comparison both read gamma off ``normfield.gamma_matrix``,
 which fills a whole monomial window from one power table of the
 substitution series; the TS3 residual, the c4 probe and the idempotency of
-the character averaging recheck it through element arithmetic.  The level-m
-complex builds each gamma matrix once, on its widest window, and reads its
-ranks and kernels from zmodlin.  The TS3 solve keeps its own row echelon
-over F_p (_solve_fp): its matrices are singular, and the reported c3 rests
-on the particular solution that sets the free unknowns to 0.
+the character averaging recheck it through element arithmetic, which is
+dense (int64 powers of the substitution series) but independent of
+``gamma_matrix`` and ``power_rows``.  The TS1 search runs on int64 vectors
+too.  The level-m complex builds each gamma matrix once, on its widest
+window, and reads its ranks and kernels from zmodlin.  The TS3 solve keeps
+its own row echelon over F_p (_solve_fp): its matrices are singular, and
+the reported c3 rests on the particular solution that sets the free
+unknowns to 0.
 """
 
 from __future__ import annotations
@@ -251,6 +254,27 @@ class TS1Witness:
         }
 
 
+def _ts1_traces(p: int, n: int, q: int, count: int):
+    """One-step traces Tr_{n+1 -> n} (zeta_{p^(n+1)} - 1)^k mod q, k < count,
+    as int64 vectors on the level-(n+1) canonical basis zeta^e, e < (p-1)p^n.
+
+    The power steps by one shift and subtract on the exponents e < p^(n+1);
+    each conjugation zeta -> zeta^u, u = 1 + i*p^n, permutes them, so the
+    trace is p gathers, normalized by one fold of the e >= (p-1)p^n.
+    """
+    if p * q >= 2**63:
+        raise ValueError(f"modulus {q} exceeds int64 trace arithmetic")
+    f, top = p ** (n + 1), (p - 1) * p ** n
+    exps = np.arange(f)
+    conj = [exps * pow(1 + i * p**n, -1, f) % f for i in range(p)]
+    power = np.zeros(f, dtype=np.int64)
+    power[0] = 1
+    for _ in range(count):
+        tr = sum(power[g] for g in conj)
+        yield (tr[:top].reshape(p - 1, -1) - tr[top:]).ravel() % q
+        power = (np.roll(power, 1) - power) % q
+
+
 def ts1_witness_search(p: int, s: int, n: int, c: Fraction) -> TS1Witness:
     """Search alpha = (zeta_{p^(n+1)} - 1)^k / p with one-step trace a unit.
 
@@ -263,29 +287,18 @@ def ts1_witness_search(p: int, s: int, n: int, c: Fraction) -> TS1Witness:
         raise ValueError("c must be positive")
     s_work = s + n + 5       # headroom for the exact p-power divisions
     e_rel = (p - 1) * p ** n  # absolute ramification index at level n+1
-    zm1 = (CyclotomicElement.zeta(p, s_work, n + 1)
-           - CyclotomicElement.one(p, s_work, n + 1))
+    searched = 2 * e_rel
     best = None
-    power = CyclotomicElement.one(p, s_work, n + 1)
-    searched = 0
-    q_work = p ** s_work
-    for k in range(0, 2 * e_rel):
-        searched += 1
+    for k, tr in enumerate(_ts1_traces(p, n, p ** s_work, searched)):
         j = 1 + k // e_rel   # divisor p^j keeping v(alpha) in (-2, 0)
-        tr = galois_trace(power, n).normalize()
-        if all(v % p ** j == 0 for v in tr.coeffs.values()):
-            # the trace lies in the level-n subring, so its canonical
-            # exponents are multiples of p and descend by e -> e // p
-            u = CyclotomicElement(p, s_work - j, n,
-                                  {e // p: (v % q_work) // p ** j
-                                   for e, v in tr.coeffs.items()})
-            # unit iff nonzero in the residue field (zeta -> 1)
-            res = sum(u.coeffs.values()) % p
+        if not np.any(tr % p ** j):
+            # the trace lies in the level-n subring; it is a unit iff it is
+            # nonzero in the residue field (zeta -> 1)
+            res = int((tr // p ** j).sum() % p)
             if res:
                 v = Fraction(k, e_rel) - j
                 if best is None or v > best[1]:
                     best = (k, v, res)
-        power = power * zm1
     if best is None or best[1] <= -c:
         return TS1Witness(False, n, None, None if best is None else best[1],
                           None, "(zeta-1)^k / p^j", searched)
@@ -667,6 +680,8 @@ def tate_sen_certificate(p: int, m: int, n_samples: int,
     """Measured TS2/TS3 constants over a seeded sample, with witnesses."""
     import random
 
+    if n_samples < 0:
+        raise ValueError(f"sample count must be nonnegative, got {n_samples}")
     rng = random.Random(seed)
     level = m + 1 + (1 if p == 3 else 0)
     c2 = Fraction(0)

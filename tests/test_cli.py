@@ -4,10 +4,12 @@ import json
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings, strategies as st
 
 from phigamma.cli import JobSpec, main, make_schedule
 from phigamma.homotopy import ChainComplexZ, DoubleComplex, Tower
 from phigamma.modules import identity_matrix, make_module, module_to_json
+from phigamma.tatesen import tate_sen_certificate
 
 P, CHI = 3, 4
 
@@ -165,6 +167,7 @@ def test_trace_window_is_an_exponent_bound(runner):
 @pytest.mark.parametrize("expr, grid, message", [
     ("pi^(1/9) + pi^3", "1", "finer than the level-1 grid"),
     ("pi^3", "-1", "grid level must be nonnegative"),
+    ("pi^(1/0)", "1", "zero denominator"),
 ])
 def test_trace_off_grid_input_exits_2(runner, expr, grid, message):
     res = runner.invoke(main, ["trace", expr, "--grid-level", grid])
@@ -176,6 +179,9 @@ def test_trace_off_grid_input_exits_2(runner, expr, grid, message):
     ["cone", "@", "--prime", "5"], ["spectral", "@", "--power", "2"],
     ["tower", "@", "--format", "json"], ["check-module", "@", "--seed", "1"],
     ["solve-as", "pi^-3", "--power", "2"], ["trace", "pi^3", "--seed", "1"],
+    ["ts-report", "--power", "2"], ["ts-report", "--format", "json"],
+    ["solve-phi1", "pi^-3", "--format", "json"],
+    ["solve-phi1", "pi^-3", "--seed", "1"],
 ])
 def test_commands_take_no_ignored_options(runner, tmp_path, argv):
     path = tmp_path / "input.json"
@@ -183,6 +189,21 @@ def test_commands_take_no_ignored_options(runner, tmp_path, argv):
     res = runner.invoke(main, [str(path) if a == "@" else a for a in argv])
     assert res.exit_code == 2
     assert "No such option" in res.output
+
+
+def test_ts_report_rejects_negative_samples(runner):
+    res = runner.invoke(main, ["ts-report", "--samples", "-1"])
+    assert res.exit_code == 2
+    assert "--samples" in res.output
+    with pytest.raises(ValueError):
+        tate_sen_certificate(3, 0, -1, 0)
+    # zero samples is a c1-only report
+    res = runner.invoke(main, ["ts-report", "--samples", "0"])
+    assert res.exit_code == 0
+    doc = json.loads(res.output)
+    assert doc["samples"] == {"inversion": 0, "projection": 0}
+    assert doc["c1_witness_valuation"] == "-2/3"
+    assert doc["worst_witnesses"] == {}
 
 
 def test_ts_report_deterministic(runner):
@@ -317,3 +338,44 @@ def test_complex_ranks_must_be_integers(runner, tmp_path, rank):
     path = tmp_path / "grid.json"
     path.write_text(json.dumps(DC))
     assert runner.invoke(main, ["spectral", str(path)]).exit_code == 2
+
+
+# -- fuzzing the element subcommands ------------------------------------------
+
+exponents = st.one_of(
+    st.integers(-30, 40).map(str),
+    st.tuples(st.integers(-30, 40), st.integers(0, 30)).map(
+        lambda t: f"({t[0]}/{t[1]})"))
+terms = st.one_of(
+    st.integers(-10, 10).map(str),
+    st.tuples(st.integers(-5, 12), exponents).map(
+        lambda t: f"{t[0]}*pi^{t[1]}"),
+    exponents.map(lambda e: f"pi^{e}"),
+    st.text(alphabet="pi^()*/+-0123456789 x", max_size=12))
+expressions = st.lists(terms, min_size=1, max_size=4).map(" + ".join)
+primes = st.sampled_from(["3", "5", "7", "2", "4", "9", "-3"])
+
+
+def run_twice(argv):
+    runner = CliRunner()
+    first, second = runner.invoke(main, argv), runner.invoke(main, argv)
+    assert first.exit_code in (0, 1, 2, 3), (argv, first.output)
+    assert first.exception is None or isinstance(first.exception, SystemExit), \
+        (argv, first.exception)
+    assert "Traceback" not in first.output
+    assert (second.exit_code, second.output) == (first.exit_code, first.output)
+
+
+@settings(max_examples=60, deadline=None)
+@given(expressions, st.integers(-1, 3), st.integers(-1, 3),
+       st.integers(-4, 40), primes)
+def test_fuzz_trace(expr, level, grid_level, window, prime):
+    run_twice(["trace", expr, "--level", str(level), "--grid-level",
+               str(grid_level), "--window", str(window), "--prime", prime])
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(-2, 2), st.integers(-5, 10**6), primes)
+def test_fuzz_ts_report(samples, seed, prime):
+    run_twice(["ts-report", "--level", "0", "--samples", str(samples),
+               "--seed", str(seed), "--prime", prime])

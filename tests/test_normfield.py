@@ -1,6 +1,7 @@
 """Truncated Laurent model: ring laws, valuations, Frobenius/Gamma actions."""
 
 from fractions import Fraction
+import random
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from phigamma.normfield import (
     NormFieldElement,
     RelativeNormElement,
     adjoin_as_root,
+    binomial_mod_p,
     flat_normalization,
     format_element,
     frobenius_e,
@@ -290,3 +292,106 @@ def test_gamma_matrix_binomial_precision():
     assert gamma_matrix(3, 0, 4, 2, 0, 5, 0, 8).shape == (8, 5)
     with pytest.raises(ValueError):
         gamma_matrix(3, 0, 6, 12, 0, 5, 0, 8)
+
+
+# -- dense element gamma against the dict substitution ------------------------
+
+
+def _mul_window(a, b, prec_num):
+    """Reference product truncated to a window: the old dict double loop."""
+    coeffs = {}
+    for n1, c1 in a.coeffs.items():
+        for n2, c2 in b.coeffs.items():
+            if n1 + n2 < prec_num:
+                coeffs[n1 + n2] = (coeffs.get(n1 + n2, 0) + c1 * c2) % a.p
+    return NormFieldElement(a.p, a.m, coeffs, prec_num)
+
+
+def _pow_window(x, k, prec_num):
+    result = NormFieldElement(x.p, x.m, {0: 1}, prec_num)
+    base = x
+    while k:
+        if k & 1:
+            result = _mul_window(result, base, prec_num)
+        k >>= 1
+        if k:
+            base = _mul_window(base, base, prec_num)
+    return result
+
+
+def dict_substitute(x, G):
+    """Reference t |-> G: iterated dict powers of G and of G^-1."""
+    if not x.coeffs:
+        return x
+    prec, p = x.prec_num, x.p
+    out = NormFieldElement(p, x.m, {}, prec)
+    exps = sorted(x.coeffs)
+    pos = [n for n in exps if n >= 0]
+    neg = [n for n in exps if n < 0]
+    if pos:
+        power, last = _pow_window(G, pos[0], prec), pos[0]
+        for n in pos:
+            if n != last:
+                power = _mul_window(power, _pow_window(G, n - last, prec), prec)
+                last = n
+            out = out + power.scale(x.coeffs[n]).truncate_to_num(prec)
+    if neg:
+        work = prec - 2 * neg[0] + 2
+        Ginv = G.inverse()
+        power, last = _pow_window(Ginv, -neg[-1], work), neg[-1]
+        for n in reversed(neg):
+            if n != last:
+                power = _mul_window(power, _pow_window(Ginv, last - n, work), work)
+                last = n
+            out = out + power.scale(x.coeffs[n]).truncate_to_num(prec)
+    return NormFieldElement(p, x.m, out.coeffs, prec)
+
+
+def dict_gamma(x, a, mod_power):
+    """Reference element gamma: the dense path's dict predecessor."""
+    if a % x.p == 0:
+        raise ValueError("gamma exponent must be a p-adic unit")
+    if not x.coeffs:
+        return x
+    width = x.prec_num - 2 * min(min(x.coeffs), 0) + 2
+    G = NormFieldElement(x.p, x.m, {k: binomial_mod_p(a, k, x.p, mod_power)
+                                    for k in range(1, max(width, 2))},
+                         max(width, 2))
+    return dict_substitute(x, G)
+
+
+def _outcome(fn, *args):
+    try:
+        y = fn(*args)
+    except PrecisionError as err:
+        return "PrecisionError", str(err)
+    return y.coeffs, y.prec_num, y.m
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+@pytest.mark.parametrize("m", [0, 1, 2])
+def test_dense_gamma_matches_dict_substitution(p, m):
+    rng = random.Random(1000 * p + m)
+    f = p**m
+    precision_errors = 0
+    for _ in range(12):
+        coeffs = {rng.randrange(-4 * f, 12 * f): rng.randrange(1, p)
+                  for _ in range(rng.randrange(1, 6))}
+        x = NormFieldElement(p, m, coeffs, rng.randrange(2, 14) * f)
+        a = rng.choice([1 + p, -1, 2, pow(2, p**5, p**6)])
+        mod_power = rng.choice([1, 2, 3, 6])
+        want = _outcome(dict_gamma, x, a, mod_power)
+        assert _outcome(NormFieldElement.gamma, x, a, mod_power) == want
+        precision_errors += want[0] == "PrecisionError"
+    assert 0 < precision_errors < 12
+
+
+def test_substitute_generator_rejects_unusable_input():
+    x = NormFieldElement(3, 0, {-2: 1, 3: 2}, 10)
+    with pytest.raises(ValueError):
+        x.substitute_generator(NormFieldElement(3, 0, {2: 1}, 12))
+    with pytest.raises(ValueError):
+        x.substitute_generator(NormFieldElement(3, 0, {0: 1, 1: 1}, 12))
+    # (p - 1)^2 times the window must stay below 2^63 for int64 products
+    with pytest.raises(ValueError):
+        NormFieldElement(2**31 - 1, 0, {1: 1}, 10).gamma(2, 12)

@@ -1,11 +1,15 @@
 """Trace projections, cyclotomic traces, witness search, gamma-inversion,
 window decomposition, and the cross-level cohomology comparison."""
 
+import hashlib
 import json
 import random
 from fractions import Fraction
 
 import pytest
+from click.testing import CliRunner
+
+from phigamma.cli import main
 
 from phigamma.errors import InvariantError
 from phigamma.modules import identity_matrix, make_module, tate_twist
@@ -17,6 +21,7 @@ from phigamma.tatesen import (
     decompletion_compare,
     decompose,
     decompose_element,
+    _ts1_traces,
     galois_trace,
     invert_one_minus_gamma,
     tate_sen_certificate,
@@ -168,6 +173,28 @@ def test_ts1_unreachable_target_reports_family():
 def test_ts1_rejects_nonpositive_target():
     with pytest.raises(ValueError):
         ts1_witness_search(3, 1, 1, Fraction(0))
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+@pytest.mark.parametrize("n", [1, 2])
+def test_ts1_array_trace_matches_galois_trace(p, n):
+    s_work = n + 6
+    zm1 = (CyclotomicElement.zeta(p, s_work, n + 1)
+           - CyclotomicElement.one(p, s_work, n + 1))
+    power = CyclotomicElement.one(p, s_work, n + 1)
+    count = 2 * (p - 1) * p**n
+    traces = list(_ts1_traces(p, n, p**s_work, count))
+    assert len(traces) == count
+    for tr in traces:
+        assert tr.shape == ((p - 1) * p**n,)
+        want = galois_trace(power, n).normalize().coeffs
+        assert {e: int(v) for e, v in enumerate(tr) if v} == want
+        power = power * zm1
+
+
+def test_ts1_traces_refuse_int64_overflow():
+    with pytest.raises(ValueError):
+        next(_ts1_traces(3, 1, 3**40, 1))
 
 
 # -- TS3 inversion -----------------------------------------------------------
@@ -329,3 +356,19 @@ def test_certificate_contents_and_determinism():
     assert doc["c1_witness_valuation"] == "-2/3"
     assert Fraction(doc["c3"]) >= 0
     assert Fraction(doc["c4"]) > 0
+
+
+# -- report bytes ------------------------------------------------------------
+
+
+@pytest.mark.parametrize("p, digest", [
+    (3, "db85722631eed56c8678329ec74852dda5c9fe22efcfe138ddc45142df5d988c"),
+    (5, "f9fbbacf16f2a0df7acc4da9820aa034c921dbd933c518e144e001b518a5ae33"),
+    (7, "8fba2cb6e1337daed12675de883ae476c8d162e6bf29f649393beeeefdaa1240"),
+])
+def test_ts_report_bytes_pinned(p, digest):
+    # recorded with the dict element path, before the dense one replaced it
+    res = CliRunner().invoke(main, ["ts-report", "--prime", str(p), "--level",
+                                    "0", "--samples", "3", "--seed", "7"])
+    assert res.exit_code == 0
+    assert hashlib.sha256(res.output.encode()).hexdigest() == digest
