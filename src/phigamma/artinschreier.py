@@ -31,7 +31,7 @@ from .normfield import (
     format_element,
     frobenius_e,
 )
-from .wittside import (WittVector, _ZSeries, _ghost, teichmuller, v_le_n,
+from .wittside import (WittVector, _ghost_components, teichmuller, v_le_n,
                        witt_add, witt_sub)
 
 __all__ = [
@@ -213,8 +213,7 @@ def rho_constant(z: WittVector) -> int:
     """
     p, s = z.p, z.s
     m = max(c.m for c in z.components)
-    lifts = [_ZSeries.lift(c.at_level(m), s) for c in z.components]
-    gh = _ghost(lifts, p)[s - 1]
+    gh = _ghost_components(z, m, s)[s - 1]
     if gh.prec_num <= 0:
         raise PrecisionError("window too small to certify the ghost constant")
     return gh.coeffs.get(0, 0) % p**s

@@ -12,7 +12,6 @@ from __future__ import annotations
 import functools
 import json
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 
 import click
@@ -51,28 +50,6 @@ EXIT_OK = 0
 EXIT_MATH = 1
 EXIT_PARSE = 2
 EXIT_PRECISION = 3
-
-
-@dataclass(frozen=True)
-class JobSpec:
-    """Validated job description shared by the subcommands."""
-
-    command: str
-    input_path: str | None
-    p: int
-    s: int
-    schedule: tuple
-    fmt: str
-    seed: int
-
-    def __post_init__(self):
-        check_prime(self.p)
-        if not 1 <= self.s <= 6:
-            raise ValueError(f"power must lie in [1, 6], got {self.s}")
-        if any(a >= b for a, b in zip(self.schedule, self.schedule[1:])):
-            raise ValueError("window schedule must be strictly increasing")
-        if self.fmt not in ("csv", "json"):
-            raise ValueError(f"format must be csv or json, got {self.fmt!r}")
 
 
 def check_prime(p: int) -> None:
@@ -132,8 +109,6 @@ report_option = click.option(
 power_option = click.option("--power", "-s", default=1, show_default=True,
                             type=click.IntRange(1, 6),
                             help="Coefficient precision: work over Z/p^s.")
-seed_option = click.option("--seed", default=0, show_default=True,
-                           help="Seed for sampled checks.")
 
 
 @click.group()
@@ -157,26 +132,25 @@ def main():
 @power_option
 @click.option("--format", "fmt", default="csv", show_default=True,
               type=click.Choice(["csv", "json"]))
-@seed_option
 @report_option
 @guarded
 def cohomology_cmd(module_file, window, doublings, mode, kind, prime, power,
-                   fmt, seed, report):
+                   fmt, report):
     """Stabilized cohomology report for a module description file."""
-    job = JobSpec("cohomology", module_file, prime, power,
-                  make_schedule(window, doublings), fmt, seed)
+    schedule = make_schedule(window, doublings)
+    check_prime(prime)
     D = module_from_json(read_input(module_file))
-    if (D.p, D.s) != (job.p, job.s):
+    if (D.p, D.s) != (prime, power):
         raise ValueError(
             f"module file is over p={D.p}, s={D.s}; flags say "
-            f"p={job.p}, s={job.s}")
+            f"p={prime}, s={power}")
     if kind == "herr":
         T = herr_complex(D, mode)
     elif kind == "gamma":
         T = gamma_complex(D, mode)
     else:
         T = semidirect_gamma_complex(D)
-    rep = cohomology(T, schedule=job.schedule)
+    rep = cohomology(T, schedule=schedule)
     if fmt == "json":
         emit(rep.to_json(), report)
     else:
@@ -260,7 +234,8 @@ def trace_cmd(expr, level, grid_level, window, prime, report):
 @click.option("--samples", default=50, show_default=True,
               type=click.IntRange(min=0))
 @prime_option
-@seed_option
+@click.option("--seed", default=0, show_default=True,
+              help="Seed for sampled checks.")
 @report_option
 @guarded
 def ts_report_cmd(level, samples, prime, seed, report):

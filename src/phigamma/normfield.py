@@ -1,9 +1,12 @@
 """Truncated Laurent-series model of the characteristic-p norm field.
 
-Elements are finite F_p-linear combinations of powers of a uniformizer
-``pi`` with exponents on the grid (1/p^m)Z ("perfection level" m), together
-with a precision bound: an element is known exactly below its precision
-exponent and unknown above it.  The valuation v_E reads off the least
+One series core, _Series, holds the ring operations of every truncated
+Laurent model in the package: finite combinations of powers of a uniformizer
+``pi`` with exponents on the grid (1/p^m)Z ("perfection level" m) and
+coefficients mod p^s, together with a precision bound: an element is known
+exactly below its precision exponent and unknown above it.  The norm field
+is its case s = 1 (NormFieldElement); wittside adds the pi-lift mod p^s
+(m = 0) and the integer ghost cover.  The valuation v_E reads off the least
 exponent carrying a nonzero coefficient.
 
 The two semilinear actions are the Frobenius (the p-power map, which scales
@@ -78,21 +81,133 @@ def binomial_mod_p(a: int, k: int, p: int, mod_power: int) -> int:
     return result
 
 
-class NormFieldElement:
-    """Truncated Laurent series over F_p on the exponent grid (1/p^m)Z.
+class _Series:
+    """Truncated Laurent series mod p^s on the exponent grid (1/p^m)Z.
 
-    Internally exponents are integer numerators over p^m; ``prec_num`` is the
-    exclusive upper bound of the certified window on the same grid.
+    The one set of ring operations under the three series models: the norm
+    field (s = 1), the pi-lift (m = 0) and the integer ghost cover (s =
+    headroom).  Exponents are integer numerators over p^m; ``prec_num`` is
+    the exclusive upper bound of the certified window on the same grid.
+    Coefficients are kept reduced mod p^s and nonzero.
     """
 
-    __slots__ = ("p", "m", "prec_num", "coeffs")
+    __slots__ = ("p", "m", "s", "coeffs", "prec_num")
 
-    def __init__(self, p: int, m: int, coeffs: dict[int, int], prec_num: int):
+    def __init__(self, p: int, m: int, s: int, coeffs: dict[int, int],
+                 prec_num: int):
         self.p = p
         self.m = m
+        self.s = s
         self.prec_num = prec_num
-        self.coeffs = {n: c % p for n, c in coeffs.items()
-                       if c % p and n < prec_num}
+        q = p**s
+        self.coeffs = {n: c % q for n, c in coeffs.items()
+                       if c % q and n < prec_num}
+
+    def _new(self, coeffs: dict[int, int], prec_num: int, m: int | None = None):
+        """Element of the same model and ring, optionally on another grid."""
+        x = object.__new__(type(self))
+        _Series.__init__(x, self.p, self.m if m is None else m, self.s,
+                         coeffs, prec_num)
+        return x
+
+    def at_level(self, m2: int):
+        """Value-preserving re-indexing onto the finer grid of level m2 >= m."""
+        if m2 < self.m:
+            raise ValueError("cannot coarsen the exponent grid")
+        f = self.p ** (m2 - self.m)
+        return self._new({n * f: c for n, c in self.coeffs.items()},
+                         self.prec_num * f, m2)
+
+    def _unify(self, other: "_Series"):
+        """Both operands on one grid; ValueError across coefficient rings."""
+        if self.p != other.p or self.s != other.s:
+            raise ValueError("mixed coefficient rings")
+        if self.m == other.m:
+            return self, other
+        m = max(self.m, other.m)
+        return self.at_level(m), other.at_level(m)
+
+    def is_zero(self) -> bool:
+        return not self.coeffs
+
+    def __add__(self, other):
+        a, b = self._unify(other)
+        coeffs = dict(a.coeffs)
+        for n, c in b.coeffs.items():
+            coeffs[n] = coeffs.get(n, 0) + c
+        return a._new(coeffs, min(a.prec_num, b.prec_num))
+
+    def __neg__(self):
+        return self._new({n: -c for n, c in self.coeffs.items()}, self.prec_num)
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __mul__(self, other):
+        a, b = self._unify(other)
+        # precision: lo1 + hi2 and lo2 + hi1, with lo = hi for a zero element
+        lo_a = min(a.coeffs) if a.coeffs else a.prec_num
+        lo_b = min(b.coeffs) if b.coeffs else b.prec_num
+        prec = min(lo_a + b.prec_num, lo_b + a.prec_num)
+        coeffs: dict[int, int] = {}
+        for n1, c1 in a.coeffs.items():
+            for n2, c2 in b.coeffs.items():
+                n = n1 + n2
+                if n < prec:
+                    coeffs[n] = coeffs.get(n, 0) + c1 * c2
+        return a._new(coeffs, prec)
+
+    def scale(self, c: int):
+        return self._new({n: c * v for n, v in self.coeffs.items()},
+                         self.prec_num)
+
+    def truncate_to_num(self, prec_num: int):
+        return self._new(self.coeffs, min(prec_num, self.prec_num))
+
+    def __pow__(self, k: int):
+        """Square-and-multiply from the exact one, so that for a unit
+        leading coefficient x**k certifies as far as the k-1 products
+        x*x*...*x."""
+        if k < 0:
+            return self.inverse() ** (-k)
+        result, base = None, self
+        while k:
+            if k & 1:
+                result = base if result is None else result * base
+            k >>= 1
+            if k:
+                base = base * base
+        if result is None:
+            return self._new({0: 1}, int(INFINITY) * self.p**self.m)
+        return result
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        if (self.p, self.s) != (other.p, other.s):
+            return False
+        a, b = self._unify(other)
+        return a.coeffs == b.coeffs and a.prec_num == b.prec_num
+
+    def agrees_with(self, other) -> bool:
+        """Equality on the overlap of the two certified windows."""
+        a, b = self._unify(other)
+        cut = min(a.prec_num, b.prec_num)
+        return ({n: c for n, c in a.coeffs.items() if n < cut}
+                == {n: c for n, c in b.coeffs.items() if n < cut})
+
+    def reduce_mod_p(self) -> "NormFieldElement":
+        return NormFieldElement(self.p, self.m, self.coeffs, self.prec_num)
+
+
+class NormFieldElement(_Series):
+    """Truncated Laurent series over F_p on the exponent grid (1/p^m)Z: the
+    series core at s = 1."""
+
+    __slots__ = ()
+
+    def __init__(self, p: int, m: int, coeffs: dict[int, int], prec_num: int):
+        _Series.__init__(self, p, m, 1, coeffs, prec_num)
 
     # -- constructors -------------------------------------------------------
 
@@ -128,9 +243,6 @@ class NormFieldElement:
     def prec(self) -> Fraction:
         return Fraction(self.prec_num, self.p**self.m)
 
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
     def terms(self) -> dict[Fraction, int]:
         q = self.p**self.m
         return {Fraction(n, q): c for n, c in sorted(self.coeffs.items())}
@@ -140,14 +252,6 @@ class NormFieldElement:
         if not self.coeffs:
             return None
         return Fraction(min(self.coeffs), self.p**self.m)
-
-    def at_level(self, m2: int) -> "NormFieldElement":
-        """Value-preserving re-indexing onto the finer grid of level m2 >= m."""
-        if m2 < self.m:
-            raise ValueError("cannot coarsen the exponent grid")
-        f = self.p ** (m2 - self.m)
-        return NormFieldElement(self.p, m2, {n * f: c for n, c in self.coeffs.items()},
-                                self.prec_num * f)
 
     def try_lower_level(self) -> "NormFieldElement":
         """Drop to the coarsest grid that still carries every exponent."""
@@ -163,62 +267,6 @@ class NormFieldElement:
         if n > self.prec_num:
             raise PrecisionError("cannot extend a certified window")
         return NormFieldElement(self.p, self.m, self.coeffs, n)
-
-    # -- ring operations ----------------------------------------------------
-
-    def _unify(self, other: "NormFieldElement"):
-        if self.p != other.p:
-            raise ValueError("mixed characteristics")
-        m = max(self.m, other.m)
-        return self.at_level(m), other.at_level(m)
-
-    def __add__(self, other: "NormFieldElement") -> "NormFieldElement":
-        a, b = self._unify(other)
-        coeffs = dict(a.coeffs)
-        for n, c in b.coeffs.items():
-            coeffs[n] = (coeffs.get(n, 0) + c) % a.p
-        return NormFieldElement(a.p, a.m, coeffs, min(a.prec_num, b.prec_num))
-
-    def __sub__(self, other: "NormFieldElement") -> "NormFieldElement":
-        return self + (-other)
-
-    def __neg__(self) -> "NormFieldElement":
-        return NormFieldElement(self.p, self.m,
-                                {n: -c for n, c in self.coeffs.items()},
-                                self.prec_num)
-
-    def __mul__(self, other: "NormFieldElement") -> "NormFieldElement":
-        a, b = self._unify(other)
-        # precision: lo1 + hi2 and lo2 + hi1, with lo = hi for a zero element
-        lo_a = min(a.coeffs) if a.coeffs else a.prec_num
-        lo_b = min(b.coeffs) if b.coeffs else b.prec_num
-        prec = min(lo_a + b.prec_num, lo_b + a.prec_num)
-        coeffs: dict[int, int] = {}
-        for n1, c1 in a.coeffs.items():
-            for n2, c2 in b.coeffs.items():
-                n = n1 + n2
-                if n < prec:
-                    coeffs[n] = (coeffs.get(n, 0) + c1 * c2) % a.p
-        return NormFieldElement(a.p, a.m, coeffs, prec)
-
-    def scale(self, c: int) -> "NormFieldElement":
-        return NormFieldElement(self.p, self.m,
-                                {n: c * v for n, v in self.coeffs.items()},
-                                self.prec_num)
-
-    def __pow__(self, k: int) -> "NormFieldElement":
-        if k < 0:
-            return self.inverse() ** (-k)
-        result = NormFieldElement.one(self.p, INFINITY, self.m)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base_needed = k > 1
-            if base_needed:
-                base = base * base
-            k >>= 1
-        return result
 
     def inverse(self) -> "NormFieldElement":
         """Multiplicative inverse; requires a nonzero element.
@@ -246,24 +294,9 @@ class NormFieldElement:
         coeffs = {k - v: cc * cinv % self.p for k, cc in inv.items()}
         return NormFieldElement(self.p, self.m, coeffs, width - v)
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, NormFieldElement):
-            return NotImplemented
-        if self.p != other.p:
-            return False
-        a, b = self._unify(other)
-        return a.coeffs == b.coeffs and a.prec_num == b.prec_num
-
     def __hash__(self):
         a = self.try_lower_level()
         return hash((a.p, a.m, tuple(sorted(a.coeffs.items())), a.prec_num))
-
-    def agrees_with(self, other: "NormFieldElement") -> bool:
-        """Equality on the overlap of the two certified windows."""
-        a, b = self._unify(other)
-        cut = min(a.prec_num, b.prec_num)
-        return ({n: c for n, c in a.coeffs.items() if n < cut}
-                == {n: c for n, c in b.coeffs.items() if n < cut})
 
     # -- semilinear actions -------------------------------------------------
 
@@ -342,10 +375,6 @@ class NormFieldElement:
         acc %= p
         return NormFieldElement(p, self.m, {int(n) + base: int(acc[n])
                                             for n in np.flatnonzero(acc)}, prec)
-
-    def truncate_to_num(self, prec_num: int) -> "NormFieldElement":
-        n = min(prec_num, self.prec_num)
-        return NormFieldElement(self.p, self.m, self.coeffs, n)
 
     def __repr__(self):
         return f"<{format_element(self)} + O(pi^{self.prec})>"

@@ -1,17 +1,21 @@
 """Two finite models of the mixed-characteristic lift ring modulo p^s.
 
-ArithLiftElement: truncated Laurent series over Z/p^s in a variable pi with
-Frobenius pi |-> (1+pi)^p - 1 and Gamma-action pi |-> (1+pi)^a - 1.  This is
-the fast model used by the cohomology engine; reducing mod p recovers the
-characteristic-p Laurent model.
+Both rest on the series core normfield._Series, which holds the one copy of
+the truncated ring operations.
+
+ArithLiftElement: truncated Laurent series over Z/p^s in a variable pi (the
+core at m = 0) with Frobenius pi |-> (1+pi)^p - 1 and Gamma-action
+pi |-> (1+pi)^a - 1.  This is the fast model used by the cohomology engine;
+reducing mod p recovers the characteristic-p Laurent model.
 
 WittVector: genuine length-s Witt coordinates over norm-field elements.
-Sums and products are evaluated exactly by lifting the coordinates to
-integer-coefficient truncated Laurent series (a torsion-free ring), passing
-to ghost components, operating there, and recovering coordinates by the
-successive exact divisions that Witt integrality guarantees.  This sidesteps
-the blowup of materializing universal Witt polynomials at larger s while
-computing the same values.
+Sums, differences and products are evaluated exactly by lifting the
+coordinates to integer-coefficient truncated Laurent series (_ZSeries, the
+core with a p-power headroom modulus), passing to ghost components,
+operating there, and recovering coordinates by the successive exact
+divisions that Witt integrality guarantees: one ghost round trip per
+operation.  This sidesteps the blowup of materializing universal Witt
+polynomials at larger s while computing the same values.
 
 Also here: the truncated valuations v_E^{<=N}, the overconvergence gauge
 w_r(z) = inf_k (r v_E(z_k) + k), and weak-topology neighborhoods
@@ -21,13 +25,14 @@ U_{n,h} = p^n A + pi^h A^+ with a decision procedure through Witt division.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
 
 from .errors import PrecisionError
-from .normfield import NormFieldElement, flat_normalization
+from .normfield import NormFieldElement, _Series, flat_normalization
 
 __all__ = [
     "ArithLiftElement",
@@ -117,18 +122,14 @@ def binomial_table_mod_ps(a: int, L: int, p: int, s: int,
 # arithmetic-lift model
 
 
-class ArithLiftElement:
-    """Truncated Laurent series over Z/p^s in pi (integer exponent grid)."""
+class ArithLiftElement(_Series):
+    """Truncated Laurent series over Z/p^s in pi (integer exponent grid): the
+    series core at m = 0."""
 
-    __slots__ = ("p", "s", "coeffs", "prec_num")
+    __slots__ = ()
 
     def __init__(self, p: int, s: int, coeffs: dict[int, int], prec_num: int):
-        self.p = p
-        self.s = s
-        q = p**s
-        self.coeffs = {n: c % q for n, c in coeffs.items()
-                       if c % q and n < prec_num}
-        self.prec_num = prec_num
+        _Series.__init__(self, p, 0, s, coeffs, prec_num)
 
     @property
     def modulus(self) -> int:
@@ -155,80 +156,17 @@ class ArithLiftElement:
         """Coefficientwise canonical lift of a level-0 norm-field element."""
         if x.m != 0:
             raise ValueError("only level-0 elements lift to the pi-model")
-        return cls(x.p, s, dict(x.coeffs), x.prec_num)
-
-    def reduce_mod_p(self) -> NormFieldElement:
-        return NormFieldElement(self.p, 0,
-                                {n: c % self.p for n, c in self.coeffs.items()},
-                                self.prec_num)
+        return cls(x.p, s, x.coeffs, x.prec_num)
 
     def reduce_power(self, s2: int) -> "ArithLiftElement":
         if s2 > self.s:
             raise ValueError("cannot increase the coefficient modulus")
         return ArithLiftElement(self.p, s2, self.coeffs, self.prec_num)
 
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
     def valuation_pi(self) -> int | None:
         """pi-adic valuation of the mod-p reduction (None if it vanishes)."""
         red = [n for n, c in self.coeffs.items() if c % self.p]
         return min(red) if red else None
-
-    def _check(self, other: "ArithLiftElement") -> None:
-        if self.p != other.p or self.s != other.s:
-            raise ValueError("mixed coefficient rings")
-
-    def __add__(self, other: "ArithLiftElement") -> "ArithLiftElement":
-        self._check(other)
-        coeffs = dict(self.coeffs)
-        for n, c in other.coeffs.items():
-            coeffs[n] = coeffs.get(n, 0) + c
-        return ArithLiftElement(self.p, self.s, coeffs,
-                                min(self.prec_num, other.prec_num))
-
-    def __neg__(self) -> "ArithLiftElement":
-        return ArithLiftElement(self.p, self.s,
-                                {n: -c for n, c in self.coeffs.items()},
-                                self.prec_num)
-
-    def __sub__(self, other: "ArithLiftElement") -> "ArithLiftElement":
-        return self + (-other)
-
-    def __mul__(self, other: "ArithLiftElement") -> "ArithLiftElement":
-        self._check(other)
-        lo_a = min(self.coeffs) if self.coeffs else self.prec_num
-        lo_b = min(other.coeffs) if other.coeffs else other.prec_num
-        prec = min(lo_a + other.prec_num, lo_b + self.prec_num)
-        coeffs: dict[int, int] = {}
-        for n1, c1 in self.coeffs.items():
-            for n2, c2 in other.coeffs.items():
-                n = n1 + n2
-                if n < prec:
-                    coeffs[n] = coeffs.get(n, 0) + c1 * c2
-        return ArithLiftElement(self.p, self.s, coeffs, prec)
-
-    def scale(self, c: int) -> "ArithLiftElement":
-        return ArithLiftElement(self.p, self.s,
-                                {n: c * v for n, v in self.coeffs.items()},
-                                self.prec_num)
-
-    def truncate_to_num(self, prec_num: int) -> "ArithLiftElement":
-        return ArithLiftElement(self.p, self.s, self.coeffs,
-                                min(prec_num, self.prec_num))
-
-    def __pow__(self, k: int) -> "ArithLiftElement":
-        if k < 0:
-            return self.inverse() ** (-k)
-        result = ArithLiftElement.one(self.p, self.s, self.prec_num + abs(k) + 2)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            k >>= 1
-            if k:
-                base = base * base
-        return result
 
     def inverse(self) -> "ArithLiftElement":
         """Newton iteration from the inverse of the mod-p reduction.
@@ -301,17 +239,6 @@ class ArithLiftElement:
         lo = min(min(self.coeffs), 0) if self.coeffs else 0
         return self.prec_num - 2 * lo + 2 * self.s + 2
 
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, ArithLiftElement)
-                and (self.p, self.s) == (other.p, other.s)
-                and self.coeffs == other.coeffs
-                and self.prec_num == other.prec_num)
-
-    def agrees_with(self, other: "ArithLiftElement") -> bool:
-        cut = min(self.prec_num, other.prec_num)
-        return ({n: c for n, c in self.coeffs.items() if n < cut}
-                == {n: c for n, c in other.coeffs.items() if n < cut})
-
     def __repr__(self):
         items = " + ".join(f"{c}*pi^{n}" for n, c in sorted(self.coeffs.items()))
         return f"<{items or 0} + O(pi^{self.prec_num}) mod {self.p}^{self.s}>"
@@ -321,76 +248,28 @@ class ArithLiftElement:
 # integer-coefficient series: the torsion-free cover used for ghost arithmetic
 
 
-class _ZSeries:
-    """Truncated Laurent series with integer coefficients on a 1/p^m grid.
+class _ZSeries(_Series):
+    """Truncated Laurent series with integer coefficients on a 1/p^m grid: the
+    series core with s a headroom exponent.
 
-    Coefficients are kept reduced modulo a large p-power headroom modulus; all
-    retained coefficients are exact there, so the exact divisions of the ghost
+    Coefficients are kept reduced modulo the large p-power p^s; all retained
+    coefficients are exact there, so the exact divisions of the ghost
     recovery are well-defined.
     """
 
-    __slots__ = ("p", "m", "coeffs", "prec_num", "headroom")
+    __slots__ = ()
 
     def __init__(self, p, m, coeffs, prec_num, headroom):
-        self.p = p
-        self.m = m
-        self.headroom = headroom
-        q = p**headroom
-        self.coeffs = {n: c % q for n, c in coeffs.items()
-                       if c % q and n < prec_num}
-        self.prec_num = prec_num
+        _Series.__init__(self, p, m, headroom, coeffs, prec_num)
 
     @classmethod
     def lift(cls, x: NormFieldElement, headroom: int) -> "_ZSeries":
-        return cls(x.p, x.m, dict(x.coeffs), x.prec_num, headroom)
+        return cls(x.p, x.m, x.coeffs, x.prec_num, headroom)
 
-    def reduce_mod_p(self) -> NormFieldElement:
-        return NormFieldElement(self.p, self.m,
-                                {n: c % self.p for n, c in self.coeffs.items()},
-                                self.prec_num)
-
-    def __add__(self, other):
-        coeffs = dict(self.coeffs)
-        for n, c in other.coeffs.items():
-            coeffs[n] = coeffs.get(n, 0) + c
-        return _ZSeries(self.p, self.m, coeffs,
-                        min(self.prec_num, other.prec_num), self.headroom)
-
-    def __neg__(self):
-        return _ZSeries(self.p, self.m, {n: -c for n, c in self.coeffs.items()},
-                        self.prec_num, self.headroom)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other):
-        lo_a = min(self.coeffs) if self.coeffs else self.prec_num
-        lo_b = min(other.coeffs) if other.coeffs else other.prec_num
-        prec = min(lo_a + other.prec_num, lo_b + self.prec_num)
-        q = self.p**self.headroom
-        coeffs: dict[int, int] = {}
-        for n1, c1 in self.coeffs.items():
-            for n2, c2 in other.coeffs.items():
-                n = n1 + n2
-                if n < prec:
-                    coeffs[n] = (coeffs.get(n, 0) + c1 * c2) % q
-        return _ZSeries(self.p, self.m, coeffs, prec, self.headroom)
-
-    def __pow__(self, k: int):
-        result = _ZSeries(self.p, self.m, {0: 1}, self.prec_num * 4 + 8,
-                          self.headroom)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            k >>= 1
-            if k:
-                base = base * base
-        return result
-
-    def scale(self, c: int):
-        return _ZSeries(self.p, self.m, {n: c * v for n, v in self.coeffs.items()},
-                        self.prec_num, self.headroom)
+    def _unify(self, other):
+        # _unghost subtracts p^j-scaled terms of lower headroom on purpose:
+        # the result keeps the left operand's headroom
+        return self, other
 
     def exact_div_p_power(self, k: int) -> "_ZSeries":
         pk = self.p**k
@@ -402,7 +281,7 @@ class _ZSeries:
                     "ghost recovery hit a non-divisible coefficient; "
                     "increase the window or headroom")
             coeffs[n] = c // pk
-        return _ZSeries(self.p, self.m, coeffs, self.prec_num, self.headroom - k)
+        return _ZSeries(self.p, self.m, coeffs, self.prec_num, self.s - k)
 
 
 # ---------------------------------------------------------------------------
@@ -428,13 +307,9 @@ class WittVector:
 
     @classmethod
     def from_constant(cls, p: int, s: int, c: int, prec: Fraction | int) -> "WittVector":
-        """Image of the integer c, i.e. c copies of 1 summed in the Witt ring."""
-        result = cls.zero(p, s, prec)
-        one = teichmuller(NormFieldElement.one(p, prec), s)
-        c %= p**s
-        for _ in range(c):
-            result = witt_add(result, one)
-        return result
+        """Image of the integer c: its ghost components are (c, ..., c)."""
+        g = _ZSeries.lift(NormFieldElement.one(p, prec), _headroom(s))
+        return _from_ghosts(p, s, [g.scale(c % p**s)] * s)
 
     def _check(self, other: "WittVector") -> None:
         if self.p != other.p or self.s != other.s:
@@ -479,65 +354,70 @@ def _common_level(vectors: list[WittVector]) -> int:
     return max(c.m for v in vectors for c in v.components)
 
 
+def _headroom(s: int) -> int:
+    return 2 * s + 2
+
+
 def _ghost(lifts: list[_ZSeries], p: int) -> list[_ZSeries]:
-    ghosts = []
-    for i in range(len(lifts)):
-        acc = None
-        for j in range(i + 1):
-            term = (lifts[j] ** (p ** (i - j))).scale(p**j)
-            acc = term if acc is None else acc + term
+    """w_i = sum_j p^j x_j^(p^(i-j)), each x_j^(p^k) as (x_j^(p^(k-1)))^p."""
+    ghosts, powers = [], []
+    for x in lifts:
+        powers = [z ** p for z in powers] + [x]
+        acc = powers[0]
+        for j in range(1, len(powers)):
+            acc = acc + powers[j].scale(p**j)
         ghosts.append(acc)
     return ghosts
 
 
 def _unghost(ghosts: list[_ZSeries], p: int) -> list[_ZSeries]:
-    comps: list[_ZSeries] = []
+    """Coordinates from ghost components by exact divisions, inverse of _ghost."""
+    comps, powers = [], []
     for i, w in enumerate(ghosts):
+        powers = [z ** p for z in powers]
         t = w
-        for j, z in enumerate(comps):
-            t = t - (z ** (p ** (i - j))).scale(p**j)
+        for j, z in enumerate(powers):
+            t = t - z.scale(p**j)
         comps.append(t.exact_div_p_power(i))
+        powers.append(comps[-1])
     return comps
 
 
-def _witt_ghost_op(x: WittVector, y: WittVector, op: str) -> WittVector:
-    x._check(y)
+def _ghost_components(v: WittVector, m: int, headroom: int) -> list[_ZSeries]:
+    """Ghost components of v, its components lifted to the level-m cover."""
+    return _ghost([_ZSeries.lift(c.at_level(m), headroom)
+                   for c in v.components], v.p)
+
+
+def _from_ghosts(p: int, s: int, ghosts: list[_ZSeries]) -> WittVector:
+    return WittVector(p, s, [c.reduce_mod_p() for c in _unghost(ghosts, p)])
+
+
+def _witt_ghost_op(op, *vectors: WittVector) -> WittVector:
+    """Apply op componentwise on ghost components: one round trip."""
+    x = vectors[0]
+    for y in vectors[1:]:
+        x._check(y)
     p, s = x.p, x.s
-    m = _common_level([x, y])
-    headroom = 2 * s + 2
-    lx = [_ZSeries.lift(c.at_level(m), headroom) for c in x.components]
-    ly = [_ZSeries.lift(c.at_level(m), headroom) for c in y.components]
-    gx, gy = _ghost(lx, p), _ghost(ly, p)
-    if op == "add":
-        gz = [a + b for a, b in zip(gx, gy)]
-    elif op == "mul":
-        gz = [a * b for a, b in zip(gx, gy)]
-    else:
-        raise ValueError(op)
-    comps = _unghost(gz, p)
-    return WittVector(p, s, [c.reduce_mod_p() for c in comps])
+    m = _common_level(vectors)
+    ghosts = [_ghost_components(v, m, _headroom(s)) for v in vectors]
+    return _from_ghosts(p, s, [op(*g) for g in zip(*ghosts)])
 
 
 def witt_add(x: WittVector, y: WittVector) -> WittVector:
-    return _witt_ghost_op(x, y, "add")
+    return _witt_ghost_op(operator.add, x, y)
 
 
 def witt_mul(x: WittVector, y: WittVector) -> WittVector:
-    return _witt_ghost_op(x, y, "mul")
+    return _witt_ghost_op(operator.mul, x, y)
 
 
 def witt_neg(x: WittVector) -> WittVector:
-    p, s = x.p, x.s
-    m = _common_level([x])
-    headroom = 2 * s + 2
-    lx = [_ZSeries.lift(c.at_level(m), headroom) for c in x.components]
-    gz = [-g for g in _ghost(lx, p)]
-    comps = _unghost(gz, p)
-    return WittVector(p, s, [c.reduce_mod_p() for c in comps])
+    return _witt_ghost_op(operator.neg, x)
 
 
 def witt_sub(x: WittVector, y: WittVector) -> WittVector:
-    return witt_add(x, witt_neg(y))
+    return _witt_ghost_op(operator.sub, x, y)
 
 
 def witt_inverse(x: WittVector) -> WittVector:
@@ -564,14 +444,8 @@ def ghost_check(x: WittVector, y: WittVector, t: int = 2) -> dict:
     p, s = x.p, x.s
     m = _common_level([x, y])
     headroom = s + t
-    lx = [_ZSeries.lift(c.at_level(m), headroom) for c in x.components]
-    ly = [_ZSeries.lift(c.at_level(m), headroom) for c in y.components]
-    xs = witt_add(x, y)
-    xm = witt_mul(x, y)
-    ls = [_ZSeries.lift(c.at_level(m), headroom) for c in xs.components]
-    lm = [_ZSeries.lift(c.at_level(m), headroom) for c in xm.components]
-    gx, gy = _ghost(lx, p), _ghost(ly, p)
-    gs, gm = _ghost(ls, p), _ghost(lm, p)
+    gx, gy, gs, gm = (_ghost_components(v, m, headroom)
+                      for v in (x, y, witt_add(x, y), witt_mul(x, y)))
     verified = []
     ok = True
     for i in range(s):

@@ -6,7 +6,7 @@ import pytest
 from click.testing import CliRunner
 from hypothesis import given, settings, strategies as st
 
-from phigamma.cli import JobSpec, main, make_schedule
+from phigamma.cli import main, make_schedule
 from phigamma.homotopy import ChainComplexZ, DoubleComplex, Tower
 from phigamma.modules import identity_matrix, make_module, module_to_json
 from phigamma.tatesen import tate_sen_certificate
@@ -31,20 +31,19 @@ def trivial_mod(tmp_path):
 # -- job validation ----------------------------------------------------------
 
 
-def test_jobspec_validation():
-    JobSpec("cohomology", None, 3, 1, (16, 32), "csv", 0)
-    with pytest.raises(ValueError):
-        JobSpec("cohomology", None, 4, 1, (16, 32), "csv", 0)
-    with pytest.raises(ValueError):
-        JobSpec("cohomology", None, 9, 1, (16, 32), "csv", 0)
-    with pytest.raises(ValueError):
-        JobSpec("cohomology", None, 3, 0, (16, 32), "csv", 0)
-    with pytest.raises(ValueError):
-        JobSpec("cohomology", None, 3, 7, (16, 32), "csv", 0)
-    with pytest.raises(ValueError):
-        JobSpec("cohomology", None, 3, 1, (32, 32), "csv", 0)
-    with pytest.raises(ValueError):
-        JobSpec("cohomology", None, 3, 1, (16, 32), "xml", 0)
+def test_cohomology_rejects_invalid_options(runner, trivial_mod):
+    cases = [
+        (["--prime", "4"], "prime must be odd and prime"),
+        (["--prime", "9"], "prime must be odd and prime"),
+        (["--power", "0"], "--power"),
+        (["--power", "7"], "--power"),
+        (["--format", "xml"], "--format"),
+        (["--window", "3"], "initial window must be at least 4"),
+    ]
+    for flags, message in cases:
+        res = runner.invoke(main, ["cohomology", *flags, trivial_mod])
+        assert res.exit_code == 2, flags
+        assert message in res.output, (flags, res.output)
 
 
 def test_make_schedule():
@@ -182,6 +181,7 @@ def test_trace_off_grid_input_exits_2(runner, expr, grid, message):
     ["ts-report", "--power", "2"], ["ts-report", "--format", "json"],
     ["solve-phi1", "pi^-3", "--format", "json"],
     ["solve-phi1", "pi^-3", "--seed", "1"],
+    ["cohomology", "@", "--seed", "1"],
 ])
 def test_commands_take_no_ignored_options(runner, tmp_path, argv):
     path = tmp_path / "input.json"
@@ -379,3 +379,32 @@ def test_fuzz_trace(expr, level, grid_level, window, prime):
 def test_fuzz_ts_report(samples, seed, prime):
     run_twice(["ts-report", "--level", "0", "--samples", str(samples),
                "--seed", str(seed), "--prime", prime])
+
+
+# mostly well-formed input, so that most runs reach the solvers
+well_formed = st.lists(st.one_of(
+    st.integers(0, 10).map(str),
+    st.tuples(st.integers(1, 12), st.integers(-12, 16),
+              st.sampled_from([1, 1, 1, 1, 3, 5])).map(
+        lambda t: f"{t[0]}*pi^({t[1]}/{t[2]})")),
+    min_size=1, max_size=3).map(" + ".join)
+solver_exprs = st.one_of(well_formed, well_formed, well_formed, expressions)
+solver_primes = st.one_of(st.sampled_from(["3", "5", "7"]), primes)
+
+
+@settings(max_examples=40, deadline=None)
+@given(solver_exprs, st.integers(-1, 3), st.integers(-4, 32), solver_primes)
+def test_fuzz_solve_as(expr, depth_budget, window, prime):
+    run_twice(["solve-as", expr, f"--depth-budget={depth_budget}",
+               f"--window={window}", "--prime", prime])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 4), st.data(),
+       st.integers(-4, 32), st.sampled_from(["3", "5", "7"]))
+def test_fuzz_solve_phi1(power, data, window, prime):
+    count = data.draw(st.sampled_from([power] * 3 + [1, 2, 3, 4]))
+    components = data.draw(st.lists(solver_exprs, min_size=count,
+                                    max_size=count))
+    run_twice(["solve-phi1", "; ".join(components), f"--window={window}",
+               "--prime", prime, "--power", str(power)])

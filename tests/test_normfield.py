@@ -61,6 +61,16 @@ def test_ring_laws(x, y, z):
     assert m1.agrees_with(m2)
 
 
+@settings(max_examples=60, deadline=None)
+@given(norm_elements(m=1), st.integers(1, 6))
+def test_pow_certifies_like_repeated_products(x, k):
+    product = x
+    for _ in range(k - 1):
+        product = product * x
+    assert x ** k == product
+    assert x ** 0 == NormFieldElement.one(3, 10**12, 1)
+
+
 @settings(max_examples=100, deadline=None)
 @given(norm_elements(allow_zero=False), norm_elements(allow_zero=False))
 def test_valuation_multiplicative(x, y):

@@ -22,6 +22,7 @@ from phigamma.wittside import (
     v_le_n,
     w_r_valuation,
     weak_membership,
+    _ZSeries,
     witt_add,
     witt_mul,
     witt_neg,
@@ -137,6 +138,64 @@ def test_reduction_is_ring_hom():
         assert (x + y).reduce_mod_p().agrees_with(x.reduce_mod_p() + y.reduce_mod_p())
 
 
+# -- the shared series core ---------------------------------------------------
+
+
+def random_lift(rng, p, s, lo):
+    """Series mod p^s from pi^lo on, with a unit leading coefficient."""
+    prec = lo + rng.randint(4, 14)
+    coeffs = {lo: rng.choice([c for c in range(1, p**s) if c % p])}
+    for _ in range(rng.randint(0, 4)):
+        coeffs[rng.randint(lo + 1, prec - 1)] = rng.randrange(p**s)
+    return ArithLiftElement(p, s, coeffs, prec)
+
+
+def repeated_product(x, k):
+    out = x
+    for _ in range(k - 1):
+        out = out * x
+    return out
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+@pytest.mark.parametrize("s", [1, 2, 3])
+def test_lift_operations_reduce_to_norm_field(p, s):
+    rng = random.Random(100 * p + s)
+    for _ in range(20):
+        x = random_lift(rng, p, s, rng.randint(-6, 4))
+        y = random_lift(rng, p, s, rng.randint(-6, 4))
+        xr, yr = x.reduce_mod_p(), y.reduce_mod_p()
+        assert (x + y).reduce_mod_p() == xr + yr
+        assert (x - y).reduce_mod_p() == xr - yr
+        assert (-x).reduce_mod_p() == -xr
+        assert (x * y).reduce_mod_p() == xr * yr
+        for k in range(5):
+            assert (x ** k).reduce_mod_p() == xr ** k
+
+
+def test_pow_certifies_like_repeated_products():
+    x = ArithLiftElement(3, 2, {-5: 1, 0: 2}, 10)
+    assert (x * x).prec_num == 5
+    assert x ** 2 == x * x
+    rng = random.Random(11)
+    for p, s in [(3, 1), (3, 2), (5, 3), (7, 2)]:
+        for _ in range(6):
+            x = random_lift(rng, p, s, rng.randint(-6, 4))
+            z = _ZSeries(p, rng.randint(0, 1), x.coeffs, x.prec_num, 2 * s + 2)
+            for k in range(1, 7):
+                assert x ** k == repeated_product(x, k)
+                assert z ** k == repeated_product(z, k)
+
+
+def test_mixed_lift_rings_raise():
+    x = ArithLiftElement(3, 2, {0: 1}, 8)
+    for y in (ArithLiftElement(3, 3, {0: 1}, 8), ArithLiftElement(5, 2, {0: 1}, 8)):
+        with pytest.raises(ValueError):
+            x + y
+        with pytest.raises(ValueError):
+            x * y
+
+
 # -- Witt coordinates -------------------------------------------------------
 
 
@@ -165,6 +224,17 @@ def test_three_ones_carry():
     assert x.components[0].is_zero()
     # the carry digit is a unit
     assert x.components[1].terms() == {Fraction(0): 1}
+
+
+@pytest.mark.parametrize("p,s", [(3, 2), (3, 3), (5, 2)])
+def test_from_constant_matches_repeated_addition(p, s):
+    one = teichmuller(NormFieldElement.one(p, 6), s)
+    expected = WittVector.zero(p, s, 6)
+    for c in range(p**s):
+        assert WittVector.from_constant(p, s, c, 6) == expected
+        expected = witt_add(expected, one)
+    assert WittVector.from_constant(p, s, p**s, 6) == WittVector.zero(p, s, 6)
+    assert WittVector.from_constant(p, s, -1, 6) == witt_neg(one)
 
 
 def test_unit_laws_and_associativity():
