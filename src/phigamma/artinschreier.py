@@ -136,6 +136,8 @@ def solve_as_general(b: NormFieldElement, depth_budget: int = 2,
     grid would pass level_budget levels above the input; the surviving
     nonpositive part (if any) defines the Artin-Schreier layer.
     """
+    if depth_budget < 0:
+        raise ValueError(f"depth budget must be nonnegative, got {depth_budget}")
     p = b.p
     if b.is_zero():
         zero = NormFieldElement.zero(p, b.prec, b.m)
@@ -165,7 +167,7 @@ def solve_as_general(b: NormFieldElement, depth_budget: int = 2,
     if obstruction.is_zero():
         window = _check_residual_base(a, b)
         return ASSolution(a, 0, window, v_in, a.valuation())
-    if depth_budget < 1:
+    if depth_budget == 0:
         raise DepthExceededError(
             "solution requires an extension layer but the budget is 0")
     ext = adjoin_as_root(obstruction, d_max=depth_budget)

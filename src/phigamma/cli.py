@@ -165,7 +165,8 @@ def cohomology_cmd(module_file, window, doublings, mode, kind, prime, power,
 
 @main.command("solve-as")
 @click.argument("expr")
-@click.option("--depth-budget", default=2, show_default=True)
+@click.option("--depth-budget", default=2, show_default=True,
+              type=click.IntRange(min=0))
 @click.option("--window", default=24, show_default=True,
               help="Certified precision window for the input element.")
 @prime_option

@@ -11,17 +11,23 @@ The cohomology engine models the coefficient module on truncated Laurent
 windows [-b, T).  Truncation at the top is a genuine quotient: the positive
 tail pi^T * (integral part) is a subcomplex on which 1 - phi is invertible
 by a geometric series, hence acyclic, so dividing it out changes nothing.
-The bottom depth b is the only approximation: cocycles are measured at
-depth b, coboundaries are drawn from depth 2b subject to a bottom-support
-condition, and d o d = 0 is certified by exact matrix composition.  Dims
-are accepted once they agree across the last three window doublings; there
-is no a priori bound, and every report carries its stabilization trace.
+Every window therefore tops at the least such T, ceil((1 - v(Phi))/(p-1))
+and at least 1 (_tail_floor), whatever its depth b.  The bottom depth b is
+the only approximation: cocycles are measured at depth b, coboundaries are
+drawn from depth 2b subject to a bottom-support condition, and d o d = 0 is
+certified by exact matrix composition.  Dims are accepted once they agree
+across the last three window doublings; there is no a priori bound, and
+every report carries its stabilization trace.
 
-Window operator matrices are assembled from exact int64 columns: gamma_a
-columns pi^n U^n from one binomial table of U = ((1+pi)^a - 1)/pi and its
-powers (normfield.power_rows, shared with normfield.gamma_matrix), phi
-columns as powers of (1+pi)^p - 1, whose negative powers are finite Laurent
-polynomials mod p^s.  Output windows reach p*b + max(2s + 4, (p-1)(s-1) + 2)
+Window operator matrices are assembled from whole matrices.  Each ring
+action has one exact int64 window matrix R: gamma_a columns pi^n U^n from
+one binomial table of U = ((1+pi)^a - 1)/pi and its powers
+(normfield.power_rows, shared with normfield.gamma_matrix), phi columns as
+powers of (1+pi)^p - 1, whose negative powers are finite Laurent
+polynomials mod p^s.  A term c * A * r(-) with constant A is kron(c*A, R);
+a series entry acts by its Toeplitz multiplication matrix on the whole
+image of r, so a window row gets every entry term it needs, up to pi^(T +
+output depth).  Output windows reach p*b + max(2s + 4, (p-1)(s-1) + 2)
 below 0, the depth of phi's tail.  This module has no elimination of its
 own: window products mod p^s go through zmodlin._matmul_mod, and kernels,
 lengths and elementary divisors are read from zmodlin's Smith form
@@ -357,52 +363,67 @@ def _phi_columns(p: int, s: int, bot: int, top: int):
     return tuple(cols)
 
 
-def _entry_array(x: ArithLiftElement, top: int):
-    if x.is_zero():
-        return None
-    lo = min(x.coeffs)
-    hi = min(x.prec_num, top + max(0, -lo) + 1)
-    arr = np.zeros(max(hi - lo, 1), dtype=np.int64)
-    for m, c in x.coeffs.items():
-        if lo <= m < hi:
-            arr[m - lo] = c
-    return lo, arr
+@lru_cache(maxsize=16)
+def _ring_matrix(p: int, s: int, ring: tuple, bot_in: int, bot_out: int,
+                 top: int) -> np.ndarray:
+    """Matrix of a ring operator from [-bot_in, top) to [-bot_out, top);
+    image terms below pi^-bot_out are cut.  Read-only: it is cached."""
+    R = np.zeros((bot_out + top, bot_in + top), dtype=np.int64)
+    for j, (lead, arr) in enumerate(_ring_column_series(p, s, ring, bot_in,
+                                                        top)):
+        a = max(lead, -bot_out)
+        R[a + bot_out:lead + len(arr) + bot_out, j] = arr[a - lead:]
+    R.setflags(write=False)
+    return R
+
+
+def _multiplication_matrix(x: ArithLiftElement, bot_in: int, bot_out: int,
+                           top: int) -> np.ndarray:
+    """Toeplitz matrix of y |-> x*y from [-bot_in, top) to [-bot_out, top):
+    entry [j + bot_out, i + bot_in] is the coefficient of pi^(j-i) in x."""
+    lo = min(x.coeffs, default=0)
+    terms = np.zeros(max(x.coeffs, default=lo) - lo + 1, dtype=np.int64)
+    for n, c in x.coeffs.items():
+        terms[n - lo] = c
+    k = np.subtract.outer(np.arange(-bot_out, top),
+                          np.arange(-bot_in, top)) - lo
+    inside = (k >= 0) & (k < len(terms))
+    return np.where(inside, terms[np.where(inside, k, 0)], 0)
 
 
 def _operator_matrix(D: PhiGammaModule, op, bot_in: int, bot_out: int,
                      top: int) -> np.ndarray:
     """Matrix of an operator from window [-bot_in, top) to [-bot_out, top),
-    block layout (slot-free): index = comp * window + (n + bot)."""
+    block layout (slot-free): index = comp * window + (n + bot).
+
+    A term c * A * r(-) with constant A is kron(c*A, R) for the window
+    matrix R of the ring action r.  Series entries act by their
+    multiplication matrices on the whole image of r, which reaches below
+    the output window, so every entry term that lands in a window row is
+    kept."""
     p, s, r = D.p, D.s, D.rank
     q = p ** s
     win_in, win_out = bot_in + top, bot_out + top
     M = np.zeros((r * win_out, r * win_in), dtype=np.int64)
     for t in op:
-        cols = _ring_column_series(p, s, t.ring, bot_in, top)
-        if t.matrix is None:
-            entries = [[(0, np.ones(1, dtype=np.int64)) if i == j else None
-                        for j in range(r)] for i in range(r)]
-        else:
-            entries = [[_entry_array(t.matrix[i][j], top) for j in range(r)]
-                       for i in range(r)]
-        for jc in range(r):
-            for n_idx, (lead, arr) in enumerate(cols):
-                col = jc * win_in + n_idx
-                for ic in range(r):
-                    ent = entries[ic][jc]
-                    if ent is None:
-                        continue
-                    elo, earr = ent
-                    conv = np.convolve(arr, earr)
-                    lo = lead + elo
-                    a = max(-bot_out, lo)
-                    b = min(top, lo + len(conv))
-                    if a >= b:
-                        continue
-                    seg = conv[a - lo:b - lo] * t.coeff
-                    rows = slice(ic * win_out + a + bot_out,
-                                 ic * win_out + b + bot_out)
-                    M[rows, col] += seg
+        try:
+            A = (np.eye(r, dtype=np.int64) if t.matrix is None
+                 else _const_matrix(t.matrix, q))
+        except InvariantError:
+            A = None
+        if A is not None:
+            # kron(c*A, R), written out by broadcasting
+            R = _ring_matrix(p, s, t.ring, bot_in, bot_out, top)
+            M += ((t.coeff * A % q)[:, None, :, None]
+                  * R[:, None]).reshape(M.shape)
+            continue
+        deep = -min(lead for lead, _ in
+                    _ring_column_series(p, s, t.ring, bot_in, top))
+        E = np.block([[_multiplication_matrix(x, deep, bot_out, top)
+                       for x in row] for row in t.matrix])
+        R = np.kron(np.eye(r, dtype=np.int64),
+                    _ring_matrix(p, s, t.ring, bot_in, deep, top))
+        M += t.coeff * _matmul_mod(E % q, R, q) % q
     return M % q
 
 
@@ -621,14 +642,13 @@ def _window_dims(T: GammaComplex, b: int):
     D = T.module
     p, s, r = D.p, D.s, D.rank
     q = p ** s
-    top = b
+    top = _tail_floor(D)
     floor = _entry_prec_floor(D)
-    if floor is not None and top > floor:
+    if floor is not None and b > floor:
         raise PrecisionError(
-            f"window top {top} exceeds the certified entry window {floor}")
-    if top < _tail_floor(D):
-        raise PrecisionError(
-            f"window {b} below the acyclic-tail bound {_tail_floor(D)}")
+            f"window {b} exceeds the certified entry window {floor}")
+    if b < top:
+        raise PrecisionError(f"window {b} below the acyclic-tail bound {top}")
     b1 = 2 * b
     bo = _out_depth(p, s, b1)
     win_o = bo + top
@@ -697,7 +717,7 @@ def certify_d_squared(T: GammaComplex, b: int) -> bool:
     p, s = D.p, D.s
     bo = _out_depth(p, s, b)
     bo2 = _out_depth(p, s, bo)
-    top = max(b, _tail_floor(D))
+    top = _tail_floor(D)
     d0 = _block_matrix(D, T.diffs[0], b, bo, top)
     d1 = _block_matrix(D, T.diffs[1], bo, bo2, top)
     if _matmul_mod(d1, d0, p ** s).any():

@@ -411,12 +411,14 @@ def _dense(x: NormFieldElement, lo: int, hi: int) -> np.ndarray:
     return out
 
 
-def gamma_matrix(p: int, m: int, a: int, mod_power: int, dom_lo: int,
-                 dom_hi: int, row_lo: int, row_hi: int) -> np.ndarray:
-    """Matrix of gamma_a, t |-> G = (1+t)^a - 1, on a level-m monomial window.
+def gamma_matrix(p: int, a: int, mod_power: int, dom_lo: int, dom_hi: int,
+                 row_lo: int, row_hi: int) -> np.ndarray:
+    """Matrix of gamma_a, t |-> G = (1+t)^a - 1, on a monomial window.
 
     Entry [n - row_lo, q - dom_lo] is the exact coefficient of t^n in G^q for
-    q in [dom_lo, dom_hi) and n in [row_lo, row_hi).  Writing G = t*U, the
+    q in [dom_lo, dom_hi) and n in [row_lo, row_hi).  The formula is the same
+    at every grid level m, with t = pi^(1/p^m), so the level enters only
+    through the window, counted in grid steps.  Writing G = t*U, the
     columns t^q * U^q come from one table of U (from binomial_mod_p, so a
     window needing C(a, k) with k >= p^mod_power raises PrecisionError) and
     its powers mod p from power_rows.

@@ -12,18 +12,20 @@ level-m subspace, diagonally in the geometric direction and by an exact
 window solve in the arithmetic direction, with the residual certified to
 vanish on the window and the measured loss constant c3 reported.
 
-The arithmetic-direction solve and the level-m Herr complex of the
-decompletion comparison both read gamma off ``normfield.gamma_matrix``,
+The arithmetic-direction solve reads gamma off ``normfield.gamma_matrix``,
 which fills a whole monomial window from one power table of the
-substitution series; the TS3 residual, the c4 probe and the idempotency of
-the character averaging recheck it through element arithmetic, which is
-dense (int64 powers of the substitution series) but independent of
-``gamma_matrix`` and ``power_rows``.  The TS1 search runs on int64 vectors
-too.  The level-m complex builds each gamma matrix once, on its widest
-window, and reads its ranks and kernels from zmodlin.  The TS3 solve keeps
-its own row echelon over F_p (_solve_fp): its matrices are singular, and
-the reported c3 rests on the particular solution that sets the free
-unknowns to 0.
+substitution series; the TS3 residual and the c4 probe recheck it through
+element arithmetic, which is dense (int64 powers of the substitution
+series) but independent of ``gamma_matrix`` and ``power_rows``.  The TS1
+search runs on int64 vectors too.  The TS3 solve keeps its own row echelon
+over F_p (_solve_fp): its matrices are singular, and the reported c3 rests
+on the particular solution that sets the free unknowns to 0.
+
+Decompletion has no engine of its own.  At s = 1 the level-m ring is
+F_p((t)) with t = pi^(1/p^m), and phi(t) = t^p, gamma(t) = (1+t)^a - 1 are
+the level-0 formulas, so for constant matrices the level-m Herr complex is
+the level-0 one with depths counted in grid steps: both sides are windows
+of complexes.cohomology, the level-m one p^m times deeper.
 """
 
 from __future__ import annotations
@@ -34,11 +36,10 @@ from fractions import Fraction
 
 import numpy as np
 
-from .complexes import _omega_residues
+from .complexes import cohomology, herr_complex
 from .errors import InvariantError, NonStabilizationError, PrecisionError
-from .normfield import (NormFieldElement, RelativeNormElement, format_element,
-                        gamma_matrix)
-from .zmodlin import ZModMatrix, image_length, kernel_generators
+from .normfield import (NormFieldElement, RelativeNormElement,
+                        _one_plus_gen_power, format_element, gamma_matrix)
 
 __all__ = [
     "TraceOperator",
@@ -370,7 +371,7 @@ def invert_one_minus_gamma(z, m: int, i: int = 0, chi: int | None = None,
             prec = cj.prec_num * p ** (level - cj.m)
             one = NormFieldElement.one(p, Fraction(prec + 4 * p**level,
                                                    p**level), level)
-            mult = one - _rel_multiplier(p, z.mx, p**m * j, one)
+            mult = one - _one_plus_gen_power(p, z.mx, p**m * j, one)
             parts[j] = cj * mult.inverse()
         y = RelativeNormElement(p, z.mx, parts)
         residual = z - (y - y.gamma_tilde(p ** m))
@@ -410,7 +411,7 @@ def invert_one_minus_gamma(z, m: int, i: int = 0, chi: int | None = None,
     support = [n for n in range(lo_y, hi_rows) if n % f]
     pos = {n: r for r, n in enumerate(support)}
     off = np.array(support) - lo_y
-    A = gamma_matrix(p, K, a_res, mod_power, lo_y, hi_rows, lo_y, hi_rows)
+    A = gamma_matrix(p, a_res, mod_power, lo_y, hi_rows, lo_y, hi_rows)
     A = (A - np.eye(hi_rows - lo_y, dtype=np.int64))[np.ix_(off, off)] % p
     b = np.zeros(len(support), dtype=np.int64)
     for n, cc in z.coeffs.items():
@@ -426,13 +427,6 @@ def invert_one_minus_gamma(z, m: int, i: int = 0, chi: int | None = None,
     if any(c % p for e, c in residual.coeffs.items() if e % f):
         raise InvariantError("inversion residual is nonzero on the window")
     return y
-
-
-def _rel_multiplier(p: int, mx: int, e: int,
-                    one: NormFieldElement) -> NormFieldElement:
-    """(1 + pi^(1/p^mx))^e as a coefficient series."""
-    from .normfield import _one_plus_gen_power
-    return _one_plus_gen_power(p, mx, e, one)
 
 
 # -- decomposition D = D_m + D_m^(0) + D_m^(1) -------------------------------
@@ -503,130 +497,45 @@ def decompose_element(z: RelativeNormElement, m: int):
 # -- decompletion comparison -------------------------------------------------
 
 
-def _herr_level_dims(sc_phi: int, sc_gamma: int, delta_exponent: int | None,
-                     p: int, level: int, b: int, chi: int):
-    """H^0, H^1 of the two-operator complex on the level-`level` grid.
-
-    The complex is the cone shape d0(x) = ((1-phi)x, (1-gamma)x),
-    d1(a, c) = (1-gamma)a - (1-phi)c on the quotient of the Laurent grid
-    by the acyclic positive tail (exponents >= one integral step): phi
-    doubles down, gamma raises exponents, so top truncation is exact and
-    only the window bottom needs stabilizing over the schedule.
-    """
-    f = p ** level
-    T = f                      # quotient keeps exponents < one t-step
-    B0 = b * f                 # degree-0 window bottom
-    B1 = p * B0 + 4 * f        # degree-1 bottom sees phi of degree 0
-    D0 = B1 + 2 * f            # deep coboundary sources for H^1
-    RD = p * D0 + 4 * f        # rows needed to watch their full images
-    mod = level + 10
-    # every window below is [lo, T); an entry of a gamma matrix depends only
-    # on its pair of monomials, so each matrix is built once on the widest
-    # window and the narrower ones are its lower right corners
-    G = gamma_matrix(p, level, chi % p ** mod, mod, -D0, T, -RD, T)
-
-    def rank(M):
-        return image_length(ZModMatrix(p, 1, M))
-
-    def kernel(M):
-        return kernel_generators(ZModMatrix(p, 1, M)).entries
-
-    def one_minus(dom_lo, row_lo):
-        """1 - sc_phi*phi and 1 - sc_gamma*gamma from [dom_lo, T) to
-        [row_lo, T); phi sends pi^n to pi^(pn)."""
-        n = np.arange(dom_lo, T)
-        j = np.arange(T - dom_lo)
-        ident = np.zeros((T - row_lo, T - dom_lo), dtype=np.int64)
-        ident[n[n >= row_lo] - row_lo, j[n >= row_lo]] = 1
-        phi = np.zeros_like(ident)
-        seen = (p * n >= row_lo) & (p * n < T)
-        phi[p * n[seen] - row_lo, j[seen]] = 1
-        return ((ident - sc_phi * phi) % p,
-                (ident - sc_gamma * G[row_lo + RD:, dom_lo + D0:]) % p)
-
-    # the idempotent averaging the character-twisted substitution action of
-    # the order p-1 torus; its image on [lo, T) is the kernel of 1 - P there
-    P = None
-    if delta_exponent is not None:
-        e = delta_exponent % (p - 1)
-        acc = sum(pow(u, e, p) * gamma_matrix(p, level, a, mod, -D0, T,
-                                               -D0, T)
-                  for u, a in _omega_residues(p, mod).items())
-        P = (pow(p - 1, -1, p) * acc) % p
-        if ((P @ P - P) % p).any():
-            raise InvariantError("character averaging is not idempotent")
-
-    def fix_basis(lo):
-        eye = np.eye(T - lo, dtype=np.int64)
-        return eye if P is None else kernel(eye - P[lo + D0:, lo + D0:])
-
-    # H^0: joint kernel of 1-phi and 1-gamma on the fix space; both images
-    # are fully visible on rows [-p*B0, T), so the kernel is exact
-    X0 = fix_basis(-B0)
-    F0, G0 = one_minus(-B0, -p * B0)
-    h0 = X0.shape[1] - rank(np.vstack([F0 @ X0 % p, G0 @ X0 % p]))
-
-    # H^1 cocycles: pairs (a, c) in the degree-1 window with d1 = 0 on
-    # fully visible rows [-p*B1, T)
-    X1 = fix_basis(-B1)
-    F1, G1 = one_minus(-B1, -p * B1)
-    M1 = np.hstack([G1 @ X1 % p, (-(F1 @ X1)) % p])
-    KZ = kernel(M1)
-    n1 = X1.shape[1]
-    Z = np.vstack([X1 @ KZ[:n1] % p, X1 @ KZ[n1:] % p])
-
-    # coboundaries from deep sources whose image stays inside the window
-    XD = fix_basis(-D0)
-    FD, GD = one_minus(-D0, -RD)
-    MD = np.vstack([FD @ XD % p, GD @ XD % p])
-    keep = [r for r in range(RD - B1)] + \
-        [RD + T + r for r in range(RD - B1)]
-    KB = kernel(MD[keep])
-    inside = [r for r in range(RD - B1, RD + T)] + \
-        [RD + T + r for r in range(RD - B1, RD + T)]
-    B = MD[inside] @ KB % p
-    rz = rank(Z)
-    if rank(np.hstack([Z, B])) != rz:
-        raise InvariantError("window coboundaries escape the cocycle space")
-    h1 = rz - rank(B)
-    return h0, h1
-
-
 def decompletion_compare(D, m: int, degrees=(0, 1), schedule=(3, 4, 6)):
     """Paired stabilized dims of H^j(Gamma, level-0 window) and
     H^j(Gamma, level-m window) for the requested degrees.
 
-    The level-m side recomputes the action through the fractional-grid
-    substitution model; agreement is the executable content of the
-    decompletion isomorphism.  NonStabilizationError if either side fails
-    to stabilize over the schedule.
+    Both sides are delta-mode windows of complexes.cohomology, the level-m
+    one of depth p^m * d for a level-0 depth d (module docstring).  Schedule
+    entry b is read at depth d(b) = floor((2p - 1) b / 3), so the default
+    (3, 4, 6) starts at 2p - 1.  That rule is empirical: from depth 2p - 1
+    on, h1 is right for every twist Z/p(n) measured (b = 2..39, p in
+    {3, 5, 7}); below it, n = 1 mod p - 1 reads h1 one short.  A certified
+    window depth is to replace it.  NonStabilizationError if the last two
+    entries of either side disagree.
     """
     if D.s != 1 or D.rank != 1 or D.relative:
         raise ValueError("decompletion comparison supports rank 1 at s = 1")
+    if m < 0:
+        raise ValueError("level must be nonnegative")
     p = D.p
     g = D.generator("gamma")
-    sc = g.matrix[0][0].coeffs.get(0, 0) % p
-    sc_phi = D.phi[0][0].coeffs.get(0, 0) % p
     if any(n != 0 for n in g.matrix[0][0].coeffs) or \
             any(n != 0 for n in D.phi[0][0].coeffs):
         raise ValueError("constant generator matrices required")
-    chi = g.exponent
-    e = D.delta_character_exponent
+    T = herr_complex(D, "delta")
+    depths = [(2 * p - 1) * b // 3 for b in schedule]
     out = {}
-    for level, tag in ((0, "level_0"), (m, "level_m")):
-        trace = []
-        for b in schedule:
-            trace.append(_herr_level_dims(sc_phi, sc, e, p, level, b, chi))
+    for tag, steps in (("level_0", 1), ("level_m", p ** m)):
+        rep = cohomology(T, [steps * d for d in depths])
+        trace = [dims[:2] for _, dims in rep.trace]
         if len(set(trace[-2:])) != 1:
             raise NonStabilizationError(
                 f"{tag} side did not stabilize: {trace}")
-        out[tag] = (trace[-1], tuple(trace))
-    pairs = {j: (out["level_0"][0][j], out["level_m"][0][j]) for j in degrees}
+        out[tag] = tuple(trace)
+    pairs = {j: (out["level_0"][-1][j], out["level_m"][-1][j])
+             for j in degrees}
     return {
         "degrees": pairs,
         "equal": all(a == b for a, b in pairs.values()),
-        "trace_level_0": out["level_0"][1],
-        "trace_level_m": out["level_m"][1],
+        "trace_level_0": out["level_0"],
+        "trace_level_m": out["level_m"],
     }
 
 

@@ -107,6 +107,8 @@ def test_general_depth_budget_respected():
     b = NormFieldElement.pi_power(3, -1, 10)
     with pytest.raises(DepthExceededError):
         solve_as_general(b, depth_budget=0)
+    with pytest.raises(ValueError):
+        solve_as_general(b, depth_budget=-1)
 
 
 def test_general_p5():

@@ -117,6 +117,21 @@ def test_solve_as_negative_valuation_rule(runner):
     assert doc["valuation"] == ["-1"]
 
 
+def test_solve_as_depth_budget_range(runner):
+    # a negative budget is a usage error; budget 0 forbids extension layers
+    res = runner.invoke(main, ["solve-as", "--prime", "3", "pi^-3",
+                               "--depth-budget", "-1"])
+    assert res.exit_code == 2
+    assert "--depth-budget" in res.output
+    res = runner.invoke(main, ["solve-as", "--prime", "3", "pi^-3",
+                               "--depth-budget", "0"])
+    assert res.exit_code == 1
+    assert "budget is 0" in res.output
+    res = runner.invoke(main, ["solve-as", "--prime", "3", "pi^3",
+                               "--depth-budget", "0"])
+    assert res.exit_code == 0
+
+
 def test_solve_as_parse_error(runner):
     res = runner.invoke(main, ["solve-as", "--prime", "3", "pi^^"])
     assert res.exit_code == 2

@@ -27,7 +27,8 @@ from phigamma.complexes import (
     RING_PHI,
 )
 from phigamma.errors import InvariantError, PrecisionError
-from phigamma.modules import identity_matrix, make_module, tate_twist
+from phigamma.modules import (identity_matrix, make_module, mat_inverse,
+                              mat_map, mat_mul, tate_twist)
 from phigamma.tatesen import _echelon_fp
 from phigamma.wittside import ArithLiftElement
 
@@ -285,15 +286,34 @@ def test_window_beyond_certified_entries_raises():
 
 
 def test_basis_change_leaves_dims_invariant():
-    # trivial module written in the basis 1 + pi: same cohomology.  The
+    # trivial module written in the basis u: same cohomology.  The
     # Delta-averaged mode is out of scope here (Delta would act through a
-    # nonscalar matrix in this basis), so compare in the free mode.
+    # nonscalar matrix in this basis), so compare in the free mode.  Phi and
+    # gamma have series entries here, and a window row needs their terms up
+    # to pi^(top + output depth), past the window top
     pi = ArithLiftElement.pi_power(P, 1, 1, 220)
-    u = ArithLiftElement.one(P, 1, 220) + pi
-    D = make_module(P, 1, [[u.frobenius() * u.inverse()]],
-                    [("gamma", [[u.gamma(CHI) * u.inverse()]], CHI)])
+    one = ArithLiftElement.one(P, 1, 220)
+    for u in (one + pi, one + pi + ArithLiftElement.pi_power(P, 1, 5, 220),
+              (one - pi).inverse()):
+        D = make_module(P, 1, [[u.frobenius() * u.inverse()]],
+                        [("gamma", [[u.gamma(CHI) * u.inverse()]], CHI)])
+        rep = cohomology(herr_complex(D, "free"), SCHEDULE)
+        assert rep.dims == (1, 4, 1), u
+        assert rep.verdict == "stable", u
+
+
+def test_rank_two_basis_change_leaves_dims_invariant():
+    # Z/3 + Z/3 in the basis U, with Phi = U^-1 phi(U), G = U^-1 gamma(U):
+    # off-diagonal series entries, same cohomology (2, 8, 2) in free mode
+    pi = ArithLiftElement.pi_power(P, 1, 1, 220)
+    one = ArithLiftElement.one(P, 1, 220)
+    U = [[one + pi, pi], [ArithLiftElement.zero(P, 1, 220), one]]
+    Ui = mat_inverse(U)
+    D = make_module(P, 1, mat_mul(Ui, mat_map(U, lambda x: x.frobenius())),
+                    [("gamma", mat_mul(Ui, mat_map(U, lambda x: x.gamma(CHI))),
+                      CHI)])
     rep = cohomology(herr_complex(D, "free"), SCHEDULE)
-    assert rep.dims == (1, 4, 1)
+    assert rep.dims == (2, 8, 2)
     assert rep.verdict == "stable"
 
 

@@ -291,17 +291,17 @@ def test_gamma_matrix_matches_element_gamma(p, m):
                (-4, 3, 1, 5)]       # rows cut off the low columns
     for a in (1 + p, -1, omega2):
         for w in windows:
-            assert np.array_equal(gamma_matrix(p, m, a, 12, *w),
+            assert np.array_equal(gamma_matrix(p, a, 12, *w),
                                   element_gamma_matrix(p, m, a, 12, *w))
 
 
 def test_gamma_matrix_binomial_precision():
     # rows up to t^11 from t^0 need C(a, k) for k up to 12 > 3^2
     with pytest.raises(PrecisionError):
-        gamma_matrix(3, 0, 4, 2, 0, 5, 0, 12)
-    assert gamma_matrix(3, 0, 4, 2, 0, 5, 0, 8).shape == (8, 5)
+        gamma_matrix(3, 4, 2, 0, 5, 0, 12)
+    assert gamma_matrix(3, 4, 2, 0, 5, 0, 8).shape == (8, 5)
     with pytest.raises(ValueError):
-        gamma_matrix(3, 0, 6, 12, 0, 5, 0, 8)
+        gamma_matrix(3, 6, 12, 0, 5, 0, 8)
 
 
 # -- dense element gamma against the dict substitution ------------------------

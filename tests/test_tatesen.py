@@ -328,6 +328,24 @@ def test_decompletion_closed_form_dims(p, level, n, dims):
     assert r["degrees"] == dims
 
 
+@pytest.mark.parametrize("p, level, n, h", [
+    (3, 1, 0, (1, 2)), (3, 1, 1, (0, 2)), (3, 1, 3, (0, 2)),
+    (5, 1, 0, (1, 2)), (5, 1, 1, (0, 2)), (5, 1, 3, (0, 1)),
+    (3, 2, 0, (1, 2)), (3, 2, 1, (0, 2)), (3, 2, 3, (0, 2)),
+])
+def test_decompletion_output_pinned(p, level, n, h):
+    # the whole comparison, both stabilization traces included, pinned to
+    # the output of the separate level-grid engine that cohomology replaced
+    I = identity_matrix(p, 1, 1, 60)
+    D = tate_twist(make_module(p, 1, I, [("gamma", I, 1 + p)]), n)
+    r = decompletion_compare(D, level)
+    trace = (h,) * 3
+    assert r == {"degrees": {0: (h[0], h[0]), 1: (h[1], h[1])},
+                 "equal": True, "trace_level_0": trace,
+                 "trace_level_m": trace}
+    json.dumps(r)  # plain ints only: the bench digests these bytes
+
+
 def test_decompletion_matches_engine_report():
     from phigamma.complexes import cohomology, herr_complex
     rep = cohomology(herr_complex(trivial_module()), schedule=(16, 32, 64))
