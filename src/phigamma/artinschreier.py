@@ -19,18 +19,12 @@ genuine group-theoretic right inverse.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DepthExceededError, InvariantError, PrecisionError
-from .normfield import (
-    ASExtension,
-    ASExtensionElement,
-    NormFieldElement,
-    adjoin_as_root,
-    format_element,
-    frobenius_e,
-)
+from .normfield import (NormFieldElement, adjoin_as_root, format_element,
+                        frobenius_e)
 from .wittside import (WittVector, _ghost_components, teichmuller, v_le_n,
                        witt_add, witt_sub)
 

@@ -36,7 +36,6 @@ from .homotopy import (
     Tower,
     cone_sequence,
     les_check,
-    mapping_cone,
     spectral_E_pages,
     tower_lim_lim1,
 )
@@ -44,7 +43,7 @@ from .modules import module_from_json
 from .normfield import NormFieldElement, format_element, parse_element
 from .tatesen import tate_sen_certificate, tau_projection
 from .wittside import WittVector
-from .zmodlin import _is_prime, module_profile
+from .zmodlin import _is_prime, json_fields, module_profile
 
 EXIT_OK = 0
 EXIT_MATH = 1
@@ -253,19 +252,18 @@ def ts_report_cmd(level, samples, prime, seed, report):
 def cone_cmd(map_file, report):
     """Mapping cone of a chain-map file and its long-exact-sequence
     verdict."""
-    doc = json.loads(read_input(map_file))
-    if doc.get("format") != "chain-map":
-        raise ValueError("not a chain-map document")
+    doc = json_fields(json.loads(read_input(map_file)), "chain-map document",
+                      format="chain-map", src=dict, dst=dict,
+                      blocks=(dict, {}))
     src = ChainComplexZ.from_json(json.dumps(doc["src"]))
     dst = ChainComplexZ.from_json(json.dumps(doc["dst"]))
-    f = ChainMap(src, dst, doc.get("blocks", {}))
-    T = mapping_cone(f)
-    les = les_check(cone_sequence(f))
+    f = ChainMap(src, dst, doc["blocks"])
+    ses = cone_sequence(f)
+    les = les_check(ses)
     out = {
         "format": "cone-report",
-        "ranks": {str(n): T.rank(n) for n in T.degrees()},
-        "cohomology": {str(n): T.cohomology_profile(n)
-                       for n in T.degrees()},
+        "ranks": {str(n): ses.B.rank(n) for n in ses.B.degrees()},
+        "cohomology": {str(n): prof for n, prof in les["profiles"].items()},
         "les_exact": les["exact"],
         "les_nodes": les["nodes"],
         "first_failure": les["first_failure"],

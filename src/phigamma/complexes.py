@@ -27,13 +27,18 @@ powers of (1+pi)^p - 1, whose negative powers are finite Laurent
 polynomials mod p^s.  A term c * A * r(-) with constant A is kron(c*A, R);
 a series entry acts by its Toeplitz multiplication matrix on the whole
 image of r, so a window row gets every entry term it needs, up to pi^(T +
-output depth).  Output windows reach p*b + max(2s + 4, (p-1)(s-1) + 2)
-below 0, the depth of phi's tail.  This module has no elimination of its
-own: window products mod p^s go through zmodlin._matmul_mod, and kernels,
-lengths and elementary divisors are read from zmodlin's Smith form
+image depth); an entry certified to less raises PrecisionError.  Output
+windows reach p*b + max(2s + 4, (p-1)(s-1) + 2) below 0, the depth of phi's
+tail.  Delta mode works on the Delta-fixed part of each window: Delta =
+(Z/p)^x is cyclic, so one generator's twisted window matrix is built and
+the other actions are its powers; the averaging idempotent E is checked to
+satisfy E E = E, and the basis is a set of columns of E (delta_project),
+built once per depth in a cohomology call.  This module has no elimination
+of its own: window products mod p^s go through zmodlin._matmul_mod, and
+kernels, lengths and elementary divisors are read from zmodlin's Smith form
 (kernel_generators, and module_profile of subquotient_presentation).  Only
 isomorphism invariants reach a report, so reports do not depend on which
-generators a kernel comes with.
+generators a kernel or the Delta-fixed part comes with.
 """
 
 from __future__ import annotations
@@ -124,17 +129,15 @@ def _apply_ring(ring, x: ArithLiftElement) -> ArithLiftElement:
 
 def _apply_operator(op, vec, rank):
     """Apply a symbolic operator to a vector of ArithLiftElements."""
-    some = vec[0]
-    out = [ArithLiftElement.zero(some.p, some.s, some.prec_num)
-           for _ in range(rank)]
+    zero = ArithLiftElement.zero(vec[0].p, vec[0].s, vec[0].prec_num)
+    out = [zero] * rank
     for t in op:
         w = [_apply_ring(t.ring, x) for x in vec]
         if t.matrix is None:
             img = w
         else:
             img = [sum((t.matrix[i][j] * w[j] for j in range(rank)),
-                       start=ArithLiftElement.zero(some.p, some.s,
-                                                   some.prec_num))
+                       start=zero)
                    for i in range(rank)]
         out = [o + v.scale(t.coeff) for o, v in zip(out, img)]
     return out
@@ -185,24 +188,16 @@ class GammaComplex:
         return out
 
 
-def _phi_operator(D: PhiGammaModule):
-    return _op(1, RING_PHI, D.phi)
-
-
-def _generator_operator(D: PhiGammaModule, tag: str):
-    g = D.generator(tag)
-    return _op(1, ring_gamma(g.exponent), g.matrix)
-
-
 def gamma_complex(D: PhiGammaModule, mode: str = "delta") -> GammaComplex:
     """Two-term Gamma-cochain complex [D --(1 - gamma)--> D]."""
     if D.relative:
         raise ValueError("gamma_complex expects a non-relative module")
     if mode not in ("delta", "free"):
         raise ValueError(f"unknown mode {mode!r}")
+    g = D.generator("gamma")
     one_minus_gamma = _op_sum(_op(1, RING_ID),
-                              _op_scale(_generator_operator(D, "gamma"), -1))
-    phi = _phi_operator(D)
+                              _op(-1, ring_gamma(g.exponent), g.matrix))
+    phi = _op(1, RING_PHI, D.phi)
     return GammaComplex(D, "window", mode, (1, 1),
                         (((one_minus_gamma,),),), ((phi,), (phi,)))
 
@@ -261,9 +256,12 @@ def herr_complex(D: PhiGammaModule, mode: str = "delta") -> GammaComplex:
     return phi_cone(gamma_complex(D, mode))
 
 
+def _is_series(x: ArithLiftElement) -> bool:
+    return any(n != 0 and c % x.modulus for n, c in x.coeffs.items())
+
+
 def _const_entry(x: ArithLiftElement) -> int:
-    extra = {n: c for n, c in x.coeffs.items() if n != 0 and c % x.modulus}
-    if extra:
+    if _is_series(x):
         raise InvariantError(
             "coefficient-space complex needs constant matrix entries")
     return x.coeffs.get(0, 0) % x.modulus
@@ -314,7 +312,7 @@ def semidirect_gamma_complex(D: PhiGammaModule) -> GammaComplex:
     d1 = ((_op_sum(op_gg, _op_scale(_int_matrix_op(D, q_chi), -1)),
            _op_sum(_op(1, RING_ID),
                    _op_scale(_int_matrix_op(D, Gt_chi), -1))),)
-    phi = _phi_operator(D)
+    phi = _op(1, RING_PHI, D.phi)
     T = GammaComplex(D, "finite", "semidirect", (1, 2, 1), (d0, d1),
                      ((phi,), (phi, phi), (phi,)))
     mats = _finite_diff_matrices(T)
@@ -400,7 +398,8 @@ def _operator_matrix(D: PhiGammaModule, op, bot_in: int, bot_out: int,
     matrix R of the ring action r.  Series entries act by their
     multiplication matrices on the whole image of r, which reaches below
     the output window, so every entry term that lands in a window row is
-    kept."""
+    kept: those reach pi^(top + deep - 1), deep the depth of that image, and
+    an entry certified to less raises PrecisionError."""
     p, s, r = D.p, D.s, D.rank
     q = p ** s
     win_in, win_out = bot_in + top, bot_out + top
@@ -419,6 +418,12 @@ def _operator_matrix(D: PhiGammaModule, op, bot_in: int, bot_out: int,
             continue
         deep = -min(lead for lead, _ in
                     _ring_column_series(p, s, t.ring, bot_in, top))
+        prec = min(x.prec_num for row in t.matrix for x in row
+                   if _is_series(x))
+        if prec < top + deep:
+            raise PrecisionError(
+                f"window needs matrix entries certified to pi^{top + deep}, "
+                f"got pi^{prec}")
         E = np.block([[_multiplication_matrix(x, deep, bot_out, top)
                        for x in row] for row in t.matrix])
         R = np.kron(np.eye(r, dtype=np.int64),
@@ -428,18 +433,11 @@ def _operator_matrix(D: PhiGammaModule, op, bot_in: int, bot_out: int,
 
 
 def _block_matrix(D, blocks, bot_in, bot_out, top) -> np.ndarray:
-    rows = []
-    for row in blocks:
-        cells = []
-        for op in row:
-            if op is None:
-                cells.append(np.zeros((D.rank * (bot_out + top),
-                                       D.rank * (bot_in + top)),
-                                      dtype=np.int64))
-            else:
-                cells.append(_operator_matrix(D, op, bot_in, bot_out, top))
-        rows.append(np.hstack(cells))
-    return np.vstack(rows)
+    zero = np.zeros((D.rank * (bot_out + top), D.rank * (bot_in + top)),
+                    dtype=np.int64)
+    return np.block([[zero if op is None
+                      else _operator_matrix(D, op, bot_in, bot_out, top)
+                      for op in row] for row in blocks])
 
 
 # -- Delta projection --------------------------------------------------------
@@ -459,28 +457,26 @@ class DeltaProjection:
     basis: np.ndarray
 
 
-def _omega_residues(p: int, M: int) -> dict[int, int]:
-    """Teichmuller residues omega(u) mod p^M for u in (Z/p)^x."""
-    return {u: pow(u, p ** (M - 1), p ** M) for u in range(1, p)}
-
-
 def _delta_actions(D: PhiGammaModule, bot: int, top: int):
+    """The p - 1 twisted actions omega(u)^e * gamma_omega(u) on the window,
+    as the powers act_g^i of one generator g of (Z/p)^x.  The window is an
+    exact representation, so act_g^i is exactly the action of g^i."""
     p, s = D.p, D.s
+    q = p ** s
     # binomial C(omega, k) mod p^s needs omega mod p^(v_p(k!) + s)
     M = s + (top + p * bot) // (p - 1) + 6
-    omegas = _omega_residues(p, M)
-    e = D.delta_character_exponent
-    acts = []
-    for u in range(1, p):
-        a = omegas[u]
-        scalar = pow(a, e, p ** s) if e else 1
-        if u == 1:
-            ring = RING_ID
-        elif u == p - 1:
-            ring = ring_gamma(-1)   # omega(-1) = -1 exactly
-        else:
-            ring = ring_gamma(a, M)
-        acts.append(_operator_matrix(D, _op(scalar, ring), bot, bot, top))
+    g = next(u for u in range(2, p)
+             if len({pow(u, i, p) for i in range(p - 1)}) == p - 1)
+    # Teichmuller residues omega(g^i) = omega(g)^i mod p^M
+    w = pow(g, p ** (M - 1), p ** M)
+    omegas = {pow(g, i, p): pow(w, i, p ** M) for i in range(p - 1)}
+    scalar = pow(omegas[g], D.delta_character_exponent, q)
+    # omega(-1) = -1 exactly
+    ring = ring_gamma(-1) if g == p - 1 else ring_gamma(omegas[g], M)
+    act = _operator_matrix(D, _op(scalar, ring), bot, bot, top)
+    acts = [np.eye(act.shape[0], dtype=np.int64), act]
+    while len(acts) < p - 1:
+        acts.append(_matmul_mod(acts[-1], act, q))
     return omegas, acts
 
 
@@ -488,9 +484,12 @@ def delta_project(D: PhiGammaModule, bottom: int,
                   top: int | None = None) -> DeltaProjection:
     """e_Delta = (p-1)^(-1) sum_delta omega(delta)^e * delta on the window.
 
-    Delta acts through the character power recorded on the module; the
-    projector is exactly idempotent because each delta is an exact square
-    matrix of the top-quotient window model.
+    Delta acts through the character power on the module, each delta as a
+    power of one generator's window matrix.  E is checked to be idempotent
+    and lower triangular (each delta keeps pi-adic order), so its diagonal
+    is 0/1, and its columns at the diagonal 1s, with unit pivots in distinct
+    rows, are a basis of a free summand of rank rank(E): of im E, the
+    Delta-fixed part.
     """
     p, s = D.p, D.s
     if p == 2:
@@ -498,13 +497,12 @@ def delta_project(D: PhiGammaModule, bottom: int,
     top = bottom if top is None else top
     q = p ** s
     omegas, acts = _delta_actions(D, bottom, top)
-    E = sum(acts) % q
-    E = (E * pow(p - 1, -1, q)) % q
+    E = sum(acts) % q * pow(p - 1, -1, q) % q
     if not np.array_equal(_matmul_mod(E, E, q), E):
         raise InvariantError("Delta projector is not idempotent")
-    stack = np.vstack([(A - np.eye(A.shape[0], dtype=np.int64)) % q
-                       for A in acts])
-    basis = kernel_generators(ZModMatrix(p, s, stack)).entries
+    if np.triu(E, 1).any():
+        raise InvariantError("Delta projector is not triangular")
+    basis = E[:, np.diagonal(E) == 1]
     return DeltaProjection(p, s, bottom, top, D.delta_character_exponent,
                            tuple(sorted(omegas.items())), E, basis)
 
@@ -555,26 +553,19 @@ def _finite_diff_matrices(T: GammaComplex) -> list[np.ndarray]:
     D = T.module
     q = D.p ** D.s
     r = D.rank
-    mats = []
-    for blocks in T.diffs:
-        rows = []
-        for row in blocks:
-            cells = []
-            for op in row:
-                if op is None:
-                    cells.append(np.zeros((r, r), dtype=np.int64))
-                    continue
-                acc = np.zeros((r, r), dtype=object)
-                for t in op:
-                    # phi and gamma fix Z/p^s constants, so only the
-                    # matrix part acts on the coefficient space
-                    A = (np.eye(r, dtype=np.int64) if t.matrix is None
-                         else _const_matrix(t.matrix, q))
-                    acc = (acc + t.coeff * A.astype(object)) % q
-                cells.append(acc.astype(np.int64))
-            rows.append(np.hstack(cells))
-        mats.append(np.vstack(rows))
-    return mats
+
+    def cell(op):
+        acc = np.zeros((r, r), dtype=object)
+        for t in op or ():
+            # phi and gamma fix Z/p^s constants, so only the matrix part
+            # acts on the coefficient space
+            A = (np.eye(r, dtype=np.int64) if t.matrix is None
+                 else _const_matrix(t.matrix, q))
+            acc = (acc + t.coeff * A.astype(object)) % q
+        return acc.astype(np.int64)
+
+    return [np.block([[cell(op) for op in row] for row in blocks])
+            for blocks in T.diffs]
 
 
 def _subquotient(Z: np.ndarray, B: np.ndarray, p: int, s: int,
@@ -623,30 +614,19 @@ def _tail_floor(D: PhiGammaModule) -> int:
     return max(1, math.ceil((1 - v_phi) / (D.p - 1)))
 
 
-def _entry_prec_floor(D: PhiGammaModule) -> int | None:
-    """Smallest certified pi-window among non-constant matrix entries;
-    exact constants impose no limit."""
-    mats = [D.phi] + [g.matrix for g in D.generators]
-    precs = [x.prec_num for M in mats for row in M for x in row
-             if any(n != 0 and c % x.modulus for n, c in x.coeffs.items())]
-    return min(precs) if precs else None
-
-
 def _out_depth(p: int, s: int, b: int) -> int:
     """Bottom depth of a window holding every image of [-b, T): phi(pi^-b)
     reaches pi^(-pb - (p-1)(s-1)) (see _phi_columns)."""
     return p * b + max(2 * s + 4, (p - 1) * (s - 1) + 2)
 
 
-def _window_dims(T: GammaComplex, b: int):
+def _window_dims(T: GammaComplex, b: int, bases: dict):
+    """Dims and profiles at depth b; bases maps a depth to its Delta basis
+    and is filled as the depths come (a window reads depths b and 2b)."""
     D = T.module
     p, s, r = D.p, D.s, D.rank
     q = p ** s
     top = _tail_floor(D)
-    floor = _entry_prec_floor(D)
-    if floor is not None and b > floor:
-        raise PrecisionError(
-            f"window {b} exceeds the certified entry window {floor}")
     if b < top:
         raise PrecisionError(f"window {b} below the acyclic-tail bound {top}")
     b1 = 2 * b
@@ -655,7 +635,9 @@ def _window_dims(T: GammaComplex, b: int):
 
     def domain(bi):
         if T.mode == "delta":
-            X = delta_project(D, bi, top).basis
+            if bi not in bases:
+                bases[bi] = delta_project(D, bi, top).basis
+            X = bases[bi]
         else:
             X = np.eye(r * (bi + top), dtype=np.int64)
         d0 = _block_matrix(D, T.diffs[0], bi, bo, top)
@@ -670,16 +652,11 @@ def _window_dims(T: GammaComplex, b: int):
     d0w, d1w, _ = domain(b1)
     k0 = X0.shape[1]
 
-    inside, outside = [], []
-    for blk in range(r):
-        base = blk * win_o
-        outside.extend(range(base, base + bo - b))
-        inside.extend(range(base + bo - b, base + win_o))
-    inside, outside = np.array(inside), np.array(outside)
+    # the rows of an output slot below the depth-b cut
+    below = np.arange(r * win_o) % win_o < bo - b
 
-    def rows(M, idx, copies):
-        w = M.shape[0] // copies
-        return np.vstack([M[idx + k * w] for k in range(copies)])
+    def rows(M, keep):
+        return M[np.tile(keep, M.shape[0] // keep.size)]
 
     def kernel(A):
         return kernel_generators(ZModMatrix(p, s, A)).entries
@@ -697,14 +674,14 @@ def _window_dims(T: GammaComplex, b: int):
     # image stays above the bottom cut
     Z1 = kernel(d1s)
     Zw = np.vstack([_matmul_mod(X0, Z1[:k0], q), _matmul_mod(X0, Z1[k0:], q)])
-    supp0 = kernel(rows(d0w, outside, 2))
-    Bw = _matmul_mod(rows(d0w, inside, 2), supp0, q)
+    supp0 = kernel(rows(d0w, below))
+    Bw = _matmul_mod(rows(d0w, ~below), supp0, q)
     h1, prof1 = _subquotient(Zw, Bw, p, s,
                              "coboundaries escape the cocycle space")
 
     # H^2: full depth-b window modulo deep coboundaries
-    supp1 = kernel(rows(d1w, outside, 1))
-    B2 = _matmul_mod(rows(d1w, inside, 1), supp1, q)
+    supp1 = kernel(rows(d1w, below))
+    B2 = _matmul_mod(rows(d1w, ~below), supp1, q)
     h2, prof2 = _subquotient(X0, B2, p, s, "coboundaries escape the window")
 
     return (h0, h1, h2), (prof0, prof1, prof2)
@@ -739,8 +716,9 @@ def cohomology(T: GammaComplex, schedule=None) -> CohomologyReport:
     certify_d_squared(T, min(schedule))
     trace = []
     profiles = None
+    bases = {}
     for b in schedule:
-        dims, profiles = _window_dims(T, b)
+        dims, profiles = _window_dims(T, b, bases)
         trace.append((b, dims))
     tail = [d for _, d in trace[-3:]]
     verdict = "stable" if len(tail) == 3 and len(set(tail)) == 1 else "unstable"

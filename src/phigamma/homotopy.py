@@ -20,6 +20,7 @@ from .zmodlin import (
     _is_int,
     divisors_length,
     image_length,
+    json_fields,
     kernel_cokernel,
     kernel_generators,
     module_profile,
@@ -132,9 +133,9 @@ class ChainComplexZ:
 
     @classmethod
     def from_json(cls, text: str) -> "ChainComplexZ":
-        doc = json.loads(text)
-        if doc.get("format") != "chain-complex":
-            raise ValueError("not a chain-complex document")
+        doc = json_fields(json.loads(text), "chain-complex document",
+                          format="chain-complex", p=int, s=int, ranks=dict,
+                          diffs=dict)
         return cls(doc["p"], doc["s"], doc["ranks"], doc["diffs"])
 
 
@@ -276,18 +277,20 @@ def les_check(ses: ShortExactSequence) -> dict:
     by exact length bookkeeping over the Smith form; the connecting map
     is computed on cocycle generators (lift by the section, apply the
     middle differential, pull back by the retraction) and its landing in
-    the cocycles is certified.  The first failing node is reported.
+    the cocycles is certified.  The first failing node is reported, and
+    "profiles" holds the elementary divisors of H^n(B) per degree of B.
     """
     A, B, C = ses.A, ses.B, ses.C
     p, s = B.p, B.s
     degs = sorted(set(A.ranks) | set(B.ranks) | set(C.ranks))
     if not degs:
-        return {"exact": True, "nodes": 0, "first_failure": None}
+        return {"exact": True, "nodes": 0, "first_failure": None,
+                "profiles": {}}
     lo, hi = degs[0] - 1, degs[-1] + 1
     # cocycles and cohomology lengths are computed once per degree here and
     # kept only for this call: ``diffs`` is public and may change between
     # calls
-    data = {}
+    data, profiles = {}, {}
     for n in range(lo, hi + 2):
         i_n = ses.mat(ses.inc, n, A, B)
         p_n = ses.mat(ses.proj, n, B, C)
@@ -300,17 +303,20 @@ def les_check(ses: ShortExactSequence) -> dict:
         delta_gens = r_n1 @ (B.diff(n) @ (s_n @ ZC))
         im_d = _induced_image_length(delta_gens, A.coboundaries(n + 1))
         hA = subquotient_presentation(ZA, BA).length()
-        hB = subquotient_presentation(ZB, BB).length()
+        profiles[n] = module_profile(subquotient_presentation(ZB, BB))
+        hB = divisors_length(p, profiles[n])
         hC = subquotient_presentation(ZC, BC).length()
         data[n] = (im_i, im_p, im_d, hA, hB, hC, delta_gens, ZA)
+    verdict = {"exact": True, "first_failure": None,
+               "profiles": {n: profiles[n] for n in B.degrees()}}
     checked = 0
     for n in range(lo, hi + 1):
         im_i, im_p, im_d, hA, hB, hC, dg, _ = data[n]
         za1 = data[n + 1][7]
         if image_length(_hstack(p, s, [za1, dg])) != image_length(za1):
-            return {"exact": False, "nodes": checked,
-                    "first_failure": (f"delta at degree {n}",
-                                      "image is not made of cocycles")}
+            return dict(verdict, exact=False, nodes=checked,
+                        first_failure=(f"delta at degree {n}",
+                                       "image is not made of cocycles"))
         nodes = (
             (f"H^{n}(B)", im_i, hB - im_p),
             (f"H^{n}(C)", im_p, hC - im_d),
@@ -319,9 +325,9 @@ def les_check(ses: ShortExactSequence) -> dict:
         for label, im, ker in nodes:
             checked += 1
             if im != ker:
-                return {"exact": False, "nodes": checked,
-                        "first_failure": (label, im, ker)}
-    return {"exact": True, "nodes": checked, "first_failure": None}
+                return dict(verdict, exact=False, nodes=checked,
+                            first_failure=(label, im, ker))
+    return dict(verdict, nodes=checked)
 
 
 # -- double complexes and spectral pages -------------------------------------
@@ -407,9 +413,9 @@ class DoubleComplex:
 
     @classmethod
     def from_json(cls, text: str) -> "DoubleComplex":
-        doc = json.loads(text)
-        if doc.get("format") != "double-complex":
-            raise ValueError("not a double-complex document")
+        doc = json_fields(json.loads(text), "double-complex document",
+                          format="double-complex", p=int, s=int, ranks=dict,
+                          dh=dict, dv=dict)
         return cls(doc["p"], doc["s"], doc["ranks"], doc["dh"], doc["dv"])
 
 
@@ -644,9 +650,8 @@ class Tower:
 
     @classmethod
     def from_json(cls, text: str) -> "Tower":
-        doc = json.loads(text)
-        if doc.get("format") != "tower":
-            raise ValueError("not a tower document")
+        doc = json_fields(json.loads(text), "tower document", format="tower",
+                          p=int, s=int, ranks=list, maps=list, tail=str)
         return cls(doc["p"], doc["s"], doc["ranks"], doc["maps"],
                    doc["tail"])
 

@@ -16,12 +16,13 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import InvariantError, PrecisionError
+from .errors import InvariantError
 from .normfield import NormFieldElement
 from .wittside import ArithLiftElement
+from .zmodlin import _modulus, json_fields
 
 __all__ = [
     "PhiGammaModule",
@@ -196,33 +197,28 @@ def validate_module(D: PhiGammaModule) -> None:
 def make_module(p: int, s: int, phi, generators, relative: bool = False,
                 delta_character_exponent: int = 0) -> PhiGammaModule:
     """Validated module; raises InvariantError naming the failed check."""
-    rank = len(phi)
-    if any(len(row) != rank for row in phi):
-        raise ValueError("Phi must be square")
     gens = tuple(
         GeneratorEntry(g.tag, _freeze(g.matrix), g.exponent)
         if isinstance(g, GeneratorEntry)
         else GeneratorEntry(g[0], _freeze(g[1]), g[2])
         for g in generators)
+    rank = len(phi)
+    if not rank or any(len(M) != rank or any(len(row) != rank for row in M)
+                       for M in [phi] + [g.matrix for g in gens]):
+        raise ValueError("Phi and generator matrices must be r x r, r >= 1")
     D = PhiGammaModule(p, s, rank, _freeze(phi), gens, relative,
                        delta_character_exponent % (p - 1))
     validate_module(D)
     return D
 
 
-@dataclass(frozen=True)
-class TwistSpec:
-    n: int
-
-
-def tate_twist(D: PhiGammaModule, t: TwistSpec | int) -> PhiGammaModule:
+def tate_twist(D: PhiGammaModule, n: int) -> PhiGammaModule:
     """Twist by the n-th power of the cyclotomic character.
 
     Phi is unchanged; each generator matrix is scaled by its character
     value to the n-th power, and the prime-to-p character exponent moves
     by n mod (p-1).
     """
-    n = t.n if isinstance(t, TwistSpec) else t
     q = D.p**D.s
     gens = []
     for g in D.generators:
@@ -396,16 +392,22 @@ def module_to_json(D: PhiGammaModule) -> str:
 
 
 def module_from_json(text: str) -> PhiGammaModule:
-    doc = json.loads(text)
-    if doc.get("format") != MODULE_FORMAT:
-        raise ValueError("not a module description file")
-    if doc.get("version") != MODULE_SCHEMA_VERSION:
-        raise ValueError(f"unsupported schema version {doc.get('version')}")
+    doc = json_fields(json.loads(text), "module description file",
+                      format=MODULE_FORMAT, version=MODULE_SCHEMA_VERSION,
+                      p=int, s=int, window=int, phi=list, generators=list,
+                      relative=(bool, False), delta_exponent=(int, 0))
     p, s, prec = doc["p"], doc["s"], doc["window"]
-    phi = [[parse_lift(t, p, s, prec) for t in row] for row in doc["phi"]]
-    gens = [(g["tag"],
-             [[parse_lift(t, p, s, prec) for t in row] for row in g["matrix"]],
-             g["exponent"])
-            for g in doc["generators"]]
-    return make_module(p, s, phi, gens, doc.get("relative", False),
-                       doc.get("delta_exponent", 0))
+    _modulus(p, s)
+
+    def matrix(rows):
+        if any(not isinstance(r, list) or any(not isinstance(t, str) for t in r)
+               for r in rows):
+            raise ValueError("a matrix is a list of rows of element strings")
+        return [[parse_lift(t, p, s, prec) for t in row] for row in rows]
+
+    gens = [json_fields(g, "generator entry", tag=str, exponent=int,
+                        matrix=list) for g in doc["generators"]]
+    return make_module(p, s, matrix(doc["phi"]),
+                       [(g["tag"], matrix(g["matrix"]), g["exponent"])
+                        for g in gens],
+                       doc["relative"], doc["delta_exponent"])

@@ -5,7 +5,8 @@ canonical representatives in [0, p^s).  Entries given as anything but an
 integer ndarray (such as parsed JSON) are checked once, at construction:
 they must be integers, and they are reduced mod p^s before numpy sees
 them.  The modulus must satisfy (p^s - 1)^2 < 2^63, so that a product of
-two entries fits in int64.
+two entries fits in int64.  json_fields checks the top-level fields of the
+JSON documents the package reads.
 
 This module holds the package's Z/p^s elimination and its product of
 matrices mod p^s; the Herr window engine (complexes), the decompletion
@@ -69,6 +70,27 @@ def _is_int(x) -> bool:
     return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
 
 
+def json_fields(doc, what: str, **fields) -> dict:
+    """doc as a JSON object whose fields have the given kinds: a type (int
+    excludes bool), a (type, default) pair if optional, or a value to equal.
+    ValueError naming what otherwise; constructors check nested values."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"not a {what}")
+    doc = dict(doc)
+    for key, kind in fields.items():
+        if isinstance(kind, tuple):
+            kind, default = kind
+            doc.setdefault(key, default)
+        value = doc.get(key)
+        if not isinstance(kind, type):
+            if type(value) is not type(kind) or value != kind:
+                raise ValueError(f"not a {what}: {key} is {value!r}")
+        elif not (_is_int(value) if kind is int else isinstance(value, kind)):
+            raise ValueError(f"{what}: {key} is missing or not of type "
+                             f"{kind.__name__}")
+    return doc
+
+
 def _reduced_entries(entries, q: int) -> np.ndarray:
     """Integer entries of any size, reduced mod q, as an int64 array."""
     a = np.array(entries, dtype=object)
@@ -127,15 +149,16 @@ def _modulus(p: int, s: int) -> int:
     """p^s after checking that Z/p^s is a ring this module can work in."""
     if not (_is_int(p) and _is_int(s)):
         raise ValueError(f"p = {p!r} and s = {s!r} must be integers")
-    if not _is_prime(p):
-        raise ValueError(f"p = {p} is not prime")
     if s < 1:
         raise ValueError(f"s = {s} must be positive")
-    q = p**s
-    if (q - 1) ** 2 >= _INT64_BOUND:
+    if p < 2:
+        raise ValueError(f"p = {p} is not prime")
+    if s >= 63 or (p**s - 1) ** 2 >= _INT64_BOUND:
         raise ValueError(f"modulus {p}^{s} is too large for int64 "
                          "arithmetic: need (p^s - 1)^2 < 2^63")
-    return q
+    if not _is_prime(p):
+        raise ValueError(f"p = {p} is not prime")
+    return p**s
 
 
 class ZModMatrix:

@@ -8,7 +8,8 @@ from hypothesis import given, settings, strategies as st
 
 from phigamma.cli import main, make_schedule
 from phigamma.homotopy import ChainComplexZ, DoubleComplex, Tower
-from phigamma.modules import identity_matrix, make_module, module_to_json
+from phigamma.modules import (identity_matrix, make_module, module_to_json,
+                              parse_lift)
 from phigamma.tatesen import tate_sen_certificate
 
 P, CHI = 3, 4
@@ -96,6 +97,19 @@ def test_cohomology_empty_input_exits_2(runner, tmp_path):
 def test_cohomology_bad_prime_exits_2(runner, trivial_mod):
     res = runner.invoke(main, ["cohomology", "--prime", "4", trivial_mod])
     assert res.exit_code == 2
+
+
+def test_cohomology_short_entry_precision_exits_3(runner, tmp_path):
+    # entries certified to pi^40 are read past that by a depth-8 window
+    u = parse_lift("1 + pi^1 + pi^5", P, 1, 40)
+    D = make_module(P, 1, [[u.frobenius() * u.inverse()]],
+                    [("gamma", [[u.gamma(CHI) * u.inverse()]], CHI)])
+    path = tmp_path / "u.mod"
+    path.write_text(module_to_json(D))
+    res = runner.invoke(main, ["cohomology", str(path), "--mode", "free",
+                               "--window", "8"])
+    assert res.exit_code == 3
+    assert "certified to pi^91, got pi^40" in res.output
 
 
 def test_report_file_option(runner, trivial_mod, tmp_path):
@@ -423,3 +437,112 @@ def test_fuzz_solve_phi1(power, data, window, prime):
                                     max_size=count))
     run_twice(["solve-phi1", "; ".join(components), f"--window={window}",
                "--prime", prime, "--power", str(power)])
+
+
+# -- fuzzing the file-reading subcommands --------------------------------------
+
+# JSON leaves stay small: a rank or shape read from the file sizes arrays;
+# the huge integers here are refused outright, as moduli or as shapes
+json_leaves = st.one_of(
+    st.none(), st.booleans(), st.integers(-3, 9),
+    st.sampled_from([2**62, 2**64, -2**65, 10**30, 10**18 + 9]),
+    st.floats(-10, 10), st.sampled_from([float("nan"), float("inf")]),
+    st.text(alphabet="pi^-+*/()0123456789,x", max_size=8))
+json_values = st.recursive(
+    json_leaves,
+    lambda inner: st.one_of(st.lists(inner, max_size=3),
+                            st.dictionaries(st.text(max_size=3), inner,
+                                            max_size=3)),
+    max_leaves=6)
+
+
+def _json_paths(doc, path=()):
+    yield path
+    items = (doc.items() if isinstance(doc, dict)
+             else enumerate(doc) if isinstance(doc, list) else ())
+    for k, v in items:
+        yield from _json_paths(v, path + (k,))
+
+
+# replacements of the same kind keep most documents readable, so that
+# runs reach the computations too
+same_kind = {
+    int: st.integers(-2, 9),
+    str: st.sampled_from(["0", "1", "2", "pi^1", "2*pi^-1", "1 + pi^2",
+                          "constant", "zero", "gamma", "x"]),
+}
+
+
+def _mutated(data, doc):
+    """doc with a few values replaced, by the same kind of value or by
+    random JSON, or keys dropped."""
+    doc = json.loads(json.dumps(doc))
+    for _ in range(data.draw(st.integers(1, 3))):
+        path = data.draw(st.sampled_from(list(_json_paths(doc))))
+        if not path:
+            return data.draw(json_values)
+        parent = doc
+        for k in path[:-1]:
+            parent = parent[k]
+        old = parent[path[-1]]
+        how = data.draw(st.sampled_from(["same", "same", "json", "drop"]))
+        if how == "same" and isinstance(old, list):
+            # one item fewer or one more
+            parent[path[-1]] = (old[1:] if old and data.draw(st.booleans())
+                                else old + old[-1:])
+        elif how == "same" and type(old) in same_kind:
+            parent[path[-1]] = data.draw(same_kind[type(old)])
+        elif how == "drop" and isinstance(parent, dict):
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = data.draw(json_values)
+    return doc
+
+
+def _fuzz_file(data, tmp_path, doc):
+    """Write a mutated doc, random JSON or random text; return its path."""
+    kind = data.draw(st.sampled_from(["mutated"] * 6 + ["json", "text"]))
+    if kind == "mutated":
+        text = json.dumps(_mutated(data, doc))
+    elif kind == "json":
+        text = json.dumps(data.draw(json_values))
+    else:
+        text = data.draw(st.text(max_size=20))
+    path = tmp_path / "input.json"
+    path.write_text(text)
+    return str(path)
+
+
+def _module_doc():
+    I = identity_matrix(P, 1, 1, 40)
+    return json.loads(module_to_json(make_module(P, 1, I, [("gamma", I, CHI)])))
+
+
+_complex_doc = json.loads(ChainComplexZ(3, 2, {0: 1, 1: 1}, {0: [[3]]})
+                          .to_json())
+FILE_DOCS = {
+    "cohomology": _module_doc(),
+    "check-module": _module_doc(),
+    "cone": {"format": "chain-map", "src": _complex_doc, "dst": _complex_doc,
+             "blocks": {"0": [[1]], "1": [[1]]}},
+    "spectral": json.loads(DoubleComplex(
+        3, 2, {(0, 1): 1, (1, 1): 1, (1, 0): 1, (2, 0): 1},
+        {(0, 1): [[1]], (1, 0): [[1]]}, {(1, 0): [[8]]}).to_json()),
+    "tower": json.loads(Tower(3, 2, [1, 1], [[[3]]], "constant").to_json()),
+}
+
+
+@pytest.mark.parametrize("command", sorted(FILE_DOCS))
+def test_fuzz_file_subcommands(command, tmp_path_factory):
+    tmp_path = tmp_path_factory.mktemp(command)
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def run(data):
+        path = _fuzz_file(data, tmp_path, FILE_DOCS[command])
+        extra = (["--window", "6", "--doublings", "2", "--mode",
+                  data.draw(st.sampled_from(["delta", "free"]))]
+                 if command == "cohomology" else [])
+        run_twice([command, path] + extra)
+
+    run()

@@ -17,9 +17,11 @@ from phigamma.complexes import (
     herr_complex,
     phi_cone,
     semidirect_gamma_complex,
+    _delta_actions,
     _finite_diff_matrices,
     _matmul_mod,
     _op,
+    _operator_matrix,
     _ring_column_series,
     _subquotient,
     ring_gamma,
@@ -31,6 +33,8 @@ from phigamma.modules import (identity_matrix, make_module, mat_inverse,
                               mat_map, mat_mul, tate_twist)
 from phigamma.tatesen import _echelon_fp
 from phigamma.wittside import ArithLiftElement
+from phigamma.zmodlin import (ZModMatrix, _eliminate, image_length,
+                              kernel_generators)
 
 P = 3
 CHI = 1 + P
@@ -198,6 +202,60 @@ def test_delta_projector_twisted_character():
     assert not np.array_equal(proj.matrix @ e0 % P, e0)
 
 
+# (p, s), a generator g of (Z/p)^x, and the twists n and windows checked
+DELTA_CELLS = [(3, 1, 2), (3, 2, 2), (5, 1, 2), (5, 2, 2), (7, 1, 3)]
+DELTA_WINDOWS = [(4, 1), (9, 3)]
+
+
+def _direct_delta_action(D, u, bot, top):
+    """omega(u)^e * gamma_omega(u) on the window, built on its own."""
+    p, s = D.p, D.s
+    M = s + (top + p * bot) // (p - 1) + 6
+    a = pow(u, p ** (M - 1), p ** M)
+    ring = (RING_ID if u == 1 else ring_gamma(-1) if u == p - 1
+            else ring_gamma(a, M))
+    scalar = pow(a, D.delta_character_exponent, p ** s)
+    return _operator_matrix(D, _op(scalar, ring), bot, bot, top)
+
+
+@pytest.mark.parametrize("p, s, g", DELTA_CELLS)
+def test_delta_actions_are_generator_powers(p, s, g):
+    q = p ** s
+    for n in (0, 1, p - 2):
+        D = tate_twist(trivial(s, p=p), n)
+        for bot, top in DELTA_WINDOWS:
+            _, acts = _delta_actions(D, bot, top)
+            assert len(acts) == p - 1
+            for i, A in enumerate(acts):
+                want = _direct_delta_action(D, pow(g, i, p), bot, top)
+                assert np.array_equal(A, want), (n, bot, i)
+            # act_g^(p-1) = I exactly on the window
+            eye = np.eye(len(acts[1]), dtype=np.int64)
+            assert np.array_equal(_matmul_mod(acts[-1], acts[1], q), eye)
+
+
+@pytest.mark.parametrize("p, s, g", DELTA_CELLS)
+def test_delta_basis_is_a_basis_of_the_fixed_part(p, s, g):
+    q = p ** s
+    for n in range(p - 1):
+        D = tate_twist(trivial(s, p=p), n)
+        for bot, top in DELTA_WINDOWS:
+            proj = delta_project(D, bot, top)
+            X = proj.basis
+            # the reference: the kernel of the stacked (act_u - I), u in Delta
+            eye = np.eye(X.shape[0], dtype=np.int64)
+            stack = np.vstack([(_direct_delta_action(D, u, bot, top) - eye)
+                               % q for u in range(1, p)])
+            K = kernel_generators(ZModMatrix(p, s, stack)).entries
+            lengths = {image_length(ZModMatrix(p, s, M))
+                       for M in (X, K, np.hstack([X, K]))}
+            assert lengths == {s * X.shape[1]}, (n, bot)
+            # unit pivots only, as many as the rank of E
+            assert _eliminate(X.copy(), p, s) == [0] * X.shape[1]
+            assert image_length(ZModMatrix(p, s, proj.matrix)) \
+                == s * X.shape[1]
+
+
 # -- window cohomology -------------------------------------------------------
 
 
@@ -283,6 +341,22 @@ def test_window_beyond_certified_entries_raises():
                     [("gamma", [[u.gamma(CHI) * u.inverse()]], CHI)])
     with pytest.raises(PrecisionError):
         cohomology(herr_complex(D, "delta"), (32,) * 3)
+
+
+def test_series_entries_past_their_certified_terms_raise():
+    # the trivial module in the basis u = 1 + pi + pi^5, entries certified
+    # to pi^40: a depth-b window reads entry terms up to about pi^(6b), so
+    # these schedules gave (1, 4, 0) at depth 32, or "d^2 != 0"
+    prec = 40
+    one = ArithLiftElement.one(P, 1, prec)
+    u = (one + ArithLiftElement.pi_power(P, 1, 1, prec)
+         + ArithLiftElement.pi_power(P, 1, 5, prec))
+    D = make_module(P, 1, [[u.frobenius() * u.inverse()]],
+                    [("gamma", [[u.gamma(CHI) * u.inverse()]], CHI)])
+    for schedule, need in (((8, 16, 32), 91), ((16, 32), 49)):
+        with pytest.raises(PrecisionError,
+                           match=rf"certified to pi\^{need}, got pi\^40"):
+            cohomology(herr_complex(D, "free"), schedule)
 
 
 def test_basis_change_leaves_dims_invariant():

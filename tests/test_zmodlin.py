@@ -10,6 +10,7 @@ from phigamma.zmodlin import (
     PresentedModule,
     ZModMatrix,
     image_length,
+    json_fields,
     kernel_cokernel,
     kernel_generators,
     module_profile,
@@ -303,6 +304,25 @@ def test_product_slices_the_inner_dimension_near_the_int64_bound():
 def test_modulus_beyond_int64_products_rejected():
     with pytest.raises(ValueError, match="too large"):
         ZModMatrix(7, 12, [[1]])
+    # sizes are checked before primality, so no huge p is trial-divided
+    for p, s in ((10**18 + 9, 1), (3, 10**30)):
+        with pytest.raises(ValueError, match="too large"):
+            ZModMatrix(p, s, [[1]])
+
+
+def test_json_fields_checks_top_level_fields():
+    doc = json_fields({"format": "x", "n": 2}, "x document", format="x",
+                      n=int, flag=(bool, False))
+    assert doc == {"format": "x", "n": 2, "flag": False}
+    for bad in ([], {"format": "y", "n": 2}, {"format": "x"},
+                {"format": "x", "n": True}, {"format": "x", "n": 2.0},
+                {"format": "x", "n": 2, "flag": 0}):
+        with pytest.raises(ValueError):
+            json_fields(bad, "x document", format="x", n=int,
+                        flag=(bool, False))
+    # a value to equal is compared with its type: true is not version 1
+    with pytest.raises(ValueError):
+        json_fields({"version": True}, "x document", version=1)
 
 
 def test_entries_must_be_integers():
