@@ -337,7 +337,7 @@ def _ring_column_series(p: int, s: int, ring: tuple, bot: int, top: int):
         raise ValueError("gamma exponent must be a p-adic unit")
     # gamma(pi^n) = pi^n U^n with U = ((1+pi)^a - 1)/pi a unit series
     U = binomial_table_mod_ps(a, bot + top, p, s, mod_power)
-    rows = power_rows(U, p ** s, -bot, top)
+    rows = power_rows(U, p ** s, -bot, top, end=top)
     return tuple((n, rows[n + bot, :top - n].copy()) for n in range(-bot, top))
 
 
@@ -351,7 +351,7 @@ def _phi_columns(p: int, s: int, bot: int, top: int):
     q = p ** s
     H = np.array([math.comb(p, k) % q for k in range(1, p + 1)] + [0] * top,
                  dtype=np.int64)[:top]
-    up = power_rows(H, q, 0, top)
+    up = power_rows(H, q, 0, top, end=top)
     deg = (p - 1) * (s - 1)
     F = np.array([math.comb(p, j) % q if j < p else 0
                   for j in range(deg + 1)], dtype=np.int64)

@@ -51,6 +51,27 @@ def _rank(r) -> int:
     return int(r)
 
 
+# Sizes read from a file are bounded, so that a file cannot ask for dense
+# arrays or loops far past the scope: a rank sizes square blocks (a cone of
+# rank-r complexes works on 2r x 2r matrices), and a degree or grid
+# coordinate sizes the walks over degrees, grid cells and pages.
+MAX_FILE_RANK = 256
+MAX_FILE_DEGREE = 64
+
+
+def _check_file_sizes(ranks, degrees) -> None:
+    """ValueError unless every rank is at most MAX_FILE_RANK and every
+    degree or grid coordinate at most MAX_FILE_DEGREE in absolute value."""
+    for r in ranks:
+        if _rank(r) > MAX_FILE_RANK:
+            raise ValueError(f"rank {r} exceeds the file limit of "
+                             f"{MAX_FILE_RANK}")
+    for n in degrees:
+        if abs(n) > MAX_FILE_DEGREE:
+            raise ValueError(f"degree or grid coordinate {n} exceeds the "
+                             f"file limit of {MAX_FILE_DEGREE}")
+
+
 def _hstack(p, s, mats):
     cols = [m.entries for m in mats if m.cols]
     if not cols:
@@ -136,6 +157,7 @@ class ChainComplexZ:
         doc = json_fields(json.loads(text), "chain-complex document",
                           format="chain-complex", p=int, s=int, ranks=dict,
                           diffs=dict)
+        _check_file_sizes(doc["ranks"].values(), map(int, doc["ranks"]))
         return cls(doc["p"], doc["s"], doc["ranks"], doc["diffs"])
 
 
@@ -416,6 +438,8 @@ class DoubleComplex:
         doc = json_fields(json.loads(text), "double-complex document",
                           format="double-complex", p=int, s=int, ranks=dict,
                           dh=dict, dv=dict)
+        _check_file_sizes(doc["ranks"].values(),
+                          (n for key in doc["ranks"] for n in cls._key(key)))
         return cls(doc["p"], doc["s"], doc["ranks"], doc["dh"], doc["dv"])
 
 
@@ -652,6 +676,7 @@ class Tower:
     def from_json(cls, text: str) -> "Tower":
         doc = json_fields(json.loads(text), "tower document", format="tower",
                           p=int, s=int, ranks=list, maps=list, tail=str)
+        _check_file_sizes(doc["ranks"], ())
         return cls(doc["p"], doc["s"], doc["ranks"], doc["maps"],
                    doc["tail"])
 

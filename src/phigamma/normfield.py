@@ -26,6 +26,7 @@ modeled by coordinate vectors of length p over the layer below.
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from fractions import Fraction
 import math
 import re
@@ -49,6 +50,7 @@ __all__ = [
     "format_element",
     "binomial_mod_p",
     "gamma_matrix",
+    "gamma_corner",
     "power_rows",
 ]
 
@@ -272,27 +274,27 @@ class NormFieldElement(_Series):
         """Multiplicative inverse; requires a nonzero element.
 
         Writing x = c*t^v*(1 + h) with v(h) > 0, inverts the unit part by
-        back-substitution.  Result precision: prec - 2*v relative shift.
+        back-substitution on a dense int64 vector: one dot product mod p
+        per certified term.  Result precision: prec - 2*v relative shift.
         """
         if not self.coeffs:
             raise ZeroDivisionError("inverting the zero element")
-        v = min(self.coeffs)
-        c = self.coeffs[v]
+        p, v = self.p, min(self.coeffs)
         width = self.prec_num - v  # number of certified grid steps in the unit
-        # unit part u_k = coeff at v + k, normalized so u_0 = 1
-        cinv = pow(c, -1, self.p)
-        u = {n - v: cc * cinv % self.p for n, cc in self.coeffs.items()}
-        inv = {0: 1}
+        if (p - 1) ** 2 * width >= 2**63:
+            raise ValueError("window too wide for int64 products mod p")
+        cinv = pow(self.coeffs[v], -1, p)
+        # unit part u[k] = coeff at v + k, normalized so u[0] = 1, reversed
+        # so that term k reads a contiguous slice against inv[:k]
+        rev = _dense(self, v, self.prec_num)[::-1] * cinv % p
+        inv = np.zeros(width, dtype=np.int64)
+        inv[0] = 1
         for k in range(1, width):
-            acc = 0
-            for j, cj in inv.items():
-                ujk = u.get(k - j, 0)
-                if ujk:
-                    acc += cj * ujk
-            if acc % self.p:
-                inv[k] = (-acc) % self.p
-        coeffs = {k - v: cc * cinv % self.p for k, cc in inv.items()}
-        return NormFieldElement(self.p, self.m, coeffs, width - v)
+            inv[k] = -int(np.dot(rev[width - 1 - k:width - 1], inv[:k])) % p
+        inv = inv * cinv % p
+        return NormFieldElement(p, self.m, {int(k) - v: int(inv[k])
+                                            for k in np.flatnonzero(inv)},
+                                width - v)
 
     def __hash__(self):
         a = self.try_lower_level()
@@ -433,7 +435,7 @@ def gamma_matrix(p: int, a: int, mod_power: int, dom_lo: int, dom_hi: int,
         return A
     U = np.array([binomial_mod_p(a, k, p, mod_power) for k in range(1, L + 1)],
                  dtype=np.int64)
-    powers = power_rows(U, p, dom_lo, dom_hi)
+    powers = power_rows(U, p, dom_lo, dom_hi, end=row_hi)
     for q in range(dom_lo, dom_hi):
         lo, hi = max(row_lo, q), min(row_hi, q + L)
         if lo < hi:
@@ -442,24 +444,65 @@ def gamma_matrix(p: int, a: int, mod_power: int, dom_lo: int, dom_hi: int,
     return A
 
 
-def power_rows(U: np.ndarray, modulus: int, lo: int, hi: int) -> np.ndarray:
-    """Row n - lo holds U^n mod modulus for n in [lo, hi), cut to len(U).
+# square gamma windows by (p, a, mod_power, hi): (lo, matrix on [lo, hi)^2)
+_GAMMA_WINDOWS: OrderedDict = OrderedDict()
+_GAMMA_WINDOWS_MAX = 8
+
+
+def gamma_corner(p: int, a: int, mod_power: int, lo: int,
+                 hi: int) -> np.ndarray:
+    """gamma_matrix(p, a, mod_power, lo, hi, lo, hi), read-only.
+
+    An entry depends only on its (n, q), so the window [lo, hi)^2 is the
+    trailing corner of every wider one with the same top.  One window is
+    kept per (p, a, mod_power, hi), the least recently used dropped past
+    _GAMMA_WINDOWS_MAX; it is rebuilt, down to lo exactly, only when a lower
+    lo is asked for, so it raises PrecisionError exactly when gamma_matrix
+    would and a failed rebuild keeps the window it had.
+    """
+    key = (p, a, mod_power, hi)
+    kept = _GAMMA_WINDOWS.get(key)
+    if kept is None or lo < kept[0]:
+        A = gamma_matrix(p, a, mod_power, lo, hi, lo, hi)
+        A.setflags(write=False)
+        kept = (lo, A)
+    _GAMMA_WINDOWS[key] = kept
+    _GAMMA_WINDOWS.move_to_end(key)
+    if len(_GAMMA_WINDOWS) > _GAMMA_WINDOWS_MAX:
+        _GAMMA_WINDOWS.popitem(last=False)
+    k = lo - kept[0]
+    return kept[1][k:, k:]
+
+
+def power_rows(U: np.ndarray, modulus: int, lo: int, hi: int,
+               end: int | None = None) -> np.ndarray:
+    """Row n - lo holds U^n mod modulus for n in [lo, hi), cut to len(U)
+    and, given end, to its first end - n terms; the rest of a row is 0.
 
     U is a power series, constant term first.  Rows come from one truncated
     convolution each, upward from U^0 and, for n < 0, downward from the
     back-substituted U^-1 (which needs U[0] to be a unit mod modulus).
-    int64 convolutions are exact while (modulus - 1)^2 * len(U) < 2^63.
+    Upward rows shorten with n, so each convolution stops at the next
+    row's cut; a row below 0 needs its whole predecessor.  int64
+    convolutions are exact while (modulus - 1)^2 * len(U) < 2^63.
     """
     L = len(U)
     assert (modulus - 1) ** 2 * L < 2**63, "power_rows would overflow int64"
+
+    def cut(n: int) -> int:
+        return L if end is None else max(min(L, end - n), 0)
+
     rows = np.zeros((max(hi - lo, 0), L), dtype=np.int64)
     V = np.zeros(L, dtype=np.int64)
     V[0] = 1
     for n in range(max(hi, 0)):
         if n >= lo:
-            rows[n - lo] = V
-        if n + 1 < hi:
-            V = np.convolve(V, U)[:L] % modulus
+            w = cut(n)
+            rows[n - lo, :w] = V[:w]
+        w = cut(n + 1)
+        if n + 1 >= hi or not w:
+            break
+        V = np.convolve(V[:w], U[:w])[:w] % modulus
     if lo < 0:
         Uinv = np.zeros(L, dtype=np.int64)
         c = pow(int(U[0]), -1, modulus)
@@ -469,7 +512,8 @@ def power_rows(U: np.ndarray, modulus: int, lo: int, hi: int) -> np.ndarray:
         V = Uinv
         for n in range(-1, lo - 1, -1):
             if n < hi:
-                rows[n - lo] = V
+                w = cut(n)
+                rows[n - lo, :w] = V[:w]
             if n > lo:
                 V = np.convolve(V, Uinv)[:L] % modulus
     return rows

@@ -12,14 +12,16 @@ level-m subspace, diagonally in the geometric direction and by an exact
 window solve in the arithmetic direction, with the residual certified to
 vanish on the window and the measured loss constant c3 reported.
 
-The arithmetic-direction solve reads gamma off ``normfield.gamma_matrix``,
-which fills a whole monomial window from one power table of the
-substitution series; the TS3 residual and the c4 probe recheck it through
-element arithmetic, which is dense (int64 powers of the substitution
-series) but independent of ``gamma_matrix`` and ``power_rows``.  The TS1
-search runs on int64 vectors too.  The TS3 solve keeps its own row echelon
-over F_p (_solve_fp): its matrices are singular, and the reported c3 rests
-on the particular solution that sets the free unknowns to 0.
+The arithmetic-direction solve reads gamma off ``normfield.gamma_corner``:
+every sample of one prime and level tops its window at the same exponent,
+so each window is a corner of one cached ``gamma_matrix`` window.  The TS3
+residual and the c4 probe recheck it through element arithmetic, which is
+dense (int64 powers of the substitution series) but independent of
+``gamma_matrix`` and ``power_rows``.  The TS1 search runs on int64 vectors
+too.  The TS3 matrices are singular, and the reported c3 rests on the
+particular solution that sets the free unknowns to 0.  _solve_fp finds it
+by column reduction: the window matrices are strictly lower triangular, so
+their columns come nearly in column echelon form.
 
 Decompletion has no engine of its own.  At s = 1 the level-m ring is
 F_p((t)) with t = pi^(1/p^m), and phi(t) = t^p, gamma(t) = (1+t)^a - 1 are
@@ -39,7 +41,7 @@ import numpy as np
 from .complexes import cohomology, herr_complex
 from .errors import InvariantError, NonStabilizationError, PrecisionError
 from .normfield import (NormFieldElement, RelativeNormElement,
-                        _one_plus_gen_power, format_element, gamma_matrix)
+                        _one_plus_gen_power, format_element, gamma_corner)
 
 __all__ = [
     "TraceOperator",
@@ -310,41 +312,65 @@ def ts1_witness_search(p: int, s: int, n: int, c: Fraction) -> TS1Witness:
 # -- TS3: inverting 1 - gamma^(p^m) off the trace image ----------------------
 
 
-def _echelon_fp(A: np.ndarray, p: int):
-    """Row echelon over F_p; returns (reduced matrix, pivot columns)."""
-    M = A.copy() % p
-    rows, cols = M.shape
-    piv, r = [], 0
-    for c in range(cols):
-        if r == rows:
-            break
-        nz = np.nonzero(M[r:, c])[0]
-        if nz.size == 0:
-            continue
-        k = r + nz[0]
-        if k != r:
-            M[[r, k]] = M[[k, r]]
-        M[r] = (M[r] * pow(int(M[r, c]), -1, p)) % p
-        hit = M[:, c] != 0
-        hit[r] = False
-        if hit.any():
-            M[hit] = (M[hit] - np.outer(M[hit, c], M[r])) % p
-        piv.append(c)
-        r += 1
-    return M, piv
-
-
 def _solve_fp(A: np.ndarray, b: np.ndarray, p: int):
-    """The solution of A x = b over F_p whose free unknowns are 0 (the
-    reduced row echelon form fixes it), or None if there is none."""
-    aug = np.hstack([A, b.reshape(-1, 1) % p])
-    R, piv = _echelon_fp(aug, p)
-    if A.shape[1] in piv:
-        return None
-    x = np.zeros(A.shape[1], dtype=np.int64)
-    for r, col in enumerate(piv):
-        x[col] = R[r, -1]
-    return x
+    """The solution of A x = b over F_p whose free unknowns are 0, or None
+    if there is none.
+
+    A column is free when it lies in the span of the columns to its left,
+    as in a row echelon with pivots taken greedily from the left.  Columns
+    are reduced left to right, b last: while a column leads (has its least
+    nonzero row) where an earlier column leads, that column's multiple is
+    subtracted; it ends leading at a new row, or at zero, and then it is
+    free.  b ends at zero exactly when the system is consistent, and undoing
+    the recorded operations on it gives x.  The TS3 matrices are strictly
+    lower triangular, so their columns come close to column echelon form
+    and most need no operation or a few.
+
+    A column is one Python integer with one lane of ``width`` bits per row.
+    An operation adds (p - f) times another column, which keeps every lane
+    below p(p - 1) < 2^a, and reduces each lane mod p by one Barrett
+    multiply-shift: floor(z * mult / 2^k) = floor(z / p) for z < 2^a, and
+    z * mult < 2^width, so no carry crosses a lane.
+    """
+    n_rows, n_cols = A.shape
+    a = (p * (p - 1)).bit_length()
+    k = a + p.bit_length()
+    lane = next((np.dtype(f"<u{n}") for n in (1, 2, 4, 8) if 8 * n >= a + k),
+                None)
+    if lane is None:
+        raise ValueError(f"prime {p} is too large for packed F_p columns")
+    width, mult = 8 * lane.itemsize, -(-(1 << k) // p)
+    cols = np.empty((n_cols + 1, n_rows), dtype=lane)
+    cols[:n_cols] = A.T % p
+    cols[n_cols] = b % p
+    cols = [int.from_bytes(c.tobytes(), "little") for c in cols]
+    quot = int.from_bytes(np.full(n_rows, (1 << (width - k)) - 1,
+                                  dtype=lane).tobytes(), "little")
+    mask = (1 << width) - 1
+    lead, ops = {}, []
+    for c, x in enumerate(cols):
+        while x:
+            r = ((x & -x).bit_length() - 1) // width
+            if r not in lead:
+                break
+            j = lead[r]
+            f = ((x >> (r * width)) & mask) * pow(
+                (cols[j] >> (r * width)) & mask, -1, p) % p
+            ops.append((c, j, f))
+            z = x + (p - f) * cols[j]
+            x = z - p * (((z * mult) >> k) & quot)
+        if not x:
+            continue
+        if c == n_cols:
+            return None
+        cols[c] = x
+        lead[r] = c
+    # b - sum of f * (reduced column j) is 0; a reduced column is its own
+    # column minus recorded multiples of earlier ones, so undo in reverse
+    w = [0] * n_cols + [1]
+    for c, j, f in reversed(ops):
+        w[j] = (w[j] - f * w[c]) % p
+    return np.array([-v % p for v in w[:n_cols]], dtype=np.int64)
 
 
 def invert_one_minus_gamma(z, m: int, i: int = 0, chi: int | None = None,
@@ -353,10 +379,13 @@ def invert_one_minus_gamma(z, m: int, i: int = 0, chi: int | None = None,
 
     Direction 1 is diagonal in the x-monomials: each term is divided by the
     exact multiplier 1 - (1 + pi^(1/p^mx))^(p^m * j).  Direction 0 is an
-    exact window solve of (gamma_matrix - I), restricted to the rows and
-    columns off the level-m grid.  In both cases the residual is certified,
-    through element arithmetic, to vanish on the window, and the loss
-    v(z) - v(y) is the measured c3.
+    exact window solve of (gamma - I), restricted to the rows and columns
+    off the level-m grid: gamma is the square window [lo_y, hi_rows)^2 of
+    gamma_corner, whose top hi_rows depends only on p, m and the input's
+    grid level and precision, and the system, strictly lower triangular in
+    the monomial order, goes to _solve_fp.  In both cases the residual is
+    certified, through element arithmetic, to vanish on the window, and the
+    loss v(z) - v(y) is the measured c3.
     """
     if i == 1:
         if not isinstance(z, RelativeNormElement):
@@ -411,8 +440,8 @@ def invert_one_minus_gamma(z, m: int, i: int = 0, chi: int | None = None,
     support = [n for n in range(lo_y, hi_rows) if n % f]
     pos = {n: r for r, n in enumerate(support)}
     off = np.array(support) - lo_y
-    A = gamma_matrix(p, a_res, mod_power, lo_y, hi_rows, lo_y, hi_rows)
-    A = (A - np.eye(hi_rows - lo_y, dtype=np.int64))[np.ix_(off, off)] % p
+    A = gamma_corner(p, a_res, mod_power, lo_y, hi_rows)[np.ix_(off, off)]
+    A = (A - np.eye(len(off), dtype=np.int64)) % p
     b = np.zeros(len(support), dtype=np.int64)
     for n, cc in z.coeffs.items():
         if n in pos:

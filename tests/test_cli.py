@@ -1,13 +1,15 @@
 """Command-line frontend: subcommand outputs, exit codes, determinism."""
 
 import json
+import time
 
 import pytest
 from click.testing import CliRunner
 from hypothesis import given, settings, strategies as st
 
 from phigamma.cli import main, make_schedule
-from phigamma.homotopy import ChainComplexZ, DoubleComplex, Tower
+from phigamma.homotopy import (MAX_FILE_DEGREE, MAX_FILE_RANK, ChainComplexZ,
+                               DoubleComplex, Tower)
 from phigamma.modules import (identity_matrix, make_module, module_to_json,
                               parse_lift)
 from phigamma.tatesen import tate_sen_certificate
@@ -367,6 +369,42 @@ def test_complex_ranks_must_be_integers(runner, tmp_path, rank):
     path = tmp_path / "grid.json"
     path.write_text(json.dumps(DC))
     assert runner.invoke(main, ["spectral", str(path)]).exit_code == 2
+
+
+def _size_files(tmp_path, rank, corner):
+    big = {"format": "chain-complex", "p": 3, "s": 1, "ranks": {"0": rank},
+           "diffs": {}}
+    cone = tmp_path / "map.json"
+    cone.write_text(json.dumps({"format": "chain-map", "src": big,
+                                "dst": big}))
+    grid = tmp_path / "grid.json"
+    grid.write_text(json.dumps({"format": "double-complex", "p": 3, "s": 1,
+                                "ranks": {"0,0": 1, corner: 1},
+                                "dh": {}, "dv": {}}))
+    return [["cone", str(cone)], ["spectral", str(grid)]]
+
+
+def test_oversized_file_sizes_exit_2_quickly(runner, tmp_path):
+    # a cone of rank-30000 complexes asked for a 6.7 GiB zero block, and a
+    # grid reaching (30000, 30000) walked every cell of its extent
+    for argv in _size_files(tmp_path, 30000, "30000,30000"):
+        start = time.perf_counter()
+        res = runner.invoke(main, argv)
+        assert time.perf_counter() - start < 5
+        assert res.exit_code == 2
+        assert "exceeds the file limit" in res.output
+        assert isinstance(res.exception, SystemExit)
+    tower = tmp_path / "tower.json"
+    tower.write_text(json.dumps({"format": "tower", "p": 3, "s": 1,
+                                 "ranks": [MAX_FILE_RANK + 1], "maps": [],
+                                 "tail": "zero"}))
+    assert runner.invoke(main, ["tower", str(tower)]).exit_code == 2
+
+
+def test_file_sizes_at_the_limit_run(runner, tmp_path):
+    corner = f"{MAX_FILE_DEGREE},{MAX_FILE_DEGREE}"
+    for argv in _size_files(tmp_path, MAX_FILE_RANK, corner):
+        assert runner.invoke(main, argv).exit_code == 0
 
 
 # -- fuzzing the element subcommands ------------------------------------------

@@ -31,7 +31,6 @@ from phigamma.complexes import (
 from phigamma.errors import InvariantError, PrecisionError
 from phigamma.modules import (identity_matrix, make_module, mat_inverse,
                               mat_map, mat_mul, tate_twist)
-from phigamma.tatesen import _echelon_fp
 from phigamma.wittside import ArithLiftElement
 from phigamma.zmodlin import (ZModMatrix, _eliminate, image_length,
                               kernel_generators)
@@ -469,6 +468,31 @@ def test_semidirect_broken_relation_rejected():
                     D.delta_character_exponent)
     with pytest.raises(InvariantError):
         semidirect_gamma_complex(D_bad)
+
+
+def _echelon_fp(A, p):
+    """Reduced row echelon over F_p; returns (reduced matrix, pivot
+    columns)."""
+    M = A.copy() % p
+    rows, cols = M.shape
+    piv, r = [], 0
+    for c in range(cols):
+        if r == rows:
+            break
+        nz = np.nonzero(M[r:, c])[0]
+        if nz.size == 0:
+            continue
+        k = r + nz[0]
+        if k != r:
+            M[[r, k]] = M[[k, r]]
+        M[r] = (M[r] * pow(int(M[r, c]), -1, p)) % p
+        hit = M[:, c] != 0
+        hit[r] = False
+        if hit.any():
+            M[hit] = (M[hit] - np.outer(M[hit, c], M[r])) % p
+        piv.append(c)
+        r += 1
+    return M, piv
 
 
 def _kernel_fp(A, p):

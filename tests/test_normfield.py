@@ -18,9 +18,11 @@ from phigamma.normfield import (
     flat_normalization,
     format_element,
     frobenius_e,
+    gamma_corner,
     gamma_e,
     gamma_matrix,
     parse_element,
+    power_rows,
     raise_perfection,
     v_e,
 )
@@ -304,6 +306,93 @@ def test_gamma_matrix_binomial_precision():
         gamma_matrix(3, 6, 12, 0, 5, 0, 8)
 
 
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_gamma_corner_is_the_gamma_matrix_window(p):
+    a = pow(1 + p, p, p**14)
+    hi = 6 * p + 5
+    # lows going down widen the kept window, lows going up read its corners
+    for lo in (-p, 2, -3 * p - 1, 0, -3 * p - 1, hi - 1, hi, -2, 7):
+        A = gamma_corner(p, a, 14, lo, hi)
+        assert not A.flags.writeable
+        assert np.array_equal(A, gamma_matrix(p, a, 14, lo, hi, lo, hi))
+    # another top is another window
+    assert np.array_equal(gamma_corner(p, a, 14, -4, hi - 3),
+                          gamma_matrix(p, a, 14, -4, hi - 3, -4, hi - 3))
+
+
+def test_gamma_corner_binomial_precision():
+    # [lo, 9) reads C(4, k) for k <= 9 - lo; mod 3^2 that stops below k = 9
+    assert np.array_equal(gamma_corner(3, 4, 2, 1, 9),
+                          gamma_matrix(3, 4, 2, 1, 9, 1, 9))
+    with pytest.raises(PrecisionError):
+        gamma_corner(3, 4, 2, 0, 9)
+    # the failed widening keeps the window it had
+    assert np.array_equal(gamma_corner(3, 4, 2, 3, 9),
+                          gamma_matrix(3, 4, 2, 3, 9, 3, 9))
+    with pytest.raises(ValueError):
+        gamma_corner(3, 6, 12, 0, 9)
+
+
+def test_power_rows_cut_rows_at_end():
+    rng = random.Random(36)
+    for _ in range(40):
+        p = rng.choice([3, 5, 7])
+        q = p ** rng.randint(1, 3)
+        U = np.array([rng.randrange(q) for _ in range(rng.randint(1, 30))],
+                     dtype=np.int64)
+        U[0] = rng.choice([u for u in range(1, q) if u % p])
+        lo = rng.randint(-12, 8)
+        hi = lo + rng.randint(0, 25)
+        end = rng.randint(lo - 2, hi + len(U) + 2)
+        full, cut = power_rows(U, q, lo, hi), power_rows(U, q, lo, hi, end)
+        for n in range(lo, hi):
+            w = max(min(len(U), end - n), 0)
+            assert np.array_equal(cut[n - lo, :w], full[n - lo, :w])
+            assert not cut[n - lo, w:].any()
+
+
+# -- dense inverse against the dict back-substitution --------------------------
+
+
+def dict_inverse(x):
+    """Reference inverse: the dict back-substitution the dense one replaced."""
+    if not x.coeffs:
+        raise ZeroDivisionError("inverting the zero element")
+    v = min(x.coeffs)
+    c = x.coeffs[v]
+    width = x.prec_num - v
+    cinv = pow(c, -1, x.p)
+    u = {n - v: cc * cinv % x.p for n, cc in x.coeffs.items()}
+    inv = {0: 1}
+    for k in range(1, width):
+        acc = 0
+        for j, cj in inv.items():
+            ujk = u.get(k - j, 0)
+            if ujk:
+                acc += cj * ujk
+        if acc % x.p:
+            inv[k] = (-acc) % x.p
+    coeffs = {k - v: cc * cinv % x.p for k, cc in inv.items()}
+    return NormFieldElement(x.p, x.m, coeffs, width - v)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_dense_inverse_matches_dict_back_substitution(p):
+    rng = random.Random(37 * p)
+    for _ in range(60):
+        m = rng.randint(0, 2)
+        coeffs = {rng.randrange(-20, 40): rng.randrange(p)
+                  for _ in range(rng.randrange(0, 8))}
+        x = NormFieldElement(p, m, coeffs, rng.randrange(-12, 60))
+        if x.is_zero():
+            with pytest.raises(ZeroDivisionError):
+                x.inverse()
+            continue
+        y, want = x.inverse(), dict_inverse(x)
+        assert (y.coeffs, y.prec_num, y.m) == (want.coeffs, want.prec_num,
+                                               want.m)
+
+
 # -- dense element gamma against the dict substitution ------------------------
 
 
@@ -347,7 +436,7 @@ def dict_substitute(x, G):
             out = out + power.scale(x.coeffs[n]).truncate_to_num(prec)
     if neg:
         work = prec - 2 * neg[0] + 2
-        Ginv = G.inverse()
+        Ginv = dict_inverse(G)
         power, last = _pow_window(Ginv, -neg[-1], work), neg[-1]
         for n in reversed(neg):
             if n != last:

@@ -6,6 +6,7 @@ import json
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
@@ -14,6 +15,7 @@ from phigamma.cli import main
 from phigamma.errors import InvariantError
 from phigamma.modules import identity_matrix, make_module, tate_twist
 from phigamma.normfield import NormFieldElement, RelativeNormElement
+import phigamma.tatesen as tatesen
 from phigamma.tatesen import (
     CyclotomicElement,
     TraceOperator,
@@ -21,6 +23,7 @@ from phigamma.tatesen import (
     decompletion_compare,
     decompose,
     decompose_element,
+    _solve_fp,
     _ts1_traces,
     galois_trace,
     invert_one_minus_gamma,
@@ -255,6 +258,108 @@ def test_invert_direction1_rejects_level_input():
         invert_one_minus_gamma(z, 0, 1)
 
 
+# -- the TS3 window solve against Gauss-Jordan --------------------------------
+
+
+def gauss_jordan_solve(A, b, p):
+    """Reference: the reduced row echelon of [A | b] with pivots taken
+    greedily from the left, free unknowns 0; None if b's column is a
+    pivot."""
+    M = np.hstack([A, b.reshape(-1, 1)]) % p
+    rows, cols = M.shape
+    piv, r = [], 0
+    for c in range(cols):
+        if r == rows:
+            break
+        nz = np.nonzero(M[r:, c])[0]
+        if nz.size == 0:
+            continue
+        k = r + nz[0]
+        if k != r:
+            M[[r, k]] = M[[k, r]]
+        M[r] = (M[r] * pow(int(M[r, c]), -1, p)) % p
+        hit = M[:, c] != 0
+        hit[r] = False
+        if hit.any():
+            M[hit] = (M[hit] - np.outer(M[hit, c], M[r])) % p
+        piv.append(c)
+        r += 1
+    if A.shape[1] in piv:
+        return None
+    x = np.zeros(A.shape[1], dtype=np.int64)
+    for r, col in enumerate(piv):
+        x[col] = M[r, -1]
+    return x
+
+
+def _same_solution(A, b, p):
+    want, got = gauss_jordan_solve(A, b, p), _solve_fp(A, b, p)
+    assert (got is None) == (want is None)
+    assert want is None or (got.dtype == np.int64
+                            and np.array_equal(got, want))
+    return want is not None
+
+
+@pytest.mark.parametrize("p, seed", [(3, 1), (5, 2), (7, 3)])
+def test_solve_fp_on_ts3_systems(p, seed, monkeypatch):
+    seen = []
+
+    def checked(A, b, q):
+        seen.append(A.shape)
+        assert not np.triu(A).any()   # strictly lower triangular
+        assert _same_solution(A, b, q)
+        return _solve_fp(A, b, q)
+
+    monkeypatch.setattr(tatesen, "_solve_fp", checked)
+    for m in (0, 1) if p == 3 else (0,):
+        tate_sen_certificate(p, m, 6, seed)
+    assert len(seen) >= 6
+
+
+def _random_system(rng, p, n_rows, n_cols, lower):
+    """A sparse random matrix, strictly lower triangular if asked, with some
+    columns zero and some plus combinations of earlier ones (dependent
+    columns); b in the column span, half the time moved in one entry."""
+    A = np.zeros((n_rows, n_cols), dtype=np.int64)
+    for c in range(n_cols):
+        top = c + 1 if lower else 0
+        if top < n_rows and rng.random() < 0.85:
+            rows = rng.sample(range(top, n_rows),
+                              rng.randint(1, min(4, n_rows - top)))
+            A[rows, c] = [rng.randrange(1, p) for _ in rows]
+        if c and rng.random() < 0.2:
+            for j in rng.sample(range(c), min(c, 2)):
+                if not lower or not A[:c + 1, j].any():
+                    A[:, c] = (A[:, c] + rng.randrange(p) * A[:, j]) % p
+    x = np.array([rng.randrange(p) for _ in range(n_cols)], dtype=np.int64)
+    b = A @ x % p
+    if rng.random() < 0.5:
+        b[rng.randrange(n_rows)] += rng.randrange(1, p)
+    return A, b % p
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 17, 4093])
+def test_solve_fp_matches_gauss_jordan_on_random_systems(p):
+    rng = random.Random(p)
+    consistent = 0
+    for trial in range(60):
+        lower = trial % 3 != 0
+        n = rng.randint(1, 40)
+        A, b = _random_system(rng, p, n, n if lower else rng.randint(1, 40),
+                              lower)
+        consistent += _same_solution(A, b, p)
+    assert 0 < consistent < 60
+    assert _same_solution(np.zeros((3, 0), dtype=np.int64),
+                          np.array([0, 1, 0]), p) is False
+    assert _same_solution(np.zeros((0, 2), dtype=np.int64),
+                          np.zeros(0, dtype=np.int64), p)
+
+
+def test_solve_fp_rejects_primes_past_its_lanes():
+    with pytest.raises(ValueError):
+        _solve_fp(np.eye(2, dtype=np.int64), np.ones(2, dtype=np.int64), 8191)
+
+
 # -- decomposition -----------------------------------------------------------
 
 
@@ -390,3 +495,13 @@ def test_ts_report_bytes_pinned(p, digest):
                                     "0", "--samples", "3", "--seed", "7"])
     assert res.exit_code == 0
     assert hashlib.sha256(res.output.encode()).hexdigest() == digest
+
+
+def test_ts_report_level_one_bytes_pinned():
+    # recorded with the dense Gauss-Jordan solve and one gamma window per
+    # sample, before the corner cache and the column reduction replaced them
+    res = CliRunner().invoke(main, ["ts-report", "--prime", "3", "--level",
+                                    "1", "--samples", "3", "--seed", "7"])
+    assert res.exit_code == 0
+    assert hashlib.sha256(res.output.encode()).hexdigest() == \
+        "ac1835c33873d337a5db7503b48f146beda3823eb0d077b7496e9857e26dc323"
