@@ -21,7 +21,6 @@ from .zmodlin import (
     divisors_length,
     image_length,
     json_fields,
-    kernel_cokernel,
     kernel_generators,
     module_profile,
     subquotient_presentation,
@@ -686,43 +685,19 @@ def tower_lim_lim1(T: Tower):
 
     lim: with a zero tail every thread eventually vanishes and pulls back
     to zero, so lim = 0.  With a constant tail the repeated transition
-    acts bijectively on its eventual image, so lim is that image (the
-    iteration count s·rank + 1 guarantees stabilization).
-    lim^1 is the cokernel of (x_n) ↦ (x_n − d_n x_{n+1}) on the product
-    truncated per the tail convention; towers of finite modules are
-    Mittag-Leffler and the cokernel computation certifies lim^1 = 0.
+    acts bijectively on its eventual image, so lim is that image: the
+    image of d^n for any n > s·rank, here a power of 2 by squaring.
+    lim^1 = 0: a tower of finite modules is Mittag-Leffler (its images
+    form descending chains of finite submodules, which stabilize), and a
+    Mittag-Leffler tower has no lim^1.
     """
     p, s = T.p, T.s
     if T.tail == "zero" or not T.ranks:
         lim = PresentedModule.free(p, s, 0)
     else:
-        d_tail = T.tail_map()
-        ev = ZModMatrix.identity(p, s, T.ranks[-1])
-        for _ in range(s * T.ranks[-1] + 1):
-            ev = d_tail @ ev
+        ev = T.tail_map()
+        for _ in range((s * T.ranks[-1]).bit_length()):
+            ev = ev @ ev
         lim = subquotient_presentation(
             ev, ZModMatrix.zeros(p, s, ev.rows, 0))
-    if not T.ranks:
-        return lim, PresentedModule.free(p, s, 0)
-    extra = (s * T.ranks[-1] + 1) if T.tail == "constant" else 0
-    ranks = list(T.ranks) + [T.ranks[-1]] * extra
-    maps = list(T.maps) + [T.tail_map()] * extra
-    # zero tail: the shift map is square (entries beyond the range are
-    # zero); constant tail: the last output row belongs to the infinite
-    # tail and is dropped from the truncation
-    n_rows = len(ranks) if T.tail == "zero" else len(ranks) - 1
-    dom = sum(ranks)
-    cod = sum(ranks[:n_rows])
-    M = np.zeros((cod, dom), dtype=np.int64)
-    roff = np.cumsum([0] + ranks[:n_rows])
-    coff = np.cumsum([0] + ranks)
-    q = p ** s
-    for n in range(n_rows):
-        M[roff[n]:roff[n] + ranks[n], coff[n]:coff[n] + ranks[n]] = \
-            np.eye(ranks[n], dtype=np.int64)
-        if n + 1 < len(ranks):
-            M[roff[n]:roff[n] + ranks[n],
-              coff[n + 1]:coff[n + 1] + ranks[n + 1]] = \
-                (-maps[n].entries) % q
-    _, coker = kernel_cokernel(ZModMatrix(p, s, M))
-    return lim, coker
+    return lim, PresentedModule.free(p, s, 0)

@@ -16,6 +16,10 @@ applied to the level-m generator t = pi^(1/p^m) as t |-> (1+t)^a - 1; the
 uniqueness of p-th roots in characteristic p makes this consistent across
 levels.
 
+Element gamma evaluates a series at G = (1+t)^a - 1 (substitute_generator);
+gamma_matrix and gamma_corner build the same action as window matrices.  The
+two paths share only binomial_mod_p, so each can check the other.
+
 Relative elements adjoin a second variable x (with its own fractional
 exponent grid); the geometric generator acts by x |-> (1+pi)x and the
 arithmetic generator fixes x.
@@ -314,31 +318,36 @@ class NormFieldElement(_Series):
                                 self.prec_num)
 
     def gamma(self, a: int, mod_power: int) -> "NormFieldElement":
-        """Substitution t |-> (1+t)^a - 1 on the level-m generator t.
+        """Substitution t |-> G = (1+t)^a - 1 on the level-m generator t.
 
-        ``a`` is a unit residue mod p^mod_power; a PrecisionError is raised
-        when the window demands binomial coefficients beyond that residue.
+        ``a`` is a unit residue mod p^mod_power.  PrecisionError when the
+        window's C(a, k), k <= prec - 2*min(lo, 0) + 1, reach k = p^mod_power:
+        |min(lo, 0)| + 1 past the terms of (G/t)^(+-1) that _compose reads.
         """
         if a % self.p == 0:
             raise ValueError("gamma exponent must be a p-adic unit")
         if not self.coeffs:
             return self
-        # inverting the unit part of G and raising it to the deepest negative
-        # exponent costs certified terms; widen the working window to cover it
-        width = self.prec_num - 2 * min(min(self.coeffs), 0) + 2
-        G = NormFieldElement(self.p, self.m,
-                             {k: binomial_mod_p(a, k, self.p, mod_power)
-                              for k in range(1, width)}, width)
-        return self.substitute_generator(G)
+        p, base = self.p, min(min(self.coeffs), 0)
+        if self.prec_num - 2 * base + 1 >= p**mod_power:
+            raise PrecisionError(f"binomial C(a, {p**mod_power}) needs the "
+                                 f"exponent mod p^{mod_power} and more")
+        if (p - 1) ** 2 * (self.prec_num - 2 * base + 2) >= 2**63:
+            raise ValueError("window too wide for int64 products mod p")
+        return self._compose(*_generator_unit(p, a, mod_power,
+                                              self.prec_num - base))
 
     def substitute_generator(self, G: "NormFieldElement") -> "NormFieldElement":
         """Evaluate at t |-> G for a G with v(G) = one grid step.
 
-        Valuation-preserving, so the output window equals the input window.
-        The sum of c_n * G^n accumulates in int64 from dense powers, one
-        truncated convolution mod p per exponent step: G^k on [k, prec)
-        upward from G^0, and G^-k on [-k, work) downward from G.inverse(),
-        with slack work = prec - 2*lo + 2 for the least exponent lo < 0.
+        Valuation-preserving, so the output window equals the input window;
+        G must be certified past t^w, w = prec - min(lo, 0).  With u = G/t
+        and base = min(lo, 0), _compose writes x(G) = t^base u^base P(G) for
+        P(y) = sum c_n y^(n - base) of degree N, and evaluates P(G) by baby
+        and giant steps (Paterson and Stockmeyer, SIAM J. Comput. 2, 1973):
+        G^0..G^(k-1) for k = ceil(sqrt(N + 1)), one int64 product of the
+        coefficient table with them, and Horner's rule in G^k; u^base comes
+        by squaring u^-1.  Products are truncated convolutions mod p.
         Independent of gamma_matrix and power_rows, which it rechecks.
         """
         if G.m != self.m or G.p != self.p:
@@ -347,34 +356,45 @@ class NormFieldElement(_Series):
             raise ValueError("substitution series must have valuation one step")
         if not self.coeffs:
             return self
-        p, prec = self.p, self.prec_num
-        lo, hi = min(self.coeffs), max(self.coeffs)
-        base = min(lo, 0)
-        if (p - 1) ** 2 * (prec - 2 * base + 2) >= 2**63:
+        width = self.prec_num - min(min(self.coeffs), 0)
+        if G.prec_num <= width:
+            raise PrecisionError("substitution series certified below "
+                                 f"t^{G.prec_num}, the window needs t^{width}")
+        if (self.p - 1) ** 2 * (width + 1) >= 2**63:
             raise ValueError("window too wide for int64 products mod p")
-        acc = np.zeros(prec - base, dtype=np.int64)
-        if hi >= 0:
-            # g[j] is the coefficient of t^(j+1); power[i] that of t^(k+i)
-            g = _dense(G, 1, prec)
-            power = np.zeros(prec, dtype=np.int64)
-            power[0] = 1
-            for k in range(hi + 1):
-                if k in self.coeffs:
-                    acc[k - base:] += self.coeffs[k] * power
-                if k < hi:
-                    width = prec - k - 1
-                    power = np.convolve(power, g[:width])[:width] % p
-        if lo < 0:
-            # power[i] is the coefficient of t^(i-k) in G^-k
-            work = prec - 2 * lo + 2
-            ginv = _dense(G.inverse(), -1, work)
-            power = ginv
-            for k in range(1, -lo + 1):
-                if -k in self.coeffs:
-                    acc[-k - base:] += self.coeffs[-k] * power[:prec + k]
-                if k < -lo:
-                    power = np.convolve(power, ginv)[:work + k + 1] % p
-        acc %= p
+        G = G.truncate_to_num(width + 1)
+        return self._compose(_dense(G, 1, width + 1),
+                             _dense(G.inverse(), -1, width - 1))
+
+    def _compose(self, u: np.ndarray, uinv: np.ndarray) -> "NormFieldElement":
+        """x(t*u) from at least prec - min(lo, 0) terms of u and of u^-1."""
+        p, prec = self.p, self.prec_num
+        base = min(min(self.coeffs), 0)
+        W, N = prec - base, max(self.coeffs) - base
+
+        def mul(x, y):
+            return np.convolve(x, y)[:W] % p
+
+        g = np.concatenate(([0], u[:W - 1]))
+        k = math.isqrt(N) + 1
+        J = -(-(N + 1) // k)
+        baby = np.zeros((k, W), dtype=np.int64)
+        baby[0, 0] = 1
+        for i in range(1, k):
+            baby[i] = mul(baby[i - 1], g)
+        table = np.zeros(J * k, dtype=np.int64)
+        table[[n - base for n in self.coeffs]] = list(self.coeffs.values())
+        rows = table.reshape(J, k) @ baby % p
+        acc, giant = rows[J - 1], mul(baby[k - 1], g)
+        for r in range(J - 2, -1, -1):
+            acc = (np.convolve(acc, giant)[:W] + rows[r]) % p
+        e, power = -base, uinv[:W]
+        while e:
+            if e & 1:
+                acc = mul(acc, power)
+            e >>= 1
+            if e:
+                power = mul(power, power)
         return NormFieldElement(p, self.m, {int(n) + base: int(acc[n])
                                             for n in np.flatnonzero(acc)}, prec)
 
@@ -411,6 +431,35 @@ def _dense(x: NormFieldElement, lo: int, hi: int) -> np.ndarray:
         if lo <= n < hi:
             out[n - lo] = c
     return out
+
+
+# G/t and its inverse by (p, a mod p^mod_power, mod_power): (u, u^-1)
+_GENERATORS: OrderedDict = OrderedDict()
+_GENERATORS_MAX = 8
+
+
+def _generator_unit(p: int, a: int, mod_power: int,
+                    length: int) -> tuple[np.ndarray, np.ndarray]:
+    """u = ((1+t)^a - 1)/t and u^-1 mod p, read-only, on their first
+    length < p^mod_power terms or more.  One pair is kept per key, the least
+    recently used dropped past _GENERATORS_MAX; a short one is rebuilt at
+    twice its length or more, up to the p^mod_power - 1 terms that the
+    residue of a determines and the terms that inverse() can sum in int64."""
+    key = (p, a % p**mod_power, mod_power)
+    kept = _GENERATORS.get(key)
+    if kept is None or len(kept[0]) < length:
+        n = min(max(length, 2 * len(kept[0]) if kept else 0),
+                p**mod_power - 1, (2**63 - 1) // (p - 1) ** 2)
+        G = NormFieldElement(p, 0, {j: binomial_mod_p(a, j, p, mod_power)
+                                    for j in range(1, n + 1)}, n + 1)
+        kept = (_dense(G, 1, n + 1), _dense(G.inverse(), -1, n - 1))
+        for arr in kept:
+            arr.setflags(write=False)
+    _GENERATORS[key] = kept
+    _GENERATORS.move_to_end(key)
+    if len(_GENERATORS) > _GENERATORS_MAX:
+        _GENERATORS.popitem(last=False)
+    return kept
 
 
 def gamma_matrix(p: int, a: int, mod_power: int, dom_lo: int, dom_hi: int,
@@ -583,8 +632,7 @@ class ASExtension:
 
     def embed(self, x) -> "ASExtensionElement":
         """Constant-in-theta embedding of a lower-layer element."""
-        coords = self.zero_coords(x.prec if isinstance(x, NormFieldElement)
-                                  else x.prec)
+        coords = self.zero_coords(x.prec)
         coords[0] = x
         return ASExtensionElement(self, coords)
 
@@ -636,7 +684,7 @@ class ASExtensionElement:
             raise ValueError("elements of different extension layers")
         p = self.p
         ext = self.ext
-        u_low = _as_layer_element(ext.base, ext.u)
+        u_low = _lift_to(ext.base, ext.u)
         # raw product has theta-degree up to 2p-2; fold with theta^p = theta + u
         raw = [None] * (2 * p - 1)
         for i, a in enumerate(self.coords):
@@ -658,8 +706,8 @@ class ASExtensionElement:
         (sum c_j theta^j)^p = sum c_j^p (theta+u)^j, expanded and refolded.
         """
         ext = self.ext
-        frob_coords = [_layer_frobenius(c) for c in self.coords]
-        u_low = _as_layer_element(ext.base, ext.u)
+        frob_coords = [c.frobenius() for c in self.coords]
+        u_low = _lift_to(ext.base, ext.u)
         theta_plus_u = ext.theta(self.prec)  # theta
         theta_plus_u = ASExtensionElement(
             ext,
@@ -683,7 +731,7 @@ class ASExtensionElement:
         return best
 
     def is_zero(self) -> bool:
-        return all(_layer_is_zero(c) for c in self.coords)
+        return all(c.is_zero() for c in self.coords)
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, ASExtensionElement)
@@ -692,18 +740,6 @@ class ASExtensionElement:
 
     def __repr__(self):
         return f"ASExtensionElement(depth={self.ext.depth}, {self.coords!r})"
-
-
-def _as_layer_element(base: ASExtension | None, x: NormFieldElement):
-    return x if base is None else _lift_to(base, x)
-
-
-def _layer_frobenius(c):
-    return c.frobenius()
-
-
-def _layer_is_zero(c) -> bool:
-    return c.is_zero()
 
 
 def adjoin_as_root(u: NormFieldElement, base: ASExtension | None = None,
@@ -816,23 +852,12 @@ def _one_plus_gen_power(p: int, mx: int, e: int, c: NormFieldElement) -> NormFie
     cc = c.at_level(level)
     width = cc.prec_num - (min(min(cc.coeffs), 0) if cc.coeffs else 0)
     gen_step = p ** (level - mx)  # one x-grid step on the pi-grid of `level`
-    factor_coeffs = {}
-    k = 0
-    # (1+t)^e with t = pi^(1/p^mx); e may be negative (expand via inverse)
-    if e >= 0:
-        for k in range(0, width // gen_step + 2):
-            b = math.comb(e, k) % p if e >= 0 else 0
-            if b:
-                factor_coeffs[k * gen_step] = b
-    else:
-        # (1+t)^e = ((1+t)^-1)^(-e); use binomial with negative exponent:
-        # C(e, k) = (-1)^k C(k - e - 1, k)
-        for k in range(0, width // gen_step + 2):
-            b = (pow(-1, k, p) * math.comb(k - e - 1, k)) % p
-            if b:
-                factor_coeffs[k * gen_step] = b
-    factor = NormFieldElement(p, level, factor_coeffs,
-                              max(cc.prec_num, (width // gen_step + 2) * gen_step))
+    n = width // gen_step + 2
+    # (1+t)^e with t = pi^(1/p^mx); for e < 0, C(e, k) = (-1)^k C(k - e - 1, k)
+    factor = NormFieldElement(p, level, {
+        k * gen_step: math.comb(e, k) if e >= 0
+        else (-1) ** k * math.comb(k - e - 1, k) for k in range(n)},
+        max(cc.prec_num, n * gen_step))
     return cc * factor
 
 

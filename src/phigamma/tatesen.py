@@ -15,8 +15,8 @@ vanish on the window and the measured loss constant c3 reported.
 The arithmetic-direction solve reads gamma off ``normfield.gamma_corner``:
 every sample of one prime and level tops its window at the same exponent,
 so each window is a corner of one cached ``gamma_matrix`` window.  The TS3
-residual and the c4 probe recheck it through element arithmetic, which is
-dense (int64 powers of the substitution series) but independent of
+residual and the c4 probe recheck it through element gamma, a baby-step/
+giant-step evaluation on int64 vectors that is independent of
 ``gamma_matrix`` and ``power_rows``.  The TS1 search runs on int64 vectors
 too.  The TS3 matrices are singular, and the reported c3 rests on the
 particular solution that sets the free unknowns to 0.  _solve_fp finds it

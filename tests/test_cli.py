@@ -303,6 +303,21 @@ def test_tower_subcommand(runner, tmp_path):
     assert out["lim_profile"] == []
 
 
+def test_tower_wide_constant_tail_has_no_lim1(runner, tmp_path):
+    # rank 256 with an identity tail: lim^1 vanishes by Mittag-Leffler, where
+    # an unrolled cokernel matrix of about 66000 columns used to run out of
+    # memory
+    path = tmp_path / "tower.json"
+    path.write_text(json.dumps({"format": "tower", "p": 3, "s": 1,
+                                "ranks": [256], "maps": [],
+                                "tail": "constant"}))
+    res = runner.invoke(main, ["tower", str(path)])
+    assert res.exit_code == 0
+    assert '"lim1_profile": []' in res.output
+    out = json.loads(res.output)
+    assert out["lim_profile"] == [3] * 256 and out["mittag_leffler"] is True
+
+
 def test_check_module_subcommand(runner, trivial_mod):
     res = runner.invoke(main, ["check-module", trivial_mod])
     assert res.exit_code == 0

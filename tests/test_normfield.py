@@ -8,6 +8,7 @@ import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
+from phigamma import normfield
 from phigamma.errors import DepthExceededError, PrecisionError
 from phigamma.normfield import (
     ASExtension,
@@ -494,3 +495,128 @@ def test_substitute_generator_rejects_unusable_input():
     # (p - 1)^2 times the window must stay below 2^63 for int64 products
     with pytest.raises(ValueError):
         NormFieldElement(2**31 - 1, 0, {1: 1}, 10).gamma(2, 12)
+
+
+# -- baby-step/giant-step evaluator and its generator cache -------------------
+
+
+def _same(y, want):
+    return (y.coeffs, y.prec_num, y.m) == (want.coeffs, want.prec_num, want.m)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_gamma_negative_and_single_term_inputs(p):
+    rng = random.Random(2000 + p)
+    a = rng.choice([1 + p, -1, 2])
+    for m in (0, 1, 2):
+        f = p**m
+        for _ in range(4):
+            # only negative exponents; the window ends below or above 0
+            hi = rng.randrange(-6 * f, 0)
+            coeffs = {rng.randrange(-8 * f, hi): rng.randrange(1, p)
+                      for _ in range(rng.randrange(1, 5))}
+            coeffs[hi] = 1
+            x = NormFieldElement(p, m, coeffs, rng.randrange(hi + 1, 3 * f))
+            assert _same(x.gamma(a, 12), dict_gamma(x, a, 12))
+        for n in (-3 * f - 1, -1, 0, 1, 5 * f):
+            x = NormFieldElement(p, m, {n: p - 1}, n + rng.randrange(1, 4 * f))
+            assert _same(x.gamma(a, 12), dict_gamma(x, a, 12))
+
+
+@pytest.mark.parametrize("m", [0, 1, 2])
+def test_gamma_wide_spans_match_dict_substitution(m):
+    # spans of a few hundred grid steps: k = ceil(sqrt(N + 1)) baby steps
+    # and several giant steps, with and without a negative part
+    rng = random.Random(3000 + m)
+    for p in (3, 5, 7):
+        f = p**m
+        span = rng.randrange(150, 320)
+        lo = rng.choice([-rng.randrange(1, 2 * f + 2), rng.randrange(0, 9)])
+        coeffs = {rng.randrange(lo, lo + span): rng.randrange(1, p)
+                  for _ in range(4)}
+        coeffs[lo] = 1
+        x = NormFieldElement(p, m, coeffs, lo + span)
+        a = pow(1 + p, p ** rng.randrange(0, 3), p**14)
+        assert _same(x.gamma(a, 14), dict_gamma(x, a, 14))
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_substitute_generator_matches_dict_substitution(p):
+    # a general G, not from the generator cache: u and u^-1 come from G
+    rng = random.Random(4000 + p)
+    for _ in range(8):
+        m = rng.randint(0, 1)
+        lo = rng.randrange(-12, 8)
+        x = NormFieldElement(p, m, {rng.randrange(lo, lo + 30): 1
+                                    for _ in range(4)} | {lo: 2}, lo + 31)
+        width = x.prec_num - min(lo, 0)
+        G = NormFieldElement(p, m, {1: rng.randrange(1, p)} | {
+            rng.randrange(2, width + 3): rng.randrange(p) for _ in range(6)},
+            width + rng.randrange(1, 4))
+        y, want = x.substitute_generator(G), dict_substitute(x, G)
+        assert (y.coeffs, y.prec_num) == (want.coeffs, want.prec_num)
+        with pytest.raises(PrecisionError):
+            x.substitute_generator(G.truncate_to_num(width))
+
+
+def test_gamma_cache_order_does_not_change_results():
+    p = 5
+    a = pow(1 + p, p, p**14)
+    narrow = NormFieldElement(p, 1, {-3: 1, 4: 2, 60: 3}, 70)
+    middle = NormFieldElement(p, 1, {-5: 1, 50: 2}, 100)
+    wide = NormFieldElement(p, 1, {-30: 4, -2: 1, 100: 2, 200: 1}, 260)
+    narrow2 = NormFieldElement(p, 1, {-7: 2, 9: 1}, 30)
+    # a mod 5^3 leaves 124 terms of G/t: middle grows the 73 terms narrow
+    # asked for up to that cap, not to twice as many; wide must raise
+    cases = [(narrow, 14), (wide, 14), (narrow2, 14), (narrow, 3),
+             (middle, 3), (wide, 3), (narrow2, 3), (wide, 14), (narrow, 14)]
+    cold = []
+    for x, mod_power in cases:
+        normfield._GENERATORS.clear()
+        cold.append(_outcome(NormFieldElement.gamma, x, a, mod_power))
+    normfield._GENERATORS.clear()
+    warm = [_outcome(NormFieldElement.gamma, x, a, mod_power)
+            for x, mod_power in cases]
+    assert warm == cold
+    assert [w[0] == "PrecisionError" for w in warm].count(True) == 1
+    assert cold[0] == _outcome(dict_gamma, narrow, a, 14)
+    assert cold[4] == _outcome(dict_gamma, middle, a, 3)
+
+
+def test_gamma_cache_growth_stays_within_int64():
+    # (p - 1)^2 * 33 >= 2^63: doubling 20 kept terms to 40 would overflow
+    # the inverse's int64 sums, where a cold cache asks for 25 terms only
+    p = 536870909
+    narrow = NormFieldElement(p, 0, {3: 1}, 20)
+    wide = NormFieldElement(p, 0, {3: 1, 7: 5}, 25)
+    normfield._GENERATORS.clear()
+    cold = wide.gamma(2, 3)
+    normfield._GENERATORS.clear()
+    narrow.gamma(2, 3)
+    warm = wide.gamma(2, 3)
+    assert _same(warm, cold) and _same(cold, dict_gamma(wide, 2, 3))
+
+
+def test_gamma_cache_is_bounded_and_read_only():
+    normfield._GENERATORS.clear()
+    x = NormFieldElement(7, 0, {-2: 1, 5: 3}, 12)
+    for a in range(1, 15):
+        if a % 7:
+            x.gamma(a, 14)
+            assert len(normfield._GENERATORS) <= normfield._GENERATORS_MAX
+    assert len(normfield._GENERATORS) == normfield._GENERATORS_MAX
+    for u, uinv in normfield._GENERATORS.values():
+        assert not u.flags.writeable and not uinv.flags.writeable
+        assert len(u) == len(uinv)
+
+
+def test_element_gamma_shares_nothing_with_the_window_matrices(monkeypatch):
+    def unused(*args, **kwargs):
+        raise AssertionError("element gamma reached a window-matrix helper")
+
+    for name in ("gamma_matrix", "gamma_corner", "power_rows"):
+        monkeypatch.setattr(normfield, name, unused)
+    normfield._GENERATORS.clear()
+    x = NormFieldElement(5, 1, {-4: 2, 0: 1, 17: 3}, 30)
+    a = pow(6, 5, 5**14)
+    assert _same(x.gamma(a, 14), dict_gamma(x, a, 14))

@@ -505,3 +505,13 @@ def test_ts_report_level_one_bytes_pinned():
     assert res.exit_code == 0
     assert hashlib.sha256(res.output.encode()).hexdigest() == \
         "ac1835c33873d337a5db7503b48f146beda3823eb0d077b7496e9857e26dc323"
+
+
+def test_ts_report_level_two_bytes_pinned():
+    # recorded with one element-gamma convolution per exponent step, before
+    # the baby-step/giant-step evaluation replaced it
+    res = CliRunner().invoke(main, ["ts-report", "--prime", "3", "--level",
+                                    "2", "--samples", "1", "--seed", "7"])
+    assert res.exit_code == 0
+    assert hashlib.sha256(res.output.encode()).hexdigest() == \
+        "6b4f65293950dcf4d37e40c050501fe93f90da5cd2d594717b777ac4f223a218"
