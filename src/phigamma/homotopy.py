@@ -23,6 +23,7 @@ from .zmodlin import (
     json_fields,
     kernel_generators,
     module_profile,
+    smith_memo,
     subquotient_presentation,
 )
 
@@ -291,6 +292,7 @@ def _induced_image_length(gens: ZModMatrix, bnd: ZModMatrix) -> int:
     return image_length(_hstack(p, s, [gens, bnd])) - image_length(bnd)
 
 
+@smith_memo()
 def les_check(ses: ShortExactSequence) -> dict:
     """Exactness of the long cohomology sequence at every node.
 
@@ -560,6 +562,7 @@ def _br_span(DC: DoubleComplex, pp: int, qq: int, r: int,
     return acc
 
 
+@smith_memo()
 def spectral_E_pages(DC: DoubleComplex, r_max: int | None = None):
     """Pages E_1 .. E_{r_max} of the column filtration plus the abutment
     comparison against the total complex.
@@ -577,9 +580,8 @@ def spectral_E_pages(DC: DoubleComplex, r_max: int | None = None):
     spots = sorted(DC.ranks)
     pages = []
     prev = None
-    # per-call memos: window kernels by spot lists, E_r profiles by their
-    # (Z_r, B_r) spans; both repeat once r outgrows the grid
-    kernels, quotients = {}, {}
+    # window kernels by spot lists, which repeat once r outgrows the grid
+    kernels = {}
     for r in range(1, r_max + 1):
         profiles, lengths, d_lengths = {}, {}, {}
         # a d_r with a nonzero target lands on a spot, so every B_r span
@@ -587,11 +589,7 @@ def spectral_E_pages(DC: DoubleComplex, r_max: int | None = None):
         Bsp = {pq: _br_span(DC, *pq, r, kernels) for pq in spots}
         for pp, qq in spots:
             Z, dr = _zr_span(DC, pp, qq, r, kernels)
-            key = (Z, Bsp[(pp, qq)])
-            if key not in quotients:
-                quotients[key] = module_profile(
-                    subquotient_presentation(*key))
-            prof = quotients[key]
+            prof = module_profile(subquotient_presentation(Z, Bsp[(pp, qq)]))
             profiles[(pp, qq)] = list(prof)
             lengths[(pp, qq)] = divisors_length(p, prof)
             if dr.rows and dr.cols:

@@ -18,11 +18,11 @@ float64 BLAS while (q-1)^2 k < 2^53, int64 while (q-1)^2 k < 2^63.
 The elimination (_eliminate) is a Smith normal form adapted to the local
 ring Z/p^s: the pivot is the first entry of least p-adic valuation of the
 trailing block in row-major order, so the diagonal consists of p-powers
-(units normalized to 1) with a divisibility chain.  Each pivot update
-touches only the rows with a nonzero entry in the pivot column and the
-columns with one in the pivot row, and the transforms U and V are built
-only when asked for.  Kernels, cokernels, subquotients and module profiles
-are all derived from it.
+(units normalized to 1) with a divisibility chain; at valuation s - 1 the
+search only tests entries for zero.  Its input is scratch.  A step updates
+only the rows and columns reached by its pivot's column and row, and ends
+at its swaps if its pivot row has no other nonzero entry and U is not
+asked for.  Kernels, cokernels, subquotients and profiles derive from it.
 
 Finite modules are presented as cokernels of relation matrices
 (PresentedModule); their isomorphism class is captured by the list of
@@ -32,6 +32,8 @@ p-power elementary divisors (module_profile).
 from __future__ import annotations
 
 import json
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -336,92 +338,105 @@ def divisors_length(p: int, divisors) -> int:
 
 def _eliminate(M: np.ndarray, p: int, s: int, U: np.ndarray | None = None,
                Vt: np.ndarray | None = None) -> list[int]:
-    """Smith elimination of M (int64, entries in [0, p^s)) in place; returns
-    the valuations of the nonzero pivots, in order.
+    """Smith elimination of M (int64, entries in [0, p^s)), which is left
+    as scratch; returns the valuations of the nonzero pivots, in order.
 
     The pivot is the first entry of least valuation of the trailing block
     M[k:, k:] in row-major order.  Row operations are repeated on U and
     column operations on the rows of Vt (V transposed) when they are given.
-    Only the trailing block is kept up to date, and an update touches only
-    the rows with a nonzero entry in the pivot column and the span of
-    columns with one in the pivot row.  The least valuation v of the block
-    never falls, and a row with no entry of valuation v gets none from an
-    update, so the search resumes at the first row not yet ruled out (lo)
-    and scans ahead in growing slices; rows are rescanned only when v rises.
+    Row k and column k are dead after step k: an update touches only the
+    rows with a nonzero entry in the pivot column and the span of columns
+    with one in the pivot row, and without U a pivot row with no other
+    nonzero entry ends its step at the swaps.  The least valuation v never
+    falls and an update gives no entry of valuation v to a row without
+    one, so the search resumes at the first row not ruled out (lo), in
+    growing slices, and rescans rows only when v rises.
     """
     q = p**s
     rows, cols = M.shape
     vals = []
-    v, lo = 0, 0
+    v, lo, pv = 0, 0, p
     for k in range(min(rows, cols)):
         if v == 0 and M[k, k] % p:
             bi = bj = k  # a unit at the block's first entry
         else:
             bi = -1
         while bi < 0:
-            # entries of valuation v are those not divisible by p^(v+1)
+            # valuation v: not divisible by pv = p^(v+1); nonzero at pv = q
             step = 8
             while lo < rows:
                 blk = M[lo:lo + step, k:]
-                hit = blk % p ** (v + 1) != 0
+                hit = blk != 0 if pv == q else blk % pv != 0
                 at = int(hit.argmax())
-                if hit.flat[at]:
+                if hit.item(at):
                     bi, bj = divmod(at, cols - k)
                     bi, bj = bi + lo, bj + k
                     break
                 lo += step
                 step *= 2
             else:
-                v, lo = v + 1, k
+                v, lo, pv = v + 1, k, pv * p
                 if v == s:
                     return vals  # the trailing block is zero
-        if bi != k:
-            M[[k, bi], k:] = M[[bi, k], k:]
+        if bi != k:  # rows k and bi as one strided view, reversed
+            two = M[k:bi + 1:bi - k, k:]
+            two[...] = two[::-1]
             if U is not None:
-                U[[k, bi]] = U[[bi, k]]
+                two = U[k:bi + 1:bi - k]
+                two[...] = two[::-1]
+        piv = M[k:, k]  # the pivot column
         if bj != k:
-            col = M[k:, k].copy()
-            M[k:, k] = M[k:, bj]
-            M[k:, bj] = col
+            piv = M[k:, bj].copy()
+            M[k:, bj] = M[k:, k]
             if Vt is not None:
-                Vt[[k, bj]] = Vt[[bj, k]]
+                two = Vt[k:bj + 1:bj - k]
+                two[...] = two[::-1]
         lo = bi + 1
+        vals.append(v)
+        hit_cols = M[k, k + 1:].nonzero()[0]
+        if U is None and not hit_cols.size:
+            continue
         # normalize the pivot to p^v, then clear its column and row; every
         # entry of the block is divisible by p^v
         pk = p**v
-        inv = pow(int(M[k, k]) // pk, -1, q)
-        row = _mod(M[k, k + 1:] * inv, q)
-        hit_rows = M[k + 1:, k].nonzero()[0] + (k + 1)
-        hit_cols = row.nonzero()[0]
-        if hit_rows.size:
-            f = M[hit_rows, k] // pk
-            if hit_cols.size:
-                a, b = hit_cols[0], hit_cols[-1] + 1
-                span = slice(k + 1 + a, k + 1 + b)
-                blk = M[hit_rows, span]
-                blk -= f[:, None] * row[a:b]
-                M[hit_rows, span] = _mod(blk, q)
-        if U is not None:
-            U[k] = _mod(U[k] * inv, q)
+        inv = pow(int(piv[0]) // pk, -1, q)
+        hit_rows = piv.nonzero()[0][1:]  # rows of M[k:]
+        f = piv[hit_rows] // pk
+        if hit_cols.size:
+            a, b = int(hit_cols[0]), int(hit_cols[-1]) + 1
+            span = slice(k + 1 + a, k + 1 + b)
+            row = M[k, span] if inv == 1 else M[k, span] * inv % q
             if hit_rows.size:
-                blk = U[hit_rows]
-                blk -= f[:, None] * U[k]
-                U[hit_rows] = _mod(blk, q)
-        if Vt is not None and hit_cols.size:
-            nz = Vt[k].nonzero()[0]
-            a, b = nz[0], nz[-1] + 1
-            g = row[hit_cols] // pk
-            c = hit_cols + (k + 1)
-            blk = Vt[c, a:b]
-            blk -= g[:, None] * Vt[k, a:b]
-            Vt[c, a:b] = _mod(blk, q)
-        vals.append(v)
+                blk = M[k:][hit_rows, span]
+                blk -= f[:, None] * row
+                M[k:][hit_rows, span] = _mod(blk, q)
+            if Vt is not None:
+                nz = Vt[k].nonzero()[0]
+                c, d = nz[0], nz[-1] + 1
+                g = row[hit_cols - a] // pk
+                blk = Vt[k + 1:][hit_cols, c:d]
+                blk -= g[:, None] * Vt[k, c:d]
+                Vt[k + 1:][hit_cols, c:d] = _mod(blk, q)
+        if U is not None:
+            U[k] = U[k] * inv % q
+            blk = U[k:][hit_rows]
+            blk -= f[:, None] * U[k]
+            U[k:][hit_rows] = _mod(blk, q)
     return vals
 
 
-def _valuations(A: ZModMatrix) -> list[int]:
-    """Valuations of the nonzero diagonal entries of A's Smith form."""
-    return _eliminate(A.entries.copy(), A.p, A.s)
+_MEMO = ContextVar("smith_memo", default=None)  # matrix -> (vals, kernel)
+
+
+@contextmanager
+def smith_memo():
+    """A block, or with @smith_memo() a call, in which a matrix is eliminated
+    once for its lengths and profile and at most once more for its kernel."""
+    token = _MEMO.set({})
+    try:
+        yield
+    finally:
+        _MEMO.reset(token)
 
 
 def smith_normal_form(A: ZModMatrix, transforms: bool = True) -> SmithForm:
@@ -434,11 +449,6 @@ def smith_normal_form(A: ZModMatrix, transforms: bool = True) -> SmithForm:
     and only D is computed.
     """
     p, s, rows, cols = A.p, A.s, A.rows, A.cols
-    if not rows or not cols:
-        if not transforms:
-            return SmithForm(A, None, None)
-        return SmithForm(A, ZModMatrix.identity(p, s, rows),
-                         ZModMatrix.identity(p, s, cols))
     U = np.eye(rows, dtype=np.int64) if transforms else None
     Vt = np.eye(cols, dtype=np.int64) if transforms else None
     D = np.zeros((rows, cols), dtype=np.int64)
@@ -459,7 +469,7 @@ def kernel_cokernel(A: ZModMatrix) -> tuple[PresentedModule, PresentedModule]:
     diagonal positions plus free rows.
     """
     p, s = A.p, A.s
-    vals = _valuations(A)
+    vals = _kernel(A, False)[0]
     torsion = [p**v for v in vals if v > 0]
     ker_div = torsion + [p**s] * (A.cols - len(vals))
     coker_div = torsion + [p**s] * (A.rows - len(vals))
@@ -469,17 +479,25 @@ def kernel_cokernel(A: ZModMatrix) -> tuple[PresentedModule, PresentedModule]:
     )
 
 
-def _kernel(A: ZModMatrix) -> tuple[list[int], np.ndarray]:
-    """Pivot valuations of A and columns generating ker(A): the columns of V
-    from the first pivot of positive valuation on, each scaled by
-    p^(s - v) for its diagonal valuation v (v = s past the pivots)."""
+def _kernel(A: ZModMatrix, kernel: bool = True):
+    """Pivot valuations of A and, if kernel, columns generating ker(A) (else
+    None): the columns of V from the first pivot of positive valuation on,
+    each scaled by p^(s - v), v the pivot's valuation or s past the pivots."""
+    memo = _MEMO.get()
+    got = memo.get(A) if memo else None
+    if got is not None and (got[1] is not None or not kernel):
+        return got
     p, s = A.p, A.s
-    Vt = np.eye(A.cols, dtype=np.int64)
-    vals = _eliminate(A.entries.copy(), p, s, Vt=Vt)
-    first = vals.count(0)  # the valuations do not decrease
-    scale = np.array([p ** (s - v) for v in vals[first:]]
-                     + [1] * (A.cols - len(vals)), dtype=np.int64)
-    return vals, (Vt[first:] * scale[:, None]).T
+    Vt = np.eye(A.cols, dtype=np.int64) if kernel else None
+    vals, K = _eliminate(A.entries.copy(), p, s, Vt=Vt), None
+    if kernel:
+        first = vals.count(0)  # the valuations do not decrease
+        scale = np.array([p ** (s - v) for v in vals[first:]]
+                         + [1] * (A.cols - len(vals)), dtype=np.int64)
+        K = (Vt[first:] * scale[:, None]).T
+    if memo is not None:
+        memo[A] = vals, K
+    return vals, K
 
 
 def kernel_generators(A: ZModMatrix) -> ZModMatrix:
@@ -490,14 +508,14 @@ def kernel_generators(A: ZModMatrix) -> ZModMatrix:
 def module_profile(M: PresentedModule) -> list[int]:
     """Elementary divisors (p-powers > 1) of coker(relations), ascending."""
     p, s = M.p, M.s
-    vals = _valuations(M.relations)
+    vals = _kernel(M.relations, False)[0]
     divisors = [p**v for v in vals if v > 0]
     return sorted(divisors + [p**s] * (M.generators - len(vals)))
 
 
 def image_length(A: ZModMatrix) -> int:
     """p-adic length of the column space of A."""
-    return sum(A.s - v for v in _valuations(A))
+    return sum(A.s - v for v in _kernel(A, False)[0])
 
 
 def subquotient_presentation(span: ZModMatrix,

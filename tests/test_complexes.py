@@ -24,6 +24,7 @@ from phigamma.complexes import (
     _operator_matrix,
     _ring_column_series,
     _subquotient,
+    _window_dims,
     ring_gamma,
     RING_ID,
     RING_PHI,
@@ -315,6 +316,23 @@ def test_trivial_closed_form_lengths(p, s, mode, schedule, dims):
     assert rep.dims == dims
     assert rep.euler == -s * (1 if mode == "delta" else p - 1)
     assert rep.verdict == "stable"
+
+
+# Cells past the benchmark's s <= 2, where the pivot search runs at positive
+# valuations on large windows.  Each twist is built as bench/worker.py builds
+# it (Phi = 1, gamma = 1 + p, entries certified to pi^600), and the dims and
+# profiles of every window are pinned.
+@pytest.mark.parametrize("p, s, n, mode, schedule, dims, profiles", [
+    (7, 6, 1, "free", (48, 96), (1, 43, 6),
+     ((7,), (7,) + (117649,) * 7, (117649,))),
+    (5, 5, 1, "delta", (32, 64), (0, 10, 5), ((), (3125, 3125), (3125,))),
+    (7, 3, 2, "delta", (32, 64), (0, 3, 0), ((), (343,), ())),
+])
+def test_deep_herr_windows_pinned(p, s, n, mode, schedule, dims, profiles):
+    T = herr_complex(tate_twist(trivial(s, prec=600, p=p), n), mode)
+    bases = {}
+    for b in schedule:
+        assert _window_dims(T, b, bases) == (dims, profiles)
 
 
 @pytest.mark.parametrize("mode", ["delta", "free"])

@@ -9,14 +9,18 @@ from hypothesis import given, settings, strategies as st
 from phigamma.zmodlin import (
     PresentedModule,
     ZModMatrix,
+    _eliminate,
+    _mod,
     image_length,
     json_fields,
     kernel_cokernel,
     kernel_generators,
     module_profile,
+    smith_memo,
     smith_normal_form,
     solve,
 )
+import phigamma.zmodlin as zmodlin
 
 
 def random_matrix(rng, p, s, rows, cols):
@@ -269,6 +273,188 @@ def test_kernel_generators_are_scaled_columns_of_V():
         want = (np.stack(cols, axis=1) if cols
                 else np.zeros((A.cols, 0), dtype=np.int64))
         assert kernel_generators(A) == ZModMatrix(p, s, want)
+
+
+# -- the pivot step against the one it replaced, at Herr window sizes --------
+
+
+# The elimination kernel as it was before its pivot step made fewer numpy
+# calls (dead steps skipped, swaps by slices, no modulo at the top
+# valuation), kept as the reference for the pivots and transforms.
+def _reference_eliminate(M: np.ndarray, p: int, s: int,
+                         U: np.ndarray | None = None,
+                         Vt: np.ndarray | None = None) -> list[int]:
+    """Smith elimination of M (int64, entries in [0, p^s)) in place; returns
+    the valuations of the nonzero pivots, in order.
+
+    The pivot is the first entry of least valuation of the trailing block
+    M[k:, k:] in row-major order.  Row operations are repeated on U and
+    column operations on the rows of Vt (V transposed) when they are given.
+    Only the trailing block is kept up to date, and an update touches only
+    the rows with a nonzero entry in the pivot column and the span of
+    columns with one in the pivot row.  The least valuation v of the block
+    never falls, and a row with no entry of valuation v gets none from an
+    update, so the search resumes at the first row not yet ruled out (lo)
+    and scans ahead in growing slices; rows are rescanned only when v rises.
+    """
+    q = p**s
+    rows, cols = M.shape
+    vals = []
+    v, lo = 0, 0
+    for k in range(min(rows, cols)):
+        if v == 0 and M[k, k] % p:
+            bi = bj = k  # a unit at the block's first entry
+        else:
+            bi = -1
+        while bi < 0:
+            # entries of valuation v are those not divisible by p^(v+1)
+            step = 8
+            while lo < rows:
+                blk = M[lo:lo + step, k:]
+                hit = blk % p ** (v + 1) != 0
+                at = int(hit.argmax())
+                if hit.flat[at]:
+                    bi, bj = divmod(at, cols - k)
+                    bi, bj = bi + lo, bj + k
+                    break
+                lo += step
+                step *= 2
+            else:
+                v, lo = v + 1, k
+                if v == s:
+                    return vals  # the trailing block is zero
+        if bi != k:
+            M[[k, bi], k:] = M[[bi, k], k:]
+            if U is not None:
+                U[[k, bi]] = U[[bi, k]]
+        if bj != k:
+            col = M[k:, k].copy()
+            M[k:, k] = M[k:, bj]
+            M[k:, bj] = col
+            if Vt is not None:
+                Vt[[k, bj]] = Vt[[bj, k]]
+        lo = bi + 1
+        # normalize the pivot to p^v, then clear its column and row; every
+        # entry of the block is divisible by p^v
+        pk = p**v
+        inv = pow(int(M[k, k]) // pk, -1, q)
+        row = _mod(M[k, k + 1:] * inv, q)
+        hit_rows = M[k + 1:, k].nonzero()[0] + (k + 1)
+        hit_cols = row.nonzero()[0]
+        if hit_rows.size:
+            f = M[hit_rows, k] // pk
+            if hit_cols.size:
+                a, b = hit_cols[0], hit_cols[-1] + 1
+                span = slice(k + 1 + a, k + 1 + b)
+                blk = M[hit_rows, span]
+                blk -= f[:, None] * row[a:b]
+                M[hit_rows, span] = _mod(blk, q)
+        if U is not None:
+            U[k] = _mod(U[k] * inv, q)
+            if hit_rows.size:
+                blk = U[hit_rows]
+                blk -= f[:, None] * U[k]
+                U[hit_rows] = _mod(blk, q)
+        if Vt is not None and hit_cols.size:
+            nz = Vt[k].nonzero()[0]
+            a, b = nz[0], nz[-1] + 1
+            g = row[hit_cols] // pk
+            c = hit_cols + (k + 1)
+            blk = Vt[c, a:b]
+            blk -= g[:, None] * Vt[k, a:b]
+            Vt[c, a:b] = _mod(blk, q)
+        vals.append(v)
+    return vals
+
+
+
+def _herr_shaped_matrices(seed, count):
+    """Tall and wide banded matrices of 200-600 x 40-130 at about 0.5-3%
+    density, like the Herr window matrices, with p-divisible blocks and zero
+    rows and columns, so that the pivot search runs at valuations 0 < v < s
+    and ends on a zero trailing block (v = s)."""
+    rng = np.random.default_rng(seed)
+    for i in range(count):
+        p = int(rng.choice([3, 5, 7]))
+        s = i % 6 + 1
+        long, short = int(rng.integers(200, 601)), int(rng.integers(40, 131))
+        rows, cols = (long, short) if i // 6 % 2 else (short, long)
+        n = int(rng.uniform(0.01, 0.05) * rows * cols)
+        band = max(rows, cols) // 10
+        r = rng.integers(0, rows, n)
+        c = np.clip(r * cols // rows + rng.integers(-band, band + 1, n),
+                    0, cols - 1)
+        e = np.zeros((rows, cols), dtype=np.int64)
+        e[r, c] = rng.integers(1, p**s, n) * p ** rng.integers(0, s, n)
+        for _ in range(3):
+            a = int(rng.integers(0, rows - 20))
+            e[a:a + 20] *= p ** int(rng.integers(1, s + 1))
+            b = int(rng.integers(0, cols - 10))
+            e[:, b:b + 10] *= p ** int(rng.integers(1, s + 1))
+        e[rng.integers(0, rows, rows // 20)] = 0
+        e[:, rng.integers(0, cols, cols // 20)] = 0
+        yield ZModMatrix(p, s, e)
+
+
+def test_pivot_step_matches_reference_at_herr_sizes():
+    mid = top = 0
+    for A in _herr_shaped_matrices(53, 12):
+        p, s, rows, cols = A.p, A.s, A.rows, A.cols
+        U, Vt = np.eye(rows, dtype=np.int64), np.eye(cols, dtype=np.int64)
+        vals = _reference_eliminate(A.entries.copy(), p, s, U, Vt)
+        mid += any(0 < v < s for v in vals)
+        top += len(vals) < min(rows, cols)
+        # valuations alone, and the Vt-only path of the kernels
+        assert _eliminate(A.entries.copy(), p, s) == vals
+        got_Vt = np.eye(cols, dtype=np.int64)
+        assert _eliminate(A.entries.copy(), p, s, Vt=got_Vt) == vals
+        assert np.array_equal(got_Vt, Vt)
+        first = vals.count(0)
+        scale = [p ** (s - v) for v in vals[first:]] + [1] * (cols - len(vals))
+        assert kernel_generators(A) == ZModMatrix(
+            p, s, (Vt[first:] * np.array(scale)[:, None]).T)
+        # U and V together
+        sf = smith_normal_form(A)
+        assert np.array_equal(sf.U.entries, U)
+        assert np.array_equal(sf.V.entries, Vt.T)
+        assert sf.diagonal == [p**v for v in vals] + [0] * (
+            min(rows, cols) - len(vals))
+    assert mid >= 3 and top >= 3
+
+
+def test_smith_memo_eliminates_each_matrix_once(monkeypatch):
+    shapes = []
+
+    def counted(M, *args, **kwargs):
+        shapes.append(M.shape)
+        return eliminate(M, *args, **kwargs)
+
+    eliminate = zmodlin._eliminate
+    monkeypatch.setattr(zmodlin, "_eliminate", counted)
+    A = ZModMatrix(3, 2, [[3, 1, 0], [0, 3, 6], [3, 4, 6]])
+    want = (kernel_generators(A), image_length(A),
+            module_profile(PresentedModule(A, 3)))
+    assert len(shapes) == 3
+    shapes.clear()
+    with smith_memo():
+        # equal matrices, not the same object; the kernel's valuations give
+        # the image length and the profile
+        B, C = A.copy(), A.copy()
+        assert kernel_generators(B) == want[0]
+        assert image_length(C) == want[1]
+        assert module_profile(PresentedModule(A, 3)) == want[2]
+        assert kernel_generators(C) == want[0]
+        assert len(shapes) == 1
+        # valuations first: the kernel needs one more elimination
+        D = ZModMatrix(3, 2, [[1, 2], [0, 3]])
+        assert image_length(D) == image_length(D) == 3
+        kernel_generators(D)
+        assert len(shapes) == 3
+    with pytest.raises(ZeroDivisionError):
+        with smith_memo():
+            1 / 0
+    image_length(A)  # no memo is left open, by the block or the error
+    assert len(shapes) == 4
 
 
 def test_smith_of_empty_matrices():
