@@ -27,18 +27,23 @@ powers of (1+pi)^p - 1, whose negative powers are finite Laurent
 polynomials mod p^s.  A term c * A * r(-) with constant A is kron(c*A, R);
 a series entry acts by its Toeplitz multiplication matrix on the whole
 image of r, so a window row gets every entry term it needs, up to pi^(T +
-image depth); an entry certified to less raises PrecisionError.  Output
-windows reach p*b + max(2s + 4, (p-1)(s-1) + 2) below 0, the depth of phi's
-tail.  Delta mode works on the Delta-fixed part of each window: Delta =
-(Z/p)^x is cyclic, so one generator's twisted window matrix is built and
-the other actions are its powers; the averaging idempotent E is checked to
-satisfy E E = E, and the basis is a set of columns of E (delta_project),
-built once per depth in a cohomology call.  This module has no elimination
-of its own: window products mod p^s go through zmodlin._matmul_mod, and
-kernels, lengths and elementary divisors are read from zmodlin's Smith form
-(kernel_generators, and module_profile of subquotient_presentation).  Only
-isomorphism invariants reach a report, so reports do not depend on which
-generators a kernel or the Delta-fixed part comes with.
+image depth); an entry certified to less raises PrecisionError.  The
+output window of depth b reaches p*b + max(2s + 4, (p-1)(s-1) + 2) below
+0, the depth of phi's tail (_out_depth).  Delta mode works on the
+Delta-fixed part of each window: Delta = (Z/p)^x is cyclic, so one
+generator's twisted window matrix is built and the other actions are its
+powers; the averaging idempotent E is checked to satisfy E E = E, and the
+basis is a set of columns of E (delta_project).  A cohomology call keeps
+one cache keyed by depth: the Delta basis X and the X-projected d0 and d1
+of each depth, assembled once into that depth's own output window, serve
+both the window of that depth (its kernels) and the window of half that
+depth (its deep coboundaries, cut at their rows below pi^-b).  This module
+has no elimination of its own: window products mod p^s go through
+zmodlin._matmul_mod, and kernels, lengths and elementary divisors are read
+from zmodlin's Smith form.  A kernel's length comes with it by
+rank-nullity, so a subquotient eliminates only [Z, -B] and its relations.
+Only isomorphism invariants reach a report, so reports do not depend on
+which generators a kernel or the Delta-fixed part comes with.
 """
 
 from __future__ import annotations
@@ -62,11 +67,13 @@ from .normfield import NormFieldElement, format_element, power_rows
 from .wittside import ArithLiftElement, binomial_table_mod_ps
 from .zmodlin import (
     ZModMatrix,
+    _divisors,
+    _kernel,
     _matmul_mod,
+    _mod,
+    _presentation_in,
     divisors_length,
-    kernel_generators,
     module_profile,
-    subquotient_presentation,
 )
 
 __all__ = [
@@ -429,7 +436,7 @@ def _operator_matrix(D: PhiGammaModule, op, bot_in: int, bot_out: int,
         R = np.kron(np.eye(r, dtype=np.int64),
                     _ring_matrix(p, s, t.ring, bot_in, deep, top))
         M += t.coeff * _matmul_mod(E % q, R, q) % q
-    return M % q
+    return _mod(M, q)
 
 
 def _block_matrix(D, blocks, bot_in, bot_out, top) -> np.ndarray:
@@ -568,16 +575,31 @@ def _finite_diff_matrices(T: GammaComplex) -> list[np.ndarray]:
             for blocks in T.diffs]
 
 
-def _subquotient(Z: np.ndarray, B: np.ndarray, p: int, s: int,
+def _subquotient(Z: np.ndarray, length: int, B: np.ndarray, p: int, s: int,
                  escape: str = ""):
-    """Length and elementary divisors of span(Z)/span(B); B must lie in
-    span(Z), else InvariantError with the message escape."""
+    """Length and elementary divisors of span(Z)/span(B), where span(Z) has
+    the given length; B must lie in span(Z), else InvariantError with the
+    message escape."""
     try:
-        prof = module_profile(subquotient_presentation(ZModMatrix(p, s, Z),
-                                                       ZModMatrix(p, s, B)))
+        prof = module_profile(_presentation_in(ZModMatrix(p, s, Z),
+                                               ZModMatrix(p, s, B), length))
     except InvariantError:
         raise InvariantError(escape) from None
     return divisors_length(p, prof), tuple(prof)
+
+
+def _divisor_report(A: np.ndarray, p: int, s: int, n: int):
+    """Length and elementary divisors of ker(A), n = cols, or of coker(A),
+    n = rows, from the pivot valuations of A."""
+    prof = _divisors(p, s, _kernel(ZModMatrix(p, s, A), False)[0], n)
+    return divisors_length(p, prof), tuple(prof)
+
+
+def _kernel_of(A: np.ndarray, p: int, s: int):
+    """Columns generating ker(A) and their length s*cols - l(A), by
+    rank-nullity from the valuations of the same elimination."""
+    vals, K = _kernel(ZModMatrix(p, s, A))
+    return K, s * A.shape[1] - sum(s - v for v in vals)
 
 
 def _finite_report(T: GammaComplex) -> CohomologyReport:
@@ -587,11 +609,15 @@ def _finite_report(T: GammaComplex) -> CohomologyReport:
     dims, profiles = [], []
     for n in range(T.n_terms):
         width = r * T.slots[n]
-        Z = (kernel_generators(ZModMatrix(p, s, mats[n])).entries
-             if n < len(mats) else np.eye(width, dtype=np.int64))
-        B = mats[n - 1] if n >= 1 else np.zeros((width, 0), dtype=np.int64)
-        length, prof = _subquotient(
-            Z, B, p, s, f"H^{n}: coboundaries escape the cocycle space")
+        if n == 0 or n == len(mats):
+            # H^0 = ker d0 and the top term's coker of the last d
+            A = mats[0] if n == 0 else mats[n - 1]
+            length, prof = _divisor_report(A, p, s, width)
+        else:
+            Z, zlen = _kernel_of(mats[n], p, s)
+            length, prof = _subquotient(
+                Z, zlen, mats[n - 1], p, s,
+                f"H^{n}: coboundaries escape the cocycle space")
         dims.append(length)
         profiles.append(prof)
     euler = sum((-1) ** i * d for i, d in enumerate(dims))
@@ -620,69 +646,82 @@ def _out_depth(p: int, s: int, b: int) -> int:
     return p * b + max(2 * s + 4, (p - 1) * (s - 1) + 2)
 
 
-def _window_dims(T: GammaComplex, b: int, bases: dict):
-    """Dims and profiles at depth b; bases maps a depth to its Delta basis
-    and is filled as the depths come (a window reads depths b and 2b)."""
+def _window_data(T: GammaComplex, b: int, top: int, cache: dict):
+    """(X, d0 X, d1 diag(X, X)) on the depth-b window, into the window of
+    depth _out_depth(b), which holds every image; X is the Delta basis, or
+    None in free mode, where it is the identity.  Built once per depth into
+    cache."""
+    if b in cache:
+        return cache[b]
+    D = T.module
+    p, s = D.p, D.s
+    q = p ** s
+    bo = _out_depth(p, s, b)
+    d0 = _block_matrix(D, T.diffs[0], b, bo, top)
+    d1 = _block_matrix(D, T.diffs[1], b, bo, top)
+    X = delta_project(D, b, top).basis if T.mode == "delta" else None
+    if X is not None:
+        # d1 takes two window slots: d1 @ diag(X, X)
+        w = X.shape[0]
+        d0 = _matmul_mod(d0, X, q)
+        d1 = np.hstack([_matmul_mod(d1[:, :w], X, q),
+                        _matmul_mod(d1[:, w:], X, q)])
+    cache[b] = X, d0, d1
+    return cache[b]
+
+
+def _window_dims(T: GammaComplex, b: int, cache: dict):
+    """Dims and profiles at depth b.  A window reads the data of depths b
+    and 2b (_window_data) from cache, which maps a depth to its data and is
+    filled as the depths come, so a schedule assembles each depth once;
+    depth b is read only for its kernels, depth 2b is cut at its rows below
+    pi^-b."""
     D = T.module
     p, s, r = D.p, D.s, D.rank
     q = p ** s
     top = _tail_floor(D)
     if b < top:
         raise PrecisionError(f"window {b} below the acyclic-tail bound {top}")
-    b1 = 2 * b
-    bo = _out_depth(p, s, b1)
+    X0, d0s, d1s = _window_data(T, b, top, cache)
+    _, d0w, d1w = _window_data(T, 2 * b, top, cache)
+    bo = _out_depth(p, s, 2 * b)
     win_o = bo + top
 
-    def domain(bi):
-        if T.mode == "delta":
-            if bi not in bases:
-                bases[bi] = delta_project(D, bi, top).basis
-            X = bases[bi]
-        else:
-            X = np.eye(r * (bi + top), dtype=np.int64)
-        d0 = _block_matrix(D, T.diffs[0], bi, bo, top)
-        d1 = _block_matrix(D, T.diffs[1], bi, bo, top)
-        # d1 takes two window slots: d1 @ diag(X, X)
-        w = X.shape[0]
-        d1X = np.hstack([_matmul_mod(d1[:, :w], X, q),
-                         _matmul_mod(d1[:, w:], X, q)])
-        return _matmul_mod(d0, X, q), d1X, X
-
-    d0s, d1s, X0 = domain(b)
-    d0w, d1w, _ = domain(b1)
-    k0 = X0.shape[1]
-
-    # the rows of an output slot below the depth-b cut
+    # the rows of an output slot of depth 2b below the depth-b cut
     below = np.arange(r * win_o) % win_o < bo - b
 
     def rows(M, keep):
         return M[np.tile(keep, M.shape[0] // keep.size)]
 
-    def kernel(A):
-        return kernel_generators(ZModMatrix(p, s, A)).entries
+    def embed(M):
+        return M if X0 is None else _matmul_mod(X0, M, q)
 
-    # lengths are read off the profiles: the columns of X0 are a basis of a
-    # free direct summand, so X0 carries each space isomorphically onto its
-    # span in the window
+    # lengths and profiles are those of the spaces before embed: the
+    # columns of X0 are a basis of a free direct summand, so X0 carries
+    # each space isomorphically onto its span in the window
 
     # H^0: kernel of d0 on the depth-b window (exact)
-    K0 = kernel(d0s)
-    h0, prof0 = _subquotient(_matmul_mod(X0, K0, q),
-                             np.zeros((X0.shape[0], 0), dtype=np.int64), p, s)
+    h0, prof0 = _divisor_report(d0s, p, s, d0s.shape[1])
 
     # H^1: exact cocycles at depth b, coboundaries from depth 2b whose
     # image stays above the bottom cut
-    Z1 = kernel(d1s)
-    Zw = np.vstack([_matmul_mod(X0, Z1[:k0], q), _matmul_mod(X0, Z1[k0:], q)])
-    supp0 = kernel(rows(d0w, below))
+    Z1, z1len = _kernel_of(d1s, p, s)
+    k0 = d0s.shape[1]
+    Zw = np.vstack([embed(Z1[:k0]), embed(Z1[k0:])])
+    supp0 = _kernel_of(rows(d0w, below), p, s)[0]
     Bw = _matmul_mod(rows(d0w, ~below), supp0, q)
-    h1, prof1 = _subquotient(Zw, Bw, p, s,
+    h1, prof1 = _subquotient(Zw, z1len, Bw, p, s,
                              "coboundaries escape the cocycle space")
 
     # H^2: full depth-b window modulo deep coboundaries
-    supp1 = kernel(rows(d1w, below))
+    supp1 = _kernel_of(rows(d1w, below), p, s)[0]
     B2 = _matmul_mod(rows(d1w, ~below), supp1, q)
-    h2, prof2 = _subquotient(X0, B2, p, s, "coboundaries escape the window")
+    if X0 is None:
+        # the free window spans itself: H^2 is the cokernel of B2
+        h2, prof2 = _divisor_report(B2, p, s, B2.shape[0])
+    else:
+        h2, prof2 = _subquotient(X0, s * k0, B2, p, s,
+                                 "coboundaries escape the window")
 
     return (h0, h1, h2), (prof0, prof1, prof2)
 
@@ -707,6 +746,8 @@ def cohomology(T: GammaComplex, schedule=None) -> CohomologyReport:
 
     Dims are accepted only when the last three schedule entries agree;
     otherwise the verdict is "unstable" and callers must not trust dims.
+    The windows share one cache of window data for the call, so each depth
+    of the schedule and its double is assembled once (_window_data).
     """
     if T.kind == "finite":
         return _finite_report(T)
@@ -716,9 +757,9 @@ def cohomology(T: GammaComplex, schedule=None) -> CohomologyReport:
     certify_d_squared(T, min(schedule))
     trace = []
     profiles = None
-    bases = {}
+    cache = {}
     for b in schedule:
-        dims, profiles = _window_dims(T, b, bases)
+        dims, profiles = _window_dims(T, b, cache)
         trace.append((b, dims))
     tail = [d for _, d in trace[-3:]]
     verdict = "stable" if len(tail) == 3 and len(set(tail)) == 1 else "unstable"

@@ -529,10 +529,13 @@ def power_rows(U: np.ndarray, modulus: int, lo: int, hi: int,
     and, given end, to its first end - n terms; the rest of a row is 0.
 
     U is a power series, constant term first.  Rows come from one truncated
-    convolution each, upward from U^0 and, for n < 0, downward from the
-    back-substituted U^-1 (which needs U[0] to be a unit mod modulus).
-    Upward rows shorten with n, so each convolution stops at the next
-    row's cut; a row below 0 needs its whole predecessor.  int64
+    convolution each, by U or, for n < 0, by the back-substituted U^-1
+    (which needs U[0] to be a unit mod modulus), each trimmed of its
+    trailing zeros.  When U is the shorter of the two (gamma_(1+p), phi's
+    H), the rows walk upward from U^lo, a square-and-multiply power of U^-1;
+    otherwise (gamma_-1) they walk upward from U^0 and downward from U^-1.
+    Upward rows shorten with n, so each convolution stops at the next row's
+    cut; a row walked downward needs its whole predecessor.  int64
     convolutions are exact while (modulus - 1)^2 * len(U) < 2^63.
     """
     L = len(U)
@@ -542,30 +545,51 @@ def power_rows(U: np.ndarray, modulus: int, lo: int, hi: int,
         return L if end is None else max(min(L, end - n), 0)
 
     rows = np.zeros((max(hi - lo, 0), L), dtype=np.int64)
-    V = np.zeros(L, dtype=np.int64)
+    if hi <= lo or not cut(lo):
+        return rows
+    up = np.trim_zeros(U, "b")
+    start, V = 0, np.zeros(L, dtype=np.int64)
     V[0] = 1
-    for n in range(max(hi, 0)):
+    if lo < 0:
+        Uinv = np.zeros(L, dtype=np.int64)
+        c = pow(int(U[0]), -1, modulus)
+        Uinv[0] = c
+        for k in range(1, L):
+            Uinv[k] = -c * int(np.dot(up[1:k + 1],
+                                      Uinv[k - 1::-1][:len(up) - 1])) % modulus
+        down = np.trim_zeros(Uinv, "b")
+        if len(up) <= len(down):
+            start, V = lo, _series_power(Uinv, -lo, cut(lo), modulus)
+        else:
+            W = Uinv
+            for n in range(-1, lo - 1, -1):
+                if n < hi:
+                    w = cut(n)
+                    rows[n - lo, :w] = W[:w]
+                if n > lo:
+                    W = np.convolve(W, down)[:L] % modulus
+    for n in range(start, hi):
         if n >= lo:
             w = cut(n)
             rows[n - lo, :w] = V[:w]
         w = cut(n + 1)
         if n + 1 >= hi or not w:
             break
-        V = np.convolve(V[:w], U[:w])[:w] % modulus
-    if lo < 0:
-        Uinv = np.zeros(L, dtype=np.int64)
-        c = pow(int(U[0]), -1, modulus)
-        Uinv[0] = c
-        for k in range(1, L):
-            Uinv[k] = -c * int(np.dot(U[1:k + 1], Uinv[k - 1::-1])) % modulus
-        V = Uinv
-        for n in range(-1, lo - 1, -1):
-            if n < hi:
-                w = cut(n)
-                rows[n - lo, :w] = V[:w]
-            if n > lo:
-                V = np.convolve(V, Uinv)[:L] % modulus
+        V = np.convolve(V[:w], up[:w])[:w] % modulus
     return rows
+
+
+def _series_power(X: np.ndarray, k: int, w: int, modulus: int) -> np.ndarray:
+    """X^k mod (t^w, modulus) for k >= 1 and w >= 1, by square-and-multiply
+    on truncated convolutions."""
+    X, out = X[:w], None
+    while True:
+        if k & 1:
+            out = X if out is None else np.convolve(out, X)[:w] % modulus
+        k >>= 1
+        if not k:
+            return out
+        X = np.convolve(X, X)[:w] % modulus
 
 
 # -- module-level operation names ------------------------------------------
@@ -691,8 +715,6 @@ class ASExtensionElement:
             for j, b in enumerate(other.coords):
                 t = a * b
                 raw[i + j] = t if raw[i + j] is None else raw[i + j] + t
-        zero = self.ext.zero_coords(self.coords[0].prec)[0]
-        raw = [zero if r is None else r for r in raw]
         for k in range(2 * p - 2, p - 1, -1):
             c = raw[k]
             raw[k - p + 1] = raw[k - p + 1] + c

@@ -470,13 +470,16 @@ def kernel_cokernel(A: ZModMatrix) -> tuple[PresentedModule, PresentedModule]:
     """
     p, s = A.p, A.s
     vals = _kernel(A, False)[0]
-    torsion = [p**v for v in vals if v > 0]
-    ker_div = torsion + [p**s] * (A.cols - len(vals))
-    coker_div = torsion + [p**s] * (A.rows - len(vals))
     return (
-        PresentedModule.from_divisors(p, s, sorted(ker_div)),
-        PresentedModule.from_divisors(p, s, sorted(coker_div)),
+        PresentedModule.from_divisors(p, s, _divisors(p, s, vals, A.cols)),
+        PresentedModule.from_divisors(p, s, _divisors(p, s, vals, A.rows)),
     )
+
+
+def _divisors(p: int, s: int, vals, n: int) -> list[int]:
+    """Elementary divisors of ker(A), n = cols, or of coker(A), n = rows,
+    for a matrix A with pivot valuations vals, ascending."""
+    return sorted([p**v for v in vals if v > 0] + [p**s] * (n - len(vals)))
 
 
 def _kernel(A: ZModMatrix, kernel: bool = True):
@@ -507,10 +510,7 @@ def kernel_generators(A: ZModMatrix) -> ZModMatrix:
 
 def module_profile(M: PresentedModule) -> list[int]:
     """Elementary divisors (p-powers > 1) of coker(relations), ascending."""
-    p, s = M.p, M.s
-    vals = _kernel(M.relations, False)[0]
-    divisors = [p**v for v in vals if v > 0]
-    return sorted(divisors + [p**s] * (M.generators - len(vals)))
+    return _divisors(M.p, M.s, _kernel(M.relations, False)[0], M.generators)
 
 
 def image_length(A: ZModMatrix) -> int:
@@ -523,12 +523,19 @@ def subquotient_presentation(span: ZModMatrix,
     """span(Z)/span(B) presented on the columns of Z: the relations are the
     Z-parts of the kernel of [Z, -B].  Requires B inside span(Z), which
     the same elimination checks by lengths (InvariantError otherwise)."""
-    p, s = span.p, span.s
     if not sub.cols:
         return PresentedModule(kernel_generators(span), span.cols)
+    return _presentation_in(span, sub, image_length(span))
+
+
+def _presentation_in(span: ZModMatrix, sub: ZModMatrix,
+                     length: int) -> PresentedModule:
+    """subquotient_presentation for a span(Z) whose length the caller
+    knows, which saves eliminating Z for it."""
+    p, s = span.p, span.s
     paired = ZModMatrix(p, s, np.hstack([span.entries, -sub.entries]))
     vals, K = _kernel(paired)
-    if sum(s - v for v in vals) != image_length(span):
+    if sum(s - v for v in vals) != length:
         raise InvariantError("denominator is not contained in the span")
     return PresentedModule(ZModMatrix(p, s, K[:span.cols]), span.cols)
 

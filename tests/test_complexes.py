@@ -335,6 +335,18 @@ def test_deep_herr_windows_pinned(p, s, n, mode, schedule, dims, profiles):
         assert _window_dims(T, b, bases) == (dims, profiles)
 
 
+@pytest.mark.parametrize("schedule", [(5, 6, 10), (64, 32)])
+@pytest.mark.parametrize("mode", ["delta", "free"])
+def test_window_dims_shared_cache_matches_fresh(mode, schedule):
+    # one cache across a schedule that is not doubling, or decreasing, gives
+    # every window the dims and profiles of a cache of its own
+    T = herr_complex(tate_twist(trivial(2, prec=600), 1), mode)
+    cache = {}
+    for b in schedule:
+        assert _window_dims(T, b, cache) == _window_dims(T, b, {})
+    assert sorted(cache) == sorted({d for b in schedule for d in (b, 2 * b)})
+
+
 @pytest.mark.parametrize("mode", ["delta", "free"])
 def test_d_squared_certified_at_p7_s4(mode):
     assert certify_d_squared(herr_complex(trivial(4, p=7), mode), 8)
@@ -463,12 +475,13 @@ def test_semidirect_random_fixtures_square_to_zero():
 
 
 def test_subquotient_escape_names_its_degree():
-    # span(B) is not inside span(Z): the caller's message is raised
+    # span(B) is not inside span(Z), of length 2: the caller's message is
+    # raised
     Z = np.array([[1], [0]], dtype=np.int64)
     B = np.array([[0], [1]], dtype=np.int64)
     with pytest.raises(InvariantError, match="escape the window"):
-        _subquotient(Z, B, P, 2, "coboundaries escape the window")
-    assert _subquotient(Z, 3 * Z, P, 2, "") == (1, (3,))
+        _subquotient(Z, 2, B, P, 2, "coboundaries escape the window")
+    assert _subquotient(Z, 2, 3 * Z, P, 2, "") == (1, (3,))
 
 
 def test_semidirect_broken_relation_rejected():

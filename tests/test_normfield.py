@@ -1,6 +1,7 @@
 """Truncated Laurent model: ring laws, valuations, Frobenius/Gamma actions."""
 
 from fractions import Fraction
+import math
 import random
 
 import numpy as np
@@ -350,6 +351,62 @@ def test_power_rows_cut_rows_at_end():
             w = max(min(len(U), end - n), 0)
             assert np.array_equal(cut[n - lo, :w], full[n - lo, :w])
             assert not cut[n - lo, w:].any()
+
+
+def reference_power_rows(U, q, lo, hi, end=None):
+    """power_rows by repeated truncated products on Python integers: U^n
+    for n >= 0 from U^0 upward, U^-1 by back-substitution, then its powers
+    downward."""
+    L = len(U)
+    u = [int(c) for c in U]
+
+    def mul(a, b):
+        return [sum(a[i] * b[k - i] for i in range(k + 1)) % q
+                for k in range(L)]
+
+    power = {0: [1] + [0] * (L - 1)}
+    for n in range(1, max(hi, 1)):
+        power[n] = mul(power[n - 1], u)
+    if lo < 0:
+        inv = [pow(u[0], -1, q)] + [0] * (L - 1)
+        for k in range(1, L):
+            inv[k] = -inv[0] * sum(u[i] * inv[k - i]
+                                   for i in range(1, k + 1)) % q
+        for n in range(-1, lo - 1, -1):
+            power[n] = mul(power[n + 1], inv)
+    rows = np.zeros((max(hi - lo, 0), L), dtype=np.int64)
+    for n in range(lo, hi):
+        w = L if end is None else max(min(L, end - n), 0)
+        rows[n - lo, :w] = power[n][:w]
+    return rows
+
+
+def test_power_rows_match_repeated_products():
+    """Short U (gamma_(1+p), phi's H), short U^-1 (gamma_-1), Lucas-sparse
+    U and dense U; lo < 0 (but for H, which is not a unit), hi on both
+    sides of 0, end set and unset."""
+    from phigamma.wittside import binomial_table_mod_ps
+    rng = random.Random(137)
+    negative = ((-9, -2), (-9, 1), (-6, 7), (-1, 12))
+    cases = []
+    for p in (3, 5, 7):
+        for s in (1, 2, 3):
+            q, L = p**s, rng.randint(8, 40)
+            a = pow(1 + p, p**2, p**14)
+            H = [math.comb(p, k) % q for k in range(1, p + 1)] + [0] * L
+            dense = [rng.randrange(q) for _ in range(L)]
+            dense[0] = rng.choice([u for u in range(1, q) if u % p])
+            cases += [(q, binomial_table_mod_ps(1 + p, L, p, s), negative),
+                      (q, np.array(H[:L], dtype=np.int64), ((0, 12), (3, 9))),
+                      (q, binomial_table_mod_ps(-1, L, p, s), negative),
+                      (q, binomial_table_mod_ps(a, L, p, s, 14), negative),
+                      (q, np.array(dense, dtype=np.int64), negative)]
+    for q, U, windows in cases:
+        for lo, hi in windows:
+            for end in (None, rng.randint(hi - 3, hi + len(U))):
+                assert np.array_equal(power_rows(U, q, lo, hi, end),
+                                      reference_power_rows(U, q, lo, hi,
+                                                           end))
 
 
 # -- dense inverse against the dict back-substitution --------------------------
