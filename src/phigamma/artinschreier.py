@@ -25,8 +25,8 @@ from fractions import Fraction
 from .errors import DepthExceededError, InvariantError, PrecisionError
 from .normfield import (NormFieldElement, adjoin_as_root, format_element,
                         frobenius_e)
-from .wittside import (WittVector, _ghost_components, teichmuller, v_le_n,
-                       witt_add, witt_sub)
+from .wittside import (WittVector, _ghost_components, _witt_ghost_op,
+                       teichmuller, v_le_n, witt_add, witt_sub)
 
 __all__ = [
     "ASSolution",
@@ -182,13 +182,21 @@ def _phi_minus_one(z: WittVector) -> WittVector:
 
 def _solve_components(p: int, comps: list[NormFieldElement],
                       level_budget: int) -> list[NormFieldElement]:
+    """Components of a y with (phi - 1)y = z, z given by its components.
+
+    Component 0 solves y0^p - y0 = z0 in depth 0.  The defect
+    r = z - (phi - 1)[y0] is taken in one ghost round trip; it is p*w, and
+    w recurses in one length less.
+    """
     sol0 = solve_as_general(comps[0], depth_budget=0, level_budget=level_budget)
     y0 = sol0.value
     if len(comps) == 1:
         return [y0]
     s_cur = len(comps)
     Y0 = teichmuller(y0, s_cur)
-    r = witt_sub(WittVector(p, s_cur, comps), _phi_minus_one(Y0))
+    # r = z - (phi - 1)Y0 in one ghost round trip
+    r = _witt_ghost_op(lambda z, fy, y: z - (fy - y),
+                       WittVector(p, s_cur, comps), Y0.frobenius(), Y0)
     if not r.components[0].is_zero():
         raise PrecisionError("component-0 defect did not cancel on the window")
     # r = p*w, and multiplication by p shifts p-th powers up one slot

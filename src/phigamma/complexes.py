@@ -28,8 +28,9 @@ polynomials mod p^s.  A term c * A * r(-) with constant A is kron(c*A, R);
 a series entry acts by its Toeplitz multiplication matrix on the whole
 image of r, so a window row gets every entry term it needs, up to pi^(T +
 image depth); an entry certified to less raises PrecisionError.  The
-output window of depth b reaches p*b + max(2s + 4, (p-1)(s-1) + 2) below
-0, the depth of phi's tail (_out_depth).  Delta mode works on the
+output window of depth b reaches p*b + max(2s + 4, (p-1)(s-1) + 2 - v)
+below 0, the depth of phi's tail, carried further down by a matrix entry
+of least exponent v < 0 (_out_depth).  Delta mode works on the
 Delta-fixed part of each window: Delta = (Z/p)^x is cyclic, so one
 generator's twisted window matrix is built and the other actions are its
 powers; the averaging idempotent E is checked to satisfy E E = E, and the
@@ -37,7 +38,8 @@ basis is a set of columns of E (delta_project).  A cohomology call keeps
 one cache keyed by depth: the Delta basis X and the X-projected d0 and d1
 of each depth, assembled once into that depth's own output window, serve
 both the window of that depth (its kernels) and the window of half that
-depth (its deep coboundaries, cut at their rows below pi^-b).  This module
+depth (its deep coboundaries, cut at their rows below pi^-b); the least
+depth's d0 is the one that d o d = 0 was certified through.  This module
 has no elimination of its own: window products mod p^s go through
 zmodlin._matmul_mod, and kernels, lengths and elementary divisors are read
 from zmodlin's Smith form.  A kernel's length comes with it by
@@ -382,16 +384,16 @@ def _ring_matrix(p: int, s: int, ring: tuple, bot_in: int, bot_out: int,
     return R
 
 
-def _multiplication_matrix(x: ArithLiftElement, bot_in: int, bot_out: int,
-                           top: int) -> np.ndarray:
-    """Toeplitz matrix of y |-> x*y from [-bot_in, top) to [-bot_out, top):
+def _multiplication_matrix(x: ArithLiftElement, bot_in: int, top_in: int,
+                           bot_out: int, top: int) -> np.ndarray:
+    """Toeplitz matrix of y |-> x*y from [-bot_in, top_in) to [-bot_out, top):
     entry [j + bot_out, i + bot_in] is the coefficient of pi^(j-i) in x."""
     lo = min(x.coeffs, default=0)
     terms = np.zeros(max(x.coeffs, default=lo) - lo + 1, dtype=np.int64)
     for n, c in x.coeffs.items():
         terms[n - lo] = c
     k = np.subtract.outer(np.arange(-bot_out, top),
-                          np.arange(-bot_in, top)) - lo
+                          np.arange(-bot_in, top_in)) - lo
     inside = (k >= 0) & (k < len(terms))
     return np.where(inside, terms[np.where(inside, k, 0)], 0)
 
@@ -406,7 +408,9 @@ def _operator_matrix(D: PhiGammaModule, op, bot_in: int, bot_out: int,
     multiplication matrices on the whole image of r, which reaches below
     the output window, so every entry term that lands in a window row is
     kept: those reach pi^(top + deep - 1), deep the depth of that image, and
-    an entry certified to less raises PrecisionError."""
+    an entry certified to less raises PrecisionError.  An entry of negative
+    valuation v shifts image terms up to pi^(top - v) back into the window,
+    so the image is taken that far."""
     p, s, r = D.p, D.s, D.rank
     q = p ** s
     win_in, win_out = bot_in + top, bot_out + top
@@ -431,10 +435,14 @@ def _operator_matrix(D: PhiGammaModule, op, bot_in: int, bot_out: int,
             raise PrecisionError(
                 f"window needs matrix entries certified to pi^{top + deep}, "
                 f"got pi^{prec}")
-        E = np.block([[_multiplication_matrix(x, deep, bot_out, top)
+        reach = top - min(0, min(min(x.coeffs, default=0)
+                                 for row in t.matrix for x in row))
+        E = np.block([[_multiplication_matrix(x, deep, reach, bot_out, top)
                        for x in row] for row in t.matrix])
+        # columns of the input window [-bot_in, top) in the image to reach
         R = np.kron(np.eye(r, dtype=np.int64),
-                    _ring_matrix(p, s, t.ring, bot_in, deep, top))
+                    _ring_matrix(p, s, t.ring, bot_in, deep,
+                                 reach)[:, :bot_in + top])
         M += t.coeff * _matmul_mod(E % q, R, q) % q
     return _mod(M, q)
 
@@ -640,24 +648,32 @@ def _tail_floor(D: PhiGammaModule) -> int:
     return max(1, math.ceil((1 - v_phi) / (D.p - 1)))
 
 
-def _out_depth(p: int, s: int, b: int) -> int:
+def _out_depth(D: PhiGammaModule, b: int) -> int:
     """Bottom depth of a window holding every image of [-b, T): phi(pi^-b)
-    reaches pi^(-pb - (p-1)(s-1)) (see _phi_columns)."""
-    return p * b + max(2 * s + 4, (p - 1) * (s - 1) + 2)
+    reaches pi^(-pb - (p-1)(s-1)) (see _phi_columns), and a matrix entry
+    whose least exponent is v < 0 carries an image -v further down."""
+    p, s = D.p, D.s
+    v = min((min(x.coeffs, default=0)
+             for M in (D.phi, *(g.matrix for g in D.generators))
+             for row in M for x in row), default=0)
+    return p * b + max(2 * s + 4, (p - 1) * (s - 1) + 2 - min(v, 0))
 
 
 def _window_data(T: GammaComplex, b: int, top: int, cache: dict):
     """(X, d0 X, d1 diag(X, X)) on the depth-b window, into the window of
     depth _out_depth(b), which holds every image; X is the Delta basis, or
     None in free mode, where it is the identity.  Built once per depth into
-    cache."""
+    cache, which may hold under ("d0", b) the d0 that d^2 = 0 was certified
+    through (cohomology)."""
     if b in cache:
         return cache[b]
     D = T.module
     p, s = D.p, D.s
     q = p ** s
-    bo = _out_depth(p, s, b)
-    d0 = _block_matrix(D, T.diffs[0], b, bo, top)
+    bo = _out_depth(D, b)
+    d0 = cache.pop(("d0", b), None)
+    if d0 is None:
+        d0 = _block_matrix(D, T.diffs[0], b, bo, top)
     d1 = _block_matrix(D, T.diffs[1], b, bo, top)
     X = delta_project(D, b, top).basis if T.mode == "delta" else None
     if X is not None:
@@ -684,7 +700,7 @@ def _window_dims(T: GammaComplex, b: int, cache: dict):
         raise PrecisionError(f"window {b} below the acyclic-tail bound {top}")
     X0, d0s, d1s = _window_data(T, b, top, cache)
     _, d0w, d1w = _window_data(T, 2 * b, top, cache)
-    bo = _out_depth(p, s, 2 * b)
+    bo = _out_depth(D, 2 * b)
     win_o = bo + top
 
     # the rows of an output slot of depth 2b below the depth-b cut
@@ -726,18 +742,25 @@ def _window_dims(T: GammaComplex, b: int, cache: dict):
     return (h0, h1, h2), (prof0, prof1, prof2)
 
 
-def certify_d_squared(T: GammaComplex, b: int) -> bool:
-    """Exact composition d1 o d0 through a window wide enough to hold both
-    images; zero entrywise or InvariantError."""
+def _certified_d0(T: GammaComplex, b: int, top: int) -> np.ndarray:
+    """d0 from the depth-b window into the depth-_out_depth(b) one, returned
+    once d1 o d0 is zero through a window wide enough to hold both images;
+    InvariantError otherwise."""
     D = T.module
     p, s = D.p, D.s
-    bo = _out_depth(p, s, b)
-    bo2 = _out_depth(p, s, bo)
-    top = _tail_floor(D)
+    bo = _out_depth(D, b)
+    bo2 = _out_depth(D, bo)
     d0 = _block_matrix(D, T.diffs[0], b, bo, top)
     d1 = _block_matrix(D, T.diffs[1], bo, bo2, top)
     if _matmul_mod(d1, d0, p ** s).any():
         raise InvariantError("d^2 != 0 on the certification window")
+    return d0
+
+
+def certify_d_squared(T: GammaComplex, b: int) -> bool:
+    """Exact composition d1 o d0 through a window wide enough to hold both
+    images; zero entrywise or InvariantError."""
+    _certified_d0(T, b, _tail_floor(T.module))
     return True
 
 
@@ -747,17 +770,18 @@ def cohomology(T: GammaComplex, schedule=None) -> CohomologyReport:
     Dims are accepted only when the last three schedule entries agree;
     otherwise the verdict is "unstable" and callers must not trust dims.
     The windows share one cache of window data for the call, so each depth
-    of the schedule and its double is assembled once (_window_data).
+    of the schedule and its double is assembled once (_window_data), the
+    least depth's d0 taken from the certification of d^2 = 0.
     """
     if T.kind == "finite":
         return _finite_report(T)
     if not T.coned or T.n_terms != 3:
         raise ValueError("window cohomology expects the three-term phi-cone")
     schedule = tuple(schedule) if schedule else DEFAULT_SCHEDULE
-    certify_d_squared(T, min(schedule))
+    b0 = min(schedule)
+    cache = {("d0", b0): _certified_d0(T, b0, _tail_floor(T.module))}
     trace = []
     profiles = None
-    cache = {}
     for b in schedule:
         dims, profiles = _window_dims(T, b, cache)
         trace.append((b, dims))

@@ -573,7 +573,8 @@ def power_rows(U: np.ndarray, modulus: int, lo: int, hi: int,
             w = cut(n)
             rows[n - lo, :w] = V[:w]
         w = cut(n + 1)
-        if n + 1 >= hi or not w:
+        if n + 1 >= hi or not w or not up.size:
+            # an all-zero U leaves every row past U^0 zero
             break
         V = np.convolve(V[:w], up[:w])[:w] % modulus
     return rows
@@ -672,6 +673,13 @@ def _lift_to(ext: ASExtension | None, x: NormFieldElement):
     return ext.embed(_lift_to(ext.base, x))
 
 
+def _scaled(x, f: NormFieldElement):
+    """x times the norm-field element f, x in the norm field or a layer."""
+    if isinstance(x, NormFieldElement):
+        return x * f
+    return ASExtensionElement(x.ext, [_scaled(c, f) for c in x.coords])
+
+
 class ASExtensionElement:
     """Element sum(c_j * theta^j) of an Artin-Schreier layer."""
 
@@ -723,23 +731,26 @@ class ASExtensionElement:
         return ASExtensionElement(ext, raw[:p])
 
     def frobenius(self) -> "ASExtensionElement":
-        """theta^p = theta + u turns Frobenius into a coordinate shuffle.
+        """theta^p = theta + u makes Frobenius triangular on coordinates.
 
-        (sum c_j theta^j)^p = sum c_j^p (theta+u)^j, expanded and refolded.
+        (sum c_j theta^j)^p = sum c_j^p (theta+u)^j, and since every j < p
+        the binomial expansion needs no refolding: coordinate k is
+        sum_{j >= k} C(j, k) u^(j-k) c_j^p.  u lies in the norm field, so
+        over a lower layer it scales that layer's coordinates (_scaled).
         """
-        ext = self.ext
-        frob_coords = [c.frobenius() for c in self.coords]
-        u_low = _lift_to(ext.base, ext.u)
-        theta_plus_u = ext.theta(self.prec)  # theta
-        theta_plus_u = ASExtensionElement(
-            ext,
-            [theta_plus_u.coords[0] + u_low] + theta_plus_u.coords[1:])
-        result = ext.embed(frob_coords[0])
-        power = None
-        for j in range(1, ext.p):
-            power = theta_plus_u if power is None else power * theta_plus_u
-            result = result + power * ext.embed(frob_coords[j])
-        return result
+        p = self.p
+        frob = [c.frobenius() for c in self.coords]
+        u_pows = [None, self.ext.u]
+        for _ in range(2, p):
+            u_pows.append(u_pows[-1] * self.ext.u)
+        coords = []
+        for k in range(p):
+            acc = frob[k]
+            for j in range(k + 1, p):
+                acc = acc + _scaled(frob[j],
+                                    u_pows[j - k].scale(math.comb(j, k)))
+            coords.append(acc)
+        return ASExtensionElement(self.ext, coords)
 
     def valuation(self) -> Fraction | None:
         vt = self.ext.theta_valuation()

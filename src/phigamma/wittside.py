@@ -358,26 +358,40 @@ def _headroom(s: int) -> int:
     return 2 * s + 2
 
 
+def _pth_power(z: _ZSeries, p: int) -> _ZSeries:
+    """z^p; a zero needs no product: it stays zero, at p times its precision."""
+    return z ** p if z.coeffs else z._new({}, z.prec_num * p)
+
+
 def _ghost(lifts: list[_ZSeries], p: int) -> list[_ZSeries]:
-    """w_i = sum_j p^j x_j^(p^(i-j)), each x_j^(p^k) as (x_j^(p^(k-1)))^p."""
+    """w_i = sum_j p^j x_j^(p^(i-j)), each x_j^(p^k) as (x_j^(p^(k-1)))^p.
+
+    A zero power adds nothing but its precision, so it only truncates.
+    """
     ghosts, powers = [], []
     for x in lifts:
-        powers = [z ** p for z in powers] + [x]
+        powers = [_pth_power(z, p) for z in powers] + [x]
         acc = powers[0]
         for j in range(1, len(powers)):
-            acc = acc + powers[j].scale(p**j)
+            z = powers[j]
+            acc = (acc + z.scale(p**j) if z.coeffs
+                   else acc.truncate_to_num(z.prec_num))
         ghosts.append(acc)
     return ghosts
 
 
 def _unghost(ghosts: list[_ZSeries], p: int) -> list[_ZSeries]:
-    """Coordinates from ghost components by exact divisions, inverse of _ghost."""
+    """Coordinates from ghost components by exact divisions, inverse of _ghost.
+
+    As there, a zero power only truncates.
+    """
     comps, powers = [], []
     for i, w in enumerate(ghosts):
-        powers = [z ** p for z in powers]
+        powers = [_pth_power(z, p) for z in powers]
         t = w
         for j, z in enumerate(powers):
-            t = t - z.scale(p**j)
+            t = (t - z.scale(p**j) if z.coeffs
+                 else t.truncate_to_num(z.prec_num))
         comps.append(t.exact_div_p_power(i))
         powers.append(comps[-1])
     return comps

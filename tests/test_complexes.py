@@ -405,6 +405,35 @@ def test_basis_change_leaves_dims_invariant():
         assert rep.verdict == "stable", u
 
 
+@pytest.mark.parametrize("k", [-1, -2, -3, -4, -6])
+def test_negative_power_basis_leaves_dims_invariant(k):
+    # the trivial module in the basis pi^k e: Phi = phi(pi^k)/pi^k has
+    # valuation 2k < 0; it shifts image terms up to pi^(top - 2k) back into
+    # the window, so the image must reach that far, and it carries images
+    # -2k further down, so the output window must too.  At k = -1 the window
+    # top is 2, where phi's H = pi^2 mod 3 truncates to zero
+    b = ArithLiftElement.pi_power(P, 1, k, 400)
+    binv = b.inverse()
+    D = make_module(P, 1, [[b.frobenius() * binv]],
+                    [("gamma", [[b.gamma(CHI) * binv]], CHI)])
+    schedule = (16, 32, 64)
+    for mode in ("free", "delta"):
+        assert certify_d_squared(herr_complex(D, mode), 16)
+    want = cohomology(herr_complex(trivial(), "free"), schedule)
+    rep = cohomology(herr_complex(D, "free"), schedule)
+    assert (rep.dims, rep.profiles, rep.verdict) == \
+        (want.dims, want.profiles, "stable")
+    # Delta acts on this basis through the series gamma_delta(pi^k)/pi^k,
+    # which delta mode does not model (it averages a scalar character):
+    # it may refuse, but never answers wrongly
+    want = cohomology(herr_complex(trivial(), "delta"), schedule)
+    try:
+        rep = cohomology(herr_complex(D, "delta"), schedule)
+    except InvariantError:
+        return
+    assert (rep.dims, rep.profiles) == (want.dims, want.profiles)
+
+
 def test_rank_two_basis_change_leaves_dims_invariant():
     # Z/3 + Z/3 in the basis U, with Phi = U^-1 phi(U), G = U^-1 gamma(U):
     # off-diagonal series entries, same cohomology (2, 8, 2) in free mode

@@ -409,6 +409,22 @@ def test_power_rows_match_repeated_products():
                                                            end))
 
 
+def test_power_rows_of_a_vanishing_U():
+    """phi's H = ((1+pi)^p - 1)/pi is pi^(p-1) mod p, so at s = 1 a width
+    below p truncates it to zeros: every row past U^0 is zero."""
+    for p in (3, 5, 7):
+        H = np.array([math.comb(p, k) % p for k in range(1, p + 1)],
+                     dtype=np.int64)
+        for L in range(1, p):
+            U = H[:L]
+            assert not U.any()
+            for lo, hi in ((0, 1), (0, 5), (1, 4), (2, 6)):
+                for end in (None, hi, hi + L - 1):
+                    assert np.array_equal(power_rows(U, p, lo, hi, end),
+                                          reference_power_rows(U, p, lo, hi,
+                                                               end))
+
+
 # -- dense inverse against the dict back-substitution --------------------------
 
 

@@ -1,0 +1,259 @@
+"""The Artin-Schreier and Witt solvers against their earlier forms.
+
+The reference functions below are the earlier implementations, kept
+verbatim: the Frobenius of a layer element expanded through layer products
+of (theta + u)^j, the (phi - 1) defect r = z - (phi - 1)Y0 of
+_solve_components taken in two Witt subtractions, and the ghost maps that
+raise every component to its p-th powers, zero or not.  On seeded inputs
+(p in {3, 5, 7}, layers of depth 1 and 2, Witt lengths 1..6, zero
+components, negative exponents, level budgets 1..4) the current code gives
+the same values, at least the same precision for the Frobenius, and the
+same components, precision, reports and exception text for the rest.
+"""
+
+import json
+import random
+from fractions import Fraction
+
+import pytest
+
+from phigamma import artinschreier, wittside
+from phigamma.errors import PrecisionError
+from phigamma.artinschreier import (solve_as_general, solve_phi_minus_one,
+                                    _phi_minus_one)
+from phigamma.normfield import (ASExtension, ASExtensionElement,
+                                NormFieldElement, _lift_to)
+from phigamma.wittside import (WittVector, _ZSeries, _ghost, _headroom,
+                               _unghost, teichmuller, witt_add, witt_sub)
+
+
+# -- the earlier implementations ---------------------------------------------
+
+
+def reference_frobenius(self):
+    """theta^p = theta + u turns Frobenius into a coordinate shuffle.
+
+    (sum c_j theta^j)^p = sum c_j^p (theta+u)^j, expanded and refolded.
+    """
+    ext = self.ext
+    frob_coords = [c.frobenius() for c in self.coords]
+    u_low = _lift_to(ext.base, ext.u)
+    theta_plus_u = ext.theta(self.prec)  # theta
+    theta_plus_u = ASExtensionElement(
+        ext,
+        [theta_plus_u.coords[0] + u_low] + theta_plus_u.coords[1:])
+    result = ext.embed(frob_coords[0])
+    power = None
+    for j in range(1, ext.p):
+        power = theta_plus_u if power is None else power * theta_plus_u
+        result = result + power * ext.embed(frob_coords[j])
+    return result
+
+
+def reference_solve_components(p, comps, level_budget):
+    sol0 = solve_as_general(comps[0], depth_budget=0, level_budget=level_budget)
+    y0 = sol0.value
+    if len(comps) == 1:
+        return [y0]
+    s_cur = len(comps)
+    Y0 = teichmuller(y0, s_cur)
+    r = witt_sub(WittVector(p, s_cur, comps), _phi_minus_one(Y0))
+    if not r.components[0].is_zero():
+        raise PrecisionError("component-0 defect did not cancel on the window")
+    # r = p*w, and multiplication by p shifts p-th powers up one slot
+    w = [c.p_th_root() for c in r.components[1:]]
+    u = reference_solve_components(p, w, level_budget)
+    # p * (u_0, ..., u_{s-2}) = (0, u_0^p, ..., u_{s-2}^p) over a perfect base
+    lifted = [NormFieldElement.zero(p, u[0].prec, u[0].m)] \
+        + [ui.frobenius() for ui in u]
+    return witt_add(Y0, WittVector(p, s_cur, lifted)).components
+
+
+def reference_ghost(lifts, p):
+    """w_i = sum_j p^j x_j^(p^(i-j)), each x_j^(p^k) as (x_j^(p^(k-1)))^p."""
+    ghosts, powers = [], []
+    for x in lifts:
+        powers = [z ** p for z in powers] + [x]
+        acc = powers[0]
+        for j in range(1, len(powers)):
+            acc = acc + powers[j].scale(p**j)
+        ghosts.append(acc)
+    return ghosts
+
+
+def reference_unghost(ghosts, p):
+    """Coordinates from ghost components by exact divisions, inverse of _ghost."""
+    comps, powers = [], []
+    for i, w in enumerate(ghosts):
+        powers = [z ** p for z in powers]
+        t = w
+        for j, z in enumerate(powers):
+            t = t - z.scale(p**j)
+        comps.append(t.exact_div_p_power(i))
+        powers.append(comps[-1])
+    return comps
+
+
+def with_references(monkeypatch, frobenius=False, components=False,
+                    ghosts=False):
+    """Swap the chosen earlier implementations in for the current ones."""
+    if frobenius:
+        monkeypatch.setattr(ASExtensionElement, "frobenius",
+                            reference_frobenius)
+    if components:
+        monkeypatch.setattr(artinschreier, "_solve_components",
+                            reference_solve_components)
+    if ghosts:
+        monkeypatch.setattr(wittside, "_ghost", reference_ghost)
+        monkeypatch.setattr(wittside, "_unghost", reference_unghost)
+
+
+def outcome(fn, *args, **kwargs):
+    """fn's value, or the type and text of what it raised."""
+    try:
+        return fn(*args, **kwargs)
+    except Exception as exc:  # compared, never swallowed: see the asserts
+        return type(exc).__name__, str(exc)
+
+
+# -- seeded inputs -------------------------------------------------------------
+
+
+def random_element(rng, p, prec, m=None, zero_chance=0.25, lo=-12):
+    """A norm-field element on a level-m grid, certified to pi^prec, zero
+    with the given chance, else with a few exponents in [lo, prec)."""
+    m = rng.choice((0, 0, 1)) if m is None else m
+    q = p**m
+    if rng.random() < zero_chance:
+        return NormFieldElement(p, m, {}, prec * q)
+    coeffs = {rng.randint(lo * q, prec * q - 1): rng.randint(1, p - 1)
+              for _ in range(rng.randint(1, 4))}
+    return NormFieldElement(p, m, coeffs, prec * q)
+
+
+def random_layer(rng, p, depth):
+    ext = None
+    for _ in range(depth):
+        v = rng.randint(-2 * p, 0)
+        u = NormFieldElement(p, 0, {v: rng.randint(1, p - 1),
+                                    v + rng.randint(1, 6): 1},
+                             rng.randint(6, 14))
+        ext = ASExtension(u, ext)
+    return ext
+
+
+def random_layer_element(rng, ext):
+    p = ext.p
+    if ext.base is None:
+        coords = [random_element(rng, p, rng.randint(4, 14)) for _ in range(p)]
+    else:
+        coords = [random_layer_element(rng, ext.base) for _ in range(p)]
+    return ASExtensionElement(ext, coords)
+
+
+def leaves(x):
+    if isinstance(x, NormFieldElement):
+        return [x]
+    return [leaf for c in x.coords for leaf in leaves(c)]
+
+
+# -- the layer Frobenius -----------------------------------------------------
+
+
+@pytest.mark.parametrize("p, depth, cases", [
+    (3, 1, 40), (5, 1, 25), (7, 1, 15), (3, 2, 12), (5, 2, 3), (7, 2, 1),
+])
+def test_layer_frobenius_matches_product_expansion(p, depth, cases,
+                                                   monkeypatch):
+    rng = random.Random(100 * p + depth)
+    for _ in range(cases):
+        x = random_layer_element(rng, random_layer(rng, p, depth))
+        new = x.frobenius()
+        with monkeypatch.context() as mp:
+            with_references(mp, frobenius=True)
+            old = x.frobenius()
+        pairs = list(zip(leaves(new), leaves(old)))
+        assert len(pairs) == p ** depth
+        for a, b in pairs:
+            assert a.agrees_with(b)
+            assert a.prec >= b.prec
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_solve_as_reports_match_product_expansion(p, monkeypatch):
+    rng = random.Random(200 + p)
+    for _ in range(40):
+        terms = {Fraction(rng.randint(-3 * p, 4), rng.choice((1, 1, p))):
+                 rng.randint(1, p - 1) for _ in range(rng.randint(1, 4))}
+        b = NormFieldElement.from_terms(p, terms, rng.randint(4, 30))
+        kwargs = {"depth_budget": rng.randint(0, 2),
+                  "level_budget": rng.randint(1, 4)}
+        new = outcome(solve_as_general, b, **kwargs)
+        with monkeypatch.context() as mp:
+            with_references(mp, frobenius=True)
+            old = outcome(solve_as_general, b, **kwargs)
+        if isinstance(new, tuple):
+            assert new == old
+        else:
+            assert json.dumps(new.to_json()) == json.dumps(old.to_json())
+
+
+# -- the ghost maps ------------------------------------------------------------
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_ghost_maps_match_full_powers(p):
+    rng = random.Random(300 + p)
+    for _ in range(30):
+        s = rng.randint(1, 6)
+        m = rng.randint(0, 1)
+        lifts = [_ZSeries.lift(random_element(rng, p, rng.randint(2, 10), m,
+                                              zero_chance=0.4),
+                               _headroom(s)) for _ in range(s)]
+        ghosts = _ghost(lifts, p)
+        assert ghosts == reference_ghost(lifts, p)
+        assert [g.m for g in ghosts] == [m] * s
+        assert _unghost(ghosts, p) == reference_unghost(ghosts, p)
+        # a perturbed ghost vector fails an exact division, or not, alike
+        k = rng.randrange(s)
+        bumped = list(ghosts)
+        bumped[k] = bumped[k] + _ZSeries(p, m, {0: p ** rng.randint(0, k)},
+                                         bumped[k].prec_num, _headroom(s))
+        assert outcome(_unghost, bumped, p) == \
+            outcome(reference_unghost, bumped, p)
+
+
+# -- the (phi - 1) solver ----------------------------------------------------
+
+
+def random_witt(rng, p, s, prec):
+    return [random_element(rng, p, prec, zero_chance=0.3, lo=-2 * p)
+            for _ in range(s)]
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_solve_components_match_two_subtractions(p):
+    rng = random.Random(400 + p)
+    for _ in range(12):
+        s = rng.randint(1, 6 if p == 3 else 4)
+        comps = random_witt(rng, p, s, rng.randint(6, 16))
+        budget = rng.randint(1, 4)
+        assert outcome(artinschreier._solve_components, p, comps, budget) == \
+            outcome(reference_solve_components, p, comps, budget)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_solve_phi1_reports_match_references(p, monkeypatch):
+    rng = random.Random(500 + p)
+    for _ in range(8):
+        s = rng.randint(1, 6 if p == 3 else 4)
+        z = WittVector(p, s, random_witt(rng, p, s, rng.randint(6, 16)))
+        budget = rng.randint(1, 4)
+        new = outcome(solve_phi_minus_one, z, level_budget=budget)
+        with monkeypatch.context() as mp:
+            with_references(mp, frobenius=True, components=True, ghosts=True)
+            old = outcome(solve_phi_minus_one, z, level_budget=budget)
+        if isinstance(new, tuple):
+            assert new == old
+        else:
+            assert json.dumps(new.to_json()) == json.dumps(old.to_json())
