@@ -23,8 +23,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DepthExceededError, InvariantError, PrecisionError
-from .normfield import (NormFieldElement, adjoin_as_root, format_element,
-                        frobenius_e)
+from .normfield import (NormFieldElement, _grid_level, adjoin_as_root,
+                        format_element, frobenius_e)
 from .wittside import (WittVector, _ghost_components, _witt_ghost_op,
                        teichmuller, v_le_n, witt_add, witt_sub)
 
@@ -71,17 +71,6 @@ class SplitterState:
     normalization_rule: str = "top-ghost-constant-coefficient"
     depth_budget: int = 0
     level_budget: int = 4
-
-
-def _grid_level(q: Fraction, p: int) -> int:
-    den = q.denominator
-    m = 0
-    while den % p == 0:
-        den //= p
-        m += 1
-    if den != 1:
-        raise ValueError(f"exponent {q} not on a 1/p^m grid")
-    return m
 
 
 def _check_residual_base(a: NormFieldElement, b: NormFieldElement) -> Fraction:

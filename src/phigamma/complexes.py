@@ -20,11 +20,13 @@ across the last three window doublings; there is no a priori bound, and
 every report carries its stabilization trace.
 
 Window operator matrices are assembled from whole matrices.  Each ring
-action has one exact int64 window matrix R: gamma_a columns pi^n U^n from
-one binomial table of U = ((1+pi)^a - 1)/pi and its powers
-(normfield.power_rows, shared with normfield.gamma_matrix), phi columns as
-powers of (1+pi)^p - 1, whose negative powers are finite Laurent
-polynomials mod p^s.  A term c * A * r(-) with constant A is kron(c*A, R);
+action has one exact int64 window matrix R (ring_window): gamma_a columns
+pi^n U^n from one binomial table of U = ((1+pi)^a - 1)/pi and its powers
+(normfield.power_rows), phi columns as powers of (1+pi)^p - 1, whose
+negative powers are finite Laurent polynomials mod p^s.  Every window is a
+corner of the deepest one cached with its top; the Herr windows, the Delta
+actions and tatesen's TS3 solve share that cache.  A term c * A * r(-)
+with constant A is kron(c*A, R);
 a series entry acts by its Toeplitz multiplication matrix on the whole
 image of r, so a window row gets every entry term it needs, up to pi^(T +
 image depth); an entry certified to less raises PrecisionError.  The
@@ -52,8 +54,8 @@ from __future__ import annotations
 
 import json
 import math
+from collections import OrderedDict
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -65,8 +67,9 @@ from .errors import (
     PrecisionError,
 )
 from .modules import PhiGammaModule, _thaw
-from .normfield import NormFieldElement, format_element, power_rows
-from .wittside import ArithLiftElement, binomial_table_mod_ps
+from .normfield import (NormFieldElement, binomial_table_mod_ps,
+                        format_element, power_rows)
+from .wittside import ArithLiftElement
 from .zmodlin import (
     ZModMatrix,
     _divisors,
@@ -93,6 +96,7 @@ __all__ = [
     "cohomology",
     "explicit_cocycle",
     "geometric_gamma_sum",
+    "ring_window",
 ]
 
 DEFAULT_SCHEDULE = (16, 32, 64, 128)
@@ -333,7 +337,6 @@ def semidirect_gamma_complex(D: PhiGammaModule) -> GammaComplex:
 # -- window operator matrices ------------------------------------------------
 
 
-@lru_cache(maxsize=256)
 def _ring_column_series(p: int, s: int, ring: tuple, bot: int, top: int):
     """Per n in [-bot, top): (lead exponent, int64 coefficients from the lead
     up to pi^top) of ring(pi^n) mod p^s.  Every coefficient is exact."""
@@ -370,18 +373,42 @@ def _phi_columns(p: int, s: int, bot: int, top: int):
     return tuple(cols)
 
 
-@lru_cache(maxsize=16)
-def _ring_matrix(p: int, s: int, ring: tuple, bot_in: int, bot_out: int,
-                 top: int) -> np.ndarray:
-    """Matrix of a ring operator from [-bot_in, top) to [-bot_out, top);
-    image terms below pi^-bot_out are cut.  Read-only: it is cached."""
-    R = np.zeros((bot_out + top, bot_in + top), dtype=np.int64)
-    for j, (lead, arr) in enumerate(_ring_column_series(p, s, ring, bot_in,
-                                                        top)):
-        a = max(lead, -bot_out)
-        R[a + bot_out:lead + len(arr) + bot_out, j] = arr[a - lead:]
-    R.setflags(write=False)
-    return R
+# deepest window kept per (p, s, ring, top): (bot_in, bot_out, matrix)
+_WINDOWS: OrderedDict = OrderedDict()
+_WINDOWS_MAX = 8
+
+
+def ring_window(p: int, s: int, ring: tuple, bot_in: int, bot_out: int,
+                top: int) -> np.ndarray:
+    """Read-only matrix of a ring action from [-bot_in, top) to [-bot_out,
+    top); image terms below pi^-bot_out are cut.
+
+    Entry [n + bot_out, q + bot_in] is the coefficient of pi^n in ring(pi^q),
+    fixed by n and q (top decides only whether the binomial table it needs is
+    certified), so a window is the trailing corner of any deeper one with
+    the same top.  One window is kept per (p, s, ring, top), the least
+    recently used dropped past _WINDOWS_MAX.  A deeper request rebuilds it as
+    deep as every window it has served, so it raises PrecisionError exactly
+    when a fresh build would, and a failed rebuild keeps the window it had.
+    """
+    key = (p, s, ring, top)
+    kept = _WINDOWS.get(key)
+    if kept is None or bot_in > kept[0] or bot_out > kept[1]:
+        b_in, b_out = ((bot_in, bot_out) if kept is None else
+                       (max(bot_in, kept[0]), max(bot_out, kept[1])))
+        R = np.zeros((b_out + top, b_in + top), dtype=np.int64)
+        for j, (lead, arr) in enumerate(_ring_column_series(p, s, ring,
+                                                            b_in, top)):
+            # an image wholly below the output window leaves its column 0
+            a = max(lead, -b_out)
+            R[a + b_out:max(a, lead + len(arr)) + b_out, j] = arr[a - lead:]
+        R.setflags(write=False)
+        kept = (b_in, b_out, R)
+    _WINDOWS[key] = kept
+    _WINDOWS.move_to_end(key)
+    if len(_WINDOWS) > _WINDOWS_MAX:
+        _WINDOWS.popitem(last=False)
+    return kept[2][kept[1] - bot_out:, kept[0] - bot_in:]
 
 
 def _multiplication_matrix(x: ArithLiftElement, bot_in: int, top_in: int,
@@ -423,12 +450,13 @@ def _operator_matrix(D: PhiGammaModule, op, bot_in: int, bot_out: int,
             A = None
         if A is not None:
             # kron(c*A, R), written out by broadcasting
-            R = _ring_matrix(p, s, t.ring, bot_in, bot_out, top)
+            R = ring_window(p, s, t.ring, bot_in, bot_out, top)
             M += ((t.coeff * A % q)[:, None, :, None]
                   * R[:, None]).reshape(M.shape)
             continue
-        deep = -min(lead for lead, _ in
-                    _ring_column_series(p, s, t.ring, bot_in, top))
+        # the least exponent of the image (see _phi_columns)
+        deep = (p * bot_in + (p - 1) * (s - 1)
+                if t.ring == RING_PHI and bot_in > 0 else bot_in)
         prec = min(x.prec_num for row in t.matrix for x in row
                    if _is_series(x))
         if prec < top + deep:
@@ -441,8 +469,8 @@ def _operator_matrix(D: PhiGammaModule, op, bot_in: int, bot_out: int,
                        for x in row] for row in t.matrix])
         # columns of the input window [-bot_in, top) in the image to reach
         R = np.kron(np.eye(r, dtype=np.int64),
-                    _ring_matrix(p, s, t.ring, bot_in, deep,
-                                 reach)[:, :bot_in + top])
+                    ring_window(p, s, t.ring, bot_in, deep,
+                                reach)[:, :bot_in + top])
         M += t.coeff * _matmul_mod(E % q, R, q) % q
     return _mod(M, q)
 
@@ -478,8 +506,10 @@ def _delta_actions(D: PhiGammaModule, bot: int, top: int):
     exact representation, so act_g^i is exactly the action of g^i."""
     p, s = D.p, D.s
     q = p ** s
-    # binomial C(omega, k) mod p^s needs omega mod p^(v_p(k!) + s)
-    M = s + (top + p * bot) // (p - 1) + 6
+    # C(omega, k) mod p^s needs omega mod p^(s + floor(log_p k)), and an
+    # int64 window has fewer than 2^63 <= p^63 columns: one residue serves
+    # every depth, so the windows of all depths share one ring_window entry
+    M = s + 63
     g = next(u for u in range(2, p)
              if len({pow(u, i, p) for i in range(p - 1)}) == p - 1)
     # Teichmuller residues omega(g^i) = omega(g)^i mod p^M

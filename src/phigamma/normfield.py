@@ -17,8 +17,8 @@ uniqueness of p-th roots in characteristic p makes this consistent across
 levels.
 
 Element gamma evaluates a series at G = (1+t)^a - 1 (substitute_generator);
-gamma_matrix and gamma_corner build the same action as window matrices.  The
-two paths share only binomial_mod_p, so each can check the other.
+complexes.ring_window builds the same action as window matrices.  The two
+paths share only binomial_table_mod_ps, so each can check the other.
 
 Relative elements adjoin a second variable x (with its own fractional
 exponent grid); the geometric generator acts by x |-> (1+pi)x and the
@@ -52,9 +52,7 @@ __all__ = [
     "adjoin_as_root",
     "parse_element",
     "format_element",
-    "binomial_mod_p",
-    "gamma_matrix",
-    "gamma_corner",
+    "binomial_table_mod_ps",
     "power_rows",
 ]
 
@@ -63,28 +61,45 @@ INFINITY = Fraction(10**12)  # sentinel ordering value for the zero element
 D_MAX_DEFAULT = 2
 
 
-def binomial_mod_p(a: int, k: int, p: int, mod_power: int) -> int:
-    """C(a, k) mod p via Lucas, for a given as a residue mod p^mod_power.
+def binomial_table_mod_ps(a: int, L: int, p: int, s: int,
+                          mod_power: int | None = None) -> np.ndarray:
+    """[C(a, k) mod p^s for k = 1..L].
 
-    Valid only when k < p^mod_power: higher k would see digits of a that the
-    residue does not determine.
+    With mod_power=None the exponent a is exact.  Otherwise a is only known
+    mod p^mod_power, and the call raises PrecisionError unless mod_power >=
+    s + floor(log_p L).  That residue pins every C(a, k), k <= L, mod p^s:
+    in C(a + p^M t, k) = sum_j C(p^M t, j) C(a, k - j) each j >= 1 term is
+    divisible by p^(M - v_p(j)) (Kummer); at s = 1 this is Lucas' theorem,
+    k < p^mod_power.  One pass of C(a, k) = C(a, k-1) (a-k+1)/k, keeping the
+    unit part mod p^s and the p-valuation apart, so a residue a of hundreds
+    of digits costs O(L) small operations.
     """
-    if k < 0:
-        return 0
-    if k >= p**mod_power:
-        raise PrecisionError(
-            f"binomial C(a, {k}) needs the exponent mod p^{mod_power} and more"
-        )
-    a %= p**mod_power
-    result = 1
-    while k:
-        ad, kd = a % p, k % p
-        if kd > ad:
-            return 0
-        result = (result * math.comb(ad, kd)) % p
-        a //= p
-        k //= p
-    return result
+    q = p**s
+    if mod_power is not None:
+        digits, power = 0, p
+        while power <= L:
+            digits, power = digits + 1, power * p
+        if L > 0 and mod_power < s + digits:
+            raise PrecisionError(f"need the exponent mod p^{s + digits} "
+                                 f"for C(a, {L}) mod p^{s}")
+        a %= p**mod_power
+    out = np.zeros(max(L, 0), dtype=np.int64)
+    unit, val = 1, 0
+    for k in range(1, L + 1):
+        num = a - k + 1
+        if num == 0:
+            break   # 0 <= a < k: C(a, k) and every later entry vanish
+        while num % p == 0:
+            num //= p
+            val += 1
+        den = k
+        while den % p == 0:
+            den //= p
+            val -= 1
+        unit = unit * (num % q) * pow(den, -1, q) % q
+        if val < s:
+            out[k - 1] = unit * p**val % q
+    return out
 
 
 class _Series:
@@ -348,7 +363,8 @@ class NormFieldElement(_Series):
         G^0..G^(k-1) for k = ceil(sqrt(N + 1)), one int64 product of the
         coefficient table with them, and Horner's rule in G^k; u^base comes
         by squaring u^-1.  Products are truncated convolutions mod p.
-        Independent of gamma_matrix and power_rows, which it rechecks.
+        Calls neither complexes.ring_window nor power_rows, which it
+        rechecks.
         """
         if G.m != self.m or G.p != self.p:
             raise ValueError("substitution series must live on the same grid")
@@ -450,9 +466,10 @@ def _generator_unit(p: int, a: int, mod_power: int,
     if kept is None or len(kept[0]) < length:
         n = min(max(length, 2 * len(kept[0]) if kept else 0),
                 p**mod_power - 1, (2**63 - 1) // (p - 1) ** 2)
-        G = NormFieldElement(p, 0, {j: binomial_mod_p(a, j, p, mod_power)
-                                    for j in range(1, n + 1)}, n + 1)
-        kept = (_dense(G, 1, n + 1), _dense(G.inverse(), -1, n - 1))
+        u = binomial_table_mod_ps(a, n, p, 1, mod_power)
+        G = NormFieldElement(p, 0, {j + 1: int(c) for j, c in enumerate(u)},
+                             n + 1)
+        kept = (u, _dense(G.inverse(), -1, n - 1))
         for arr in kept:
             arr.setflags(write=False)
     _GENERATORS[key] = kept
@@ -460,67 +477,6 @@ def _generator_unit(p: int, a: int, mod_power: int,
     if len(_GENERATORS) > _GENERATORS_MAX:
         _GENERATORS.popitem(last=False)
     return kept
-
-
-def gamma_matrix(p: int, a: int, mod_power: int, dom_lo: int, dom_hi: int,
-                 row_lo: int, row_hi: int) -> np.ndarray:
-    """Matrix of gamma_a, t |-> G = (1+t)^a - 1, on a monomial window.
-
-    Entry [n - row_lo, q - dom_lo] is the exact coefficient of t^n in G^q for
-    q in [dom_lo, dom_hi) and n in [row_lo, row_hi).  The formula is the same
-    at every grid level m, with t = pi^(1/p^m), so the level enters only
-    through the window, counted in grid steps.  Writing G = t*U, the
-    columns t^q * U^q come from one table of U (from binomial_mod_p, so a
-    window needing C(a, k) with k >= p^mod_power raises PrecisionError) and
-    its powers mod p from power_rows.
-    """
-    if a % p == 0:
-        raise ValueError("gamma exponent must be a p-adic unit")
-    A = np.zeros((max(row_hi - row_lo, 0), max(dom_hi - dom_lo, 0)),
-                 dtype=np.int64)
-    # column q only reaches rows n < row_hi, i.e. U^q below t^(row_hi - q)
-    L = row_hi - dom_lo
-    if not A.size or L <= 0:
-        return A
-    U = np.array([binomial_mod_p(a, k, p, mod_power) for k in range(1, L + 1)],
-                 dtype=np.int64)
-    powers = power_rows(U, p, dom_lo, dom_hi, end=row_hi)
-    for q in range(dom_lo, dom_hi):
-        lo, hi = max(row_lo, q), min(row_hi, q + L)
-        if lo < hi:
-            A[lo - row_lo:hi - row_lo, q - dom_lo] = powers[q - dom_lo,
-                                                            lo - q:hi - q]
-    return A
-
-
-# square gamma windows by (p, a, mod_power, hi): (lo, matrix on [lo, hi)^2)
-_GAMMA_WINDOWS: OrderedDict = OrderedDict()
-_GAMMA_WINDOWS_MAX = 8
-
-
-def gamma_corner(p: int, a: int, mod_power: int, lo: int,
-                 hi: int) -> np.ndarray:
-    """gamma_matrix(p, a, mod_power, lo, hi, lo, hi), read-only.
-
-    An entry depends only on its (n, q), so the window [lo, hi)^2 is the
-    trailing corner of every wider one with the same top.  One window is
-    kept per (p, a, mod_power, hi), the least recently used dropped past
-    _GAMMA_WINDOWS_MAX; it is rebuilt, down to lo exactly, only when a lower
-    lo is asked for, so it raises PrecisionError exactly when gamma_matrix
-    would and a failed rebuild keeps the window it had.
-    """
-    key = (p, a, mod_power, hi)
-    kept = _GAMMA_WINDOWS.get(key)
-    if kept is None or lo < kept[0]:
-        A = gamma_matrix(p, a, mod_power, lo, hi, lo, hi)
-        A.setflags(write=False)
-        kept = (lo, A)
-    _GAMMA_WINDOWS[key] = kept
-    _GAMMA_WINDOWS.move_to_end(key)
-    if len(_GAMMA_WINDOWS) > _GAMMA_WINDOWS_MAX:
-        _GAMMA_WINDOWS.popitem(last=False)
-    k = lo - kept[0]
-    return kept[1][k:, k:]
 
 
 def power_rows(U: np.ndarray, modulus: int, lo: int, hi: int,

@@ -12,12 +12,12 @@ level-m subspace, diagonally in the geometric direction and by an exact
 window solve in the arithmetic direction, with the residual certified to
 vanish on the window and the measured loss constant c3 reported.
 
-The arithmetic-direction solve reads gamma off ``normfield.gamma_corner``:
-every sample of one prime and level tops its window at the same exponent,
-so each window is a corner of one cached ``gamma_matrix`` window.  The TS3
-residual and the c4 probe recheck it through element gamma, a baby-step/
-giant-step evaluation on int64 vectors that is independent of
-``gamma_matrix`` and ``power_rows``.  The TS1 search runs on int64 vectors
+The arithmetic-direction solve reads gamma off ``complexes.ring_window`` at
+s = 1, in grid steps: every sample of one prime and level tops its window
+at the same exponent, so each window is a corner of one cached window.  The
+TS3 residual and the c4 probe recheck it through element gamma, a baby-step/
+giant-step evaluation on int64 vectors that shares only the binomial table
+with ``ring_window``.  The TS1 search runs on int64 vectors
 too.  The TS3 matrices are singular, and the reported c3 rests on the
 particular solution that sets the free unknowns to 0.  _solve_fp finds it
 by column reduction: the window matrices are strictly lower triangular, so
@@ -38,10 +38,10 @@ from fractions import Fraction
 
 import numpy as np
 
-from .complexes import cohomology, herr_complex
+from .complexes import cohomology, herr_complex, ring_gamma, ring_window
 from .errors import InvariantError, NonStabilizationError, PrecisionError
 from .normfield import (NormFieldElement, RelativeNormElement,
-                        _one_plus_gen_power, format_element, gamma_corner)
+                        _one_plus_gen_power, format_element)
 
 __all__ = [
     "TraceOperator",
@@ -381,7 +381,7 @@ def invert_one_minus_gamma(z, m: int, i: int = 0, chi: int | None = None,
     exact multiplier 1 - (1 + pi^(1/p^mx))^(p^m * j).  Direction 0 is an
     exact window solve of (gamma - I), restricted to the rows and columns
     off the level-m grid: gamma is the square window [lo_y, hi_rows)^2 of
-    gamma_corner, whose top hi_rows depends only on p, m and the input's
+    ring_window, whose top hi_rows depends only on p, m and the input's
     grid level and precision, and the system, strictly lower triangular in
     the monomial order, goes to _solve_fp.  In both cases the residual is
     certified, through element arithmetic, to vanish on the window, and the
@@ -440,7 +440,8 @@ def invert_one_minus_gamma(z, m: int, i: int = 0, chi: int | None = None,
     support = [n for n in range(lo_y, hi_rows) if n % f]
     pos = {n: r for r, n in enumerate(support)}
     off = np.array(support) - lo_y
-    A = gamma_corner(p, a_res, mod_power, lo_y, hi_rows)[np.ix_(off, off)]
+    A = ring_window(p, 1, ring_gamma(a_res, mod_power), -lo_y, -lo_y,
+                    hi_rows)[np.ix_(off, off)]
     A = (A - np.eye(len(off), dtype=np.int64)) % p
     b = np.zeros(len(support), dtype=np.int64)
     for n, cc in z.coeffs.items():

@@ -29,10 +29,9 @@ import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-import numpy as np
-
 from .errors import PrecisionError
-from .normfield import NormFieldElement, _Series, flat_normalization
+from .normfield import (NormFieldElement, _Series, binomial_table_mod_ps,
+                        flat_normalization)
 
 __all__ = [
     "ArithLiftElement",
@@ -55,67 +54,19 @@ __all__ = [
 ]
 
 
-def _legendre_vp_factorial(k: int, p: int) -> int:
-    v, q = 0, p
-    while q <= k:
-        v += k // q
-        q *= p
-    return v
-
-
 def binomial_mod_ps(a: int, k: int, p: int, s: int,
                     mod_power: int | None = None) -> int:
-    """C(a, k) mod p^s.
+    """C(a, k) mod p^s, entry k of normfield.binomial_table_mod_ps.
 
-    With mod_power=None the exponent a is exact and the binomial is computed
-    directly.  Otherwise a is only known mod p^mod_power, and the call fails
-    with PrecisionError unless that residue pins down the binomial mod p^s.
+    With mod_power=None the exponent a is exact.  Otherwise a is only known
+    mod p^mod_power, and the call fails with PrecisionError unless that
+    residue pins down the binomial mod p^s, by the table's rule.
     """
     if k < 0:
         return 0
-    if mod_power is None:
-        return math.comb(a, k) % p**s if a >= 0 else \
-            (pow(-1, k, p**s) * math.comb(k - a - 1, k)) % p**s
-    if mod_power < s + _legendre_vp_factorial(k, p):
-        raise PrecisionError(
-            f"need the exponent mod p^{s + _legendre_vp_factorial(k, p)} "
-            f"for C(a, {k}) mod p^{s}")
-    return math.comb(a % p**mod_power, k) % p**s
-
-
-def binomial_table_mod_ps(a: int, L: int, p: int, s: int,
-                          mod_power: int | None = None) -> np.ndarray:
-    """[C(a, k) mod p^s for k = 1..L], the values of binomial_mod_ps.
-
-    One pass of C(a, k) = C(a, k-1) (a-k+1)/k, keeping the unit part mod
-    p^s and the p-valuation apart, so a residue a of hundreds of digits
-    costs O(L) small operations.  Raises PrecisionError exactly when some
-    binomial_mod_ps(a, k, ...) with k <= L would.
-    """
-    q = p**s
-    if mod_power is not None:
-        if L and mod_power < s + _legendre_vp_factorial(L, p):
-            raise PrecisionError(
-                f"need the exponent mod p^{s + _legendre_vp_factorial(L, p)}"
-                f" for C(a, {L}) mod p^{s}")
-        a %= p**mod_power
-    out = np.zeros(L, dtype=np.int64)
-    unit, val = 1, 0
-    for k in range(1, L + 1):
-        num = a - k + 1
-        if num == 0:
-            break   # 0 <= a < k: C(a, k) and every later entry vanish
-        while num % p == 0:
-            num //= p
-            val += 1
-        den = k
-        while den % p == 0:
-            den //= p
-            val -= 1
-        unit = unit * (num % q) * pow(den, -1, q) % q
-        if val < s:
-            out[k - 1] = unit * p**val % q
-    return out
+    if k == 0:
+        return 1 % p**s
+    return int(binomial_table_mod_ps(a, k, p, s, mod_power)[k - 1])
 
 
 # ---------------------------------------------------------------------------

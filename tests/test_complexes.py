@@ -6,6 +6,7 @@ import random
 import numpy as np
 import pytest
 
+from phigamma import complexes
 from phigamma.complexes import (
     GammaComplex,
     certify_d_squared,
@@ -26,6 +27,7 @@ from phigamma.complexes import (
     _subquotient,
     _window_dims,
     ring_gamma,
+    ring_window,
     RING_ID,
     RING_PHI,
 )
@@ -158,6 +160,51 @@ def test_phi_columns_are_exact_inverses(p, s):
         assert np.array_equal(prod, one), n
 
 
+def fresh_window(p, s, ring, bot_in, bot_out, top):
+    """The window matrix entry by entry from a fresh column build."""
+    R = np.zeros((bot_out + top, bot_in + top), dtype=np.int64)
+    cols = _ring_column_series(p, s, ring, bot_in, top)
+    for j, (lead, arr) in enumerate(cols):
+        for i, c in enumerate(arr):
+            if lead + i >= -bot_out:
+                R[lead + i + bot_out, j] = c
+    return R
+
+
+@pytest.mark.parametrize("p, s", [(3, 1), (5, 2), (3, 3), (7, 2)])
+def test_ring_window_corners_deepen_each_side(p, s):
+    """Requests that deepen only the input side, only the output side, both,
+    or neither are read off one kept window per (p, s, ring, top), rebuilt as
+    deep as every request so far."""
+    omega2 = pow(2, p ** 99, p ** 100)
+    top = 7
+    steps = [(4, 6), (9, 6), (9, 20), (2, 3), (12, 8), (5, 30), (0, 0)]
+    for ring in (RING_ID, RING_PHI, ring_gamma(1 + p), ring_gamma(-1),
+                 ring_gamma(omega2, 100)):
+        complexes._WINDOWS.clear()
+        deepest = [0, 0]
+        for bot_in, bot_out in steps:
+            R = ring_window(p, s, ring, bot_in, bot_out, top)
+            assert not R.flags.writeable
+            assert np.array_equal(R, fresh_window(p, s, ring, bot_in,
+                                                  bot_out, top)), (ring,
+                                                                   bot_in)
+            deepest = [max(deepest[0], bot_in), max(deepest[1], bot_out)]
+            assert list(complexes._WINDOWS) == [(p, s, ring, top)]
+            assert list(complexes._WINDOWS[p, s, ring, top][:2]) == deepest
+
+
+def test_ring_window_cache_is_bounded():
+    complexes._WINDOWS.clear()
+    exponents = [a for a in range(1, 30) if a % 3]
+    for a in exponents:
+        ring_window(3, 2, ring_gamma(a), 5, 5, 4)
+        assert len(complexes._WINDOWS) <= complexes._WINDOWS_MAX
+    # the most recently used windows are the ones kept
+    assert [key[2] for key in complexes._WINDOWS] == [
+        ring_gamma(a) for a in exponents[-complexes._WINDOWS_MAX:]]
+
+
 def test_matmul_mod_matches_object_product():
     rng = np.random.default_rng(61)
     # q = 31^5: (q-1)^2 * 40 > 2^53, so the inner dimension 40 is split;
@@ -254,6 +301,24 @@ def test_delta_basis_is_a_basis_of_the_fixed_part(p, s, g):
             assert _eliminate(X.copy(), p, s) == [0] * X.shape[1]
             assert image_length(ZModMatrix(p, s, proj.matrix)) \
                 == s * X.shape[1]
+
+
+@pytest.mark.parametrize("p, s", [(5, 1), (5, 2), (7, 1), (7, 3)])
+def test_delta_actions_of_two_depths_share_one_window(p, s):
+    """The omega residue does not depend on the depth, so the Delta actions
+    of a shallow and a deep window are a corner and its extension, read off
+    one ring_window entry."""
+    top = 3
+    for n in (0, 1):
+        D = tate_twist(trivial(s, p=p), n)
+        complexes._WINDOWS.clear()
+        _, shallow = _delta_actions(D, 4, top)
+        _, deep = _delta_actions(D, 11, top)
+        for small, big in zip(shallow, deep):
+            assert np.array_equal(big[7:, 7:], small)
+        assert len(complexes._WINDOWS) == 1
+        (_, _, ring, _), = complexes._WINDOWS
+        assert ring[0] == "gamma" and ring[2] == s + 63
 
 
 # -- window cohomology -------------------------------------------------------

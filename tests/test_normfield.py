@@ -9,20 +9,19 @@ import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
-from phigamma import normfield
+from phigamma import complexes, normfield
+from phigamma.complexes import ring_gamma, ring_window
 from phigamma.errors import DepthExceededError, PrecisionError
 from phigamma.normfield import (
     ASExtension,
     NormFieldElement,
     RelativeNormElement,
     adjoin_as_root,
-    binomial_mod_p,
+    binomial_table_mod_ps,
     flat_normalization,
     format_element,
     frobenius_e,
-    gamma_corner,
     gamma_e,
-    gamma_matrix,
     parse_element,
     power_rows,
     raise_perfection,
@@ -272,6 +271,84 @@ def test_from_terms_rejects_denominator_prime_to_p():
 
 
 # -- gamma window matrices ---------------------------------------------------
+#
+# binomial_mod_p and gamma_matrix are the earlier s = 1 path, kept verbatim:
+# Lucas' theorem per coefficient, and one window matrix per call.  The
+# window matrices now come from complexes.ring_window at s = 1.
+
+
+def binomial_mod_p(a: int, k: int, p: int, mod_power: int) -> int:
+    """C(a, k) mod p via Lucas, for a given as a residue mod p^mod_power.
+
+    Valid only when k < p^mod_power: higher k would see digits of a that the
+    residue does not determine.
+    """
+    if k < 0:
+        return 0
+    if k >= p**mod_power:
+        raise PrecisionError(
+            f"binomial C(a, {k}) needs the exponent mod p^{mod_power} and more"
+        )
+    a %= p**mod_power
+    result = 1
+    while k:
+        ad, kd = a % p, k % p
+        if kd > ad:
+            return 0
+        result = (result * math.comb(ad, kd)) % p
+        a //= p
+        k //= p
+    return result
+
+
+def gamma_matrix(p: int, a: int, mod_power: int, dom_lo: int, dom_hi: int,
+                 row_lo: int, row_hi: int) -> np.ndarray:
+    """Matrix of gamma_a, t |-> G = (1+t)^a - 1, on a monomial window.
+
+    Entry [n - row_lo, q - dom_lo] is the exact coefficient of t^n in G^q for
+    q in [dom_lo, dom_hi) and n in [row_lo, row_hi).  The formula is the same
+    at every grid level m, with t = pi^(1/p^m), so the level enters only
+    through the window, counted in grid steps.  Writing G = t*U, the
+    columns t^q * U^q come from one table of U (from binomial_mod_p, so a
+    window needing C(a, k) with k >= p^mod_power raises PrecisionError) and
+    its powers mod p from power_rows.
+    """
+    if a % p == 0:
+        raise ValueError("gamma exponent must be a p-adic unit")
+    A = np.zeros((max(row_hi - row_lo, 0), max(dom_hi - dom_lo, 0)),
+                 dtype=np.int64)
+    # column q only reaches rows n < row_hi, i.e. U^q below t^(row_hi - q)
+    L = row_hi - dom_lo
+    if not A.size or L <= 0:
+        return A
+    U = np.array([binomial_mod_p(a, k, p, mod_power) for k in range(1, L + 1)],
+                 dtype=np.int64)
+    powers = power_rows(U, p, dom_lo, dom_hi, end=row_hi)
+    for q in range(dom_lo, dom_hi):
+        lo, hi = max(row_lo, q), min(row_hi, q + L)
+        if lo < hi:
+            A[lo - row_lo:hi - row_lo, q - dom_lo] = powers[q - dom_lo,
+                                                            lo - q:hi - q]
+    return A
+
+
+def gamma_window(p, a, mod_power, dom_lo, dom_hi, row_lo, row_hi):
+    """The gamma_matrix window, read off ring_window at s = 1."""
+    top = max(dom_hi, row_hi)
+    R = ring_window(p, 1, ring_gamma(a, mod_power), -dom_lo, -row_lo, top)
+    return R[:row_hi - row_lo, :dom_hi - dom_lo]
+
+
+def square_window(p, a, mod_power, lo, hi):
+    """gamma on [lo, hi)^2, as tatesen.invert_one_minus_gamma reads it."""
+    return ring_window(p, 1, ring_gamma(a, mod_power), -lo, -lo, hi)
+
+
+def _window_outcome(build, *args):
+    try:
+        return build(*args)
+    except PrecisionError:
+        return "PrecisionError"
 
 
 def element_gamma_matrix(p, m, a, mod_power, dom_lo, dom_hi, row_lo, row_hi):
@@ -295,44 +372,143 @@ def test_gamma_matrix_matches_element_gamma(p, m):
                (-4, 3, 1, 5)]       # rows cut off the low columns
     for a in (1 + p, -1, omega2):
         for w in windows:
-            assert np.array_equal(gamma_matrix(p, a, 12, *w),
+            assert np.array_equal(gamma_window(p, a, 12, *w),
                                   element_gamma_matrix(p, m, a, 12, *w))
+            assert np.array_equal(gamma_window(p, a, 12, *w),
+                                  gamma_matrix(p, a, 12, *w))
 
 
 def test_gamma_matrix_binomial_precision():
     # rows up to t^11 from t^0 need C(a, k) for k up to 12 > 3^2
     with pytest.raises(PrecisionError):
-        gamma_matrix(3, 4, 2, 0, 5, 0, 12)
-    assert gamma_matrix(3, 4, 2, 0, 5, 0, 8).shape == (8, 5)
+        gamma_window(3, 4, 2, 0, 5, 0, 12)
+    assert gamma_window(3, 4, 2, 0, 5, 0, 8).shape == (8, 5)
     with pytest.raises(ValueError):
-        gamma_matrix(3, 6, 12, 0, 5, 0, 8)
+        gamma_window(3, 6, 12, 0, 5, 0, 8)
 
 
 @pytest.mark.parametrize("p", [3, 5, 7])
 def test_gamma_corner_is_the_gamma_matrix_window(p):
+    complexes._WINDOWS.clear()
     a = pow(1 + p, p, p**14)
     hi = 6 * p + 5
     # lows going down widen the kept window, lows going up read its corners
     for lo in (-p, 2, -3 * p - 1, 0, -3 * p - 1, hi - 1, hi, -2, 7):
-        A = gamma_corner(p, a, 14, lo, hi)
+        A = square_window(p, a, 14, lo, hi)
         assert not A.flags.writeable
         assert np.array_equal(A, gamma_matrix(p, a, 14, lo, hi, lo, hi))
+    kept = complexes._WINDOWS[(p, 1, ring_gamma(a, 14), hi)]
+    assert kept[:2] == (3 * p + 1, 3 * p + 1)
+    # equal to a fresh build
+    complexes._WINDOWS.clear()
+    assert np.array_equal(square_window(p, a, 14, 2, hi),
+                          kept[2][3 * p + 3:, 3 * p + 3:])
     # another top is another window
-    assert np.array_equal(gamma_corner(p, a, 14, -4, hi - 3),
+    assert np.array_equal(square_window(p, a, 14, -4, hi - 3),
                           gamma_matrix(p, a, 14, -4, hi - 3, -4, hi - 3))
 
 
 def test_gamma_corner_binomial_precision():
     # [lo, 9) reads C(4, k) for k <= 9 - lo; mod 3^2 that stops below k = 9
-    assert np.array_equal(gamma_corner(3, 4, 2, 1, 9),
+    complexes._WINDOWS.clear()
+    assert np.array_equal(square_window(3, 4, 2, 1, 9),
                           gamma_matrix(3, 4, 2, 1, 9, 1, 9))
+    kept = complexes._WINDOWS[(3, 1, ring_gamma(4, 2), 9)]
     with pytest.raises(PrecisionError):
-        gamma_corner(3, 4, 2, 0, 9)
+        square_window(3, 4, 2, 0, 9)
     # the failed widening keeps the window it had
-    assert np.array_equal(gamma_corner(3, 4, 2, 3, 9),
+    assert complexes._WINDOWS[(3, 1, ring_gamma(4, 2), 9)] is kept
+    assert np.array_equal(square_window(3, 4, 2, 3, 9),
                           gamma_matrix(3, 4, 2, 3, 9, 3, 9))
     with pytest.raises(ValueError):
-        gamma_corner(3, 6, 12, 0, 9)
+        square_window(3, 6, 12, 0, 9)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+@pytest.mark.parametrize("m", [0, 1, 2])
+def test_ring_window_is_gamma_matrix_on_ts3_windows(p, m):
+    """Square windows [lo, hi)^2 as invert_one_minus_gamma reads them, at
+    a = (1+p)^(p^m): equal to the reference, and at mod_power 2 and 3, with
+    widths around p^mod_power, raising on the same windows."""
+    f = p ** (m + 1)
+    for mod_power in (14, 3, 2):
+        a = pow(1 + p, p**m, p**mod_power)
+        widths = ((f + 2, 2 * f + 1) if mod_power == 14 else
+                  (p**mod_power - 1, p**mod_power, p**mod_power + 1))
+        for lo in (-f - p, 0, f + 1):
+            for width in widths:
+                hi = lo + width
+                got = _window_outcome(square_window, p, a, mod_power, lo, hi)
+                want = _window_outcome(gamma_matrix, p, a, mod_power,
+                                       lo, hi, lo, hi)
+                if isinstance(want, str):
+                    assert got == want, (mod_power, lo, width)
+                else:
+                    assert np.array_equal(got, want), (mod_power, lo, width)
+                    assert width < p**mod_power
+
+
+# -- the binomial precision rule ---------------------------------------------
+
+
+def _log_floor(k, p):
+    e = 0
+    while p ** (e + 1) <= k:
+        e += 1
+    return e
+
+
+def test_binomial_residue_rule():
+    """C(a + t p^M, k) = C(a, k) mod p^s at M = s + floor(log_p k), and at
+    k = p^e not at M - 1: C(p^(M-1), p^e) has p-valuation s - 1."""
+    rng = random.Random(1997)
+    for p in (2, 3, 5, 7):
+        for s in range(1, 7):
+            q = p**s
+            for k in [rng.randint(1, 400) for _ in range(24)] + [1, p, p * p]:
+                M = s + _log_floor(k, p)
+                for _ in range(3):
+                    a, t = rng.randrange(p**(M + 3)), rng.randint(1, p**4)
+                    assert math.comb(a + t * p**M, k) % q \
+                        == math.comb(a, k) % q, (p, s, k, a, t)
+                e = _log_floor(k, p)
+                assert math.comb(p**(s + e - 1), p**e) % q  # nonzero
+                assert math.comb(0, p**e) == 0
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+@pytest.mark.parametrize("s", [1, 2, 4])
+def test_binomial_table_takes_the_least_residue(p, s):
+    """The table accepts mod_power = s + floor(log_p L), refuses one less,
+    and its values are those of the exact exponent."""
+    a = pow(2, p**40, p**41)
+    for L in (1, p - 1, p, p * p + 3, 2 * p**3):
+        M = s + _log_floor(L, p)
+        exact = binomial_table_mod_ps(a, L, p, s)
+        assert np.array_equal(binomial_table_mod_ps(a, L, p, s, M), exact)
+        with pytest.raises(PrecisionError):
+            binomial_table_mod_ps(a, L, p, s, M - 1)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_binomial_table_raises_where_lucas_does(p):
+    """At s = 1 the table raises for L exactly when some k <= L is refused
+    by the Lucas reference, k >= p^mod_power, and agrees with it below."""
+    a = pow(1 + p, p**3, p**9) * pow(2, p**8, p**9) % p**9
+    for mod_power in range(1, 5):
+        limit = p**mod_power
+        ok = binomial_table_mod_ps(a, limit - 1, p, 1, mod_power)
+        assert list(ok) == [binomial_mod_p(a, k, p, mod_power)
+                            for k in range(1, limit)]
+        for L in range(limit + 3):
+            lucas = L >= limit   # binomial_mod_p(a, L, ...) raises
+            try:
+                table = binomial_table_mod_ps(a, L, p, 1, mod_power)
+            except PrecisionError:
+                assert lucas, (mod_power, L)
+            else:
+                assert not lucas, (mod_power, L)
+                assert np.array_equal(table, ok[:L])
 
 
 def test_power_rows_cut_rows_at_end():
@@ -687,8 +863,7 @@ def test_element_gamma_shares_nothing_with_the_window_matrices(monkeypatch):
     def unused(*args, **kwargs):
         raise AssertionError("element gamma reached a window-matrix helper")
 
-    for name in ("gamma_matrix", "gamma_corner", "power_rows"):
-        monkeypatch.setattr(normfield, name, unused)
+    monkeypatch.setattr(normfield, "power_rows", unused)
     normfield._GENERATORS.clear()
     x = NormFieldElement(5, 1, {-4: 2, 0: 1, 17: 3}, 30)
     a = pow(6, 5, 5**14)
