@@ -36,12 +36,13 @@ of least exponent v < 0 (_out_depth).  Delta mode works on the
 Delta-fixed part of each window: Delta = (Z/p)^x is cyclic, so one
 generator's twisted window matrix is built and the other actions are its
 powers; the averaging idempotent E is checked to satisfy E E = E, and the
-basis is a set of columns of E (delta_project).  A cohomology call keeps
-one cache keyed by depth: the Delta basis X and the X-projected d0 and d1
-of each depth, assembled once into that depth's own output window, serve
-both the window of that depth (its kernels) and the window of half that
-depth (its deep coboundaries, cut at their rows below pi^-b); the least
-depth's d0 is the one that d o d = 0 was certified through.  This module
+basis is a set of columns of E (delta_project).  A cohomology call
+assembles raw d0 and d1, the Delta basis X and the X-projected d0 and d1
+once, at twice its deepest schedule depth, and reads every window as
+trailing corners of that build (_window_data): a window of depth b reads
+depth b (its kernels) and depth 2b (its deep coboundaries, cut at their
+rows below pi^-b).  The certificate of d o d = 0 at the least depth reads
+its d0 and d1 off the same raw pair when they fit.  This module
 has no elimination of its own: window products mod p^s go through
 zmodlin._matmul_mod, and kernels, lengths and elementary divisors are read
 from zmodlin's Smith form.  A kernel's length comes with it by
@@ -476,11 +477,16 @@ def _operator_matrix(D: PhiGammaModule, op, bot_in: int, bot_out: int,
 
 
 def _block_matrix(D, blocks, bot_in, bot_out, top) -> np.ndarray:
-    zero = np.zeros((D.rank * (bot_out + top), D.rank * (bot_in + top)),
-                    dtype=np.int64)
-    return np.block([[zero if op is None
-                      else _operator_matrix(D, op, bot_in, bot_out, top)
-                      for op in row] for row in blocks])
+    """Block matrix of operators, each block written into the result as it
+    is built, so that one block at a time is alive beside it."""
+    h, w = D.rank * (bot_out + top), D.rank * (bot_in + top)
+    M = np.zeros((len(blocks) * h, len(blocks[0]) * w), dtype=np.int64)
+    for i, row in enumerate(blocks):
+        for j, op in enumerate(row):
+            if op is not None:
+                M[i * h:(i + 1) * h, j * w:(j + 1) * w] = _operator_matrix(
+                    D, op, bot_in, bot_out, top)
+    return M
 
 
 # -- Delta projection --------------------------------------------------------
@@ -689,39 +695,79 @@ def _out_depth(D: PhiGammaModule, b: int) -> int:
     return p * b + max(2 * s + 4, (p - 1) * (s - 1) + 2 - min(v, 0))
 
 
+def _in_window(idx: np.ndarray, depth: int, top: int, b: int) -> np.ndarray:
+    """Mask of the positions idx, in a block layout of windows [-depth, top)
+    (index comp * window + (n + depth)), whose exponent n is at least -b."""
+    return idx % (depth + top) >= depth - b
+
+
+def _corner(M: np.ndarray, depth_in: int, depth_out: int, b_in: int,
+            b_out: int, top: int, cols: np.ndarray | None = None):
+    """The matrix from [-b_in, top) to [-b_out, top) read off M, a matrix from
+    [-depth_in, top) to [-depth_out, top): its trailing input columns and
+    output rows in each component block.  cols, if given, holds the window
+    position of each column of M."""
+    cols = np.arange(M.shape[1]) if cols is None else cols
+    return M[np.ix_(_in_window(np.arange(M.shape[0]), depth_out, top, b_out),
+                    _in_window(cols, depth_in, top, b_in))]
+
+
+def _assemble(T: GammaComplex, b: int, top: int):
+    """Raw d0 and d1 from the depth-b window into the window of depth
+    _out_depth(b), which holds every image, and the window data read from
+    them: (pos, X, d0 X, d1 diag(X, X)).  X is the Delta basis, or None in
+    free mode, where it is the identity; pos holds the window position of
+    each basis vector, the diagonal 1 of E whose column it is."""
+    D = T.module
+    q = D.p ** D.s
+    bo = _out_depth(D, b)
+    d0 = _block_matrix(D, T.diffs[0], b, bo, top)
+    d1 = _block_matrix(D, T.diffs[1], b, bo, top)
+    if T.mode != "delta":
+        return d0, d1, (np.arange(d0.shape[1]), None, d0, d1)
+    E = delta_project(D, b, top).matrix
+    pos = np.flatnonzero(np.diagonal(E) == 1)
+    X = E[:, pos]
+    # d1 takes two window slots: d1 @ diag(X, X)
+    w = X.shape[0]
+    return d0, d1, (pos, X, _matmul_mod(d0, X, q),
+                    np.hstack([_matmul_mod(d1[:, :w], X, q),
+                               _matmul_mod(d1[:, w:], X, q)]))
+
+
 def _window_data(T: GammaComplex, b: int, top: int, cache: dict):
     """(X, d0 X, d1 diag(X, X)) on the depth-b window, into the window of
     depth _out_depth(b), which holds every image; X is the Delta basis, or
-    None in free mode, where it is the identity.  Built once per depth into
-    cache, which may hold under ("d0", b) the d0 that d^2 = 0 was certified
-    through (cohomology)."""
-    if b in cache:
-        return cache[b]
-    D = T.module
-    p, s = D.p, D.s
-    q = p ** s
-    bo = _out_depth(D, b)
-    d0 = cache.pop(("d0", b), None)
-    if d0 is None:
-        d0 = _block_matrix(D, T.diffs[0], b, bo, top)
-    d1 = _block_matrix(D, T.diffs[1], b, bo, top)
-    X = delta_project(D, b, top).basis if T.mode == "delta" else None
-    if X is not None:
-        # d1 takes two window slots: d1 @ diag(X, X)
-        w = X.shape[0]
-        d0 = _matmul_mod(d0, X, q)
-        d1 = np.hstack([_matmul_mod(d1[:, :w], X, q),
-                        _matmul_mod(d1[:, w:], X, q)])
-    cache[b] = X, d0, d1
-    return cache[b]
+    None in free mode, where it is the identity.
+
+    cache holds one assembled depth (_assemble), under that depth.  A depth
+    at most that one is read off it as a trailing corner (_corner); a deeper
+    one is assembled and replaces it.  Every entry depends only on its row,
+    its column and the top, so a corner equals a fresh build, X included: E
+    is lower triangular in each block, so its corner is the projector of
+    depth b, and its columns at a diagonal 1 of exponent at least -b have
+    no entry below pi^-b."""
+    held = max(cache, default=None)
+    if held is None or held < b:
+        cache.clear()
+        cache[b] = _assemble(T, b, top)[2]
+        held = b
+    pos, X, d0, d1 = cache[held]
+    if held == b:
+        return X, d0, d1
+    ho, bo = _out_depth(T.module, held), _out_depth(T.module, b)
+    return (None if X is None else _corner(X, held, held, b, b, top, pos),
+            _corner(d0, held, ho, b, bo, top, pos),
+            # d1 diag(X, X) has the columns of X twice
+            _corner(d1, held, ho, b, bo, top, np.tile(pos, 2)))
 
 
 def _window_dims(T: GammaComplex, b: int, cache: dict):
     """Dims and profiles at depth b.  A window reads the data of depths b
-    and 2b (_window_data) from cache, which maps a depth to its data and is
-    filled as the depths come, so a schedule assembles each depth once;
-    depth b is read only for its kernels, depth 2b is cut at its rows below
-    pi^-b."""
+    and 2b, in that order, through cache (_window_data), which holds one
+    assembled depth: a cache seeded at 2b or deeper assembles nothing, and
+    an empty one assembles depth b, then depth 2b.  Depth b is read only for
+    its kernels, depth 2b is cut at its rows below pi^-b."""
     D = T.module
     p, s, r = D.p, D.s, D.rank
     q = p ** s
@@ -734,7 +780,7 @@ def _window_dims(T: GammaComplex, b: int, cache: dict):
     win_o = bo + top
 
     # the rows of an output slot of depth 2b below the depth-b cut
-    below = np.arange(r * win_o) % win_o < bo - b
+    below = ~_in_window(np.arange(r * win_o), bo, top, b)
 
     def rows(M, keep):
         return M[np.tile(keep, M.shape[0] // keep.size)]
@@ -772,25 +818,31 @@ def _window_dims(T: GammaComplex, b: int, cache: dict):
     return (h0, h1, h2), (prof0, prof1, prof2)
 
 
-def _certified_d0(T: GammaComplex, b: int, top: int) -> np.ndarray:
-    """d0 from the depth-b window into the depth-_out_depth(b) one, returned
-    once d1 o d0 is zero through a window wide enough to hold both images;
-    InvariantError otherwise."""
+def _certify(T: GammaComplex, b: int, top: int, raw=None) -> None:
+    """Exact composition d1 o d0 through a window wide enough to hold both
+    images: d0 from the depth-b window into the depth-bo = _out_depth(b) one,
+    d1 from there into the depth-_out_depth(bo) one.  Both are read as
+    corners of raw = (B, d0, d1), a raw pair of depth B (_assemble), when
+    bo <= B, and built otherwise.  InvariantError unless d1 o d0 is zero."""
     D = T.module
-    p, s = D.p, D.s
     bo = _out_depth(D, b)
     bo2 = _out_depth(D, bo)
-    d0 = _block_matrix(D, T.diffs[0], b, bo, top)
-    d1 = _block_matrix(D, T.diffs[1], bo, bo2, top)
-    if _matmul_mod(d1, d0, p ** s).any():
+    if raw is not None and bo <= raw[0]:
+        B, d0, d1 = raw
+        Bo = _out_depth(D, B)
+        d0 = _corner(d0, B, Bo, b, bo, top)
+        d1 = _corner(d1, B, Bo, bo, bo2, top)
+    else:
+        d0 = _block_matrix(D, T.diffs[0], b, bo, top)
+        d1 = _block_matrix(D, T.diffs[1], bo, bo2, top)
+    if _matmul_mod(d1, d0, D.p ** D.s).any():
         raise InvariantError("d^2 != 0 on the certification window")
-    return d0
 
 
 def certify_d_squared(T: GammaComplex, b: int) -> bool:
     """Exact composition d1 o d0 through a window wide enough to hold both
     images; zero entrywise or InvariantError."""
-    _certified_d0(T, b, _tail_floor(T.module))
+    _certify(T, b, _tail_floor(T.module))
     return True
 
 
@@ -799,17 +851,30 @@ def cohomology(T: GammaComplex, schedule=None) -> CohomologyReport:
 
     Dims are accepted only when the last three schedule entries agree;
     otherwise the verdict is "unstable" and callers must not trust dims.
-    The windows share one cache of window data for the call, so each depth
-    of the schedule and its double is assembled once (_window_data), the
-    least depth's d0 taken from the certification of d^2 = 0.
+    The window data is assembled once, at twice the deepest schedule depth,
+    and every window reads its depth and twice its depth as trailing
+    corners of it (_window_data); so do d0 and d1 of the certification of
+    d^2 = 0 at the least depth, when they fit, and the raw pair is dropped
+    once they are read.  If that assembly fails, the certification and the
+    depths run one by one, as each is needed, so a failing schedule reports
+    the error its first failing step raises.
     """
     if T.kind == "finite":
         return _finite_report(T)
     if not T.coned or T.n_terms != 3:
         raise ValueError("window cohomology expects the three-term phi-cone")
     schedule = tuple(schedule) if schedule else DEFAULT_SCHEDULE
-    b0 = min(schedule)
-    cache = {("d0", b0): _certified_d0(T, b0, _tail_floor(T.module))}
+    top = _tail_floor(T.module)
+    deepest = 2 * max(schedule)
+    try:
+        d0, d1, data = _assemble(T, deepest, top)
+    except (PrecisionError, InvariantError):
+        _certify(T, min(schedule), top)
+        cache = {}
+    else:
+        _certify(T, min(schedule), top, (deepest, d0, d1))
+        del d0, d1
+        cache = {deepest: data}
     trace = []
     profiles = None
     for b in schedule:

@@ -13,15 +13,17 @@ window solve in the arithmetic direction, with the residual certified to
 vanish on the window and the measured loss constant c3 reported.
 
 The arithmetic-direction solve reads gamma off ``complexes.ring_window`` at
-s = 1, in grid steps: every sample of one prime and level tops its window
-at the same exponent, so each window is a corner of one cached window.  The
+s = 1, in grid steps, and keeps the system packed, one Python integer per
+column: every sample of one prime and level tops its window at the same
+exponent, so each system is a corner of one kept system (_ts3_system).  The
 TS3 residual and the c4 probe recheck it through element gamma, a baby-step/
 giant-step evaluation on int64 vectors that shares only the binomial table
-with ``ring_window``.  The TS1 search runs on int64 vectors
-too.  The TS3 matrices are singular, and the reported c3 rests on the
-particular solution that sets the free unknowns to 0.  _solve_fp finds it
-by column reduction: the window matrices are strictly lower triangular, so
-their columns come nearly in column echelon form.
+with ``ring_window``.  The TS1 search tests every power of zeta - 1 at once,
+on one int64 array of traces.  The TS3 matrices are singular, and the
+reported c3 rests on the particular solution that sets the free unknowns to
+0.  _solve_packed finds it by column reduction: the window matrices are
+strictly lower triangular, so their columns come nearly in column echelon
+form.
 
 Decompletion has no engine of its own.  At s = 1 the level-m ring is
 F_p((t)) with t = pi^(1/p^m), and phi(t) = t^p, gamma(t) = (1+t)^a - 1 are
@@ -33,6 +35,8 @@ of complexes.cohomology, the level-m one p^m times deeper.
 from __future__ import annotations
 
 import json
+from bisect import bisect_left
+from collections import OrderedDict
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -257,25 +261,30 @@ class TS1Witness:
         }
 
 
-def _ts1_traces(p: int, n: int, q: int, count: int):
+def _ts1_traces(p: int, n: int, q: int, count: int) -> np.ndarray:
     """One-step traces Tr_{n+1 -> n} (zeta_{p^(n+1)} - 1)^k mod q, k < count,
-    as int64 vectors on the level-(n+1) canonical basis zeta^e, e < (p-1)p^n.
+    as the rows of an int64 array on the level-(n+1) canonical basis zeta^e,
+    e < (p-1)p^n.
 
-    The power steps by one shift and subtract on the exponents e < p^(n+1);
-    each conjugation zeta -> zeta^u, u = 1 + i*p^n, permutes them, so the
-    trace is p gathers, normalized by one fold of the e >= (p-1)p^n.
+    The powers come from one Pascal recurrence on the exponents e < p^(n+1),
+    a shift and a subtract per power; each conjugation zeta -> zeta^u,
+    u = 1 + i*p^n, permutes the exponents, so the traces are p gathers over
+    the whole array, normalized by one fold of the e >= (p-1)p^n.
     """
     if p * q >= 2**63:
         raise ValueError(f"modulus {q} exceeds int64 trace arithmetic")
     f, top = p ** (n + 1), (p - 1) * p ** n
     exps = np.arange(f)
-    conj = [exps * pow(1 + i * p**n, -1, f) % f for i in range(p)]
-    power = np.zeros(f, dtype=np.int64)
-    power[0] = 1
-    for _ in range(count):
-        tr = sum(power[g] for g in conj)
-        yield (tr[:top].reshape(p - 1, -1) - tr[top:]).ravel() % q
-        power = (np.roll(power, 1) - power) % q
+    powers = np.zeros((count, f), dtype=np.int64)
+    if count:
+        powers[0, 0] = 1
+    for prev, row in zip(powers, powers[1:]):
+        row[1:], row[0] = prev[:-1], prev[-1]
+        row -= prev
+        row %= q
+    tr = sum(powers[:, exps * pow(1 + i * p**n, -1, f) % f] for i in range(p))
+    return ((tr[:, :top].reshape(count, p - 1, p**n) - tr[:, None, top:])
+            .reshape(count, top) % q)
 
 
 def ts1_witness_search(p: int, s: int, n: int, c: Fraction) -> TS1Witness:
@@ -291,30 +300,54 @@ def ts1_witness_search(p: int, s: int, n: int, c: Fraction) -> TS1Witness:
     s_work = s + n + 5       # headroom for the exact p-power divisions
     e_rel = (p - 1) * p ** n  # absolute ramification index at level n+1
     searched = 2 * e_rel
-    best = None
-    for k, tr in enumerate(_ts1_traces(p, n, p ** s_work, searched)):
-        j = 1 + k // e_rel   # divisor p^j keeping v(alpha) in (-2, 0)
-        if not np.any(tr % p ** j):
-            # the trace lies in the level-n subring; it is a unit iff it is
-            # nonzero in the residue field (zeta -> 1)
-            res = int((tr // p ** j).sum() % p)
-            if res:
-                v = Fraction(k, e_rel) - j
-                if best is None or v > best[1]:
-                    best = (k, v, res)
-    if best is None or best[1] <= -c:
-        return TS1Witness(False, n, None, None if best is None else best[1],
-                          None, "(zeta-1)^k / p^j", searched)
-    return TS1Witness(True, n, best[0], best[1], best[2],
-                      "(zeta-1)^k / p^j", searched)
+    tr = _ts1_traces(p, n, p ** s_work, searched)
+    k = np.arange(searched)
+    j = 1 + k // e_rel       # divisor p^j keeping v(alpha) in (-2, 0)
+    pj = (p ** j)[:, None]
+    # a trace in the level-n subring is a unit iff it is nonzero in the
+    # residue field (zeta -> 1)
+    res = (tr // pj).sum(axis=1) % p
+    found = np.flatnonzero(~(tr % pj).any(axis=1) & (res != 0))
+    # e_rel * v(alpha) = k - j * e_rel; the least k of the largest v wins
+    scaled = found - j[found] * e_rel
+    best = int(found[np.argmax(scaled)]) if found.size else None
+    v = None if best is None else Fraction(int(scaled.max()), e_rel)
+    if v is None or v <= -c:
+        return TS1Witness(False, n, None, v, None, "(zeta-1)^k / p^j",
+                          searched)
+    return TS1Witness(True, n, best, v, int(res[best]), "(zeta-1)^k / p^j",
+                      searched)
 
 
 # -- TS3: inverting 1 - gamma^(p^m) off the trace image ----------------------
 
 
-def _solve_fp(A: np.ndarray, b: np.ndarray, p: int):
+def _lanes(p: int):
+    """(width, k, mult) of packed F_p columns: a column is one Python integer
+    with one lane of width bits per row, row 0 lowest.  A lane below 2^a,
+    a = bit length of p(p - 1), reduces mod p by one Barrett multiply-shift:
+    floor(z * mult / 2^k) = floor(z / p) for z < 2^a, and z * mult <
+    2^width, so no carry crosses a lane."""
+    a = (p * (p - 1)).bit_length()
+    k = a + p.bit_length()
+    width = next((8 * n for n in (1, 2, 4, 8) if 8 * n >= a + k), None)
+    if width is None:
+        raise ValueError(f"prime {p} is too large for packed F_p columns")
+    return width, k, -(-(1 << k) // p)
+
+
+def _pack(A: np.ndarray, p: int) -> list:
+    """The columns of A mod p, packed (_lanes)."""
+    cols = np.empty((A.shape[1], A.shape[0]),
+                    dtype=np.dtype(f"<u{_lanes(p)[0] // 8}"))
+    cols[:] = A.T % p
+    return [int.from_bytes(c.tobytes(), "little") for c in cols]
+
+
+def _solve_packed(cols: list, b: int, n_rows: int, p: int):
     """The solution of A x = b over F_p whose free unknowns are 0, or None
-    if there is none.
+    if there is none; A has n_rows rows, and its columns and b are packed
+    (_pack).
 
     A column is free when it lies in the span of the columns to its left,
     as in a row echelon with pivots taken greedily from the left.  Columns
@@ -324,28 +357,16 @@ def _solve_fp(A: np.ndarray, b: np.ndarray, p: int):
     free.  b ends at zero exactly when the system is consistent, and undoing
     the recorded operations on it gives x.  The TS3 matrices are strictly
     lower triangular, so their columns come close to column echelon form
-    and most need no operation or a few.
-
-    A column is one Python integer with one lane of ``width`` bits per row.
-    An operation adds (p - f) times another column, which keeps every lane
-    below p(p - 1) < 2^a, and reduces each lane mod p by one Barrett
-    multiply-shift: floor(z * mult / 2^k) = floor(z / p) for z < 2^a, and
-    z * mult < 2^width, so no carry crosses a lane.
+    and most need no operation or a few.  An operation adds (p - f) times
+    another column, which keeps every lane below p(p - 1), and reduces each
+    lane mod p by one Barrett step (_lanes).
     """
-    n_rows, n_cols = A.shape
-    a = (p * (p - 1)).bit_length()
-    k = a + p.bit_length()
-    lane = next((np.dtype(f"<u{n}") for n in (1, 2, 4, 8) if 8 * n >= a + k),
-                None)
-    if lane is None:
-        raise ValueError(f"prime {p} is too large for packed F_p columns")
-    width, mult = 8 * lane.itemsize, -(-(1 << k) // p)
-    cols = np.empty((n_cols + 1, n_rows), dtype=lane)
-    cols[:n_cols] = A.T % p
-    cols[n_cols] = b % p
-    cols = [int.from_bytes(c.tobytes(), "little") for c in cols]
-    quot = int.from_bytes(np.full(n_rows, (1 << (width - k)) - 1,
-                                  dtype=lane).tobytes(), "little")
+    width, k, mult = _lanes(p)
+    n_cols = len(cols)
+    cols = [*cols, b]
+    # (2^(width - k) - 1) in every lane: the repunit in base 2^width times it
+    quot = ((1 << (width - k)) - 1) * (((1 << (width * n_rows)) - 1)
+                                       // ((1 << width) - 1))
     mask = (1 << width) - 1
     lead, ops = {}, []
     for c, x in enumerate(cols):
@@ -353,9 +374,8 @@ def _solve_fp(A: np.ndarray, b: np.ndarray, p: int):
             r = ((x & -x).bit_length() - 1) // width
             if r not in lead:
                 break
-            j = lead[r]
-            f = ((x >> (r * width)) & mask) * pow(
-                (cols[j] >> (r * width)) & mask, -1, p) % p
+            j, inv = lead[r]
+            f = ((x >> (r * width)) & mask) * inv % p
             ops.append((c, j, f))
             z = x + (p - f) * cols[j]
             x = z - p * (((z * mult) >> k) & quot)
@@ -364,13 +384,55 @@ def _solve_fp(A: np.ndarray, b: np.ndarray, p: int):
         if c == n_cols:
             return None
         cols[c] = x
-        lead[r] = c
+        lead[r] = c, pow((x >> (r * width)) & mask, -1, p)
     # b - sum of f * (reduced column j) is 0; a reduced column is its own
     # column minus recorded multiples of earlier ones, so undo in reverse
     w = [0] * n_cols + [1]
     for c, j, f in reversed(ops):
         w[j] = (w[j] - f * w[c]) % p
     return np.array([-v % p for v in w[:n_cols]], dtype=np.int64)
+
+
+# packed TS3 system kept per (p, a_res, mod_power, f, hi_rows):
+# (lo_y, support, columns)
+_SYSTEMS: OrderedDict = OrderedDict()
+_SYSTEMS_MAX = 8
+
+
+def _ts3_system(p: int, a_res: int, mod_power: int, f: int, lo_y: int,
+                hi_rows: int):
+    """(support, columns) of gamma - 1, gamma = gamma_(a_res) on ring_window,
+    on the exponents in [lo_y, hi_rows) off the grid of multiples of f, both
+    as unknowns and as rows; the columns are packed (_pack).
+
+    An entry is fixed by its row, its column and the top, so the system of
+    a higher lo_y is a corner of a deeper one: it drops the t support
+    exponents below lo_y, which are the first t columns, and shifts every
+    other column right by t lanes.  One system is kept per (p, a_res,
+    mod_power, f, hi_rows), the least recently used dropped past
+    _SYSTEMS_MAX.  A lower lo_y rebuilds it at that depth, so it raises
+    PrecisionError exactly when a fresh build would, and a failed rebuild
+    keeps the system it had.
+    """
+    key = (p, a_res, mod_power, f, hi_rows)
+    kept = _SYSTEMS.get(key)
+    if kept is None or lo_y < kept[0]:
+        support = [n for n in range(lo_y, hi_rows) if n % f]
+        off = np.array(support, dtype=np.int64) - lo_y
+        A = ring_window(p, 1, ring_gamma(a_res, mod_power), -lo_y, -lo_y,
+                        hi_rows)[np.ix_(off, off)]
+        kept = (lo_y, support,
+                _pack(A - np.eye(len(off), dtype=np.int64), p))
+    _SYSTEMS[key] = kept
+    _SYSTEMS.move_to_end(key)
+    if len(_SYSTEMS) > _SYSTEMS_MAX:
+        _SYSTEMS.popitem(last=False)
+    _, support, cols = kept
+    t = bisect_left(support, lo_y)
+    if not t:
+        return support, cols
+    shift = t * _lanes(p)[0]
+    return support[t:], [c >> shift for c in cols[t:]]
 
 
 def invert_one_minus_gamma(z, m: int, i: int = 0, chi: int | None = None,
@@ -382,10 +444,12 @@ def invert_one_minus_gamma(z, m: int, i: int = 0, chi: int | None = None,
     exact window solve of (gamma - I), restricted to the rows and columns
     off the level-m grid: gamma is the square window [lo_y, hi_rows)^2 of
     ring_window, whose top hi_rows depends only on p, m and the input's
-    grid level and precision, and the system, strictly lower triangular in
-    the monomial order, goes to _solve_fp.  In both cases the residual is
-    certified, through element arithmetic, to vanish on the window, and the
-    loss v(z) - v(y) is the measured c3.
+    grid level and precision, so every input of one prime, level and
+    precision reads its packed system off one kept system (_ts3_system).
+    The system, strictly lower triangular in the monomial order, goes to
+    _solve_packed.  In both cases the residual is certified, through element
+    arithmetic, to vanish on the window, and the loss v(z) - v(y) is the
+    measured c3.
     """
     if i == 1:
         if not isinstance(z, RelativeNormElement):
@@ -420,9 +484,6 @@ def invert_one_minus_gamma(z, m: int, i: int = 0, chi: int | None = None,
     f = p ** (K - m)  # level-m grid exponents are the multiples of f
     if f <= 1:
         raise ValueError("need m < grid level of the input")
-    # the complement monomials have p-depth at least m + 1, so the gamma
-    # gain per monomial lies between gain_min and gain_cmax grid steps
-    gain_min = p ** (m + 1) - 1
     # monomials whose naive leading correction lands on the level-m grid
     # only produce a complement term one grid period later, hence the + f
     pad = (p ** (m + 1) - 1) * (f // p) + f
@@ -437,17 +498,11 @@ def invert_one_minus_gamma(z, m: int, i: int = 0, chi: int | None = None,
             f"{lo_z + pad} grid steps at level {K}")
     # both the unknowns and the constraints live on the complement of the
     # level-m grid; the leakage of gamma into level-m rows is projected away
-    support = [n for n in range(lo_y, hi_rows) if n % f]
-    pos = {n: r for r, n in enumerate(support)}
-    off = np.array(support) - lo_y
-    A = ring_window(p, 1, ring_gamma(a_res, mod_power), -lo_y, -lo_y,
-                    hi_rows)[np.ix_(off, off)]
-    A = (A - np.eye(len(off), dtype=np.int64)) % p
-    b = np.zeros(len(support), dtype=np.int64)
-    for n, cc in z.coeffs.items():
-        if n in pos:
-            b[pos[n]] = (-cc) % p
-    sol = _solve_fp(A, b, p)
+    support, cols = _ts3_system(p, a_res, mod_power, f, lo_y, hi_rows)
+    width = _lanes(p)[0]
+    b = sum((-cc) % p << (bisect_left(support, n) * width)
+            for n, cc in z.coeffs.items() if n < hi_rows)
+    sol = _solve_packed(cols, b, len(support), p)
     if sol is None:
         raise NonStabilizationError(
             "no window preimage: contraction failed for the given window")

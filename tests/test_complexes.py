@@ -2,6 +2,7 @@
 
 import json
 import random
+from functools import partial
 
 import numpy as np
 import pytest
@@ -18,13 +19,19 @@ from phigamma.complexes import (
     herr_complex,
     phi_cone,
     semidirect_gamma_complex,
+    _assemble,
+    _block_matrix,
+    _corner,
     _delta_actions,
     _finite_diff_matrices,
     _matmul_mod,
     _op,
     _operator_matrix,
     _ring_column_series,
+    _out_depth,
     _subquotient,
+    _tail_floor,
+    _window_data,
     _window_dims,
     ring_gamma,
     ring_window,
@@ -404,12 +411,92 @@ def test_deep_herr_windows_pinned(p, s, n, mode, schedule, dims, profiles):
 @pytest.mark.parametrize("mode", ["delta", "free"])
 def test_window_dims_shared_cache_matches_fresh(mode, schedule):
     # one cache across a schedule that is not doubling, or decreasing, gives
-    # every window the dims and profiles of a cache of its own
+    # every window the dims and profiles of a cache of its own; it holds one
+    # assembled depth, the deepest any window read
     T = herr_complex(tate_twist(trivial(2, prec=600), 1), mode)
     cache = {}
     for b in schedule:
         assert _window_dims(T, b, cache) == _window_dims(T, b, {})
-    assert sorted(cache) == sorted({d for b in schedule for d in (b, 2 * b)})
+    assert list(cache) == [2 * max(schedule)]
+
+
+def _series_module(prec, p=P):
+    # the trivial module in the basis u = 1 + pi + pi^5: series entries
+    one = ArithLiftElement.one(p, 1, prec)
+    u = (one + ArithLiftElement.pi_power(p, 1, 1, prec)
+         + ArithLiftElement.pi_power(p, 1, 5, prec))
+    return make_module(p, 1, [[u.frobenius() * u.inverse()]],
+                       [("gamma", [[u.gamma(1 + p) * u.inverse()]], 1 + p)])
+
+
+def _twist(p, s, rank=1):
+    I = identity_matrix(p, s, rank, 600)
+    return tate_twist(make_module(p, s, I, [("gamma", I, 1 + p)]), 1)
+
+
+def _trivial_plus_twist(p):
+    # Z/p(0) + Z/p(1), a rank-2 sum that the free mode models
+    I = identity_matrix(p, 1, 2, 600)
+    G = identity_matrix(p, 1, 2, 600)
+    G[1][1] = G[1][1].scale(1 + p)
+    return make_module(p, 1, I, [("gamma", G, 1 + p)])
+
+
+CORNER_CASES = [
+    pytest.param(partial(_twist, p, s), mode, id=f"Z/{p}^{s}(1)-{mode}")
+    for p, s in ((3, 1), (3, 3), (5, 2), (7, 1), (7, 3))
+    for mode in ("delta", "free")
+] + [
+    pytest.param(partial(_twist, 3, 2, 2), "delta", id="Z/3^2(1)^2-delta"),
+    pytest.param(partial(_trivial_plus_twist, 5), "free",
+                 id="Z/5(0)+Z/5(1)-free"),
+    pytest.param(partial(_series_module, 400), "free", id="u-basis-free"),
+]
+
+
+@pytest.mark.parametrize("module, mode", CORNER_CASES)
+def test_window_data_corners_match_fresh_builds(module, mode):
+    # every depth read off one assembled depth equals its own assembly, bit
+    # for bit: X, d0 X and d1 diag(X, X), and the raw d0 and d1 that the
+    # d^2 certificate reads
+    D = module()
+    T = herr_complex(D, mode)
+    top = _tail_floor(D)
+    # deep enough to hold the certificate's pair at depth 5
+    deep = max(24, _out_depth(D, 5))
+    d0, d1, data = _assemble(T, deep, top)
+    cache = {deep: data}
+    for b in (top, 5, 8, 12, deep):
+        got, want = _window_data(T, b, top, cache), _window_data(T, b, top, {})
+        assert (got[0] is None) == (want[0] is None) == (mode == "free")
+        for g, w in zip(got, want):
+            assert g is None or (g.dtype == w.dtype and np.array_equal(g, w))
+    assert list(cache) == [deep]
+    # the certificate's pair at depth b: d0 from b into bo, d1 from bo on
+    bo_deep = _out_depth(D, deep)
+    for b in (top, 5):
+        bo = _out_depth(D, b)
+        bo2 = _out_depth(D, bo)
+        assert np.array_equal(_corner(d0, deep, bo_deep, b, bo, top),
+                              _block_matrix(D, T.diffs[0], b, bo, top))
+        assert np.array_equal(_corner(d1, deep, bo_deep, bo, bo2, top),
+                              _block_matrix(D, T.diffs[1], bo, bo2, top))
+
+
+@pytest.mark.parametrize("prec, need", [(90, 91), (95, 97)])
+def test_deepest_assembly_reports_the_first_failing_step(prec, need):
+    # the schedule is assembled at depth 64 at once, which needs entries
+    # certified to about pi^385; when that fails, the error is the one the
+    # certificate or the first short depth raises, not the deepest one
+    T = herr_complex(_series_module(prec), "free")
+    with pytest.raises(PrecisionError,
+                       match=rf"certified to pi\^{need}, got pi\^{prec}$"):
+        cohomology(T, (8, 16, 32))
+
+
+def test_deepest_assembly_answers_past_the_certified_need():
+    rep = cohomology(herr_complex(_series_module(200), "free"), (8, 16, 32))
+    assert (rep.dims, rep.verdict) == ((1, 4, 1), "stable")
 
 
 @pytest.mark.parametrize("mode", ["delta", "free"])

@@ -4,6 +4,7 @@ window decomposition, and the cross-level cohomology comparison."""
 import hashlib
 import json
 import random
+from collections import OrderedDict
 from fractions import Fraction
 
 import numpy as np
@@ -12,7 +13,7 @@ from click.testing import CliRunner
 
 from phigamma.cli import main
 
-from phigamma.errors import InvariantError
+from phigamma.errors import InvariantError, PrecisionError
 from phigamma.modules import identity_matrix, make_module, tate_twist
 from phigamma.normfield import NormFieldElement, RelativeNormElement
 import phigamma.tatesen as tatesen
@@ -23,8 +24,11 @@ from phigamma.tatesen import (
     decompletion_compare,
     decompose,
     decompose_element,
-    _solve_fp,
+    _lanes,
+    _pack,
+    _solve_packed,
     _ts1_traces,
+    _ts3_system,
     galois_trace,
     invert_one_minus_gamma,
     tate_sen_certificate,
@@ -292,6 +296,22 @@ def gauss_jordan_solve(A, b, p):
     return x
 
 
+def _solve_fp(A, b, p):
+    """A x = b by the packed TS3 solver, A and b packed as TS3 packs them."""
+    return _solve_packed(_pack(A, p), _pack(b.reshape(-1, 1), p)[0],
+                         A.shape[0], p)
+
+
+def _unpack(cols, n_rows, p):
+    """The dense matrix of packed columns."""
+    lane = np.dtype(f"<u{_lanes(p)[0] // 8}")
+    A = np.zeros((n_rows, len(cols)), dtype=np.int64)
+    for j, c in enumerate(cols):
+        A[:, j] = np.frombuffer(c.to_bytes(n_rows * lane.itemsize, "little"),
+                                dtype=lane)
+    return A
+
+
 def _same_solution(A, b, p):
     want, got = gauss_jordan_solve(A, b, p), _solve_fp(A, b, p)
     assert (got is None) == (want is None)
@@ -304,16 +324,78 @@ def _same_solution(A, b, p):
 def test_solve_fp_on_ts3_systems(p, seed, monkeypatch):
     seen = []
 
-    def checked(A, b, q):
+    def checked(cols, b, n_rows, q):
+        A = _unpack(cols, n_rows, q)
         seen.append(A.shape)
         assert not np.triu(A).any()   # strictly lower triangular
-        assert _same_solution(A, b, q)
-        return _solve_fp(A, b, q)
+        assert _same_solution(A, _unpack([b], n_rows, q)[:, 0], q)
+        return _solve_packed(cols, b, n_rows, q)
 
-    monkeypatch.setattr(tatesen, "_solve_fp", checked)
+    monkeypatch.setattr(tatesen, "_solve_packed", checked)
     for m in (0, 1) if p == 3 else (0,):
         tate_sen_certificate(p, m, 6, seed)
     assert len(seen) >= 6
+
+
+def _dense_ts3_system(p, K, a_res, mod_power, f, lo_y, hi_rows):
+    """gamma - 1 off the grid of multiples of f on [lo_y, hi_rows) at grid
+    level K, from element gamma, one column per support exponent."""
+    support = [n for n in range(lo_y, hi_rows) if n % f]
+    A = np.zeros((len(support), len(support)), dtype=np.int64)
+    for j, n in enumerate(support):
+        x = NormFieldElement(p, K, {n: 1}, hi_rows)
+        img = (x.gamma(a_res, mod_power) - x).coeffs
+        A[:, j] = [img.get(e, 0) % p for e in support]
+    return support, A
+
+
+@pytest.mark.parametrize("p, m, K", [(3, 0, 1), (3, 1, 2), (5, 0, 1),
+                                     (7, 0, 1)])
+def test_ts3_system_corners_match_fresh_packings(p, m, K, monkeypatch):
+    # a shallow system, a deeper one (rebuilt), then corners of the deeper
+    monkeypatch.setattr(tatesen, "_SYSTEMS", OrderedDict())
+    rng = random.Random(p + m)
+    f = p ** (K - m)
+    a_res, hi_rows = pow(1 + p, p ** m, p ** 14), 4 * f + 3
+    for lo_y in (-2 * f, -5 * f - 1, -5 * f + 1, -2 * f + 2, 1):
+        support, cols = _ts3_system(p, a_res, 14, f, lo_y, hi_rows)
+        with monkeypatch.context() as fresh:
+            fresh.setattr(tatesen, "_SYSTEMS", OrderedDict())
+            assert (support, cols) == _ts3_system(p, a_res, 14, f, lo_y,
+                                                  hi_rows)
+        want_support, A = _dense_ts3_system(p, K, a_res, 14, f, lo_y,
+                                            hi_rows)
+        assert support == want_support
+        assert np.array_equal(_unpack(cols, len(support), p), A)
+        for _ in range(3):
+            b = A @ np.array([rng.randrange(p) for _ in support]) % p
+            if rng.random() < 0.5:
+                b[rng.randrange(len(b))] += 1
+            got = _solve_packed(cols, _pack(b.reshape(-1, 1), p)[0],
+                                len(support), p)
+            want = gauss_jordan_solve(A, b, p)
+            assert (got is None) == (want is None)
+            assert want is None or np.array_equal(got, want)
+    assert [v[0] for v in tatesen._SYSTEMS.values()] == [-5 * f - 1]
+
+
+def test_ts3_system_failed_rebuild_keeps_its_entry(monkeypatch):
+    # at mod_power 3 the binomial table serves windows narrower than 3^3
+    monkeypatch.setattr(tatesen, "_SYSTEMS", OrderedDict())
+    kept = _ts3_system(3, 4, 3, 3, -10, 12)
+    with pytest.raises(PrecisionError):
+        _ts3_system(3, 4, 3, 3, -16, 12)
+    with monkeypatch.context() as fresh:
+        fresh.setattr(tatesen, "_SYSTEMS", OrderedDict())
+        with pytest.raises(PrecisionError):
+            _ts3_system(3, 4, 3, 3, -16, 12)
+    assert tatesen._SYSTEMS[(3, 4, 3, 3, 12)][0] == -10
+    assert _ts3_system(3, 4, 3, 3, -10, 12) == kept
+    # one system per key, the least recently used dropped past the bound
+    for top in range(13, 13 + tatesen._SYSTEMS_MAX):
+        _ts3_system(3, 4, 14, 3, -4, top)
+    assert len(tatesen._SYSTEMS) == tatesen._SYSTEMS_MAX
+    assert (3, 4, 3, 3, 12) not in tatesen._SYSTEMS
 
 
 def _random_system(rng, p, n_rows, n_cols, lower):
