@@ -24,9 +24,10 @@ action has one exact int64 window matrix R (ring_window): gamma_a columns
 pi^n U^n from one binomial table of U = ((1+pi)^a - 1)/pi and its powers
 (normfield.power_rows), phi columns as powers of (1+pi)^p - 1, whose
 negative powers are finite Laurent polynomials mod p^s.  Every window is a
-corner of the deepest one cached with its top; the Herr windows, the Delta
-actions and tatesen's TS3 solve share that cache.  A term c * A * r(-)
-with constant A is kron(c*A, R);
+corner of the deepest one cached with its top; the Herr windows and the
+Delta actions share that cache, and tatesen's TS3 solve, which keeps its
+system packed, builds its window uncached (build_ring_window).  A term
+c * A * r(-) with constant A is kron(c*A, R);
 a series entry acts by its Toeplitz multiplication matrix on the whole
 image of r, so a window row gets every entry term it needs, up to pi^(T +
 image depth); an entry certified to less raises PrecisionError.  The
@@ -98,6 +99,7 @@ __all__ = [
     "explicit_cocycle",
     "geometric_gamma_sum",
     "ring_window",
+    "build_ring_window",
 ]
 
 DEFAULT_SCHEDULE = (16, 32, 64, 128)
@@ -374,6 +376,26 @@ def _phi_columns(p: int, s: int, bot: int, top: int):
     return tuple(cols)
 
 
+def build_ring_window(p: int, s: int, ring: tuple, bot_in: int,
+                      bot_out: int, top: int) -> np.ndarray:
+    """Read-only matrix of a ring action from [-bot_in, top) to [-bot_out,
+    top), built afresh; image terms below pi^-bot_out are cut.
+
+    Entry [n + bot_out, q + bot_in] is the coefficient of pi^n in ring(pi^q),
+    fixed by n and q (top decides only whether the binomial table it needs is
+    certified), so a window is the trailing corner of any deeper one with
+    the same top.
+    """
+    R = np.zeros((bot_out + top, bot_in + top), dtype=np.int64)
+    for j, (lead, arr) in enumerate(_ring_column_series(p, s, ring, bot_in,
+                                                        top)):
+        # an image wholly below the output window leaves its column 0
+        a = max(lead, -bot_out)
+        R[a + bot_out:max(a, lead + len(arr)) + bot_out, j] = arr[a - lead:]
+    R.setflags(write=False)
+    return R
+
+
 # deepest window kept per (p, s, ring, top): (bot_in, bot_out, matrix)
 _WINDOWS: OrderedDict = OrderedDict()
 _WINDOWS_MAX = 8
@@ -381,30 +403,19 @@ _WINDOWS_MAX = 8
 
 def ring_window(p: int, s: int, ring: tuple, bot_in: int, bot_out: int,
                 top: int) -> np.ndarray:
-    """Read-only matrix of a ring action from [-bot_in, top) to [-bot_out,
-    top); image terms below pi^-bot_out are cut.
+    """build_ring_window, read as a trailing corner of a kept window.
 
-    Entry [n + bot_out, q + bot_in] is the coefficient of pi^n in ring(pi^q),
-    fixed by n and q (top decides only whether the binomial table it needs is
-    certified), so a window is the trailing corner of any deeper one with
-    the same top.  One window is kept per (p, s, ring, top), the least
-    recently used dropped past _WINDOWS_MAX.  A deeper request rebuilds it as
-    deep as every window it has served, so it raises PrecisionError exactly
-    when a fresh build would, and a failed rebuild keeps the window it had.
+    One window is kept per (p, s, ring, top), the least recently used
+    dropped past _WINDOWS_MAX.  A deeper request rebuilds it as deep as
+    every window it has served, so it raises PrecisionError exactly when a
+    fresh build would, and a failed rebuild keeps the window it had.
     """
     key = (p, s, ring, top)
     kept = _WINDOWS.get(key)
     if kept is None or bot_in > kept[0] or bot_out > kept[1]:
         b_in, b_out = ((bot_in, bot_out) if kept is None else
                        (max(bot_in, kept[0]), max(bot_out, kept[1])))
-        R = np.zeros((b_out + top, b_in + top), dtype=np.int64)
-        for j, (lead, arr) in enumerate(_ring_column_series(p, s, ring,
-                                                            b_in, top)):
-            # an image wholly below the output window leaves its column 0
-            a = max(lead, -b_out)
-            R[a + b_out:max(a, lead + len(arr)) + b_out, j] = arr[a - lead:]
-        R.setflags(write=False)
-        kept = (b_in, b_out, R)
+        kept = (b_in, b_out, build_ring_window(p, s, ring, b_in, b_out, top))
     _WINDOWS[key] = kept
     _WINDOWS.move_to_end(key)
     if len(_WINDOWS) > _WINDOWS_MAX:

@@ -4,12 +4,20 @@ Bounded cochain complexes of free Z/p^s-modules with exact Smith-form
 cohomology, mapping cones and their long exact sequences, first-quadrant
 double complexes with column-filtration spectral pages checked against the
 total complex, and lim/lim^1 of finitely stored towers.
+
+Each page and each length is computed once.  d^2 = 0 is certified when a
+complex is built, so cocycle and cohomology lengths come by rank-nullity
+from the valuations of the differentials, and H^n is presented by one
+elimination of [Z, -B].  les_check and spectral_E_pages run under
+zmodlin.smith_memo, so a matrix is eliminated once per call.  On a grid of
+W columns no d_r with r >= W has a target, so E_W = E_∞ and the pages past
+W are copies of page W.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -18,6 +26,7 @@ from .zmodlin import (
     PresentedModule,
     ZModMatrix,
     _is_int,
+    _presentation_in,
     divisors_length,
     image_length,
     json_fields,
@@ -126,15 +135,23 @@ class ChainComplexZ:
         """Columns generating im d_{n-1}."""
         return self.diff(n - 1)
 
+    def cocycle_length(self, n: int) -> int:
+        """Length of ker d_n, s*rank(n) - l(d_n) by rank-nullity."""
+        return self.s * self.rank(n) - image_length(self.diff(n))
+
     def cohomology(self, n: int) -> PresentedModule:
-        return subquotient_presentation(self.cocycles(n),
-                                        self.coboundaries(n))
+        """H^n presented on the cocycle generators; the cocycle length
+        comes by rank-nullity, so only [Z, -B] is eliminated."""
+        return _presentation_in(self.cocycles(n), self.coboundaries(n),
+                                self.cocycle_length(n))
 
     def cohomology_profile(self, n: int) -> list:
         return module_profile(self.cohomology(n))
 
     def cohomology_length(self, n: int) -> int:
-        return self.cohomology(n).length()
+        """l(H^n) = s*rank(n) - l(d_n) - l(d_(n-1)): d^2 = 0 is certified
+        on construction, so im d_(n-1) lies in ker d_n."""
+        return self.cocycle_length(n) - image_length(self.diff(n - 1))
 
     def shifted(self, k: int = 1) -> "ChainComplexZ":
         """Degree shift without signs: degree n holds the old degree n-k
@@ -312,17 +329,9 @@ def les_check(ses: ShortExactSequence) -> dict:
     lo, hi = degs[0] - 1, degs[-1] + 1
     # cocycles and cohomology lengths are computed once per degree here and
     # kept only for this call: ``diffs`` is public and may change between
-    # calls.  A cocycle space has length s*rank(n) - l(d_n) (rank-nullity),
-    # and d^2 = 0 is certified on construction, so
-    # l(H^n) = s*rank(n) - l(d_n) - l(d_(n-1)), from valuations the memo
-    # already holds
-
-    def cocycle_length(X, n):
-        return s * X.rank(n) - image_length(X.diff(n))
-
-    def h_length(X, n):
-        return cocycle_length(X, n) - image_length(X.diff(n - 1))
-
+    # calls.  Cocycle and cohomology lengths come by rank-nullity from
+    # valuations the memo already holds, and H^n(B) is presented with its
+    # cocycle length, so its cocycle generators are not eliminated again
     data, profiles = {}, {}
     for n in range(lo, hi + 2):
         i_n = ses.mat(ses.inc, n, A, B)
@@ -335,10 +344,11 @@ def les_check(ses: ShortExactSequence) -> dict:
         im_p = _induced_image_length(p_n @ ZB, BC)
         delta_gens = r_n1 @ (B.diff(n) @ (s_n @ ZC))
         im_d = _induced_image_length(delta_gens, A.coboundaries(n + 1))
-        hA = h_length(A, n)
-        profiles[n] = module_profile(subquotient_presentation(ZB, BB))
+        hA = A.cohomology_length(n)
+        profiles[n] = module_profile(
+            _presentation_in(ZB, BB, B.cocycle_length(n)))
         hB = divisors_length(p, profiles[n])
-        hC = h_length(C, n)
+        hC = C.cohomology_length(n)
         data[n] = (im_i, im_p, im_d, hA, hB, hC, delta_gens, ZA)
     verdict = {"exact": True, "first_failure": None,
                "profiles": {n: profiles[n] for n in B.degrees()}}
@@ -346,7 +356,7 @@ def les_check(ses: ShortExactSequence) -> dict:
     for n in range(lo, hi + 1):
         im_i, im_p, im_d, hA, hB, hC, dg, _ = data[n]
         za1 = data[n + 1][7]
-        if image_length(_hstack(p, s, [za1, dg])) != cocycle_length(A, n + 1):
+        if image_length(_hstack(p, s, [za1, dg])) != A.cocycle_length(n + 1):
             return dict(verdict, exact=False, nodes=checked,
                         first_failure=(f"delta at degree {n}",
                                        "image is not made of cocycles"))
@@ -572,43 +582,59 @@ def _br_span(DC: DoubleComplex, pp: int, qq: int, r: int,
     return acc
 
 
+def _page(DC: DoubleComplex, r: int, kernels: dict) -> SpectralPage:
+    """Page E_r: the profile and length of Z_r / B_r at every spot, and
+    the length of each d_r image inside its target's E_r.  kernels holds the
+    window kernels by spot lists (_window_kernel), shared between pages."""
+    p = DC.p
+    spots = sorted(DC.ranks)
+    profiles, lengths, d_lengths = {}, {}, {}
+    # a d_r with a nonzero target lands on a spot, so every B_r span this
+    # page needs is one of these
+    Bsp = {pq: _br_span(DC, *pq, r, kernels) for pq in spots}
+    for pp, qq in spots:
+        Z, dr = _zr_span(DC, pp, qq, r, kernels)
+        prof = module_profile(subquotient_presentation(Z, Bsp[(pp, qq)]))
+        profiles[(pp, qq)] = list(prof)
+        lengths[(pp, qq)] = divisors_length(p, prof)
+        if dr.rows and dr.cols:
+            Bt = Bsp[(pp + r, qq - r + 1)]
+            d_lengths[(pp, qq)] = _induced_image_length(dr, Bt)
+        else:
+            d_lengths[(pp, qq)] = 0
+    return SpectralPage(r, profiles, lengths, d_lengths)
+
+
 @smith_memo()
 def spectral_E_pages(DC: DoubleComplex, r_max: int | None = None):
     """Pages E_1 .. E_{r_max} of the column filtration plus the abutment
     comparison against the total complex.
 
-    Passage from page to page is certified by exact length bookkeeping:
-    the length of E_{r+1}^{p,q} must equal the length of ker d_r / im d_r
-    on page r, else InvariantError.  Returns (pages, abutment) where the
-    abutment dict pairs each E_∞ diagonal sum with the total cohomology
-    length in that degree.
+    On a grid of W columns, a page r > W is page W relabelled, sharing its
+    dicts (E_W = E_∞): a Z_r or B_r span reaches at most W - 1 columns, so
+    from r = W on its spot lists are page W's, and every d_r lands in a
+    column >= W, which holds no spot.  Passage from page to page, copies
+    included, is certified by exact length bookkeeping: the length of
+    E_{r+1}^{p,q} must equal the length of ker d_r / im d_r on page r, else
+    InvariantError.  Returns (pages, abutment) where the abutment dict pairs
+    each E_∞ diagonal sum with the total cohomology length in that degree
+    (by rank-nullity, ChainComplexZ.cohomology_length).
     """
-    p = DC.p
     W, H = DC.extent()
     if r_max is None:
         r_max = max(W + H, 2)
     spots = sorted(DC.ranks)
     pages = []
-    prev = None
-    # window kernels by spot lists, which repeat once r outgrows the grid
+    # window kernels by spot lists, which repeat between pages once a span
+    # reaches the grid's edge
     kernels = {}
     for r in range(1, r_max + 1):
-        profiles, lengths, d_lengths = {}, {}, {}
-        # a d_r with a nonzero target lands on a spot, so every B_r span
-        # this page needs is one of these
-        Bsp = {pq: _br_span(DC, *pq, r, kernels) for pq in spots}
-        for pp, qq in spots:
-            Z, dr = _zr_span(DC, pp, qq, r, kernels)
-            prof = module_profile(subquotient_presentation(Z, Bsp[(pp, qq)]))
-            profiles[(pp, qq)] = list(prof)
-            lengths[(pp, qq)] = divisors_length(p, prof)
-            if dr.rows and dr.cols:
-                Bt = Bsp[(pp + r, qq - r + 1)]
-                d_lengths[(pp, qq)] = _induced_image_length(dr, Bt)
-            else:
-                d_lengths[(pp, qq)] = 0
-        page = SpectralPage(r, profiles, lengths, d_lengths)
-        if prev is not None:
+        if r > max(W, 1):
+            page = replace(pages[-1], r=r)
+        else:
+            page = _page(DC, r, kernels)
+        if pages:
+            prev = pages[-1]
             for pp, qq in spots:
                 leave = prev.d_lengths.get((pp, qq), 0)
                 back = r - 1
@@ -620,7 +646,6 @@ def spectral_E_pages(DC: DoubleComplex, r_max: int | None = None):
                         f"{r - 1}: expected length {want}, got "
                         f"{page.length(pp, qq)}")
         pages.append(page)
-        prev = page
     tot = total_complex(DC)
     last = pages[-1]
     abutment = {"equal": True, "degrees": {}}

@@ -12,14 +12,15 @@ level-m subspace, diagonally in the geometric direction and by an exact
 window solve in the arithmetic direction, with the residual certified to
 vanish on the window and the measured loss constant c3 reported.
 
-The arithmetic-direction solve reads gamma off ``complexes.ring_window`` at
-s = 1, in grid steps, and keeps the system packed, one Python integer per
-column: every sample of one prime and level tops its window at the same
-exponent, so each system is a corner of one kept system (_ts3_system).  The
-TS3 residual and the c4 probe recheck it through element gamma, a baby-step/
-giant-step evaluation on int64 vectors that shares only the binomial table
-with ``ring_window``.  The TS1 search tests every power of zeta - 1 at once,
-on one int64 array of traces.  The TS3 matrices are singular, and the
+The arithmetic-direction solve builds gamma with
+``complexes.build_ring_window`` at s = 1, in grid steps, and keeps only the
+system packed, one Python integer per column: every sample of one prime and
+level tops its window at the same exponent, so each system is a corner of
+one kept system (_ts3_system).  The TS3 residual and the c4 probe recheck
+it through element gamma, a baby-step/giant-step evaluation on int64
+vectors that shares only the binomial table with the window builder.  The
+TS1 search tests every power of zeta - 1 at once, on one int64 array of
+traces.  The TS3 matrices are singular, and the
 reported c3 rests on the particular solution that sets the free unknowns to
 0.  _solve_packed finds it by column reduction: the window matrices are
 strictly lower triangular, so their columns come nearly in column echelon
@@ -42,7 +43,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .complexes import cohomology, herr_complex, ring_gamma, ring_window
+from .complexes import (build_ring_window, cohomology, herr_complex,
+                        ring_gamma)
 from .errors import InvariantError, NonStabilizationError, PrecisionError
 from .normfield import (NormFieldElement, RelativeNormElement,
                         _one_plus_gen_power, format_element)
@@ -401,9 +403,11 @@ _SYSTEMS_MAX = 8
 
 def _ts3_system(p: int, a_res: int, mod_power: int, f: int, lo_y: int,
                 hi_rows: int):
-    """(support, columns) of gamma - 1, gamma = gamma_(a_res) on ring_window,
-    on the exponents in [lo_y, hi_rows) off the grid of multiples of f, both
-    as unknowns and as rows; the columns are packed (_pack).
+    """(support, columns) of gamma - 1, gamma = gamma_(a_res) on a window
+    from build_ring_window, on the exponents in [lo_y, hi_rows) off the grid
+    of multiples of f, both as unknowns and as rows; the columns are packed
+    (_pack).  The dense window is not kept: the packed system serves every
+    later request, and a deeper one builds the window afresh.
 
     An entry is fixed by its row, its column and the top, so the system of
     a higher lo_y is a corner of a deeper one: it drops the t support
@@ -419,8 +423,8 @@ def _ts3_system(p: int, a_res: int, mod_power: int, f: int, lo_y: int,
     if kept is None or lo_y < kept[0]:
         support = [n for n in range(lo_y, hi_rows) if n % f]
         off = np.array(support, dtype=np.int64) - lo_y
-        A = ring_window(p, 1, ring_gamma(a_res, mod_power), -lo_y, -lo_y,
-                        hi_rows)[np.ix_(off, off)]
+        A = build_ring_window(p, 1, ring_gamma(a_res, mod_power), -lo_y,
+                              -lo_y, hi_rows)[np.ix_(off, off)]
         kept = (lo_y, support,
                 _pack(A - np.eye(len(off), dtype=np.int64), p))
     _SYSTEMS[key] = kept
@@ -442,14 +446,14 @@ def invert_one_minus_gamma(z, m: int, i: int = 0, chi: int | None = None,
     Direction 1 is diagonal in the x-monomials: each term is divided by the
     exact multiplier 1 - (1 + pi^(1/p^mx))^(p^m * j).  Direction 0 is an
     exact window solve of (gamma - I), restricted to the rows and columns
-    off the level-m grid: gamma is the square window [lo_y, hi_rows)^2 of
-    ring_window, whose top hi_rows depends only on p, m and the input's
-    grid level and precision, so every input of one prime, level and
-    precision reads its packed system off one kept system (_ts3_system).
-    The system, strictly lower triangular in the monomial order, goes to
-    _solve_packed.  In both cases the residual is certified, through element
-    arithmetic, to vanish on the window, and the loss v(z) - v(y) is the
-    measured c3.
+    off the level-m grid: gamma is the square window [lo_y, hi_rows)^2
+    built by build_ring_window, whose top hi_rows depends only on p, m and
+    the input's grid level and precision, so every input of one prime,
+    level and precision reads its packed system off one kept system
+    (_ts3_system).  The system, strictly lower triangular in the monomial
+    order, goes to _solve_packed.  In both cases the residual is certified,
+    through element arithmetic, to vanish on the window, and the loss
+    v(z) - v(y) is the measured c3.
     """
     if i == 1:
         if not isinstance(z, RelativeNormElement):

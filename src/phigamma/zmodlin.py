@@ -485,7 +485,9 @@ def _divisors(p: int, s: int, vals, n: int) -> list[int]:
 def _kernel(A: ZModMatrix, kernel: bool = True):
     """Pivot valuations of A and, if kernel, columns generating ker(A) (else
     None): the columns of V from the first pivot of positive valuation on,
-    each scaled by p^(s - v), v the pivot's valuation or s past the pivots."""
+    each scaled by p^(s - v), v the pivot's valuation or s past the pivots,
+    with canonical entries in [0, p^s), as _matmul_mod needs of its
+    operands."""
     memo = _MEMO.get()
     got = memo.get(A) if memo else None
     if got is not None and (got[1] is not None or not kernel):
@@ -497,7 +499,7 @@ def _kernel(A: ZModMatrix, kernel: bool = True):
         first = vals.count(0)  # the valuations do not decrease
         scale = np.array([p ** (s - v) for v in vals[first:]]
                          + [1] * (A.cols - len(vals)), dtype=np.int64)
-        K = (Vt[first:] * scale[:, None]).T
+        K = _mod((Vt[first:] * scale[:, None]).T, p**s)
     if memo is not None:
         memo[A] = vals, K
     return vals, K

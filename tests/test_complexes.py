@@ -407,6 +407,31 @@ def test_deep_herr_windows_pinned(p, s, n, mode, schedule, dims, profiles):
         assert _window_dims(T, b, bases) == (dims, profiles)
 
 
+def test_deep_free_window_reads_its_top_degree():
+    # Z/7^6(0) in free mode: kernel columns scaled by p^(s - v) and left
+    # unreduced made one (257 x 1026)(1026 x 337) product of the depth-256
+    # window exceed float64's exact integers, and the window read h2 = 0
+    T = herr_complex(tate_twist(trivial(6, prec=600, p=7), 0), "free")
+    rep = cohomology(T, (64, 128, 256))
+    assert rep.verdict == "stable"
+    assert [dims for _, dims in rep.trace] == [(6, 43, 1)] * 3
+
+
+@pytest.mark.parametrize("p, s, n, mode", [(3, 3, 1, "delta"),
+                                           (3, 6, 0, "free"),
+                                           (3, 6, 1, "free")])
+def test_window_products_take_canonical_operands(p, s, n, mode, monkeypatch):
+    # _matmul_mod is exact only on entries in [0, q)
+    def checked(A, B, q):
+        for M in (A, B):
+            assert not M.size or (M.min() >= 0 and M.max() < q)
+        return _matmul_mod(A, B, q)
+
+    monkeypatch.setattr(complexes, "_matmul_mod", checked)
+    T = herr_complex(tate_twist(trivial(s, prec=600, p=p), n), mode)
+    assert cohomology(T, (16, 32, 64)).verdict == "stable"
+
+
 @pytest.mark.parametrize("schedule", [(5, 6, 10), (64, 32)])
 @pytest.mark.parametrize("mode", ["delta", "free"])
 def test_window_dims_shared_cache_matches_fresh(mode, schedule):

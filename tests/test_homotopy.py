@@ -2,10 +2,12 @@
 and tower lim/lim^1."""
 
 import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from phigamma import homotopy, zmodlin
 from phigamma.errors import InvariantError
 from phigamma.homotopy import (
     ChainComplexZ,
@@ -268,6 +270,169 @@ def test_random_grids_abut_to_total_cohomology():
         for early, late in zip(pages, pages[1:]):
             for spot, ln in late.lengths.items():
                 assert ln <= early.lengths[spot]
+
+
+def staircase_dc(rng, k):
+    """Rank-1 zig-zag from (0, k-1) to (k, 0): s_i = (i, k-1-i) maps by a
+    unit d_h to t_i = (i+1, k-1-i), which s_(i+1) hits by a unit d_v; the
+    last d_h is a random p-power below p^S, so d_k of the staircase is
+    that power, nonzero.  Returns (ranks, dh, dv)."""
+    units = [u for u in range(1, Q) if u % P]
+    ranks, dh, dv = {}, {}, {}
+    for i in range(k):
+        ranks[(i, k - 1 - i)] = ranks[(i + 1, k - 1 - i)] = 1
+        dh[(i, k - 1 - i)] = [[rng.choice(units)]]
+        if i:
+            dv[(i, k - 1 - i)] = [[rng.choice(units)]]
+    dh[(k - 1, 0)] = [[P ** rng.randint(0, S - 1)]]
+    return ranks, dh, dv
+
+
+def direct_sum_dc(A, ranks, dh, dv):
+    """A ⊕ (ranks, dh, dv), block diagonal at every spot."""
+    spots = set(A.ranks) | set(ranks)
+    both = {pq: A.rank(*pq) + ranks.get(pq, 0) for pq in spots}
+
+    def blocks(mine, theirs, step):
+        out = {}
+        for pp, qq in spots:
+            tgt = (pp + step[0], qq + step[1])
+            m = np.zeros((both.get(tgt, 0), both[(pp, qq)]), dtype=np.int64)
+            ra, ca = A.rank(*tgt), A.rank(pp, qq)
+            m[:ra, :ca] = mine(pp, qq).entries
+            if (pp, qq) in theirs:
+                m[ra:, ca:] = theirs[(pp, qq)]
+            if m.any():
+                out[(pp, qq)] = m
+        return out
+
+    return DoubleComplex(P, S, both, blocks(A.d_h, dh, (1, 0)),
+                         blocks(A.d_v, dv, (0, 1)))
+
+
+def random_dc(rng, W, H):
+    """A tensor grid of random complexes, plus a staircase whose d_k is
+    nonzero for the longest k the shape allows (none past d_1 when W or H
+    is 1)."""
+    X = rand_complex(rng, [rng.randint(1, 2) for _ in range(W)])
+    Y = rand_complex(rng, [rng.randint(1, 2) for _ in range(H)])
+    k = min(W - 1, H)
+    if not k:
+        return tensor_dc(X, Y)
+    return direct_sum_dc(tensor_dc(X, Y), *staircase_dc(rng, k))
+
+
+@pytest.mark.parametrize("W, H", [(1, 4), (4, 1), (2, 5), (5, 2), (3, 3),
+                                  (4, 3)])
+def test_pages_past_the_width_are_page_w(W, H):
+    # d_r leaves the grid for r >= W, so E_W = E_infinity: later pages are
+    # copies, equal to pages rebuilt from scratch
+    rng = random.Random(31 * W + H)
+    for _ in range(3):
+        DC = random_dc(rng, W, H)
+        assert DC.extent() == (W, H)
+        pages, ab = spectral_E_pages(DC)
+        assert ab["equal"] and len(pages) == W + H
+        k = min(W - 1, H)
+        assert not k or pages[k - 1].d_lengths[(0, k - 1)] > 0
+        for page in pages[W:]:
+            assert page == homotopy._page(DC, page.r, {})
+        short, short_ab = spectral_E_pages(DC, r_max=W)
+        assert short == pages[:W]
+        assert short_ab == ab
+        assert all(page == replace(short[-1], r=page.r)
+                   for page in pages[W:])
+
+
+def test_spectral_pages_past_the_width_run_no_elimination(monkeypatch):
+    # on a 3x3 grid the spans run for r <= 3 only, and nothing is
+    # eliminated between the end of page 3 and the total complex
+    rng = random.Random(37)
+    DC = random_dc(rng, 3, 3)
+    span_r, log, eliminated = [], [], [0]
+
+    def counted(M, *args, **kwargs):
+        eliminated[0] += 1
+        return eliminate(M, *args, **kwargs)
+
+    def spans(fn):
+        def wrapped(DC, pp, qq, r, memo):
+            span_r.append(r)
+            return fn(DC, pp, qq, r, memo)
+        return wrapped
+
+    def page(DC, r, kernels):
+        got = make_page(DC, r, kernels)
+        log.append((f"page {r}", eliminated[0]))
+        return got
+
+    def total(DC):
+        log.append(("total", eliminated[0]))
+        return make_total(DC)
+
+    eliminate, make_page = zmodlin._eliminate, homotopy._page
+    make_total = homotopy.total_complex
+    monkeypatch.setattr(zmodlin, "_eliminate", counted)
+    monkeypatch.setattr(homotopy, "_zr_span", spans(homotopy._zr_span))
+    monkeypatch.setattr(homotopy, "_br_span", spans(homotopy._br_span))
+    monkeypatch.setattr(homotopy, "_page", page)
+    monkeypatch.setattr(homotopy, "total_complex", total)
+    pages, ab = spectral_E_pages(DC)
+    assert ab["equal"] and len(pages) == 6
+    assert sorted(set(span_r)) == [1, 2, 3]
+    assert [name for name, _ in log] == ["page 1", "page 2", "page 3",
+                                         "total"]
+    assert log[2][1] == log[3][1]
+
+
+@pytest.mark.parametrize("s", [1, 2, 3, 4])
+def test_cohomology_length_by_rank_nullity_on_split_complexes(s):
+    # d sends e_j to p^k f_j on some pairs (k = s is a zero differential) and
+    # leaves the other basis vectors isolated; a unitriangular change of
+    # basis hides the split form, and H^n is known from the pairs
+    rng = random.Random(41 + s)
+    q = P ** s
+
+    def unitriangular(r):
+        T = np.eye(r, dtype=object)
+        T[np.triu_indices(r, 1)] = [rng.randrange(q)
+                                    for _ in range(r * (r - 1) // 2)]
+        N = T - np.eye(r, dtype=object)
+        inv = term = np.eye(r, dtype=object)
+        for _ in range(r):
+            term = -term @ N % q
+            inv = (inv + term) % q
+        return T, inv
+
+    for trial in range(6):
+        ranks = [rng.randint(0, 3) for _ in range(4)]
+        diffs, want = {}, {n: [] for n in range(4)}
+        used = 0
+        for n in range(4):
+            free = ranks[n] - used
+            m = rng.randint(0, min(free, ranks[n + 1])) if n < 3 else 0
+            if trial == 0:
+                m = 0  # every differential zero
+            E = np.zeros((ranks[n + 1] if n < 3 else 0, ranks[n]),
+                         dtype=object)
+            for j in range(m):
+                k = rng.randint(0, s)
+                E[j, used + j] = P ** k % q
+                if k:
+                    want[n].append(P ** k)
+                    want[n + 1].append(P ** k)
+            want[n] += [q] * (free - m)
+            if n < 3:
+                diffs[n] = E
+            used = m
+        bases = [unitriangular(r) for r in ranks]
+        X = ChainComplexZ(P, s, dict(enumerate(ranks)), {
+            n: ZModMatrix(P, s, (bases[n + 1][0] @ E @ bases[n][1] % q)
+                          .astype(np.int64))
+            for n, E in diffs.items()})
+        for n in range(-1, 5):
+            assert X.cohomology_profile(n) == sorted(want.get(n, []))
+            assert X.cohomology_length(n) == X.cohomology(n).length()
 
 
 def test_total_complex_differential_squares_to_zero():

@@ -16,6 +16,7 @@ from phigamma.cli import main
 from phigamma.errors import InvariantError, PrecisionError
 from phigamma.modules import identity_matrix, make_module, tate_twist
 from phigamma.normfield import NormFieldElement, RelativeNormElement
+import phigamma.complexes as complexes
 import phigamma.tatesen as tatesen
 from phigamma.tatesen import (
     CyclotomicElement,
@@ -396,6 +397,24 @@ def test_ts3_system_failed_rebuild_keeps_its_entry(monkeypatch):
         _ts3_system(3, 4, 14, 3, -4, top)
     assert len(tatesen._SYSTEMS) == tatesen._SYSTEMS_MAX
     assert (3, 4, 3, 3, 12) not in tatesen._SYSTEMS
+
+
+def test_ts3_report_keeps_no_dense_window(monkeypatch):
+    # the packed system serves every later sample, so the gamma window it is
+    # packed from takes no slot of the ring_window cache
+    monkeypatch.setattr(tatesen, "_SYSTEMS", OrderedDict())
+    monkeypatch.setattr(complexes, "_WINDOWS", OrderedDict())
+    built = []
+    build = tatesen.build_ring_window
+
+    def recorded(p, s, ring, bot_in, bot_out, top):
+        built.append((p, s, ring, top))
+        return build(p, s, ring, bot_in, bot_out, top)
+
+    monkeypatch.setattr(tatesen, "build_ring_window", recorded)
+    tate_sen_certificate(3, 1, 3, 7)
+    assert built
+    assert not set(built) & set(complexes._WINDOWS)
 
 
 def _random_system(rng, p, n_rows, n_cols, lower):

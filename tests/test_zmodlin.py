@@ -413,6 +413,9 @@ def test_pivot_step_matches_reference_at_herr_sizes():
         scale = [p ** (s - v) for v in vals[first:]] + [1] * (cols - len(vals))
         assert kernel_generators(A) == ZModMatrix(
             p, s, (Vt[first:] * np.array(scale)[:, None]).T)
+        # the raw columns are canonical, as _matmul_mod needs of operands
+        assert np.array_equal(zmodlin._kernel(A)[1],
+                              kernel_generators(A).entries)
         # U and V together
         sf = smith_normal_form(A)
         assert np.array_equal(sf.U.entries, U)
