@@ -39,23 +39,28 @@ generator's twisted window matrix is built and the other actions are its
 powers; the averaging idempotent E is checked to satisfy E E = E, and the
 basis is a set of columns of E (delta_project).  A cohomology call
 assembles raw d0 and d1, the Delta basis X and the X-projected d0 and d1
-once, at twice its deepest schedule depth, and reads every window as
-trailing corners of that build (_window_data): a window of depth b reads
-depth b (its kernels) and depth 2b (its deep coboundaries, cut at their
-rows below pi^-b).  The certificate of d o d = 0 at the least depth reads
-its d0 and d1 off the same raw pair when they fit.  This module
-has no elimination of its own: window products mod p^s go through
-zmodlin._matmul_mod, and kernels, lengths and elementary divisors are read
-from zmodlin's Smith form.  A kernel's length comes with it by
-rank-nullity, so a subquotient eliminates only [Z, -B] and its relations.
-Only isomorphism invariants reach a report, so reports do not depend on
-which generators a kernel or the Delta-fixed part comes with.
+once, at twice its deepest schedule depth or deep enough for the
+certificate of d o d = 0 at its least depth, whichever is deeper, and
+reads every window as trailing corners of that build (_window_data): a
+window of depth b reads depth b (its kernels) and depth 2b (its deep
+coboundaries, cut at their rows below pi^-b).  The certificate reads its
+d0 and d1 off the same raw pair.  This module has no elimination of its
+own: window products mod p^s go through zmodlin._matmul_mod, and kernels,
+lengths and elementary divisors come from zmodlin.  At s = 1 they are read
+off its packed F_p echelon (_fp_echelon): a kernel as independent columns,
+so its length is cols - rank, and a subquotient's length as a difference
+of ranks, every divisor p.  At s > 1 they come from its Smith form: a
+kernel's length comes with it by rank-nullity, so a subquotient eliminates
+only [Z, -B] and its relations.  Only isomorphism invariants reach a
+report, so reports do not depend on which generators a kernel or the
+Delta-fixed part comes with.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from bisect import bisect_left
 from collections import OrderedDict
 from dataclasses import dataclass
 
@@ -75,9 +80,11 @@ from .wittside import ArithLiftElement
 from .zmodlin import (
     ZModMatrix,
     _divisors,
+    _fp_echelon,
     _kernel,
     _matmul_mod,
     _mod,
+    _packs,
     _presentation_in,
     divisors_length,
     module_profile,
@@ -634,7 +641,18 @@ def _subquotient(Z: np.ndarray, length: int, B: np.ndarray, p: int, s: int,
                  escape: str = ""):
     """Length and elementary divisors of span(Z)/span(B), where span(Z) has
     the given length; B must lie in span(Z), else InvariantError with the
-    message escape."""
+    message escape.
+
+    At s = 1 (_packs) the subquotient is read off ranks, from one packed
+    echelon of [B | Z]: B lies in span(Z) iff the rank of [B | Z] is the
+    length of span(Z), and then the subquotient has length length - rank(B)
+    and every divisor p.  Otherwise the Smith path presents it."""
+    if _packs(p, s):
+        leads = _fp_echelon(np.hstack([B, Z]), p)[0]
+        if len(leads) != length:
+            raise InvariantError(escape)
+        h = length - bisect_left(leads, B.shape[1])
+        return h, (p,) * h
     try:
         prof = module_profile(_presentation_in(ZModMatrix(p, s, Z),
                                                ZModMatrix(p, s, B), length))
@@ -645,14 +663,23 @@ def _subquotient(Z: np.ndarray, length: int, B: np.ndarray, p: int, s: int,
 
 def _divisor_report(A: np.ndarray, p: int, s: int, n: int):
     """Length and elementary divisors of ker(A), n = cols, or of coker(A),
-    n = rows, from the pivot valuations of A."""
+    n = rows, from the pivot valuations of A; at s = 1 (_packs) from the
+    rank of A alone, every divisor p."""
+    if _packs(p, s):
+        h = n - len(_fp_echelon(A, p)[0])
+        return h, (p,) * h
     prof = _divisors(p, s, _kernel(ZModMatrix(p, s, A), False)[0], n)
     return divisors_length(p, prof), tuple(prof)
 
 
 def _kernel_of(A: np.ndarray, p: int, s: int):
-    """Columns generating ker(A) and their length s*cols - l(A), by
-    rank-nullity from the valuations of the same elimination."""
+    """Columns generating ker(A), canonical in [0, p^s), and their length
+    s*cols - l(A), by rank-nullity from the valuations of the same
+    elimination; at s = 1 (_packs) from one packed echelon, whose kernel
+    columns are linearly independent, so the length is cols - rank."""
+    if _packs(p, s):
+        K = _fp_echelon(A, p, kernel=True)[1]
+        return K, K.shape[1]
     vals, K = _kernel(ZModMatrix(p, s, A))
     return K, s * A.shape[1] - sum(s - v for v in vals)
 
@@ -862,13 +889,14 @@ def cohomology(T: GammaComplex, schedule=None) -> CohomologyReport:
 
     Dims are accepted only when the last three schedule entries agree;
     otherwise the verdict is "unstable" and callers must not trust dims.
-    The window data is assembled once, at twice the deepest schedule depth,
-    and every window reads its depth and twice its depth as trailing
-    corners of it (_window_data); so do d0 and d1 of the certification of
-    d^2 = 0 at the least depth, when they fit, and the raw pair is dropped
-    once they are read.  If that assembly fails, the certification and the
-    depths run one by one, as each is needed, so a failing schedule reports
-    the error its first failing step raises.
+    The window data is assembled once, at twice the deepest schedule depth
+    or at the depth bo = _out_depth(b) of the least depth b, whichever is
+    deeper, and every window reads its depth and twice its depth as
+    trailing corners of it (_window_data); so do d0 and d1 of the
+    certification of d^2 = 0 at b, whose d1 starts at depth bo, and the raw
+    pair is dropped once they are read.  If that assembly fails, the
+    certification and the depths run one by one, as each is needed, so a
+    failing schedule reports the error its first failing step raises.
     """
     if T.kind == "finite":
         return _finite_report(T)
@@ -876,7 +904,7 @@ def cohomology(T: GammaComplex, schedule=None) -> CohomologyReport:
         raise ValueError("window cohomology expects the three-term phi-cone")
     schedule = tuple(schedule) if schedule else DEFAULT_SCHEDULE
     top = _tail_floor(T.module)
-    deepest = 2 * max(schedule)
+    deepest = max(2 * max(schedule), _out_depth(T.module, min(schedule)))
     try:
         d0, d1, data = _assemble(T, deepest, top)
     except (PrecisionError, InvariantError):

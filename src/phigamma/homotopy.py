@@ -610,12 +610,15 @@ def spectral_E_pages(DC: DoubleComplex, r_max: int | None = None):
     """Pages E_1 .. E_{r_max} of the column filtration plus the abutment
     comparison against the total complex.
 
-    On a grid of W columns, a page r > W is page W relabelled, sharing its
-    dicts (E_W = E_∞): a Z_r or B_r span reaches at most W - 1 columns, so
-    from r = W on its spot lists are page W's, and every d_r lands in a
-    column >= W, which holds no spot.  Passage from page to page, copies
-    included, is certified by exact length bookkeeping: the length of
-    E_{r+1}^{p,q} must equal the length of ker d_r / im d_r on page r, else
+    On a grid of W columns and H rows, a page r > c = min(W, H + 1) is page
+    c relabelled, sharing its dicts (E_c = E_∞).  The spot lists of a Z_r
+    or B_r span step one column and one row per step of r, so they stop
+    growing once r reaches W, the grid's width, or H + 1, past which every
+    row they would add is below row 0 or above row H - 1; and from page c
+    on no d_r has a target: it lands in a column >= W, which holds no spot,
+    or, for r > H, in the row q - r + 1 < 0.  Passage from page to page,
+    copies included, is certified by exact length bookkeeping: the length
+    of E_{r+1}^{p,q} must equal the length of ker d_r / im d_r on page r, else
     InvariantError.  Returns (pages, abutment) where the abutment dict pairs
     each E_∞ diagonal sum with the total cohomology length in that degree
     (by rank-nullity, ChainComplexZ.cohomology_length).
@@ -628,8 +631,9 @@ def spectral_E_pages(DC: DoubleComplex, r_max: int | None = None):
     # window kernels by spot lists, which repeat between pages once a span
     # reaches the grid's edge
     kernels = {}
+    settled = max(min(W, H + 1), 1)
     for r in range(1, r_max + 1):
-        if r > max(W, 1):
+        if r > settled:
             page = replace(pages[-1], r=r)
         else:
             page = _page(DC, r, kernels)

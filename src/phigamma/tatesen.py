@@ -14,23 +14,26 @@ vanish on the window and the measured loss constant c3 reported.
 
 The arithmetic-direction solve builds gamma with
 ``complexes.build_ring_window`` at s = 1, in grid steps, and keeps only the
-system packed, one Python integer per column: every sample of one prime and
-level tops its window at the same exponent, so each system is a corner of
-one kept system (_ts3_system).  The TS3 residual and the c4 probe recheck
+system packed, one Python integer per column in zmodlin's lane format
+(zmodlin._pack): every sample of one prime and level tops its window at
+the same exponent, so each system is a corner of one kept system
+(_ts3_system).  The TS3 residual and the c4 probe recheck
 it through element gamma, a baby-step/giant-step evaluation on int64
 vectors that shares only the binomial table with the window builder.  The
 TS1 search tests every power of zeta - 1 at once, on one int64 array of
 traces.  The TS3 matrices are singular, and the
 reported c3 rests on the particular solution that sets the free unknowns to
-0.  _solve_packed finds it by column reduction: the window matrices are
-strictly lower triangular, so their columns come nearly in column echelon
-form.
+0.  _solve_packed finds it by column reduction, through the packed F_p
+echelon step the Herr windows use at s = 1 (zmodlin._reducer), with a log
+of its operations to solve by: the window matrices are strictly lower
+triangular, so their columns come nearly in column echelon form.
 
 Decompletion has no engine of its own.  At s = 1 the level-m ring is
 F_p((t)) with t = pi^(1/p^m), and phi(t) = t^p, gamma(t) = (1+t)^a - 1 are
 the level-0 formulas, so for constant matrices the level-m Herr complex is
 the level-0 one with depths counted in grid steps: both sides are windows
-of complexes.cohomology, the level-m one p^m times deeper.
+of complexes.cohomology, the level-m one p^m times deeper, and read their
+lengths off zmodlin's packed F_p echelon.
 """
 
 from __future__ import annotations
@@ -48,6 +51,7 @@ from .complexes import (build_ring_window, cohomology, herr_complex,
 from .errors import InvariantError, NonStabilizationError, PrecisionError
 from .normfield import (NormFieldElement, RelativeNormElement,
                         _one_plus_gen_power, format_element)
+from .zmodlin import _lanes, _lead, _pack, _reducer
 
 __all__ = [
     "TraceOperator",
@@ -324,74 +328,39 @@ def ts1_witness_search(p: int, s: int, n: int, c: Fraction) -> TS1Witness:
 # -- TS3: inverting 1 - gamma^(p^m) off the trace image ----------------------
 
 
-def _lanes(p: int):
-    """(width, k, mult) of packed F_p columns: a column is one Python integer
-    with one lane of width bits per row, row 0 lowest.  A lane below 2^a,
-    a = bit length of p(p - 1), reduces mod p by one Barrett multiply-shift:
-    floor(z * mult / 2^k) = floor(z / p) for z < 2^a, and z * mult <
-    2^width, so no carry crosses a lane."""
-    a = (p * (p - 1)).bit_length()
-    k = a + p.bit_length()
-    width = next((8 * n for n in (1, 2, 4, 8) if 8 * n >= a + k), None)
-    if width is None:
-        raise ValueError(f"prime {p} is too large for packed F_p columns")
-    return width, k, -(-(1 << k) // p)
-
-
-def _pack(A: np.ndarray, p: int) -> list:
-    """The columns of A mod p, packed (_lanes)."""
-    cols = np.empty((A.shape[1], A.shape[0]),
-                    dtype=np.dtype(f"<u{_lanes(p)[0] // 8}"))
-    cols[:] = A.T % p
-    return [int.from_bytes(c.tobytes(), "little") for c in cols]
-
-
 def _solve_packed(cols: list, b: int, n_rows: int, p: int):
     """The solution of A x = b over F_p whose free unknowns are 0, or None
     if there is none; A has n_rows rows, and its columns and b are packed
-    (_pack).
+    (zmodlin._pack).
 
     A column is free when it lies in the span of the columns to its left,
     as in a row echelon with pivots taken greedily from the left.  Columns
-    are reduced left to right, b last: while a column leads (has its least
-    nonzero row) where an earlier column leads, that column's multiple is
-    subtracted; it ends leading at a new row, or at zero, and then it is
-    free.  b ends at zero exactly when the system is consistent, and undoing
-    the recorded operations on it gives x.  The TS3 matrices are strictly
-    lower triangular, so their columns come close to column echelon form
-    and most need no operation or a few.  An operation adds (p - f) times
-    another column, which keeps every lane below p(p - 1), and reduces each
-    lane mod p by one Barrett step (_lanes).
+    are reduced left to right, b last, by zmodlin's packed F_p echelon
+    (_reducer): while a column leads (has its least nonzero row) where an
+    earlier column leads, that column's multiple is subtracted and logged;
+    it ends leading at a new row, or at zero, and then it is free.  b ends
+    at zero exactly when the system is consistent, and undoing the logged
+    operations on it gives x.  The TS3 matrices are strictly lower
+    triangular, so their columns come close to column echelon form and most
+    need no operation or a few.
     """
-    width, k, mult = _lanes(p)
     n_cols = len(cols)
-    cols = [*cols, b]
-    # (2^(width - k) - 1) in every lane: the repunit in base 2^width times it
-    quot = ((1 << (width - k)) - 1) * (((1 << (width * n_rows)) - 1)
-                                       // ((1 << width) - 1))
-    mask = (1 << width) - 1
-    lead, ops = {}, []
-    for c, x in enumerate(cols):
-        while x:
-            r = ((x & -x).bit_length() - 1) // width
-            if r not in lead:
-                break
-            j, inv = lead[r]
-            f = ((x >> (r * width)) & mask) * inv % p
-            ops.append((c, j, f))
-            z = x + (p - f) * cols[j]
-            x = z - p * (((z * mult) >> k) & quot)
+    reduce = _reducer(p, n_rows)
+    lead, logs = {}, []
+    for c, x in enumerate([*cols, b]):
+        logs.append([])
+        x, r = reduce(x, lead, logs[c])
         if not x:
             continue
         if c == n_cols:
             return None
-        cols[c] = x
-        lead[r] = c, pow((x >> (r * width)) & mask, -1, p)
+        lead[r] = _lead(x, p, c)
     # b - sum of f * (reduced column j) is 0; a reduced column is its own
-    # column minus recorded multiples of earlier ones, so undo in reverse
+    # column minus logged multiples of earlier ones, so undo in reverse
     w = [0] * n_cols + [1]
-    for c, j, f in reversed(ops):
-        w[j] = (w[j] - f * w[c]) % p
+    for c in reversed(range(n_cols + 1)):
+        for j, f in reversed(logs[c]):
+            w[j] = (w[j] - f * w[c]) % p
     return np.array([-v % p for v in w[:n_cols]], dtype=np.int64)
 
 

@@ -8,12 +8,12 @@ them.  The modulus must satisfy (p^s - 1)^2 < 2^63, so that a product of
 two entries fits in int64.  json_fields checks the top-level fields of the
 JSON documents the package reads.
 
-This module holds the package's Z/p^s elimination and its product of
-matrices mod p^s; the Herr window engine (complexes), the decompletion
-comparison (tatesen) and the homological engine (homotopy) all read
-lengths, kernels and profiles from it.  Products (_matmul_mod) are summed
-over slices of the inner dimension whose length k follows from q = p^s:
-float64 BLAS while (q-1)^2 k < 2^53, int64 while (q-1)^2 k < 2^63.
+This module holds the package's Z/p^s elimination, its F_p echelon and its
+product of matrices mod p^s; the Herr window engine (complexes), the
+decompletion comparison (tatesen) and the homological engine (homotopy)
+all read lengths, kernels and profiles from it.  Products (_matmul_mod) are
+summed over slices of the inner dimension whose length k follows from
+q = p^s: float64 BLAS while (q-1)^2 k < 2^53, int64 while (q-1)^2 k < 2^63.
 
 The elimination (_eliminate) is a Smith normal form adapted to the local
 ring Z/p^s: the pivot is the first entry of least p-adic valuation of the
@@ -23,6 +23,19 @@ search only tests entries for zero.  Its input is scratch.  A step updates
 only the rows and columns reached by its pivot's column and row, and ends
 at its swaps if its pivot row has no other nonzero entry and U is not
 asked for.  Kernels, cokernels, subquotients and profiles derive from it.
+
+The packed F_p echelon (_fp_echelon) works on columns packed one Python
+integer each, one lane of 8, 16, 32 or 64 bits per row (_lanes, _pack), so
+that a column operation is a few integer operations over the whole
+column, and each lane is reduced mod p by one Barrett multiply-shift
+(Dumas, Fousse and Salvy's simultaneous modular reduction); every p < 4096
+fits a lane.  Columns are reduced left to right against a table of the
+earlier columns' leads, their least nonzero lanes (_reducer).  It has two
+clients: the Herr window engine takes its kernels, ranks and subquotient
+lengths from it at s = 1 (_packs), and tatesen's TS3 solve reduces its
+packed systems through the same step and keeps a log of it.  It carries
+no transforms: a kernel comes from identity lanes packed after the row
+lanes.
 
 Finite modules are presented as cokernels of relation matrices
 (PresentedModule); their isomorphism class is captured by the list of
@@ -559,3 +572,131 @@ def solve(A: ZModMatrix, b) -> np.ndarray | None:
         elif ci:
             return None
     return _matmul_mod(sf.V.entries, y, q)[:, 0]
+
+
+# -- packed F_p columns ------------------------------------------------------
+
+
+@lru_cache(maxsize=64)
+def _lanes(p: int):
+    """(width, k, mult) of packed F_p columns: a column is one Python integer
+    with one lane of width bits per row, row 0 lowest.  A lane below 2^a,
+    a = bit length of p(p - 1), reduces mod p by one Barrett multiply-shift:
+    floor(z * mult / 2^k) = floor(z / p) for z < 2^a, and z * mult <
+    2^width, so no carry crosses a lane."""
+    a = (p * (p - 1)).bit_length()
+    k = a + p.bit_length()
+    width = next((8 * n for n in (1, 2, 4, 8) if 8 * n >= a + k), None)
+    if width is None:
+        raise ValueError(f"prime {p} is too large for packed F_p columns")
+    return width, k, -(-(1 << k) // p)
+
+
+def _packs(p: int, s: int) -> bool:
+    """Whether matrices over Z/p^s go through the packed F_p echelon: s = 1
+    and a lane holds p (_lanes; every p < 4096 fits)."""
+    if s != 1:
+        return False
+    try:
+        _lanes(p)
+    except ValueError:
+        return False
+    return True
+
+
+def _pack(A: np.ndarray, p: int) -> list:
+    """The columns of an integer matrix A mod p, packed (_lanes).  Entries
+    already in [0, p) are cast to lanes without a remainder."""
+    if A.size and (A.min() < 0 or A.max() >= p):
+        A = A % p
+    size = _lanes(p)[0] // 8
+    n = A.shape[0] * size
+    if not n:
+        return [0] * A.shape[1]
+    data = A.T.astype(f"<u{size}", order="C").tobytes()
+    return [int.from_bytes(data[i:i + n], "little")
+            for i in range(0, len(data), n)]
+
+
+def _reducer(p: int, n_lanes: int):
+    """reduce(x, lead, log=None) for packed columns of at most n_lanes lanes.
+
+    lead maps a lane r to (y, inv, tag): a reduced column y whose least
+    nonzero lane is r, stored shifted down by r lanes (its lead in lane 0),
+    the inverse mod p of its lead entry, and a tag for the log.  While x
+    leads (has its least nonzero lane) where some y leads, f = x_r * inv
+    times y is subtracted, and (tag, f) appended to log if it is given.
+    Returns (x, r) with x reduced, r its lead lane, not in lead, and x
+    shifted down by r lanes, as lead stores it; or (0, -1).  Lanes below
+    the lead are zero and stay zero, so x is shifted down as it goes and
+    every step works on the lanes from the lead up.  A step adds (p - f) y,
+    which keeps every lane at most p(p - 1), and reduces each lane mod p by
+    one Barrett step (_lanes), so every lane stays in [0, p).
+    """
+    width, k, mult = _lanes(p)
+    # (2^(width - k) - 1) in every lane: the repunit in base 2^width times it
+    quot = ((1 << (width - k)) - 1) * (((1 << (width * n_lanes)) - 1)
+                                       // ((1 << width) - 1))
+    mask = (1 << width) - 1
+
+    def reduce(x: int, lead: dict, log: list | None = None):
+        r = 0
+        while x:
+            t = ((x & -x).bit_length() - 1) // width
+            if t:
+                x >>= t * width
+                r += t
+            got = lead.get(r)
+            if got is None:
+                return x, r
+            y, inv, tag = got
+            f = (x & mask) * inv % p
+            if log is not None:
+                log.append((tag, f))
+            z = x + (p - f) * y
+            x = z - p * (((z * mult) >> k) & quot)
+        return 0, -1
+
+    return reduce
+
+
+def _lead(x: int, p: int, tag) -> tuple:
+    """The lead-table entry (_reducer) of a column x that reduce returned."""
+    return x, pow(x & ((1 << _lanes(p)[0]) - 1), -1, p), tag
+
+
+def _fp_echelon(A: np.ndarray, p: int, kernel: bool = False):
+    """(leads, K) for an integer matrix A read mod p: the columns of A that
+    lie outside the span of the columns to their left, in order, so that the
+    rank of A[:, :j] is the number of leads below j; and, if kernel, columns
+    generating ker(A) over F_p (else None), cols - rank of them, linearly
+    independent, with int64 entries in [0, p).
+
+    The zero rows of A are dropped, which changes neither the rank nor the
+    kernel.  Each column is packed (_pack) and, if kernel, followed by cols
+    identity lanes, its own lane set to 1; the columns are reduced left to
+    right against the leads of the earlier ones (_reducer).  A column whose
+    row lanes reduce to zero is no lead, and its identity lanes then hold a
+    kernel vector: that column minus the combination of earlier columns the
+    reduction subtracted.
+    """
+    A = A[A.any(axis=1)]
+    m, cols = A.shape
+    width = _lanes(p)[0]
+    reduce = _reducer(p, m + cols if kernel else m)
+    lead, leads, free = {}, [], []
+    for c, x in enumerate(_pack(A, p)):
+        if kernel:
+            x |= 1 << ((m + c) * width)
+        x, r = reduce(x, lead)
+        if 0 <= r < m:
+            lead[r] = _lead(x, p, c)
+            leads.append(c)
+        elif kernel:
+            free.append(x << ((r - m) * width))
+    if not kernel:
+        return leads, None
+    lane = np.dtype(f"<u{width // 8}")
+    data = b"".join(v.to_bytes(cols * lane.itemsize, "little") for v in free)
+    K = np.frombuffer(data, dtype=lane).reshape(len(free), cols)
+    return leads, K.T.astype(np.int64)

@@ -23,7 +23,9 @@ from phigamma.complexes import (
     _block_matrix,
     _corner,
     _delta_actions,
+    _divisor_report,
     _finite_diff_matrices,
+    _kernel_of,
     _matmul_mod,
     _op,
     _operator_matrix,
@@ -41,9 +43,13 @@ from phigamma.complexes import (
 from phigamma.errors import InvariantError, PrecisionError
 from phigamma.modules import (identity_matrix, make_module, mat_inverse,
                               mat_map, mat_mul, tate_twist)
+from phigamma.tatesen import decompletion_compare
 from phigamma.wittside import ArithLiftElement
-from phigamma.zmodlin import (ZModMatrix, _eliminate, image_length,
-                              kernel_generators)
+from phigamma import zmodlin
+from phigamma.zmodlin import (ZModMatrix, _eliminate, divisors_length,
+                              image_length, kernel_generators,
+                              kernel_cokernel, module_profile,
+                              subquotient_presentation)
 
 P = 3
 CHI = 1 + P
@@ -524,6 +530,31 @@ def test_deepest_assembly_answers_past_the_certified_need():
     assert (rep.dims, rep.verdict) == ((1, 4, 1), "stable")
 
 
+def test_certificate_reads_the_deepest_build(monkeypatch):
+    # at (8, 9, 10) the certificate's d1 starts at _out_depth(8) = 30, past
+    # twice the deepest depth: the one build is made at 30, and the
+    # certificate reads both its matrices off it.  When that build raises,
+    # the certificate runs on its own and raises what it always raised
+    built = []
+    block = complexes._block_matrix
+
+    def counted(D, blocks, bot_in, bot_out, top):
+        built.append(bot_in)
+        return block(D, blocks, bot_in, bot_out, top)
+
+    monkeypatch.setattr(complexes, "_block_matrix", counted)
+    T = herr_complex(_series_module(100), "free")
+    assert _out_depth(T.module, 8) == 30
+    rep = cohomology(T, (8, 9, 10))
+    assert rep.trace == tuple((b, (1, 4, 1)) for b in (8, 9, 10))
+    assert rep.verdict == "stable" and built == [30, 30]
+    built.clear()
+    with pytest.raises(PrecisionError,
+                       match=r"certified to pi\^91, got pi\^80$"):
+        cohomology(herr_complex(_series_module(80), "free"), (8, 9, 10))
+    assert built == [30, 8, 30]
+
+
 @pytest.mark.parametrize("mode", ["delta", "free"])
 def test_d_squared_certified_at_p7_s4(mode):
     assert certify_d_squared(herr_complex(trivial(4, p=7), mode), 8)
@@ -688,6 +719,73 @@ def test_subquotient_escape_names_its_degree():
     with pytest.raises(InvariantError, match="escape the window"):
         _subquotient(Z, 2, B, P, 2, "coboundaries escape the window")
     assert _subquotient(Z, 2, 3 * Z, P, 2, "") == (1, (3,))
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_window_helpers_at_s1_match_the_smith_path(p):
+    # at s = 1 the helpers read the packed F_p echelon; the Smith path,
+    # through zmodlin, gives the same lengths and profiles
+    rng = np.random.default_rng(10 + p)
+    for rows, cols in ((9, 5), (5, 9), (30, 18), (18, 30), (40, 40)):
+        A = rng.integers(0, p, (rows, cols)) * (rng.random((rows, cols))
+                                                 < 0.2)
+        A[rng.integers(0, rows, 3)] = 0
+        A[:, -1] = (A[:, 0] + 2 * A[:, 1]) % p
+        M = ZModMatrix(p, 1, A)
+        ker, coker = kernel_cokernel(M)
+        for n, module in ((cols, ker), (rows, coker)):
+            prof = module_profile(module)
+            assert _divisor_report(A, p, 1, n) == (divisors_length(p, prof),
+                                                   tuple(prof))
+        K, length = _kernel_of(A, p, 1)
+        assert length == ker.length() == K.shape[1]
+        assert K.min(initial=0) >= 0 and K.max(initial=0) < p
+        assert not _matmul_mod(A, K, p).any()
+        assert image_length(ZModMatrix(p, 1, K)) == length
+        # span(Z)/span(B) for B inside span(Z), of a lower rank
+        Z = A[:, :cols // 2 + 1]
+        C = rng.integers(0, p, (Z.shape[1], 7))
+        C[:, 4:] = C[:, :3]
+        B = _matmul_mod(Z, C, p)
+        zlen = image_length(ZModMatrix(p, 1, Z))
+        prof = module_profile(subquotient_presentation(ZModMatrix(p, 1, Z),
+                                                       ZModMatrix(p, 1, B)))
+        assert _subquotient(Z, zlen, B, p, 1, "") == (divisors_length(p, prof),
+                                                      tuple(prof))
+        assert _subquotient(Z, zlen, B[:, :0], p, 1, "") == (zlen,
+                                                             (p,) * zlen)
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_packed_subquotient_escape_raises_the_callers_message(p):
+    Z = np.array([[1, 0], [0, 1], [0, 0]], dtype=np.int64)
+    B = np.array([[1], [1], [1]], dtype=np.int64)
+    with pytest.raises(InvariantError, match="^coboundaries escape here$"):
+        _subquotient(Z, 2, B, p, 1, "coboundaries escape here")
+    inside = np.array([[1], [1], [0]], dtype=np.int64)
+    assert _subquotient(Z, 2, inside, p, 1, "") == (1, (p,))
+
+
+def test_s1_windows_run_no_smith_elimination(monkeypatch):
+    # the s = 1 Herr windows and decompletion read every kernel, rank and
+    # subquotient off the packed F_p echelon; s = 2 keeps the Smith path
+    calls = [0]
+    eliminate = zmodlin._eliminate
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return eliminate(*args, **kwargs)
+
+    monkeypatch.setattr(zmodlin, "_eliminate", counted)
+    D = tate_twist(trivial(prec=600), 1)
+    for mode, dims in (("delta", (0, 2, 1)), ("free", (1, 4, 1))):
+        rep = cohomology(herr_complex(D, mode), SCHEDULE)
+        assert (rep.dims, rep.verdict) == (dims, "stable")
+    assert decompletion_compare(D, 1)["equal"]
+    assert calls[0] == 0
+    rep = cohomology(herr_complex(tate_twist(trivial(2, prec=600), 1),
+                                  "delta"), SCHEDULE)
+    assert rep.verdict == "stable" and calls[0] > 0
 
 
 def test_semidirect_broken_relation_rejected():

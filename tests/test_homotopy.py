@@ -344,6 +344,32 @@ def test_pages_past_the_width_are_page_w(W, H):
                    for page in pages[W:])
 
 
+@pytest.mark.parametrize("W, H", [(5, 2), (4, 1), (5, 1), (4, 2)])
+def test_pages_past_the_height_are_copies(W, H, monkeypatch):
+    # no d_r with r > H has a target, so on a grid wider than it is tall
+    # the pages from H + 2 on are page H + 1 relabelled: they are copied,
+    # and equal pages rebuilt from scratch
+    rng = random.Random(53 * W + H)
+    built = []
+    make_page = homotopy._page
+
+    def page(DC, r, kernels):
+        built.append(r)
+        return make_page(DC, r, kernels)
+
+    for _ in range(3):
+        DC = random_dc(rng, W, H)
+        with monkeypatch.context() as m:
+            m.setattr(homotopy, "_page", page)
+            built.clear()
+            pages, ab = spectral_E_pages(DC)
+        assert ab["equal"] and len(pages) == W + H
+        assert built == list(range(1, H + 2))
+        for page_r in pages[H + 1:]:
+            assert page_r == make_page(DC, page_r.r, {})
+            assert page_r == replace(pages[H], r=page_r.r)
+
+
 def test_spectral_pages_past_the_width_run_no_elimination(monkeypatch):
     # on a 3x3 grid the spans run for r <= 3 only, and nothing is
     # eliminated between the end of page 3 and the total complex

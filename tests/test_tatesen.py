@@ -16,6 +16,7 @@ from phigamma.cli import main
 from phigamma.errors import InvariantError, PrecisionError
 from phigamma.modules import identity_matrix, make_module, tate_twist
 from phigamma.normfield import NormFieldElement, RelativeNormElement
+from phigamma.zmodlin import _lanes, _pack
 import phigamma.complexes as complexes
 import phigamma.tatesen as tatesen
 from phigamma.tatesen import (
@@ -25,8 +26,6 @@ from phigamma.tatesen import (
     decompletion_compare,
     decompose,
     decompose_element,
-    _lanes,
-    _pack,
     _solve_packed,
     _ts1_traces,
     _ts3_system,
@@ -550,6 +549,22 @@ def test_decompletion_output_pinned(p, level, n, h):
                  "equal": True, "trace_level_0": trace,
                  "trace_level_m": trace}
     json.dumps(r)  # plain ints only: the bench digests these bytes
+
+
+def test_decompletion_builds_each_side_once(monkeypatch):
+    # each side assembles its raw pair once, deep enough for the d^2 = 0
+    # certificate at its least depth to read its matrices off it
+    built = []
+    block = complexes._block_matrix
+
+    def counted(D, blocks, bot_in, bot_out, top):
+        built.append(bot_in)
+        return block(D, blocks, bot_in, bot_out, top)
+
+    monkeypatch.setattr(complexes, "_block_matrix", counted)
+    r = decompletion_compare(tate_twist(trivial_module(), 1), 1)
+    assert r["degrees"] == {0: (0, 0), 1: (2, 2)}
+    assert built == [21, 21, 60, 60]
 
 
 def test_decompletion_matches_engine_report():

@@ -425,6 +425,60 @@ def test_pivot_step_matches_reference_at_herr_sizes():
     assert mid >= 3 and top >= 3
 
 
+def _fp_matrices(p):
+    """Matrices over F_p: dense and sparse random ones, some with repeated
+    or combined columns, zero rows and zero columns, and empty shapes."""
+    rng = np.random.default_rng(p)
+    for rows, cols in ((1, 1), (3, 7), (7, 3), (12, 12), (40, 25), (25, 60)):
+        dense = rng.integers(0, p, (rows, cols))
+        sparse = dense * (rng.random((rows, cols)) < 0.15)
+        yield dense
+        yield sparse
+        # dependent columns and zero rows and columns
+        mixed = sparse.copy()
+        h = cols // 2
+        mixed[:, cols - h:] = mixed[:, :h] * int(rng.integers(1, p)) % p
+        mixed[rng.integers(0, rows, rows // 3 + 1)] = 0
+        mixed[:, rng.integers(0, cols, cols // 3 + 1)] = 0
+        yield mixed
+    for shape in ((0, 5), (5, 0), (0, 0), (4, 4)):
+        yield np.zeros(shape, dtype=np.int64)
+
+
+def _check_fp_echelon(A, p):
+    rows, cols = A.shape
+    leads, K = zmodlin._fp_echelon(A, p, kernel=True)
+    rank = len(zmodlin._kernel(ZModMatrix(p, 1, A), False)[0])
+    assert len(leads) == rank
+    assert zmodlin._fp_echelon(A, p) == (leads, None)
+    # a lead is a column outside the span of the columns to its left
+    for j in range(cols + 1):
+        assert sum(c < j for c in leads) == image_length(
+            ZModMatrix(p, 1, A[:, :j]))
+    assert K.dtype == np.int64 and K.shape == (cols, cols - rank)
+    assert K.min(initial=0) >= 0 and K.max(initial=p - 1) < p
+    assert not zmodlin._matmul_mod(A, K, p).any()
+    assert image_length(ZModMatrix(p, 1, K)) == cols - rank
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 4093])
+def test_fp_echelon_matches_smith_ranks_and_kernels(p):
+    for A in _fp_matrices(p):
+        _check_fp_echelon(A, p)
+
+
+def test_fp_echelon_at_herr_sizes():
+    for A in _herr_shaped_matrices(53, 12):
+        _check_fp_echelon(A.entries % A.p, A.p)
+
+
+def test_fp_lanes_hold_every_prime_below_4096():
+    assert zmodlin._packs(4093, 1) and zmodlin._packs(3, 1)
+    assert not zmodlin._packs(3, 2) and not zmodlin._packs(8191, 1)
+    with pytest.raises(ValueError):
+        zmodlin._pack(np.eye(2, dtype=np.int64), 8191)
+
+
 def test_smith_memo_eliminates_each_matrix_once(monkeypatch):
     shapes = []
 
