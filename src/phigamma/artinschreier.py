@@ -6,15 +6,25 @@ sum a = -(b + b^p + b^{p^2} + ...).  Negative exponents are peeled one
 leading monomial at a time: c*pi^n is killed by adding its p-th root
 c*pi^(n/p) to the answer, raising the perfection level as needed; whatever
 survives the level budget is pushed into a single Artin-Schreier layer
-theta^p - theta = u.  On Witt vectors, (phi - 1) is solved one component at
-a time: the leading component is an x^p - x = b problem, and the defect is
-exactly divisible by p, so the tail recurses in one length less.
+theta^p - theta = u.
+
+On Witt vectors, (phi - 1) is solved in ghost coordinates.  With the
+coefficientwise lifts of _ghost_components, ghost_i(phi y) = sigma(ghost_i
+(y)) holds exactly, sigma: t |-> t^p on the integer cover.  So (phi - 1)y =
+z splits into one equation sigma(g_i) - g_i = h_i per ghost component, h =
+ghost(z), each read mod p^(i+1), where ghost component i is pinned down; it
+is solved like x^p - x = b, by the peel and the telescoping sum.  Since h_i
+= sigma(h_(i-1)) mod p^i and each solution is unique, g_i = sigma(g_(i-1))
+mod p^i, so the g_i are a ghost vector by Dwork's lemma (Hazewinkel,
+"Witt vectors. Part 1", Handbook of Algebra 6, 2009), and one _unghost
+recovers y.  The residual is then checked through Witt components.
 
 Solutions of (phi - 1)y = z are unique up to W_s(F_p) = Z/p^s.  The chosen
 representative is the one whose top ghost component has zero constant
 coefficient; this functional is additive (the ghost map is a ring map and
 coefficient extraction is linear), so the resulting splitting sigma is a
-genuine group-theoretic right inverse.
+genuine group-theoretic right inverse.  The ghost solve gives every g_i
+zero constant coefficient, so it lands on that representative directly.
 """
 
 from __future__ import annotations
@@ -25,8 +35,8 @@ from fractions import Fraction
 from .errors import DepthExceededError, InvariantError, PrecisionError
 from .normfield import (NormFieldElement, _grid_level, adjoin_as_root,
                         format_element, frobenius_e)
-from .wittside import (WittVector, _ghost_components, _witt_ghost_op,
-                       teichmuller, v_le_n, witt_add, witt_sub)
+from .wittside import (WittVector, _from_ghosts, _ghost_components,
+                       _headroom, _ZSeries, v_le_n, witt_sub)
 
 __all__ = [
     "ASSolution",
@@ -169,32 +179,48 @@ def _phi_minus_one(z: WittVector) -> WittVector:
     return witt_sub(z.frobenius(), z)
 
 
-def _solve_components(p: int, comps: list[NormFieldElement],
-                      level_budget: int) -> list[NormFieldElement]:
-    """Components of a y with (phi - 1)y = z, z given by its components.
+def _solve_ghost_component(h: _ZSeries, i: int,
+                           level_cap: int) -> _ZSeries:
+    """The g with sigma(g) - g = h mod p^(i+1) and no constant term.
 
-    Component 0 solves y0^p - y0 = z0 in depth 0.  The defect
-    r = z - (phi - 1)[y0] is taken in one ghost round trip; it is p*w, and
-    w recurses in one length less.
+    Ghost component i of a Witt vector is pinned down mod p^(i+1) only, so
+    h is read there.  Nonpositive terms are peeled from the most negative
+    upward: c*t^n is sigma of c*t^(n/p), which joins g and moves the defect
+    to exponent n/p, on a finer grid when needed, as solve_as_general does;
+    a term whose n/p lies past the window is not certified and is dropped.
+    What is left is positive, and g takes -(h + sigma(h) + sigma^2(h) + ...)
+    up to the window.  DepthExceededError when a nonpositive remainder
+    survives level_cap: the solution then needs an extension layer.
     """
-    sol0 = solve_as_general(comps[0], depth_budget=0, level_budget=level_budget)
-    y0 = sol0.value
-    if len(comps) == 1:
-        return [y0]
-    s_cur = len(comps)
-    Y0 = teichmuller(y0, s_cur)
-    # r = z - (phi - 1)Y0 in one ghost round trip
-    r = _witt_ghost_op(lambda z, fy, y: z - (fy - y),
-                       WittVector(p, s_cur, comps), Y0.frobenius(), Y0)
-    if not r.components[0].is_zero():
-        raise PrecisionError("component-0 defect did not cancel on the window")
-    # r = p*w, and multiplication by p shifts p-th powers up one slot
-    w = [c.p_th_root() for c in r.components[1:]]
-    u = _solve_components(p, w, level_budget)
-    # p * (u_0, ..., u_{s-2}) = (0, u_0^p, ..., u_{s-2}^p) over a perfect base
-    lifted = [NormFieldElement.zero(p, u[0].prec, u[0].m)] \
-        + [ui.frobenius() for ui in u]
-    return witt_add(Y0, WittVector(p, s_cur, lifted)).components
+    p, m, prec = h.p, h.m, h.prec_num
+    q = p ** (i + 1)
+    rem = {n: c % q for n, c in h.coeffs.items() if c % q}
+    peeled: dict[int, int] = {}
+    while rem and (n := min(rem)) < 0:
+        if n >= p * prec:
+            del rem[n]
+            continue
+        if n % p:
+            if m == level_cap:
+                break
+            m, prec = m + 1, prec * p
+            rem = {k * p: c for k, c in rem.items()}
+            peeled = {k * p: c for k, c in peeled.items()}
+            continue
+        c, t = rem.pop(n), n // p
+        peeled[t] = peeled.get(t, 0) + c
+        rem[t] = (rem.get(t, 0) + c) % q
+        if not rem[t]:
+            del rem[t]
+    if rem and min(rem) <= 0:
+        raise DepthExceededError(
+            "solution requires an extension layer but the budget is 0")
+    g = _ZSeries(p, m, peeled, prec, i + 1)
+    tail = _ZSeries(p, m, rem, prec, i + 1)
+    while tail.coeffs:
+        g = g - tail
+        tail = tail.sigma().truncate_to_num(prec)
+    return _ZSeries(p, m, g.coeffs, prec, h.s)
 
 
 def rho_constant(z: WittVector) -> int:
@@ -215,20 +241,22 @@ def rho_constant(z: WittVector) -> int:
 def solve_phi_minus_one(z: WittVector, level_budget: int = 4) -> ASSolution:
     """Solve (phi - 1)y = z in W_s, normalized so rho_constant(y) = 0.
 
-    Component solves must stay inside the perfection tower (depth 0); an
-    instance that needs an extension layer raises DepthExceededError rather
-    than returning an approximation.
+    One ghost round trip: each ghost component of z is solved on its own,
+    and the solutions are read back as Witt components.  The ghost solves
+    must stay inside the perfection tower (depth 0); an instance that needs
+    an extension layer raises DepthExceededError rather than returning an
+    approximation.
     """
     p, s = z.p, z.s
     prec = min(c.prec for c in z.components)
     if z.is_zero():
         y = WittVector.zero(p, s, prec)
         return ASSolution(y, 0, prec, None, None)
-    comps = _solve_components(p, list(z.components), level_budget)
-    y = WittVector(p, s, comps)
-    c = rho_constant(y)
-    if c:
-        y = witt_sub(y, WittVector.from_constant(p, s, c, prec))
+    m = max(c.m for c in z.components)
+    g = [_solve_ghost_component(h, i, m + level_budget)
+         for i, h in enumerate(_ghost_components(z, m, _headroom(s)))]
+    top = max(gi.m for gi in g)
+    y = _from_ghosts(p, s, [gi.at_level(top) for gi in g])
     back = _phi_minus_one(y)
     if not back.agrees_with(z):
         raise InvariantError("(phi-1) residual is nonzero on the window")

@@ -192,6 +192,28 @@ def test_phi1_depth_exceeded_reported():
         solve_phi_minus_one(z)
 
 
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_phi1_planted_recovered_on_the_whole_window(p):
+    # z = (phi - 1)w for w with zero components and negative exponents on
+    # grids of level 0-2: y is never refused, and y - w is a constant on
+    # all of y's certified window
+    rng = random.Random(700 + p)
+    for _ in range(40):
+        s, m = rng.randint(1, 6), rng.randint(0, 2)
+        w = WittVector(p, s, [random_unit_tail(rng, p, m,
+                                               rng.randint(-3, 2) * p**m,
+                                               rng.randint(4, 12) * p**m)
+                              if rng.random() > 0.3
+                              else NormFieldElement.zero(p, 12, m)
+                              for _ in range(s)])
+        z = phi_minus_one(w)
+        sol = solve_phi_minus_one(z)
+        d = witt_sub(sol.value, w)
+        for c in d.components:
+            assert c.prec >= sol.certified_prec
+            assert all(e == 0 for e in c.terms() if e < sol.certified_prec)
+
+
 def test_phi1_radius_dilation():
     rng = random.Random(61)
     w = random_plant(rng, s=3, lo=1)

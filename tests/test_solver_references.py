@@ -2,13 +2,24 @@
 
 The reference functions below are the earlier implementations, kept
 verbatim: the Frobenius of a layer element expanded through layer products
-of (theta + u)^j, the (phi - 1) defect r = z - (phi - 1)Y0 of
-_solve_components taken in two Witt subtractions, and the ghost maps that
-raise every component to its p-th powers, zero or not.  On seeded inputs
-(p in {3, 5, 7}, layers of depth 1 and 2, Witt lengths 1..6, zero
-components, negative exponents, level budgets 1..4) the current code gives
-the same values, at least the same precision for the Frobenius, and the
-same components, precision, reports and exception text for the rest.
+of (theta + u)^j, the ghost maps that raise every component to its p-th
+powers, zero or not, and the (phi - 1) solver that recursed one Witt length
+at a time, taking the defect r = z - (phi - 1)Y0 in two Witt subtractions.
+On seeded inputs (p in {3, 5, 7}, layers of depth 1 and 2, Witt lengths
+1..6, zero components, negative exponents, level budgets 1..4) the current
+layer Frobenius, ghost maps and Artin-Schreier solver give the same values,
+reports and exception text, and at least the same precision.
+
+The current (phi - 1) solver works in ghost coordinates instead: ghost_i of
+phi(y) is sigma(ghost_i(y)) exactly, with sigma: t |-> t^p, so each ghost
+component solves sigma(g_i) - g_i = ghost_i(z) on its own, and Dwork's lemma
+makes the g_i a ghost vector.  The recursion lost a factor of p of precision
+per level (its certificates fell below the input's valuation) and refused
+solvable inputs with negative exponents, so it is not matched byte for
+byte.  Against it the current solver raises the same DepthExceededError and
+InvariantError text, agrees in value on the overlap of the two windows,
+certifies no smaller a window, and answers with a vanishing residual where
+the reference raised PrecisionError.
 """
 
 import json
@@ -17,14 +28,16 @@ from fractions import Fraction
 
 import pytest
 
-from phigamma import artinschreier, wittside
-from phigamma.errors import PrecisionError
-from phigamma.artinschreier import (solve_as_general, solve_phi_minus_one,
+from phigamma import wittside
+from phigamma.errors import InvariantError, PrecisionError
+from phigamma.artinschreier import (ASSolution, rho_constant,
+                                    solve_as_general, solve_phi_minus_one,
                                     _phi_minus_one)
 from phigamma.normfield import (ASExtension, ASExtensionElement,
                                 NormFieldElement, _lift_to)
 from phigamma.wittside import (WittVector, _ZSeries, _ghost, _headroom,
-                               _unghost, teichmuller, witt_add, witt_sub)
+                               _unghost, teichmuller, v_le_n, witt_add,
+                               witt_sub)
 
 
 # -- the earlier implementations ---------------------------------------------
@@ -69,6 +82,28 @@ def reference_solve_components(p, comps, level_budget):
     return witt_add(Y0, WittVector(p, s_cur, lifted)).components
 
 
+def reference_solve_phi_minus_one(z, level_budget=4):
+    """The earlier solve_phi_minus_one: reference_solve_components, then the
+    rho_constant fold and the residual check."""
+    p, s = z.p, z.s
+    prec = min(c.prec for c in z.components)
+    if z.is_zero():
+        y = WittVector.zero(p, s, prec)
+        return ASSolution(y, 0, prec, None, None)
+    comps = reference_solve_components(p, list(z.components), level_budget)
+    y = WittVector(p, s, comps)
+    c = rho_constant(y)
+    if c:
+        y = witt_sub(y, WittVector.from_constant(p, s, c, prec))
+    back = _phi_minus_one(y)
+    if not back.agrees_with(z):
+        raise InvariantError("(phi-1) residual is nonzero on the window")
+    window = min(a.prec for a in back.components)
+    v_in, _ = v_le_n(z, s - 1)
+    v_out, _ = v_le_n(y, s - 1)
+    return ASSolution(y, 0, window, v_in, v_out)
+
+
 def reference_ghost(lifts, p):
     """w_i = sum_j p^j x_j^(p^(i-j)), each x_j^(p^k) as (x_j^(p^(k-1)))^p."""
     ghosts, powers = [], []
@@ -94,15 +129,11 @@ def reference_unghost(ghosts, p):
     return comps
 
 
-def with_references(monkeypatch, frobenius=False, components=False,
-                    ghosts=False):
+def with_references(monkeypatch, frobenius=False, ghosts=False):
     """Swap the chosen earlier implementations in for the current ones."""
     if frobenius:
         monkeypatch.setattr(ASExtensionElement, "frobenius",
                             reference_frobenius)
-    if components:
-        monkeypatch.setattr(artinschreier, "_solve_components",
-                            reference_solve_components)
     if ghosts:
         monkeypatch.setattr(wittside, "_ghost", reference_ghost)
         monkeypatch.setattr(wittside, "_unghost", reference_unghost)
@@ -231,15 +262,32 @@ def random_witt(rng, p, s, prec):
             for _ in range(s)]
 
 
+def assert_no_worse(new, old, z):
+    """The four checks of the current (phi - 1) solver against the reference
+    (see the module docstring)."""
+    if isinstance(old, tuple) and old[0] != "PrecisionError":
+        assert new == old
+        return
+    assert not isinstance(new, tuple), new
+    if isinstance(old, tuple):
+        assert _phi_minus_one(new.value).agrees_with(z)
+    else:
+        assert new.value.agrees_with(old.value)
+        assert new.certified_prec >= old.certified_prec
+        for a, b in zip(new.value.components, old.value.components):
+            assert a.prec >= b.prec
+
+
 @pytest.mark.parametrize("p", [3, 5, 7])
 def test_solve_components_match_two_subtractions(p):
     rng = random.Random(400 + p)
     for _ in range(12):
         s = rng.randint(1, 6 if p == 3 else 4)
-        comps = random_witt(rng, p, s, rng.randint(6, 16))
+        z = WittVector(p, s, random_witt(rng, p, s, rng.randint(6, 16)))
         budget = rng.randint(1, 4)
-        assert outcome(artinschreier._solve_components, p, comps, budget) == \
-            outcome(reference_solve_components, p, comps, budget)
+        assert_no_worse(outcome(solve_phi_minus_one, z, level_budget=budget),
+                        outcome(reference_solve_phi_minus_one, z,
+                                level_budget=budget), z)
 
 
 @pytest.mark.parametrize("p", [3, 5, 7])
@@ -251,9 +299,7 @@ def test_solve_phi1_reports_match_references(p, monkeypatch):
         budget = rng.randint(1, 4)
         new = outcome(solve_phi_minus_one, z, level_budget=budget)
         with monkeypatch.context() as mp:
-            with_references(mp, frobenius=True, components=True, ghosts=True)
-            old = outcome(solve_phi_minus_one, z, level_budget=budget)
-        if isinstance(new, tuple):
-            assert new == old
-        else:
-            assert json.dumps(new.to_json()) == json.dumps(old.to_json())
+            with_references(mp, frobenius=True, ghosts=True)
+            old = outcome(reference_solve_phi_minus_one, z,
+                          level_budget=budget)
+        assert_no_worse(new, old, z)

@@ -23,6 +23,8 @@ from phigamma.wittside import (
     w_r_valuation,
     weak_membership,
     _ZSeries,
+    _ghost_components,
+    _headroom,
     witt_add,
     witt_mul,
     witt_neg,
@@ -280,6 +282,21 @@ def test_witt_frobenius_componentwise_and_valuation():
         fv, _ = v_le_n(fz, 2)
         if v is not None:
             assert fv == 3 * v
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_ghost_of_frobenius_is_sigma_of_ghost(p):
+    # the canonical lifts commute with Frobenius, so ghost_i(phi v) =
+    # sigma(ghost_i(v)) holds exactly, coefficients and precision alike
+    rng = random.Random(600 + p)
+    for _ in range(40):
+        s, m = rng.randint(1, 6), rng.randint(0, 2)
+        v = WittVector(p, s, [random_nf(rng, p, m, lo=rng.choice((-3, 1)),
+                                        width=rng.randint(2, 10))
+                              for _ in range(s)])
+        ghosts = _ghost_components(v, m, _headroom(s))
+        assert _ghost_components(phi_A(v), m, _headroom(s)) == \
+            [g.sigma() for g in ghosts]
 
 
 def test_witt_gamma_preserves_v_le_n():
