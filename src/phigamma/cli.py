@@ -255,8 +255,8 @@ def cone_cmd(map_file, report):
     doc = json_fields(json.loads(read_input(map_file)), "chain-map document",
                       format="chain-map", src=dict, dst=dict,
                       blocks=(dict, {}))
-    src = ChainComplexZ.from_json(json.dumps(doc["src"]))
-    dst = ChainComplexZ.from_json(json.dumps(doc["dst"]))
+    src = ChainComplexZ.from_doc(doc["src"])
+    dst = ChainComplexZ.from_doc(doc["dst"])
     f = ChainMap(src, dst, doc["blocks"])
     ses = cone_sequence(f)
     les = les_check(ses)

@@ -5,6 +5,16 @@ cohomology, mapping cones and their long exact sequences, first-quadrant
 double complexes with column-filtration spectral pages checked against the
 total complex, and lim/lim^1 of finitely stored towers.
 
+Input is validated once, at the boundary.  Matrices given as arrays or
+lists (the constructors of ChainComplexZ, ChainMap, ShortExactSequence,
+DoubleComplex and Tower, and their from_json readers) go through the
+validating ZModMatrix constructor, and the readers bound ranks and degrees
+before anything is sized from them.  Matrices built here from canonical
+arrays (cones, their splitting maps, total complexes, window kernels and
+the slices and blocks read from them, zero blocks) are wrapped by
+ZModMatrix._trusted, and the structure checks (d^2 = 0, chain-map squares,
+the splitting identities, anticommutation) compare canonical arrays.
+
 Each page and each length is computed once.  d^2 = 0 is certified when a
 complex is built, so cocycle and cohomology lengths come by rank-nullity
 from the valuations of the differentials, and H^n is presented by one
@@ -26,6 +36,7 @@ from .zmodlin import (
     PresentedModule,
     ZModMatrix,
     _is_int,
+    _mod,
     _presentation_in,
     divisors_length,
     image_length,
@@ -85,7 +96,11 @@ def _hstack(p, s, mats):
     cols = [m.entries for m in mats if m.cols]
     if not cols:
         return ZModMatrix.zeros(p, s, mats[0].rows, 0)
-    return ZModMatrix(p, s, np.hstack(cols))
+    return ZModMatrix._trusted(p, s, np.hstack(cols))
+
+
+def _is_identity(m: ZModMatrix) -> bool:
+    return bool(np.array_equal(m.entries, np.eye(m.rows, dtype=np.int64)))
 
 
 # -- chain complexes ---------------------------------------------------------
@@ -171,7 +186,12 @@ class ChainComplexZ:
 
     @classmethod
     def from_json(cls, text: str) -> "ChainComplexZ":
-        doc = json_fields(json.loads(text), "chain-complex document",
+        return cls.from_doc(json.loads(text))
+
+    @classmethod
+    def from_doc(cls, doc) -> "ChainComplexZ":
+        """The complex of a parsed chain-complex document."""
+        doc = json_fields(doc, "chain-complex document",
                           format="chain-complex", p=int, s=int, ranks=dict,
                           diffs=dict)
         _check_file_sizes(doc["ranks"].values(), map(int, doc["ranks"]))
@@ -197,7 +217,7 @@ class ChainMap:
         for n in self.src.degrees():
             lhs = dst.diff(n) @ self.block(n)
             rhs = self.block(n + 1) @ src.diff(n)
-            if not (lhs - rhs).is_zero():
+            if not np.array_equal(lhs.entries, rhs.entries):
                 raise InvariantError(
                     f"not a chain map: square at degree {n} does not commute")
 
@@ -228,7 +248,7 @@ def mapping_cone(f: ChainMap) -> ChainComplexZ:
         d[:ry, :cy] = Y.diff(n - 1).entries
         d[:ry, cy:] = (-1) ** (n + 1) * f.block(n).entries
         d[ry:, cy:] = X.diff(n).entries
-        diffs[n] = ZModMatrix(p, s, d)
+        diffs[n] = ZModMatrix._trusted(p, s, _mod(d, p**s))
     return ChainComplexZ(p, s, ranks, diffs)
 
 
@@ -262,14 +282,11 @@ class ShortExactSequence:
             se = self.mat(self.sect, n, self.C, self.B)
             if not (pr @ i).is_zero():
                 raise InvariantError("proj ∘ inc != 0")
-            if not (r @ i - ZModMatrix.identity(p, s, self.A.rank(n))
-                    ).is_zero():
+            if not _is_identity(r @ i):
                 raise InvariantError("retr ∘ inc != 1")
-            if not (pr @ se - ZModMatrix.identity(p, s, self.C.rank(n))
-                    ).is_zero():
+            if not _is_identity(pr @ se):
                 raise InvariantError("proj ∘ sect != 1")
-            if not (i @ r + se @ pr
-                    - ZModMatrix.identity(p, s, self.B.rank(n))).is_zero():
+            if not _is_identity(i @ r + se @ pr):
                 raise InvariantError("splitting does not sum to the identity")
         ChainMap(self.A, self.B, dict(self.inc))
         ChainMap(self.B, self.C, dict(self.proj))
@@ -296,8 +313,8 @@ def cone_sequence(f: ChainMap) -> ShortExactSequence:
         i[:ry] = np.eye(ry, dtype=np.int64)
         pr = np.zeros((rx, ry + rx), dtype=np.int64)
         pr[:, ry:] = np.eye(rx, dtype=np.int64)
-        inc[n] = ZModMatrix(p, s, i)
-        proj[n] = ZModMatrix(p, s, pr)
+        inc[n] = ZModMatrix._trusted(p, s, i)
+        proj[n] = ZModMatrix._trusted(p, s, pr)
         retr[n] = inc[n].transpose()
         sect[n] = proj[n].transpose()
     return ShortExactSequence(A, T, X, inc, proj, retr, sect)
@@ -404,18 +421,21 @@ class DoubleComplex:
                 raise InvariantError(f"d_h^2 != 0 at {pq}")
             if not (self.d_v(pp, qq + 1) @ self.d_v(pp, qq)).is_zero():
                 raise InvariantError(f"d_v^2 != 0 at {pq}")
-            anti = self.d_v(pp + 1, qq) @ self.d_h(pp, qq) + \
-                self.d_h(pp, qq + 1) @ self.d_v(pp, qq)
-            if not anti.is_zero():
+            vh = self.d_v(pp + 1, qq) @ self.d_h(pp, qq)
+            hv = self.d_h(pp, qq + 1) @ self.d_v(pp, qq)
+            if not np.array_equal(vh.entries, (-hv).entries):
                 raise InvariantError(
                     f"differentials do not anticommute at {pq}")
 
     @staticmethod
     def _key(key):
-        if isinstance(key, str):
-            a, b = key.split(",")
+        """(p, q) from a grid key: a pair, or a string "p,q" as files give."""
+        try:
+            a, b = key.split(",") if isinstance(key, str) else key
             return (int(a), int(b))
-        return (int(key[0]), int(key[1]))
+        except (TypeError, ValueError):
+            raise ValueError(f"grid key {key!r} is not of the form "
+                             "'p,q'") from None
 
     def _mat(self, v):
         return v if isinstance(v, ZModMatrix) else ZModMatrix(self.p,
@@ -487,13 +507,14 @@ def total_complex(DC: DoubleComplex) -> ChainComplexZ:
             r = DC.rank(pp, qq)
             if (pp + 1, qq) in off2:
                 r0 = off2[(pp + 1, qq)]
-                d[r0:r0 + DC.rank(pp + 1, qq), c0:c0 + r] += \
+                d[r0:r0 + DC.rank(pp + 1, qq), c0:c0 + r] = \
                     DC.d_h(pp, qq).entries
             if (pp, qq + 1) in off2:
                 r0 = off2[(pp, qq + 1)]
-                d[r0:r0 + DC.rank(pp, qq + 1), c0:c0 + r] += \
+                d[r0:r0 + DC.rank(pp, qq + 1), c0:c0 + r] = \
                     DC.d_v(pp, qq).entries
-        diffs[n] = ZModMatrix(DC.p, DC.s, d)
+        # every entry comes from one block, so d is canonical
+        diffs[n] = ZModMatrix._trusted(DC.p, DC.s, d)
     return ChainComplexZ(DC.p, DC.s, ranks, diffs)
 
 
@@ -535,7 +556,7 @@ def _window_kernel(DC: DoubleComplex, cols_idx, rows_idx, memo: dict):
             else:
                 continue
             M[roff[i]:roff[i + 1], coff[j]:coff[j + 1]] = blk
-    memo[key] = kernel_generators(ZModMatrix(p, s, M)), coff
+    memo[key] = kernel_generators(ZModMatrix._trusted(p, s, M)), coff
     return memo[key]
 
 
@@ -549,11 +570,12 @@ def _zr_span(DC: DoubleComplex, pp: int, qq: int, r: int, memo: dict):
     rows_idx = [(pp + t, qq - t + 1) for t in range(r)
                 if DC.rank(pp + t, qq - t + 1)]
     K, coff = _window_kernel(DC, cols_idx, rows_idx, memo)
-    lead = ZModMatrix(p, s, K.entries[: DC.rank(pp, qq)])
+    lead = ZModMatrix._trusted(p, s, K.entries[: DC.rank(pp, qq)])
     last = (pp + r - 1, qq - r + 1)
     if cols_idx and cols_idx[-1] == last and tgt_rank:
         j = len(cols_idx) - 1
-        dr = DC.d_h(*last) @ ZModMatrix(p, s, K.entries[coff[j]:coff[j + 1]])
+        dr = DC.d_h(*last) @ ZModMatrix._trusted(
+            p, s, K.entries[coff[j]:coff[j + 1]])
     else:
         dr = ZModMatrix.zeros(p, s, tgt_rank, K.cols)
     return lead, dr
@@ -574,7 +596,7 @@ def _br_span(DC: DoubleComplex, pp: int, qq: int, r: int,
     K, coff = _window_kernel(DC, cols_idx, rows_idx, memo)
     acc = ZModMatrix.zeros(p, s, tgt, K.cols)
     for j, (cp, cq) in enumerate(cols_idx):
-        blk = ZModMatrix(p, s, K.entries[coff[j]:coff[j + 1]])
+        blk = ZModMatrix._trusted(p, s, K.entries[coff[j]:coff[j + 1]])
         if (cp + 1, cq) == (pp, qq):
             acc = acc + DC.d_h(cp, cq) @ blk
         if (cp, cq + 1) == (pp, qq):
@@ -712,6 +734,9 @@ class Tower:
     def from_json(cls, text: str) -> "Tower":
         doc = json_fields(json.loads(text), "tower document", format="tower",
                           p=int, s=int, ranks=list, maps=list, tail=str)
+        if doc["tail"] not in ("constant", "zero"):
+            raise ValueError(f"tower document: tail {doc['tail']!r} is "
+                             "neither constant nor zero")
         _check_file_sizes(doc["ranks"], ())
         return cls(doc["p"], doc["s"], doc["ranks"], doc["maps"],
                    doc["tail"])

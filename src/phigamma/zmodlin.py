@@ -1,12 +1,18 @@
 """Exact linear algebra over Z/p^s.
 
 Matrices carry their modulus (p, s) with entries stored in int64 as
-canonical representatives in [0, p^s).  Entries given as anything but an
-integer ndarray (such as parsed JSON) are checked once, at construction:
-they must be integers, and they are reduced mod p^s before numpy sees
-them.  The modulus must satisfy (p^s - 1)^2 < 2^63, so that a product of
-two entries fits in int64.  json_fields checks the top-level fields of the
-JSON documents the package reads.
+canonical representatives in [0, p^s).  Input is validated once, at the
+boundary: the public constructor ZModMatrix(p, s, entries) checks the
+modulus and copies and reduces its entries mod p^s; entries given as
+anything but an integer ndarray (such as parsed JSON) must be integers of
+any size, checked by one scan of their types (_reduced_entries).  The
+modulus must satisfy (p^s - 1)^2 < 2^63, so that a product of two entries
+fits in int64.  json_fields checks the top-level fields of the JSON
+documents the package reads.  Past the boundary, arrays this package
+produced are trusted: products, sums, kernel columns, Smith transforms,
+zero and identity blocks and slices of canonical arrays are wrapped by
+ZModMatrix._trusted, with no copy and no reduction, and must already be
+int64 and canonical.
 
 This module holds the package's Z/p^s elimination, its F_p echelon and its
 product of matrices mod p^s; the Herr window engine (complexes), the
@@ -106,17 +112,25 @@ def json_fields(doc, what: str, **fields) -> dict:
     return doc
 
 
+_as_int = np.frompyfunc(int, 1, 1)  # an object array's entries as ints
+
+
 def _reduced_entries(entries, q: int) -> np.ndarray:
-    """Integer entries of any size, reduced mod q, as an int64 array."""
+    """Integer entries of any size, reduced mod q, as an int64 array.
+
+    One scan of the entries' types: when every entry is a Python int the
+    object array is reduced and converted as it is; otherwise the first
+    entry that is no integer (bool excluded) is named, and numpy integers
+    become Python ints, so that no fixed-width arithmetic meets q."""
     a = np.array(entries, dtype=object)
     if a.ndim != 2:
         raise ValueError("entries must be two-dimensional")
-    flat = a.ravel()
-    for x in flat:
-        if not _is_int(x):
-            raise ValueError(f"matrix entry {x!r} is not an integer")
-    return np.array([int(x) % q for x in flat],
-                    dtype=np.int64).reshape(a.shape)
+    if not set(map(type, a.flat)) <= {int}:
+        for x in a.flat:
+            if not _is_int(x):
+                raise ValueError(f"matrix entry {x!r} is not an integer")
+        a = _as_int(a)
+    return (a % q).astype(np.int64)
 
 
 def _mod(x: np.ndarray, q: int) -> np.ndarray:
@@ -177,7 +191,10 @@ def _modulus(p: int, s: int) -> int:
 
 
 class ZModMatrix:
-    """Matrix over Z/p^s with canonical int64 entries in [0, p^s)."""
+    """Matrix over Z/p^s with canonical int64 entries in [0, p^s).
+
+    ZModMatrix(p, s, entries) validates the modulus and copies and reduces
+    the entries; _trusted wraps an array this package produced."""
 
     __slots__ = ("p", "s", "rows", "cols", "entries")
 
@@ -193,20 +210,33 @@ class ZModMatrix:
             self.entries = _reduced_entries(entries, q)
         self.rows, self.cols = self.entries.shape
 
+    @classmethod
+    def _trusted(cls, p: int, s: int, entries: np.ndarray) -> "ZModMatrix":
+        """A matrix on entries, a two-dimensional int64 array already
+        canonical in [0, p^s) over a modulus already checked: no copy, no
+        reduction, no check.  The array is shared, so it must not be
+        written to afterwards."""
+        m = cls.__new__(cls)
+        m.p, m.s, m.entries = p, s, entries
+        m.rows, m.cols = entries.shape
+        return m
+
     @property
     def modulus(self) -> int:
         return self.p**self.s
 
     @classmethod
     def identity(cls, p: int, s: int, n: int) -> "ZModMatrix":
-        return cls(p, s, np.eye(n, dtype=np.int64))
+        _modulus(p, s)
+        return cls._trusted(p, s, np.eye(n, dtype=np.int64))
 
     @classmethod
     def zeros(cls, p: int, s: int, rows: int, cols: int) -> "ZModMatrix":
-        return cls(p, s, np.zeros((rows, cols), dtype=np.int64))
+        _modulus(p, s)
+        return cls._trusted(p, s, np.zeros((rows, cols), dtype=np.int64))
 
     def copy(self) -> "ZModMatrix":
-        return ZModMatrix(self.p, self.s, self.entries.copy())
+        return ZModMatrix._trusted(self.p, self.s, self.entries.copy())
 
     def __eq__(self, other) -> bool:
         return (
@@ -224,23 +254,26 @@ class ZModMatrix:
         self._check_ring(other)
         if self.cols != other.rows:
             raise ValueError("dimension mismatch in product")
-        return ZModMatrix(self.p, self.s,
-                          _matmul_mod(self.entries, other.entries,
-                                      self.modulus))
+        return ZModMatrix._trusted(self.p, self.s,
+                                   _matmul_mod(self.entries, other.entries,
+                                               self.modulus))
 
     def __add__(self, other: "ZModMatrix") -> "ZModMatrix":
         self._check_ring(other)
-        return ZModMatrix(self.p, self.s, self.entries + other.entries)
+        return ZModMatrix._trusted(
+            self.p, self.s, _mod(self.entries + other.entries, self.modulus))
 
     def __sub__(self, other: "ZModMatrix") -> "ZModMatrix":
         self._check_ring(other)
-        return ZModMatrix(self.p, self.s, self.entries - other.entries)
+        return ZModMatrix._trusted(
+            self.p, self.s, _mod(self.entries - other.entries, self.modulus))
 
     def __neg__(self) -> "ZModMatrix":
-        return ZModMatrix(self.p, self.s, -self.entries)
+        return ZModMatrix._trusted(self.p, self.s,
+                                   _mod(-self.entries, self.modulus))
 
     def transpose(self) -> "ZModMatrix":
-        return ZModMatrix(self.p, self.s, self.entries.T)
+        return ZModMatrix._trusted(self.p, self.s, self.entries.T)
 
     def _check_ring(self, other: "ZModMatrix") -> None:
         if self.p != other.p or self.s != other.s:
@@ -323,10 +356,11 @@ class PresentedModule:
         n = len(divisors)
         if n == 0:
             return cls(ZModMatrix.zeros(p, s, 0, 1), 0)
+        q = _modulus(p, s)
         rel = np.zeros((n, n), dtype=np.int64)
         for i, d in enumerate(divisors):
-            rel[i, i] = d % (p**s)  # Z/p^s / (d) = Z/d since d | p^s
-        return cls(ZModMatrix(p, s, rel), n)
+            rel[i, i] = d % q  # Z/p^s / (d) = Z/d since d | p^s
+        return cls(ZModMatrix._trusted(p, s, rel), n)
 
     def profile(self) -> list[int]:
         return module_profile(self)
@@ -438,7 +472,8 @@ def _eliminate(M: np.ndarray, p: int, s: int, U: np.ndarray | None = None,
     return vals
 
 
-_MEMO = ContextVar("smith_memo", default=None)  # matrix -> (vals, kernel)
+# (p, s, shape, entry bytes) -> (vals, kernel)
+_MEMO = ContextVar("smith_memo", default=None)
 
 
 @contextmanager
@@ -467,10 +502,10 @@ def smith_normal_form(A: ZModMatrix, transforms: bool = True) -> SmithForm:
     D = np.zeros((rows, cols), dtype=np.int64)
     for i, v in enumerate(_eliminate(A.entries.copy(), p, s, U, Vt)):
         D[i, i] = p**v
+    wrap = ZModMatrix._trusted
     if not transforms:
-        return SmithForm(ZModMatrix(p, s, D), None, None)
-    return SmithForm(ZModMatrix(p, s, D), ZModMatrix(p, s, U),
-                     ZModMatrix(p, s, Vt.T))
+        return SmithForm(wrap(p, s, D), None, None)
+    return SmithForm(wrap(p, s, D), wrap(p, s, U), wrap(p, s, Vt.T))
 
 
 def kernel_cokernel(A: ZModMatrix) -> tuple[PresentedModule, PresentedModule]:
@@ -500,11 +535,16 @@ def _kernel(A: ZModMatrix, kernel: bool = True):
     None): the columns of V from the first pivot of positive valuation on,
     each scaled by p^(s - v), v the pivot's valuation or s past the pivots,
     with canonical entries in [0, p^s), as _matmul_mod needs of its
-    operands."""
+    operands.  An empty or zero A has no pivots and the identity as its
+    kernel, as its elimination would give, and is not eliminated."""
+    if not A.entries.any():
+        return [], np.eye(A.cols, dtype=np.int64) if kernel else None
     memo = _MEMO.get()
-    got = memo.get(A) if memo else None
-    if got is not None and (got[1] is not None or not kernel):
-        return got
+    if memo is not None:
+        key = (A.p, A.s, A.entries.shape, A.entries.tobytes())
+        got = memo.get(key)
+        if got is not None and (got[1] is not None or not kernel):
+            return got
     p, s = A.p, A.s
     Vt = np.eye(A.cols, dtype=np.int64) if kernel else None
     vals, K = _eliminate(A.entries.copy(), p, s, Vt=Vt), None
@@ -514,13 +554,13 @@ def _kernel(A: ZModMatrix, kernel: bool = True):
                          + [1] * (A.cols - len(vals)), dtype=np.int64)
         K = _mod((Vt[first:] * scale[:, None]).T, p**s)
     if memo is not None:
-        memo[A] = vals, K
+        memo[key] = vals, K
     return vals, K
 
 
 def kernel_generators(A: ZModMatrix) -> ZModMatrix:
     """Columns generating ker(A) as a submodule of (Z/p^s)^cols."""
-    return ZModMatrix(A.p, A.s, _kernel(A)[1])
+    return ZModMatrix._trusted(A.p, A.s, _kernel(A)[1])
 
 
 def module_profile(M: PresentedModule) -> list[int]:
@@ -548,11 +588,12 @@ def _presentation_in(span: ZModMatrix, sub: ZModMatrix,
     """subquotient_presentation for a span(Z) whose length the caller
     knows, which saves eliminating Z for it."""
     p, s = span.p, span.s
-    paired = ZModMatrix(p, s, np.hstack([span.entries, -sub.entries]))
-    vals, K = _kernel(paired)
+    paired = _mod(np.hstack([span.entries, -sub.entries]), span.modulus)
+    vals, K = _kernel(ZModMatrix._trusted(p, s, paired))
     if sum(s - v for v in vals) != length:
         raise InvariantError("denominator is not contained in the span")
-    return PresentedModule(ZModMatrix(p, s, K[:span.cols]), span.cols)
+    return PresentedModule(ZModMatrix._trusted(p, s, K[:span.cols]),
+                           span.cols)
 
 
 def solve(A: ZModMatrix, b) -> np.ndarray | None:

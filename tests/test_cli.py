@@ -370,6 +370,30 @@ def test_tower_float_rank_exits_2(runner, tmp_path):
     assert "rank 1.5 is not a nonnegative integer" in res.output
 
 
+def test_tower_unknown_tail_exits_2(runner, tmp_path):
+    # a tail other than constant or zero makes the document malformed
+    path = tmp_path / "tower.json"
+    path.write_text(json.dumps({"format": "tower", "p": 3, "s": 2,
+                                "ranks": [1, 1], "maps": [[[3]]],
+                                "tail": "sometimes"}))
+    res = runner.invoke(main, ["tower", str(path)])
+    assert res.exit_code == 2
+    assert "parse error: tower document: tail 'sometimes'" in res.output
+
+
+@pytest.mark.parametrize("field", ["ranks", "dh"])
+@pytest.mark.parametrize("key", ["1;0", "1,0,2", "a,0", ""])
+def test_malformed_grid_key_exits_2_naming_it(runner, tmp_path, field, key):
+    DC = json.loads(DoubleComplex(3, 2, {(0, 0): 1, (1, 0): 1},
+                                  {(0, 0): [[3]]}, {}).to_json())
+    DC[field][key] = 1 if field == "ranks" else [[3]]
+    path = tmp_path / "grid.json"
+    path.write_text(json.dumps(DC))
+    res = runner.invoke(main, ["spectral", str(path)])
+    assert res.exit_code == 2
+    assert f"grid key {key!r} is not of the form 'p,q'" in res.output
+
+
 @pytest.mark.parametrize("rank", [1.0, True, "1"])
 def test_complex_ranks_must_be_integers(runner, tmp_path, rank):
     X = json.loads(ChainComplexZ(3, 2, {0: 1, 1: 1}, {0: [[3]]}).to_json())

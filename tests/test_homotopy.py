@@ -411,54 +411,130 @@ def test_spectral_pages_past_the_width_run_no_elimination(monkeypatch):
     assert log[2][1] == log[3][1]
 
 
+def unitriangular(rng, r, q):
+    """A random unitriangular T mod q and its inverse."""
+    T = np.eye(r, dtype=object)
+    T[np.triu_indices(r, 1)] = [rng.randrange(q)
+                                for _ in range(r * (r - 1) // 2)]
+    N = T - np.eye(r, dtype=object)
+    inv = term = np.eye(r, dtype=object)
+    for _ in range(r):
+        term = -term @ N % q
+        inv = (inv + term) % q
+    return T, inv
+
+
+def split_complex(rng, s, ranks, zero=False):
+    """A complex over Z/P^s on degrees 0..len(ranks)-1 and its cohomology
+    profiles: d sends e_j to p^k f_j on some pairs (k = s is a zero
+    differential, and every differential is zero if zero) and leaves the
+    other basis vectors isolated; a unitriangular change of basis hides the
+    split form, and H^n is known from the pairs."""
+    q = P ** s
+    L = len(ranks)
+    diffs, want = {}, {n: [] for n in range(L)}
+    used = 0
+    for n in range(L):
+        free = ranks[n] - used
+        m = rng.randint(0, min(free, ranks[n + 1])) if n < L - 1 else 0
+        if zero:
+            m = 0
+        E = np.zeros((ranks[n + 1] if n < L - 1 else 0, ranks[n]),
+                     dtype=object)
+        for j in range(m):
+            k = rng.randint(0, s)
+            E[j, used + j] = P ** k % q
+            if k:
+                want[n].append(P ** k)
+                want[n + 1].append(P ** k)
+        want[n] += [q] * (free - m)
+        if n < L - 1:
+            diffs[n] = E
+        used = m
+    bases = [unitriangular(rng, r, q) for r in ranks]
+    X = ChainComplexZ(P, s, dict(enumerate(ranks)), {
+        n: ZModMatrix(P, s, (bases[n + 1][0] @ E @ bases[n][1] % q)
+                      .astype(np.int64))
+        for n, E in diffs.items()})
+    return X, want
+
+
 @pytest.mark.parametrize("s", [1, 2, 3, 4])
 def test_cohomology_length_by_rank_nullity_on_split_complexes(s):
-    # d sends e_j to p^k f_j on some pairs (k = s is a zero differential) and
-    # leaves the other basis vectors isolated; a unitriangular change of
-    # basis hides the split form, and H^n is known from the pairs
     rng = random.Random(41 + s)
-    q = P ** s
-
-    def unitriangular(r):
-        T = np.eye(r, dtype=object)
-        T[np.triu_indices(r, 1)] = [rng.randrange(q)
-                                    for _ in range(r * (r - 1) // 2)]
-        N = T - np.eye(r, dtype=object)
-        inv = term = np.eye(r, dtype=object)
-        for _ in range(r):
-            term = -term @ N % q
-            inv = (inv + term) % q
-        return T, inv
-
     for trial in range(6):
         ranks = [rng.randint(0, 3) for _ in range(4)]
-        diffs, want = {}, {n: [] for n in range(4)}
-        used = 0
-        for n in range(4):
-            free = ranks[n] - used
-            m = rng.randint(0, min(free, ranks[n + 1])) if n < 3 else 0
-            if trial == 0:
-                m = 0  # every differential zero
-            E = np.zeros((ranks[n + 1] if n < 3 else 0, ranks[n]),
-                         dtype=object)
-            for j in range(m):
-                k = rng.randint(0, s)
-                E[j, used + j] = P ** k % q
-                if k:
-                    want[n].append(P ** k)
-                    want[n + 1].append(P ** k)
-            want[n] += [q] * (free - m)
-            if n < 3:
-                diffs[n] = E
-            used = m
-        bases = [unitriangular(r) for r in ranks]
-        X = ChainComplexZ(P, s, dict(enumerate(ranks)), {
-            n: ZModMatrix(P, s, (bases[n + 1][0] @ E @ bases[n][1] % q)
-                          .astype(np.int64))
-            for n, E in diffs.items()})
+        X, want = split_complex(rng, s, ranks, zero=trial == 0)
         for n in range(-1, 5):
             assert X.cohomology_profile(n) == sorted(want.get(n, []))
             assert X.cohomology_length(n) == X.cohomology(n).length()
+
+
+def _engine_results(s, seed):
+    """les_check of a cone, spectral_E_pages of a 3x3 and a 4x2 grid, and
+    tower_lim_lim1 of a constant-tail and a zero-tail tower over Z/P^s, all
+    from seeded split complexes, some with a zero-rank degree."""
+    rng = random.Random(seed)
+    q = P ** s
+
+    def mat(rows, cols):
+        return np.array([[rng.randrange(q) for _ in range(cols)]
+                         for _ in range(rows)], dtype=np.int64).reshape(
+                             rows, cols)
+
+    X = split_complex(rng, s, [rng.randint(1, 3), 0, rng.randint(1, 3),
+                               rng.randint(0, 2)])[0]
+    Y = split_complex(rng, s, [rng.randint(0, 3) for _ in range(4)])[0]
+    # d_Y g + g d_X is a chain map for any g
+    g = {n: ZModMatrix(P, s, mat(Y.rank(n - 1), X.rank(n)))
+         for n in range(-1, 6)}
+    f = ChainMap(X, Y, {n: Y.diff(n - 1) @ g[n] + g[n + 1] @ X.diff(n)
+                        for n in range(5)})
+    results = [les_check(cone_sequence(f))]
+    for w, h in ((3, 3), (4, 2)):
+        A = split_complex(rng, s, [rng.randint(0, 2) for _ in range(w)])[0]
+        B = split_complex(rng, s, [rng.randint(0, 2) for _ in range(h)])[0]
+        ranks = {(x, y): A.rank(x) * B.rank(y)
+                 for x in range(w) for y in range(h)}
+        dh = {(x, y): np.kron(A.diff(x).entries,
+                              np.eye(B.rank(y), dtype=np.int64))
+              for (x, y) in ranks if x + 1 < w}
+        dv = {(x, y): (-1) ** x * np.kron(np.eye(A.rank(x), dtype=np.int64),
+                                          B.diff(y).entries)
+              for (x, y) in ranks if y + 1 < h}
+        results.append(spectral_E_pages(DoubleComplex(P, s, ranks, dh, dv)))
+    for tail in ("constant", "zero"):
+        ranks = [rng.randint(0, 3) for _ in range(3)]
+        if tail == "constant":
+            ranks.append(ranks[-1])
+        maps = [mat(ranks[n], ranks[n + 1]) for n in range(len(ranks) - 1)]
+        results.append(tower_lim_lim1(Tower(P, s, ranks, maps, tail)))
+    return results
+
+
+@pytest.mark.parametrize("s", [1, 2, 3, 4])
+def test_trusted_matrices_are_canonical_and_change_no_result(s, monkeypatch):
+    # every array the engine wraps without a check is int64 and canonical,
+    # and wrapping each one through the validating constructor instead
+    # changes no result
+    trusted = ZModMatrix._trusted
+    seen = []
+
+    def checked(cls, p, s, entries):
+        assert isinstance(entries, np.ndarray) and entries.ndim == 2
+        assert entries.dtype == np.int64
+        assert not entries.size or (entries.min() >= 0
+                                    and entries.max() < p ** s)
+        seen.append(entries.shape)
+        return trusted(p, s, entries)
+
+    for seed in range(3):
+        monkeypatch.setattr(ZModMatrix, "_trusted", classmethod(checked))
+        got = _engine_results(s, 100 * s + seed)
+        monkeypatch.setattr(ZModMatrix, "_trusted", classmethod(
+            lambda cls, p, s, entries: cls(p, s, entries)))
+        assert _engine_results(s, 100 * s + seed) == got
+    assert seen and any(0 in shape for shape in seen)
 
 
 def test_total_complex_differential_squares_to_zero():

@@ -1,5 +1,6 @@
 """Smith forms, kernels/cokernels and module profiles over Z/p^s."""
 
+import contextlib
 import itertools
 
 import numpy as np
@@ -583,3 +584,73 @@ def test_large_and_negative_entries_are_reduced():
     A = ZModMatrix(3, 2, [[2**64, -1], [9**40 + 4, 10]])
     assert A.entries.tolist() == [[2**64 % 9, 8], [4, 1]]
     assert A.entries.dtype == np.int64
+
+
+def _reference_entries(entries, q):
+    """_reduced_entries entry by entry: the reference for its errors and
+    values."""
+    a = np.array(entries, dtype=object)
+    if a.ndim != 2:
+        raise ValueError("entries must be two-dimensional")
+    for x in a.ravel():
+        if not zmodlin._is_int(x):
+            raise ValueError(f"matrix entry {x!r} is not an integer")
+    return np.array([int(x) % q for x in a.ravel()],
+                    dtype=np.int64).reshape(a.shape)
+
+
+def test_reduced_entries_contract():
+    # non-integers are named, the first in row-major order, and shapes
+    # other than two-dimensional refused, with the reference's text
+    bad = [([[1, True]], "matrix entry True is not an integer"),
+           ([[1, 2], [2.5, None]], "matrix entry 2.5 is not an integer"),
+           ([[np.int64(1), "3"]], "matrix entry '3' is not an integer"),
+           ([[None]], "matrix entry None is not an integer"),
+           ([[1, [2, 3]], [4, 5]], "matrix entry [2, 3] is not an integer"),
+           ([[np.bool_(True)]], f"matrix entry {np.bool_(True)!r} is not "
+                                "an integer"),
+           ([[1, 2], [3]], "entries must be two-dimensional"),
+           ([[[1]]], "entries must be two-dimensional"),
+           ([1, 2], "entries must be two-dimensional")]
+    for entries, message in bad:
+        for reduce in (zmodlin._reduced_entries, _reference_entries):
+            with pytest.raises(ValueError) as err:
+                reduce(entries, 243)
+            assert str(err.value) == message, entries
+    # integers of any size and kind are reduced mod q, as Python ints are;
+    # an int8 is not reduced in its own width, where 243 does not fit
+    good = [[2**70 + 5, -1, np.int8(-1), np.uint64(2**64 - 1)],
+            [np.int64(-2**63), 0, 10**30, -(2**70)]]
+    for entries in (good, [[-1, 2**70 + 5]], [[]]):
+        got = zmodlin._reduced_entries(entries, 243)
+        want = _reference_entries(entries, 243)
+        assert got.dtype == np.int64 and got.shape == want.shape
+        assert np.array_equal(got, want)
+    assert zmodlin._reduced_entries(good, 243)[0].tolist() == \
+        [(2**70 + 5) % 243, 242, 242, (2**64 - 1) % 243]
+
+
+def test_kernel_of_empty_and_zero_matrices(monkeypatch):
+    # no pivots and the identity as kernel, which is what the elimination
+    # gives (smith_normal_form's V), with no elimination, in a memo or not
+    shapes = [(0, 4), (3, 0), (0, 0), (3, 4), (1, 1)]
+    mats = [ZModMatrix.zeros(5, 2, *shape) for shape in shapes]
+    mats.append(ZModMatrix(5, 2, [[25, 0, -50], [0, 75, 0]]))
+    Vs = [smith_normal_form(A).V for A in mats]
+    counted = []
+    eliminate = zmodlin._eliminate
+    monkeypatch.setattr(zmodlin, "_eliminate",
+                        lambda M, *a, **k: counted.append(M.shape)
+                        or eliminate(M, *a, **k))
+    for memo in (False, True):
+        with smith_memo() if memo else contextlib.nullcontext():
+            for A, V in zip(mats, Vs):
+                vals, K = zmodlin._kernel(A)
+                assert vals == [] and np.array_equal(K, V.entries)
+                assert zmodlin._kernel(A, False) == ([], None)
+                assert kernel_generators(A) == V
+                assert image_length(A) == 0
+                ker, coker = kernel_cokernel(A)
+                assert module_profile(ker) == [25] * A.cols
+                assert module_profile(coker) == [25] * A.rows
+    assert counted == []
