@@ -46,21 +46,19 @@ window of depth b reads depth b (its kernels) and depth 2b (its deep
 coboundaries, cut at their rows below pi^-b).  The certificate reads its
 d0 and d1 off the same raw pair.  This module has no elimination of its
 own: window products mod p^s go through zmodlin._matmul_mod, and kernels,
-lengths and elementary divisors come from zmodlin.  At s = 1 they are read
-off its packed F_p echelon (_fp_echelon): a kernel as independent columns,
-so its length is cols - rank, and a subquotient's length as a difference
-of ranks, every divisor p.  At s > 1 they come from its Smith form: a
-kernel's length comes with it by rank-nullity, so a subquotient eliminates
-only [Z, -B] and its relations.  Only isomorphism invariants reach a
-report, so reports do not depend on which generators a kernel or the
-Delta-fixed part comes with.
+lengths and elementary divisors come from zmodlin, which alone chooses
+between its packed F_p echelon (s = 1) and its Smith form.  A kernel's
+length comes with it by rank-nullity, so a subquotient needs no other
+elimination of its span.  Window arrays are canonical, so they reach
+zmodlin wrapped by ZModMatrix._trusted, unchecked.  Only isomorphism
+invariants reach a report, so reports do not depend on which generators a
+kernel or the Delta-fixed part comes with.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from bisect import bisect_left
 from collections import OrderedDict
 from dataclasses import dataclass
 
@@ -80,14 +78,11 @@ from .wittside import ArithLiftElement
 from .zmodlin import (
     ZModMatrix,
     _divisors,
-    _fp_echelon,
     _kernel,
     _matmul_mod,
     _mod,
-    _packs,
-    _presentation_in,
+    _subquotient_profile,
     divisors_length,
-    module_profile,
 )
 
 __all__ = [
@@ -347,58 +342,49 @@ def semidirect_gamma_complex(D: PhiGammaModule) -> GammaComplex:
 # -- window operator matrices ------------------------------------------------
 
 
-def _ring_column_series(p: int, s: int, ring: tuple, bot: int, top: int):
-    """Per n in [-bot, top): (lead exponent, int64 coefficients from the lead
-    up to pi^top) of ring(pi^n) mod p^s.  Every coefficient is exact."""
-    if ring[0] == "id":
-        return tuple((n, np.ones(1, dtype=np.int64)) for n in range(-bot, top))
-    if ring[0] == "phi":
-        return _phi_columns(p, s, bot, top)
-    a, mod_power = ring[1], ring[2]
-    if a % p == 0:
-        raise ValueError("gamma exponent must be a p-adic unit")
-    # gamma(pi^n) = pi^n U^n with U = ((1+pi)^a - 1)/pi a unit series
-    U = binomial_table_mod_ps(a, bot + top, p, s, mod_power)
-    rows = power_rows(U, p ** s, -bot, top, end=top)
-    return tuple((n, rows[n + bot, :top - n].copy()) for n in range(-bot, top))
-
-
-def _phi_columns(p: int, s: int, bot: int, top: int):
-    """phi(pi^n) = G^n, G = (1+pi)^p - 1 = pi^p F(1/pi), F(x) = (1+x)^p - x^p.
-
-    For n >= 0, G^n = pi^n H^n with H = G/pi.  For n < 0, F = 1 + E with E
-    divisible by p, so F^n mod p^s is a polynomial in 1/pi of degree at most
-    (p-1)(s-1): phi(pi^n) is a finite Laurent polynomial, computed exactly.
-    """
-    q = p ** s
-    H = np.array([math.comb(p, k) % q for k in range(1, p + 1)] + [0] * top,
-                 dtype=np.int64)[:top]
-    up = power_rows(H, q, 0, top, end=top)
-    deg = (p - 1) * (s - 1)
-    F = np.array([math.comb(p, j) % q if j < p else 0
-                  for j in range(deg + 1)], dtype=np.int64)
-    down = power_rows(F, q, -bot, 0)
-    cols = [(p * n - deg, down[n + bot, ::-1].copy()) for n in range(-bot, 0)]
-    cols += [(n, up[n, :top - n].copy()) for n in range(top)]
-    return tuple(cols)
-
-
 def build_ring_window(p: int, s: int, ring: tuple, bot_in: int,
                       bot_out: int, top: int) -> np.ndarray:
     """Read-only matrix of a ring action from [-bot_in, top) to [-bot_out,
     top), built afresh; image terms below pi^-bot_out are cut.
 
-    Entry [n + bot_out, q + bot_in] is the coefficient of pi^n in ring(pi^q),
-    fixed by n and q (top decides only whether the binomial table it needs is
-    certified), so a window is the trailing corner of any deeper one with
-    the same top.
+    Entry [n + bot_out, k + bot_in] is the coefficient of pi^n in ring(pi^k),
+    fixed by n and k (top decides only whether the binomial table it needs
+    is certified), so a window is the trailing corner of any deeper one
+    with the same top.  Column k is one row of a power table (power_rows),
+    written down from the row of its lead exponent: gamma(pi^k) = pi^k U^k,
+    U = ((1+pi)^a - 1)/pi; phi(pi^k) = pi^k H^k for k >= 0, H = ((1+pi)^p -
+    1)/pi, and pi^(pk) F(1/pi)^k for k < 0, F(x) = (1+x)^p - x^p.  F is 1
+    plus a multiple of p, so F^k mod p^s is a polynomial of degree at most
+    (p-1)(s-1), and phi(pi^k), led by pi^(pk - (p-1)(s-1)), is exact.
     """
+    q = p ** s
+    n = np.arange(-bot_in, top)
+    if ring[0] == "id":
+        tables = [(n, np.ones((len(n), 1), dtype=np.int64))]
+    elif ring[0] == "phi":
+        H = np.array([math.comb(p, k) % q for k in range(1, p + 1)]
+                     + [0] * top, dtype=np.int64)[:top]
+        deg = (p - 1) * (s - 1)
+        F = np.array([math.comb(p, j) % q if j < p else 0
+                      for j in range(deg + 1)], dtype=np.int64)
+        tables = [(p * n[:bot_in] - deg,
+                   power_rows(F, q, -bot_in, 0)[:, ::-1]),
+                  (n[bot_in:], power_rows(H, q, 0, top, end=top))]
+    else:
+        a, mod_power = ring[1], ring[2]
+        if a % p == 0:
+            raise ValueError("gamma exponent must be a p-adic unit")
+        U = binomial_table_mod_ps(a, bot_in + top, p, s, mod_power)
+        tables = [(n, power_rows(U, q, -bot_in, top, end=top))]
     R = np.zeros((bot_out + top, bot_in + top), dtype=np.int64)
-    for j, (lead, arr) in enumerate(_ring_column_series(p, s, ring, bot_in,
-                                                        top)):
-        # an image wholly below the output window leaves its column 0
-        a = max(lead, -bot_out)
-        R[a + bot_out:max(a, lead + len(arr)) + bot_out, j] = arr[a - lead:]
+    col = 0
+    for lead, T in tables:
+        # every table is cut at pi^top; terms below the window are cut here
+        j, k = np.nonzero(T)
+        rows = lead[j] + k + bot_out
+        keep = rows >= 0
+        R[rows[keep], col + j[keep]] = T[j[keep], k[keep]]
+        col += len(lead)
     R.setflags(write=False)
     return R
 
@@ -473,7 +459,7 @@ def _operator_matrix(D: PhiGammaModule, op, bot_in: int, bot_out: int,
             M += ((t.coeff * A % q)[:, None, :, None]
                   * R[:, None]).reshape(M.shape)
             continue
-        # the least exponent of the image (see _phi_columns)
+        # the least exponent of the image (see build_ring_window)
         deep = (p * bot_in + (p - 1) * (s - 1)
                 if t.ring == RING_PHI and bot_in > 0 else bot_in)
         prec = min(x.prec_num for row in t.matrix for x in row
@@ -641,21 +627,10 @@ def _subquotient(Z: np.ndarray, length: int, B: np.ndarray, p: int, s: int,
                  escape: str = ""):
     """Length and elementary divisors of span(Z)/span(B), where span(Z) has
     the given length; B must lie in span(Z), else InvariantError with the
-    message escape.
-
-    At s = 1 (_packs) the subquotient is read off ranks, from one packed
-    echelon of [B | Z]: B lies in span(Z) iff the rank of [B | Z] is the
-    length of span(Z), and then the subquotient has length length - rank(B)
-    and every divisor p.  Otherwise the Smith path presents it."""
-    if _packs(p, s):
-        leads = _fp_echelon(np.hstack([B, Z]), p)[0]
-        if len(leads) != length:
-            raise InvariantError(escape)
-        h = length - bisect_left(leads, B.shape[1])
-        return h, (p,) * h
+    message escape."""
+    wrap = ZModMatrix._trusted
     try:
-        prof = module_profile(_presentation_in(ZModMatrix(p, s, Z),
-                                               ZModMatrix(p, s, B), length))
+        prof = _subquotient_profile(wrap(p, s, Z), wrap(p, s, B), length)
     except InvariantError:
         raise InvariantError(escape) from None
     return divisors_length(p, prof), tuple(prof)
@@ -663,24 +638,15 @@ def _subquotient(Z: np.ndarray, length: int, B: np.ndarray, p: int, s: int,
 
 def _divisor_report(A: np.ndarray, p: int, s: int, n: int):
     """Length and elementary divisors of ker(A), n = cols, or of coker(A),
-    n = rows, from the pivot valuations of A; at s = 1 (_packs) from the
-    rank of A alone, every divisor p."""
-    if _packs(p, s):
-        h = n - len(_fp_echelon(A, p)[0])
-        return h, (p,) * h
-    prof = _divisors(p, s, _kernel(ZModMatrix(p, s, A), False)[0], n)
+    n = rows, from the pivot valuations of A."""
+    prof = _divisors(p, s, _kernel(ZModMatrix._trusted(p, s, A), False)[0], n)
     return divisors_length(p, prof), tuple(prof)
 
 
 def _kernel_of(A: np.ndarray, p: int, s: int):
     """Columns generating ker(A), canonical in [0, p^s), and their length
-    s*cols - l(A), by rank-nullity from the valuations of the same
-    elimination; at s = 1 (_packs) from one packed echelon, whose kernel
-    columns are linearly independent, so the length is cols - rank."""
-    if _packs(p, s):
-        K = _fp_echelon(A, p, kernel=True)[1]
-        return K, K.shape[1]
-    vals, K = _kernel(ZModMatrix(p, s, A))
+    s*cols - l(A), by rank-nullity from the valuations that come with them."""
+    vals, K = _kernel(ZModMatrix._trusted(p, s, A))
     return K, s * A.shape[1] - sum(s - v for v in vals)
 
 
@@ -724,7 +690,7 @@ def _tail_floor(D: PhiGammaModule) -> int:
 
 def _out_depth(D: PhiGammaModule, b: int) -> int:
     """Bottom depth of a window holding every image of [-b, T): phi(pi^-b)
-    reaches pi^(-pb - (p-1)(s-1)) (see _phi_columns), and a matrix entry
+    reaches pi^(-pb - (p-1)(s-1)) (see build_ring_window), and a matrix entry
     whose least exponent is v < 0 carries an image -v further down."""
     p, s = D.p, D.s
     v = min((min(x.coeffs, default=0)

@@ -1,14 +1,15 @@
 """Homological machinery over finite Z/p^s-modules.
 
-Bounded cochain complexes of free Z/p^s-modules with exact Smith-form
-cohomology, mapping cones and their long exact sequences, first-quadrant
-double complexes with column-filtration spectral pages checked against the
-total complex, and lim/lim^1 of finitely stored towers.
+Bounded cochain complexes of free Z/p^s-modules with exact cohomology,
+mapping cones and their long exact sequences, first-quadrant double
+complexes with column-filtration spectral pages checked against the total
+complex, and lim/lim^1 of finitely stored towers.
 
 Input is validated once, at the boundary.  Matrices given as arrays or
 lists (the constructors of ChainComplexZ, ChainMap, ShortExactSequence,
 DoubleComplex and Tower, and their from_json readers) go through the
-validating ZModMatrix constructor, and the readers bound ranks and degrees
+validating ZModMatrix constructor, save a [] for a block with no rows,
+which is its zero matrix (_matrix), and the readers bound ranks and degrees
 before anything is sized from them.  Matrices built here from canonical
 arrays (cones, their splitting maps, total complexes, window kernels and
 the slices and blocks read from them, zero blocks) are wrapped by
@@ -18,10 +19,10 @@ the splitting identities, anticommutation) compare canonical arrays.
 Each page and each length is computed once.  d^2 = 0 is certified when a
 complex is built, so cocycle and cohomology lengths come by rank-nullity
 from the valuations of the differentials, and H^n is presented by one
-elimination of [Z, -B].  les_check and spectral_E_pages run under
-zmodlin.smith_memo, so a matrix is eliminated once per call.  On a grid of
-W columns no d_r with r >= W has a target, so E_W = E_∞ and the pages past
-W are copies of page W.
+elimination of [Z, -B] (its profile by zmodlin._subquotient_profile).
+les_check and spectral_E_pages run under zmodlin.smith_memo, so at s > 1 a
+matrix is eliminated once per call.  On a grid of W columns no d_r with
+r >= W has a target, so E_W = E_∞ and the pages past W are copies of page W.
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ from .zmodlin import (
     _is_int,
     _mod,
     _presentation_in,
+    _subquotient_profile,
     divisors_length,
     image_length,
     json_fields,
@@ -92,6 +94,17 @@ def _check_file_sizes(ranks, degrees) -> None:
                              f"file limit of {MAX_FILE_DEGREE}")
 
 
+def _matrix(p: int, s: int, value, rows: int, cols: int) -> ZModMatrix:
+    """A given block of rows x cols, its shape unchecked: a ZModMatrix as it
+    is, [] as the zero matrix if rows = 0 (JSON writes no 0 x cols array),
+    anything else through the validating constructor."""
+    if isinstance(value, ZModMatrix):
+        return value
+    if rows == 0 and isinstance(value, list) and not value:
+        return ZModMatrix.zeros(p, s, 0, cols)
+    return ZModMatrix(p, s, value)
+
+
 def _hstack(p, s, mats):
     cols = [m.entries for m in mats if m.cols]
     if not cols:
@@ -116,8 +129,7 @@ class ChainComplexZ:
         self.diffs = {}
         for n, d in diffs.items():
             n = int(n)
-            if not isinstance(d, ZModMatrix):
-                d = ZModMatrix(p, s, d)
+            d = _matrix(p, s, d, self.rank(n + 1), self.rank(n))
             if d.cols != self.rank(n) or d.rows != self.rank(n + 1):
                 raise InvariantError(
                     f"differential at degree {n} has the wrong shape")
@@ -161,7 +173,8 @@ class ChainComplexZ:
                                 self.cocycle_length(n))
 
     def cohomology_profile(self, n: int) -> list:
-        return module_profile(self.cohomology(n))
+        return _subquotient_profile(self.cocycles(n), self.coboundaries(n),
+                                    self.cocycle_length(n))
 
     def cohomology_length(self, n: int) -> int:
         """l(H^n) = s*rank(n) - l(d_n) - l(d_(n-1)): d^2 = 0 is certified
@@ -208,8 +221,7 @@ class ChainMap:
         self.blocks = {}
         for n, f in blocks.items():
             n = int(n)
-            if not isinstance(f, ZModMatrix):
-                f = ZModMatrix(src.p, src.s, f)
+            f = _matrix(src.p, src.s, f, dst.rank(n), src.rank(n))
             if f.cols != src.rank(n) or f.rows != dst.rank(n):
                 raise InvariantError(f"map block at degree {n} is misshaped")
             if f.entries.any():
@@ -270,16 +282,17 @@ class ShortExactSequence:
     sect: dict
 
     def __post_init__(self):
-        p, s = self.B.p, self.B.s
-        for table in (self.inc, self.proj, self.retr, self.sect):
+        A, B, C = self.A, self.B, self.C
+        for table, src, dst in ((self.inc, A, B), (self.proj, B, C),
+                                (self.retr, B, A), (self.sect, C, B)):
             for n in list(table):
-                if not isinstance(table[n], ZModMatrix):
-                    table[n] = ZModMatrix(p, s, table[n])
-        for n in self.B.degrees():
-            i = self.mat(self.inc, n, self.A, self.B)
-            pr = self.mat(self.proj, n, self.B, self.C)
-            r = self.mat(self.retr, n, self.B, self.A)
-            se = self.mat(self.sect, n, self.C, self.B)
+                table[n] = _matrix(B.p, B.s, table[n], dst.rank(n),
+                                   src.rank(n))
+        for n in B.degrees():
+            i = self.mat(self.inc, n, A, B)
+            pr = self.mat(self.proj, n, B, C)
+            r = self.mat(self.retr, n, B, A)
+            se = self.mat(self.sect, n, C, B)
             if not (pr @ i).is_zero():
                 raise InvariantError("proj ∘ inc != 0")
             if not _is_identity(r @ i):
@@ -331,7 +344,7 @@ def les_check(ses: ShortExactSequence) -> dict:
     """Exactness of the long cohomology sequence at every node.
 
     At each node the incoming image is compared with the outgoing kernel
-    by exact length bookkeeping over the Smith form; the connecting map
+    by exact length bookkeeping from zmodlin; the connecting map
     is computed on cocycle generators (lift by the section, apply the
     middle differential, pull back by the retraction) and its landing in
     the cocycles is certified.  The first failing node is reported, and
@@ -362,8 +375,7 @@ def les_check(ses: ShortExactSequence) -> dict:
         delta_gens = r_n1 @ (B.diff(n) @ (s_n @ ZC))
         im_d = _induced_image_length(delta_gens, A.coboundaries(n + 1))
         hA = A.cohomology_length(n)
-        profiles[n] = module_profile(
-            _presentation_in(ZB, BB, B.cocycle_length(n)))
+        profiles[n] = _subquotient_profile(ZB, BB, B.cocycle_length(n))
         hB = divisors_length(p, profiles[n])
         hC = C.cohomology_length(n)
         data[n] = (im_i, im_p, im_d, hA, hB, hC, delta_gens, ZA)
@@ -407,14 +419,15 @@ class DoubleComplex:
             r = _rank(r)
             if r:
                 self.ranks[pq] = r
-        self.dh = {self._key(k): self._mat(v) for k, v in dh.items()}
-        self.dv = {self._key(k): self._mat(v) for k, v in dv.items()}
-        for (pp, qq), m in self.dh.items():
-            if m.cols != self.rank(pp, qq) or m.rows != self.rank(pp + 1, qq):
-                raise InvariantError(f"d_h at {(pp, qq)} is misshaped")
-        for (pp, qq), m in self.dv.items():
-            if m.cols != self.rank(pp, qq) or m.rows != self.rank(pp, qq + 1):
-                raise InvariantError(f"d_v at {(pp, qq)} is misshaped")
+        self.dh, self.dv = {}, {}
+        for name, table, given, (i, j) in (("d_h", self.dh, dh, (1, 0)),
+                                           ("d_v", self.dv, dv, (0, 1))):
+            for key, v in given.items():
+                a, b = self._key(key)
+                shape = (self.rank(a + i, b + j), self.rank(a, b))
+                m = table[a, b] = _matrix(p, s, v, *shape)
+                if (m.rows, m.cols) != shape:
+                    raise InvariantError(f"{name} at {(a, b)} is misshaped")
         for pq in self.ranks:
             pp, qq = pq
             if not (self.d_h(pp + 1, qq) @ self.d_h(pp, qq)).is_zero():
@@ -436,10 +449,6 @@ class DoubleComplex:
         except (TypeError, ValueError):
             raise ValueError(f"grid key {key!r} is not of the form "
                              "'p,q'") from None
-
-    def _mat(self, v):
-        return v if isinstance(v, ZModMatrix) else ZModMatrix(self.p,
-                                                              self.s, v)
 
     def rank(self, pp: int, qq: int) -> int:
         return self.ranks.get((pp, qq), 0)
@@ -520,7 +529,7 @@ def total_complex(DC: DoubleComplex) -> ChainComplexZ:
 
 @dataclass
 class SpectralPage:
-    """One page of the column-filtration spectral sequence: Smith profiles
+    """One page of the column-filtration spectral sequence: the profiles
     and lengths of E_r^{p,q}, plus the length of each d_r image measured
     inside the target spot (keyed by the source spot)."""
 
@@ -703,10 +712,11 @@ class Tower:
         if self.tail not in ("constant", "zero"):
             raise InvariantError("tail convention must be constant or zero")
         self.ranks = [_rank(r) for r in self.ranks]
-        self.maps = [m if isinstance(m, ZModMatrix)
-                     else ZModMatrix(self.p, self.s, m) for m in self.maps]
         if len(self.maps) != max(len(self.ranks) - 1, 0):
             raise InvariantError("need exactly one map per adjacent pair")
+        self.maps = [_matrix(self.p, self.s, m, self.ranks[n],
+                             self.ranks[n + 1])
+                     for n, m in enumerate(self.maps)]
         for n, m in enumerate(self.maps):
             if m.cols != self.ranks[n + 1] or m.rows != self.ranks[n]:
                 raise InvariantError(f"transition {n} is misshaped")

@@ -28,7 +28,7 @@ trailing block in row-major order, so the diagonal consists of p-powers
 search only tests entries for zero.  Its input is scratch.  A step updates
 only the rows and columns reached by its pivot's column and row, and ends
 at its swaps if its pivot row has no other nonzero entry and U is not
-asked for.  Kernels, cokernels, subquotients and profiles derive from it.
+asked for.  Kernels, subquotients and profiles at s > 1 derive from it.
 
 The packed F_p echelon (_fp_echelon) works on columns packed one Python
 integer each, one lane of 8, 16, 32 or 64 bits per row (_lanes, _pack), so
@@ -36,12 +36,13 @@ that a column operation is a few integer operations over the whole
 column, and each lane is reduced mod p by one Barrett multiply-shift
 (Dumas, Fousse and Salvy's simultaneous modular reduction); every p < 4096
 fits a lane.  Columns are reduced left to right against a table of the
-earlier columns' leads, their least nonzero lanes (_reducer).  It has two
-clients: the Herr window engine takes its kernels, ranks and subquotient
-lengths from it at s = 1 (_packs), and tatesen's TS3 solve reduces its
-packed systems through the same step and keeps a log of it.  It carries
-no transforms: a kernel comes from identity lanes packed after the row
-lanes.
+earlier columns' leads, their least nonzero lanes (_reducer).  At s = 1
+(_packs) _kernel and _subquotient_profile read it, and so does every
+kernel, length and profile built on them, so no caller chooses a path.
+tatesen's TS3
+solve reduces its packed systems through the same step and keeps a log of
+it.  It carries no transforms: a kernel comes from identity lanes packed
+after the row lanes.
 
 Finite modules are presented as cokernels of relation matrices
 (PresentedModule); their isomorphism class is captured by the list of
@@ -51,6 +52,7 @@ p-power elementary divisors (module_profile).
 from __future__ import annotations
 
 import json
+from bisect import bisect_left
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
@@ -478,8 +480,9 @@ _MEMO = ContextVar("smith_memo", default=None)
 
 @contextmanager
 def smith_memo():
-    """A block, or with @smith_memo() a call, in which a matrix is eliminated
-    once for its lengths and profile and at most once more for its kernel."""
+    """A block, or with @smith_memo() a call, in which a matrix at s > 1 is
+    eliminated once for its lengths and profile and at most once more for
+    its kernel.  The packed echelon at s = 1 is not kept."""
     token = _MEMO.set({})
     try:
         yield
@@ -532,11 +535,15 @@ def _divisors(p: int, s: int, vals, n: int) -> list[int]:
 
 def _kernel(A: ZModMatrix, kernel: bool = True):
     """Pivot valuations of A and, if kernel, columns generating ker(A) (else
-    None): the columns of V from the first pivot of positive valuation on,
-    each scaled by p^(s - v), v the pivot's valuation or s past the pivots,
-    with canonical entries in [0, p^s), as _matmul_mod needs of its
-    operands.  An empty or zero A has no pivots and the identity as its
-    kernel, as its elimination would give, and is not eliminated."""
+    None), canonical in [0, p^s), as _matmul_mod needs of its operands.  At
+    s = 1 (_packs): a valuation 0 per lead of the packed F_p echelon, and
+    its kernel columns.  Otherwise the columns of V from the first pivot of
+    positive valuation on, each scaled by p^(s - v), v the pivot's valuation
+    or s past the pivots; an empty or zero A has no pivots and the identity
+    as its kernel, as its elimination would give, and is not eliminated."""
+    if _packs(A.p, A.s):
+        leads, K = _fp_echelon(A.entries, A.p, kernel)
+        return [0] * len(leads), K
     if not A.entries.any():
         return [], np.eye(A.cols, dtype=np.int64) if kernel else None
     memo = _MEMO.get()
@@ -594,6 +601,22 @@ def _presentation_in(span: ZModMatrix, sub: ZModMatrix,
         raise InvariantError("denominator is not contained in the span")
     return PresentedModule(ZModMatrix._trusted(p, s, K[:span.cols]),
                            span.cols)
+
+
+def _subquotient_profile(span: ZModMatrix, sub: ZModMatrix,
+                         length: int) -> list[int]:
+    """module_profile of span(Z)/span(B) for a span(Z) of the given length;
+    InvariantError unless B lies in span(Z) and span(Z) has that length.
+    At s = 1 (_packs) one packed echelon of [B | Z] decides both, by its
+    rank, and gives the quotient as F_p^(length - rank B), rank B its leads
+    among B's columns: no kernel lanes and no second echelon."""
+    p = span.p
+    if not _packs(p, span.s):
+        return module_profile(_presentation_in(span, sub, length))
+    leads = _fp_echelon(np.hstack([sub.entries, span.entries]), p)[0]
+    if len(leads) != length:
+        raise InvariantError("denominator is not contained in the span")
+    return [p] * (length - bisect_left(leads, sub.cols))
 
 
 def solve(A: ZModMatrix, b) -> np.ndarray | None:

@@ -278,6 +278,30 @@ def test_cone_rejects_non_chain_map(runner, tmp_path):
     assert res.exit_code == 1
 
 
+def test_cone_reads_an_empty_block_of_no_rows_as_zero(runner, tmp_path):
+    # JSON writes a 0 x 2 block as []: a map block into a rank-0 degree and
+    # a differential into one read as zero, as if left out; a [] for a
+    # block with rows is still malformed
+    X = json.loads(ChainComplexZ(3, 2, {0: 1, 1: 2}, {0: [[3], [0]]})
+                   .to_json())
+    Y = json.loads(ChainComplexZ(3, 2, {0: 1}, {}).to_json())
+
+    def cone(src, blocks):
+        path = tmp_path / "map.json"
+        path.write_text(json.dumps({"format": "chain-map", "src": src,
+                                    "dst": Y, "blocks": blocks}))
+        return runner.invoke(main, ["cone", str(path)])
+
+    bare = cone(X, {"0": [[1]]})
+    assert bare.exit_code == 0 and json.loads(bare.output)["les_exact"]
+    X_empty = dict(X, diffs=dict(X["diffs"], **{"1": []}))
+    for src, blocks in ((X, {"0": [[1]], "1": []}),
+                        (X_empty, {"0": [[1]]})):
+        res = cone(src, blocks)
+        assert res.exit_code == 0 and res.output == bare.output
+    assert cone(X, {"0": []}).exit_code == 2
+
+
 def test_spectral_subcommand(runner, tmp_path):
     DC = DoubleComplex(3, 2, {(0, 1): 1, (1, 1): 1, (1, 0): 1, (2, 0): 1},
                        {(0, 1): [[1]], (1, 0): [[1]]},

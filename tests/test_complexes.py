@@ -29,12 +29,12 @@ from phigamma.complexes import (
     _matmul_mod,
     _op,
     _operator_matrix,
-    _ring_column_series,
     _out_depth,
     _subquotient,
     _tail_floor,
     _window_data,
     _window_dims,
+    build_ring_window,
     ring_gamma,
     ring_window,
     RING_ID,
@@ -46,10 +46,8 @@ from phigamma.modules import (identity_matrix, make_module, mat_inverse,
 from phigamma.tatesen import decompletion_compare
 from phigamma.wittside import ArithLiftElement
 from phigamma import zmodlin
-from phigamma.zmodlin import (ZModMatrix, _eliminate, divisors_length,
-                              image_length, kernel_generators,
-                              kernel_cokernel, module_profile,
-                              subquotient_presentation)
+from phigamma.zmodlin import (ZModMatrix, _eliminate, image_length,
+                              kernel_generators, smith_normal_form)
 
 P = 3
 CHI = 1 + P
@@ -124,9 +122,13 @@ def test_cone_over_zero_complex_is_shift():
 
 
 def column_dicts(p, s, ring, bot, top):
-    cols = _ring_column_series(p, s, ring, bot, top)
-    return {n: {lead + i: int(c) for i, c in enumerate(arr) if c}
-            for n, (lead, arr) in zip(range(-bot, top), cols)}
+    """ring(pi^n) for n in [-bot, top), cut at pi^top, as {exponent: coeff},
+    read off a window whose output reaches phi(pi^-bot)'s least term."""
+    deep = p * bot + (p - 1) * (s - 1)
+    R = build_ring_window(p, s, ring, bot, deep, top)
+    return {n: {int(m) - deep: int(R[m, n + bot])
+                for m in np.flatnonzero(R[:, n + bot])}
+            for n in range(-bot, top)}
 
 
 def element_column(p, s, ring, n, top, prec):
@@ -163,24 +165,23 @@ def test_phi_columns_are_exact_inverses(p, s):
     # phi(pi^n) phi(pi^-n) = 1; top > p n keeps phi(pi^n) untruncated
     bot = 6
     top = p * bot + 1
-    cols = _ring_column_series(p, s, RING_PHI, bot, top)
+    cols = column_dicts(p, s, RING_PHI, bot, top)
     for n in range(1, bot + 1):
-        lead_up, up = cols[bot + n]
-        lead_dn, dn = cols[bot - n]
-        prod = np.convolve(up, dn) % p**s
-        one = np.zeros_like(prod)
-        one[-(lead_up + lead_dn)] = 1
-        assert np.array_equal(prod, one), n
+        prod = {}
+        for i, a in cols[n].items():
+            for j, b in cols[-n].items():
+                prod[i + j] = (prod.get(i + j, 0) + a * b) % p**s
+        assert {k: c for k, c in prod.items() if c} == {0: 1}, n
 
 
 def fresh_window(p, s, ring, bot_in, bot_out, top):
-    """The window matrix entry by entry from a fresh column build."""
+    """The window matrix entry by entry from the columns of a fresh build
+    deep enough to hold every image."""
     R = np.zeros((bot_out + top, bot_in + top), dtype=np.int64)
-    cols = _ring_column_series(p, s, ring, bot_in, top)
-    for j, (lead, arr) in enumerate(cols):
-        for i, c in enumerate(arr):
-            if lead + i >= -bot_out:
-                R[lead + i + bot_out, j] = c
+    for n, col in column_dicts(p, s, ring, bot_in, top).items():
+        for m, c in col.items():
+            if m >= -bot_out:
+                R[m + bot_out, n + bot_in] = c
     return R
 
 
@@ -723,35 +724,33 @@ def test_subquotient_escape_names_its_degree():
 
 @pytest.mark.parametrize("p", [3, 5, 7])
 def test_window_helpers_at_s1_match_the_smith_path(p):
-    # at s = 1 the helpers read the packed F_p echelon; the Smith path,
-    # through zmodlin, gives the same lengths and profiles
+    # at s = 1 zmodlin reads the packed F_p echelon; Smith ranks give the
+    # same lengths and profiles, every divisor p
+    def rank(M):
+        return smith_normal_form(ZModMatrix(p, 1, M),
+                                 transforms=False).valuations.count(0)
+
     rng = np.random.default_rng(10 + p)
     for rows, cols in ((9, 5), (5, 9), (30, 18), (18, 30), (40, 40)):
         A = rng.integers(0, p, (rows, cols)) * (rng.random((rows, cols))
                                                  < 0.2)
         A[rng.integers(0, rows, 3)] = 0
         A[:, -1] = (A[:, 0] + 2 * A[:, 1]) % p
-        M = ZModMatrix(p, 1, A)
-        ker, coker = kernel_cokernel(M)
-        for n, module in ((cols, ker), (rows, coker)):
-            prof = module_profile(module)
-            assert _divisor_report(A, p, 1, n) == (divisors_length(p, prof),
-                                                   tuple(prof))
+        r = rank(A)
+        for n in (cols, rows):
+            assert _divisor_report(A, p, 1, n) == (n - r, (p,) * (n - r))
         K, length = _kernel_of(A, p, 1)
-        assert length == ker.length() == K.shape[1]
+        assert length == cols - r == K.shape[1]
         assert K.min(initial=0) >= 0 and K.max(initial=0) < p
         assert not _matmul_mod(A, K, p).any()
-        assert image_length(ZModMatrix(p, 1, K)) == length
+        assert rank(K) == length
         # span(Z)/span(B) for B inside span(Z), of a lower rank
         Z = A[:, :cols // 2 + 1]
         C = rng.integers(0, p, (Z.shape[1], 7))
         C[:, 4:] = C[:, :3]
         B = _matmul_mod(Z, C, p)
-        zlen = image_length(ZModMatrix(p, 1, Z))
-        prof = module_profile(subquotient_presentation(ZModMatrix(p, 1, Z),
-                                                       ZModMatrix(p, 1, B)))
-        assert _subquotient(Z, zlen, B, p, 1, "") == (divisors_length(p, prof),
-                                                      tuple(prof))
+        zlen, h = rank(Z), rank(Z) - rank(B)
+        assert _subquotient(Z, zlen, B, p, 1, "") == (h, (p,) * h)
         assert _subquotient(Z, zlen, B[:, :0], p, 1, "") == (zlen,
                                                              (p,) * zlen)
 

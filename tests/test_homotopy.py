@@ -424,13 +424,13 @@ def unitriangular(rng, r, q):
     return T, inv
 
 
-def split_complex(rng, s, ranks, zero=False):
-    """A complex over Z/P^s on degrees 0..len(ranks)-1 and its cohomology
+def split_complex(rng, s, ranks, zero=False, p=P):
+    """A complex over Z/p^s on degrees 0..len(ranks)-1 and its cohomology
     profiles: d sends e_j to p^k f_j on some pairs (k = s is a zero
     differential, and every differential is zero if zero) and leaves the
     other basis vectors isolated; a unitriangular change of basis hides the
     split form, and H^n is known from the pairs."""
-    q = P ** s
+    q = p ** s
     L = len(ranks)
     diffs, want = {}, {n: [] for n in range(L)}
     used = 0
@@ -443,17 +443,17 @@ def split_complex(rng, s, ranks, zero=False):
                      dtype=object)
         for j in range(m):
             k = rng.randint(0, s)
-            E[j, used + j] = P ** k % q
+            E[j, used + j] = p ** k % q
             if k:
-                want[n].append(P ** k)
-                want[n + 1].append(P ** k)
+                want[n].append(p ** k)
+                want[n + 1].append(p ** k)
         want[n] += [q] * (free - m)
         if n < L - 1:
             diffs[n] = E
         used = m
     bases = [unitriangular(rng, r, q) for r in ranks]
-    X = ChainComplexZ(P, s, dict(enumerate(ranks)), {
-        n: ZModMatrix(P, s, (bases[n + 1][0] @ E @ bases[n][1] % q)
+    X = ChainComplexZ(p, s, dict(enumerate(ranks)), {
+        n: ZModMatrix(p, s, (bases[n + 1][0] @ E @ bases[n][1] % q)
                       .astype(np.int64))
         for n, E in diffs.items()})
     return X, want
@@ -470,12 +470,12 @@ def test_cohomology_length_by_rank_nullity_on_split_complexes(s):
             assert X.cohomology_length(n) == X.cohomology(n).length()
 
 
-def _engine_results(s, seed):
+def _engine_results(s, seed, p=P):
     """les_check of a cone, spectral_E_pages of a 3x3 and a 4x2 grid, and
-    tower_lim_lim1 of a constant-tail and a zero-tail tower over Z/P^s, all
+    tower_lim_lim1 of a constant-tail and a zero-tail tower over Z/p^s, all
     from seeded split complexes, some with a zero-rank degree."""
     rng = random.Random(seed)
-    q = P ** s
+    q = p ** s
 
     def mat(rows, cols):
         return np.array([[rng.randrange(q) for _ in range(cols)]
@@ -483,17 +483,19 @@ def _engine_results(s, seed):
                              rows, cols)
 
     X = split_complex(rng, s, [rng.randint(1, 3), 0, rng.randint(1, 3),
-                               rng.randint(0, 2)])[0]
-    Y = split_complex(rng, s, [rng.randint(0, 3) for _ in range(4)])[0]
+                               rng.randint(0, 2)], p=p)[0]
+    Y = split_complex(rng, s, [rng.randint(0, 3) for _ in range(4)], p=p)[0]
     # d_Y g + g d_X is a chain map for any g
-    g = {n: ZModMatrix(P, s, mat(Y.rank(n - 1), X.rank(n)))
+    g = {n: ZModMatrix(p, s, mat(Y.rank(n - 1), X.rank(n)))
          for n in range(-1, 6)}
     f = ChainMap(X, Y, {n: Y.diff(n - 1) @ g[n] + g[n + 1] @ X.diff(n)
                         for n in range(5)})
     results = [les_check(cone_sequence(f))]
     for w, h in ((3, 3), (4, 2)):
-        A = split_complex(rng, s, [rng.randint(0, 2) for _ in range(w)])[0]
-        B = split_complex(rng, s, [rng.randint(0, 2) for _ in range(h)])[0]
+        A = split_complex(rng, s, [rng.randint(0, 2) for _ in range(w)],
+                          p=p)[0]
+        B = split_complex(rng, s, [rng.randint(0, 2) for _ in range(h)],
+                          p=p)[0]
         ranks = {(x, y): A.rank(x) * B.rank(y)
                  for x in range(w) for y in range(h)}
         dh = {(x, y): np.kron(A.diff(x).entries,
@@ -502,14 +504,43 @@ def _engine_results(s, seed):
         dv = {(x, y): (-1) ** x * np.kron(np.eye(A.rank(x), dtype=np.int64),
                                           B.diff(y).entries)
               for (x, y) in ranks if y + 1 < h}
-        results.append(spectral_E_pages(DoubleComplex(P, s, ranks, dh, dv)))
+        results.append(spectral_E_pages(DoubleComplex(p, s, ranks, dh, dv)))
     for tail in ("constant", "zero"):
         ranks = [rng.randint(0, 3) for _ in range(3)]
         if tail == "constant":
             ranks.append(ranks[-1])
         maps = [mat(ranks[n], ranks[n + 1]) for n in range(len(ranks) - 1)]
-        results.append(tower_lim_lim1(Tower(P, s, ranks, maps, tail)))
+        results.append(tower_lim_lim1(Tower(p, s, ranks, maps, tail)))
     return results
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_s1_engine_reads_the_packed_echelon(p, monkeypatch):
+    # at s = 1 zmodlin answers the engine from the packed F_p echelon, with
+    # no Smith elimination, and the Smith path gives the same results; a
+    # tower's lim is compared by its profile, as its relations are kernel
+    # generators, which differ between the paths
+    calls = [0]
+    eliminate = zmodlin._eliminate
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return eliminate(*args, **kwargs)
+
+    def invariants(seed):
+        *rest, const, zero = _engine_results(1, seed, p)
+        return rest + [[module_profile(m) for m in pair]
+                       for pair in (const, zero)]
+
+    monkeypatch.setattr(zmodlin, "_eliminate", counted)
+    for seed in range(10 * p, 10 * p + 3):
+        calls[0] = 0
+        got = invariants(seed)
+        assert calls[0] == 0
+        with monkeypatch.context() as m:
+            m.setattr(zmodlin, "_packs", lambda p, s: False)
+            assert invariants(seed) == got
+        assert calls[0] > 0
 
 
 @pytest.mark.parametrize("s", [1, 2, 3, 4])

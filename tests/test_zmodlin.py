@@ -21,6 +21,7 @@ from phigamma.zmodlin import (
     smith_normal_form,
     solve,
 )
+from phigamma.errors import InvariantError
 import phigamma.zmodlin as zmodlin
 
 
@@ -261,13 +262,27 @@ def test_smith_matches_reference_loop():
         assert bare.U is None and bare.V is None
 
 
+def _check_s1_kernel(A: ZModMatrix, rank: int):
+    """At s = 1 the kernel generators are the packed echelon's kernel
+    columns: cols - rank of them, killed by A, for the rank Smith gives."""
+    K = kernel_generators(A)
+    assert np.array_equal(K.entries,
+                          zmodlin._fp_echelon(A.entries, A.p, kernel=True)[1])
+    assert K.cols == A.cols - rank and (A @ K).is_zero()
+    # independent columns killed by A, as many as ker(A) has: a basis
+    assert _smith_rank(K.entries, A.p) == K.cols
+
+
 def test_kernel_generators_are_scaled_columns_of_V():
-    # the definition the generators had when they were V @ G
+    # the definition the generators had when they were V @ G, at s > 1
     for A in itertools.chain(_seeded_matrices(43, 200),
                              _sparse_matrices(47, 60)):
         p, s = A.p, A.s
         sf = smith_normal_form(A)
         vals = sf.valuations
+        if s == 1:
+            _check_s1_kernel(A, vals.count(0))
+            continue
         cols = [sf.V.entries[:, i] * p ** (s - v)
                 for i, v in enumerate(vals) if v > 0]
         cols += [sf.V.entries[:, j] for j in range(len(vals), A.cols)]
@@ -410,10 +425,14 @@ def test_pivot_step_matches_reference_at_herr_sizes():
         got_Vt = np.eye(cols, dtype=np.int64)
         assert _eliminate(A.entries.copy(), p, s, Vt=got_Vt) == vals
         assert np.array_equal(got_Vt, Vt)
-        first = vals.count(0)
-        scale = [p ** (s - v) for v in vals[first:]] + [1] * (cols - len(vals))
-        assert kernel_generators(A) == ZModMatrix(
-            p, s, (Vt[first:] * np.array(scale)[:, None]).T)
+        if s == 1:
+            _check_s1_kernel(A, len(vals))
+        else:
+            first = vals.count(0)
+            scale = [p ** (s - v) for v in vals[first:]] + [1] * (
+                cols - len(vals))
+            assert kernel_generators(A) == ZModMatrix(
+                p, s, (Vt[first:] * np.array(scale)[:, None]).T)
         # the raw columns are canonical, as _matmul_mod needs of operands
         assert np.array_equal(zmodlin._kernel(A)[1],
                               kernel_generators(A).entries)
@@ -446,20 +465,26 @@ def _fp_matrices(p):
         yield np.zeros(shape, dtype=np.int64)
 
 
+def _smith_rank(A, p):
+    """The rank of an integer matrix over F_p by Smith elimination, the
+    reference for the packed echelon, which _kernel itself reads at s = 1."""
+    return smith_normal_form(ZModMatrix(p, 1, A),
+                             transforms=False).valuations.count(0)
+
+
 def _check_fp_echelon(A, p):
     rows, cols = A.shape
     leads, K = zmodlin._fp_echelon(A, p, kernel=True)
-    rank = len(zmodlin._kernel(ZModMatrix(p, 1, A), False)[0])
+    rank = _smith_rank(A, p)
     assert len(leads) == rank
     assert zmodlin._fp_echelon(A, p) == (leads, None)
     # a lead is a column outside the span of the columns to its left
     for j in range(cols + 1):
-        assert sum(c < j for c in leads) == image_length(
-            ZModMatrix(p, 1, A[:, :j]))
+        assert sum(c < j for c in leads) == _smith_rank(A[:, :j], p)
     assert K.dtype == np.int64 and K.shape == (cols, cols - rank)
     assert K.min(initial=0) >= 0 and K.max(initial=p - 1) < p
     assert not zmodlin._matmul_mod(A, K, p).any()
-    assert image_length(ZModMatrix(p, 1, K)) == cols - rank
+    assert _smith_rank(K, p) == cols - rank
 
 
 @pytest.mark.parametrize("p", [3, 5, 7, 4093])
@@ -654,3 +679,44 @@ def test_kernel_of_empty_and_zero_matrices(monkeypatch):
                 assert module_profile(ker) == [25] * A.cols
                 assert module_profile(coker) == [25] * A.rows
     assert counted == []
+
+
+@pytest.mark.parametrize("s", [1, 2])
+def test_subquotient_profile_checks_the_given_length(s):
+    # the length of span(Z) the caller gives is checked, with B empty too
+    q = 5**s
+    Z = ZModMatrix(5, s, [[1, 0], [0, 1], [0, 0]])
+    for B, prof in ((ZModMatrix.zeros(5, s, 3, 0), [q, q]),
+                    (ZModMatrix(5, s, [[1], [0], [0]]), [q])):
+        assert zmodlin._subquotient_profile(Z, B, 2 * s) == prof
+        for wrong in (2 * s - 1, 2 * s + 1):
+            with pytest.raises(InvariantError):
+                zmodlin._subquotient_profile(Z, B, wrong)
+    with pytest.raises(InvariantError):
+        zmodlin._subquotient_profile(Z, ZModMatrix(5, s, [[0], [0], [1]]),
+                                     2 * s)
+
+
+def test_s1_subquotient_profile_is_one_echelon_without_kernel(monkeypatch):
+    # at s = 1 the profile of span(Z)/span(B) equals the presentation's and
+    # comes from one packed echelon of [B | Z], with no kernel lanes
+    rng = np.random.default_rng(53)
+    echelon, calls = zmodlin._fp_echelon, []
+
+    def counted(A, p, kernel=False):
+        calls.append(kernel)
+        return echelon(A, p, kernel)
+
+    for p in (3, 5, 7):
+        for _ in range(20):
+            rows, k = rng.integers(1, 9), rng.integers(0, 6)
+            Z = random_matrix(rng, p, 1, rows, k)
+            C = rng.integers(0, p, size=(k, rng.integers(0, 5)))
+            B = ZModMatrix(p, 1, Z.entries @ C)
+            length = image_length(Z)
+            want = module_profile(zmodlin._presentation_in(Z, B, length))
+            monkeypatch.setattr(zmodlin, "_fp_echelon", counted)
+            assert zmodlin._subquotient_profile(Z, B, length) == want
+            monkeypatch.setattr(zmodlin, "_fp_echelon", echelon)
+            assert calls == [False]
+            calls.clear()
