@@ -59,7 +59,6 @@ from __future__ import annotations
 
 import json
 import math
-from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
@@ -72,7 +71,7 @@ from .errors import (
     PrecisionError,
 )
 from .modules import PhiGammaModule, _thaw
-from .normfield import (NormFieldElement, binomial_table_mod_ps,
+from .normfield import (NormFieldElement, _lru_store, binomial_table_mod_ps,
                         format_element, power_rows)
 from .wittside import ArithLiftElement
 from .zmodlin import (
@@ -390,8 +389,7 @@ def build_ring_window(p: int, s: int, ring: tuple, bot_in: int,
 
 
 # deepest window kept per (p, s, ring, top): (bot_in, bot_out, matrix)
-_WINDOWS: OrderedDict = OrderedDict()
-_WINDOWS_MAX = 8
+_WINDOWS: dict = {}
 
 
 def ring_window(p: int, s: int, ring: tuple, bot_in: int, bot_out: int,
@@ -399,9 +397,9 @@ def ring_window(p: int, s: int, ring: tuple, bot_in: int, bot_out: int,
     """build_ring_window, read as a trailing corner of a kept window.
 
     One window is kept per (p, s, ring, top), the least recently used
-    dropped past _WINDOWS_MAX.  A deeper request rebuilds it as deep as
-    every window it has served, so it raises PrecisionError exactly when a
-    fresh build would, and a failed rebuild keeps the window it had.
+    dropped past _LRU_SIZE (normfield).  A deeper request rebuilds it as
+    deep as every window it has served, so it raises PrecisionError exactly
+    when a fresh build would, and a failed rebuild keeps the window it had.
     """
     key = (p, s, ring, top)
     kept = _WINDOWS.get(key)
@@ -409,10 +407,7 @@ def ring_window(p: int, s: int, ring: tuple, bot_in: int, bot_out: int,
         b_in, b_out = ((bot_in, bot_out) if kept is None else
                        (max(bot_in, kept[0]), max(bot_out, kept[1])))
         kept = (b_in, b_out, build_ring_window(p, s, ring, b_in, b_out, top))
-    _WINDOWS[key] = kept
-    _WINDOWS.move_to_end(key)
-    if len(_WINDOWS) > _WINDOWS_MAX:
-        _WINDOWS.popitem(last=False)
+    _lru_store(_WINDOWS, key, kept)
     return kept[2][kept[1] - bot_out:, kept[0] - bot_in:]
 
 

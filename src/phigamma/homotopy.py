@@ -20,9 +20,10 @@ Each page and each length is computed once.  d^2 = 0 is certified when a
 complex is built, so cocycle and cohomology lengths come by rank-nullity
 from the valuations of the differentials, and H^n is presented by one
 elimination of [Z, -B] (its profile by zmodlin._subquotient_profile).
-les_check and spectral_E_pages run under zmodlin.smith_memo, so at s > 1 a
-matrix is eliminated once per call.  On a grid of W columns no d_r with
-r >= W has a target, so E_W = E_∞ and the pages past W are copies of page W.
+les_check and spectral_E_pages run under zmodlin.smith_memo, so at every s
+a matrix is reduced once per call for its lengths and at most once more for
+its kernel.  On a grid of W columns no d_r with r >= W has a target, so
+E_W = E_∞ and the pages past W are copies of page W.
 """
 
 from __future__ import annotations
@@ -105,6 +106,13 @@ def _matrix(p: int, s: int, value, rows: int, cols: int) -> ZModMatrix:
     return ZModMatrix(p, s, value)
 
 
+def _block(table: dict, key, p: int, s: int, rows: int,
+           cols: int) -> ZModMatrix:
+    """The block stored under key, or the rows x cols zero matrix."""
+    got = table.get(key)
+    return got if got is not None else ZModMatrix.zeros(p, s, rows, cols)
+
+
 def _hstack(p, s, mats):
     cols = [m.entries for m in mats if m.cols]
     if not cols:
@@ -149,10 +157,8 @@ class ChainComplexZ:
         return range(min(degs), max(degs) + 1) if degs else range(0)
 
     def diff(self, n: int) -> ZModMatrix:
-        if n in self.diffs:
-            return self.diffs[n]
-        return ZModMatrix.zeros(self.p, self.s, self.rank(n + 1),
-                                self.rank(n))
+        return _block(self.diffs, n, self.p, self.s, self.rank(n + 1),
+                      self.rank(n))
 
     def cocycles(self, n: int) -> ZModMatrix:
         """Columns generating ker d_n."""
@@ -234,10 +240,8 @@ class ChainMap:
                     f"not a chain map: square at degree {n} does not commute")
 
     def block(self, n: int) -> ZModMatrix:
-        if n in self.blocks:
-            return self.blocks[n]
-        return ZModMatrix.zeros(self.src.p, self.src.s, self.dst.rank(n),
-                                self.src.rank(n))
+        return _block(self.blocks, n, self.src.p, self.src.s,
+                      self.dst.rank(n), self.src.rank(n))
 
 
 def mapping_cone(f: ChainMap) -> ChainComplexZ:
@@ -306,9 +310,7 @@ class ShortExactSequence:
 
     @staticmethod
     def mat(table, n, src, dst):
-        if n in table:
-            return table[n]
-        return ZModMatrix.zeros(src.p, src.s, dst.rank(n), src.rank(n))
+        return _block(table, n, src.p, src.s, dst.rank(n), src.rank(n))
 
 
 def cone_sequence(f: ChainMap) -> ShortExactSequence:
@@ -454,16 +456,12 @@ class DoubleComplex:
         return self.ranks.get((pp, qq), 0)
 
     def d_h(self, pp: int, qq: int) -> ZModMatrix:
-        if (pp, qq) in self.dh:
-            return self.dh[(pp, qq)]
-        return ZModMatrix.zeros(self.p, self.s, self.rank(pp + 1, qq),
-                                self.rank(pp, qq))
+        return _block(self.dh, (pp, qq), self.p, self.s,
+                      self.rank(pp + 1, qq), self.rank(pp, qq))
 
     def d_v(self, pp: int, qq: int) -> ZModMatrix:
-        if (pp, qq) in self.dv:
-            return self.dv[(pp, qq)]
-        return ZModMatrix.zeros(self.p, self.s, self.rank(pp, qq + 1),
-                                self.rank(pp, qq))
+        return _block(self.dv, (pp, qq), self.p, self.s,
+                      self.rank(pp, qq + 1), self.rank(pp, qq))
 
     def extent(self):
         if not self.ranks:

@@ -30,7 +30,6 @@ modeled by coordinate vectors of length p over the layer below.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from fractions import Fraction
 import math
 import re
@@ -449,16 +448,30 @@ def _dense(x: NormFieldElement, lo: int, hi: int) -> np.ndarray:
     return out
 
 
+# entries kept by each least-recently-used table of the package: the
+# generator units here, complexes' ring windows and tatesen's TS3 systems
+_LRU_SIZE = 8
+
+
+def _lru_store(table: dict, key, value):
+    """Store value under key as the most recently used entry of table,
+    dropping the least recently used past _LRU_SIZE; returns value."""
+    table.pop(key, None)
+    table[key] = value
+    if len(table) > _LRU_SIZE:
+        del table[next(iter(table))]
+    return value
+
+
 # G/t and its inverse by (p, a mod p^mod_power, mod_power): (u, u^-1)
-_GENERATORS: OrderedDict = OrderedDict()
-_GENERATORS_MAX = 8
+_GENERATORS: dict = {}
 
 
 def _generator_unit(p: int, a: int, mod_power: int,
                     length: int) -> tuple[np.ndarray, np.ndarray]:
     """u = ((1+t)^a - 1)/t and u^-1 mod p, read-only, on their first
     length < p^mod_power terms or more.  One pair is kept per key, the least
-    recently used dropped past _GENERATORS_MAX; a short one is rebuilt at
+    recently used dropped past _LRU_SIZE; a short one is rebuilt at
     twice its length or more, up to the p^mod_power - 1 terms that the
     residue of a determines and the terms that inverse() can sum in int64."""
     key = (p, a % p**mod_power, mod_power)
@@ -472,11 +485,7 @@ def _generator_unit(p: int, a: int, mod_power: int,
         kept = (u, _dense(G.inverse(), -1, n - 1))
         for arr in kept:
             arr.setflags(write=False)
-    _GENERATORS[key] = kept
-    _GENERATORS.move_to_end(key)
-    if len(_GENERATORS) > _GENERATORS_MAX:
-        _GENERATORS.popitem(last=False)
-    return kept
+    return _lru_store(_GENERATORS, key, kept)
 
 
 def power_rows(U: np.ndarray, modulus: int, lo: int, hi: int,

@@ -40,7 +40,6 @@ from __future__ import annotations
 
 import json
 from bisect import bisect_left
-from collections import OrderedDict
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -50,7 +49,7 @@ from .complexes import (build_ring_window, cohomology, herr_complex,
                         ring_gamma)
 from .errors import InvariantError, NonStabilizationError, PrecisionError
 from .normfield import (NormFieldElement, RelativeNormElement,
-                        _one_plus_gen_power, format_element)
+                        _lru_store, _one_plus_gen_power, format_element)
 from .zmodlin import _lanes, _lead, _pack, _reducer
 
 __all__ = [
@@ -366,8 +365,7 @@ def _solve_packed(cols: list, b: int, n_rows: int, p: int):
 
 # packed TS3 system kept per (p, a_res, mod_power, f, hi_rows):
 # (lo_y, support, columns)
-_SYSTEMS: OrderedDict = OrderedDict()
-_SYSTEMS_MAX = 8
+_SYSTEMS: dict = {}
 
 
 def _ts3_system(p: int, a_res: int, mod_power: int, f: int, lo_y: int,
@@ -382,8 +380,8 @@ def _ts3_system(p: int, a_res: int, mod_power: int, f: int, lo_y: int,
     a higher lo_y is a corner of a deeper one: it drops the t support
     exponents below lo_y, which are the first t columns, and shifts every
     other column right by t lanes.  One system is kept per (p, a_res,
-    mod_power, f, hi_rows), the least recently used dropped past
-    _SYSTEMS_MAX.  A lower lo_y rebuilds it at that depth, so it raises
+    mod_power, f, hi_rows), the least recently used dropped past _LRU_SIZE
+    (normfield).  A lower lo_y rebuilds it at that depth, so it raises
     PrecisionError exactly when a fresh build would, and a failed rebuild
     keeps the system it had.
     """
@@ -396,11 +394,7 @@ def _ts3_system(p: int, a_res: int, mod_power: int, f: int, lo_y: int,
                               -lo_y, hi_rows)[np.ix_(off, off)]
         kept = (lo_y, support,
                 _pack(A - np.eye(len(off), dtype=np.int64), p))
-    _SYSTEMS[key] = kept
-    _SYSTEMS.move_to_end(key)
-    if len(_SYSTEMS) > _SYSTEMS_MAX:
-        _SYSTEMS.popitem(last=False)
-    _, support, cols = kept
+    _, support, cols = _lru_store(_SYSTEMS, key, kept)
     t = bisect_left(support, lo_y)
     if not t:
         return support, cols

@@ -9,10 +9,9 @@ any size, checked by one scan of their types (_reduced_entries).  The
 modulus must satisfy (p^s - 1)^2 < 2^63, so that a product of two entries
 fits in int64.  json_fields checks the top-level fields of the JSON
 documents the package reads.  Past the boundary, arrays this package
-produced are trusted: products, sums, kernel columns, Smith transforms,
-zero and identity blocks and slices of canonical arrays are wrapped by
-ZModMatrix._trusted, with no copy and no reduction, and must already be
-int64 and canonical.
+produced are trusted: products, sums, kernel columns, zero and identity
+blocks and slices of canonical arrays are wrapped by ZModMatrix._trusted,
+with no copy and no reduction, and must already be int64 and canonical.
 
 This module holds the package's Z/p^s elimination, its F_p echelon and its
 product of matrices mod p^s; the Herr window engine (complexes), the
@@ -23,12 +22,13 @@ q = p^s: float64 BLAS while (q-1)^2 k < 2^53, int64 while (q-1)^2 k < 2^63.
 
 The elimination (_eliminate) is a Smith normal form adapted to the local
 ring Z/p^s: the pivot is the first entry of least p-adic valuation of the
-trailing block in row-major order, so the diagonal consists of p-powers
-(units normalized to 1) with a divisibility chain; at valuation s - 1 the
-search only tests entries for zero.  Its input is scratch.  A step updates
-only the rows and columns reached by its pivot's column and row, and ends
-at its swaps if its pivot row has no other nonzero entry and U is not
-asked for.  Kernels, subquotients and profiles at s > 1 derive from it.
+trailing block in row-major order, so the pivots' valuations, those of
+the Smith diagonal, do not decrease; at valuation s - 1 the search only
+tests entries for zero.  Its input is scratch, and it carries no row
+transform: V, as the rows of Vt, only when a kernel is asked for.
+A step updates only the rows and columns reached by its pivot's column and
+row, and ends at its swaps if its pivot row has no other nonzero entry.
+Kernels, subquotients and profiles at s > 1 derive from it.
 
 The packed F_p echelon (_fp_echelon) works on columns packed one Python
 integer each, one lane of 8, 16, 32 or 64 bits per row (_lanes, _pack), so
@@ -39,10 +39,12 @@ fits a lane.  Columns are reduced left to right against a table of the
 earlier columns' leads, their least nonzero lanes (_reducer).  At s = 1
 (_packs) _kernel and _subquotient_profile read it, and so does every
 kernel, length and profile built on them, so no caller chooses a path.
-tatesen's TS3
-solve reduces its packed systems through the same step and keeps a log of
-it.  It carries no transforms: a kernel comes from identity lanes packed
-after the row lanes.
+tatesen's TS3 solve reduces its packed systems through the same step and
+keeps a log of it.  It carries no transforms: a kernel comes from identity
+lanes packed after the row lanes.
+
+_kernel is the one front door at every s: inside smith_memo it answers a
+matrix it has reduced before from the memo, whichever path reduced it.
 
 Finite modules are presented as cokernels of relation matrices
 (PresentedModule); their isomorphism class is captured by the list of
@@ -64,14 +66,11 @@ from .errors import InvariantError
 
 __all__ = [
     "ZModMatrix",
-    "SmithForm",
     "PresentedModule",
     "divisors_length",
-    "smith_normal_form",
     "kernel_cokernel",
     "module_profile",
     "subquotient_presentation",
-    "solve",
 ]
 
 
@@ -284,17 +283,6 @@ class ZModMatrix:
     def is_zero(self) -> bool:
         return not self.entries.any()
 
-    def valuation(self, value: int) -> int:
-        """p-adic valuation of a residue, capped at s (v(0) = s)."""
-        v = 0
-        value %= self.modulus
-        if value == 0:
-            return self.s
-        while value % self.p == 0:
-            value //= self.p
-            v += 1
-        return v
-
     def to_json(self) -> str:
         return json.dumps(
             {"p": self.p, "s": self.s, "entries": self.entries.tolist()},
@@ -308,26 +296,6 @@ class ZModMatrix:
 
     def __repr__(self):
         return f"ZModMatrix(p={self.p}, s={self.s}, {self.entries.tolist()})"
-
-
-@dataclass(frozen=True)
-class SmithForm:
-    """D = U @ A @ V with D diagonal (p-powers/units) and U, V unimodular;
-    U and V are None when the transforms were not requested."""
-
-    D: ZModMatrix
-    U: ZModMatrix | None
-    V: ZModMatrix | None
-
-    @property
-    def diagonal(self) -> list[int]:
-        d = self.D
-        return [int(d.entries[i, i]) for i in range(min(d.rows, d.cols))]
-
-    @property
-    def valuations(self) -> list[int]:
-        """Valuations of the diagonal entries (s meaning the entry is 0)."""
-        return [self.D.valuation(x) for x in self.diagonal]
 
 
 @dataclass(frozen=True)
@@ -385,21 +353,21 @@ def divisors_length(p: int, divisors) -> int:
     return total
 
 
-def _eliminate(M: np.ndarray, p: int, s: int, U: np.ndarray | None = None,
+def _eliminate(M: np.ndarray, p: int, s: int,
                Vt: np.ndarray | None = None) -> list[int]:
     """Smith elimination of M (int64, entries in [0, p^s)), which is left
     as scratch; returns the valuations of the nonzero pivots, in order.
 
     The pivot is the first entry of least valuation of the trailing block
-    M[k:, k:] in row-major order.  Row operations are repeated on U and
-    column operations on the rows of Vt (V transposed) when they are given.
+    M[k:, k:] in row-major order.  Column operations are repeated on the
+    rows of Vt (V transposed) when it is given; no row transform is kept.
     Row k and column k are dead after step k: an update touches only the
     rows with a nonzero entry in the pivot column and the span of columns
-    with one in the pivot row, and without U a pivot row with no other
-    nonzero entry ends its step at the swaps.  The least valuation v never
-    falls and an update gives no entry of valuation v to a row without
-    one, so the search resumes at the first row not ruled out (lo), in
-    growing slices, and rescans rows only when v rises.
+    with one in the pivot row, and a pivot row with no other nonzero entry
+    ends its step at the swaps.  The least valuation v never falls and an
+    update gives no entry of valuation v to a row without one, so the
+    search resumes at the first row not ruled out (lo), in growing slices,
+    and rescans rows only when v rises.
     """
     q = p**s
     rows, cols = M.shape
@@ -430,9 +398,6 @@ def _eliminate(M: np.ndarray, p: int, s: int, U: np.ndarray | None = None,
         if bi != k:  # rows k and bi as one strided view, reversed
             two = M[k:bi + 1:bi - k, k:]
             two[...] = two[::-1]
-            if U is not None:
-                two = U[k:bi + 1:bi - k]
-                two[...] = two[::-1]
         piv = M[k:, k]  # the pivot column
         if bj != k:
             piv = M[k:, bj].copy()
@@ -443,34 +408,28 @@ def _eliminate(M: np.ndarray, p: int, s: int, U: np.ndarray | None = None,
         lo = bi + 1
         vals.append(v)
         hit_cols = M[k, k + 1:].nonzero()[0]
-        if U is None and not hit_cols.size:
+        if not hit_cols.size:
             continue
-        # normalize the pivot to p^v, then clear its column and row; every
-        # entry of the block is divisible by p^v
+        # normalize the pivot row to p^v, then clear the pivot's row and
+        # the live columns of the rows its column reaches; every entry of
+        # the block is divisible by p^v
         pk = p**v
         inv = pow(int(piv[0]) // pk, -1, q)
         hit_rows = piv.nonzero()[0][1:]  # rows of M[k:]
-        f = piv[hit_rows] // pk
-        if hit_cols.size:
-            a, b = int(hit_cols[0]), int(hit_cols[-1]) + 1
-            span = slice(k + 1 + a, k + 1 + b)
-            row = M[k, span] if inv == 1 else M[k, span] * inv % q
-            if hit_rows.size:
-                blk = M[k:][hit_rows, span]
-                blk -= f[:, None] * row
-                M[k:][hit_rows, span] = _mod(blk, q)
-            if Vt is not None:
-                nz = Vt[k].nonzero()[0]
-                c, d = nz[0], nz[-1] + 1
-                g = row[hit_cols - a] // pk
-                blk = Vt[k + 1:][hit_cols, c:d]
-                blk -= g[:, None] * Vt[k, c:d]
-                Vt[k + 1:][hit_cols, c:d] = _mod(blk, q)
-        if U is not None:
-            U[k] = U[k] * inv % q
-            blk = U[k:][hit_rows]
-            blk -= f[:, None] * U[k]
-            U[k:][hit_rows] = _mod(blk, q)
+        a, b = int(hit_cols[0]), int(hit_cols[-1]) + 1
+        span = slice(k + 1 + a, k + 1 + b)
+        row = M[k, span] if inv == 1 else M[k, span] * inv % q
+        if hit_rows.size:
+            blk = M[k:][hit_rows, span]
+            blk -= (piv[hit_rows] // pk)[:, None] * row
+            M[k:][hit_rows, span] = _mod(blk, q)
+        if Vt is not None:
+            nz = Vt[k].nonzero()[0]
+            c, d = nz[0], nz[-1] + 1
+            g = row[hit_cols - a] // pk
+            blk = Vt[k + 1:][hit_cols, c:d]
+            blk -= g[:, None] * Vt[k, c:d]
+            Vt[k + 1:][hit_cols, c:d] = _mod(blk, q)
     return vals
 
 
@@ -480,9 +439,10 @@ _MEMO = ContextVar("smith_memo", default=None)
 
 @contextmanager
 def smith_memo():
-    """A block, or with @smith_memo() a call, in which a matrix at s > 1 is
-    eliminated once for its lengths and profile and at most once more for
-    its kernel.  The packed echelon at s = 1 is not kept."""
+    """A block, or with @smith_memo() a call, in which _kernel reduces a
+    matrix at most once for its lengths and profile and at most once more
+    for its kernel, at every s: by the packed echelon at s = 1, by Smith
+    elimination above."""
     token = _MEMO.set({})
     try:
         yield
@@ -490,34 +450,11 @@ def smith_memo():
         _MEMO.reset(token)
 
 
-def smith_normal_form(A: ZModMatrix, transforms: bool = True) -> SmithForm:
-    """Smith normal form over Z/p^s by minimal-valuation pivoting.
-
-    Returns D = U @ A @ V with diagonal entries that are p-powers (units
-    normalized to 1), each dividing the next, and U, V invertible.  The
-    pivot is the first entry of least valuation of the trailing block in
-    row-major order (_eliminate).  With transforms=False, U and V are None
-    and only D is computed.
-    """
-    p, s, rows, cols = A.p, A.s, A.rows, A.cols
-    U = np.eye(rows, dtype=np.int64) if transforms else None
-    Vt = np.eye(cols, dtype=np.int64) if transforms else None
-    D = np.zeros((rows, cols), dtype=np.int64)
-    for i, v in enumerate(_eliminate(A.entries.copy(), p, s, U, Vt)):
-        D[i, i] = p**v
-    wrap = ZModMatrix._trusted
-    if not transforms:
-        return SmithForm(wrap(p, s, D), None, None)
-    return SmithForm(wrap(p, s, D), wrap(p, s, U), wrap(p, s, Vt.T))
-
-
 def kernel_cokernel(A: ZModMatrix) -> tuple[PresentedModule, PresentedModule]:
-    """Presentations of ker(A) and coker(A).
-
-    With D = U A V, ker(A) is spanned by V @ (p^(s-v_i) e_i) for diagonal
-    valuations v_i > 0 plus the free columns, giving
-    ker ~ (+) Z/p^(v_i) (+) (Z/p^s)^free; coker(A) ~ (+) Z/p^(v_i) over the
-    diagonal positions plus free rows.
+    """Presentations of ker(A) and coker(A), from A's pivot valuations v_i
+    (_kernel): ker(A) ~ (+) Z/p^(v_i) over the pivots with v_i > 0
+    (+) (Z/p^s)^(cols - pivots), and coker(A) ~ (+) Z/p^(v_i)
+    (+) (Z/p^s)^(rows - pivots).
     """
     p, s = A.p, A.s
     vals = _kernel(A, False)[0]
@@ -535,31 +472,33 @@ def _divisors(p: int, s: int, vals, n: int) -> list[int]:
 
 def _kernel(A: ZModMatrix, kernel: bool = True):
     """Pivot valuations of A and, if kernel, columns generating ker(A) (else
-    None), canonical in [0, p^s), as _matmul_mod needs of its operands.  At
+    None), canonical in [0, p^s), as _matmul_mod needs of its operands.
+    Inside smith_memo an answer is kept and served again, at every s.  At
     s = 1 (_packs): a valuation 0 per lead of the packed F_p echelon, and
     its kernel columns.  Otherwise the columns of V from the first pivot of
     positive valuation on, each scaled by p^(s - v), v the pivot's valuation
     or s past the pivots; an empty or zero A has no pivots and the identity
     as its kernel, as its elimination would give, and is not eliminated."""
-    if _packs(A.p, A.s):
-        leads, K = _fp_echelon(A.entries, A.p, kernel)
-        return [0] * len(leads), K
-    if not A.entries.any():
-        return [], np.eye(A.cols, dtype=np.int64) if kernel else None
     memo = _MEMO.get()
     if memo is not None:
         key = (A.p, A.s, A.entries.shape, A.entries.tobytes())
         got = memo.get(key)
         if got is not None and (got[1] is not None or not kernel):
-            return got
+            return got if kernel else (got[0], None)
     p, s = A.p, A.s
-    Vt = np.eye(A.cols, dtype=np.int64) if kernel else None
-    vals, K = _eliminate(A.entries.copy(), p, s, Vt=Vt), None
-    if kernel:
-        first = vals.count(0)  # the valuations do not decrease
-        scale = np.array([p ** (s - v) for v in vals[first:]]
-                         + [1] * (A.cols - len(vals)), dtype=np.int64)
-        K = _mod((Vt[first:] * scale[:, None]).T, p**s)
+    if _packs(p, s):
+        leads, K = _fp_echelon(A.entries, p, kernel)
+        vals = [0] * len(leads)
+    elif not A.entries.any():
+        vals, K = [], np.eye(A.cols, dtype=np.int64) if kernel else None
+    else:
+        Vt = np.eye(A.cols, dtype=np.int64) if kernel else None
+        vals, K = _eliminate(A.entries.copy(), p, s, Vt), None
+        if kernel:
+            first = vals.count(0)  # the valuations do not decrease
+            scale = np.array([p ** (s - v) for v in vals[first:]]
+                             + [1] * (A.cols - len(vals)), dtype=np.int64)
+            K = _mod((Vt[first:] * scale[:, None]).T, p**s)
     if memo is not None:
         memo[key] = vals, K
     return vals, K
@@ -617,25 +556,6 @@ def _subquotient_profile(span: ZModMatrix, sub: ZModMatrix,
     if len(leads) != length:
         raise InvariantError("denominator is not contained in the span")
     return [p] * (length - bisect_left(leads, sub.cols))
-
-
-def solve(A: ZModMatrix, b) -> np.ndarray | None:
-    """One solution x of A x = b over Z/p^s, or None if inconsistent."""
-    q = A.modulus
-    sf = smith_normal_form(A)
-    c = _matmul_mod(sf.U.entries, _reduced_entries([b], q).T, q)[:, 0]
-    y = np.zeros((A.cols, 1), dtype=np.int64)
-    vals = sf.valuations
-    for i in range(A.rows):
-        ci = int(c[i]) % q
-        if i < len(vals) and vals[i] < A.s:
-            d = A.p ** vals[i]
-            if ci % d:
-                return None
-            y[i] = ci // d
-        elif ci:
-            return None
-    return _matmul_mod(sf.V.entries, y, q)[:, 0]
 
 
 # -- packed F_p columns ------------------------------------------------------

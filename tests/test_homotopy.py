@@ -470,6 +470,22 @@ def test_cohomology_length_by_rank_nullity_on_split_complexes(s):
             assert X.cohomology_length(n) == X.cohomology(n).length()
 
 
+def split_grid(rng, s, w, h, p=P):
+    """The tensor grid of two seeded split complexes over Z/p^s, w columns
+    by h rows, some with zero-rank degrees."""
+    A = split_complex(rng, s, [rng.randint(0, 2) for _ in range(w)], p=p)[0]
+    B = split_complex(rng, s, [rng.randint(0, 2) for _ in range(h)], p=p)[0]
+    ranks = {(x, y): A.rank(x) * B.rank(y)
+             for x in range(w) for y in range(h)}
+    dh = {(x, y): np.kron(A.diff(x).entries,
+                          np.eye(B.rank(y), dtype=np.int64))
+          for (x, y) in ranks if x + 1 < w}
+    dv = {(x, y): (-1) ** x * np.kron(np.eye(A.rank(x), dtype=np.int64),
+                                      B.diff(y).entries)
+          for (x, y) in ranks if y + 1 < h}
+    return DoubleComplex(p, s, ranks, dh, dv)
+
+
 def _engine_results(s, seed, p=P):
     """les_check of a cone, spectral_E_pages of a 3x3 and a 4x2 grid, and
     tower_lim_lim1 of a constant-tail and a zero-tail tower over Z/p^s, all
@@ -492,19 +508,7 @@ def _engine_results(s, seed, p=P):
                         for n in range(5)})
     results = [les_check(cone_sequence(f))]
     for w, h in ((3, 3), (4, 2)):
-        A = split_complex(rng, s, [rng.randint(0, 2) for _ in range(w)],
-                          p=p)[0]
-        B = split_complex(rng, s, [rng.randint(0, 2) for _ in range(h)],
-                          p=p)[0]
-        ranks = {(x, y): A.rank(x) * B.rank(y)
-                 for x in range(w) for y in range(h)}
-        dh = {(x, y): np.kron(A.diff(x).entries,
-                              np.eye(B.rank(y), dtype=np.int64))
-              for (x, y) in ranks if x + 1 < w}
-        dv = {(x, y): (-1) ** x * np.kron(np.eye(A.rank(x), dtype=np.int64),
-                                          B.diff(y).entries)
-              for (x, y) in ranks if y + 1 < h}
-        results.append(spectral_E_pages(DoubleComplex(p, s, ranks, dh, dv)))
+        results.append(spectral_E_pages(split_grid(rng, s, w, h, p)))
     for tail in ("constant", "zero"):
         ranks = [rng.randint(0, 3) for _ in range(3)]
         if tail == "constant":
@@ -541,6 +545,25 @@ def test_s1_engine_reads_the_packed_echelon(p, monkeypatch):
             m.setattr(zmodlin, "_packs", lambda p, s: False)
             assert invariants(seed) == got
         assert calls[0] > 0
+
+
+def test_s1_spectral_pages_reduce_each_matrix_once(monkeypatch):
+    # spectral_E_pages runs under smith_memo, which serves s = 1 as it
+    # serves s > 1: each distinct matrix meets the packed echelon at most
+    # once without kernel lanes and at most once with them
+    echelon, seen = zmodlin._fp_echelon, []
+
+    def counted(A, p, kernel=False):
+        seen.append((A.shape, A.tobytes(), kernel))
+        return echelon(A, p, kernel)
+
+    monkeypatch.setattr(zmodlin, "_fp_echelon", counted)
+    rng = random.Random(71)
+    for w, h in ((3, 3), (4, 2), (2, 4), (4, 4)):
+        DC = split_grid(rng, 1, w, h, p=5)
+        seen.clear()
+        assert spectral_E_pages(DC)[1]["equal"]
+        assert seen and len(set(seen)) == len(seen)
 
 
 @pytest.mark.parametrize("s", [1, 2, 3, 4])

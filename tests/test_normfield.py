@@ -846,14 +846,24 @@ def test_gamma_cache_growth_stays_within_int64():
     assert _same(warm, cold) and _same(cold, dict_gamma(wide, 2, 3))
 
 
+def test_lru_store_keeps_the_most_recently_used():
+    table = {}
+    for key in range(normfield._LRU_SIZE):
+        assert normfield._lru_store(table, key, -key) == -key
+    normfield._lru_store(table, 0, 7)  # a hit moves its key to the end
+    normfield._lru_store(table, "new", 1)
+    assert list(table) == [*range(2, normfield._LRU_SIZE), 0, "new"]
+    assert table[0] == 7 and len(table) == normfield._LRU_SIZE
+
+
 def test_gamma_cache_is_bounded_and_read_only():
     normfield._GENERATORS.clear()
     x = NormFieldElement(7, 0, {-2: 1, 5: 3}, 12)
     for a in range(1, 15):
         if a % 7:
             x.gamma(a, 14)
-            assert len(normfield._GENERATORS) <= normfield._GENERATORS_MAX
-    assert len(normfield._GENERATORS) == normfield._GENERATORS_MAX
+            assert len(normfield._GENERATORS) <= normfield._LRU_SIZE
+    assert len(normfield._GENERATORS) == normfield._LRU_SIZE
     for u, uinv in normfield._GENERATORS.values():
         assert not u.flags.writeable and not uinv.flags.writeable
         assert len(u) == len(uinv)

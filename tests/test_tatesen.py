@@ -4,7 +4,6 @@ window decomposition, and the cross-level cohomology comparison."""
 import hashlib
 import json
 import random
-from collections import OrderedDict
 from fractions import Fraction
 
 import numpy as np
@@ -15,7 +14,8 @@ from phigamma.cli import main
 
 from phigamma.errors import InvariantError, PrecisionError
 from phigamma.modules import identity_matrix, make_module, tate_twist
-from phigamma.normfield import NormFieldElement, RelativeNormElement
+from phigamma.normfield import (NormFieldElement, RelativeNormElement,
+                                _LRU_SIZE)
 from phigamma.zmodlin import _lanes, _pack
 import phigamma.complexes as complexes
 import phigamma.tatesen as tatesen
@@ -353,14 +353,14 @@ def _dense_ts3_system(p, K, a_res, mod_power, f, lo_y, hi_rows):
                                      (7, 0, 1)])
 def test_ts3_system_corners_match_fresh_packings(p, m, K, monkeypatch):
     # a shallow system, a deeper one (rebuilt), then corners of the deeper
-    monkeypatch.setattr(tatesen, "_SYSTEMS", OrderedDict())
+    monkeypatch.setattr(tatesen, "_SYSTEMS", {})
     rng = random.Random(p + m)
     f = p ** (K - m)
     a_res, hi_rows = pow(1 + p, p ** m, p ** 14), 4 * f + 3
     for lo_y in (-2 * f, -5 * f - 1, -5 * f + 1, -2 * f + 2, 1):
         support, cols = _ts3_system(p, a_res, 14, f, lo_y, hi_rows)
         with monkeypatch.context() as fresh:
-            fresh.setattr(tatesen, "_SYSTEMS", OrderedDict())
+            fresh.setattr(tatesen, "_SYSTEMS", {})
             assert (support, cols) == _ts3_system(p, a_res, 14, f, lo_y,
                                                   hi_rows)
         want_support, A = _dense_ts3_system(p, K, a_res, 14, f, lo_y,
@@ -381,28 +381,28 @@ def test_ts3_system_corners_match_fresh_packings(p, m, K, monkeypatch):
 
 def test_ts3_system_failed_rebuild_keeps_its_entry(monkeypatch):
     # at mod_power 3 the binomial table serves windows narrower than 3^3
-    monkeypatch.setattr(tatesen, "_SYSTEMS", OrderedDict())
+    monkeypatch.setattr(tatesen, "_SYSTEMS", {})
     kept = _ts3_system(3, 4, 3, 3, -10, 12)
     with pytest.raises(PrecisionError):
         _ts3_system(3, 4, 3, 3, -16, 12)
     with monkeypatch.context() as fresh:
-        fresh.setattr(tatesen, "_SYSTEMS", OrderedDict())
+        fresh.setattr(tatesen, "_SYSTEMS", {})
         with pytest.raises(PrecisionError):
             _ts3_system(3, 4, 3, 3, -16, 12)
     assert tatesen._SYSTEMS[(3, 4, 3, 3, 12)][0] == -10
     assert _ts3_system(3, 4, 3, 3, -10, 12) == kept
     # one system per key, the least recently used dropped past the bound
-    for top in range(13, 13 + tatesen._SYSTEMS_MAX):
+    for top in range(13, 13 + _LRU_SIZE):
         _ts3_system(3, 4, 14, 3, -4, top)
-    assert len(tatesen._SYSTEMS) == tatesen._SYSTEMS_MAX
+    assert len(tatesen._SYSTEMS) == _LRU_SIZE
     assert (3, 4, 3, 3, 12) not in tatesen._SYSTEMS
 
 
 def test_ts3_report_keeps_no_dense_window(monkeypatch):
     # the packed system serves every later sample, so the gamma window it is
     # packed from takes no slot of the ring_window cache
-    monkeypatch.setattr(tatesen, "_SYSTEMS", OrderedDict())
-    monkeypatch.setattr(complexes, "_WINDOWS", OrderedDict())
+    monkeypatch.setattr(tatesen, "_SYSTEMS", {})
+    monkeypatch.setattr(complexes, "_WINDOWS", {})
     built = []
     build = tatesen.build_ring_window
 

@@ -1,4 +1,5 @@
-"""Smith forms, kernels/cokernels and module profiles over Z/p^s."""
+"""Smith elimination, the packed F_p echelon, kernels/cokernels and module
+profiles over Z/p^s."""
 
 import contextlib
 import itertools
@@ -18,8 +19,6 @@ from phigamma.zmodlin import (
     kernel_generators,
     module_profile,
     smith_memo,
-    smith_normal_form,
-    solve,
 )
 from phigamma.errors import InvariantError
 import phigamma.zmodlin as zmodlin
@@ -31,16 +30,17 @@ def random_matrix(rng, p, s, rows, cols):
 
 def test_identity_smith():
     A = ZModMatrix.identity(3, 2, 3)
-    sf = smith_normal_form(A)
-    assert sf.diagonal == [1, 1, 1]
-    assert sf.U @ A @ sf.V == sf.D
+    vals, K = zmodlin._kernel(A)
+    assert vals == [0, 0, 0] and K.shape == (3, 0)
 
 
 def test_diagonal_reordering():
+    # the unit is the first pivot, so the columns swap; ker(A) is 3Z/9 + 0
     A = ZModMatrix(3, 2, [[3, 0], [0, 1]])
-    sf = smith_normal_form(A)
-    assert sf.diagonal == [1, 3]
-    assert sf.U @ A @ sf.V == sf.D
+    Vt = np.eye(2, dtype=np.int64)
+    assert _eliminate(A.entries.copy(), 3, 2, Vt) == [0, 1]
+    assert Vt.tolist() == [[0, 1], [1, 0]]
+    assert kernel_generators(A) == ZModMatrix(3, 2, [[3], [0]])
 
 
 def test_nonprime_rejected():
@@ -52,24 +52,19 @@ def test_random_product_check():
     rng = np.random.default_rng(7)
     for _ in range(20):
         A = random_matrix(rng, 3, 3, 4, 3)
-        sf = smith_normal_form(A)
-        assert sf.U @ A @ sf.V == sf.D
-        d = sf.diagonal
-        # divisibility chain on nonzero entries
-        for a, b in zip(d, d[1:]):
-            if a and b:
-                assert b % a == 0
+        vals = zmodlin._kernel(A, False)[0]
+        # the divisibility chain of the Smith diagonal
+        assert vals == sorted(vals)
 
 
 def test_unimodular_transforms():
     rng = np.random.default_rng(11)
     for _ in range(10):
         A = random_matrix(rng, 5, 2, 4, 4)
-        sf = smith_normal_form(A)
-        for M in (sf.U, sf.V):
-            # invertible over Z/p^s iff invertible mod p
-            det = int(round(np.linalg.det(M.entries.astype(float))))
-            assert det % 5 != 0
+        Vt = np.eye(4, dtype=np.int64)
+        _eliminate(A.entries.copy(), 5, 2, Vt)
+        # invertible over Z/p^s iff invertible mod p
+        assert int(round(np.linalg.det(Vt.astype(float)))) % 5 != 0
 
 
 def test_zero_map_kernel_cokernel():
@@ -134,14 +129,6 @@ def test_profile_invariant_under_unimodular_change():
                 break
         B = P @ A @ Q
         assert module_profile(PresentedModule(B, 3)) == prof
-
-
-def test_solve_consistent_and_inconsistent():
-    A = ZModMatrix(3, 2, [[3, 0], [0, 1]])
-    x = solve(A, [3, 5])
-    assert x is not None
-    assert np.array_equal((A.entries @ x) % 9, np.array([3, 5]))
-    assert solve(A, [1, 0]) is None
 
 
 def test_json_round_trip():
@@ -248,18 +235,27 @@ def _sparse_matrices(seed, count):
         yield ZModMatrix(p, s, e)
 
 
+def _reference_pivots(p, s, entries):
+    """The valuations of the nonzero diagonal entries of _reference_smith's
+    D, which are p-powers followed by zeros, and its V."""
+    D, _, V = _reference_smith(p, s, entries)
+    vals = [next(v for v in range(s) if p**v == d)
+            for d in np.diagonal(D).tolist() if d]
+    return vals, V
+
+
 def test_smith_matches_reference_loop():
     for A in itertools.chain(_seeded_matrices(23, 600),
                              _sparse_matrices(37, 200)):
-        D, U, V = _reference_smith(A.p, A.s, A.entries)
-        sf = smith_normal_form(A)
-        assert np.array_equal(sf.D.entries, D)
-        assert np.array_equal(sf.U.entries, U)
-        assert np.array_equal(sf.V.entries, V)
-        assert sf.U @ A @ sf.V == sf.D
-        bare = smith_normal_form(A, transforms=False)
-        assert bare.D == sf.D
-        assert bare.U is None and bare.V is None
+        p, s = A.p, A.s
+        D = _reference_smith(p, s, A.entries)[0]
+        vals, V = _reference_pivots(p, s, A.entries)
+        # D is diagonal, its pivots first
+        assert np.count_nonzero(D) == len(vals)
+        Vt = np.eye(A.cols, dtype=np.int64)
+        assert _eliminate(A.entries.copy(), p, s, Vt) == vals
+        assert np.array_equal(Vt.T, V)
+        assert _eliminate(A.entries.copy(), p, s) == vals
 
 
 def _check_s1_kernel(A: ZModMatrix, rank: int):
@@ -274,18 +270,17 @@ def _check_s1_kernel(A: ZModMatrix, rank: int):
 
 
 def test_kernel_generators_are_scaled_columns_of_V():
-    # the definition the generators had when they were V @ G, at s > 1
+    # the definition the generators had when they were V @ G, at s > 1,
+    # with the reference's V
     for A in itertools.chain(_seeded_matrices(43, 200),
                              _sparse_matrices(47, 60)):
         p, s = A.p, A.s
-        sf = smith_normal_form(A)
-        vals = sf.valuations
+        vals, V = _reference_pivots(p, s, A.entries)
         if s == 1:
             _check_s1_kernel(A, vals.count(0))
             continue
-        cols = [sf.V.entries[:, i] * p ** (s - v)
-                for i, v in enumerate(vals) if v > 0]
-        cols += [sf.V.entries[:, j] for j in range(len(vals), A.cols)]
+        cols = [V[:, i] * p ** (s - v) for i, v in enumerate(vals) if v > 0]
+        cols += [V[:, j] for j in range(len(vals), A.cols)]
         want = (np.stack(cols, axis=1) if cols
                 else np.zeros((A.cols, 0), dtype=np.int64))
         assert kernel_generators(A) == ZModMatrix(p, s, want)
@@ -416,8 +411,8 @@ def test_pivot_step_matches_reference_at_herr_sizes():
     mid = top = 0
     for A in _herr_shaped_matrices(53, 12):
         p, s, rows, cols = A.p, A.s, A.rows, A.cols
-        U, Vt = np.eye(rows, dtype=np.int64), np.eye(cols, dtype=np.int64)
-        vals = _reference_eliminate(A.entries.copy(), p, s, U, Vt)
+        Vt = np.eye(cols, dtype=np.int64)
+        vals = _reference_eliminate(A.entries.copy(), p, s, Vt=Vt)
         mid += any(0 < v < s for v in vals)
         top += len(vals) < min(rows, cols)
         # valuations alone, and the Vt-only path of the kernels
@@ -436,12 +431,6 @@ def test_pivot_step_matches_reference_at_herr_sizes():
         # the raw columns are canonical, as _matmul_mod needs of operands
         assert np.array_equal(zmodlin._kernel(A)[1],
                               kernel_generators(A).entries)
-        # U and V together
-        sf = smith_normal_form(A)
-        assert np.array_equal(sf.U.entries, U)
-        assert np.array_equal(sf.V.entries, Vt.T)
-        assert sf.diagonal == [p**v for v in vals] + [0] * (
-            min(rows, cols) - len(vals))
     assert mid >= 3 and top >= 3
 
 
@@ -466,10 +455,11 @@ def _fp_matrices(p):
 
 
 def _smith_rank(A, p):
-    """The rank of an integer matrix over F_p by Smith elimination, the
-    reference for the packed echelon, which _kernel itself reads at s = 1."""
-    return smith_normal_form(ZModMatrix(p, 1, A),
-                             transforms=False).valuations.count(0)
+    """The rank of an integer matrix over F_p by the reference elimination,
+    the reference for the packed echelon, which _kernel itself reads at
+    s = 1.  _reference_eliminate, not the slower _reference_smith: the
+    echelon's leads are checked against the rank of every leading block."""
+    return len(_reference_eliminate(np.asarray(A, dtype=np.int64) % p, p, 1))
 
 
 def _check_fp_echelon(A, p):
@@ -505,16 +495,20 @@ def test_fp_lanes_hold_every_prime_below_4096():
         zmodlin._pack(np.eye(2, dtype=np.int64), 8191)
 
 
-def test_smith_memo_eliminates_each_matrix_once(monkeypatch):
+@pytest.mark.parametrize("s", [1, 2])
+def test_smith_memo_eliminates_each_matrix_once(s, monkeypatch):
+    # the memo comes before the choice of path: the packed echelon at
+    # s = 1, Smith elimination at s = 2
     shapes = []
 
     def counted(M, *args, **kwargs):
         shapes.append(M.shape)
-        return eliminate(M, *args, **kwargs)
+        return reduce(M, *args, **kwargs)
 
-    eliminate = zmodlin._eliminate
-    monkeypatch.setattr(zmodlin, "_eliminate", counted)
-    A = ZModMatrix(3, 2, [[3, 1, 0], [0, 3, 6], [3, 4, 6]])
+    path = "_fp_echelon" if s == 1 else "_eliminate"
+    reduce = getattr(zmodlin, path)
+    monkeypatch.setattr(zmodlin, path, counted)
+    A = ZModMatrix(3, s, [[3, 1, 0], [0, 3, 6], [3, 4, 6]])
     want = (kernel_generators(A), image_length(A),
             module_profile(PresentedModule(A, 3)))
     assert len(shapes) == 3
@@ -529,8 +523,8 @@ def test_smith_memo_eliminates_each_matrix_once(monkeypatch):
         assert kernel_generators(C) == want[0]
         assert len(shapes) == 1
         # valuations first: the kernel needs one more elimination
-        D = ZModMatrix(3, 2, [[1, 2], [0, 3]])
-        assert image_length(D) == image_length(D) == 3
+        D = ZModMatrix(3, s, [[1, 2], [0, 3]])
+        assert image_length(D) == image_length(D) == 2 * s - 1
         kernel_generators(D)
         assert len(shapes) == 3
     with pytest.raises(ZeroDivisionError):
@@ -541,12 +535,12 @@ def test_smith_memo_eliminates_each_matrix_once(monkeypatch):
 
 
 def test_smith_of_empty_matrices():
+    # no pivots, and V stays the identity
     for rows, cols in ((0, 0), (0, 3), (4, 0)):
-        A = ZModMatrix.zeros(5, 2, rows, cols)
-        sf = smith_normal_form(A)
-        assert sf.D == A and sf.diagonal == []
-        assert sf.U == ZModMatrix.identity(5, 2, rows)
-        assert sf.V == ZModMatrix.identity(5, 2, cols)
+        Vt = np.eye(cols, dtype=np.int64)
+        assert _eliminate(np.zeros((rows, cols), dtype=np.int64), 5, 2,
+                          Vt) == []
+        assert np.array_equal(Vt, np.eye(cols))
 
 
 def test_product_matches_object_product_at_largest_modulus():
@@ -657,11 +651,11 @@ def test_reduced_entries_contract():
 
 def test_kernel_of_empty_and_zero_matrices(monkeypatch):
     # no pivots and the identity as kernel, which is what the elimination
-    # gives (smith_normal_form's V), with no elimination, in a memo or not
+    # gives (its V), with no elimination, in a memo or not
     shapes = [(0, 4), (3, 0), (0, 0), (3, 4), (1, 1)]
     mats = [ZModMatrix.zeros(5, 2, *shape) for shape in shapes]
     mats.append(ZModMatrix(5, 2, [[25, 0, -50], [0, 75, 0]]))
-    Vs = [smith_normal_form(A).V for A in mats]
+    Vs = [ZModMatrix.identity(5, 2, A.cols) for A in mats]
     counted = []
     eliminate = zmodlin._eliminate
     monkeypatch.setattr(zmodlin, "_eliminate",
