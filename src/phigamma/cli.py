@@ -17,12 +17,7 @@ from fractions import Fraction
 import click
 
 from .artinschreier import solve_as_general, solve_phi_minus_one
-from .complexes import (
-    cohomology,
-    gamma_complex,
-    herr_complex,
-    semidirect_gamma_complex,
-)
+from .complexes import cohomology, herr_complex, semidirect_gamma_complex
 from .errors import (
     DepthExceededError,
     InvariantError,
@@ -126,7 +121,7 @@ def main():
               help="delta: project onto Delta-invariants (base Q_p); "
                    "free: torsion-free Gamma (base Q_p(zeta_p)).")
 @click.option("--complex", "kind", default="herr", show_default=True,
-              type=click.Choice(["herr", "gamma", "semidirect"]))
+              type=click.Choice(["herr", "semidirect"]))
 @prime_option
 @power_option
 @click.option("--format", "fmt", default="csv", show_default=True,
@@ -145,8 +140,6 @@ def cohomology_cmd(module_file, window, doublings, mode, kind, prime, power,
             f"p={prime}, s={power}")
     if kind == "herr":
         T = herr_complex(D, mode)
-    elif kind == "gamma":
-        T = gamma_complex(D, mode)
     else:
         T = semidirect_gamma_complex(D)
     rep = cohomology(T, schedule=schedule)

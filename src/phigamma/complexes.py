@@ -645,27 +645,39 @@ def _kernel_of(A: np.ndarray, p: int, s: int):
     return K, s * A.shape[1] - sum(s - v for v in vals)
 
 
+def _hn_dims(d0: np.ndarray, d1: np.ndarray, B1: np.ndarray, B2: np.ndarray,
+             X: np.ndarray | None, p: int, s: int):
+    """Lengths and profiles of H^0 = ker d0, H^1 = ker d1 / span(B1) and
+    H^2 = span(X) / span(B2) of a three-term complex.  X, if given, is a
+    basis of a free direct summand (the Delta basis), and the cocycles of d1,
+    one block of X's coordinates per slot, are carried by X to where B1
+    lives; None stands for the identity, and H^2 is then coker B2.  As X
+    maps each space isomorphically onto its span, lengths and profiles are
+    those before X."""
+    q = p ** s
+    h0, prof0 = _divisor_report(d0, p, s, d0.shape[1])
+    Z1, z1len = _kernel_of(d1, p, s)
+    if X is not None:
+        k0 = d0.shape[1]
+        Z1 = np.vstack([_matmul_mod(X, Z1[:k0], q),
+                        _matmul_mod(X, Z1[k0:], q)])
+    h1, prof1 = _subquotient(Z1, z1len, B1, p, s,
+                             "coboundaries escape the cocycle space")
+    if X is None:
+        h2, prof2 = _divisor_report(B2, p, s, B2.shape[0])
+    else:
+        h2, prof2 = _subquotient(X, s * X.shape[1], B2, p, s,
+                                 "coboundaries escape the window")
+    return (h0, h1, h2), (prof0, prof1, prof2)
+
+
 def _finite_report(T: GammaComplex) -> CohomologyReport:
+    """The exact report of a finite three-term complex: B1 = d0, B2 = d1."""
     D = T.module
-    p, s, r = D.p, D.s, D.rank
-    mats = _finite_diff_matrices(T)
-    dims, profiles = [], []
-    for n in range(T.n_terms):
-        width = r * T.slots[n]
-        if n == 0 or n == len(mats):
-            # H^0 = ker d0 and the top term's coker of the last d
-            A = mats[0] if n == 0 else mats[n - 1]
-            length, prof = _divisor_report(A, p, s, width)
-        else:
-            Z, zlen = _kernel_of(mats[n], p, s)
-            length, prof = _subquotient(
-                Z, zlen, mats[n - 1], p, s,
-                f"H^{n}: coboundaries escape the cocycle space")
-        dims.append(length)
-        profiles.append(prof)
-    euler = sum((-1) ** i * d for i, d in enumerate(dims))
-    dims = tuple(dims)
-    return CohomologyReport(p, s, T.mode, T.kind, dims, tuple(profiles),
+    d0, d1 = _finite_diff_matrices(T)
+    dims, profiles = _hn_dims(d0, d1, d0, d1, None, D.p, D.s)
+    euler = dims[0] - dims[1] + dims[2]
+    return CohomologyReport(D.p, D.s, T.mode, T.kind, dims, profiles,
                             euler, (("exact", dims),), "stable", ("exact",))
 
 
@@ -762,11 +774,13 @@ def _window_data(T: GammaComplex, b: int, top: int, cache: dict):
 
 
 def _window_dims(T: GammaComplex, b: int, cache: dict):
-    """Dims and profiles at depth b.  A window reads the data of depths b
-    and 2b, in that order, through cache (_window_data), which holds one
-    assembled depth: a cache seeded at 2b or deeper assembles nothing, and
-    an empty one assembles depth b, then depth 2b.  Depth b is read only for
-    its kernels, depth 2b is cut at its rows below pi^-b."""
+    """Dims and profiles at depth b, read by _hn_dims.  A window reads the
+    data of depths b and 2b, in that order, through cache (_window_data),
+    which holds one assembled depth: a cache seeded at 2b or deeper
+    assembles nothing, and an empty one assembles depth b, then depth 2b.
+    Depth b gives the exact kernels of d0 and d1; depth 2b, cut at its rows
+    below pi^-b, gives the coboundaries B1 and B2 whose images stay above
+    the cut."""
     D = T.module
     p, s, r = D.p, D.s, D.rank
     q = p ** s
@@ -776,45 +790,17 @@ def _window_dims(T: GammaComplex, b: int, cache: dict):
     X0, d0s, d1s = _window_data(T, b, top, cache)
     _, d0w, d1w = _window_data(T, 2 * b, top, cache)
     bo = _out_depth(D, 2 * b)
-    win_o = bo + top
 
     # the rows of an output slot of depth 2b below the depth-b cut
-    below = ~_in_window(np.arange(r * win_o), bo, top, b)
+    below = ~_in_window(np.arange(r * (bo + top)), bo, top, b)
 
-    def rows(M, keep):
-        return M[np.tile(keep, M.shape[0] // keep.size)]
+    def deep_coboundaries(d):
+        # images of the depth-2b kernel of d's rows below the cut
+        rows = np.tile(below, d.shape[0] // below.size)
+        return _matmul_mod(d[~rows], _kernel_of(d[rows], p, s)[0], q)
 
-    def embed(M):
-        return M if X0 is None else _matmul_mod(X0, M, q)
-
-    # lengths and profiles are those of the spaces before embed: the
-    # columns of X0 are a basis of a free direct summand, so X0 carries
-    # each space isomorphically onto its span in the window
-
-    # H^0: kernel of d0 on the depth-b window (exact)
-    h0, prof0 = _divisor_report(d0s, p, s, d0s.shape[1])
-
-    # H^1: exact cocycles at depth b, coboundaries from depth 2b whose
-    # image stays above the bottom cut
-    Z1, z1len = _kernel_of(d1s, p, s)
-    k0 = d0s.shape[1]
-    Zw = np.vstack([embed(Z1[:k0]), embed(Z1[k0:])])
-    supp0 = _kernel_of(rows(d0w, below), p, s)[0]
-    Bw = _matmul_mod(rows(d0w, ~below), supp0, q)
-    h1, prof1 = _subquotient(Zw, z1len, Bw, p, s,
-                             "coboundaries escape the cocycle space")
-
-    # H^2: full depth-b window modulo deep coboundaries
-    supp1 = _kernel_of(rows(d1w, below), p, s)[0]
-    B2 = _matmul_mod(rows(d1w, ~below), supp1, q)
-    if X0 is None:
-        # the free window spans itself: H^2 is the cokernel of B2
-        h2, prof2 = _divisor_report(B2, p, s, B2.shape[0])
-    else:
-        h2, prof2 = _subquotient(X0, s * k0, B2, p, s,
-                                 "coboundaries escape the window")
-
-    return (h0, h1, h2), (prof0, prof1, prof2)
+    return _hn_dims(d0s, d1s, deep_coboundaries(d0w), deep_coboundaries(d1w),
+                    X0, p, s)
 
 
 def _certify(T: GammaComplex, b: int, top: int, raw=None) -> None:

@@ -109,6 +109,11 @@ class _Series:
     headroom).  Exponents are integer numerators over p^m; ``prec_num`` is
     the exclusive upper bound of the certified window on the same grid.
     Coefficients are kept reduced mod p^s and nonzero.
+
+    sigma: t |-> t^p scales exponents and precision by p and keeps the
+    coefficients.  Over F_p it is the Frobenius x |-> x^p; on the ghost
+    cover it is the ghost side of the Witt Frobenius.  solve_sigma_minus_one
+    inverts sigma - 1 mod q, for both Artin-Schreier solvers.
     """
 
     __slots__ = ("p", "m", "s", "coeffs", "prec_num")
@@ -219,6 +224,51 @@ class _Series:
     def reduce_mod_p(self) -> "NormFieldElement":
         return NormFieldElement(self.p, self.m, self.coeffs, self.prec_num)
 
+    def sigma(self):
+        """t |-> t^p: exponents and precision scale by p, coefficients stay."""
+        p = self.p
+        return self._new({n * p: c for n, c in self.coeffs.items()},
+                         self.prec_num * p)
+
+    def solve_sigma_minus_one(self, q: int, level_cap: int):
+        """(g, r): g with sigma(g) - g = self - r mod q and no constant term,
+        and r the nonpositive part that g cannot absorb.
+
+        Nonpositive terms are peeled from the most negative upward: c*t^n is
+        sigma of c*t^(n/p), which joins g and moves the defect to exponent
+        n/p, on a grid refined one level at a time up to level_cap; a term
+        whose n/p lies past the window is not certified and is dropped.  The
+        constant term and whatever the level cap stops stay in r.  The
+        positive rest h gives g its part -(h + sigma(h) + sigma^2(h) + ...)
+        up to the window.  g and r share the window and the final grid.
+        """
+        p, m, prec = self.p, self.m, self.prec_num
+        rem = {n: c % q for n, c in self.coeffs.items() if c % q}
+        g: dict[int, int] = {}
+        while rem and (n := min(rem)) < 0:
+            if n >= p * prec:
+                del rem[n]
+                continue
+            if n % p:
+                if m >= level_cap:
+                    break
+                m, prec = m + 1, prec * p
+                rem = {k * p: c for k, c in rem.items()}
+                g = {k * p: c for k, c in g.items()}
+                continue
+            c, t = rem.pop(n), n // p
+            g[t] = g.get(t, 0) + c
+            rem[t] = (rem.get(t, 0) + c) % q
+            if not rem[t]:
+                del rem[t]
+        tail = {n: c for n, c in rem.items() if n > 0}
+        while tail:
+            for n, c in tail.items():
+                g[n] = g.get(n, 0) - c
+            tail = {n * p: c for n, c in tail.items() if n * p < prec}
+        return (self._new({n: c % q for n, c in g.items()}, prec, m),
+                self._new({n: c for n, c in rem.items() if n <= 0}, prec, m))
+
 
 class NormFieldElement(_Series):
     """Truncated Laurent series over F_p on the exponent grid (1/p^m)Z: the
@@ -320,11 +370,8 @@ class NormFieldElement(_Series):
 
     # -- semilinear actions -------------------------------------------------
 
-    def frobenius(self) -> "NormFieldElement":
-        """x |-> x^p: exponents and precision scale by p."""
-        return NormFieldElement(self.p, self.m,
-                                {n * self.p: c for n, c in self.coeffs.items()},
-                                self.prec_num * self.p)
+    # x |-> x^p is sigma over F_p
+    frobenius = _Series.sigma
 
     def p_th_root(self) -> "NormFieldElement":
         """Unique p-th root, formed on the refined grid of level m+1."""

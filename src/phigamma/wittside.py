@@ -222,17 +222,6 @@ class _ZSeries(_Series):
         # the result keeps the left operand's headroom
         return self, other
 
-    def sigma(self) -> "_ZSeries":
-        """t |-> t^p: exponents and precision scale by p, coefficients stay.
-
-        A Frobenius lift on the cover, and exactly the ghost side of the
-        Witt Frobenius: ghost_i(phi y) = sigma(ghost_i(y)) for the canonical
-        coefficient lifts of _ghost_components.
-        """
-        p = self.p
-        return self._new({n * p: c for n, c in self.coeffs.items()},
-                         self.prec_num * p)
-
     def exact_div_p_power(self, k: int) -> "_ZSeries":
         pk = self.p**k
         coeffs = {}

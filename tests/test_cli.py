@@ -84,6 +84,24 @@ def test_cohomology_json_and_determinism(runner, trivial_mod):
     assert doc["verdict"] == "stable"
 
 
+def test_cohomology_semidirect_report(runner, tmp_path):
+    # the exact report of the finite semidirect complex of the trivial
+    # relative module; --complex takes no other finite or two-term kind
+    I = identity_matrix(P, 1, 1, 24)
+    D = make_module(P, 1, I, [("gamma_tilde", I, 1), ("gamma", I, CHI)],
+                    relative=True)
+    path = tmp_path / "relative.mod"
+    path.write_text(module_to_json(D))
+    res = runner.invoke(main, ["cohomology", str(path),
+                               "--complex", "semidirect"])
+    assert res.exit_code == 0
+    assert res.output == ("degree,length,profile\n0,1,3\n1,2,3|3\n2,1,3\n"
+                          "trace,exact,1|2|1\nverdict,stable,euler=0\n")
+    res = runner.invoke(main, ["cohomology", str(path), "--complex", "gamma"])
+    assert res.exit_code == 2
+    assert "--complex" in res.output
+
+
 def test_cohomology_flag_mismatch_is_parse_error(runner, trivial_mod):
     res = runner.invoke(main, ["cohomology", "--prime", "5", trivial_mod])
     assert res.exit_code == 2

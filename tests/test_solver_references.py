@@ -3,12 +3,21 @@
 The reference functions below are the earlier implementations, kept
 verbatim: the Frobenius of a layer element expanded through layer products
 of (theta + u)^j, the ghost maps that raise every component to its p-th
-powers, zero or not, and the (phi - 1) solver that recursed one Witt length
-at a time, taking the defect r = z - (phi - 1)Y0 in two Witt subtractions.
-On seeded inputs (p in {3, 5, 7}, layers of depth 1 and 2, Witt lengths
-1..6, zero components, negative exponents, level budgets 1..4) the current
-layer Frobenius, ghost maps and Artin-Schreier solver give the same values,
-reports and exception text, and at least the same precision.
+powers, zero or not, the Artin-Schreier solver that peeled and telescoped
+NormFieldElement objects, and the (phi - 1) solver that recursed one Witt
+length at a time, taking the defect r = z - (phi - 1)Y0 in two Witt
+subtractions.  On seeded inputs (p in {3, 5, 7}, layers of depth 1 and 2,
+Witt lengths 1..6, zero components, negative exponents, grid levels 0..2,
+level budgets 0..4) the current layer Frobenius, ghost maps and
+Artin-Schreier solver give the same values, reports and exception text, and
+at least the same precision.
+
+The Artin-Schreier solver now inverts sigma - 1 through the series core's
+solve_sigma_minus_one, the routine of the ghost solve below, at q = p.  On
+a window P > 0 it matches the reference byte for byte.  On a window P <= 0
+the reference gave each peeled monomial the window P, so its p-th power
+carried p*P < P; the routine keeps the window and drops a term whose p-th
+root lies past it.  Those answers differ (see the pinned case below).
 
 The current (phi - 1) solver works in ghost coordinates instead: ghost_i of
 phi(y) is sigma(ghost_i(y)) exactly, with sigma: t |-> t^p, so each ghost
@@ -29,12 +38,14 @@ from fractions import Fraction
 import pytest
 
 from phigamma import wittside
-from phigamma.errors import InvariantError, PrecisionError
+from phigamma.errors import (DepthExceededError, InvariantError,
+                             PrecisionError)
 from phigamma.artinschreier import (ASSolution, rho_constant,
                                     solve_as_general, solve_phi_minus_one,
-                                    _phi_minus_one)
+                                    _check_residual_base, _phi_minus_one)
 from phigamma.normfield import (ASExtension, ASExtensionElement,
-                                NormFieldElement, _lift_to)
+                                NormFieldElement, _grid_level, _lift_to,
+                                adjoin_as_root, frobenius_e)
 from phigamma.wittside import (WittVector, _ZSeries, _ghost, _headroom,
                                _unghost, teichmuller, v_le_n, witt_add,
                                witt_sub)
@@ -63,8 +74,90 @@ def reference_frobenius(self):
     return result
 
 
+def reference_solve_as_positive(b: NormFieldElement) -> ASSolution:
+    """Solve a^p - a = b for v_E(b) > 0, in the same ring.
+
+    The Hensel iteration from a0 = -b telescopes to a = -(b + b^p + ...);
+    the sum is finite because the valuations p^k v_E(b) escape the window.
+    """
+    if b.is_zero():
+        zero = NormFieldElement.zero(b.p, b.prec, b.m)
+        return ASSolution(zero, 0, b.prec, None, None)
+    v = b.valuation()
+    if v <= 0:
+        raise ValueError("positive solver needs v_E(b) > 0")
+    a = NormFieldElement.zero(b.p, b.prec, b.m)
+    t = b
+    while not t.is_zero() and t.valuation() < b.prec:
+        a = a - t.truncate(b.prec)
+        t = frobenius_e(t)
+    window = _check_residual_base(a, b)
+    return ASSolution(a, 0, window, v, a.valuation())
+
+
+def reference_split_by_sign(work: NormFieldElement):
+    """Split into (exponent <= 0 part, exponent > 0 part)."""
+    lo = {n: c for n, c in work.coeffs.items() if n <= 0}
+    hi = {n: c for n, c in work.coeffs.items() if n > 0}
+    return (NormFieldElement(work.p, work.m, lo, work.prec_num),
+            NormFieldElement(work.p, work.m, hi, work.prec_num))
+
+
+def reference_solve_as_general(b: NormFieldElement, depth_budget: int = 2,
+                               level_budget: int = 4) -> ASSolution:
+    """Solve a^p - a = b, allowing perfection raises and one extension layer.
+
+    Leading monomials with negative exponent are peeled from the most
+    negative upward: c*pi^n is the image of c*pi^(n/p), which is added to
+    the answer, moving the defect to exponent n/p.  Peeling stops when the
+    grid would pass level_budget levels above the input; the surviving
+    nonpositive part (if any) defines the Artin-Schreier layer.
+    """
+    if depth_budget < 0:
+        raise ValueError(f"depth budget must be nonnegative, got {depth_budget}")
+    p = b.p
+    if b.is_zero():
+        zero = NormFieldElement.zero(p, b.prec, b.m)
+        return ASSolution(zero, 0, b.prec, None, None)
+    v_in = b.valuation()
+    level_cap = b.m + level_budget
+    a = NormFieldElement.zero(p, b.prec, b.m)
+    work = b
+    while True:
+        v = work.valuation()
+        if v is None or v >= 0:
+            break
+        target = v / p
+        if _grid_level(target, p) > level_cap:
+            break
+        c = work.terms()[v]
+        # c is its own p-th root in F_p, so t^p recovers the leading term
+        lvl = max(_grid_level(target, p), work.m)
+        scale = p**lvl
+        t = NormFieldElement(p, lvl, {int(target * scale): c},
+                             int(work.prec * scale))
+        a = a + t
+        work = work - (frobenius_e(t) - t)
+    obstruction, positive = reference_split_by_sign(work)
+    if not positive.is_zero():
+        a = a + reference_solve_as_positive(positive).value
+    if obstruction.is_zero():
+        window = _check_residual_base(a, b)
+        return ASSolution(a, 0, window, v_in, a.valuation())
+    if depth_budget == 0:
+        raise DepthExceededError(
+            "solution requires an extension layer but the budget is 0")
+    ext = adjoin_as_root(obstruction, d_max=depth_budget)
+    value = ext.embed(a) + ext.theta(a.prec)
+    residual = value.frobenius() - value - ext.embed(b)
+    if not residual.is_zero():
+        raise InvariantError("extension-layer residual is nonzero")
+    return ASSolution(value, ext.depth, residual.prec, v_in, value.valuation())
+
+
 def reference_solve_components(p, comps, level_budget):
-    sol0 = solve_as_general(comps[0], depth_budget=0, level_budget=level_budget)
+    sol0 = reference_solve_as_general(comps[0], depth_budget=0,
+                                      level_budget=level_budget)
     y0 = sol0.value
     if len(comps) == 1:
         return [y0]
@@ -227,6 +320,56 @@ def test_solve_as_reports_match_product_expansion(p, monkeypatch):
             assert new == old
         else:
             assert json.dumps(new.to_json()) == json.dumps(old.to_json())
+
+
+def report(result):
+    """The report bytes, value repr and certificate of a solver result, or
+    the type and text of what it raised."""
+    if isinstance(result, tuple):
+        return result
+    return (json.dumps(result.to_json(), sort_keys=True), repr(result.value),
+            str(result.certified_prec))
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_solve_as_matches_object_level_reference(p):
+    # positive windows, grid levels 0..2, level budgets 0..4, depth budgets
+    # 0..2: the same reports, values, certificates and exception text
+    rng = random.Random(250 + p)
+    for _ in range(150):
+        m = rng.randint(0, 2)
+        q = p**m
+        prec = rng.randint(1, 30)
+        coeffs = {rng.randint(-4 * p * q, prec * q - 1): rng.randint(1, p - 1)
+                  for _ in range(rng.randint(1, 5))}
+        b = NormFieldElement(p, m, coeffs, prec * q)
+        kwargs = {"depth_budget": rng.randint(0, 2),
+                  "level_budget": rng.randint(0, 4)}
+        assert report(outcome(solve_as_general, b, **kwargs)) == \
+            report(outcome(reference_solve_as_general, b, **kwargs))
+
+
+def test_solve_as_on_a_nonpositive_window_keeps_the_window():
+    # pi^-12 + O(pi^-1): the reference certified pi^-4 to pi^-9 only; the
+    # peel keeps the window, so pi^(-4/3) joins the answer, certified to
+    # pi^-3
+    b = NormFieldElement(3, 0, {-12: 1}, -1)
+    assert report(solve_as_general(b)) == (
+        '{"certificate_window": "-3", "depth": 0, "solution": '
+        '"pi^-4 + pi^(-4/3)", "valuation": ["-4"]}',
+        "<pi^-4 + pi^(-4/3) + O(pi^-1)>", "-3")
+    assert report(reference_solve_as_general(b))[2] == "-9"
+    # 2*pi^-8 + O(pi^-4) on the level-0 grid: pi^(-8/3) lies past the
+    # window, so the term is dropped and 0 answers; the reference asked for
+    # an extension layer
+    b = NormFieldElement(3, 0, {-8: 2}, -4)
+    budgets = {"depth_budget": 0, "level_budget": 0}
+    assert report(solve_as_general(b, **budgets)) == (
+        '{"certificate_window": "-12", "depth": 0, "solution": "0", '
+        '"valuation": ["None"]}', "<0 + O(pi^-4)>", "-12")
+    assert outcome(reference_solve_as_general, b, **budgets) == (
+        "DepthExceededError",
+        "solution requires an extension layer but the budget is 0")
 
 
 # -- the ghost maps ------------------------------------------------------------
