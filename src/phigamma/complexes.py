@@ -37,14 +37,20 @@ of least exponent v < 0 (_out_depth).  Delta mode works on the
 Delta-fixed part of each window: Delta = (Z/p)^x is cyclic, so one
 generator's twisted window matrix is built and the other actions are its
 powers; the averaging idempotent E is checked to satisfy E E = E, and the
-basis is a set of columns of E (delta_project).  A cohomology call
-assembles raw d0 and d1, the Delta basis X and the X-projected d0 and d1
-once, at twice its deepest schedule depth or deep enough for the
-certificate of d o d = 0 at its least depth, whichever is deeper, and
-reads every window as trailing corners of that build (_window_data): a
-window of depth b reads depth b (its kernels) and depth 2b (its deep
-coboundaries, cut at their rows below pi^-b).  The certificate reads its
-d0 and d1 off the same raw pair.  This module has no elimination of its
+basis is a set of columns of E (delta_project).  Below pi^-b an output
+window of depth p*b holds few images (at s = 1, phi(pi^k) = pi^(pk)), so
+d0 and d1 keep only the rows that can be nonzero: every row of exponent at
+least -b, and the rows some term's ring window reaches, or every row when
+a matrix entry is a series (_kept_rows).  Each carries the exponent of
+every row it keeps, and its readers select rows by exponent.  A
+cohomology call assembles raw d0 and d1, the Delta basis X and the
+X-projected d0 and d1 once, at twice its deepest schedule depth or deep
+enough for the certificate of d o d = 0 at its least depth, whichever is
+deeper, and reads every window as a corner of that build (_window_data):
+a window of depth b reads depth b (its kernels) and depth 2b (its deep
+coboundaries, cut at their rows of exponent below -b).  The certificate
+reads its d0 off the same raw pair, and d1 at the columns of d0's kept
+rows.  This module has no elimination of its
 own: window products mod p^s go through zmodlin._matmul_mod, and kernels,
 lengths and elementary divisors come from zmodlin, which alone chooses
 between its packed F_p echelon (s = 1) and its Smith form.  A kernel's
@@ -425,13 +431,36 @@ def _multiplication_matrix(x: ArithLiftElement, bot_in: int, top_in: int,
     return np.where(inside, terms[np.where(inside, k, 0)], 0)
 
 
-def _operator_matrix(D: PhiGammaModule, op, bot_in: int, bot_out: int,
-                     top: int) -> np.ndarray:
-    """Matrix of an operator from window [-bot_in, top) to [-bot_out, top),
-    block layout (slot-free): index = comp * window + (n + bot).
+def _kept_rows(D: PhiGammaModule, ops, bot_in: int, bot_out: int,
+               top: int) -> np.ndarray:
+    """Mask of the rows of [-bot_out, top) that a block row of operators ops
+    (None for a zero block) keeps from the window [-bot_in, top): each row of
+    exponent at least -bot_in, which every depth-b cut (b <= bot_in) reads
+    whole, and each row that some term's ring window reaches.  A series
+    entry spreads its image over every row (_operator_matrix), so a term
+    with one keeps them all.  Every row left out is zero."""
+    keep = np.arange(-bot_out, top) >= -bot_in
+    terms = [t for op in ops if op is not None for t in op]
+    if any(t.matrix is not None and any(_is_series(x) for row in t.matrix
+                                        for x in row) for t in terms):
+        keep[:] = True
+        return keep
+    deep = bot_out - bot_in
+    for ring in dict.fromkeys(t.ring for t in terms):
+        R = ring_window(D.p, D.s, ring, bot_in, bot_out, top)
+        keep[:deep] |= R[:deep].any(axis=1)
+    return keep
 
-    A term c * A * r(-) with constant A is kron(c*A, R) for the window
-    matrix R of the ring action r.  Series entries act by their
+
+def _operator_matrix(D: PhiGammaModule, op, bot_in: int, bot_out: int,
+                     top: int, keep: np.ndarray) -> np.ndarray:
+    """Matrix of an operator from window [-bot_in, top) to the rows keep
+    (a mask, _kept_rows) of window [-bot_out, top), block layout
+    (slot-free): column comp * window + (n + bot_in), row comp * kept + the
+    place of n among the kept exponents.
+
+    A term c * A * r(-) with constant A is kron(c*A, R) for the kept rows of
+    the window matrix R of the ring action r.  Series entries act by their
     multiplication matrices on the whole image of r, which reaches below
     the output window, so every entry term that lands in a window row is
     kept: those reach pi^(top + deep - 1), deep the depth of that image, and
@@ -440,8 +469,8 @@ def _operator_matrix(D: PhiGammaModule, op, bot_in: int, bot_out: int,
     so the image is taken that far."""
     p, s, r = D.p, D.s, D.rank
     q = p ** s
-    win_in, win_out = bot_in + top, bot_out + top
-    M = np.zeros((r * win_out, r * win_in), dtype=np.int64)
+    M = np.zeros((r * np.count_nonzero(keep), r * (bot_in + top)),
+                 dtype=np.int64)
     for t in op:
         try:
             A = (np.eye(r, dtype=np.int64) if t.matrix is None
@@ -450,7 +479,7 @@ def _operator_matrix(D: PhiGammaModule, op, bot_in: int, bot_out: int,
             A = None
         if A is not None:
             # kron(c*A, R), written out by broadcasting
-            R = ring_window(p, s, t.ring, bot_in, bot_out, top)
+            R = ring_window(p, s, t.ring, bot_in, bot_out, top)[keep]
             M += ((t.coeff * A % q)[:, None, :, None]
                   * R[:, None]).reshape(M.shape)
             continue
@@ -465,7 +494,8 @@ def _operator_matrix(D: PhiGammaModule, op, bot_in: int, bot_out: int,
                 f"got pi^{prec}")
         reach = top - min(0, min(min(x.coeffs, default=0)
                                  for row in t.matrix for x in row))
-        E = np.block([[_multiplication_matrix(x, deep, reach, bot_out, top)
+        E = np.block([[_multiplication_matrix(x, deep, reach, bot_out,
+                                              top)[keep]
                        for x in row] for row in t.matrix])
         # columns of the input window [-bot_in, top) in the image to reach
         R = np.kron(np.eye(r, dtype=np.int64),
@@ -475,17 +505,32 @@ def _operator_matrix(D: PhiGammaModule, op, bot_in: int, bot_out: int,
     return _mod(M, q)
 
 
-def _block_matrix(D, blocks, bot_in, bot_out, top) -> np.ndarray:
-    """Block matrix of operators, each block written into the result as it
-    is built, so that one block at a time is alive beside it."""
-    h, w = D.rank * (bot_out + top), D.rank * (bot_in + top)
-    M = np.zeros((len(blocks) * h, len(blocks[0]) * w), dtype=np.int64)
-    for i, row in enumerate(blocks):
+def _block_matrix(D, blocks, bot_in, bot_out, top):
+    """Block matrix of operators from [-bot_in, top) to [-bot_out, top) on
+    each slot, holding only the rows its block rows keep (_kept_rows); every
+    row left out is zero.  Column (j * rank + comp) * (bot_in + top) + (n +
+    bot_in) is pi^n in component comp of input slot j.  Returns (M, exp,
+    blk): row k of M is the coefficient of pi^exp[k] in component blk[k] =
+    i * rank + comp of output slot i; the rows of one component run up
+    from its least kept exponent.  Each block is written into M as it is
+    built, so that one block at a time is alive beside it."""
+    r = D.rank
+    n = np.arange(-bot_out, top)
+    keeps = [_kept_rows(D, row, bot_in, bot_out, top) for row in blocks]
+    sizes = [np.count_nonzero(keep) for keep in keeps]
+    exp = np.concatenate([np.tile(n[keep], r) for keep in keeps])
+    blk = np.repeat(np.arange(len(keeps) * r), np.repeat(sizes, r))
+    w = r * (bot_in + top)
+    M = np.zeros((len(exp), len(blocks[0]) * w), dtype=np.int64)
+    at = 0
+    for row, keep, size in zip(blocks, keeps, sizes):
+        h = r * size
         for j, op in enumerate(row):
             if op is not None:
-                M[i * h:(i + 1) * h, j * w:(j + 1) * w] = _operator_matrix(
-                    D, op, bot_in, bot_out, top)
-    return M
+                M[at:at + h, j * w:(j + 1) * w] = _operator_matrix(
+                    D, op, bot_in, bot_out, top, keep)
+        at += h
+    return M, exp, blk
 
 
 # -- Delta projection --------------------------------------------------------
@@ -523,7 +568,9 @@ def _delta_actions(D: PhiGammaModule, bot: int, top: int):
     scalar = pow(omegas[g], D.delta_character_exponent, q)
     # omega(-1) = -1 exactly
     ring = ring_gamma(-1) if g == p - 1 else ring_gamma(omegas[g], M)
-    act = _operator_matrix(D, _op(scalar, ring), bot, bot, top)
+    op = _op(scalar, ring)
+    act = _operator_matrix(D, op, bot, bot, top,
+                           _kept_rows(D, (op,), bot, bot, top))
     acts = [np.eye(act.shape[0], dtype=np.int64), act]
     while len(acts) < p - 1:
         acts.append(_matmul_mod(acts[-1], act, q))
@@ -706,71 +753,63 @@ def _out_depth(D: PhiGammaModule, b: int) -> int:
     return p * b + max(2 * s + 4, (p - 1) * (s - 1) + 2 - min(v, 0))
 
 
-def _in_window(idx: np.ndarray, depth: int, top: int, b: int) -> np.ndarray:
-    """Mask of the positions idx, in a block layout of windows [-depth, top)
-    (index comp * window + (n + depth)), whose exponent n is at least -b."""
-    return idx % (depth + top) >= depth - b
-
-
-def _corner(M: np.ndarray, depth_in: int, depth_out: int, b_in: int,
-            b_out: int, top: int, cols: np.ndarray | None = None):
-    """The matrix from [-b_in, top) to [-b_out, top) read off M, a matrix from
-    [-depth_in, top) to [-depth_out, top): its trailing input columns and
-    output rows in each component block.  cols, if given, holds the window
-    position of each column of M."""
-    cols = np.arange(M.shape[1]) if cols is None else cols
-    return M[np.ix_(_in_window(np.arange(M.shape[0]), depth_out, top, b_out),
-                    _in_window(cols, depth_in, top, b_in))]
-
-
 def _assemble(T: GammaComplex, b: int, top: int):
     """Raw d0 and d1 from the depth-b window into the window of depth
-    _out_depth(b), which holds every image, and the window data read from
-    them: (pos, X, d0 X, d1 diag(X, X)).  X is the Delta basis, or None in
-    free mode, where it is the identity; pos holds the window position of
-    each basis vector, the diagonal 1 of E whose column it is."""
+    _out_depth(b), which holds every image, built by _block_matrix with the
+    rows they keep, and the window data read from them.  Returns ((d0, e0,
+    k0, d1), (cols, X, d0 X, e0, d1 diag(X, X), e1)): e0, k0 and e1 hold the
+    exponent and the output component of each row (_block_matrix).  X is
+    the Delta basis, or None in free mode, where it is the identity; cols
+    holds the exponent of each basis vector, that of the diagonal 1 of E
+    whose column it is."""
     D = T.module
     q = D.p ** D.s
     bo = _out_depth(D, b)
-    d0 = _block_matrix(D, T.diffs[0], b, bo, top)
-    d1 = _block_matrix(D, T.diffs[1], b, bo, top)
+    d0, e0, k0 = _block_matrix(D, T.diffs[0], b, bo, top)
+    d1, e1, _ = _block_matrix(D, T.diffs[1], b, bo, top)
+    win = np.tile(np.arange(-b, top), D.rank)
     if T.mode != "delta":
-        return d0, d1, (np.arange(d0.shape[1]), None, d0, d1)
+        return (d0, e0, k0, d1), (win, None, d0, e0, d1, e1)
     E = delta_project(D, b, top).matrix
     pos = np.flatnonzero(np.diagonal(E) == 1)
     X = E[:, pos]
     # d1 takes two window slots: d1 @ diag(X, X)
     w = X.shape[0]
-    return d0, d1, (pos, X, _matmul_mod(d0, X, q),
-                    np.hstack([_matmul_mod(d1[:, :w], X, q),
-                               _matmul_mod(d1[:, w:], X, q)]))
+    return (d0, e0, k0, d1), (win[pos], X, _matmul_mod(d0, X, q), e0,
+                              np.hstack([_matmul_mod(d1[:, :w], X, q),
+                                         _matmul_mod(d1[:, w:], X, q)]), e1)
 
 
 def _window_data(T: GammaComplex, b: int, top: int, cache: dict):
-    """(X, d0 X, d1 diag(X, X)) on the depth-b window, into the window of
-    depth _out_depth(b), which holds every image; X is the Delta basis, or
-    None in free mode, where it is the identity.
+    """(X, d0 X, e0, d1 diag(X, X), e1) on the depth-b window, into the rows
+    of exponent at least -_out_depth(b), which hold every image; e0 and e1
+    hold the exponent of each row.  X is the Delta basis, or None in free
+    mode, where it is the identity.
 
     cache holds one assembled depth (_assemble), under that depth.  A depth
-    at most that one is read off it as a trailing corner (_corner); a deeper
-    one is assembled and replaces it.  Every entry depends only on its row,
-    its column and the top, so a corner equals a fresh build, X included: E
-    is lower triangular in each block, so its corner is the projector of
-    depth b, and its columns at a diagonal 1 of exponent at least -b have
-    no entry below pi^-b."""
+    at most that one is read off it as a corner: the rows of exponent at
+    least -_out_depth(b), the columns of exponent at least -b, and for X the
+    rows of exponent at least -b.  A deeper depth is assembled and replaces
+    it.  Every entry depends only on its row, its column and the top, so a
+    corner equals a fresh build, X included, but for zero rows: the corner
+    keeps the rows the deeper build kept.  E is lower triangular in each
+    block, so its corner is the projector of depth b, and its columns at a
+    diagonal 1 of exponent at least -b have no entry below pi^-b."""
     held = max(cache, default=None)
     if held is None or held < b:
         cache.clear()
-        cache[b] = _assemble(T, b, top)[2]
+        cache[b] = _assemble(T, b, top)[1]
         held = b
-    pos, X, d0, d1 = cache[held]
+    cols, X, d0, e0, d1, e1 = cache[held]
     if held == b:
-        return X, d0, d1
-    ho, bo = _out_depth(T.module, held), _out_depth(T.module, b)
-    return (None if X is None else _corner(X, held, held, b, b, top, pos),
-            _corner(d0, held, ho, b, bo, top, pos),
-            # d1 diag(X, X) has the columns of X twice
-            _corner(d1, held, ho, b, bo, top, np.tile(pos, 2)))
+        return X, d0, e0, d1, e1
+    bo = _out_depth(T.module, b)
+    c, r0, r1 = cols >= -b, e0 >= -bo, e1 >= -bo
+    if X is not None:
+        rows = np.tile(np.arange(-held, top), T.module.rank) >= -b
+        X = X[np.ix_(rows, c)]
+    # d1 diag(X, X) has the columns of X twice
+    return X, d0[np.ix_(r0, c)], e0[r0], d1[np.ix_(r1, np.tile(c, 2))], e1[r1]
 
 
 def _window_dims(T: GammaComplex, b: int, cache: dict):
@@ -779,47 +818,50 @@ def _window_dims(T: GammaComplex, b: int, cache: dict):
     which holds one assembled depth: a cache seeded at 2b or deeper
     assembles nothing, and an empty one assembles depth b, then depth 2b.
     Depth b gives the exact kernels of d0 and d1; depth 2b, cut at its rows
-    below pi^-b, gives the coboundaries B1 and B2 whose images stay above
-    the cut."""
+    of exponent below -b, gives the coboundaries B1 and B2 whose images stay
+    above the cut.  Every row of exponent at least -b is kept, so B1 and B2
+    have the coordinates of the depth-b window."""
     D = T.module
-    p, s, r = D.p, D.s, D.rank
+    p, s = D.p, D.s
     q = p ** s
     top = _tail_floor(D)
     if b < top:
         raise PrecisionError(f"window {b} below the acyclic-tail bound {top}")
-    X0, d0s, d1s = _window_data(T, b, top, cache)
-    _, d0w, d1w = _window_data(T, 2 * b, top, cache)
-    bo = _out_depth(D, 2 * b)
+    X0, d0s, _, d1s, _ = _window_data(T, b, top, cache)
+    _, d0w, e0w, d1w, e1w = _window_data(T, 2 * b, top, cache)
 
-    # the rows of an output slot of depth 2b below the depth-b cut
-    below = ~_in_window(np.arange(r * (bo + top)), bo, top, b)
-
-    def deep_coboundaries(d):
+    def deep_coboundaries(d, e):
         # images of the depth-2b kernel of d's rows below the cut
-        rows = np.tile(below, d.shape[0] // below.size)
-        return _matmul_mod(d[~rows], _kernel_of(d[rows], p, s)[0], q)
+        below = e < -b
+        return _matmul_mod(d[~below], _kernel_of(d[below], p, s)[0], q)
 
-    return _hn_dims(d0s, d1s, deep_coboundaries(d0w), deep_coboundaries(d1w),
-                    X0, p, s)
+    return _hn_dims(d0s, d1s, deep_coboundaries(d0w, e0w),
+                    deep_coboundaries(d1w, e1w), X0, p, s)
 
 
 def _certify(T: GammaComplex, b: int, top: int, raw=None) -> None:
     """Exact composition d1 o d0 through a window wide enough to hold both
     images: d0 from the depth-b window into the depth-bo = _out_depth(b) one,
-    d1 from there into the depth-_out_depth(bo) one.  Both are read as
-    corners of raw = (B, d0, d1), a raw pair of depth B (_assemble), when
-    bo <= B, and built otherwise.  InvariantError unless d1 o d0 is zero."""
+    d1 from there into the depth-_out_depth(bo) one.  Both are read off raw
+    = (B, d0, e0, k0, d1), a raw pair of depth B (_assemble), when bo <= B:
+    d0's rows of exponent at least -bo and its columns of exponent at least
+    -b, and d1 whole, whose rows past pi^-_out_depth(bo) are zero on the
+    columns read; and built otherwise.  The rows d0 leaves out are zero, so
+    d1 is taken at the columns of the exponents and components of the rows
+    d0 keeps.  InvariantError unless d1 o d0 is zero."""
     D = T.module
     bo = _out_depth(D, b)
-    bo2 = _out_depth(D, bo)
     if raw is not None and bo <= raw[0]:
-        B, d0, d1 = raw
-        Bo = _out_depth(D, B)
-        d0 = _corner(d0, B, Bo, b, bo, top)
-        d1 = _corner(d1, B, Bo, bo, bo2, top)
+        B, d0, e0, k0, d1 = raw
+        rows = e0 >= -bo
+        cols = np.tile(np.arange(-B, top), D.rank) >= -b
+        d0, e0, k0 = d0[np.ix_(rows, cols)], e0[rows], k0[rows]
     else:
-        d0 = _block_matrix(D, T.diffs[0], b, bo, top)
-        d1 = _block_matrix(D, T.diffs[1], bo, bo2, top)
+        B = bo
+        d0, e0, k0 = _block_matrix(D, T.diffs[0], b, bo, top)
+        d1 = _block_matrix(D, T.diffs[1], bo, _out_depth(D, bo), top)[0]
+    # d0's output components are d1's input ones, each of depth B
+    d1 = d1[:, k0 * (B + top) + e0 + B]
     if _matmul_mod(d1, d0, D.p ** D.s).any():
         raise InvariantError("d^2 != 0 on the certification window")
 
@@ -853,13 +895,13 @@ def cohomology(T: GammaComplex, schedule=None) -> CohomologyReport:
     top = _tail_floor(T.module)
     deepest = max(2 * max(schedule), _out_depth(T.module, min(schedule)))
     try:
-        d0, d1, data = _assemble(T, deepest, top)
+        raw, data = _assemble(T, deepest, top)
     except (PrecisionError, InvariantError):
         _certify(T, min(schedule), top)
         cache = {}
     else:
-        _certify(T, min(schedule), top, (deepest, d0, d1))
-        del d0, d1
+        _certify(T, min(schedule), top, (deepest, *raw))
+        del raw
         cache = {deepest: data}
     trace = []
     profiles = None

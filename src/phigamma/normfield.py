@@ -381,16 +381,17 @@ class NormFieldElement(_Series):
     def gamma(self, a: int, mod_power: int) -> "NormFieldElement":
         """Substitution t |-> G = (1+t)^a - 1 on the level-m generator t.
 
-        ``a`` is a unit residue mod p^mod_power.  PrecisionError when the
-        window's C(a, k), k <= prec - 2*min(lo, 0) + 1, reach k = p^mod_power:
-        |min(lo, 0)| + 1 past the terms of (G/t)^(+-1) that _compose reads.
+        ``a`` is a unit residue mod p^mod_power.  _compose reads the first
+        W = prec - min(lo, 0) terms of G/t and of its inverse, which need
+        C(a, k) for k <= W; PrecisionError when W reaches p^mod_power, where
+        the residue no longer determines C(a, W).
         """
         if a % self.p == 0:
             raise ValueError("gamma exponent must be a p-adic unit")
         if not self.coeffs:
             return self
         p, base = self.p, min(min(self.coeffs), 0)
-        if self.prec_num - 2 * base + 1 >= p**mod_power:
+        if self.prec_num - base >= p**mod_power:
             raise PrecisionError(f"binomial C(a, {p**mod_power}) needs the "
                                  f"exponent mod p^{mod_power} and more")
         if (p - 1) ** 2 * (self.prec_num - 2 * base + 2) >= 2**63:

@@ -1,5 +1,6 @@
 """Cohomology complexes: cone literality, window stabilization, cocycles."""
 
+import hashlib
 import json
 import random
 from functools import partial
@@ -21,7 +22,7 @@ from phigamma.complexes import (
     semidirect_gamma_complex,
     _assemble,
     _block_matrix,
-    _corner,
+    _const_matrix,
     _delta_actions,
     _divisor_report,
     _finite_diff_matrices,
@@ -278,7 +279,9 @@ def _direct_delta_action(D, u, bot, top):
     ring = (RING_ID if u == 1 else ring_gamma(-1) if u == p - 1
             else ring_gamma(a, M))
     scalar = pow(a, D.delta_character_exponent, p ** s)
-    return _operator_matrix(D, _op(scalar, ring), bot, bot, top)
+    # a square window keeps every row
+    return _operator_matrix(D, _op(scalar, ring), bot, bot, top,
+                            np.ones(bot + top, dtype=bool))
 
 
 @pytest.mark.parametrize("p, s, g", DELTA_CELLS)
@@ -488,33 +491,110 @@ CORNER_CASES = [
 ]
 
 
+def _by_exponent(M, e, k, depth, top, n):
+    """The rows of M in the dense layout of n components of [-depth, top):
+    row i goes to k[i] * (depth + top) + e[i] + depth; rows left out are 0."""
+    out = np.zeros((n * (depth + top), M.shape[1]), dtype=M.dtype)
+    out[k * (depth + top) + e + depth] = M
+    return out
+
+
+def _components(e):
+    # the rows of a component run up in exponent, each to pi^(top - 1)
+    return np.concatenate([[0], np.cumsum(np.diff(e) <= 0)])
+
+
+def _dense_reference(D, blocks, bot_in, bot_out, top):
+    """Every row of a block matrix of constant-entry operators: the sum of
+    kron(c*A, R) over its terms, R their ring windows."""
+    r, q = D.rank, D.p ** D.s
+    h, w = r * (bot_out + top), r * (bot_in + top)
+    M = np.zeros((len(blocks) * h, len(blocks[0]) * w), dtype=np.int64)
+    for i, row in enumerate(blocks):
+        for j, op in enumerate(row):
+            for t in op or ():
+                A = (np.eye(r, dtype=np.int64) if t.matrix is None
+                     else _const_matrix(t.matrix, q))
+                M[i * h:(i + 1) * h, j * w:(j + 1) * w] += np.kron(
+                    t.coeff * A % q,
+                    ring_window(D.p, D.s, t.ring, bot_in, bot_out, top))
+    return M % q
+
+
 @pytest.mark.parametrize("module, mode", CORNER_CASES)
-def test_window_data_corners_match_fresh_builds(module, mode):
-    # every depth read off one assembled depth equals its own assembly, bit
-    # for bit: X, d0 X and d1 diag(X, X), and the raw d0 and d1 that the
-    # d^2 certificate reads
+def test_window_builds_leave_out_only_zero_rows(module, mode):
+    # a build keeps every row of exponent at least -bot_in and leaves out
+    # only rows that are zero in the dense matrix; series entries keep all
     D = module()
     T = herr_complex(D, mode)
     top = _tail_floor(D)
+    for b in (top, 5, 12):
+        bo = _out_depth(D, b)
+        for blocks in T.diffs:
+            M, e, k = _block_matrix(D, blocks, b, bo, top)
+            n = len(blocks) * D.rank
+            assert M.shape[0] == len(e) == len(k)
+            assert np.count_nonzero(e >= -b) == n * (b + top)
+            dense = _by_exponent(M, e, k, bo, top, n)
+            try:
+                ref = _dense_reference(D, blocks, b, bo, top)
+            except InvariantError:
+                # the u-basis module has series entries
+                assert np.array_equal(e, np.tile(np.arange(-bo, top), n))
+                assert np.array_equal(dense, M)
+                continue
+            assert M.shape[0] < n * (bo + top)
+            assert np.array_equal(dense, ref)
+
+
+@pytest.mark.parametrize("module, mode", CORNER_CASES)
+def test_window_data_corners_match_fresh_builds(module, mode):
+    # every depth read off one assembled depth equals its own assembly, bit
+    # for bit once both are laid out by exponent: X, d0 X and d1 diag(X, X),
+    # and the raw d0 and d1 that the d^2 certificate reads
+    D = module()
+    T = herr_complex(D, mode)
+    top = _tail_floor(D)
+    r = D.rank
     # deep enough to hold the certificate's pair at depth 5
     deep = max(24, _out_depth(D, 5))
-    d0, d1, data = _assemble(T, deep, top)
+    (d0, e0, k0, d1), data = _assemble(T, deep, top)
     cache = {deep: data}
     for b in (top, 5, 8, 12, deep):
         got, want = _window_data(T, b, top, cache), _window_data(T, b, top, {})
         assert (got[0] is None) == (want[0] is None) == (mode == "free")
-        for g, w in zip(got, want):
-            assert g is None or (g.dtype == w.dtype and np.array_equal(g, w))
+        assert want[0] is None or (got[0].dtype == want[0].dtype
+                                   and np.array_equal(got[0], want[0]))
+        bo = _out_depth(D, b)
+        # d0 has two output slots, d1 one
+        for (g, ge), (w, we), n in ((got[1:3], want[1:3], 2 * r),
+                                    (got[3:5], want[3:5], r)):
+            assert g.dtype == w.dtype and np.count_nonzero(we >= -b) == \
+                np.count_nonzero(ge >= -b) == n * (b + top)
+            assert np.array_equal(
+                _by_exponent(g, ge, _components(ge), bo, top, n),
+                _by_exponent(w, we, _components(we), bo, top, n))
     assert list(cache) == [deep]
     # the certificate's pair at depth b: d0 from b into bo, d1 from bo on
     bo_deep = _out_depth(D, deep)
+    d1_raw, e1, k1 = _block_matrix(D, T.diffs[1], deep, bo_deep, top)
+    assert np.array_equal(d1_raw, d1)
+    win = np.tile(np.arange(-deep, top), r)
     for b in (top, 5):
         bo = _out_depth(D, b)
         bo2 = _out_depth(D, bo)
-        assert np.array_equal(_corner(d0, deep, bo_deep, b, bo, top),
-                              _block_matrix(D, T.diffs[0], b, bo, top))
-        assert np.array_equal(_corner(d1, deep, bo_deep, bo, bo2, top),
-                              _block_matrix(D, T.diffs[1], bo, bo2, top))
+        rows = e0 >= -bo
+        assert np.array_equal(
+            _by_exponent(d0[np.ix_(rows, win >= -b)], e0[rows], k0[rows],
+                         bo, top, 2 * r),
+            _by_exponent(*_block_matrix(D, T.diffs[0], b, bo, top), bo, top,
+                         2 * r))
+        rows = e1 >= -bo2
+        assert np.array_equal(
+            _by_exponent(d1[np.ix_(rows, np.tile(win, 2) >= -bo)], e1[rows],
+                         k1[rows], bo2, top, r),
+            _by_exponent(*_block_matrix(D, T.diffs[1], bo, bo2, top), bo2,
+                         top, r))
 
 
 @pytest.mark.parametrize("prec, need", [(90, 91), (95, 97)])
@@ -531,6 +611,15 @@ def test_deepest_assembly_reports_the_first_failing_step(prec, need):
 def test_deepest_assembly_answers_past_the_certified_need():
     rep = cohomology(herr_complex(_series_module(200), "free"), (8, 16, 32))
     assert (rep.dims, rep.verdict) == ((1, 4, 1), "stable")
+
+
+def test_series_entry_report_pinned():
+    # the u-basis module is the one whose window builds keep every row (its
+    # entries are series); its report bytes were recorded when every build
+    # kept every row
+    rep = cohomology(herr_complex(_series_module(200), "free"), (8, 16, 32))
+    assert hashlib.sha256(rep.to_json().encode()).hexdigest() == \
+        "732b838036a1d08b83f76acf8d275df5af1e3ab25b6817d8d1798bfe9d6f6c0e"
 
 
 def test_certificate_reads_the_deepest_build(monkeypatch):

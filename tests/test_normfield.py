@@ -702,10 +702,10 @@ def dict_gamma(x, a, mod_power):
         raise ValueError("gamma exponent must be a p-adic unit")
     if not x.coeffs:
         return x
-    width = x.prec_num - 2 * min(min(x.coeffs), 0) + 2
+    # x(G) on the window reads G/t to its first W = prec - min(lo, 0) terms
+    width = x.prec_num - min(min(x.coeffs), 0)
     G = NormFieldElement(x.p, x.m, {k: binomial_mod_p(a, k, x.p, mod_power)
-                                    for k in range(1, max(width, 2))},
-                         max(width, 2))
+                                    for k in range(1, width + 1)}, width + 1)
     return dict_substitute(x, G)
 
 
@@ -733,6 +733,17 @@ def test_dense_gamma_matches_dict_substitution(p, m):
         assert _outcome(NormFieldElement.gamma, x, a, mod_power) == want
         precision_errors += want[0] == "PrecisionError"
     assert 0 < precision_errors < 12
+
+
+def test_gamma_answers_every_window_its_residue_determines():
+    # _compose reads W = prec - min(lo, 0) = 8 terms of G/t, so C(a, k) for
+    # k <= 8 < 3^2, which a mod 9 determines: the answer at a mod 3^5
+    x = NormFieldElement(3, 0, {-5: 1}, 3)
+    want = NormFieldElement(3, 0, {-5: 1, -3: 1, -2: 1, 1: 1}, 3)
+    assert _same(x.gamma(4, 2), want) and _same(x.gamma(4, 5), want)
+    # one term more needs C(a, 9), which a mod 9 leaves open
+    with pytest.raises(PrecisionError, match=r"C\(a, 9\)"):
+        NormFieldElement(3, 0, {-5: 1}, 4).gamma(4, 2)
 
 
 def test_substitute_generator_rejects_unusable_input():
