@@ -30,8 +30,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DepthExceededError, InvariantError, PrecisionError
-from .normfield import (NormFieldElement, adjoin_as_root, format_element,
-                        frobenius_e)
+from .normfield import NormFieldElement, adjoin_as_root, format_element
 from .wittside import (WittVector, _from_ghosts, _ghost_components,
                        _headroom, v_le_n, witt_sub)
 
@@ -79,7 +78,7 @@ class SplitterState:
 
 
 def _check_residual_base(a: NormFieldElement, b: NormFieldElement) -> Fraction:
-    r = frobenius_e(a) - a - b
+    r = a.frobenius() - a - b
     if not r.is_zero():
         raise InvariantError("solver produced a nonzero residual")
     return r.prec

@@ -111,6 +111,11 @@ __all__ = [
 
 DEFAULT_SCHEDULE = (16, 32, 64, 128)
 
+# Bound on the bytes of the dense windows one request builds: the estimate
+# is taken before anything is allocated, and a request past the bound is
+# refused with a ValueError that names both.
+MAX_WINDOW_BYTES = 2**30
+
 RING_ID = ("id",)
 RING_PHI = ("phi",)
 
@@ -345,6 +350,16 @@ def semidirect_gamma_complex(D: PhiGammaModule) -> GammaComplex:
 
 
 # -- window operator matrices ------------------------------------------------
+
+
+def _check_window_bytes(estimate: int, what: str) -> None:
+    """ValueError naming the estimate and the bound unless estimate, the
+    bytes of the dense windows that what needs, is at most
+    MAX_WINDOW_BYTES."""
+    if estimate > MAX_WINDOW_BYTES:
+        raise ValueError(f"{what} needs about {estimate >> 20} MiB of dense "
+                         f"windows, past the bound of "
+                         f"{MAX_WINDOW_BYTES >> 20} MiB")
 
 
 def build_ring_window(p: int, s: int, ring: tuple, bot_in: int,
@@ -886,14 +901,23 @@ def cohomology(T: GammaComplex, schedule=None) -> CohomologyReport:
     pair is dropped once they are read.  If that assembly fails, the
     certification and the depths run one by one, as each is needed, so a
     failing schedule reports the error its first failing step raises.
+    Before any of it, a schedule whose deepest window needs more than
+    MAX_WINDOW_BYTES is refused (_check_window_bytes).
     """
     if T.kind == "finite":
         return _finite_report(T)
     if not T.coned or T.n_terms != 3:
         raise ValueError("window cohomology expects the three-term phi-cone")
     schedule = tuple(schedule) if schedule else DEFAULT_SCHEDULE
-    top = _tail_floor(T.module)
-    deepest = max(2 * max(schedule), _out_depth(T.module, min(schedule)))
+    D = T.module
+    top = _tail_floor(D)
+    deepest = max(2 * max(schedule), _out_depth(D, min(schedule)))
+    # d0 and d1 of the deepest window: each block maps rank * (deepest +
+    # top) columns to at most rank * (_out_depth(deepest) + top) rows
+    blocks = sum(len(d) * len(d[0]) for d in T.diffs)
+    _check_window_bytes(8 * blocks * D.rank**2 * (deepest + top)
+                       * (_out_depth(D, deepest) + top),
+                       f"the window of depth {deepest}")
     try:
         raw, data = _assemble(T, deepest, top)
     except (PrecisionError, InvariantError):
@@ -912,8 +936,8 @@ def cohomology(T: GammaComplex, schedule=None) -> CohomologyReport:
     verdict = "stable" if len(tail) == 3 and len(set(tail)) == 1 else "unstable"
     dims = trace[-1][1]
     euler = sum((-1) ** i * d for i, d in enumerate(dims))
-    return CohomologyReport(T.module.p, T.module.s, T.mode, T.kind, dims,
-                            profiles, euler, tuple(trace), verdict, schedule)
+    return CohomologyReport(D.p, D.s, T.mode, T.kind, dims, profiles, euler,
+                            tuple(trace), verdict, schedule)
 
 
 # -- explicit cocycles -------------------------------------------------------

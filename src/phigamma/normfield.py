@@ -43,11 +43,7 @@ __all__ = [
     "RelativeNormElement",
     "ASExtension",
     "ASExtensionElement",
-    "frobenius_e",
-    "gamma_e",
-    "v_e",
     "flat_normalization",
-    "raise_perfection",
     "adjoin_as_root",
     "parse_element",
     "format_element",
@@ -606,34 +602,9 @@ def _series_power(X: np.ndarray, k: int, w: int, modulus: int) -> np.ndarray:
         X = np.convolve(X, X)[:w] % modulus
 
 
-# -- module-level operation names ------------------------------------------
-
-
-def frobenius_e(x: NormFieldElement) -> NormFieldElement:
-    return x.frobenius()
-
-
-def gamma_e(x: NormFieldElement, a: int, mod_power: int = 12) -> NormFieldElement:
-    return x.gamma(a, mod_power)
-
-
-def v_e(x: NormFieldElement) -> tuple[Fraction | None, bool]:
-    """(valuation, precision_limited): None means 'infinite within the window'."""
-    v = x.valuation()
-    return v, v is None
-
-
 def flat_normalization(v: Fraction, p: int) -> Fraction:
     """Rescale a pi-normalized valuation to the p-normalized scale."""
     return Fraction(v) * Fraction(p, p - 1)
-
-
-def raise_perfection(x: NormFieldElement) -> NormFieldElement:
-    """Pass one level up the inverse system: the p-th root on the finer grid.
-
-    Composing with the Frobenius recovers the value-preserving re-grid of x.
-    """
-    return x.p_th_root()
 
 
 # -- Artin-Schreier layers --------------------------------------------------

@@ -13,20 +13,15 @@ window solve in the arithmetic direction, with the residual certified to
 vanish on the window and the measured loss constant c3 reported.
 
 The arithmetic-direction solve builds gamma with
-``complexes.build_ring_window`` at s = 1, in grid steps, and keeps only the
-system packed, one Python integer per column in zmodlin's lane format
-(zmodlin._pack): every sample of one prime and level tops its window at
-the same exponent, so each system is a corner of one kept system
-(_ts3_system).  The TS3 residual and the c4 probe recheck
-it through element gamma, a baby-step/giant-step evaluation on int64
-vectors that shares only the binomial table with the window builder.  The
-TS1 search tests every power of zeta - 1 at once, on one int64 array of
-traces.  The TS3 matrices are singular, and the
-reported c3 rests on the particular solution that sets the free unknowns to
-0.  _solve_packed finds it by column reduction, through the packed F_p
-echelon step the Herr windows use at s = 1 (zmodlin._reducer), with a log
-of its operations to solve by: the window matrices are strictly lower
-triangular, so their columns come nearly in column echelon form.
+``complexes.build_ring_window`` at s = 1, in grid steps, and keeps only its
+system, a zmodlin.FpSystem: every sample of one prime and level tops its
+window at the same exponent, so each system is a corner of one kept system
+(_ts3_system).  The TS3 matrices are singular, and the reported c3 rests on
+the particular solution that sets the free unknowns to 0, which
+FpSystem.solve returns.  The TS3 residual and the c4 probe recheck it
+through element gamma, a baby-step/giant-step evaluation on int64 vectors
+that shares only the binomial table with the window builder.  The TS1
+search tests every power of zeta - 1 at once, on one int64 array of traces.
 
 Decompletion has no engine of its own.  At s = 1 the level-m ring is
 F_p((t)) with t = pi^(1/p^m), and phi(t) = t^p, gamma(t) = (1+t)^a - 1 are
@@ -45,15 +40,14 @@ from fractions import Fraction
 
 import numpy as np
 
-from .complexes import (build_ring_window, cohomology, herr_complex,
-                        ring_gamma)
+from .complexes import (_check_window_bytes, build_ring_window, cohomology,
+                        herr_complex, ring_gamma)
 from .errors import InvariantError, NonStabilizationError, PrecisionError
 from .normfield import (NormFieldElement, RelativeNormElement,
                         _lru_store, _one_plus_gen_power, format_element)
-from .zmodlin import _lanes, _lead, _pack, _reducer
+from .zmodlin import FpSystem
 
 __all__ = [
-    "TraceOperator",
     "TateSenCertificate",
     "DecompositionResult",
     "CyclotomicElement",
@@ -95,18 +89,6 @@ def tau_projection(z, m: int, i: int = 0):
     f = z.p ** z.m
     kept = {n: c for n, c in z.coeffs.items() if (n * z.p**m) % f == 0}
     return NormFieldElement(z.p, z.m, kept, z.prec_num)
-
-
-@dataclass(frozen=True)
-class TraceOperator:
-    """tau_m^(i) as a reusable handle."""
-
-    p: int
-    m: int
-    i: int = 0
-
-    def __call__(self, z):
-        return tau_projection(z, self.m, self.i)
 
 
 # -- the cyclotomic number side ----------------------------------------------
@@ -327,59 +309,22 @@ def ts1_witness_search(p: int, s: int, n: int, c: Fraction) -> TS1Witness:
 # -- TS3: inverting 1 - gamma^(p^m) off the trace image ----------------------
 
 
-def _solve_packed(cols: list, b: int, n_rows: int, p: int):
-    """The solution of A x = b over F_p whose free unknowns are 0, or None
-    if there is none; A has n_rows rows, and its columns and b are packed
-    (zmodlin._pack).
-
-    A column is free when it lies in the span of the columns to its left,
-    as in a row echelon with pivots taken greedily from the left.  Columns
-    are reduced left to right, b last, by zmodlin's packed F_p echelon
-    (_reducer): while a column leads (has its least nonzero row) where an
-    earlier column leads, that column's multiple is subtracted and logged;
-    it ends leading at a new row, or at zero, and then it is free.  b ends
-    at zero exactly when the system is consistent, and undoing the logged
-    operations on it gives x.  The TS3 matrices are strictly lower
-    triangular, so their columns come close to column echelon form and most
-    need no operation or a few.
-    """
-    n_cols = len(cols)
-    reduce = _reducer(p, n_rows)
-    lead, logs = {}, []
-    for c, x in enumerate([*cols, b]):
-        logs.append([])
-        x, r = reduce(x, lead, logs[c])
-        if not x:
-            continue
-        if c == n_cols:
-            return None
-        lead[r] = _lead(x, p, c)
-    # b - sum of f * (reduced column j) is 0; a reduced column is its own
-    # column minus logged multiples of earlier ones, so undo in reverse
-    w = [0] * n_cols + [1]
-    for c in reversed(range(n_cols + 1)):
-        for j, f in reversed(logs[c]):
-            w[j] = (w[j] - f * w[c]) % p
-    return np.array([-v % p for v in w[:n_cols]], dtype=np.int64)
-
-
-# packed TS3 system kept per (p, a_res, mod_power, f, hi_rows):
-# (lo_y, support, columns)
+# TS3 system kept per (p, a_res, mod_power, f, hi_rows):
+# (lo_y, support, FpSystem)
 _SYSTEMS: dict = {}
 
 
 def _ts3_system(p: int, a_res: int, mod_power: int, f: int, lo_y: int,
                 hi_rows: int):
-    """(support, columns) of gamma - 1, gamma = gamma_(a_res) on a window
+    """(support, FpSystem) of gamma - 1, gamma = gamma_(a_res) on a window
     from build_ring_window, on the exponents in [lo_y, hi_rows) off the grid
-    of multiples of f, both as unknowns and as rows; the columns are packed
-    (_pack).  The dense window is not kept: the packed system serves every
-    later request, and a deeper one builds the window afresh.
+    of multiples of f, both as unknowns and as rows.  The dense window is
+    not kept: the FpSystem serves every later request, and a deeper one
+    builds the window afresh.
 
     An entry is fixed by its row, its column and the top, so the system of
-    a higher lo_y is a corner of a deeper one: it drops the t support
-    exponents below lo_y, which are the first t columns, and shifts every
-    other column right by t lanes.  One system is kept per (p, a_res,
+    a higher lo_y is a corner of a deeper one (FpSystem.corner), past the
+    support exponents below lo_y.  One system is kept per (p, a_res,
     mod_power, f, hi_rows), the least recently used dropped past _LRU_SIZE
     (normfield).  A lower lo_y rebuilds it at that depth, so it raises
     PrecisionError exactly when a fresh build would, and a failed rebuild
@@ -388,18 +333,19 @@ def _ts3_system(p: int, a_res: int, mod_power: int, f: int, lo_y: int,
     key = (p, a_res, mod_power, f, hi_rows)
     kept = _SYSTEMS.get(key)
     if kept is None or lo_y < kept[0]:
+        # the gamma window and its power table (power_rows), each of
+        # (hi_rows - lo_y)^2 int64 entries
+        _check_window_bytes(16 * (hi_rows - lo_y) ** 2,
+                            "the TS3 gamma window")
         support = [n for n in range(lo_y, hi_rows) if n % f]
         off = np.array(support, dtype=np.int64) - lo_y
         A = build_ring_window(p, 1, ring_gamma(a_res, mod_power), -lo_y,
                               -lo_y, hi_rows)[np.ix_(off, off)]
         kept = (lo_y, support,
-                _pack(A - np.eye(len(off), dtype=np.int64), p))
-    _, support, cols = _lru_store(_SYSTEMS, key, kept)
+                FpSystem(A - np.eye(len(off), dtype=np.int64), p))
+    _, support, system = _lru_store(_SYSTEMS, key, kept)
     t = bisect_left(support, lo_y)
-    if not t:
-        return support, cols
-    shift = t * _lanes(p)[0]
-    return support[t:], [c >> shift for c in cols[t:]]
+    return support[t:], system.corner(t)
 
 
 def invert_one_minus_gamma(z, m: int, i: int = 0, chi: int | None = None,
@@ -412,11 +358,12 @@ def invert_one_minus_gamma(z, m: int, i: int = 0, chi: int | None = None,
     off the level-m grid: gamma is the square window [lo_y, hi_rows)^2
     built by build_ring_window, whose top hi_rows depends only on p, m and
     the input's grid level and precision, so every input of one prime,
-    level and precision reads its packed system off one kept system
-    (_ts3_system).  The system, strictly lower triangular in the monomial
-    order, goes to _solve_packed.  In both cases the residual is certified,
-    through element arithmetic, to vanish on the window, and the loss
-    v(z) - v(y) is the measured c3.
+    level and precision reads its system off one kept system
+    (_ts3_system).  The system is strictly lower triangular in the monomial
+    order, so its columns come nearly in column echelon form, and most need
+    no reduction step or a few (FpSystem.solve).  In both cases the
+    residual is certified, through element arithmetic, to vanish on the
+    window, and the loss v(z) - v(y) is the measured c3.
     """
     if i == 1:
         if not isinstance(z, RelativeNormElement):
@@ -465,11 +412,9 @@ def invert_one_minus_gamma(z, m: int, i: int = 0, chi: int | None = None,
             f"{lo_z + pad} grid steps at level {K}")
     # both the unknowns and the constraints live on the complement of the
     # level-m grid; the leakage of gamma into level-m rows is projected away
-    support, cols = _ts3_system(p, a_res, mod_power, f, lo_y, hi_rows)
-    width = _lanes(p)[0]
-    b = sum((-cc) % p << (bisect_left(support, n) * width)
-            for n, cc in z.coeffs.items() if n < hi_rows)
-    sol = _solve_packed(cols, b, len(support), p)
+    support, system = _ts3_system(p, a_res, mod_power, f, lo_y, hi_rows)
+    sol = system.solve({bisect_left(support, n): -cc
+                        for n, cc in z.coeffs.items() if n < hi_rows})
     if sol is None:
         raise NonStabilizationError(
             "no window preimage: contraction failed for the given window")

@@ -45,28 +45,11 @@ __all__ = [
     "witt_sub",
     "witt_inverse",
     "ghost_check",
-    "phi_A",
-    "gamma_A",
     "v_le_n",
     "w_r_valuation",
     "weak_membership",
     "pi_witt",
 ]
-
-
-def binomial_mod_ps(a: int, k: int, p: int, s: int,
-                    mod_power: int | None = None) -> int:
-    """C(a, k) mod p^s, entry k of normfield.binomial_table_mod_ps.
-
-    With mod_power=None the exponent a is exact.  Otherwise a is only known
-    mod p^mod_power, and the call fails with PrecisionError unless that
-    residue pins down the binomial mod p^s, by the table's rule.
-    """
-    if k < 0:
-        return 0
-    if k == 0:
-        return 1 % p**s
-    return int(binomial_table_mod_ps(a, k, p, s, mod_power)[k - 1])
 
 
 # ---------------------------------------------------------------------------
@@ -423,16 +406,6 @@ def ghost_check(x: WittVector, y: WittVector, t: int = 2) -> dict:
         ok = ok and good
         verified.append(min(i + 1, headroom))
     return {"passed": ok, "verified_p_powers": verified}
-
-
-def phi_A(z):
-    """Frobenius on either model."""
-    return z.frobenius()
-
-
-def gamma_A(z, a: int, mod_power: int | None = None):
-    """Gamma-action on either model."""
-    return z.gamma(a, mod_power)
 
 
 def v_le_n(z: WittVector, N: int) -> tuple[Fraction | None, bool]:

@@ -36,12 +36,14 @@ that a column operation is a few integer operations over the whole
 column, and each lane is reduced mod p by one Barrett multiply-shift
 (Dumas, Fousse and Salvy's simultaneous modular reduction); every p < 4096
 fits a lane.  Columns are reduced left to right against a table of the
-earlier columns' leads, their least nonzero lanes (_reducer).  At s = 1
-(_packs) _kernel and _subquotient_profile read it, and so does every
-kernel, length and profile built on them, so no caller chooses a path.
-tatesen's TS3 solve reduces its packed systems through the same step and
-keeps a log of it.  It carries no transforms: a kernel comes from identity
-lanes packed after the row lanes.
+earlier columns' leads, their least nonzero lanes, by one loop (_reduce).
+At s = 1 (_packs) _kernel and _subquotient_profile read the echelon, and
+so does every kernel, length and profile built on them, so no caller
+chooses a path.  It carries no transforms: a kernel comes from identity
+lanes packed after the row lanes.  FpSystem, the F_p systems of tatesen's
+TS3 solve, packs its matrix once; a corner A[t:, t:] drops t lanes of each
+remaining column, and a solve runs the same loop with a log of its
+operations, which it undoes.  No other module knows the lane format.
 
 _kernel is the one front door at every s: inside smith_memo it answers a
 matrix it has reduced before from the memo, whichever path reduced it.
@@ -602,28 +604,35 @@ def _pack(A: np.ndarray, p: int) -> list:
             for i in range(0, len(data), n)]
 
 
-def _reducer(p: int, n_lanes: int):
-    """reduce(x, lead, log=None) for packed columns of at most n_lanes lanes.
+def _reduce(cols, p: int, n_rows: int, n_lanes: int,
+            logs: list | None = None):
+    """Reduce packed columns of at most n_lanes lanes left to right, each
+    against the earlier ones that lead (have their least nonzero lane)
+    below lane n_rows.  Returns (leads, rest): the indices of the columns
+    that lead there, in order, and every other column that does not reduce
+    to zero, reduced and shifted down by n_rows lanes.  If logs is given,
+    one list per column is appended to it, holding (j, f) for each f times
+    the reduced column j subtracted from that column.
 
-    lead maps a lane r to (y, inv, tag): a reduced column y whose least
-    nonzero lane is r, stored shifted down by r lanes (its lead in lane 0),
-    the inverse mod p of its lead entry, and a tag for the log.  While x
-    leads (has its least nonzero lane) where some y leads, f = x_r * inv
-    times y is subtracted, and (tag, f) appended to log if it is given.
-    Returns (x, r) with x reduced, r its lead lane, not in lead, and x
-    shifted down by r lanes, as lead stores it; or (0, -1).  Lanes below
-    the lead are zero and stay zero, so x is shifted down as it goes and
-    every step works on the lanes from the lead up.  A step adds (p - f) y,
-    which keeps every lane at most p(p - 1), and reduces each lane mod p by
-    one Barrett step (_lanes), so every lane stays in [0, p).
+    The lead table maps a lane r to (y, inv, j): the reduced column j that
+    leads there, stored shifted down by r lanes (its lead in lane 0), and
+    the inverse mod p of its lead entry.  While x leads where some y leads,
+    f = x_r * inv times y is subtracted.  Lanes below the lead are zero and
+    stay zero, so x is shifted down as it goes and every step works on the
+    lanes from the lead up.  A step adds (p - f) y, which keeps every lane
+    at most p(p - 1), and reduces each lane mod p by one Barrett step
+    (_lanes), so every lane stays in [0, p).
     """
     width, k, mult = _lanes(p)
     # (2^(width - k) - 1) in every lane: the repunit in base 2^width times it
     quot = ((1 << (width - k)) - 1) * (((1 << (width * n_lanes)) - 1)
                                        // ((1 << width) - 1))
     mask = (1 << width) - 1
-
-    def reduce(x: int, lead: dict, log: list | None = None):
+    lead, leads, rest, log = {}, [], [], None
+    for c, x in enumerate(cols):
+        if logs is not None:
+            log = []
+            logs.append(log)
         r = 0
         while x:
             t = ((x & -x).bit_length() - 1) // width
@@ -632,21 +641,19 @@ def _reducer(p: int, n_lanes: int):
                 r += t
             got = lead.get(r)
             if got is None:
-                return x, r
-            y, inv, tag = got
+                break
+            y, inv, j = got
             f = (x & mask) * inv % p
             if log is not None:
-                log.append((tag, f))
+                log.append((j, f))
             z = x + (p - f) * y
             x = z - p * (((z * mult) >> k) & quot)
-        return 0, -1
-
-    return reduce
-
-
-def _lead(x: int, p: int, tag) -> tuple:
-    """The lead-table entry (_reducer) of a column x that reduce returned."""
-    return x, pow(x & ((1 << _lanes(p)[0]) - 1), -1, p), tag
+        if x and r < n_rows:
+            lead[r] = x, pow(x & mask, -1, p), c
+            leads.append(c)
+        elif x:
+            rest.append(x << ((r - n_rows) * width))
+    return leads, rest
 
 
 def _fp_echelon(A: np.ndarray, p: int, kernel: bool = False):
@@ -659,7 +666,7 @@ def _fp_echelon(A: np.ndarray, p: int, kernel: bool = False):
     The zero rows of A are dropped, which changes neither the rank nor the
     kernel.  Each column is packed (_pack) and, if kernel, followed by cols
     identity lanes, its own lane set to 1; the columns are reduced left to
-    right against the leads of the earlier ones (_reducer).  A column whose
+    right against the leads of the earlier ones (_reduce).  A column whose
     row lanes reduce to zero is no lead, and its identity lanes then hold a
     kernel vector: that column minus the combination of earlier columns the
     reduction subtracted.
@@ -667,20 +674,65 @@ def _fp_echelon(A: np.ndarray, p: int, kernel: bool = False):
     A = A[A.any(axis=1)]
     m, cols = A.shape
     width = _lanes(p)[0]
-    reduce = _reducer(p, m + cols if kernel else m)
-    lead, leads, free = {}, [], []
-    for c, x in enumerate(_pack(A, p)):
-        if kernel:
-            x |= 1 << ((m + c) * width)
-        x, r = reduce(x, lead)
-        if 0 <= r < m:
-            lead[r] = _lead(x, p, c)
-            leads.append(c)
-        elif kernel:
-            free.append(x << ((r - m) * width))
+    packed = _pack(A, p)
+    if kernel:
+        packed = [x | 1 << ((m + c) * width) for c, x in enumerate(packed)]
+    leads, free = _reduce(packed, p, m, m + cols if kernel else m)
     if not kernel:
         return leads, None
     lane = np.dtype(f"<u{width // 8}")
     data = b"".join(v.to_bytes(cols * lane.itemsize, "little") for v in free)
     K = np.frombuffer(data, dtype=lane).reshape(len(free), cols)
     return leads, K.T.astype(np.int64)
+
+
+class FpSystem:
+    """Linear systems A x = b over F_p with one matrix A, packed once
+    (_pack): each right-hand side is solved by one column reduction
+    (_reduce), and the corners A[t:, t:] are read off the packed columns."""
+
+    __slots__ = ("p", "rows", "cols")
+
+    def __init__(self, A: np.ndarray, p: int):
+        self.p, self.rows, self.cols = p, A.shape[0], _pack(A, p)
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, FpSystem) and (
+            (self.p, self.rows, self.cols) == (other.p, other.rows, other.cols))
+
+    def corner(self, t: int) -> "FpSystem":
+        """The system of A[t:, t:]."""
+        if not t:
+            return self
+        shift = t * _lanes(self.p)[0]
+        sub = FpSystem.__new__(FpSystem)
+        sub.p, sub.rows = self.p, self.rows - t
+        sub.cols = [c >> shift for c in self.cols[t:]]
+        return sub
+
+    def solve(self, b: dict):
+        """The solution x of A x = b whose free unknowns are 0, as int64
+        entries in [0, p), or None if there is none; b maps rows of A to
+        their entries, and the other rows of b are 0.
+
+        An unknown is free when its column lies in the span of the columns
+        to its left, as in a row echelon with pivots taken greedily from
+        the left.  The columns are reduced left to right, b last, with a
+        log (_reduce): b reduces to zero exactly when the system is
+        consistent, and undoing the logged operations on it gives x.
+        """
+        p, n = self.p, len(self.cols)
+        width = _lanes(p)[0]
+        rhs = sum(v % p << (r * width) for r, v in b.items())
+        logs = []
+        leads = _reduce([*self.cols, rhs], p, self.rows, self.rows, logs)[0]
+        if leads and leads[-1] == n:
+            return None
+        # b - sum of f * (reduced column j) is 0; a reduced column is its
+        # own column minus logged multiples of earlier ones, so undo in
+        # reverse
+        w = [0] * n + [1]
+        for c in reversed(range(n + 1)):
+            for j, f in reversed(logs[c]):
+                w[j] = (w[j] - f * w[c]) % p
+        return np.array([-v % p for v in w[:n]], dtype=np.int64)

@@ -2,12 +2,14 @@
 
 import json
 import time
+import tracemalloc
 
 import pytest
 from click.testing import CliRunner
 from hypothesis import given, settings, strategies as st
 
 from phigamma.cli import main, make_schedule
+from phigamma.complexes import MAX_WINDOW_BYTES
 from phigamma.homotopy import (MAX_FILE_DEGREE, MAX_FILE_RANK, ChainComplexZ,
                                DoubleComplex, Tower)
 from phigamma.modules import (identity_matrix, make_module, module_to_json,
@@ -486,6 +488,32 @@ def test_file_sizes_at_the_limit_run(runner, tmp_path):
     corner = f"{MAX_FILE_DEGREE},{MAX_FILE_DEGREE}"
     for argv in _size_files(tmp_path, MAX_FILE_RANK, corner):
         assert runner.invoke(main, argv).exit_code == 0
+
+
+@pytest.mark.parametrize("argv", [
+    ["cohomology", "--doublings", "40"],
+    ["cohomology", "--window", "4096", "--doublings", "1"],
+    ["ts-report", "--prime", "7", "--level", "3", "--samples", "1"],
+    ["ts-report", "--prime", "7", "--level", "4", "--samples", "1"],
+    ["ts-report", "--prime", "3", "--level", "6", "--samples", "1"],
+])
+def test_oversized_windows_exit_2_before_allocating(runner, trivial_mod,
+                                                    argv):
+    # each request asks for dense windows of 6 GiB to 768 TiB; its estimate
+    # refuses it before numpy is asked for any of them
+    if argv[0] == "cohomology":
+        argv = [*argv, trivial_mod]
+    tracemalloc.start()
+    try:
+        res = runner.invoke(main, argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.exit_code == 2 and "Traceback" not in res.output
+    assert isinstance(res.exception, SystemExit)
+    assert "MiB of dense windows, past the bound of " \
+        f"{MAX_WINDOW_BYTES >> 20} MiB" in res.output
+    assert peak < 2**24
 
 
 # -- fuzzing the element subcommands ------------------------------------------

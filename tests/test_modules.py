@@ -18,7 +18,7 @@ from phigamma.modules import (
     tate_twist,
     tensor_product,
 )
-from phigamma.normfield import NormFieldElement, frobenius_e
+from phigamma.normfield import NormFieldElement
 from phigamma.wittside import ArithLiftElement
 
 P, S, PREC = 3, 2, 16
@@ -172,7 +172,7 @@ def test_fixed_line_trivial():
 
 def test_fixed_line_planted():
     w = NormFieldElement(3, 0, {0: 1, 1: 1, 3: 2}, PREC)
-    u = frobenius_e(w) * w.inverse()
+    u = w.frobenius() * w.inverse()
     lift = ArithLiftElement.lift(u, 1)
     gl = ArithLiftElement.lift(u.gamma(CHI, 12) * u.inverse(), 1)
     # rank-1 module built from the planted unit; gamma entry chosen to

@@ -20,12 +20,8 @@ from phigamma.normfield import (
     binomial_table_mod_ps,
     flat_normalization,
     format_element,
-    frobenius_e,
-    gamma_e,
     parse_element,
     power_rows,
-    raise_perfection,
-    v_e,
 )
 
 PREC = 24
@@ -96,22 +92,22 @@ def test_valuation_ultrametric(x, y):
 
 def test_frobenius_monomials():
     pi = NormFieldElement.pi_power(3, 1, 12)
-    assert frobenius_e(pi) == NormFieldElement.pi_power(3, 3, 36)
+    assert pi.frobenius() == NormFieldElement.pi_power(3, 3, 36)
     one_plus = NormFieldElement.from_terms(3, {Fraction(0): 1, Fraction(1): 1}, 12)
-    fr = frobenius_e(one_plus)
+    fr = one_plus.frobenius()
     assert fr.terms() == {Fraction(0): 1, Fraction(3): 1}
 
 
 @settings(max_examples=100, deadline=None)
 @given(norm_elements(allow_zero=False))
 def test_frobenius_scales_valuation(x):
-    assert frobenius_e(x).valuation() == 3 * x.valuation()
+    assert x.frobenius().valuation() == 3 * x.valuation()
 
 
 def test_gamma_identity_and_explicit():
     pi = NormFieldElement.pi_power(3, 1, 16)
-    assert gamma_e(pi, 1) == pi
-    g = gamma_e(pi, 4)
+    assert pi.gamma(1, 12) == pi
+    g = pi.gamma(4, 12)
     assert g.terms() == {Fraction(1): 1, Fraction(3): 1, Fraction(4): 1}
 
 
@@ -125,32 +121,30 @@ def test_gamma_matches_sympy_expansion():
                 for k in [k[0]]
                 if int(c) % p}
         pi = NormFieldElement.pi_power(p, 1, a + 4)
-        assert gamma_e(pi, a).terms() == want
+        assert pi.gamma(a, 12).terms() == want
 
 
 @settings(max_examples=100, deadline=None)
 @given(norm_elements(allow_zero=False))
 def test_gamma_preserves_valuation(x):
-    assert gamma_e(x, 4).valuation() == x.valuation()
+    assert x.gamma(4, 12).valuation() == x.valuation()
 
 
 @settings(max_examples=60, deadline=None)
 @given(norm_elements())
 def test_frobenius_gamma_commute(x):
     a = 4
-    lhs = frobenius_e(gamma_e(x, a))
-    rhs = gamma_e(frobenius_e(x), a)
+    lhs = x.gamma(a, 12).frobenius()
+    rhs = x.frobenius().gamma(a, 12)
     assert lhs.agrees_with(rhs)
 
 
 def test_v_e_reports():
-    zero = NormFieldElement.zero(3, 10)
-    v, flag = v_e(zero)
-    assert v is None and flag
+    assert NormFieldElement.zero(3, 10).valuation() is None
     pi = NormFieldElement.pi_power(3, 1, 10)
-    assert v_e(pi) == (Fraction(1), False)
+    assert pi.valuation() == Fraction(1)
     x = parse_element("pi^-2 + pi^-1", 3, 10)
-    assert v_e(x) == (Fraction(-2), False)
+    assert x.valuation() == Fraction(-2)
 
 
 def test_flat_normalization():
@@ -162,13 +156,13 @@ def test_flat_normalization():
 
 def test_raise_perfection_round_trip():
     pi = NormFieldElement.pi_power(3, 1, 9)
-    up = raise_perfection(pi)
+    up = pi.p_th_root()
     assert up.m == 1
     # Frobenius recovers the regridded original
-    assert frobenius_e(up) == pi.at_level(1)
+    assert up.frobenius() == pi.at_level(1)
     x = parse_element("pi^2 + 2*pi^5", 3, 9)
-    twice = raise_perfection(raise_perfection(x))
-    back = frobenius_e(frobenius_e(twice))
+    twice = x.p_th_root().p_th_root()
+    back = twice.frobenius().frobenius()
     assert back == x.at_level(2)
 
 

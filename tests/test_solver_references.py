@@ -45,7 +45,7 @@ from phigamma.artinschreier import (ASSolution, rho_constant,
                                     _check_residual_base, _phi_minus_one)
 from phigamma.normfield import (ASExtension, ASExtensionElement,
                                 NormFieldElement, _grid_level, _lift_to,
-                                adjoin_as_root, frobenius_e)
+                                adjoin_as_root)
 from phigamma.wittside import (WittVector, _ZSeries, _ghost, _headroom,
                                _unghost, teichmuller, v_le_n, witt_add,
                                witt_sub)
@@ -90,7 +90,7 @@ def reference_solve_as_positive(b: NormFieldElement) -> ASSolution:
     t = b
     while not t.is_zero() and t.valuation() < b.prec:
         a = a - t.truncate(b.prec)
-        t = frobenius_e(t)
+        t = t.frobenius()
     window = _check_residual_base(a, b)
     return ASSolution(a, 0, window, v, a.valuation())
 
@@ -137,7 +137,7 @@ def reference_solve_as_general(b: NormFieldElement, depth_budget: int = 2,
         t = NormFieldElement(p, lvl, {int(target * scale): c},
                              int(work.prec * scale))
         a = a + t
-        work = work - (frobenius_e(t) - t)
+        work = work - (t.frobenius() - t)
     obstruction, positive = reference_split_by_sign(work)
     if not positive.is_zero():
         a = a + reference_solve_as_positive(positive).value

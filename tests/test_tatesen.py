@@ -16,17 +16,15 @@ from phigamma.errors import InvariantError, PrecisionError
 from phigamma.modules import identity_matrix, make_module, tate_twist
 from phigamma.normfield import (NormFieldElement, RelativeNormElement,
                                 _LRU_SIZE)
-from phigamma.zmodlin import _lanes, _pack
+from phigamma.zmodlin import FpSystem
 import phigamma.complexes as complexes
 import phigamma.tatesen as tatesen
 from phigamma.tatesen import (
     CyclotomicElement,
-    TraceOperator,
     cyclotomic_trace,
     decompletion_compare,
     decompose,
     decompose_element,
-    _solve_packed,
     _ts1_traces,
     _ts3_system,
     galois_trace,
@@ -109,9 +107,8 @@ def test_direction1_tau_commutes_with_gamma_tilde():
 
 
 def test_trace_operator_handle():
-    op = TraceOperator(P, 0, 0)
     z = NormFieldElement(P, 1, {1: 1, 3: 2}, 12)
-    assert op(z).coeffs == {3: 2}
+    assert tau_projection(z, 0, 0).coeffs == {3: 2}
 
 
 # -- cyclotomic number side --------------------------------------------------
@@ -297,41 +294,53 @@ def gauss_jordan_solve(A, b, p):
 
 
 def _solve_fp(A, b, p):
-    """A x = b by the packed TS3 solver, A and b packed as TS3 packs them."""
-    return _solve_packed(_pack(A, p), _pack(b.reshape(-1, 1), p)[0],
-                         A.shape[0], p)
+    """A x = b by FpSystem.solve, b given by row."""
+    return FpSystem(A, p).solve(dict(enumerate(b.tolist())))
 
 
-def _unpack(cols, n_rows, p):
-    """The dense matrix of packed columns."""
-    lane = np.dtype(f"<u{_lanes(p)[0] // 8}")
-    A = np.zeros((n_rows, len(cols)), dtype=np.int64)
-    for j, c in enumerate(cols):
-        A[:, j] = np.frombuffer(c.to_bytes(n_rows * lane.itemsize, "little"),
-                                dtype=lane)
-    return A
-
-
-def _same_solution(A, b, p):
-    want, got = gauss_jordan_solve(A, b, p), _solve_fp(A, b, p)
+def _same_solution(A, b, p, got):
+    """Whether A x = b has a solution, after checking that got is the
+    Gauss-Jordan one, and None if there is none."""
+    want = gauss_jordan_solve(A, b, p)
     assert (got is None) == (want is None)
     assert want is None or (got.dtype == np.int64
                             and np.array_equal(got, want))
     return want is not None
 
 
+class _CheckedSystem:
+    """A TS3 system whose every solve is checked against the dense A."""
+
+    def __init__(self, system, A):
+        self.system, self.A = system, A
+
+    def solve(self, b):
+        rhs = np.zeros(len(self.A), dtype=np.int64)
+        rhs[list(b)] = list(b.values())
+        x = self.system.solve(b)
+        _same_solution(self.A, rhs % self.system.p, self.system.p, x)
+        return x
+
+
 @pytest.mark.parametrize("p, seed", [(3, 1), (5, 2), (7, 3)])
 def test_solve_fp_on_ts3_systems(p, seed, monkeypatch):
+    # every system is the dense gamma - 1 off the grid, strictly lower
+    # triangular, and every solve equals the dense reference
     seen = []
+    build = tatesen._ts3_system
 
-    def checked(cols, b, n_rows, q):
-        A = _unpack(cols, n_rows, q)
+    def checked(q, a_res, mod_power, f, lo_y, hi_rows):
+        support, system = build(q, a_res, mod_power, f, lo_y, hi_rows)
+        off = np.array(support) - lo_y
+        A = (complexes.build_ring_window(
+            q, 1, complexes.ring_gamma(a_res, mod_power), -lo_y, -lo_y,
+            hi_rows)[np.ix_(off, off)] - np.eye(len(off), dtype=np.int64)) % q
+        assert system == FpSystem(A, q)
+        assert not np.triu(A).any()
         seen.append(A.shape)
-        assert not np.triu(A).any()   # strictly lower triangular
-        assert _same_solution(A, _unpack([b], n_rows, q)[:, 0], q)
-        return _solve_packed(cols, b, n_rows, q)
+        return support, _CheckedSystem(system, A)
 
-    monkeypatch.setattr(tatesen, "_solve_packed", checked)
+    monkeypatch.setattr(tatesen, "_ts3_system", checked)
     for m in (0, 1) if p == 3 else (0,):
         tate_sen_certificate(p, m, 6, seed)
     assert len(seen) >= 6
@@ -358,24 +367,21 @@ def test_ts3_system_corners_match_fresh_packings(p, m, K, monkeypatch):
     f = p ** (K - m)
     a_res, hi_rows = pow(1 + p, p ** m, p ** 14), 4 * f + 3
     for lo_y in (-2 * f, -5 * f - 1, -5 * f + 1, -2 * f + 2, 1):
-        support, cols = _ts3_system(p, a_res, 14, f, lo_y, hi_rows)
+        support, system = _ts3_system(p, a_res, 14, f, lo_y, hi_rows)
         with monkeypatch.context() as fresh:
             fresh.setattr(tatesen, "_SYSTEMS", {})
-            assert (support, cols) == _ts3_system(p, a_res, 14, f, lo_y,
-                                                  hi_rows)
+            assert (support, system) == _ts3_system(p, a_res, 14, f, lo_y,
+                                                    hi_rows)
         want_support, A = _dense_ts3_system(p, K, a_res, 14, f, lo_y,
                                             hi_rows)
         assert support == want_support
-        assert np.array_equal(_unpack(cols, len(support), p), A)
+        assert system == FpSystem(A, p)
         for _ in range(3):
             b = A @ np.array([rng.randrange(p) for _ in support]) % p
             if rng.random() < 0.5:
                 b[rng.randrange(len(b))] += 1
-            got = _solve_packed(cols, _pack(b.reshape(-1, 1), p)[0],
-                                len(support), p)
-            want = gauss_jordan_solve(A, b, p)
-            assert (got is None) == (want is None)
-            assert want is None or np.array_equal(got, want)
+            _same_solution(A, b % p, p,
+                           system.solve(dict(enumerate(b.tolist()))))
     assert [v[0] for v in tatesen._SYSTEMS.values()] == [-5 * f - 1]
 
 
@@ -447,12 +453,39 @@ def test_solve_fp_matches_gauss_jordan_on_random_systems(p):
         n = rng.randint(1, 40)
         A, b = _random_system(rng, p, n, n if lower else rng.randint(1, 40),
                               lower)
-        consistent += _same_solution(A, b, p)
+        consistent += _same_solution(A, b, p, _solve_fp(A, b, p))
     assert 0 < consistent < 60
-    assert _same_solution(np.zeros((3, 0), dtype=np.int64),
-                          np.array([0, 1, 0]), p) is False
-    assert _same_solution(np.zeros((0, 2), dtype=np.int64),
-                          np.zeros(0, dtype=np.int64), p)
+    A, b = np.zeros((3, 0), dtype=np.int64), np.array([0, 1, 0])
+    assert _same_solution(A, b, p, _solve_fp(A, b, p)) is False
+    A, b = np.zeros((0, 2), dtype=np.int64), np.zeros(0, dtype=np.int64)
+    assert _same_solution(A, b, p, _solve_fp(A, b, p))
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_fp_system_corners_solve_as_dense_corners(p):
+    # square strictly lower triangular systems, as TS3 builds them, read at
+    # corners t > 0, with consistent and inconsistent right-hand sides
+    rng = random.Random(10 + p)
+    consistent = inconsistent = 0
+    for _ in range(20):
+        n = rng.randint(2, 30)
+        A = _random_system(rng, p, n, n, True)[0]
+        system = FpSystem(A, p)
+        for t in sorted({0, 1, rng.randrange(1, n)}):
+            corner = system.corner(t)
+            assert corner == FpSystem(A[t:, t:], p)
+            B = A[t:, t:]
+            for _ in range(2):
+                b = B @ np.array([rng.randrange(p) for _ in B.T]) % p
+                if rng.random() < 0.5:
+                    b[rng.randrange(n - t)] += rng.randrange(1, p)
+                b %= p
+                got = corner.solve({r: int(v) for r, v in enumerate(b) if v})
+                if _same_solution(B, b, p, got):
+                    consistent += 1
+                else:
+                    inconsistent += 1
+    assert consistent and inconsistent
 
 
 def test_solve_fp_rejects_primes_past_its_lanes():
