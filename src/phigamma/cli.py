@@ -2,9 +2,9 @@
 emit reports and certificates.
 
 Exit codes: 0 success, 1 invariant or mathematical failure, 2 usage or
-parse error, 3 precision failure or non-stabilization.  Every sampled
-check takes an explicit seed, so identical invocations produce
-byte-identical reports.
+parse error or a size limit, 3 precision failure or non-stabilization.
+Every sampled check takes an explicit seed, so identical invocations
+produce byte-identical reports.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ from .errors import (
     InvariantError,
     NonStabilizationError,
     PrecisionError,
+    SizeLimitError,
 )
 from .homotopy import (
     ChainComplexZ,
@@ -72,6 +73,9 @@ def guarded(fn):
         except (InvariantError, DepthExceededError) as err:
             click.echo(f"computation failed: {err}", err=True)
             sys.exit(EXIT_MATH)
+        except SizeLimitError as err:
+            click.echo(f"size limit: {err}", err=True)
+            sys.exit(EXIT_PARSE)
         except (ValueError, KeyError, OSError, json.JSONDecodeError) as err:
             click.echo(f"parse error: {err}", err=True)
             sys.exit(EXIT_PARSE)

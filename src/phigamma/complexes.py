@@ -75,6 +75,7 @@ from .errors import (
     InvariantError,
     NonStabilizationError,
     PrecisionError,
+    SizeLimitError,
 )
 from .modules import PhiGammaModule, _thaw
 from .normfield import (NormFieldElement, _lru_store, binomial_table_mod_ps,
@@ -113,7 +114,7 @@ DEFAULT_SCHEDULE = (16, 32, 64, 128)
 
 # Bound on the bytes of the dense windows one request builds: the estimate
 # is taken before anything is allocated, and a request past the bound is
-# refused with a ValueError that names both.
+# refused with a SizeLimitError (a ValueError) that names both.
 MAX_WINDOW_BYTES = 2**30
 
 RING_ID = ("id",)
@@ -353,13 +354,13 @@ def semidirect_gamma_complex(D: PhiGammaModule) -> GammaComplex:
 
 
 def _check_window_bytes(estimate: int, what: str) -> None:
-    """ValueError naming the estimate and the bound unless estimate, the
+    """SizeLimitError naming the estimate and the bound unless estimate, the
     bytes of the dense windows that what needs, is at most
     MAX_WINDOW_BYTES."""
     if estimate > MAX_WINDOW_BYTES:
-        raise ValueError(f"{what} needs about {estimate >> 20} MiB of dense "
-                         f"windows, past the bound of "
-                         f"{MAX_WINDOW_BYTES >> 20} MiB")
+        raise SizeLimitError(f"{what} needs about {estimate >> 20} MiB of "
+                             f"dense windows, past the bound of "
+                             f"{MAX_WINDOW_BYTES >> 20} MiB")
 
 
 def build_ring_window(p: int, s: int, ring: tuple, bot_in: int,

@@ -1,4 +1,5 @@
-"""Shared error types for precision, solver-depth and invariant failures."""
+"""Shared error types for precision, solver-depth, invariant and size
+failures."""
 
 
 class PrecisionError(Exception):
@@ -15,3 +16,8 @@ class NonStabilizationError(Exception):
 
 class InvariantError(Exception):
     """A structural invariant (etale condition, commutation, d^2 = 0) failed."""
+
+
+class SizeLimitError(ValueError):
+    """A request needs more memory than a declared bound allows; refused
+    before anything is allocated."""

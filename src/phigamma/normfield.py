@@ -16,9 +16,10 @@ applied to the level-m generator t = pi^(1/p^m) as t |-> (1+t)^a - 1; the
 uniqueness of p-th roots in characteristic p makes this consistent across
 levels.
 
-Element gamma evaluates a series at G = (1+t)^a - 1 (substitute_generator);
-complexes.ring_window builds the same action as window matrices.  The two
-paths share only binomial_table_mod_ps, so each can check the other.
+Element gamma evaluates a series at G = (1+t)^a - 1 from tables kept per
+generator (_generator_tables); complexes.ring_window builds the same action
+as window matrices from power_rows.  The two paths share only
+binomial_table_mod_ps, so each can check the other.
 
 Relative elements adjoin a second variable x (with its own fractional
 exponent grid); the geometric generator acts by x |-> (1+pi)x and the
@@ -377,83 +378,43 @@ class NormFieldElement(_Series):
     def gamma(self, a: int, mod_power: int) -> "NormFieldElement":
         """Substitution t |-> G = (1+t)^a - 1 on the level-m generator t.
 
-        ``a`` is a unit residue mod p^mod_power.  _compose reads the first
-        W = prec - min(lo, 0) terms of G/t and of its inverse, which need
-        C(a, k) for k <= W; PrecisionError when W reaches p^mod_power, where
-        the residue no longer determines C(a, W).
+        ``a`` is a unit residue mod p^mod_power.  The output window equals
+        the input window.  With u = G/t, base = min(lo, 0) and W = prec -
+        base, x(G) = t^base u^base P(G) for P(y) = sum c_n y^(n - base) of
+        degree N < W, evaluated mod t^W by baby and giant steps (Paterson
+        and Stockmeyer, SIAM J. Comput. 2, 1973): one int64 product of the
+        coefficient table with G^0..G^(k-1), and Horner's rule in G^k;
+        u^base multiplies in the squarings u^-(2^i) that the bits of -base
+        select.  These tables depend on the generator only, and come from
+        _generator_tables on their first W terms, which need C(a, k) for k
+        <= W: PrecisionError when W reaches p^mod_power, where the residue
+        no longer determines C(a, W).  Calls neither complexes.ring_window
+        nor power_rows, which it rechecks.
         """
         if a % self.p == 0:
             raise ValueError("gamma exponent must be a p-adic unit")
         if not self.coeffs:
             return self
-        p, base = self.p, min(min(self.coeffs), 0)
-        if self.prec_num - base >= p**mod_power:
+        p, prec, base = self.p, self.prec_num, min(min(self.coeffs), 0)
+        W, N = prec - base, max(self.coeffs) - base
+        if W >= p**mod_power:
             raise PrecisionError(f"binomial C(a, {p**mod_power}) needs the "
                                  f"exponent mod p^{mod_power} and more")
-        if (p - 1) ** 2 * (self.prec_num - 2 * base + 2) >= 2**63:
+        if (p - 1) ** 2 * (prec - 2 * base + 2) >= 2**63:
             raise ValueError("window too wide for int64 products mod p")
-        return self._compose(*_generator_unit(p, a, mod_power,
-                                              self.prec_num - base))
-
-    def substitute_generator(self, G: "NormFieldElement") -> "NormFieldElement":
-        """Evaluate at t |-> G for a G with v(G) = one grid step.
-
-        Valuation-preserving, so the output window equals the input window;
-        G must be certified past t^w, w = prec - min(lo, 0).  With u = G/t
-        and base = min(lo, 0), _compose writes x(G) = t^base u^base P(G) for
-        P(y) = sum c_n y^(n - base) of degree N, and evaluates P(G) by baby
-        and giant steps (Paterson and Stockmeyer, SIAM J. Comput. 2, 1973):
-        G^0..G^(k-1) for k = ceil(sqrt(N + 1)), one int64 product of the
-        coefficient table with them, and Horner's rule in G^k; u^base comes
-        by squaring u^-1.  Products are truncated convolutions mod p.
-        Calls neither complexes.ring_window nor power_rows, which it
-        rechecks.
-        """
-        if G.m != self.m or G.p != self.p:
-            raise ValueError("substitution series must live on the same grid")
-        if min(G.coeffs, default=None) != 1:
-            raise ValueError("substitution series must have valuation one step")
-        if not self.coeffs:
-            return self
-        width = self.prec_num - min(min(self.coeffs), 0)
-        if G.prec_num <= width:
-            raise PrecisionError("substitution series certified below "
-                                 f"t^{G.prec_num}, the window needs t^{width}")
-        if (self.p - 1) ** 2 * (width + 1) >= 2**63:
-            raise ValueError("window too wide for int64 products mod p")
-        G = G.truncate_to_num(width + 1)
-        return self._compose(_dense(G, 1, width + 1),
-                             _dense(G.inverse(), -1, width - 1))
-
-    def _compose(self, u: np.ndarray, uinv: np.ndarray) -> "NormFieldElement":
-        """x(t*u) from at least prec - min(lo, 0) terms of u and of u^-1."""
-        p, prec = self.p, self.prec_num
-        base = min(min(self.coeffs), 0)
-        W, N = prec - base, max(self.coeffs) - base
-
-        def mul(x, y):
-            return np.convolve(x, y)[:W] % p
-
-        g = np.concatenate(([0], u[:W - 1]))
-        k = math.isqrt(N) + 1
+        baby, giant, squares = _generator_tables(p, a, mod_power, W, -base)
+        # a low degree reads the first N + 1 baby steps and no giant step
+        k = min(len(baby), N + 1)
         J = -(-(N + 1) // k)
-        baby = np.zeros((k, W), dtype=np.int64)
-        baby[0, 0] = 1
-        for i in range(1, k):
-            baby[i] = mul(baby[i - 1], g)
         table = np.zeros(J * k, dtype=np.int64)
         table[[n - base for n in self.coeffs]] = list(self.coeffs.values())
-        rows = table.reshape(J, k) @ baby % p
-        acc, giant = rows[J - 1], mul(baby[k - 1], g)
+        rows = table.reshape(J, k) @ baby[:k, :W] % p
+        acc = rows[J - 1]
         for r in range(J - 2, -1, -1):
-            acc = (np.convolve(acc, giant)[:W] + rows[r]) % p
-        e, power = -base, uinv[:W]
-        while e:
-            if e & 1:
-                acc = mul(acc, power)
-            e >>= 1
-            if e:
-                power = mul(power, power)
+            acc = (np.convolve(acc, giant[:W])[:W] + rows[r]) % p
+        for i in range((-base).bit_length()):
+            if -base >> i & 1:
+                acc = np.convolve(acc, squares[i][:W])[:W] % p
         return NormFieldElement(p, self.m, {int(n) + base: int(acc[n])
                                             for n in np.flatnonzero(acc)}, prec)
 
@@ -507,28 +468,69 @@ def _lru_store(table: dict, key, value):
     return value
 
 
-# G/t and its inverse by (p, a mod p^mod_power, mod_power): (u, u^-1)
+# multiply-adds of a dense truncated convolution that cost as much as one
+# term of a sparse product, a shifted vector product (about 2 us against
+# 0.5 ns per multiply-add, numpy 2.4 on a 2-vCPU VM); power_rows and
+# _generator_tables each step by the nonzero terms of a series when these
+# cost less than the convolution
+_SPARSE_TERM = 2048
+
+# element gamma's tables by (p, a mod p^mod_power, mod_power): (baby, giant,
+# squares), see _generator_tables
 _GENERATORS: dict = {}
 
 
-def _generator_unit(p: int, a: int, mod_power: int,
-                    length: int) -> tuple[np.ndarray, np.ndarray]:
-    """u = ((1+t)^a - 1)/t and u^-1 mod p, read-only, on their first
-    length < p^mod_power terms or more.  One pair is kept per key, the least
-    recently used dropped past _LRU_SIZE; a short one is rebuilt at
-    twice its length or more, up to the p^mod_power - 1 terms that the
-    residue of a determines and the terms that inverse() can sum in int64."""
+def _generator_tables(p: int, a: int, mod_power: int, width: int,
+                      exponent: int) -> tuple:
+    """(baby, giant, squares) for G = (1+t)^a - 1 mod p, read-only, on their
+    first width < p^mod_power terms or more: baby[i] = G^i for i < k, giant
+    = G^k and squares[i] = u^-(2^i), u = G/t, for 2^i <= exponent or more.
+
+    k is 2 isqrt(n) + 1 for the table width n, so a call reads a prefix of
+    the tables, which hold O(n^1.5) entries and n per squaring.  Each baby
+    step is a product by G, taken term by term when G is Lucas-sparse.  One
+    entry is kept per key, the least recently used dropped past _LRU_SIZE;
+    a narrow one is rebuilt at twice its width or more, up to the
+    p^mod_power - 1 terms that the residue of a determines and the terms
+    that inverse() can sum in int64.  The squares grow by one squaring at
+    the kept width when a call needs another bit.
+    """
     key = (p, a % p**mod_power, mod_power)
     kept = _GENERATORS.get(key)
-    if kept is None or len(kept[0]) < length:
-        n = min(max(length, 2 * len(kept[0]) if kept else 0),
-                p**mod_power - 1, (2**63 - 1) // (p - 1) ** 2)
+    if kept is None or kept[0].shape[1] < width:
+        old = kept[0].shape[1] if kept else 0
+        n = min(max(width, 2 * old), p**mod_power - 1,
+                (2**63 - 1) // (p - 1) ** 2)
         u = binomial_table_mod_ps(a, n, p, 1, mod_power)
-        G = NormFieldElement(p, 0, {j + 1: int(c) for j, c in enumerate(u)},
-                             n + 1)
-        kept = (u, _dense(G.inverse(), -1, n - 1))
-        for arr in kept:
-            arr.setflags(write=False)
+        G = np.concatenate(([0], u[:n - 1]))
+        terms = np.flatnonzero(G)
+
+        def times_G(x):
+            # element gamma's own product: it shares no step with power_rows,
+            # which it rechecks
+            if len(terms) * _SPARSE_TERM > n * n:
+                return np.convolve(x, G)[:n] % p
+            out = np.zeros(n, dtype=np.int64)
+            for j in terms:
+                out[j:] += G[j] * x[:n - j]
+            return out % p
+
+        baby = np.zeros((2 * math.isqrt(n) + 1, n), dtype=np.int64)
+        baby[0, 0] = 1
+        for i in range(1, len(baby)):
+            baby[i] = times_G(baby[i - 1])
+        giant = times_G(baby[-1])
+        inverse = _dense(NormFieldElement(p, 0, {j + 1: int(c)
+                                                 for j, c in enumerate(u)},
+                                          n + 1).inverse(), -1, n - 1)
+        for table in (baby, giant, inverse):
+            table.setflags(write=False)
+        kept = (baby, giant, [inverse])
+    squares = kept[2]
+    while len(squares) < exponent.bit_length():
+        square = np.convolve(squares[-1], squares[-1])[:len(squares[0])] % p
+        square.setflags(write=False)
+        squares.append(square)
     return _lru_store(_GENERATORS, key, kept)
 
 
@@ -538,14 +540,22 @@ def power_rows(U: np.ndarray, modulus: int, lo: int, hi: int,
     and, given end, to its first end - n terms; the rest of a row is 0.
 
     U is a power series, constant term first.  Rows come from one truncated
-    convolution each, by U or, for n < 0, by the back-substituted U^-1
-    (which needs U[0] to be a unit mod modulus), each trimmed of its
-    trailing zeros.  When U is the shorter of the two (gamma_(1+p), phi's
-    H), the rows walk upward from U^lo, a square-and-multiply power of U^-1;
+    product each, by U or, for n < 0, by the back-substituted U^-1 (which
+    needs U[0] to be a unit mod modulus), each trimmed of its trailing
+    zeros.  When U is the shorter of the two (gamma_(1+p), phi's H), the
+    rows walk upward from U^lo, a square-and-multiply power of U^-1;
     otherwise (gamma_-1) they walk upward from U^0 and downward from U^-1.
-    Upward rows shorten with n, so each convolution stops at the next row's
-    cut; a row walked downward needs its whole predecessor.  int64
-    convolutions are exact while (modulus - 1)^2 * len(U) < 2^63.
+    Upward rows shorten with n, so each product stops at the next row's
+    cut; a row walked downward needs its whole predecessor.
+
+    An upward step is a convolution by U, or, when U is sparse, a sum over
+    its nonzero terms c*t^j of c times the row shifted by j.  Over F_p,
+    (1+t)^a - 1 has a t^k term only where every base-p digit of k is at
+    most that of a (Lucas), so at s = 1 a wide gamma table takes the sparse
+    step; mod p^s, s > 1, U is dense.  A term costs about as much as
+    _SPARSE_TERM multiply-adds of a convolution, which costs len(U)^2 of
+    them: the sparse step is taken when its terms cost less.  int64 sums
+    are exact while (modulus - 1)^2 * len(U) < 2^63.
     """
     L = len(U)
     assert (modulus - 1) ** 2 * L < 2**63, "power_rows would overflow int64"
@@ -577,6 +587,8 @@ def power_rows(U: np.ndarray, modulus: int, lo: int, hi: int,
                     rows[n - lo, :w] = W[:w]
                 if n > lo:
                     W = np.convolve(W, down)[:L] % modulus
+    terms = [(int(j), int(up[j])) for j in np.flatnonzero(up)]
+    sparse = len(terms) * _SPARSE_TERM <= len(up) ** 2
     for n in range(start, hi):
         if n >= lo:
             w = cut(n)
@@ -585,7 +597,15 @@ def power_rows(U: np.ndarray, modulus: int, lo: int, hi: int,
         if n + 1 >= hi or not w or not up.size:
             # an all-zero U leaves every row past U^0 zero
             break
-        V = np.convolve(V[:w], up[:w])[:w] % modulus
+        if sparse:
+            step = np.zeros(w, dtype=np.int64)
+            for j, c in terms:
+                if j >= w:
+                    break
+                step[j:] += c * V[:w - j]
+            V = step % modulus
+        else:
+            V = np.convolve(V[:w], up[:w])[:w] % modulus
     return rows
 
 

@@ -37,6 +37,7 @@ import json
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
@@ -226,7 +227,7 @@ def cyclotomic_trace(x: CyclotomicElement, m: int) -> CyclotomicElement:
 # -- TS1 witness search ------------------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True)
 class TS1Witness:
     found: bool
     level: int
@@ -274,6 +275,7 @@ def _ts1_traces(p: int, n: int, q: int, count: int) -> np.ndarray:
             .reshape(count, top) % q)
 
 
+@lru_cache(maxsize=64)
 def ts1_witness_search(p: int, s: int, n: int, c: Fraction) -> TS1Witness:
     """Search alpha = (zeta_{p^(n+1)} - 1)^k / p with one-step trace a unit.
 
@@ -281,6 +283,8 @@ def ts1_witness_search(p: int, s: int, n: int, c: Fraction) -> TS1Witness:
     a genuine TS1 witness must carry the 1/p; we search the declared
     monomial family exhaustively and report the shallowest witness (largest
     valuation) with v(alpha) > -c, or the failure with the family searched.
+    The answer depends on (p, s, n, c) alone and is kept per argument
+    tuple; TS1Witness is frozen, so a kept answer cannot change.
     """
     if c <= 0:
         raise ValueError("c must be positive")

@@ -511,6 +511,7 @@ def test_oversized_windows_exit_2_before_allocating(runner, trivial_mod,
         tracemalloc.stop()
     assert res.exit_code == 2 and "Traceback" not in res.output
     assert isinstance(res.exception, SystemExit)
+    assert "size limit: " in res.output and "parse error" not in res.output
     assert "MiB of dense windows, past the bound of " \
         f"{MAX_WINDOW_BYTES >> 20} MiB" in res.output
     assert peak < 2**24

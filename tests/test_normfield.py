@@ -524,17 +524,16 @@ def test_power_rows_cut_rows_at_end():
 
 
 def reference_power_rows(U, q, lo, hi, end=None):
-    """power_rows by repeated truncated products on Python integers: U^n
-    for n >= 0 from U^0 upward, U^-1 by back-substitution, then its powers
-    downward."""
+    """power_rows by full-length dense convolutions: U^n for n >= 0 from U^0
+    upward, U^-1 by back-substitution on Python integers, then its powers
+    downward, each row then cut to its first end - n terms."""
     L = len(U)
     u = [int(c) for c in U]
 
     def mul(a, b):
-        return [sum(a[i] * b[k - i] for i in range(k + 1)) % q
-                for k in range(L)]
+        return np.convolve(a, b)[:L] % q
 
-    power = {0: [1] + [0] * (L - 1)}
+    power = {0: np.eye(1, L, dtype=np.int64)[0]}
     for n in range(1, max(hi, 1)):
         power[n] = mul(power[n - 1], u)
     if lo < 0:
@@ -593,6 +592,44 @@ def test_power_rows_of_a_vanishing_U():
                     assert np.array_equal(power_rows(U, p, lo, hi, end),
                                           reference_power_rows(U, p, lo, hi,
                                                                end))
+
+
+def _steps_by_terms(U):
+    """Whether power_rows walks U upward by its nonzero terms."""
+    trimmed = len(np.trim_zeros(U, "b"))
+    return np.count_nonzero(U) * normfield._SPARSE_TERM <= trimmed**2
+
+
+def test_power_rows_sparse_steps_match_dense_convolutions():
+    """Lucas-sparse U at s = 1, wide enough for the step by nonzero terms,
+    with lo < 0 and end cuts; phi's monomial H at s = 1 and a wide
+    monomial; a dense U at s = 2, which keeps the convolution."""
+    rng = random.Random(271)
+    cases = []
+    for p, sparse in ((3, ((pow(4, 9, 3**14), 200), (pow(4, 27, 3**14), 100),
+                           (pow(4, 27, 3**14), 260))),
+                      (5, ((pow(6, 5, 5**14), 200), (1 + 5**3, 230))),
+                      (7, ((1 + 7**3, 360), (1 + 2 * 7 + 7**3, 400)))):
+        negative = ((-9, 4), (-3, 20), (-1, 1), (0, 15), (5, 12))
+        for a, L in sparse:
+            U = binomial_table_mod_ps(a, L, p, 1, 14)
+            assert _steps_by_terms(U), (p, a, L)
+            cases.append((p, U, negative))
+        L = rng.randint(60, 200)
+        H = np.array([math.comb(p, k) % p for k in range(1, p + 1)]
+                     + [0] * L, dtype=np.int64)[:L]
+        monomial = np.zeros(L, dtype=np.int64)
+        monomial[50] = p - 1
+        assert _steps_by_terms(monomial)
+        cases += [(p, H, ((0, 12), (3, 9))), (p, monomial, ((0, 6), (1, 4)))]
+        dense = binomial_table_mod_ps(1 + p, rng.randint(60, 200), p, 2)
+        assert not _steps_by_terms(dense)
+        cases.append((p * p, dense, negative))
+    for q, U, windows in cases:
+        for lo, hi in windows:
+            for end in (None, hi, rng.randint(lo, hi + len(U))):
+                assert np.array_equal(power_rows(U, q, lo, hi, end),
+                                      reference_power_rows(U, q, lo, hi, end))
 
 
 # -- dense inverse against the dict back-substitution --------------------------
@@ -740,14 +777,9 @@ def test_gamma_answers_every_window_its_residue_determines():
         NormFieldElement(3, 0, {-5: 1}, 4).gamma(4, 2)
 
 
-def test_substitute_generator_rejects_unusable_input():
-    x = NormFieldElement(3, 0, {-2: 1, 3: 2}, 10)
-    with pytest.raises(ValueError):
-        x.substitute_generator(NormFieldElement(3, 0, {2: 1}, 12))
-    with pytest.raises(ValueError):
-        x.substitute_generator(NormFieldElement(3, 0, {0: 1, 1: 1}, 12))
+def test_gamma_refuses_int64_overflow():
     # (p - 1)^2 times the window must stay below 2^63 for int64 products
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="int64"):
         NormFieldElement(2**31 - 1, 0, {1: 1}, 10).gamma(2, 12)
 
 
@@ -794,23 +826,52 @@ def test_gamma_wide_spans_match_dict_substitution(m):
         assert _same(x.gamma(a, 14), dict_gamma(x, a, 14))
 
 
+def _random_window(rng, p, m, W):
+    """An element whose window reads W = prec - min(lo, 0) terms of G/t."""
+    base = -rng.randrange(0, W)
+    prec = W + base
+    coeffs = {rng.randrange(base, prec): rng.randrange(1, p)
+              for _ in range(rng.randrange(1, 6))}
+    if base < 0:
+        coeffs[base] = 1
+    return NormFieldElement(p, m, coeffs, prec)
+
+
 @pytest.mark.parametrize("p", [3, 5, 7])
-def test_substitute_generator_matches_dict_substitution(p):
-    # a general G, not from the generator cache: u and u^-1 come from G
+def test_gamma_tables_serve_rising_and_falling_widths(p):
+    # one generator: a wider window rebuilds its tables at twice the kept
+    # width or more, a narrower one reads a prefix of them, and a deeper
+    # negative part adds squarings at the kept width
     rng = random.Random(4000 + p)
-    for _ in range(8):
-        m = rng.randint(0, 1)
-        lo = rng.randrange(-12, 8)
-        x = NormFieldElement(p, m, {rng.randrange(lo, lo + 30): 1
-                                    for _ in range(4)} | {lo: 2}, lo + 31)
-        width = x.prec_num - min(lo, 0)
-        G = NormFieldElement(p, m, {1: rng.randrange(1, p)} | {
-            rng.randrange(2, width + 3): rng.randrange(p) for _ in range(6)},
-            width + rng.randrange(1, 4))
-        y, want = x.substitute_generator(G), dict_substitute(x, G)
-        assert (y.coeffs, y.prec_num) == (want.coeffs, want.prec_num)
-        with pytest.raises(PrecisionError):
-            x.substitute_generator(G.truncate_to_num(width))
+    a = pow(1 + p, p, p**14)
+    key = (p, a, 14)
+    normfield._GENERATORS.clear()
+    kept = 0
+    for W in (12, 30, 31, 90, 40, 7, 200, 65, 3, 201, 450, 20):
+        x = _random_window(rng, p, rng.randint(0, 1), W)
+        assert _same(x.gamma(a, 14), dict_gamma(x, a, 14))
+        if W > kept:
+            kept = max(W, 2 * kept)
+        baby, giant, squares = normfield._GENERATORS[key]
+        assert baby.shape == (2 * math.isqrt(kept) + 1, kept)
+        assert len(giant) == kept and len(squares[-1]) == kept
+        assert len(squares) >= (-min(min(x.coeffs), 0)).bit_length()
+
+
+def test_gamma_tables_of_interleaved_generators():
+    # more generators than the LRU keeps, visited in turn with rising and
+    # falling widths: evicted tables are rebuilt, kept ones are read
+    rng = random.Random(4100)
+    p = 5
+    exponents = [a for a in range(2, 40) if a % p][:normfield._LRU_SIZE + 3]
+    normfield._GENERATORS.clear()
+    for W in (20, 70, 35, 120, 9):
+        rng.shuffle(exponents)
+        for a in exponents:
+            x = _random_window(rng, p, rng.randint(0, 2), W)
+            assert _same(x.gamma(a, 14), dict_gamma(x, a, 14))
+            assert len(normfield._GENERATORS) <= normfield._LRU_SIZE
+    assert len(normfield._GENERATORS) == normfield._LRU_SIZE
 
 
 def test_gamma_cache_order_does_not_change_results():
@@ -869,9 +930,10 @@ def test_gamma_cache_is_bounded_and_read_only():
             x.gamma(a, 14)
             assert len(normfield._GENERATORS) <= normfield._LRU_SIZE
     assert len(normfield._GENERATORS) == normfield._LRU_SIZE
-    for u, uinv in normfield._GENERATORS.values():
-        assert not u.flags.writeable and not uinv.flags.writeable
-        assert len(u) == len(uinv)
+    for baby, giant, squares in normfield._GENERATORS.values():
+        for table in (baby, giant, *squares):
+            assert not table.flags.writeable
+            assert table.shape[-1] == baby.shape[1]
 
 
 def test_element_gamma_shares_nothing_with_the_window_matrices(monkeypatch):
@@ -879,6 +941,9 @@ def test_element_gamma_shares_nothing_with_the_window_matrices(monkeypatch):
         raise AssertionError("element gamma reached a window-matrix helper")
 
     monkeypatch.setattr(normfield, "power_rows", unused)
+    monkeypatch.setattr(complexes, "power_rows", unused)
+    monkeypatch.setattr(complexes, "ring_window", unused)
+    monkeypatch.setattr(complexes, "build_ring_window", unused)
     normfield._GENERATORS.clear()
     x = NormFieldElement(5, 1, {-4: 2, 0: 1, 17: 3}, 30)
     a = pow(6, 5, 5**14)

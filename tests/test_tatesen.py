@@ -179,6 +179,20 @@ def test_ts1_rejects_nonpositive_target():
         ts1_witness_search(3, 1, 1, Fraction(0))
 
 
+def test_ts1_search_is_kept_and_frozen():
+    ts1_witness_search.cache_clear()
+    w = ts1_witness_search(5, 1, 1, Fraction(1))
+    assert ts1_witness_search(5, 1, 1, Fraction(1)) is w
+    assert ts1_witness_search.cache_info().hits == 1
+    with pytest.raises(AttributeError):
+        w.valuation = Fraction(0)
+    # a refused target is not kept
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            ts1_witness_search(5, 1, 1, Fraction(0))
+    assert ts1_witness_search.cache_info().currsize == 1
+
+
 @pytest.mark.parametrize("p", [3, 5, 7])
 @pytest.mark.parametrize("n", [1, 2])
 def test_ts1_array_trace_matches_galois_trace(p, n):
