@@ -19,9 +19,10 @@ checked through Witt components.
 Solutions of (phi - 1)y = z are unique up to W_s(F_p) = Z/p^s.  The chosen
 representative is the one whose top ghost component has zero constant
 coefficient; this functional is additive (the ghost map is a ring map and
-coefficient extraction is linear), so the resulting splitting sigma is a
-genuine group-theoretic right inverse.  The ghost solve gives every g_i
-zero constant coefficient, so it lands on that representative directly.
+coefficient extraction is linear), so z |-> solve_phi_minus_one(z).value is
+the splitting sigma, a genuine group-theoretic right inverse of phi - 1.
+The ghost solve gives every g_i zero constant coefficient, so it lands on
+that representative directly.
 """
 
 from __future__ import annotations
@@ -36,11 +37,8 @@ from .wittside import (WittVector, _from_ghosts, _ghost_components,
 
 __all__ = [
     "ASSolution",
-    "SplitterState",
-    "solve_as_positive",
     "solve_as_general",
     "solve_phi_minus_one",
-    "sigma_split",
     "rho_constant",
 ]
 
@@ -70,35 +68,11 @@ class ASSolution:
         }
 
 
-@dataclass(frozen=True)
-class SplitterState:
-    """Configuration of the right splitting sigma of phi - 1."""
-
-    level_budget: int = 4
-
-
 def _check_residual_base(a: NormFieldElement, b: NormFieldElement) -> Fraction:
     r = a.frobenius() - a - b
     if not r.is_zero():
         raise InvariantError("solver produced a nonzero residual")
     return r.prec
-
-
-def solve_as_positive(b: NormFieldElement) -> ASSolution:
-    """Solve a^p - a = b for v_E(b) > 0, in the same ring.
-
-    The Hensel iteration from a0 = -b telescopes to a = -(b + b^p + ...);
-    the sum is finite because the valuations p^k v_E(b) escape the window.
-    """
-    if b.is_zero():
-        zero = NormFieldElement.zero(b.p, b.prec, b.m)
-        return ASSolution(zero, 0, b.prec, None, None)
-    v = b.valuation()
-    if v <= 0:
-        raise ValueError("positive solver needs v_E(b) > 0")
-    a, _ = b.solve_sigma_minus_one(b.p, b.m)
-    window = _check_residual_base(a, b)
-    return ASSolution(a, 0, window, v, a.valuation())
 
 
 def solve_as_general(b: NormFieldElement, depth_budget: int = 2,
@@ -107,7 +81,10 @@ def solve_as_general(b: NormFieldElement, depth_budget: int = 2,
 
     sigma - 1 is inverted mod p (_Series.solve_sigma_minus_one) with the
     grid allowed level_budget levels above the input; the nonpositive part
-    it leaves (if any) defines the Artin-Schreier layer.
+    it leaves (if any) defines the Artin-Schreier layer over the norm
+    field.  The answer needs at most that one layer, so depth_budget 0
+    refuses it and every positive budget allows it.  For v_E(b) > 0 the sum
+    -(b + b^p + ...) answers in the norm field itself.
     """
     if depth_budget < 0:
         raise ValueError(f"depth budget must be nonnegative, got {depth_budget}")
@@ -122,12 +99,12 @@ def solve_as_general(b: NormFieldElement, depth_budget: int = 2,
     if depth_budget == 0:
         raise DepthExceededError(
             "solution requires an extension layer but the budget is 0")
-    ext = adjoin_as_root(obstruction, d_max=depth_budget)
+    ext = adjoin_as_root(obstruction)
     value = ext.embed(a) + ext.theta(a.prec)
     residual = value.frobenius() - value - ext.embed(b)
     if not residual.is_zero():
         raise InvariantError("extension-layer residual is nonzero")
-    return ASSolution(value, ext.depth, residual.prec, v_in, value.valuation())
+    return ASSolution(value, 1, residual.prec, v_in, value.valuation())
 
 
 # ---------------------------------------------------------------------------
@@ -185,10 +162,3 @@ def solve_phi_minus_one(z: WittVector, level_budget: int = 4) -> ASSolution:
     v_in, _ = v_le_n(z, s - 1)
     v_out, _ = v_le_n(y, s - 1)
     return ASSolution(y, 0, window, v_in, v_out)
-
-
-def sigma_split(z: WittVector, state: SplitterState | None = None) -> WittVector:
-    """The right splitting sigma: the unique preimage with rho_constant 0."""
-    state = state or SplitterState()
-    sol = solve_phi_minus_one(z, level_budget=state.level_budget)
-    return sol.value

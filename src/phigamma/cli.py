@@ -15,6 +15,7 @@ import sys
 from fractions import Fraction
 
 import click
+from click.core import ParameterSource
 
 from .artinschreier import solve_as_general, solve_phi_minus_one
 from .complexes import cohomology, herr_complex, semidirect_gamma_complex
@@ -134,8 +135,19 @@ def main():
 @guarded
 def cohomology_cmd(module_file, window, doublings, mode, kind, prime, power,
                    fmt, report):
-    """Stabilized cohomology report for a module description file."""
-    schedule = make_schedule(window, doublings)
+    """Stabilized cohomology report for a module description file.
+
+    --window, --doublings and --mode shape the windows of the Herr complex;
+    the semidirect complex is finite and exact, and refuses them."""
+    if kind == "herr":
+        schedule = make_schedule(window, doublings)
+    else:
+        schedule = None
+        ctx = click.get_current_context()
+        for name in ("window", "doublings", "mode"):
+            if ctx.get_parameter_source(name) is not ParameterSource.DEFAULT:
+                raise click.UsageError(f"--{name} does not apply to "
+                                       "--complex semidirect")
     check_prime(prime)
     D = module_from_json(read_input(module_file))
     if (D.p, D.s) != (prime, power):
@@ -162,7 +174,9 @@ def cohomology_cmd(module_file, window, doublings, mode, kind, prime, power,
 @main.command("solve-as")
 @click.argument("expr")
 @click.option("--depth-budget", default=2, show_default=True,
-              type=click.IntRange(min=0))
+              type=click.IntRange(min=0),
+              help="0 refuses an Artin-Schreier layer; a positive budget "
+                   "allows the one layer the solver can add.")
 @click.option("--window", default=24, show_default=True,
               help="Certified precision window for the input element.")
 @prime_option

@@ -1,11 +1,13 @@
 """Gamma-cohomology complexes and window-stabilized cohomology.
 
 Complexes are built from symbolic operator blocks (signed sums of
-``matrix * ring-action`` terms), so the mapping cone over phi - 1 is a
-generic construction and the three-term complex it produces for a
-non-relative module has literally the differentials
+``matrix * ring-action`` terms).  The Herr complex of a non-relative module
+(Herr, Bull. SMF 126, 1998) is written down from its differentials
 
-    d0(x) = ((1 - phi)x, (1 - gamma)x),   d1(a, b) = (1 - gamma)a - (1 - phi)b.
+    d0(x) = ((1 - phi)x, (1 - gamma)x),   d1(a, b) = (1 - gamma)a - (1 - phi)b,
+
+the cone over phi - 1 of the Gamma-complex [D --(1 - gamma)--> D]; the
+semidirect complex of a relative module is finite and exact.
 
 The cohomology engine models the coefficient module on truncated Laurent
 windows [-b, T).  Truncation at the top is a genuine quotient: the positive
@@ -73,7 +75,6 @@ from .artinschreier import solve_as_general
 from .errors import (
     DepthExceededError,
     InvariantError,
-    NonStabilizationError,
     PrecisionError,
     SizeLimitError,
 )
@@ -98,10 +99,8 @@ __all__ = [
     "CocycleData",
     "DeltaProjection",
     "DEFAULT_SCHEDULE",
-    "gamma_complex",
     "herr_complex",
     "semidirect_gamma_complex",
-    "phi_cone",
     "delta_project",
     "cohomology",
     "explicit_cocycle",
@@ -181,21 +180,12 @@ class GammaComplex:
 
     diffs[n] is a block matrix of operators: diffs[n][i][j] maps input
     slot j of term n to output slot i of term n + 1 (None = zero block).
-    phis[n][i] is the phi-operator on slot i of term n; it commutes with
-    every differential, which is what makes the cone a complex.
     """
 
     module: PhiGammaModule
     kind: str   # "window" | "finite"
     mode: str   # "delta" | "free" | "semidirect"
-    slots: tuple
     diffs: tuple
-    phis: tuple
-    coned: bool = False
-
-    @property
-    def n_terms(self) -> int:
-        return len(self.slots)
 
     def d_apply(self, n: int, vectors):
         """Differential on explicit element vectors (list per slot)."""
@@ -217,72 +207,26 @@ class GammaComplex:
         return out
 
 
-def gamma_complex(D: PhiGammaModule, mode: str = "delta") -> GammaComplex:
-    """Two-term Gamma-cochain complex [D --(1 - gamma)--> D]."""
-    if D.relative:
-        raise ValueError("gamma_complex expects a non-relative module")
-    if mode not in ("delta", "free"):
-        raise ValueError(f"unknown mode {mode!r}")
-    g = D.generator("gamma")
-    one_minus_gamma = _op_sum(_op(1, RING_ID),
-                              _op(-1, ring_gamma(g.exponent), g.matrix))
-    phi = _op(1, RING_PHI, D.phi)
-    return GammaComplex(D, "window", mode, (1, 1),
-                        (((one_minus_gamma,),),), ((phi,), (phi,)))
-
-
-def phi_cone(K: GammaComplex) -> GammaComplex:
-    """Mapping cone over phi - 1: T^n = K^(n-1) + K^n.
-
-    On a pair (alpha, beta) in T^n the differential is
-    ((-1)^(n+1) (phi - 1)(beta) + d(alpha), d(beta)).
-    """
-    n = K.n_terms
-    slots = tuple((K.slots[m - 1] if m >= 1 else 0)
-                  + (K.slots[m] if m < n else 0) for m in range(n + 1))
-    diffs = []
-    for m in range(n):
-        lo_in = K.slots[m - 1] if m >= 1 else 0   # K^(m-1) part of T^m
-        hi_in = K.slots[m]                        # K^m part
-        lo_out = K.slots[m]                       # K^m part of T^(m+1)
-        hi_out = K.slots[m + 1] if m + 1 < n else 0
-        sign = (-1) ** (m + 1)
-        blocks = []
-        for i in range(lo_out):
-            row = []
-            for j in range(lo_in):
-                row.append(K.diffs[m - 1][i][j] if m >= 1 else None)
-            for j in range(hi_in):
-                if i == j:
-                    pm1 = _op_sum(K.phis[m][j], _op(-1, RING_ID))
-                    row.append(_op_scale(pm1, sign))
-                else:
-                    row.append(None)
-            blocks.append(tuple(row))
-        for i in range(hi_out):
-            row = [None] * lo_in
-            for j in range(hi_in):
-                row.append(K.diffs[m][i][j])
-            blocks.append(tuple(row))
-        diffs.append(tuple(blocks))
-    phis = []
-    for m in range(n + 1):
-        prev = K.phis[m - 1] if m >= 1 else ()
-        cur = K.phis[m] if m < n else ()
-        phis.append(tuple(prev) + tuple(cur))
-    return GammaComplex(K.module, K.kind, K.mode, slots, tuple(diffs),
-                        tuple(phis), coned=True)
-
-
 def herr_complex(D: PhiGammaModule, mode: str = "delta") -> GammaComplex:
-    """Three-term complex D -> D + D -> D with the standard differentials.
+    """Three-term complex D -> D + D -> D of a non-relative module:
 
-    d0(x) = ((1 - phi)x, (1 - gamma)x), d1(a, b) = (1 - gamma)a - (1 - phi)b;
-    these arise literally as the cone over phi - 1 on gamma_complex(D).
+    d0(x) = ((1 - phi)x, (1 - gamma)x), d1(a, b) = (1 - gamma)a - (1 - phi)b.
+
     mode "delta" projects onto Delta-invariants first (base Q_p); "free"
     keeps the full window (torsion-free Gamma, base Q_p(zeta_p)).
     """
-    return phi_cone(gamma_complex(D, mode))
+    if D.relative:
+        raise ValueError("herr_complex expects a non-relative module; "
+                         "use --complex semidirect for a relative one")
+    if mode not in ("delta", "free"):
+        raise ValueError(f"unknown mode {mode!r}")
+    g = D.generator("gamma")
+    one_minus_phi = _op_sum(_op(1, RING_ID), _op(-1, RING_PHI, D.phi))
+    one_minus_gamma = _op_sum(_op(1, RING_ID),
+                              _op(-1, ring_gamma(g.exponent), g.matrix))
+    d0 = ((one_minus_phi,), (one_minus_gamma,))
+    d1 = ((one_minus_gamma, _op_scale(one_minus_phi, -1)),)
+    return GammaComplex(D, "window", mode, (d0, d1))
 
 
 def _is_series(x: ArithLiftElement) -> bool:
@@ -341,9 +285,7 @@ def semidirect_gamma_complex(D: PhiGammaModule) -> GammaComplex:
     d1 = ((_op_sum(op_gg, _op_scale(_int_matrix_op(D, q_chi), -1)),
            _op_sum(_op(1, RING_ID),
                    _op_scale(_int_matrix_op(D, Gt_chi), -1))),)
-    phi = _op(1, RING_PHI, D.phi)
-    T = GammaComplex(D, "finite", "semidirect", (1, 2, 1), (d0, d1),
-                     ((phi,), (phi, phi), (phi,)))
+    T = GammaComplex(D, "finite", "semidirect", (d0, d1))
     mats = _finite_diff_matrices(T)
     if _matmul_mod(mats[1], mats[0], q).any():
         raise InvariantError("semidirect complex: d^2 != 0")
@@ -907,8 +849,6 @@ def cohomology(T: GammaComplex, schedule=None) -> CohomologyReport:
     """
     if T.kind == "finite":
         return _finite_report(T)
-    if not T.coned or T.n_terms != 3:
-        raise ValueError("window cohomology expects the three-term phi-cone")
     schedule = tuple(schedule) if schedule else DEFAULT_SCHEDULE
     D = T.module
     top = _tail_floor(D)
@@ -944,39 +884,25 @@ def cohomology(T: GammaComplex, schedule=None) -> CohomologyReport:
 # -- explicit cocycles -------------------------------------------------------
 
 
-def geometric_gamma_sum(y: NormFieldElement, a: int, chi: int,
-                        residue_power: int | None = None,
-                        mod_power: int = 12) -> NormFieldElement:
-    """(gamma^a - 1)/(gamma - 1) applied to y, i.e. sum_{i<a} gamma^i(y).
+def geometric_gamma_sum(y: NormFieldElement, a: int,
+                        chi: int) -> NormFieldElement:
+    """(gamma^a - 1)/(gamma - 1) applied to y, i.e. sum_{i<a} gamma^i(y),
+    with gamma^i acting through chi^i mod p^12.
 
-    Exact for integer a >= 0 (binary splitting).  When a is only known as
-    a residue mod p^residue_power, the sum is evaluated at increasing
-    p-power truncations of a until two consecutive values agree on the
-    window (gamma^(p^K) -> 1 in the weak topology), else
-    NonStabilizationError.
+    Exact for integer a >= 0 (binary splitting).
     """
-    p = y.p
-    if residue_power is not None:
-        prev = None
-        for K in range(residue_power, residue_power + mod_power + 4):
-            cur = geometric_gamma_sum(y, a % p ** K, chi,
-                                      mod_power=mod_power)
-            if prev is not None and (cur - prev).is_zero():
-                return cur
-            prev = cur
-        raise NonStabilizationError(
-            "geometric gamma-sum did not stabilize on the window")
     if a < 0:
         raise ValueError("exponent must be nonnegative")
+    p = y.p
 
     def rec(n):
         if n == 0:
             return NormFieldElement(p, y.m, {}, y.prec_num), 1
         if n % 2:
             sub, pw = rec(n - 1)
-            return sub + y.gamma(pw, mod_power), pw * chi % p ** mod_power
+            return sub + y.gamma(pw, 12), pw * chi % p ** 12
         half, pw = rec(n // 2)
-        return half + half.gamma(pw, mod_power), pw * pw % p ** mod_power
+        return half + half.gamma(pw, 12), pw * pw % p ** 12
 
     return rec(a)[0]
 
@@ -995,8 +921,7 @@ class CocycleData:
     vanishes: bool
 
 
-def explicit_cocycle(T: GammaComplex, pair, samples,
-                     depth_budget: int = 2) -> CocycleData:
+def explicit_cocycle(T: GammaComplex, pair, samples) -> CocycleData:
     """Evaluate the explicit 1-cocycle attached to a certified cone cocycle.
 
     sigma is sampled as (a, t): gamma^a on the coefficient ring and the
@@ -1016,7 +941,7 @@ def explicit_cocycle(T: GammaComplex, pair, samples,
     xr, yr = x.reduce_mod_p(), y.reduce_mod_p()
     c = xr.terms().get(0, 0) % p
     x0 = xr - NormFieldElement.constant(p, c, xr.prec)
-    sol = solve_as_general(x0, depth_budget=depth_budget)
+    sol = solve_as_general(x0)
     if sol.depth:
         raise DepthExceededError(
             "cocycle base point needs a layer beyond the constant part")

@@ -312,7 +312,7 @@ def _root_of_unit_series(w: NormFieldElement, e: int) -> NormFieldElement | None
     return x * root_shift
 
 
-def solve_phi_fixed(D: PhiGammaModule, depth_budget: int = 2) -> FixedLineReport:
+def solve_phi_fixed(D: PhiGammaModule) -> FixedLineReport:
     """Probe for the fixed line of v -> Phi * v^phi on a rank-1 module, s=1.
 
     u * v^p = v with u the Phi entry means v^(p-1) = u^(-1); the probe

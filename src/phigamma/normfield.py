@@ -25,8 +25,9 @@ Relative elements adjoin a second variable x (with its own fractional
 exponent grid); the geometric generator acts by x |-> (1+pi)x and the
 arithmetic generator fixes x.
 
-Artin-Schreier extension layers theta^p - theta = u (with v_E(u) < 0) are
-modeled by coordinate vectors of length p over the layer below.
+An Artin-Schreier layer theta^p - theta = u (with v_E(u) <= 0) is modeled
+by coordinate vectors of length p over the norm field.  The solvers adjoin
+at most one layer, so layers are never stacked.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ import re
 
 import numpy as np
 
-from .errors import DepthExceededError, PrecisionError
+from .errors import PrecisionError
 
 __all__ = [
     "NormFieldElement",
@@ -53,8 +54,6 @@ __all__ = [
 ]
 
 INFINITY = Fraction(10**12)  # sentinel ordering value for the zero element
-
-D_MAX_DEFAULT = 2
 
 
 def binomial_table_mod_ps(a: int, L: int, p: int, s: int,
@@ -631,57 +630,32 @@ def flat_normalization(v: Fraction, p: int) -> Fraction:
 
 
 class ASExtension:
-    """Extension layer theta^p - theta = u over a base (field or lower layer)."""
+    """Extension layer theta^p - theta = u over the norm field."""
 
-    __slots__ = ("p", "u", "base", "depth")
+    __slots__ = ("p", "u")
 
-    def __init__(self, u: NormFieldElement, base: "ASExtension | None" = None,
-                 d_max: int = D_MAX_DEFAULT):
-        v = u.valuation()
-        if v is None or v > 0:
-            raise ValueError("defining element must have valuation <= 0")
+    def __init__(self, u: NormFieldElement):
         self.p = u.p
         self.u = u
-        self.base = base
-        self.depth = 1 + (base.depth if base else 0)
-        if self.depth > d_max:
-            raise DepthExceededError(
-                f"tower depth {self.depth} exceeds budget {d_max}")
 
     def theta_valuation(self) -> Fraction:
         v = self.u.valuation()
         return v / self.p
 
     def zero_coords(self, prec: Fraction) -> list:
-        if self.base is None:
-            return [NormFieldElement.zero(self.p, prec, self.u.m)
-                    for _ in range(self.p)]
-        return [ASExtensionElement(self.base, self.base.zero_coords(prec))
+        return [NormFieldElement.zero(self.p, prec, self.u.m)
                 for _ in range(self.p)]
 
-    def embed(self, x) -> "ASExtensionElement":
-        """Constant-in-theta embedding of a lower-layer element."""
+    def embed(self, x: NormFieldElement) -> "ASExtensionElement":
+        """Constant-in-theta embedding of a norm-field element."""
         coords = self.zero_coords(x.prec)
         coords[0] = x
         return ASExtensionElement(self, coords)
 
     def theta(self, prec: Fraction) -> "ASExtensionElement":
         coords = self.zero_coords(prec)
-        coords[1] = _lift_to(self.base, NormFieldElement.one(self.p, prec, self.u.m))
+        coords[1] = NormFieldElement.one(self.p, prec, self.u.m)
         return ASExtensionElement(self, coords)
-
-
-def _lift_to(ext: ASExtension | None, x: NormFieldElement):
-    if ext is None:
-        return x
-    return ext.embed(_lift_to(ext.base, x))
-
-
-def _scaled(x, f: NormFieldElement):
-    """x times the norm-field element f, x in the norm field or a layer."""
-    if isinstance(x, NormFieldElement):
-        return x * f
-    return ASExtensionElement(x.ext, [_scaled(c, f) for c in x.coords])
 
 
 class ASExtensionElement:
@@ -720,7 +694,6 @@ class ASExtensionElement:
             raise ValueError("elements of different extension layers")
         p = self.p
         ext = self.ext
-        u_low = _lift_to(ext.base, ext.u)
         # raw product has theta-degree up to 2p-2; fold with theta^p = theta + u
         raw = [None] * (2 * p - 1)
         for i, a in enumerate(self.coords):
@@ -730,7 +703,7 @@ class ASExtensionElement:
         for k in range(2 * p - 2, p - 1, -1):
             c = raw[k]
             raw[k - p + 1] = raw[k - p + 1] + c
-            raw[k - p] = raw[k - p] + c * u_low
+            raw[k - p] = raw[k - p] + c * ext.u
             raw[k] = None
         return ASExtensionElement(ext, raw[:p])
 
@@ -739,8 +712,7 @@ class ASExtensionElement:
 
         (sum c_j theta^j)^p = sum c_j^p (theta+u)^j, and since every j < p
         the binomial expansion needs no refolding: coordinate k is
-        sum_{j >= k} C(j, k) u^(j-k) c_j^p.  u lies in the norm field, so
-        over a lower layer it scales that layer's coordinates (_scaled).
+        sum_{j >= k} C(j, k) u^(j-k) c_j^p.
         """
         p = self.p
         frob = [c.frobenius() for c in self.coords]
@@ -751,8 +723,7 @@ class ASExtensionElement:
         for k in range(p):
             acc = frob[k]
             for j in range(k + 1, p):
-                acc = acc + _scaled(frob[j],
-                                    u_pows[j - k].scale(math.comb(j, k)))
+                acc = acc + frob[j] * u_pows[j - k].scale(math.comb(j, k))
             coords.append(acc)
         return ASExtensionElement(self.ext, coords)
 
@@ -776,11 +747,11 @@ class ASExtensionElement:
                 and all(a == b for a, b in zip(self.coords, other.coords)))
 
     def __repr__(self):
-        return f"ASExtensionElement(depth={self.ext.depth}, {self.coords!r})"
+        # one layer over the norm field: the depth printed is always 1
+        return f"ASExtensionElement(depth=1, {self.coords!r})"
 
 
-def adjoin_as_root(u: NormFieldElement, base: ASExtension | None = None,
-                   d_max: int = D_MAX_DEFAULT) -> ASExtension:
+def adjoin_as_root(u: NormFieldElement) -> ASExtension:
     """Extension context with theta^p - theta = u; rejects v_E(u) > 0.
 
     Positive valuation never needs a layer (Hensel solves in place), so it is
@@ -791,7 +762,7 @@ def adjoin_as_root(u: NormFieldElement, base: ASExtension | None = None,
     if v is None or v > 0:
         raise ValueError("no extension needed: defining element must have "
                          "valuation <= 0")
-    return ASExtension(u, base, d_max)
+    return ASExtension(u)
 
 
 # -- relative elements ------------------------------------------------------

@@ -50,7 +50,6 @@ from .zmodlin import FpSystem
 
 __all__ = [
     "TateSenCertificate",
-    "DecompositionResult",
     "CyclotomicElement",
     "tau_projection",
     "cyclotomic_trace",
@@ -58,7 +57,6 @@ __all__ = [
     "ts1_witness_search",
     "TS1Witness",
     "invert_one_minus_gamma",
-    "decompose",
     "decompose_element",
     "decompletion_compare",
     "tate_sen_certificate",
@@ -313,6 +311,9 @@ def ts1_witness_search(p: int, s: int, n: int, c: Fraction) -> TS1Witness:
 # -- TS3: inverting 1 - gamma^(p^m) off the trace image ----------------------
 
 
+# gamma = gamma_(1 + p) acts in TS3 through its exponent mod p^_MOD_POWER
+_MOD_POWER = 14
+
 # TS3 system kept per (p, a_res, mod_power, f, hi_rows):
 # (lo_y, support, FpSystem)
 _SYSTEMS: dict = {}
@@ -352,9 +353,11 @@ def _ts3_system(p: int, a_res: int, mod_power: int, f: int, lo_y: int,
     return support[t:], system.corner(t)
 
 
-def invert_one_minus_gamma(z, m: int, i: int = 0, chi: int | None = None,
-                           mod_power: int = 14):
-    """Solve (1 - gamma_i^(p^m)) y = z on the complement of level m.
+def invert_one_minus_gamma(z, m: int):
+    """Solve (1 - gamma_i^(p^m)) y = z on the complement of level m, in the
+    direction i that z's type names: 1 (geometric, gamma~) for a
+    RelativeNormElement, 0 (arithmetic, gamma = gamma_chi with chi = 1 + p,
+    read mod p^_MOD_POWER) for a NormFieldElement.
 
     Direction 1 is diagonal in the x-monomials: each term is divided by the
     exact multiplier 1 - (1 + pi^(1/p^mx))^(p^m * j).  Direction 0 is an
@@ -369,9 +372,7 @@ def invert_one_minus_gamma(z, m: int, i: int = 0, chi: int | None = None,
     residual is certified, through element arithmetic, to vanish on the
     window, and the loss v(z) - v(y) is the measured c3.
     """
-    if i == 1:
-        if not isinstance(z, RelativeNormElement):
-            raise ValueError("direction 1 needs a relative element")
+    if isinstance(z, RelativeNormElement):
         proj = tau_projection(z, m, 1)
         if proj.parts:
             raise InvariantError("input is not in the level-m complement")
@@ -390,14 +391,14 @@ def invert_one_minus_gamma(z, m: int, i: int = 0, chi: int | None = None,
             raise InvariantError("inversion residual is nonzero on the window")
         return y
     if not isinstance(z, NormFieldElement):
-        raise ValueError("direction 0 needs a norm-field element")
+        raise ValueError("TS3 inverts a norm-field or a relative element, "
+                         f"not {type(z).__name__}")
     if not tau_projection(z, m, 0).is_zero():
         raise InvariantError("input is not in the level-m complement")
     if z.is_zero():
         return z
     p = z.p
-    chi = 1 + p if chi is None else chi
-    a_res = pow(chi, p ** m, p ** mod_power)
+    a_res = pow(1 + p, p ** m, p ** _MOD_POWER)
     K = z.m
     f = p ** (K - m)  # level-m grid exponents are the multiples of f
     if f <= 1:
@@ -416,7 +417,7 @@ def invert_one_minus_gamma(z, m: int, i: int = 0, chi: int | None = None,
             f"{lo_z + pad} grid steps at level {K}")
     # both the unknowns and the constraints live on the complement of the
     # level-m grid; the leakage of gamma into level-m rows is projected away
-    support, system = _ts3_system(p, a_res, mod_power, f, lo_y, hi_rows)
+    support, system = _ts3_system(p, a_res, _MOD_POWER, f, lo_y, hi_rows)
     sol = system.solve({bisect_left(support, n): -cc
                         for n, cc in z.coeffs.items() if n < hi_rows})
     if sol is None:
@@ -424,67 +425,13 @@ def invert_one_minus_gamma(z, m: int, i: int = 0, chi: int | None = None,
             "no window preimage: contraction failed for the given window")
     y = NormFieldElement(p, K, {q: int(v) for q, v in zip(support, sol)
                                 if v % p}, hi_rows)
-    residual = z - (y - y.gamma(a_res, mod_power))
+    residual = z - (y - y.gamma(a_res, _MOD_POWER))
     if any(c % p for e, c in residual.coeffs.items() if e % f):
         raise InvariantError("inversion residual is nonzero on the window")
     return y
 
 
 # -- decomposition D = D_m + D_m^(0) + D_m^(1) -------------------------------
-
-
-@dataclass
-class DecompositionResult:
-    """Ordered projectors Q_m = tau0 tau1, Q0 = (1-tau0) tau1, Q1 = 1-tau1
-    on a declared finite monomial window (diagonal 0/1 matrices)."""
-
-    m: int
-    pi_level: int
-    x_level: int
-    pi_exponents: tuple
-    x_exponents: tuple
-    projectors: tuple  # three numpy diagonal matrices
-    components: tuple  # index tuples per component
-
-
-def decompose(m: int, p: int, pi_level: int, x_level: int,
-              pi_range: tuple, x_range: tuple) -> DecompositionResult:
-    """Projector matrices on the window spanned by x^(j/p^x_level) *
-    pi^(n/p^pi_level); certified idempotent, orthogonal, complete."""
-    pis = tuple(range(*pi_range))
-    xs = tuple(range(*x_range))
-    fp, fx = p ** pi_level, p ** x_level
-    size = len(pis) * len(xs)
-    diag_m = np.zeros(size, dtype=np.int64)
-    diag_0 = np.zeros(size, dtype=np.int64)
-    diag_1 = np.zeros(size, dtype=np.int64)
-    idx = 0
-    comps = ([], [], [])
-    for j in xs:
-        x_coarse = (j * p**m) % fx == 0
-        for n in pis:
-            pi_coarse = (n * p**m) % fp == 0
-            if not x_coarse:
-                diag_1[idx] = 1
-                comps[2].append(idx)
-            elif not pi_coarse:
-                diag_0[idx] = 1
-                comps[1].append(idx)
-            else:
-                diag_m[idx] = 1
-                comps[0].append(idx)
-            idx += 1
-    projs = tuple(np.diag(d) for d in (diag_m, diag_0, diag_1))
-    for a in range(3):
-        if not np.array_equal(projs[a] @ projs[a], projs[a]):
-            raise InvariantError("projector is not idempotent")
-        for b in range(a + 1, 3):
-            if (projs[a] @ projs[b]).any():
-                raise InvariantError("projectors are not orthogonal")
-    if not np.array_equal(sum(projs), np.eye(size, dtype=np.int64)):
-        raise InvariantError("projectors do not sum to the identity")
-    return DecompositionResult(m, pi_level, x_level, pis, xs, projs,
-                               tuple(tuple(c) for c in comps))
 
 
 def decompose_element(z: RelativeNormElement, m: int):
@@ -498,9 +445,9 @@ def decompose_element(z: RelativeNormElement, m: int):
 # -- decompletion comparison -------------------------------------------------
 
 
-def decompletion_compare(D, m: int, degrees=(0, 1), schedule=(3, 4, 6)):
+def decompletion_compare(D, m: int, schedule=(3, 4, 6)):
     """Paired stabilized dims of H^j(Gamma, level-0 window) and
-    H^j(Gamma, level-m window) for the requested degrees.
+    H^j(Gamma, level-m window) for j = 0, 1.
 
     Both sides are delta-mode windows of complexes.cohomology, the level-m
     one of depth p^m * d for a level-0 depth d (module docstring).  Schedule
@@ -531,7 +478,7 @@ def decompletion_compare(D, m: int, degrees=(0, 1), schedule=(3, 4, 6)):
                 f"{tag} side did not stabilize: {trace}")
         out[tag] = tuple(trace)
     pairs = {j: (out["level_0"][-1][j], out["level_m"][-1][j])
-             for j in degrees}
+             for j in (0, 1)}
     return {
         "degrees": pairs,
         "equal": all(a == b for a, b in pairs.values()),
@@ -610,7 +557,7 @@ def tate_sen_certificate(p: int, m: int, n_samples: int,
         deep = z - t
         if deep.is_zero():
             continue
-        y = invert_one_minus_gamma(deep, m, 0)
+        y = invert_one_minus_gamma(deep, m)
         loss = (deep.valuation() - y.valuation()) if y.valuation() is not None \
             else Fraction(0)
         if loss > c3:
@@ -620,8 +567,8 @@ def tate_sen_certificate(p: int, m: int, n_samples: int,
             _random_deep_element(rng, p, 0, m, prec=18), m, 0)
         if x.is_zero() or 0 in x.coeffs:
             continue
-        a_res = pow(1 + p, p ** m, p ** 14)
-        dx = x.gamma(a_res, 14) - x
+        a_res = pow(1 + p, p ** m, p ** _MOD_POWER)
+        dx = x.gamma(a_res, _MOD_POWER) - x
         if not dx.is_zero():
             gain = dx.valuation() - x.valuation()
             if c4 is None or gain < c4:

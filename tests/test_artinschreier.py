@@ -7,11 +7,8 @@ import pytest
 
 from phigamma.errors import DepthExceededError
 from phigamma.artinschreier import (
-    SplitterState,
     rho_constant,
-    sigma_split,
     solve_as_general,
-    solve_as_positive,
     solve_phi_minus_one,
 )
 from phigamma.normfield import (
@@ -43,17 +40,17 @@ def random_unit_tail(rng, p, m, v_num, prec_num, n_terms=3):
     return NormFieldElement(p, m, coeffs, prec_num)
 
 
-# -- positive-valuation Hensel solver ---------------------------------------
+# -- positive valuation: the sum -(b + b^p + ...) in the norm field ---------
 
 
 def test_positive_zero():
-    sol = solve_as_positive(NormFieldElement.zero(3, 10))
+    sol = solve_as_general(NormFieldElement.zero(3, 10))
     assert sol.value.is_zero() and sol.depth == 0
 
 
 def test_positive_telescoping_sum():
     b = NormFieldElement.pi_power(3, 1, 12)
-    sol = solve_as_positive(b)
+    sol = solve_as_general(b)
     # a = -(pi + pi^3 + pi^9 + ...) inside the window
     assert sol.value.terms() == {Fraction(1): 2, Fraction(3): 2, Fraction(9): 2}
 
@@ -62,14 +59,9 @@ def test_positive_valuation_preserved():
     rng = random.Random(41)
     for _ in range(30):
         b = random_unit_tail(rng, 3, 0, 2, 14)
-        sol = solve_as_positive(b)
+        sol = solve_as_general(b)
         assert sol.valuation == 2
         assert sol.depth == 0
-
-
-def test_positive_rejects_nonpositive():
-    with pytest.raises(ValueError):
-        solve_as_positive(NormFieldElement.pi_power(3, -1, 10))
 
 
 # -- general solver ----------------------------------------------------------
@@ -110,6 +102,13 @@ def test_general_depth_budget_respected():
         solve_as_general(b, depth_budget=0)
     with pytest.raises(ValueError):
         solve_as_general(b, depth_budget=-1)
+    # the answer needs one layer at most: every positive budget allows it
+    # and gives the same answer
+    b = parse_element("2*pi^-500 + pi^-7", 7, 5)
+    answers = {repr(solve_as_general(b, depth_budget=d))
+               for d in (1, 2, 5)}
+    assert len(answers) == 1
+    assert "ASExtensionElement(depth=1, " in answers.pop()
 
 
 def test_general_p5():
@@ -131,7 +130,7 @@ def test_valuation_law_100_random():
         b = random_unit_tail(rng, p, m, v_num, 14 * q)
         v = Fraction(v_num, q)
         sol = solve_as_general(b)
-        assert sol.depth <= 2
+        assert sol.depth <= 1
         want = v if v >= 0 else v / p
         assert sol.valuation == want, (i, v)
 
@@ -230,11 +229,11 @@ def test_phi1_radius_dilation():
     assert ry.w_r[3 * r] is not None
 
 
-# -- the splitting sigma -----------------------------------------------------
+# -- the splitting sigma: solve_phi_minus_one(z).value ------------------------
 
 
 def test_sigma_zero():
-    assert sigma_split(WittVector.zero(3, 2, 10)).is_zero()
+    assert solve_phi_minus_one(WittVector.zero(3, 2, 10)).value.is_zero()
 
 
 def test_sigma_right_inverse_and_additive():
@@ -242,9 +241,9 @@ def test_sigma_right_inverse_and_additive():
     for _ in range(5):
         z1 = phi_minus_one(random_plant(rng, s=3))
         z2 = phi_minus_one(random_plant(rng, s=3))
-        s1, s2 = sigma_split(z1), sigma_split(z2)
+        s1, s2 = solve_phi_minus_one(z1).value, solve_phi_minus_one(z2).value
         assert phi_minus_one(s1).agrees_with(z1)
-        s12 = sigma_split(witt_add(z1, z2))
+        s12 = solve_phi_minus_one(witt_add(z1, z2)).value
         assert witt_add(s1, s2).agrees_with(s12)
 
 
@@ -252,16 +251,16 @@ def test_sigma_of_planted_recovers_up_to_constant():
     rng = random.Random(71)
     w = random_plant(rng, s=2)
     z = phi_minus_one(w)
-    s = sigma_split(z)
+    s = solve_phi_minus_one(z).value
     c = rho_constant(w)
-    # sigma((phi-1)w) = w - iota(rho(w))
+    # solve_phi_minus_one((phi-1)w).value = w - iota(rho(w))
     expect = witt_sub(w, WittVector.from_constant(3, 2, c, 14))
     assert s.agrees_with(expect)
 
 
 def test_sigma_openness_on_neighborhoods():
     # z = (phi-1)w with w a Witt multiple of the Teichmuller lift of pi^h
-    # stays in the filtration step, and so does sigma(z)
+    # stays in the filtration step, and so does solve_phi_minus_one(z).value
     rng = random.Random(73)
     from phigamma.wittside import teichmuller, witt_mul
     for h in (1, 2):
@@ -270,12 +269,5 @@ def test_sigma_openness_on_neighborhoods():
             w = witt_mul(tp, random_plant(rng, s=3, prec=24))
             z = phi_minus_one(w)
             assert weak_membership(z, WeakNeighborhood(3, h))
-            s = sigma_split(z)
+            s = solve_phi_minus_one(z).value
             assert weak_membership(s, WeakNeighborhood(3, h))
-
-
-def test_splitter_state_defaults():
-    st = SplitterState()
-    assert st.level_budget == 4
-    z = phi_minus_one(random_plant(random.Random(79), s=2))
-    assert sigma_split(z, st).agrees_with(sigma_split(z))

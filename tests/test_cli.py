@@ -33,6 +33,16 @@ def trivial_mod(tmp_path):
     return str(path)
 
 
+@pytest.fixture
+def relative_mod(tmp_path):
+    I = identity_matrix(P, 1, 1, 24)
+    D = make_module(P, 1, I, [("gamma_tilde", I, 1), ("gamma", I, CHI)],
+                    relative=True)
+    path = tmp_path / "relative.mod"
+    path.write_text(module_to_json(D))
+    return str(path)
+
+
 # -- job validation ----------------------------------------------------------
 
 
@@ -86,22 +96,22 @@ def test_cohomology_json_and_determinism(runner, trivial_mod):
     assert doc["verdict"] == "stable"
 
 
-def test_cohomology_semidirect_report(runner, tmp_path):
+def test_cohomology_semidirect_report(runner, relative_mod):
     # the exact report of the finite semidirect complex of the trivial
     # relative module; --complex takes no other finite or two-term kind
-    I = identity_matrix(P, 1, 1, 24)
-    D = make_module(P, 1, I, [("gamma_tilde", I, 1), ("gamma", I, CHI)],
-                    relative=True)
-    path = tmp_path / "relative.mod"
-    path.write_text(module_to_json(D))
-    res = runner.invoke(main, ["cohomology", str(path),
+    res = runner.invoke(main, ["cohomology", relative_mod,
                                "--complex", "semidirect"])
     assert res.exit_code == 0
     assert res.output == ("degree,length,profile\n0,1,3\n1,2,3|3\n2,1,3\n"
                           "trace,exact,1|2|1\nverdict,stable,euler=0\n")
-    res = runner.invoke(main, ["cohomology", str(path), "--complex", "gamma"])
+    res = runner.invoke(main, ["cohomology", relative_mod, "--complex",
+                               "gamma"])
     assert res.exit_code == 2
     assert "--complex" in res.output
+    # the Herr complex names the complex a relative module needs
+    res = runner.invoke(main, ["cohomology", relative_mod])
+    assert res.exit_code == 2
+    assert "use --complex semidirect" in res.output
 
 
 def test_cohomology_flag_mismatch_is_parse_error(runner, trivial_mod):
@@ -240,6 +250,20 @@ def test_commands_take_no_ignored_options(runner, tmp_path, argv):
     res = runner.invoke(main, [str(path) if a == "@" else a for a in argv])
     assert res.exit_code == 2
     assert "No such option" in res.output
+
+
+@pytest.mark.parametrize("flags", [
+    ["--mode", "free"], ["--mode", "delta"], ["--window", "512"],
+    ["--window", "2"], ["--doublings", "9"],
+    ["--window", "512", "--doublings", "9", "--mode", "free"],
+])
+def test_semidirect_takes_no_window_options(runner, relative_mod, flags):
+    # the semidirect complex is finite and exact: the window options of the
+    # Herr complex are refused, by name, even at their default values
+    res = runner.invoke(main, ["cohomology", relative_mod, "--complex",
+                               "semidirect", *flags])
+    assert res.exit_code == 2
+    assert f"{flags[0]} does not apply to --complex semidirect" in res.output
 
 
 def test_ts_report_rejects_negative_samples(runner):
@@ -551,10 +575,18 @@ def test_fuzz_trace(expr, level, grid_level, window, prime):
                str(grid_level), "--window", str(window), "--prime", prime])
 
 
+# levels -1 to 1 at any prime; levels 3 and 4 at p = 7, whose TS3 windows
+# the size estimate refuses before anything is allocated (level 2 at p = 7
+# would build a window of 718 MiB)
+ts_levels = st.one_of(st.tuples(st.sampled_from(["-1", "0", "1"]), primes),
+                      st.tuples(st.sampled_from(["3", "4"]), st.just("7")))
+
+
 @settings(max_examples=25, deadline=None)
-@given(st.integers(-2, 2), st.integers(-5, 10**6), primes)
-def test_fuzz_ts_report(samples, seed, prime):
-    run_twice(["ts-report", "--level", "0", "--samples", str(samples),
+@given(st.integers(-2, 2), st.integers(-5, 10**6), ts_levels)
+def test_fuzz_ts_report(samples, seed, level_prime):
+    level, prime = level_prime
+    run_twice(["ts-report", "--level", level, "--samples", str(samples),
                "--seed", str(seed), "--prime", prime])
 
 
@@ -647,10 +679,14 @@ def _mutated(data, doc):
     return doc
 
 
-def _fuzz_file(data, tmp_path, doc):
-    """Write a mutated doc, random JSON or random text; return its path."""
-    kind = data.draw(st.sampled_from(["mutated"] * 6 + ["json", "text"]))
-    if kind == "mutated":
+def _fuzz_file(data, tmp_path, doc, intact=0):
+    """Write a mutated doc, random JSON or random text, drawn 6 : 1 : 1,
+    or the doc itself at weight intact; return its path."""
+    kind = data.draw(st.sampled_from(["mutated"] * 6 + ["json", "text"]
+                                     + ["intact"] * intact))
+    if kind == "intact":
+        text = json.dumps(doc)
+    elif kind == "mutated":
         text = json.dumps(_mutated(data, doc))
     elif kind == "json":
         text = json.dumps(data.draw(json_values))
@@ -661,9 +697,35 @@ def _fuzz_file(data, tmp_path, doc):
     return str(path)
 
 
-def _module_doc():
+def _module_doc(relative=False):
     I = identity_matrix(P, 1, 1, 40)
-    return json.loads(module_to_json(make_module(P, 1, I, [("gamma", I, CHI)])))
+    gens = [("gamma_tilde", I, 1)] if relative else []
+    return json.loads(module_to_json(make_module(
+        P, 1, I, gens + [("gamma", I, CHI)], relative=relative)))
+
+
+def _cohomology_options(data, relative):
+    """Drawn --complex, --window, --doublings, --mode and --power, each
+    maybe left out, with the deepest window of the schedule at most 128.
+    The draws lean to options valid for the module (relative or not), so
+    that many runs compute."""
+    semidirect = data.draw(st.sampled_from([relative] * 3 + [not relative]))
+    options = {"--complex": "semidirect" if semidirect
+               else data.draw(st.sampled_from([None, "herr"])),
+               "--power": data.draw(st.sampled_from([None] * 4 + [0, 1, 2]))}
+    # the semidirect complex refuses the window options
+    if not semidirect or data.draw(st.sampled_from([False] * 3 + [True])):
+        doublings = data.draw(st.sampled_from([None, None, -1, 0, 1, 2, 3,
+                                               5]))
+        deepest = 128 >> (2 if doublings is None else max(doublings, 0))
+        options["--doublings"] = doublings
+        options["--window"] = data.draw(st.sampled_from(
+            [None] * (deepest >= 16)
+            + [w for w in (-1, 3, 4, 6, 8, 16, 32, 64, 128) if w <= deepest]))
+        options["--mode"] = data.draw(st.sampled_from([None, "delta",
+                                                       "free"]))
+    return [x for k, v in options.items() if v is not None
+            for x in (k, str(v))]
 
 
 _complex_doc = json.loads(ChainComplexZ(3, 2, {0: 1, 1: 1}, {0: [[3]]})
@@ -687,10 +749,14 @@ def test_fuzz_file_subcommands(command, tmp_path_factory):
     @settings(max_examples=80, deadline=None)
     @given(st.data())
     def run(data):
-        path = _fuzz_file(data, tmp_path, FILE_DOCS[command])
-        extra = (["--window", "6", "--doublings", "2", "--mode",
-                  data.draw(st.sampled_from(["delta", "free"]))]
-                 if command == "cohomology" else [])
+        doc, extra = FILE_DOCS[command], []
+        if command == "cohomology":
+            # a relative module too, the input of --complex semidirect
+            relative = data.draw(st.booleans())
+            doc = _module_doc(relative)
+            extra = _cohomology_options(data, relative)
+        path = _fuzz_file(data, tmp_path, doc,
+                          intact=8 if command == "cohomology" else 0)
         run_twice([command, path] + extra)
 
     run()

@@ -1,4 +1,5 @@
-"""Cohomology complexes: cone literality, window stabilization, cocycles."""
+"""Cohomology complexes: literal differentials, window stabilization,
+cocycles."""
 
 import hashlib
 import json
@@ -10,15 +11,12 @@ import pytest
 
 from phigamma import complexes
 from phigamma.complexes import (
-    GammaComplex,
     certify_d_squared,
     cohomology,
     delta_project,
     explicit_cocycle,
-    gamma_complex,
     geometric_gamma_sum,
     herr_complex,
-    phi_cone,
     semidirect_gamma_complex,
     _assemble,
     _block_matrix,
@@ -102,23 +100,20 @@ def test_d_squared_vanishes_on_random_vectors():
         assert all(v.is_zero() for slot in out for v in slot)
 
 
+def test_herr_complex_refuses_a_relative_module():
+    I = identity_matrix(P, 1, 1, 24)
+    D = make_module(P, 1, I, [("gamma_tilde", I, 1), ("gamma", I, CHI)],
+                    relative=True)
+    with pytest.raises(ValueError, match="herr_complex expects a "
+                       "non-relative module; use --complex semidirect"):
+        herr_complex(D)
+    with pytest.raises(ValueError, match="unknown mode"):
+        herr_complex(trivial(), "semidirect")
+
+
 def test_d_squared_certified_on_window():
     assert certify_d_squared(herr_complex(trivial(), "delta"), 8)
     assert certify_d_squared(herr_complex(trivial(), "free"), 8)
-
-
-def test_cone_over_zero_complex_is_shift():
-    # zero differentials and phi = id: the cone is K + K[-1], still zero
-    D = trivial()
-    K = GammaComplex(D, "window", "free", (1, 1),
-                     (((None,),),), ((_op(1, RING_ID),), (_op(1, RING_ID),)))
-    T = phi_cone(K)
-    assert T.slots == (1, 2, 1)
-    rng = random.Random(47)
-    for n, shape in ((0, 1), (1, 2)):
-        vecs = [[random_lift(rng)] for _ in range(shape)]
-        out = T.d_apply(n, vecs)
-        assert all(v.is_zero() for slot in out for v in slot)
 
 
 # -- window columns and exact products --------------------------------------
@@ -985,14 +980,6 @@ def test_geometric_sum_is_a_twisted_geometric_series():
                + geometric_gamma_sum(y, b, CHI).gamma(
                    pow(CHI, a, P ** 12), 12))
         assert (lhs - rhs).is_zero()
-
-
-def test_geometric_sum_residue_stabilizes():
-    pi = ArithLiftElement.pi_power(P, 1, 1, 30)
-    y = pi.reduce_mod_p()
-    exact = geometric_gamma_sum(y, 7, CHI)
-    via_residue = geometric_gamma_sum(y, 7, CHI, residue_power=2)
-    assert (exact - via_residue).is_zero()
 
 
 def test_cocycle_identity_on_sampled_pairs():

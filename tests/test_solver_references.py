@@ -6,7 +6,7 @@ of (theta + u)^j, the ghost maps that raise every component to its p-th
 powers, zero or not, the Artin-Schreier solver that peeled and telescoped
 NormFieldElement objects, and the (phi - 1) solver that recursed one Witt
 length at a time, taking the defect r = z - (phi - 1)Y0 in two Witt
-subtractions.  On seeded inputs (p in {3, 5, 7}, layers of depth 1 and 2,
+subtractions.  On seeded inputs (p in {3, 5, 7}, layers over the norm field,
 Witt lengths 1..6, zero components, negative exponents, grid levels 0..2,
 level budgets 0..4) the current layer Frobenius, ghost maps and
 Artin-Schreier solver give the same values, reports and exception text, and
@@ -44,7 +44,7 @@ from phigamma.artinschreier import (ASSolution, rho_constant,
                                     solve_as_general, solve_phi_minus_one,
                                     _check_residual_base, _phi_minus_one)
 from phigamma.normfield import (ASExtension, ASExtensionElement,
-                                NormFieldElement, _grid_level, _lift_to,
+                                NormFieldElement, _grid_level,
                                 adjoin_as_root)
 from phigamma.wittside import (WittVector, _ZSeries, _ghost, _headroom,
                                _unghost, teichmuller, v_le_n, witt_add,
@@ -61,11 +61,10 @@ def reference_frobenius(self):
     """
     ext = self.ext
     frob_coords = [c.frobenius() for c in self.coords]
-    u_low = _lift_to(ext.base, ext.u)
     theta_plus_u = ext.theta(self.prec)  # theta
     theta_plus_u = ASExtensionElement(
         ext,
-        [theta_plus_u.coords[0] + u_low] + theta_plus_u.coords[1:])
+        [theta_plus_u.coords[0] + ext.u] + theta_plus_u.coords[1:])
     result = ext.embed(frob_coords[0])
     power = None
     for j in range(1, ext.p):
@@ -147,12 +146,12 @@ def reference_solve_as_general(b: NormFieldElement, depth_budget: int = 2,
     if depth_budget == 0:
         raise DepthExceededError(
             "solution requires an extension layer but the budget is 0")
-    ext = adjoin_as_root(obstruction, d_max=depth_budget)
+    ext = adjoin_as_root(obstruction)
     value = ext.embed(a) + ext.theta(a.prec)
     residual = value.frobenius() - value - ext.embed(b)
     if not residual.is_zero():
         raise InvariantError("extension-layer residual is nonzero")
-    return ASSolution(value, ext.depth, residual.prec, v_in, value.valuation())
+    return ASSolution(value, 1, residual.prec, v_in, value.valuation())
 
 
 def reference_solve_components(p, comps, level_budget):
@@ -255,49 +254,38 @@ def random_element(rng, p, prec, m=None, zero_chance=0.25, lo=-12):
     return NormFieldElement(p, m, coeffs, prec * q)
 
 
-def random_layer(rng, p, depth):
-    ext = None
-    for _ in range(depth):
-        v = rng.randint(-2 * p, 0)
-        u = NormFieldElement(p, 0, {v: rng.randint(1, p - 1),
-                                    v + rng.randint(1, 6): 1},
-                             rng.randint(6, 14))
-        ext = ASExtension(u, ext)
-    return ext
+def random_layer(rng, p):
+    v = rng.randint(-2 * p, 0)
+    u = NormFieldElement(p, 0, {v: rng.randint(1, p - 1),
+                                v + rng.randint(1, 6): 1},
+                         rng.randint(6, 14))
+    return ASExtension(u)
 
 
 def random_layer_element(rng, ext):
     p = ext.p
-    if ext.base is None:
-        coords = [random_element(rng, p, rng.randint(4, 14)) for _ in range(p)]
-    else:
-        coords = [random_layer_element(rng, ext.base) for _ in range(p)]
+    coords = [random_element(rng, p, rng.randint(4, 14)) for _ in range(p)]
     return ASExtensionElement(ext, coords)
-
-
-def leaves(x):
-    if isinstance(x, NormFieldElement):
-        return [x]
-    return [leaf for c in x.coords for leaf in leaves(c)]
 
 
 # -- the layer Frobenius -----------------------------------------------------
 
 
+# every layer lies over the norm field: depth is 1
 @pytest.mark.parametrize("p, depth, cases", [
-    (3, 1, 40), (5, 1, 25), (7, 1, 15), (3, 2, 12), (5, 2, 3), (7, 2, 1),
+    (3, 1, 40), (5, 1, 25), (7, 1, 15),
 ])
 def test_layer_frobenius_matches_product_expansion(p, depth, cases,
                                                    monkeypatch):
     rng = random.Random(100 * p + depth)
     for _ in range(cases):
-        x = random_layer_element(rng, random_layer(rng, p, depth))
+        x = random_layer_element(rng, random_layer(rng, p))
         new = x.frobenius()
         with monkeypatch.context() as mp:
             with_references(mp, frobenius=True)
             old = x.frobenius()
-        pairs = list(zip(leaves(new), leaves(old)))
-        assert len(pairs) == p ** depth
+        pairs = list(zip(new.coords, old.coords))
+        assert len(pairs) == p
         for a, b in pairs:
             assert a.agrees_with(b)
             assert a.prec >= b.prec

@@ -16,6 +16,7 @@ from phigamma.errors import InvariantError, PrecisionError
 from phigamma.modules import identity_matrix, make_module, tate_twist
 from phigamma.normfield import (NormFieldElement, RelativeNormElement,
                                 _LRU_SIZE)
+from phigamma.wittside import ArithLiftElement
 from phigamma.zmodlin import FpSystem
 import phigamma.complexes as complexes
 import phigamma.tatesen as tatesen
@@ -23,7 +24,6 @@ from phigamma.tatesen import (
     CyclotomicElement,
     cyclotomic_trace,
     decompletion_compare,
-    decompose,
     decompose_element,
     _ts1_traces,
     _ts3_system,
@@ -220,7 +220,7 @@ def test_ts1_traces_refuse_int64_overflow():
 
 def test_invert_direction0_monomial():
     z = NormFieldElement(P, 1, {1: 1}, 40)
-    y = invert_one_minus_gamma(z, 0, 0)
+    y = invert_one_minus_gamma(z, 0)
     back = y - y.gamma(CHI, 14)
     diff = z - back
     assert all(c % P == 0 for e, c in diff.coeffs.items() if e % 3)
@@ -239,7 +239,7 @@ def test_invert_direction0_plant_and_recover():
         zz = w0 - w0.gamma(a_res, 14)
         zz = NormFieldElement(P, K, {e: c for e, c in zz.coeffs.items()
                                      if e % f}, zz.prec_num)
-        yy = invert_one_minus_gamma(zz, m, 0)
+        yy = invert_one_minus_gamma(zz, m)
         diff = yy - w0
         # recovery is exact on the complement (the kernel is the level part)
         assert not [q for q, c in diff.coeffs.items() if c % P and q % f]
@@ -248,12 +248,19 @@ def test_invert_direction0_plant_and_recover():
 def test_invert_direction0_rejects_level_input():
     z = NormFieldElement(P, 1, {3: 1}, 40)  # pi itself: level-0 content
     with pytest.raises(InvariantError):
-        invert_one_minus_gamma(z, 0, 0)
+        invert_one_minus_gamma(z, 0)
 
 
 def test_invert_direction0_zero():
     z = NormFieldElement(P, 1, {}, 40)
-    assert invert_one_minus_gamma(z, 0, 0).is_zero()
+    assert invert_one_minus_gamma(z, 0).is_zero()
+
+
+def test_invert_reads_its_direction_from_its_input():
+    # a norm-field element is inverted along gamma, a relative one along
+    # gamma~; anything else is refused
+    with pytest.raises(ValueError, match="not ArithLiftElement"):
+        invert_one_minus_gamma(ArithLiftElement.pi_power(P, 1, 1, 40), 0)
 
 
 def test_invert_direction1_diagonal():
@@ -262,7 +269,7 @@ def test_invert_direction1_diagonal():
         parts = {j: random_element(rng, 2, prec=40, lo=-3, hi=9)
                  for j in rng.sample([1, 2, 4, 5, 7], 3)}
         z = RelativeNormElement(P, 1, parts)
-        y = invert_one_minus_gamma(z, 0, 1)
+        y = invert_one_minus_gamma(z, 0)
         back = z - (y - y.gamma_tilde(1))
         assert all(c.is_zero() for c in back.parts.values())
 
@@ -270,7 +277,7 @@ def test_invert_direction1_diagonal():
 def test_invert_direction1_rejects_level_input():
     z = RelativeNormElement(P, 1, {3: NormFieldElement(P, 1, {1: 1}, 12)})
     with pytest.raises(InvariantError):
-        invert_one_minus_gamma(z, 0, 1)
+        invert_one_minus_gamma(z, 0)
 
 
 # -- the TS3 window solve against Gauss-Jordan --------------------------------
@@ -508,13 +515,6 @@ def test_solve_fp_rejects_primes_past_its_lanes():
 
 
 # -- decomposition -----------------------------------------------------------
-
-
-def test_decompose_projectors_certified():
-    d = decompose(1, P, 2, 2, (-4, 5), (-4, 5))
-    assert sum(len(c) for c in d.components) == 81
-    # level component: both exponents on the p^m-coarse grid
-    assert len(d.components[0]) == 9
 
 
 def test_decompose_element_sums_back():
