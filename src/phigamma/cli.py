@@ -57,7 +57,8 @@ def make_schedule(window: int, doublings: int) -> tuple:
     if window < 4:
         raise ValueError("initial window must be at least 4")
     if doublings < 1:
-        raise ValueError("need at least one doubling to check stability")
+        raise ValueError("need at least one doubling; a stable verdict "
+                         "needs two (three agreeing windows)")
     return tuple(window * 2 ** k for k in range(doublings + 1))
 
 
@@ -120,7 +121,8 @@ def main():
 @click.option("--window", default=16, show_default=True,
               help="Initial window depth.")
 @click.option("--doublings", default=2, show_default=True,
-              help="Number of window doublings for the stability trace.")
+              help="Number of window doublings for the stability trace; "
+                   "a stable verdict needs two (three agreeing windows).")
 @click.option("--mode", default="delta", show_default=True,
               type=click.Choice(["delta", "free"]),
               help="delta: project onto Delta-invariants (base Q_p); "

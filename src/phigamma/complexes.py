@@ -79,8 +79,8 @@ from .errors import (
     SizeLimitError,
 )
 from .modules import PhiGammaModule, _thaw
-from .normfield import (NormFieldElement, _lru_store, binomial_table_mod_ps,
-                        format_element, power_rows)
+from .normfield import (_EXPONENT_MARGIN, NormFieldElement, _lru_store,
+                        binomial_table_mod_ps, format_element, power_rows)
 from .wittside import ArithLiftElement
 from .zmodlin import (
     ZModMatrix,
@@ -120,8 +120,8 @@ RING_ID = ("id",)
 RING_PHI = ("phi",)
 
 
-def ring_gamma(a: int, mod_power: int | None = None) -> tuple:
-    return ("gamma", a, mod_power)
+def ring_gamma(a: int) -> tuple:
+    return ("gamma", a)
 
 
 @dataclass(frozen=True)
@@ -150,9 +150,7 @@ def _apply_ring(ring, x: ArithLiftElement) -> ArithLiftElement:
         return x
     if ring[0] == "phi":
         return x.frobenius()
-    if x.is_zero():
-        return x
-    return x.gamma(ring[1], ring[2])
+    return x.gamma(ring[1])
 
 
 def _apply_operator(op, vec, rank):
@@ -311,8 +309,7 @@ def build_ring_window(p: int, s: int, ring: tuple, bot_in: int,
     top), built afresh; image terms below pi^-bot_out are cut.
 
     Entry [n + bot_out, k + bot_in] is the coefficient of pi^n in ring(pi^k),
-    fixed by n and k (top decides only whether the binomial table it needs
-    is certified), so a window is the trailing corner of any deeper one
+    fixed by n and k, so a window is the trailing corner of any deeper one
     with the same top.  Column k is one row of a power table (power_rows),
     written down from the row of its lead exponent: gamma(pi^k) = pi^k U^k,
     U = ((1+pi)^a - 1)/pi; phi(pi^k) = pi^k H^k for k >= 0, H = ((1+pi)^p -
@@ -334,10 +331,10 @@ def build_ring_window(p: int, s: int, ring: tuple, bot_in: int,
                    power_rows(F, q, -bot_in, 0)[:, ::-1]),
                   (n[bot_in:], power_rows(H, q, 0, top, end=top))]
     else:
-        a, mod_power = ring[1], ring[2]
+        a = ring[1]
         if a % p == 0:
             raise ValueError("gamma exponent must be a p-adic unit")
-        U = binomial_table_mod_ps(a, bot_in + top, p, s, mod_power)
+        U = binomial_table_mod_ps(a, bot_in + top, p, s)
         tables = [(n, power_rows(U, q, -bot_in, top, end=top))]
     R = np.zeros((bot_out + top, bot_in + top), dtype=np.int64)
     col = 0
@@ -362,8 +359,7 @@ def ring_window(p: int, s: int, ring: tuple, bot_in: int, bot_out: int,
 
     One window is kept per (p, s, ring, top), the least recently used
     dropped past _LRU_SIZE (normfield).  A deeper request rebuilds it as
-    deep as every window it has served, so it raises PrecisionError exactly
-    when a fresh build would, and a failed rebuild keeps the window it had.
+    deep as every window it has served.
     """
     key = (p, s, ring, top)
     kept = _WINDOWS.get(key)
@@ -514,10 +510,7 @@ def _delta_actions(D: PhiGammaModule, bot: int, top: int):
     exact representation, so act_g^i is exactly the action of g^i."""
     p, s = D.p, D.s
     q = p ** s
-    # C(omega, k) mod p^s needs omega mod p^(s + floor(log_p k)), and an
-    # int64 window has fewer than 2^63 <= p^63 columns: one residue serves
-    # every depth, so the windows of all depths share one ring_window entry
-    M = s + 63
+    M = s + _EXPONENT_MARGIN
     g = next(u for u in range(2, p)
              if len({pow(u, i, p) for i in range(p - 1)}) == p - 1)
     # Teichmuller residues omega(g^i) = omega(g)^i mod p^M
@@ -525,7 +518,7 @@ def _delta_actions(D: PhiGammaModule, bot: int, top: int):
     omegas = {pow(g, i, p): pow(w, i, p ** M) for i in range(p - 1)}
     scalar = pow(omegas[g], D.delta_character_exponent, q)
     # omega(-1) = -1 exactly
-    ring = ring_gamma(-1) if g == p - 1 else ring_gamma(omegas[g], M)
+    ring = ring_gamma(-1) if g == p - 1 else ring_gamma(omegas[g])
     op = _op(scalar, ring)
     act = _operator_matrix(D, op, bot, bot, top,
                            _kept_rows(D, (op,), bot, bot, top))
@@ -535,8 +528,7 @@ def _delta_actions(D: PhiGammaModule, bot: int, top: int):
     return omegas, acts
 
 
-def delta_project(D: PhiGammaModule, bottom: int,
-                  top: int | None = None) -> DeltaProjection:
+def delta_project(D: PhiGammaModule, bottom: int, top: int) -> DeltaProjection:
     """e_Delta = (p-1)^(-1) sum_delta omega(delta)^e * delta on the window.
 
     Delta acts through the character power on the module, each delta as a
@@ -549,7 +541,6 @@ def delta_project(D: PhiGammaModule, bottom: int,
     p, s = D.p, D.s
     if p == 2:
         raise ValueError("Delta-averaging needs p odd")
-    top = bottom if top is None else top
     q = p ** s
     omegas, acts = _delta_actions(D, bottom, top)
     E = sum(acts) % q * pow(p - 1, -1, q) % q
@@ -887,7 +878,7 @@ def cohomology(T: GammaComplex, schedule=None) -> CohomologyReport:
 def geometric_gamma_sum(y: NormFieldElement, a: int,
                         chi: int) -> NormFieldElement:
     """(gamma^a - 1)/(gamma - 1) applied to y, i.e. sum_{i<a} gamma^i(y),
-    with gamma^i acting through chi^i mod p^12.
+    with gamma^i acting through chi^i.
 
     Exact for integer a >= 0 (binary splitting).
     """
@@ -900,9 +891,9 @@ def geometric_gamma_sum(y: NormFieldElement, a: int,
             return NormFieldElement(p, y.m, {}, y.prec_num), 1
         if n % 2:
             sub, pw = rec(n - 1)
-            return sub + y.gamma(pw, 12), pw * chi % p ** 12
+            return sub + y.gamma(pw), pw * chi
         half, pw = rec(n // 2)
-        return half + half.gamma(pw, 12), pw * pw % p ** 12
+        return half + half.gamma(pw), pw * pw
 
     return rec(a)[0]
 
@@ -949,7 +940,7 @@ def explicit_cocycle(T: GammaComplex, pair, samples) -> CocycleData:
 
     def evaluate(a, t):
         val = geometric_gamma_sum(yr, a, chi)
-        val = val - (b.gamma(pow(chi, a, p ** 12), 12) - b)
+        val = val - (b.gamma(chi ** a) - b)
         if c and t:
             val = val - NormFieldElement.constant(p, c * t % p, val.prec)
         return val
@@ -961,7 +952,7 @@ def explicit_cocycle(T: GammaComplex, pair, samples) -> CocycleData:
     for (a1, t1, v1) in table:
         for (a2, t2, v2) in table:
             lhs = evaluate(a1 + a2, t1 + t2)
-            rhs = v1 + v2.gamma(pow(chi, a1, p ** 12), 12)
+            rhs = v1 + v2.gamma(chi ** a1)
             if not (lhs - rhs).is_zero():
                 ok = False
     shown = tuple((a, t, format_element(v)) for a, t, v in table)

@@ -187,11 +187,11 @@ class ChainComplexZ:
         on construction, so im d_(n-1) lies in ker d_n."""
         return self.cocycle_length(n) - image_length(self.diff(n - 1))
 
-    def shifted(self, k: int = 1) -> "ChainComplexZ":
-        """Degree shift without signs: degree n holds the old degree n-k
+    def shifted(self) -> "ChainComplexZ":
+        """Degree shift without signs: degree n holds the old degree n-1
         with the same differential matrices."""
-        ranks = {n + k: r for n, r in self.ranks.items()}
-        diffs = {n + k: d for n, d in self.diffs.items()}
+        ranks = {n + 1: r for n, r in self.ranks.items()}
+        diffs = {n + 1: d for n, d in self.diffs.items()}
         return ChainComplexZ(self.p, self.s, ranks, diffs)
 
     def to_json(self) -> str:
@@ -318,7 +318,7 @@ def cone_sequence(f: ChainMap) -> ShortExactSequence:
     T = mapping_cone(f)
     X, Y = f.src, f.dst
     p, s = X.p, X.s
-    A = Y.shifted(1)
+    A = Y.shifted()
     inc, proj, retr, sect = {}, {}, {}, {}
     for n in T.degrees():
         ry, rx = Y.rank(n - 1), X.rank(n)

@@ -173,10 +173,6 @@ def _thaw(M):
     return [list(row) for row in M]
 
 
-def _entry_gamma(x: ArithLiftElement, a: int) -> ArithLiftElement:
-    return x if x.is_zero() else x.gamma(a)
-
-
 def validate_module(D: PhiGammaModule) -> None:
     det = det_mod_p(_thaw(D.phi))
     if det.is_zero():
@@ -185,7 +181,7 @@ def validate_module(D: PhiGammaModule) -> None:
     for g in D.generators:
         G = _thaw(g.matrix)
         lhs = mat_mul(phi, mat_map(G, lambda x: x.frobenius()))
-        rhs = mat_mul(G, mat_map(phi, lambda x: _entry_gamma(x, g.exponent)))
+        rhs = mat_mul(G, mat_map(phi, lambda x: x.gamma(g.exponent)))
         for i in range(D.rank):
             for j in range(D.rank):
                 if not lhs[i][j].agrees_with(rhs[i][j]):

@@ -19,7 +19,10 @@ levels.
 Element gamma evaluates a series at G = (1+t)^a - 1 from tables kept per
 generator (_generator_tables); complexes.ring_window builds the same action
 as window matrices from power_rows.  The two paths share only
-binomial_table_mod_ps, so each can check the other.
+binomial_table_mod_ps, so each can check the other.  Every (1+t)^a of the
+package comes from that table, which reads the exponent a as any integer
+congruent to it mod p^(s + 63): that residue fixes every binomial a window
+can index, so neither path refuses a window for want of exponent digits.
 
 Relative elements adjoin a second variable x (with its own fractional
 exponent grid); the geometric generator acts by x |-> (1+pi)x and the
@@ -56,28 +59,24 @@ __all__ = [
 INFINITY = Fraction(10**12)  # sentinel ordering value for the zero element
 
 
-def binomial_table_mod_ps(a: int, L: int, p: int, s: int,
-                          mod_power: int | None = None) -> np.ndarray:
+# a Gamma exponent is read mod p^(s + _EXPONENT_MARGIN) (binomial_table_mod_ps)
+_EXPONENT_MARGIN = 63
+
+
+def binomial_table_mod_ps(a: int, L: int, p: int, s: int) -> np.ndarray:
     """[C(a, k) mod p^s for k = 1..L].
 
-    With mod_power=None the exponent a is exact.  Otherwise a is only known
-    mod p^mod_power, and the call raises PrecisionError unless mod_power >=
-    s + floor(log_p L).  That residue pins every C(a, k), k <= L, mod p^s:
+    A Gamma exponent a is read as any integer congruent to it mod p^M, M =
+    s + _EXPONENT_MARGIN = s + 63, and reduced to its least residue here.
+    That residue pins every C(a, k) mod p^s that an int64 window can index:
     in C(a + p^M t, k) = sum_j C(p^M t, j) C(a, k - j) each j >= 1 term is
-    divisible by p^(M - v_p(j)) (Kummer); at s = 1 this is Lucas' theorem,
-    k < p^mod_power.  One pass of C(a, k) = C(a, k-1) (a-k+1)/k, keeping the
-    unit part mod p^s and the p-valuation apart, so a residue a of hundreds
-    of digits costs O(L) small operations.
+    divisible by p^(M - floor(log_p j)) (Kummer), which is p^s or more for
+    every k < 2^63 <= p^63.  One pass of C(a, k) = C(a, k-1) (a-k+1)/k,
+    keeping the unit part mod p^s and the p-valuation apart, so a residue
+    of hundreds of digits costs O(L) small operations.
     """
     q = p**s
-    if mod_power is not None:
-        digits, power = 0, p
-        while power <= L:
-            digits, power = digits + 1, power * p
-        if L > 0 and mod_power < s + digits:
-            raise PrecisionError(f"need the exponent mod p^{s + digits} "
-                                 f"for C(a, {L}) mod p^{s}")
-        a %= p**mod_power
+    a %= p ** (s + _EXPONENT_MARGIN)
     out = np.zeros(max(L, 0), dtype=np.int64)
     unit, val = 1, 0
     for k in range(1, L + 1):
@@ -374,21 +373,20 @@ class NormFieldElement(_Series):
         return NormFieldElement(self.p, self.m + 1, dict(self.coeffs),
                                 self.prec_num)
 
-    def gamma(self, a: int, mod_power: int) -> "NormFieldElement":
+    def gamma(self, a: int) -> "NormFieldElement":
         """Substitution t |-> G = (1+t)^a - 1 on the level-m generator t.
 
-        ``a`` is a unit residue mod p^mod_power.  The output window equals
-        the input window.  With u = G/t, base = min(lo, 0) and W = prec -
-        base, x(G) = t^base u^base P(G) for P(y) = sum c_n y^(n - base) of
-        degree N < W, evaluated mod t^W by baby and giant steps (Paterson
-        and Stockmeyer, SIAM J. Comput. 2, 1973): one int64 product of the
-        coefficient table with G^0..G^(k-1), and Horner's rule in G^k;
+        ``a`` is a p-adic unit, read mod p^64 (binomial_table_mod_ps).  The
+        output window equals the input window.  With u = G/t, base = min(lo,
+        0) and W = prec - base, x(G) = t^base u^base P(G) for P(y) = sum c_n
+        y^(n - base) of degree N < W, evaluated mod t^W by baby and giant
+        steps (Paterson and Stockmeyer, SIAM J. Comput. 2, 1973): one int64
+        product of the coefficient table with G^0..G^(k-1), and Horner's
+        rule in G^k;
         u^base multiplies in the squarings u^-(2^i) that the bits of -base
         select.  These tables depend on the generator only, and come from
-        _generator_tables on their first W terms, which need C(a, k) for k
-        <= W: PrecisionError when W reaches p^mod_power, where the residue
-        no longer determines C(a, W).  Calls neither complexes.ring_window
-        nor power_rows, which it rechecks.
+        _generator_tables on their first W terms.  Calls neither
+        complexes.ring_window nor power_rows, which it rechecks.
         """
         if a % self.p == 0:
             raise ValueError("gamma exponent must be a p-adic unit")
@@ -396,12 +394,9 @@ class NormFieldElement(_Series):
             return self
         p, prec, base = self.p, self.prec_num, min(min(self.coeffs), 0)
         W, N = prec - base, max(self.coeffs) - base
-        if W >= p**mod_power:
-            raise PrecisionError(f"binomial C(a, {p**mod_power}) needs the "
-                                 f"exponent mod p^{mod_power} and more")
         if (p - 1) ** 2 * (prec - 2 * base + 2) >= 2**63:
             raise ValueError("window too wide for int64 products mod p")
-        baby, giant, squares = _generator_tables(p, a, mod_power, W, -base)
+        baby, giant, squares = _generator_tables(p, a, W, -base)
         # a low degree reads the first N + 1 baby steps and no giant step
         k = min(len(baby), N + 1)
         J = -(-(N + 1) // k)
@@ -474,33 +469,30 @@ def _lru_store(table: dict, key, value):
 # cost less than the convolution
 _SPARSE_TERM = 2048
 
-# element gamma's tables by (p, a mod p^mod_power, mod_power): (baby, giant,
-# squares), see _generator_tables
+# element gamma's tables by (p, a mod p^64): (baby, giant, squares), see
+# _generator_tables
 _GENERATORS: dict = {}
 
 
-def _generator_tables(p: int, a: int, mod_power: int, width: int,
-                      exponent: int) -> tuple:
+def _generator_tables(p: int, a: int, width: int, exponent: int) -> tuple:
     """(baby, giant, squares) for G = (1+t)^a - 1 mod p, read-only, on their
-    first width < p^mod_power terms or more: baby[i] = G^i for i < k, giant
-    = G^k and squares[i] = u^-(2^i), u = G/t, for 2^i <= exponent or more.
+    first width terms or more: baby[i] = G^i for i < k, giant = G^k and
+    squares[i] = u^-(2^i), u = G/t, for 2^i <= exponent or more.
 
     k is 2 isqrt(n) + 1 for the table width n, so a call reads a prefix of
     the tables, which hold O(n^1.5) entries and n per squaring.  Each baby
     step is a product by G, taken term by term when G is Lucas-sparse.  One
     entry is kept per key, the least recently used dropped past _LRU_SIZE;
-    a narrow one is rebuilt at twice its width or more, up to the
-    p^mod_power - 1 terms that the residue of a determines and the terms
+    a narrow one is rebuilt at twice its width or more, up to the terms
     that inverse() can sum in int64.  The squares grow by one squaring at
     the kept width when a call needs another bit.
     """
-    key = (p, a % p**mod_power, mod_power)
+    key = (p, a % p ** (1 + _EXPONENT_MARGIN))
     kept = _GENERATORS.get(key)
     if kept is None or kept[0].shape[1] < width:
         old = kept[0].shape[1] if kept else 0
-        n = min(max(width, 2 * old), p**mod_power - 1,
-                (2**63 - 1) // (p - 1) ** 2)
-        u = binomial_table_mod_ps(a, n, p, 1, mod_power)
+        n = min(max(width, 2 * old), (2**63 - 1) // (p - 1) ** 2)
+        u = binomial_table_mod_ps(a, n, p, 1)
         G = np.concatenate(([0], u[:n - 1]))
         terms = np.flatnonzero(G)
 
@@ -716,6 +708,8 @@ class ASExtensionElement:
         """
         p = self.p
         frob = [c.frobenius() for c in self.coords]
+        # C(j, k) = C(j, j - k), row j of the tables at j - k
+        binomials = [binomial_table_mod_ps(j, j, p, 1) for j in range(p)]
         u_pows = [None, self.ext.u]
         for _ in range(2, p):
             u_pows.append(u_pows[-1] * self.ext.u)
@@ -723,7 +717,8 @@ class ASExtensionElement:
         for k in range(p):
             acc = frob[k]
             for j in range(k + 1, p):
-                acc = acc + frob[j] * u_pows[j - k].scale(math.comb(j, k))
+                acc = acc + frob[j] * u_pows[j - k].scale(
+                    int(binomials[j][j - k - 1]))
             coords.append(acc)
         return ASExtensionElement(self.ext, coords)
 
@@ -837,10 +832,10 @@ class RelativeNormElement:
             parts[j] = mult
         return RelativeNormElement(self.p, self.mx, parts)
 
-    def gamma(self, a: int, mod_power: int = 12) -> "RelativeNormElement":
+    def gamma(self, a: int) -> "RelativeNormElement":
         """Arithmetic action: coefficientwise gamma; x is fixed."""
         return RelativeNormElement(self.p, self.mx,
-                                   {j: c.gamma(a, mod_power)
+                                   {j: c.gamma(a)
                                     for j, c in self.parts.items()})
 
     def __eq__(self, other) -> bool:
@@ -861,10 +856,10 @@ def _one_plus_gen_power(p: int, mx: int, e: int, c: NormFieldElement) -> NormFie
     width = cc.prec_num - (min(min(cc.coeffs), 0) if cc.coeffs else 0)
     gen_step = p ** (level - mx)  # one x-grid step on the pi-grid of `level`
     n = width // gen_step + 2
-    # (1+t)^e with t = pi^(1/p^mx); for e < 0, C(e, k) = (-1)^k C(k - e - 1, k)
-    factor = NormFieldElement(p, level, {
-        k * gen_step: math.comb(e, k) if e >= 0
-        else (-1) ** k * math.comb(k - e - 1, k) for k in range(n)},
+    # (1+t)^e with t = pi^(1/p^mx)
+    binomials = binomial_table_mod_ps(e, n - 1, p, 1)
+    factor = NormFieldElement(p, level, {0: 1} | {
+        k * gen_step: int(c) for k, c in enumerate(binomials, start=1)},
         max(cc.prec_num, n * gen_step))
     return cc * factor
 

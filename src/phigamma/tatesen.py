@@ -16,8 +16,11 @@ The arithmetic-direction solve builds gamma with
 ``complexes.build_ring_window`` at s = 1, in grid steps, and keeps only its
 system, a zmodlin.FpSystem: every sample of one prime and level tops its
 window at the same exponent, so each system is a corner of one kept system
-(_ts3_system).  The TS3 matrices are singular, and the reported c3 rests on
-the particular solution that sets the free unknowns to 0, which
+(_ts3_system).  gamma^(p^m) enters the window and element gamma through
+one exponent, the residue of (1 + p)^(p^m) mod p^64 (_ts3_exponent), which
+fixes every binomial either reads, so no rebuild is refused for want of
+exponent digits.  The TS3 matrices are singular, and the reported c3 rests
+on the particular solution that sets the free unknowns to 0, which
 FpSystem.solve returns.  The TS3 residual and the c4 probe recheck it
 through element gamma, a baby-step/giant-step evaluation on int64 vectors
 that shares only the binomial table with the window builder.  The TS1
@@ -311,16 +314,18 @@ def ts1_witness_search(p: int, s: int, n: int, c: Fraction) -> TS1Witness:
 # -- TS3: inverting 1 - gamma^(p^m) off the trace image ----------------------
 
 
-# gamma = gamma_(1 + p) acts in TS3 through its exponent mod p^_MOD_POWER
-_MOD_POWER = 14
+def _ts3_exponent(p: int, m: int) -> int:
+    """The exponent (1 + p)^(p^m) of gamma^(p^m), gamma = gamma_(1 + p), as
+    its residue mod p^64, which fixes every binomial of the s = 1 tables
+    (normfield.binomial_table_mod_ps)."""
+    return pow(1 + p, p**m, p**64)
 
-# TS3 system kept per (p, a_res, mod_power, f, hi_rows):
-# (lo_y, support, FpSystem)
+
+# TS3 system kept per (p, a_res, f, hi_rows): (lo_y, support, FpSystem)
 _SYSTEMS: dict = {}
 
 
-def _ts3_system(p: int, a_res: int, mod_power: int, f: int, lo_y: int,
-                hi_rows: int):
+def _ts3_system(p: int, a_res: int, f: int, lo_y: int, hi_rows: int):
     """(support, FpSystem) of gamma - 1, gamma = gamma_(a_res) on a window
     from build_ring_window, on the exponents in [lo_y, hi_rows) off the grid
     of multiples of f, both as unknowns and as rows.  The dense window is
@@ -329,13 +334,12 @@ def _ts3_system(p: int, a_res: int, mod_power: int, f: int, lo_y: int,
 
     An entry is fixed by its row, its column and the top, so the system of
     a higher lo_y is a corner of a deeper one (FpSystem.corner), past the
-    support exponents below lo_y.  One system is kept per (p, a_res,
-    mod_power, f, hi_rows), the least recently used dropped past _LRU_SIZE
-    (normfield).  A lower lo_y rebuilds it at that depth, so it raises
-    PrecisionError exactly when a fresh build would, and a failed rebuild
-    keeps the system it had.
+    support exponents below lo_y.  One system is kept per (p, a_res, f,
+    hi_rows), the least recently used dropped past _LRU_SIZE (normfield).
+    A lower lo_y rebuilds it at that depth; a rebuild refused by the size
+    bound keeps the system it had.
     """
-    key = (p, a_res, mod_power, f, hi_rows)
+    key = (p, a_res, f, hi_rows)
     kept = _SYSTEMS.get(key)
     if kept is None or lo_y < kept[0]:
         # the gamma window and its power table (power_rows), each of
@@ -344,8 +348,8 @@ def _ts3_system(p: int, a_res: int, mod_power: int, f: int, lo_y: int,
                             "the TS3 gamma window")
         support = [n for n in range(lo_y, hi_rows) if n % f]
         off = np.array(support, dtype=np.int64) - lo_y
-        A = build_ring_window(p, 1, ring_gamma(a_res, mod_power), -lo_y,
-                              -lo_y, hi_rows)[np.ix_(off, off)]
+        A = build_ring_window(p, 1, ring_gamma(a_res), -lo_y, -lo_y,
+                              hi_rows)[np.ix_(off, off)]
         kept = (lo_y, support,
                 FpSystem(A - np.eye(len(off), dtype=np.int64), p))
     _, support, system = _lru_store(_SYSTEMS, key, kept)
@@ -356,8 +360,8 @@ def _ts3_system(p: int, a_res: int, mod_power: int, f: int, lo_y: int,
 def invert_one_minus_gamma(z, m: int):
     """Solve (1 - gamma_i^(p^m)) y = z on the complement of level m, in the
     direction i that z's type names: 1 (geometric, gamma~) for a
-    RelativeNormElement, 0 (arithmetic, gamma = gamma_chi with chi = 1 + p,
-    read mod p^_MOD_POWER) for a NormFieldElement.
+    RelativeNormElement, 0 (arithmetic, gamma = gamma_chi with chi = 1 + p)
+    for a NormFieldElement.
 
     Direction 1 is diagonal in the x-monomials: each term is divided by the
     exact multiplier 1 - (1 + pi^(1/p^mx))^(p^m * j).  Direction 0 is an
@@ -398,7 +402,7 @@ def invert_one_minus_gamma(z, m: int):
     if z.is_zero():
         return z
     p = z.p
-    a_res = pow(1 + p, p ** m, p ** _MOD_POWER)
+    a_res = _ts3_exponent(p, m)
     K = z.m
     f = p ** (K - m)  # level-m grid exponents are the multiples of f
     if f <= 1:
@@ -417,7 +421,7 @@ def invert_one_minus_gamma(z, m: int):
             f"{lo_z + pad} grid steps at level {K}")
     # both the unknowns and the constraints live on the complement of the
     # level-m grid; the leakage of gamma into level-m rows is projected away
-    support, system = _ts3_system(p, a_res, _MOD_POWER, f, lo_y, hi_rows)
+    support, system = _ts3_system(p, a_res, f, lo_y, hi_rows)
     sol = system.solve({bisect_left(support, n): -cc
                         for n, cc in z.coeffs.items() if n < hi_rows})
     if sol is None:
@@ -425,7 +429,7 @@ def invert_one_minus_gamma(z, m: int):
             "no window preimage: contraction failed for the given window")
     y = NormFieldElement(p, K, {q: int(v) for q, v in zip(support, sol)
                                 if v % p}, hi_rows)
-    residual = z - (y - y.gamma(a_res, _MOD_POWER))
+    residual = z - (y - y.gamma(a_res))
     if any(c % p for e, c in residual.coeffs.items() if e % f):
         raise InvariantError("inversion residual is nonzero on the window")
     return y
@@ -517,7 +521,7 @@ class TateSenCertificate:
             sort_keys=True, indent=2)
 
 
-def _random_deep_element(rng, p, m, level, prec=18):
+def _random_deep_element(rng, p, m, level):
     coeffs = {}
     f = p ** level
     for _ in range(rng.randrange(2, 6)):
@@ -529,7 +533,7 @@ def _random_deep_element(rng, p, m, level, prec=18):
         coeffs = {k: v for k, v in coeffs.items() if (k * p**m) % f != 0}
         if not coeffs:
             coeffs = {f + 1: 1}
-    return NormFieldElement(p, level, coeffs, prec * f)
+    return NormFieldElement(p, level, coeffs, 18 * f)
 
 
 def tate_sen_certificate(p: int, m: int, n_samples: int,
@@ -563,12 +567,10 @@ def tate_sen_certificate(p: int, m: int, n_samples: int,
         if loss > c3:
             c3, worst["c3"] = loss, format_element(deep)
         # TS3 second bound: on level-m inputs the commutator gains c4 > 0
-        x = tau_projection(
-            _random_deep_element(rng, p, 0, m, prec=18), m, 0)
+        x = tau_projection(_random_deep_element(rng, p, 0, m), m, 0)
         if x.is_zero() or 0 in x.coeffs:
             continue
-        a_res = pow(1 + p, p ** m, p ** _MOD_POWER)
-        dx = x.gamma(a_res, _MOD_POWER) - x
+        dx = x.gamma(_ts3_exponent(p, m)) - x
         if not dx.is_zero():
             gain = dx.valuation() - x.valuation()
             if c4 is None or gain < c4:

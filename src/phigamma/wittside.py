@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import PrecisionError
@@ -147,30 +147,30 @@ class ArithLiftElement(_Series):
                 result = result + power.scale(self.coeffs[n]).truncate_to_num(prec)
         return result.truncate_to_num(prec)
 
-    def one_plus_pi_power(self, a: int, mod_power: int | None,
-                          width: int) -> "ArithLiftElement":
-        """(1+pi)^a - 1 to pi^width; a exact when mod_power is None."""
-        table = binomial_table_mod_ps(a, max(width - 1, 0), self.p, self.s,
-                                      mod_power)
+    def one_plus_pi_power(self, a: int, width: int) -> "ArithLiftElement":
+        """(1+pi)^a - 1 to pi^width."""
+        table = binomial_table_mod_ps(a, max(width - 1, 0), self.p, self.s)
         coeffs = {k: int(c) for k, c in enumerate(table, start=1) if c}
         return ArithLiftElement(self.p, self.s, coeffs, width)
 
     def frobenius(self) -> "ArithLiftElement":
         """pi |-> (1+pi)^p - 1, the canonical Frobenius lift."""
-        width = self._subst_width()
-        G = self.one_plus_pi_power(self.p, None, width)
+        if not self.coeffs:
+            return self
+        G = self.one_plus_pi_power(self.p, self._subst_width())
         return self.substitute(G)
 
-    def gamma(self, a: int, mod_power: int | None = None) -> "ArithLiftElement":
-        """pi |-> (1+pi)^a - 1 for a unit exponent a (exact, or mod p^mod_power)."""
+    def gamma(self, a: int) -> "ArithLiftElement":
+        """pi |-> (1+pi)^a - 1 for a unit exponent a."""
         if a % self.p == 0:
             raise ValueError("gamma exponent must be a p-adic unit")
-        width = self._subst_width()
-        G = self.one_plus_pi_power(a, mod_power, width)
+        if not self.coeffs:
+            return self
+        G = self.one_plus_pi_power(a, self._subst_width())
         return self.substitute(G)
 
     def _subst_width(self) -> int:
-        lo = min(min(self.coeffs), 0) if self.coeffs else 0
+        lo = min(min(self.coeffs), 0)
         return self.prec_num - 2 * lo + 2 * self.s + 2
 
     def __repr__(self):
@@ -259,12 +259,9 @@ class WittVector:
         return WittVector(self.p, self.s,
                           [c.frobenius() for c in self.components])
 
-    def gamma(self, a: int, mod_power: int | None = None) -> "WittVector":
-        # the char-p components only see the exponent through Lucas digits
-        mp = mod_power if mod_power is not None else 12
+    def gamma(self, a: int) -> "WittVector":
         return WittVector(self.p, self.s,
-                          [c.gamma(a, mp) if not c.is_zero() else c
-                           for c in self.components])
+                          [c.gamma(a) for c in self.components])
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, WittVector)

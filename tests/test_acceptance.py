@@ -50,7 +50,6 @@ from phigamma.wittside import (
     ghost_check,
     teichmuller,
     w_r_valuation,
-    witt_add,
     witt_mul,
     witt_sub,
 )
@@ -285,7 +284,7 @@ def test_criterion_09_tate_sen():
         z = NormFieldElement(P, 1, {q: rng.randint(1, 2) for q in support},
                              60)
         y = invert_one_minus_gamma(z, 0)
-        back = y - y.gamma(CHI, 14)
+        back = y - y.gamma(CHI)
         diff = z - back
         assert all(c % P == 0 for e, c in diff.coeffs.items() if e % 3)
         if not y.is_zero():

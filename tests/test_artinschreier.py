@@ -11,11 +11,7 @@ from phigamma.artinschreier import (
     solve_as_general,
     solve_phi_minus_one,
 )
-from phigamma.normfield import (
-    ASExtensionElement,
-    NormFieldElement,
-    parse_element,
-)
+from phigamma.normfield import NormFieldElement, parse_element
 from phigamma.wittside import (
     WeakNeighborhood,
     WittVector,

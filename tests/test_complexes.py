@@ -131,7 +131,7 @@ def column_dicts(p, s, ring, bot, top):
 
 def element_column(p, s, ring, n, top, prec):
     x = ArithLiftElement.pi_power(p, s, n, prec)
-    y = x.frobenius() if ring == RING_PHI else x.gamma(ring[1], ring[2])
+    y = x.frobenius() if ring == RING_PHI else x.gamma(ring[1])
     return {m: c for m, c in y.coeffs.items() if m < top}
 
 
@@ -140,7 +140,7 @@ def element_column(p, s, ring, n, top, prec):
 def test_gamma_columns_match_element_gamma(p, s):
     bot, top = 6, 10
     omega2 = pow(2, p**99, p**100)  # Teichmuller residue of 2 mod p^100
-    for ring in (ring_gamma(1 + p), ring_gamma(-1), ring_gamma(omega2, 100)):
+    for ring in (ring_gamma(1 + p), ring_gamma(-1), ring_gamma(omega2)):
         cols = column_dicts(p, s, ring, bot, top)
         for n in range(-bot, top):
             # the element path keeps every coefficient below pi^top at this
@@ -192,7 +192,7 @@ def test_ring_window_corners_deepen_each_side(p, s):
     top = 7
     steps = [(4, 6), (9, 6), (9, 20), (2, 3), (12, 8), (5, 30), (0, 0)]
     for ring in (RING_ID, RING_PHI, ring_gamma(1 + p), ring_gamma(-1),
-                 ring_gamma(omega2, 100)):
+                 ring_gamma(omega2)):
         complexes._WINDOWS.clear()
         deepest = [0, 0]
         for bot_in, bot_out in steps:
@@ -242,7 +242,7 @@ def test_matmul_mod_matches_object_product():
 
 def test_delta_projector_is_idempotent_on_vectors():
     D = trivial()
-    proj = delta_project(D, 12)
+    proj = delta_project(D, 12, 12)
     rng = np.random.default_rng(53)
     v = rng.integers(0, P, size=proj.matrix.shape[1])
     once = proj.matrix @ v % P
@@ -253,7 +253,7 @@ def test_delta_projector_is_idempotent_on_vectors():
 
 def test_delta_projector_twisted_character():
     D = tate_twist(trivial(), 1)
-    proj = delta_project(D, 12)
+    proj = delta_project(D, 12, 12)
     assert proj.exponent == 1
     # pi is an eigenvector pattern, the constant 1 is not fixed under omega
     e0 = np.zeros(proj.matrix.shape[1], dtype=np.int64)
@@ -272,7 +272,7 @@ def _direct_delta_action(D, u, bot, top):
     M = s + (top + p * bot) // (p - 1) + 6
     a = pow(u, p ** (M - 1), p ** M)
     ring = (RING_ID if u == 1 else ring_gamma(-1) if u == p - 1
-            else ring_gamma(a, M))
+            else ring_gamma(a))
     scalar = pow(a, D.delta_character_exponent, p ** s)
     # a square window keeps every row
     return _operator_matrix(D, _op(scalar, ring), bot, bot, top,
@@ -332,7 +332,8 @@ def test_delta_actions_of_two_depths_share_one_window(p, s):
             assert np.array_equal(big[7:, 7:], small)
         assert len(complexes._WINDOWS) == 1
         (_, _, ring, _), = complexes._WINDOWS
-        assert ring[0] == "gamma" and ring[2] == s + 63
+        # one omega residue, the least mod p^(s + 63)
+        assert ring[0] == "gamma" and 0 < ring[1] < p ** (s + 63)
 
 
 # -- window cohomology -------------------------------------------------------
@@ -977,8 +978,7 @@ def test_geometric_sum_is_a_twisted_geometric_series():
         a, b = rng.randrange(0, 30), rng.randrange(0, 30)
         lhs = geometric_gamma_sum(y, a + b, CHI)
         rhs = (geometric_gamma_sum(y, a, CHI)
-               + geometric_gamma_sum(y, b, CHI).gamma(
-                   pow(CHI, a, P ** 12), 12))
+               + geometric_gamma_sum(y, b, CHI).gamma(CHI ** a))
         assert (lhs - rhs).is_zero()
 
 

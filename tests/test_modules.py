@@ -6,11 +6,9 @@ import pytest
 
 from phigamma.errors import InvariantError
 from phigamma.modules import (
-    GeneratorEntry,
     dual_module,
     identity_matrix,
     make_module,
-    mat_mul,
     module_from_json,
     module_to_json,
     reduce_mod,
@@ -174,7 +172,7 @@ def test_fixed_line_planted():
     w = NormFieldElement(3, 0, {0: 1, 1: 1, 3: 2}, PREC)
     u = w.frobenius() * w.inverse()
     lift = ArithLiftElement.lift(u, 1)
-    gl = ArithLiftElement.lift(u.gamma(CHI, 12) * u.inverse(), 1)
+    gl = ArithLiftElement.lift(u.gamma(CHI) * u.inverse(), 1)
     # rank-1 module built from the planted unit; gamma entry chosen to
     # satisfy commutation automatically since everything is a ratio of w
     wl = ArithLiftElement.lift(w, 1)

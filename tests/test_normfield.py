@@ -9,7 +9,7 @@ import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
-from phigamma import complexes, normfield
+from phigamma import complexes, normfield, tatesen
 from phigamma.complexes import ring_gamma, ring_window
 from phigamma.errors import PrecisionError
 from phigamma.normfield import (
@@ -105,8 +105,8 @@ def test_frobenius_scales_valuation(x):
 
 def test_gamma_identity_and_explicit():
     pi = NormFieldElement.pi_power(3, 1, 16)
-    assert pi.gamma(1, 12) == pi
-    g = pi.gamma(4, 12)
+    assert pi.gamma(1) == pi
+    g = pi.gamma(4)
     assert g.terms() == {Fraction(1): 1, Fraction(3): 1, Fraction(4): 1}
 
 
@@ -120,21 +120,21 @@ def test_gamma_matches_sympy_expansion():
                 for k in [k[0]]
                 if int(c) % p}
         pi = NormFieldElement.pi_power(p, 1, a + 4)
-        assert pi.gamma(a, 12).terms() == want
+        assert pi.gamma(a).terms() == want
 
 
 @settings(max_examples=100, deadline=None)
 @given(norm_elements(allow_zero=False))
 def test_gamma_preserves_valuation(x):
-    assert x.gamma(4, 12).valuation() == x.valuation()
+    assert x.gamma(4).valuation() == x.valuation()
 
 
 @settings(max_examples=60, deadline=None)
 @given(norm_elements())
 def test_frobenius_gamma_commute(x):
     a = 4
-    lhs = x.gamma(a, 12).frobenius()
-    rhs = x.frobenius().gamma(a, 12)
+    lhs = x.gamma(a).frobenius()
+    rhs = x.frobenius().gamma(a)
     assert lhs.agrees_with(rhs)
 
 
@@ -232,7 +232,7 @@ def test_relative_gamma_tilde_and_commutation():
     a_inv = pow(chi, -1, p**6)
     for j in [1, 2, 3]:
         xj = monomial(j)
-        lhs = xj.gamma(a_inv, 6).gamma_tilde().gamma(chi, 6)
+        lhs = xj.gamma(a_inv).gamma_tilde().gamma(chi)
         rhs = xj.gamma_tilde(power=chi)
         # compare on the common window
         for key in set(lhs.parts) | set(rhs.parts):
@@ -326,30 +326,23 @@ def gamma_matrix(p: int, a: int, mod_power: int, dom_lo: int, dom_hi: int,
     return A
 
 
-def gamma_window(p, a, mod_power, dom_lo, dom_hi, row_lo, row_hi):
+def gamma_window(p, a, dom_lo, dom_hi, row_lo, row_hi):
     """The gamma_matrix window, read off ring_window at s = 1."""
     top = max(dom_hi, row_hi)
-    R = ring_window(p, 1, ring_gamma(a, mod_power), -dom_lo, -row_lo, top)
+    R = ring_window(p, 1, ring_gamma(a), -dom_lo, -row_lo, top)
     return R[:row_hi - row_lo, :dom_hi - dom_lo]
 
 
-def square_window(p, a, mod_power, lo, hi):
+def square_window(p, a, lo, hi):
     """gamma on [lo, hi)^2, as tatesen.invert_one_minus_gamma reads it."""
-    return ring_window(p, 1, ring_gamma(a, mod_power), -lo, -lo, hi)
+    return ring_window(p, 1, ring_gamma(a), -lo, -lo, hi)
 
 
-def _window_outcome(build, *args):
-    try:
-        return build(*args)
-    except PrecisionError:
-        return "PrecisionError"
-
-
-def element_gamma_matrix(p, m, a, mod_power, dom_lo, dom_hi, row_lo, row_hi):
+def element_gamma_matrix(p, m, a, dom_lo, dom_hi, row_lo, row_hi):
     """Reference: gamma applied to each monomial t^q as an element."""
     A = np.zeros((row_hi - row_lo, dom_hi - dom_lo), dtype=np.int64)
     for j, q in enumerate(range(dom_lo, dom_hi)):
-        img = NormFieldElement(p, m, {q: 1}, row_hi + 1).gamma(a, mod_power)
+        img = NormFieldElement(p, m, {q: 1}, row_hi + 1).gamma(a)
         for n, c in img.coeffs.items():
             if row_lo <= n < row_hi:
                 A[n - row_lo, j] = c
@@ -366,19 +359,19 @@ def test_gamma_matrix_matches_element_gamma(p, m):
                (-4, 3, 1, 5)]       # rows cut off the low columns
     for a in (1 + p, -1, omega2):
         for w in windows:
-            assert np.array_equal(gamma_window(p, a, 12, *w),
-                                  element_gamma_matrix(p, m, a, 12, *w))
-            assert np.array_equal(gamma_window(p, a, 12, *w),
+            assert np.array_equal(gamma_window(p, a, *w),
+                                  element_gamma_matrix(p, m, a, *w))
+            assert np.array_equal(gamma_window(p, a, *w),
                                   gamma_matrix(p, a, 12, *w))
 
 
 def test_gamma_matrix_binomial_precision():
-    # rows up to t^11 from t^0 need C(a, k) for k up to 12 > 3^2
-    with pytest.raises(PrecisionError):
-        gamma_window(3, 4, 2, 0, 5, 0, 12)
-    assert gamma_window(3, 4, 2, 0, 5, 0, 8).shape == (8, 5)
+    # rows up to t^11 from t^0 read C(4, k) for k up to 12 > 3^2
+    assert np.array_equal(gamma_window(3, 4, 0, 5, 0, 12),
+                          gamma_matrix(3, 4, 12, 0, 5, 0, 12))
+    assert gamma_window(3, 4, 0, 5, 0, 8).shape == (8, 5)
     with pytest.raises(ValueError):
-        gamma_window(3, 6, 12, 0, 5, 0, 8)
+        gamma_window(3, 6, 0, 5, 0, 8)
 
 
 @pytest.mark.parametrize("p", [3, 5, 7])
@@ -388,42 +381,40 @@ def test_gamma_corner_is_the_gamma_matrix_window(p):
     hi = 6 * p + 5
     # lows going down widen the kept window, lows going up read its corners
     for lo in (-p, 2, -3 * p - 1, 0, -3 * p - 1, hi - 1, hi, -2, 7):
-        A = square_window(p, a, 14, lo, hi)
+        A = square_window(p, a, lo, hi)
         assert not A.flags.writeable
         assert np.array_equal(A, gamma_matrix(p, a, 14, lo, hi, lo, hi))
-    kept = complexes._WINDOWS[(p, 1, ring_gamma(a, 14), hi)]
+    kept = complexes._WINDOWS[(p, 1, ring_gamma(a), hi)]
     assert kept[:2] == (3 * p + 1, 3 * p + 1)
     # equal to a fresh build
     complexes._WINDOWS.clear()
-    assert np.array_equal(square_window(p, a, 14, 2, hi),
+    assert np.array_equal(square_window(p, a, 2, hi),
                           kept[2][3 * p + 3:, 3 * p + 3:])
     # another top is another window
-    assert np.array_equal(square_window(p, a, 14, -4, hi - 3),
+    assert np.array_equal(square_window(p, a, -4, hi - 3),
                           gamma_matrix(p, a, 14, -4, hi - 3, -4, hi - 3))
 
 
 def test_gamma_corner_binomial_precision():
-    # [lo, 9) reads C(4, k) for k <= 9 - lo; mod 3^2 that stops below k = 9
+    # [lo, 9) reads C(4, k) for k <= 9 - lo, past k = 9 from lo = 0 on
     complexes._WINDOWS.clear()
-    assert np.array_equal(square_window(3, 4, 2, 1, 9),
+    assert np.array_equal(square_window(3, 4, 1, 9),
                           gamma_matrix(3, 4, 2, 1, 9, 1, 9))
-    kept = complexes._WINDOWS[(3, 1, ring_gamma(4, 2), 9)]
-    with pytest.raises(PrecisionError):
-        square_window(3, 4, 2, 0, 9)
-    # the failed widening keeps the window it had
-    assert complexes._WINDOWS[(3, 1, ring_gamma(4, 2), 9)] is kept
-    assert np.array_equal(square_window(3, 4, 2, 3, 9),
+    assert np.array_equal(square_window(3, 4, 0, 9),
+                          gamma_matrix(3, 4, 12, 0, 9, 0, 9))
+    assert np.array_equal(square_window(3, 4, 3, 9),
                           gamma_matrix(3, 4, 2, 3, 9, 3, 9))
     with pytest.raises(ValueError):
-        square_window(3, 6, 12, 0, 9)
+        square_window(3, 6, 0, 9)
 
 
 @pytest.mark.parametrize("p", [3, 5, 7])
 @pytest.mark.parametrize("m", [0, 1, 2])
 def test_ring_window_is_gamma_matrix_on_ts3_windows(p, m):
     """Square windows [lo, hi)^2 as invert_one_minus_gamma reads them, at
-    a = (1+p)^(p^m): equal to the reference, and at mod_power 2 and 3, with
-    widths around p^mod_power, raising on the same windows."""
+    a = (1+p)^(p^m) and at its residues mod p^2 and p^3, each read as an
+    integer exponent: equal to the reference, with widths around p^2 and
+    p^3 too."""
     f = p ** (m + 1)
     for mod_power in (14, 3, 2):
         a = pow(1 + p, p**m, p**mod_power)
@@ -432,14 +423,9 @@ def test_ring_window_is_gamma_matrix_on_ts3_windows(p, m):
         for lo in (-f - p, 0, f + 1):
             for width in widths:
                 hi = lo + width
-                got = _window_outcome(square_window, p, a, mod_power, lo, hi)
-                want = _window_outcome(gamma_matrix, p, a, mod_power,
-                                       lo, hi, lo, hi)
-                if isinstance(want, str):
-                    assert got == want, (mod_power, lo, width)
-                else:
-                    assert np.array_equal(got, want), (mod_power, lo, width)
-                    assert width < p**mod_power
+                assert np.array_equal(square_window(p, a, lo, hi),
+                                      gamma_matrix(p, a, 14, lo, hi, lo, hi)
+                                      ), (mod_power, lo, width)
 
 
 # -- the binomial precision rule ---------------------------------------------
@@ -473,36 +459,91 @@ def test_binomial_residue_rule():
 @pytest.mark.parametrize("p", [3, 5, 7])
 @pytest.mark.parametrize("s", [1, 2, 4])
 def test_binomial_table_takes_the_least_residue(p, s):
-    """The table accepts mod_power = s + floor(log_p L), refuses one less,
-    and its values are those of the exact exponent."""
+    """The residue of a mod p^(s + floor(log_p L)) gives the table of a."""
     a = pow(2, p**40, p**41)
     for L in (1, p - 1, p, p * p + 3, 2 * p**3):
         M = s + _log_floor(L, p)
         exact = binomial_table_mod_ps(a, L, p, s)
-        assert np.array_equal(binomial_table_mod_ps(a, L, p, s, M), exact)
-        with pytest.raises(PrecisionError):
-            binomial_table_mod_ps(a, L, p, s, M - 1)
+        assert np.array_equal(binomial_table_mod_ps(a % p**M, L, p, s), exact)
+
+
+def _comb(a, k):
+    """C(a, k) for any integer a: (-1)^k C(k - a - 1, k) when a < 0."""
+    return math.comb(a, k) if a >= 0 else (-1) ** k * math.comb(k - a - 1, k)
+
+
+def test_binomial_table_reads_the_exponent_mod_p_s_plus_63():
+    """a + t p^(s+63) gives the table of a, for a and t of either sign, and
+    that table is C(a, k) mod p^s."""
+    rng = random.Random(2963)
+    for p in (3, 5, 7):
+        for s in range(1, 7):
+            q, M = p**s, s + 63
+            for a in (-1, -1 - p, -rng.randrange(p**70), 1 + p,
+                      rng.randrange(p**70)):
+                L = rng.randint(1, 3 * p**2)
+                table = binomial_table_mod_ps(a, L, p, s)
+                assert list(table) == [_comb(a, k) % q
+                                       for k in range(1, L + 1)], (p, s, a)
+                for t in (1, -1, rng.randint(2, p**8), -rng.randint(2, p**8)):
+                    assert np.array_equal(
+                        binomial_table_mod_ps(a + t * p**M, L, p, s), table
+                    ), (p, s, a, t)
 
 
 @pytest.mark.parametrize("p", [3, 5, 7])
-def test_binomial_table_raises_where_lucas_does(p):
-    """At s = 1 the table raises for L exactly when some k <= L is refused
-    by the Lucas reference, k >= p^mod_power, and agrees with it below."""
-    a = pow(1 + p, p**3, p**9) * pow(2, p**8, p**9) % p**9
-    for mod_power in range(1, 5):
-        limit = p**mod_power
-        ok = binomial_table_mod_ps(a, limit - 1, p, 1, mod_power)
-        assert list(ok) == [binomial_mod_p(a, k, p, mod_power)
-                            for k in range(1, limit)]
-        for L in range(limit + 3):
-            lucas = L >= limit   # binomial_mod_p(a, L, ...) raises
-            try:
-                table = binomial_table_mod_ps(a, L, p, 1, mod_power)
-            except PrecisionError:
-                assert lucas, (mod_power, L)
-            else:
-                assert not lucas, (mod_power, L)
-                assert np.array_equal(table, ok[:L])
+@pytest.mark.parametrize("m", [0, 1, 2])
+def test_ts3_gamma_reads_its_exponent_mod_p64(p, m):
+    """gamma^(p^m) on a TS3 window and as element gamma: the exact exponent
+    (1 + p)^(p^m), the one TS3 residue and the integers congruent to it mod
+    p^64 give the same build_ring_window and the same element gamma."""
+    rng = random.Random(64 * p + m)
+    residue = tatesen._ts3_exponent(p, m)
+    assert residue == (1 + p) ** (p**m) % p**64
+    exponents = ((1 + p) ** (p**m), residue, residue - p**64,
+                 residue + rng.randint(2, p**8) * p**64)
+    K = m + 1
+    f = p ** (K - m)
+    lo, hi = -2 * f - 1, 4 * f + 3
+    windows, images = [], []
+    x = NormFieldElement(p, K, {rng.randrange(lo, hi): rng.randrange(1, p)
+                                for _ in range(4)}, hi)
+    for a in exponents:
+        windows.append(complexes.build_ring_window(p, 1, ring_gamma(a), -lo,
+                                                   -lo, hi))
+        normfield._GENERATORS.clear()
+        images.append(x.gamma(a))
+    assert all(np.array_equal(w, windows[0]) for w in windows)
+    assert all(_same(y, images[0]) for y in images)
+    assert _same(images[0], dict_gamma(x, exponents[0], 14))
+
+
+def _comb_gen_power(p, mx, e, c):
+    """c * (1 + pi^(1/p^mx))^e with its binomials from math.comb."""
+    level = max(c.m, mx)
+    cc = c.at_level(level)
+    width = cc.prec_num - min(min(cc.coeffs, default=0), 0)
+    step = p ** (level - mx)
+    n = width // step + 2
+    factor = NormFieldElement(p, level, {k * step: _comb(e, k)
+                                         for k in range(n)},
+                              max(cc.prec_num, n * step))
+    return cc * factor
+
+
+def test_one_plus_gen_power_matches_comb_for_negative_exponents():
+    rng = random.Random(3011)
+    for p in (3, 5, 7):
+        for _ in range(6):
+            mx, m = rng.randint(0, 2), rng.randint(0, 2)
+            f = p**m
+            c = NormFieldElement(p, m, {rng.randrange(-3 * f, 6 * f):
+                                        rng.randrange(1, p)
+                                        for _ in range(3)},
+                                 rng.randrange(6, 12) * f)
+            for e in (-1, -p, -rng.randrange(2, p**4), rng.randrange(p**4)):
+                assert _same(normfield._one_plus_gen_power(p, mx, e, c),
+                             _comb_gen_power(p, mx, e, c)), (p, mx, e)
 
 
 def test_power_rows_cut_rows_at_end():
@@ -568,7 +609,7 @@ def test_power_rows_match_repeated_products():
             cases += [(q, binomial_table_mod_ps(1 + p, L, p, s), negative),
                       (q, np.array(H[:L], dtype=np.int64), ((0, 12), (3, 9))),
                       (q, binomial_table_mod_ps(-1, L, p, s), negative),
-                      (q, binomial_table_mod_ps(a, L, p, s, 14), negative),
+                      (q, binomial_table_mod_ps(a, L, p, s), negative),
                       (q, np.array(dense, dtype=np.int64), negative)]
     for q, U, windows in cases:
         for lo, hi in windows:
@@ -612,7 +653,7 @@ def test_power_rows_sparse_steps_match_dense_convolutions():
                       (7, ((1 + 7**3, 360), (1 + 2 * 7 + 7**3, 400)))):
         negative = ((-9, 4), (-3, 20), (-1, 1), (0, 15), (5, 12))
         for a, L in sparse:
-            U = binomial_table_mod_ps(a, L, p, 1, 14)
+            U = binomial_table_mod_ps(a, L, p, 1)
             assert _steps_by_terms(U), (p, a, L)
             cases.append((p, U, negative))
         L = rng.randint(60, 200)
@@ -740,47 +781,27 @@ def dict_gamma(x, a, mod_power):
     return dict_substitute(x, G)
 
 
-def _outcome(fn, *args):
-    try:
-        y = fn(*args)
-    except PrecisionError as err:
-        return "PrecisionError", str(err)
-    return y.coeffs, y.prec_num, y.m
-
-
 @pytest.mark.parametrize("p", [3, 5, 7])
 @pytest.mark.parametrize("m", [0, 1, 2])
 def test_dense_gamma_matches_dict_substitution(p, m):
     rng = random.Random(1000 * p + m)
     f = p**m
-    precision_errors = 0
     for _ in range(12):
         coeffs = {rng.randrange(-4 * f, 12 * f): rng.randrange(1, p)
                   for _ in range(rng.randrange(1, 6))}
         x = NormFieldElement(p, m, coeffs, rng.randrange(2, 14) * f)
         a = rng.choice([1 + p, -1, 2, pow(2, p**5, p**6)])
+        # a reference reading a mod p^mod_power covers the windows it can
         mod_power = rng.choice([1, 2, 3, 6])
-        want = _outcome(dict_gamma, x, a, mod_power)
-        assert _outcome(NormFieldElement.gamma, x, a, mod_power) == want
-        precision_errors += want[0] == "PrecisionError"
-    assert 0 < precision_errors < 12
-
-
-def test_gamma_answers_every_window_its_residue_determines():
-    # _compose reads W = prec - min(lo, 0) = 8 terms of G/t, so C(a, k) for
-    # k <= 8 < 3^2, which a mod 9 determines: the answer at a mod 3^5
-    x = NormFieldElement(3, 0, {-5: 1}, 3)
-    want = NormFieldElement(3, 0, {-5: 1, -3: 1, -2: 1, 1: 1}, 3)
-    assert _same(x.gamma(4, 2), want) and _same(x.gamma(4, 5), want)
-    # one term more needs C(a, 9), which a mod 9 leaves open
-    with pytest.raises(PrecisionError, match=r"C\(a, 9\)"):
-        NormFieldElement(3, 0, {-5: 1}, 4).gamma(4, 2)
+        if x.prec_num - min(min(x.coeffs, default=0), 0) >= p**mod_power:
+            mod_power = 14
+        assert _same(x.gamma(a), dict_gamma(x, a, mod_power))
 
 
 def test_gamma_refuses_int64_overflow():
     # (p - 1)^2 times the window must stay below 2^63 for int64 products
     with pytest.raises(ValueError, match="int64"):
-        NormFieldElement(2**31 - 1, 0, {1: 1}, 10).gamma(2, 12)
+        NormFieldElement(2**31 - 1, 0, {1: 1}, 10).gamma(2)
 
 
 # -- baby-step/giant-step evaluator and its generator cache -------------------
@@ -803,10 +824,10 @@ def test_gamma_negative_and_single_term_inputs(p):
                       for _ in range(rng.randrange(1, 5))}
             coeffs[hi] = 1
             x = NormFieldElement(p, m, coeffs, rng.randrange(hi + 1, 3 * f))
-            assert _same(x.gamma(a, 12), dict_gamma(x, a, 12))
+            assert _same(x.gamma(a), dict_gamma(x, a, 12))
         for n in (-3 * f - 1, -1, 0, 1, 5 * f):
             x = NormFieldElement(p, m, {n: p - 1}, n + rng.randrange(1, 4 * f))
-            assert _same(x.gamma(a, 12), dict_gamma(x, a, 12))
+            assert _same(x.gamma(a), dict_gamma(x, a, 12))
 
 
 @pytest.mark.parametrize("m", [0, 1, 2])
@@ -823,7 +844,7 @@ def test_gamma_wide_spans_match_dict_substitution(m):
         coeffs[lo] = 1
         x = NormFieldElement(p, m, coeffs, lo + span)
         a = pow(1 + p, p ** rng.randrange(0, 3), p**14)
-        assert _same(x.gamma(a, 14), dict_gamma(x, a, 14))
+        assert _same(x.gamma(a), dict_gamma(x, a, 14))
 
 
 def _random_window(rng, p, m, W):
@@ -844,12 +865,12 @@ def test_gamma_tables_serve_rising_and_falling_widths(p):
     # negative part adds squarings at the kept width
     rng = random.Random(4000 + p)
     a = pow(1 + p, p, p**14)
-    key = (p, a, 14)
+    key = (p, a)
     normfield._GENERATORS.clear()
     kept = 0
     for W in (12, 30, 31, 90, 40, 7, 200, 65, 3, 201, 450, 20):
         x = _random_window(rng, p, rng.randint(0, 1), W)
-        assert _same(x.gamma(a, 14), dict_gamma(x, a, 14))
+        assert _same(x.gamma(a), dict_gamma(x, a, 14))
         if W > kept:
             kept = max(W, 2 * kept)
         baby, giant, squares = normfield._GENERATORS[key]
@@ -869,7 +890,7 @@ def test_gamma_tables_of_interleaved_generators():
         rng.shuffle(exponents)
         for a in exponents:
             x = _random_window(rng, p, rng.randint(0, 2), W)
-            assert _same(x.gamma(a, 14), dict_gamma(x, a, 14))
+            assert _same(x.gamma(a), dict_gamma(x, a, 14))
             assert len(normfield._GENERATORS) <= normfield._LRU_SIZE
     assert len(normfield._GENERATORS) == normfield._LRU_SIZE
 
@@ -881,21 +902,17 @@ def test_gamma_cache_order_does_not_change_results():
     middle = NormFieldElement(p, 1, {-5: 1, 50: 2}, 100)
     wide = NormFieldElement(p, 1, {-30: 4, -2: 1, 100: 2, 200: 1}, 260)
     narrow2 = NormFieldElement(p, 1, {-7: 2, 9: 1}, 30)
-    # a mod 5^3 leaves 124 terms of G/t: middle grows the 73 terms narrow
-    # asked for up to that cap, not to twice as many; wide must raise
-    cases = [(narrow, 14), (wide, 14), (narrow2, 14), (narrow, 3),
-             (middle, 3), (wide, 3), (narrow2, 3), (wide, 14), (narrow, 14)]
+    cases = [narrow, wide, narrow2, narrow, middle, wide, narrow2, wide,
+             narrow]
     cold = []
-    for x, mod_power in cases:
+    for x in cases:
         normfield._GENERATORS.clear()
-        cold.append(_outcome(NormFieldElement.gamma, x, a, mod_power))
+        cold.append(x.gamma(a))
     normfield._GENERATORS.clear()
-    warm = [_outcome(NormFieldElement.gamma, x, a, mod_power)
-            for x, mod_power in cases]
-    assert warm == cold
-    assert [w[0] == "PrecisionError" for w in warm].count(True) == 1
-    assert cold[0] == _outcome(dict_gamma, narrow, a, 14)
-    assert cold[4] == _outcome(dict_gamma, middle, a, 3)
+    warm = [x.gamma(a) for x in cases]
+    assert all(_same(w, c) for w, c in zip(warm, cold))
+    assert _same(cold[0], dict_gamma(narrow, a, 14))
+    assert _same(cold[4], dict_gamma(middle, a, 14))
 
 
 def test_gamma_cache_growth_stays_within_int64():
@@ -905,10 +922,10 @@ def test_gamma_cache_growth_stays_within_int64():
     narrow = NormFieldElement(p, 0, {3: 1}, 20)
     wide = NormFieldElement(p, 0, {3: 1, 7: 5}, 25)
     normfield._GENERATORS.clear()
-    cold = wide.gamma(2, 3)
+    cold = wide.gamma(2)
     normfield._GENERATORS.clear()
-    narrow.gamma(2, 3)
-    warm = wide.gamma(2, 3)
+    narrow.gamma(2)
+    warm = wide.gamma(2)
     assert _same(warm, cold) and _same(cold, dict_gamma(wide, 2, 3))
 
 
@@ -927,7 +944,7 @@ def test_gamma_cache_is_bounded_and_read_only():
     x = NormFieldElement(7, 0, {-2: 1, 5: 3}, 12)
     for a in range(1, 15):
         if a % 7:
-            x.gamma(a, 14)
+            x.gamma(a)
             assert len(normfield._GENERATORS) <= normfield._LRU_SIZE
     assert len(normfield._GENERATORS) == normfield._LRU_SIZE
     for baby, giant, squares in normfield._GENERATORS.values():
@@ -947,4 +964,4 @@ def test_element_gamma_shares_nothing_with_the_window_matrices(monkeypatch):
     normfield._GENERATORS.clear()
     x = NormFieldElement(5, 1, {-4: 2, 0: 1, 17: 3}, 30)
     a = pow(6, 5, 5**14)
-    assert _same(x.gamma(a, 14), dict_gamma(x, a, 14))
+    assert _same(x.gamma(a), dict_gamma(x, a, 14))

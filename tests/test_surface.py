@@ -6,6 +6,8 @@ strings there are not calls), or as a word in a Python file under bench/
 (whose tracer wraps entry points by their names) or in the CI workflow.  A
 name nothing calls is deleted, or listed in ALLOWED with the reason it
 stays.
+
+Also: no module under src/phigamma or tests/ imports a name it never reads.
 """
 
 import ast
@@ -82,6 +84,30 @@ def uncalled(src=SRC, root=ROOT):
             if not called:
                 found.append((mod, name))
     return found
+
+
+def unread_imports(path):
+    """(line, name) for each name the Python file at path imports and never
+    reads as a name; a name in its __all__ counts as read."""
+    tree = ast.parse(path.read_text())
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = \
+                    node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    read |= set(_public(tree)[0])
+    return sorted((line, name) for name, line in imported.items()
+                  if name not in read)
+
+
+def test_no_module_imports_a_name_it_never_reads():
+    files = sorted([*SRC.glob("*.py"), *(ROOT / "tests").glob("*.py")])
+    assert [(f.name, *hit) for f in files for hit in unread_imports(f)] == []
 
 
 def test_every_public_name_has_a_caller():

@@ -12,7 +12,7 @@ from click.testing import CliRunner
 
 from phigamma.cli import main
 
-from phigamma.errors import InvariantError, PrecisionError
+from phigamma.errors import InvariantError, SizeLimitError
 from phigamma.modules import identity_matrix, make_module, tate_twist
 from phigamma.normfield import (NormFieldElement, RelativeNormElement,
                                 _LRU_SIZE)
@@ -221,7 +221,7 @@ def test_ts1_traces_refuse_int64_overflow():
 def test_invert_direction0_monomial():
     z = NormFieldElement(P, 1, {1: 1}, 40)
     y = invert_one_minus_gamma(z, 0)
-    back = y - y.gamma(CHI, 14)
+    back = y - y.gamma(CHI)
     diff = z - back
     assert all(c % P == 0 for e, c in diff.coeffs.items() if e % 3)
 
@@ -236,7 +236,7 @@ def test_invert_direction0_plant_and_recover():
         w0 = NormFieldElement(P, K, {q: rng.randint(1, 2) for q in support},
                               60)
         a_res = pow(CHI, P ** m, P ** 14)
-        zz = w0 - w0.gamma(a_res, 14)
+        zz = w0 - w0.gamma(a_res)
         zz = NormFieldElement(P, K, {e: c for e, c in zz.coeffs.items()
                                      if e % f}, zz.prec_num)
         yy = invert_one_minus_gamma(zz, m)
@@ -350,11 +350,11 @@ def test_solve_fp_on_ts3_systems(p, seed, monkeypatch):
     seen = []
     build = tatesen._ts3_system
 
-    def checked(q, a_res, mod_power, f, lo_y, hi_rows):
-        support, system = build(q, a_res, mod_power, f, lo_y, hi_rows)
+    def checked(q, a_res, f, lo_y, hi_rows):
+        support, system = build(q, a_res, f, lo_y, hi_rows)
         off = np.array(support) - lo_y
         A = (complexes.build_ring_window(
-            q, 1, complexes.ring_gamma(a_res, mod_power), -lo_y, -lo_y,
+            q, 1, complexes.ring_gamma(a_res), -lo_y, -lo_y,
             hi_rows)[np.ix_(off, off)] - np.eye(len(off), dtype=np.int64)) % q
         assert system == FpSystem(A, q)
         assert not np.triu(A).any()
@@ -367,14 +367,14 @@ def test_solve_fp_on_ts3_systems(p, seed, monkeypatch):
     assert len(seen) >= 6
 
 
-def _dense_ts3_system(p, K, a_res, mod_power, f, lo_y, hi_rows):
+def _dense_ts3_system(p, K, a_res, f, lo_y, hi_rows):
     """gamma - 1 off the grid of multiples of f on [lo_y, hi_rows) at grid
     level K, from element gamma, one column per support exponent."""
     support = [n for n in range(lo_y, hi_rows) if n % f]
     A = np.zeros((len(support), len(support)), dtype=np.int64)
     for j, n in enumerate(support):
         x = NormFieldElement(p, K, {n: 1}, hi_rows)
-        img = (x.gamma(a_res, mod_power) - x).coeffs
+        img = (x.gamma(a_res) - x).coeffs
         A[:, j] = [img.get(e, 0) % p for e in support]
     return support, A
 
@@ -388,13 +388,12 @@ def test_ts3_system_corners_match_fresh_packings(p, m, K, monkeypatch):
     f = p ** (K - m)
     a_res, hi_rows = pow(1 + p, p ** m, p ** 14), 4 * f + 3
     for lo_y in (-2 * f, -5 * f - 1, -5 * f + 1, -2 * f + 2, 1):
-        support, system = _ts3_system(p, a_res, 14, f, lo_y, hi_rows)
+        support, system = _ts3_system(p, a_res, f, lo_y, hi_rows)
         with monkeypatch.context() as fresh:
             fresh.setattr(tatesen, "_SYSTEMS", {})
-            assert (support, system) == _ts3_system(p, a_res, 14, f, lo_y,
+            assert (support, system) == _ts3_system(p, a_res, f, lo_y,
                                                     hi_rows)
-        want_support, A = _dense_ts3_system(p, K, a_res, 14, f, lo_y,
-                                            hi_rows)
+        want_support, A = _dense_ts3_system(p, K, a_res, f, lo_y, hi_rows)
         assert support == want_support
         assert system == FpSystem(A, p)
         for _ in range(3):
@@ -407,22 +406,24 @@ def test_ts3_system_corners_match_fresh_packings(p, m, K, monkeypatch):
 
 
 def test_ts3_system_failed_rebuild_keeps_its_entry(monkeypatch):
-    # at mod_power 3 the binomial table serves windows narrower than 3^3
+    # a bound between the dense bytes of [-10, 12)^2 and [-16, 12)^2 (16
+    # per entry) refuses the deeper rebuild
     monkeypatch.setattr(tatesen, "_SYSTEMS", {})
-    kept = _ts3_system(3, 4, 3, 3, -10, 12)
-    with pytest.raises(PrecisionError):
-        _ts3_system(3, 4, 3, 3, -16, 12)
+    monkeypatch.setattr(complexes, "MAX_WINDOW_BYTES", 16 * 25**2)
+    kept = _ts3_system(3, 4, 3, -10, 12)
+    with pytest.raises(SizeLimitError):
+        _ts3_system(3, 4, 3, -16, 12)
     with monkeypatch.context() as fresh:
         fresh.setattr(tatesen, "_SYSTEMS", {})
-        with pytest.raises(PrecisionError):
-            _ts3_system(3, 4, 3, 3, -16, 12)
-    assert tatesen._SYSTEMS[(3, 4, 3, 3, 12)][0] == -10
-    assert _ts3_system(3, 4, 3, 3, -10, 12) == kept
+        with pytest.raises(SizeLimitError):
+            _ts3_system(3, 4, 3, -16, 12)
+    assert tatesen._SYSTEMS[(3, 4, 3, 12)][0] == -10
+    assert _ts3_system(3, 4, 3, -10, 12) == kept
     # one system per key, the least recently used dropped past the bound
     for top in range(13, 13 + _LRU_SIZE):
-        _ts3_system(3, 4, 14, 3, -4, top)
+        _ts3_system(3, 4, 3, -4, top)
     assert len(tatesen._SYSTEMS) == _LRU_SIZE
-    assert (3, 4, 3, 3, 12) not in tatesen._SYSTEMS
+    assert (3, 4, 3, 12) not in tatesen._SYSTEMS
 
 
 def test_ts3_report_keeps_no_dense_window(monkeypatch):
