@@ -1,13 +1,14 @@
 """Gamma-cohomology complexes and window-stabilized cohomology.
 
-Complexes are built from symbolic operator blocks (signed sums of
-``matrix * ring-action`` terms).  The Herr complex of a non-relative module
-(Herr, Bull. SMF 126, 1998) is written down from its differentials
+A complex here is one of two fixed complexes.  The Herr complex of a
+non-relative module (Herr, Bull. SMF 126, 1998) has the differentials
 
     d0(x) = ((1 - phi)x, (1 - gamma)x),   d1(a, b) = (1 - gamma)a - (1 - phi)b,
 
-the cone over phi - 1 of the Gamma-complex [D --(1 - gamma)--> D]; the
-semidirect complex of a relative module is finite and exact.
+the cone over phi - 1 of the Gamma-complex [D --(1 - gamma)--> D]; on a
+window it is its two operators A = 1 - Phi*phi and B = 1 - G*gamma, read as
+d0 = (A; B) and d1 = (B, -A).  The semidirect complex of a relative module is
+finite and exact, and its two differentials are integer matrices mod p^s.
 
 The cohomology engine models the coefficient module on truncated Laurent
 windows [-b, T).  Truncation at the top is a genuine quotient: the positive
@@ -28,8 +29,8 @@ pi^n U^n from one binomial table of U = ((1+pi)^a - 1)/pi and its powers
 negative powers are finite Laurent polynomials mod p^s.  Every window is a
 corner of the deepest one cached with its top; the Herr windows and the
 Delta actions share that cache, and tatesen's TS3 solve, which keeps its
-system packed, builds its window uncached (build_ring_window).  A term
-c * A * r(-) with constant A is kron(c*A, R);
+system packed, builds its window uncached (build_ring_window).  M * r(-)
+with constant M is kron(M, R);
 a series entry acts by its Toeplitz multiplication matrix on the whole
 image of r, so a window row gets every entry term it needs, up to pi^(T +
 image depth); an entry certified to less raises PrecisionError.  The
@@ -41,9 +42,10 @@ generator's twisted window matrix is built and the other actions are its
 powers; the averaging idempotent E is checked to satisfy E E = E, and the
 basis is a set of columns of E (delta_project).  Below pi^-b an output
 window of depth p*b holds few images (at s = 1, phi(pi^k) = pi^(pk)), so
-d0 and d1 keep only the rows that can be nonzero: every row of exponent at
-least -b, and the rows some term's ring window reaches, or every row when
-a matrix entry is a series (_kept_rows).  Each carries the exponent of
+A and B keep only the rows that can be nonzero: every row of exponent at
+least -b, and the rows their ring window reaches, or every row when a
+matrix entry is a series (_kept_rows); d1 keeps the rows either keeps.
+Each differential carries the exponent of
 every row it keeps, and its readers select rows by exponent.  A
 cohomology call assembles raw d0 and d1, the Delta basis X and the
 X-projected d0 and d1 once, at twice its deepest schedule depth or deep
@@ -93,7 +95,6 @@ from .zmodlin import (
 )
 
 __all__ = [
-    "OpTerm",
     "GammaComplex",
     "CohomologyReport",
     "CocycleData",
@@ -116,7 +117,6 @@ DEFAULT_SCHEDULE = (16, 32, 64, 128)
 # refused with a SizeLimitError (a ValueError) that names both.
 MAX_WINDOW_BYTES = 2**30
 
-RING_ID = ("id",)
 RING_PHI = ("phi",)
 
 
@@ -124,85 +124,23 @@ def ring_gamma(a: int) -> tuple:
     return ("gamma", a)
 
 
-@dataclass(frozen=True)
-class OpTerm:
-    """One summand c * M * r(-) of an operator: scalar, matrix, ring action."""
-
-    coeff: int
-    ring: tuple
-    matrix: tuple | None  # rank x rank of ArithLiftElement, None = identity
-
-
-def _op(coeff, ring, matrix=None):
-    return (OpTerm(coeff, ring, matrix),)
-
-
-def _op_sum(*ops):
-    return tuple(t for op in ops for t in op)
-
-
-def _op_scale(op, c):
-    return tuple(OpTerm(t.coeff * c, t.ring, t.matrix) for t in op)
-
-
-def _apply_ring(ring, x: ArithLiftElement) -> ArithLiftElement:
-    if ring[0] == "id":
-        return x
-    if ring[0] == "phi":
-        return x.frobenius()
-    return x.gamma(ring[1])
-
-
-def _apply_operator(op, vec, rank):
-    """Apply a symbolic operator to a vector of ArithLiftElements."""
-    zero = ArithLiftElement.zero(vec[0].p, vec[0].s, vec[0].prec_num)
-    out = [zero] * rank
-    for t in op:
-        w = [_apply_ring(t.ring, x) for x in vec]
-        if t.matrix is None:
-            img = w
-        else:
-            img = [sum((t.matrix[i][j] * w[j] for j in range(rank)),
-                       start=zero)
-                   for i in range(rank)]
-        out = [o + v.scale(t.coeff) for o, v in zip(out, img)]
-    return out
-
-
 # -- complex data ------------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class GammaComplex:
-    """Cochain complex of window spaces (or finite coefficient spaces).
+    """The Herr complex of a module on windows, or its finite semidirect
+    complex.
 
-    diffs[n] is a block matrix of operators: diffs[n][i][j] maps input
-    slot j of term n to output slot i of term n + 1 (None = zero block).
+    A finite complex holds its differentials d0 and d1 in diffs, as int64
+    matrices mod p^s on the coefficient spaces.  A window complex holds
+    none: its differentials are Herr's, built per window (_herr_pair).
     """
 
     module: PhiGammaModule
     kind: str   # "window" | "finite"
     mode: str   # "delta" | "free" | "semidirect"
-    diffs: tuple
-
-    def d_apply(self, n: int, vectors):
-        """Differential on explicit element vectors (list per slot)."""
-        r = self.module.rank
-        blocks = self.diffs[n]
-        out = []
-        for row in blocks:
-            acc = None
-            for op, vec in zip(row, vectors):
-                if op is None:
-                    continue
-                img = _apply_operator(op, vec, r)
-                acc = img if acc is None else [a + b for a, b in zip(acc, img)]
-            if acc is None:
-                some = vectors[0][0]
-                acc = [ArithLiftElement.zero(some.p, some.s, some.prec_num)
-                       for _ in range(r)]
-            out.append(acc)
-        return out
+    diffs: tuple = ()
 
 
 def herr_complex(D: PhiGammaModule, mode: str = "delta") -> GammaComplex:
@@ -218,13 +156,7 @@ def herr_complex(D: PhiGammaModule, mode: str = "delta") -> GammaComplex:
                          "use --complex semidirect for a relative one")
     if mode not in ("delta", "free"):
         raise ValueError(f"unknown mode {mode!r}")
-    g = D.generator("gamma")
-    one_minus_phi = _op_sum(_op(1, RING_ID), _op(-1, RING_PHI, D.phi))
-    one_minus_gamma = _op_sum(_op(1, RING_ID),
-                              _op(-1, ring_gamma(g.exponent), g.matrix))
-    d0 = ((one_minus_phi,), (one_minus_gamma,))
-    d1 = ((one_minus_gamma, _op_scale(one_minus_phi, -1)),)
-    return GammaComplex(D, "window", mode, (d0, d1))
+    return GammaComplex(D, "window", mode)
 
 
 def _is_series(x: ArithLiftElement) -> bool:
@@ -243,11 +175,20 @@ def _const_matrix(M, q) -> np.ndarray:
                     dtype=np.int64) % q
 
 
-def _int_matrix_op(D: PhiGammaModule, A: np.ndarray, ring=RING_ID):
-    prec = D.window()
-    M = tuple(tuple(ArithLiftElement.constant(D.p, D.s, int(c), prec)
-                    for c in row) for row in A)
-    return _op(1, ring, M)
+def _power_and_sum(G: np.ndarray, n: int, q: int):
+    """(G^n, sum_{i<n} G^i) mod q by binary splitting over the bits of n,
+    in O(log n) products, as geometric_gamma_sum splits its sum."""
+    power = np.eye(len(G), dtype=np.int64)
+    total = np.zeros_like(power)
+    for bit in bin(n)[2:]:
+        # m -> 2m: S_2m = S_m + G^m S_m
+        total = (total + _matmul_mod(power, total, q)) % q
+        power = _matmul_mod(power, power, q)
+        if bit == "1":
+            # m -> m + 1: S_(m+1) = S_m + G^m
+            total = (total + power) % q
+            power = _matmul_mod(power, G, q)
+    return power, total
 
 
 def semidirect_gamma_complex(D: PhiGammaModule) -> GammaComplex:
@@ -257,37 +198,31 @@ def semidirect_gamma_complex(D: PhiGammaModule) -> GammaComplex:
     d0(x) = ((gamma~ - 1)x, (gamma - 1)x) and, writing q = sum_{i<chi}
     gamma~^i, d1(a, b) = (gamma - q)a + (1 - gamma~^chi)b.  These are the
     Fox derivatives of the defining relator; d1 o d0 = gamma gamma~ -
-    gamma~^chi gamma vanishes exactly by the relation.  Since chi = 1 + p
-    is an exact integer here, q is a finite operator sum, no truncation.
+    gamma~^chi gamma vanishes exactly by the relation.  The coefficient
+    space is fixed by phi and gamma, so only the matrices act; gamma~^chi
+    and q come by binary splitting over chi (_power_and_sum), which must
+    be a positive integer.
     """
     if not D.relative:
         raise ValueError("semidirect complex expects a relative module")
     q = D.p ** D.s
-    gt = D.generator("gamma_tilde")
+    Gt = _const_matrix(D.generator("gamma_tilde").matrix, q)
     gg = D.generator("gamma")
+    Gg = _const_matrix(gg.matrix, q)
     chi = gg.exponent
-    Gt = _const_matrix(_thaw(gt.matrix), q)
-    Gg = _const_matrix(_thaw(gg.matrix), q)
-    Gt_chi = np.linalg.matrix_power(Gt.astype(object), chi) % q
-    if ((Gg @ Gt - Gt_chi @ Gg) % q).any():
+    if chi <= 0:
+        raise ValueError(f"semidirect complex needs a positive gamma "
+                         f"exponent chi, got chi = {chi}")
+    Gt_chi, q_chi = _power_and_sum(Gt, chi, q)
+    if (_matmul_mod(Gg, Gt, q) != _matmul_mod(Gt_chi, Gg, q)).any():
         raise InvariantError(
             "semidirect relation fails: gamma gamma~ != gamma~^chi gamma")
-    q_chi = sum(np.linalg.matrix_power(Gt.astype(object), i)
-                for i in range(chi)) % q
     eye = np.eye(D.rank, dtype=np.int64)
-
-    op_gt = _int_matrix_op(D, Gt)
-    op_gg = _int_matrix_op(D, Gg, ring_gamma(chi))
-    d0 = ((_op_sum(op_gt, _op(-1, RING_ID)),),
-          (_op_sum(op_gg, _op(-1, RING_ID)),))
-    d1 = ((_op_sum(op_gg, _op_scale(_int_matrix_op(D, q_chi), -1)),
-           _op_sum(_op(1, RING_ID),
-                   _op_scale(_int_matrix_op(D, Gt_chi), -1))),)
-    T = GammaComplex(D, "finite", "semidirect", (d0, d1))
-    mats = _finite_diff_matrices(T)
-    if _matmul_mod(mats[1], mats[0], q).any():
+    d0 = np.vstack([Gt - eye, Gg - eye]) % q
+    d1 = np.hstack([Gg - q_chi, eye - Gt_chi]) % q
+    if _matmul_mod(d1, d0, q).any():
         raise InvariantError("semidirect complex: d^2 != 0")
-    return T
+    return GammaComplex(D, "finite", "semidirect", (d0, d1))
 
 
 # -- window operator matrices ------------------------------------------------
@@ -319,9 +254,7 @@ def build_ring_window(p: int, s: int, ring: tuple, bot_in: int,
     """
     q = p ** s
     n = np.arange(-bot_in, top)
-    if ring[0] == "id":
-        tables = [(n, np.ones((len(n), 1), dtype=np.int64))]
-    elif ring[0] == "phi":
+    if ring[0] == "phi":
         H = np.array([math.comb(p, k) % q for k in range(1, p + 1)]
                      + [0] * top, dtype=np.int64)[:top]
         deg = (p - 1) * (s - 1)
@@ -385,106 +318,118 @@ def _multiplication_matrix(x: ArithLiftElement, bot_in: int, top_in: int,
     return np.where(inside, terms[np.where(inside, k, 0)], 0)
 
 
-def _kept_rows(D: PhiGammaModule, ops, bot_in: int, bot_out: int,
+def _kept_rows(D: PhiGammaModule, ring: tuple, M, bot_in: int, bot_out: int,
                top: int) -> np.ndarray:
-    """Mask of the rows of [-bot_out, top) that a block row of operators ops
-    (None for a zero block) keeps from the window [-bot_in, top): each row of
-    exponent at least -bot_in, which every depth-b cut (b <= bot_in) reads
-    whole, and each row that some term's ring window reaches.  A series
-    entry spreads its image over every row (_operator_matrix), so a term
-    with one keeps them all.  Every row left out is zero."""
+    """Mask of the rows of [-bot_out, top) that 1 - M * ring(-) keeps from
+    the window [-bot_in, top): each row of exponent at least -bot_in, which
+    every depth-b cut (b <= bot_in) reads whole, and each row the ring
+    window reaches.  A series entry of M spreads its image over every row
+    (_operator_matrix), so it keeps them all.  Every row left out is
+    zero."""
     keep = np.arange(-bot_out, top) >= -bot_in
-    terms = [t for op in ops if op is not None for t in op]
-    if any(t.matrix is not None and any(_is_series(x) for row in t.matrix
-                                        for x in row) for t in terms):
+    if any(_is_series(x) for row in M for x in row):
         keep[:] = True
         return keep
     deep = bot_out - bot_in
-    for ring in dict.fromkeys(t.ring for t in terms):
-        R = ring_window(D.p, D.s, ring, bot_in, bot_out, top)
-        keep[:deep] |= R[:deep].any(axis=1)
+    R = ring_window(D.p, D.s, ring, bot_in, bot_out, top)
+    keep[:deep] |= R[:deep].any(axis=1)
     return keep
 
 
-def _operator_matrix(D: PhiGammaModule, op, bot_in: int, bot_out: int,
-                     top: int, keep: np.ndarray) -> np.ndarray:
-    """Matrix of an operator from window [-bot_in, top) to the rows keep
-    (a mask, _kept_rows) of window [-bot_out, top), block layout
-    (slot-free): column comp * window + (n + bot_in), row comp * kept + the
-    place of n among the kept exponents.
+def _operator_matrix(D: PhiGammaModule, ring: tuple, M, bot_in: int,
+                     bot_out: int, top: int, keep: np.ndarray) -> np.ndarray:
+    """Matrix of x |-> M * ring(x) from window [-bot_in, top) to the rows
+    keep (a mask, _kept_rows) of window [-bot_out, top), block layout:
+    column comp * window + (n + bot_in), row comp * kept + the place of n
+    among the kept exponents.
 
-    A term c * A * r(-) with constant A is kron(c*A, R) for the kept rows of
-    the window matrix R of the ring action r.  Series entries act by their
-    multiplication matrices on the whole image of r, which reaches below
-    the output window, so every entry term that lands in a window row is
-    kept: those reach pi^(top + deep - 1), deep the depth of that image, and
-    an entry certified to less raises PrecisionError.  An entry of negative
+    With constant M it is kron(M, R) for the kept rows of the window matrix
+    R of the ring action.  Series entries act by their multiplication
+    matrices on the whole image of the ring, which reaches below the output
+    window, so every entry term that lands in a window row is kept: those
+    reach pi^(top + deep - 1), deep the depth of that image, and an entry
+    certified to less raises PrecisionError.  An entry of negative
     valuation v shifts image terms up to pi^(top - v) back into the window,
     so the image is taken that far."""
     p, s, r = D.p, D.s, D.rank
     q = p ** s
-    M = np.zeros((r * np.count_nonzero(keep), r * (bot_in + top)),
-                 dtype=np.int64)
-    for t in op:
-        try:
-            A = (np.eye(r, dtype=np.int64) if t.matrix is None
-                 else _const_matrix(t.matrix, q))
-        except InvariantError:
-            A = None
-        if A is not None:
-            # kron(c*A, R), written out by broadcasting
-            R = ring_window(p, s, t.ring, bot_in, bot_out, top)[keep]
-            M += ((t.coeff * A % q)[:, None, :, None]
-                  * R[:, None]).reshape(M.shape)
-            continue
-        # the least exponent of the image (see build_ring_window)
-        deep = (p * bot_in + (p - 1) * (s - 1)
-                if t.ring == RING_PHI and bot_in > 0 else bot_in)
-        prec = min(x.prec_num for row in t.matrix for x in row
-                   if _is_series(x))
-        if prec < top + deep:
-            raise PrecisionError(
-                f"window needs matrix entries certified to pi^{top + deep}, "
-                f"got pi^{prec}")
-        reach = top - min(0, min(min(x.coeffs, default=0)
-                                 for row in t.matrix for x in row))
-        E = np.block([[_multiplication_matrix(x, deep, reach, bot_out,
-                                              top)[keep]
-                       for x in row] for row in t.matrix])
-        # columns of the input window [-bot_in, top) in the image to reach
-        R = np.kron(np.eye(r, dtype=np.int64),
-                    ring_window(p, s, t.ring, bot_in, deep,
-                                reach)[:, :bot_in + top])
-        M += t.coeff * _matmul_mod(E % q, R, q) % q
-    return _mod(M, q)
+    series = [x for row in M for x in row if _is_series(x)]
+    if not series:
+        # kron(M, R), written out by broadcasting
+        A = _const_matrix(M, q)
+        R = ring_window(p, s, ring, bot_in, bot_out, top)[keep]
+        return _mod((A[:, None, :, None] * R[:, None]).reshape(
+            r * len(R), r * (bot_in + top)), q)
+    # the least exponent of the image (see build_ring_window)
+    deep = (p * bot_in + (p - 1) * (s - 1)
+            if ring == RING_PHI and bot_in > 0 else bot_in)
+    prec = min(x.prec_num for x in series)
+    if prec < top + deep:
+        raise PrecisionError(
+            f"window needs matrix entries certified to pi^{top + deep}, "
+            f"got pi^{prec}")
+    reach = top - min(0, min(min(x.coeffs, default=0)
+                             for row in M for x in row))
+    E = np.block([[_multiplication_matrix(x, deep, reach, bot_out, top)[keep]
+                   for x in row] for row in M])
+    # columns of the input window [-bot_in, top) in the image to reach
+    R = np.kron(np.eye(r, dtype=np.int64),
+                ring_window(p, s, ring, bot_in, deep, reach)[:, :bot_in + top])
+    return _matmul_mod(E % q, R, q)
 
 
-def _block_matrix(D, blocks, bot_in, bot_out, top):
-    """Block matrix of operators from [-bot_in, top) to [-bot_out, top) on
-    each slot, holding only the rows its block rows keep (_kept_rows); every
-    row left out is zero.  Column (j * rank + comp) * (bot_in + top) + (n +
-    bot_in) is pi^n in component comp of input slot j.  Returns (M, exp,
-    blk): row k of M is the coefficient of pi^exp[k] in component blk[k] =
-    i * rank + comp of output slot i; the rows of one component run up
-    from its least kept exponent.  Each block is written into M as it is
-    built, so that one block at a time is alive beside it."""
+def _one_minus(D: PhiGammaModule, term: tuple, bot_in: int, bot_out: int,
+               top: int):
+    """(keep, 1 - M * ring(-)) for term = (ring, M), from [-bot_in, top) to
+    the rows keep of [-bot_out, top) (_kept_rows), laid out as by
+    _operator_matrix."""
+    keep = _kept_rows(D, *term, bot_in, bot_out, top)
+    X = _operator_matrix(D, *term, bot_in, bot_out, top, keep)
+    n = np.tile(np.arange(-bot_out, top)[keep], D.rank)
+    rows = np.flatnonzero(n >= -bot_in)
+    # the identity takes pi^n of a component to itself
+    X[rows, rows // np.count_nonzero(keep) * (bot_in + top) + n[rows]
+      + bot_in] -= 1
+    return keep, _mod(np.negative(X, out=X), D.p ** D.s)
+
+
+def _herr_terms(D: PhiGammaModule):
+    """(ring, matrix) of the two Herr operators A = 1 - Phi*phi and
+    B = 1 - G*gamma."""
+    g = D.generator("gamma")
+    return (RING_PHI, D.phi), (ring_gamma(g.exponent), g.matrix)
+
+
+def _herr_differentials(D: PhiGammaModule, one_minus_phi, one_minus_gamma,
+                        bot_out: int, top: int):
+    """Herr's d0 = (A; B) and d1 = (B, -A) from the operators A = 1 - Phi*phi
+    and B = 1 - G*gamma, each (keep, matrix) into [-bot_out, top)
+    (_one_minus).  Returns (d0, e0, k0, d1, e1): row i of d0 is the
+    coefficient of pi^e0[i] in component k0[i] = slot * rank + comp of the
+    output, and the rows of one component run up from its least kept
+    exponent; d1 keeps the rows either operator keeps, the other's rows
+    there being zero, and e1 holds their exponents.  On an input window
+    [-b, top), column (slot * rank + comp) * (b + top) + n + b is pi^n in
+    component comp of the input slot."""
+    (ka, A), (kb, B) = one_minus_phi, one_minus_gamma
     r = D.rank
     n = np.arange(-bot_out, top)
-    keeps = [_kept_rows(D, row, bot_in, bot_out, top) for row in blocks]
-    sizes = [np.count_nonzero(keep) for keep in keeps]
-    exp = np.concatenate([np.tile(n[keep], r) for keep in keeps])
-    blk = np.repeat(np.arange(len(keeps) * r), np.repeat(sizes, r))
-    w = r * (bot_in + top)
-    M = np.zeros((len(exp), len(blocks[0]) * w), dtype=np.int64)
-    at = 0
-    for row, keep, size in zip(blocks, keeps, sizes):
-        h = r * size
-        for j, op in enumerate(row):
-            if op is not None:
-                M[at:at + h, j * w:(j + 1) * w] = _operator_matrix(
-                    D, op, bot_in, bot_out, top, keep)
-        at += h
-    return M, exp, blk
+    k0 = np.repeat(np.arange(2 * r), np.repeat(
+        [np.count_nonzero(ka), np.count_nonzero(kb)], r))
+    e0 = np.concatenate([np.tile(n[ka], r), np.tile(n[kb], r)])
+    k1 = ka | kb
+    w = A.shape[1]
+    d1 = np.zeros((r * np.count_nonzero(k1), 2 * w), dtype=np.int64)
+    d1[np.tile(kb[k1], r), :w] = B
+    d1[np.tile(ka[k1], r), w:] = _mod(-A, D.p ** D.s)
+    return np.vstack([A, B]), e0, k0, d1, np.tile(n[k1], r)
+
+
+def _herr_pair(D: PhiGammaModule, bot_in: int, bot_out: int, top: int):
+    """d0 and d1 from [-bot_in, top) into [-bot_out, top)
+    (_herr_differentials), 1 - phi built before 1 - gamma."""
+    A, B = (_one_minus(D, t, bot_in, bot_out, top) for t in _herr_terms(D))
+    return _herr_differentials(D, A, B, bot_out, top)
 
 
 # -- Delta projection --------------------------------------------------------
@@ -519,9 +464,8 @@ def _delta_actions(D: PhiGammaModule, bot: int, top: int):
     scalar = pow(omegas[g], D.delta_character_exponent, q)
     # omega(-1) = -1 exactly
     ring = ring_gamma(-1) if g == p - 1 else ring_gamma(omegas[g])
-    op = _op(scalar, ring)
-    act = _operator_matrix(D, op, bot, bot, top,
-                           _kept_rows(D, (op,), bot, bot, top))
+    act = np.kron(np.eye(D.rank, dtype=np.int64),
+                  ring_window(p, s, ring, bot, bot, top)) * scalar % q
     acts = [np.eye(act.shape[0], dtype=np.int64), act]
     while len(acts) < p - 1:
         acts.append(_matmul_mod(acts[-1], act, q))
@@ -594,26 +538,6 @@ class CohomologyReport:
         return "\n".join(lines) + "\n"
 
 
-def _finite_diff_matrices(T: GammaComplex) -> list[np.ndarray]:
-    """Differentials on the coefficient spaces (constant matrix data only)."""
-    D = T.module
-    q = D.p ** D.s
-    r = D.rank
-
-    def cell(op):
-        acc = np.zeros((r, r), dtype=object)
-        for t in op or ():
-            # phi and gamma fix Z/p^s constants, so only the matrix part
-            # acts on the coefficient space
-            A = (np.eye(r, dtype=np.int64) if t.matrix is None
-                 else _const_matrix(t.matrix, q))
-            acc = (acc + t.coeff * A.astype(object)) % q
-        return acc.astype(np.int64)
-
-    return [np.block([[cell(op) for op in row] for row in blocks])
-            for blocks in T.diffs]
-
-
 def _subquotient(Z: np.ndarray, length: int, B: np.ndarray, p: int, s: int,
                  escape: str = ""):
     """Length and elementary divisors of span(Z)/span(B), where span(Z) has
@@ -670,7 +594,7 @@ def _hn_dims(d0: np.ndarray, d1: np.ndarray, B1: np.ndarray, B2: np.ndarray,
 def _finite_report(T: GammaComplex) -> CohomologyReport:
     """The exact report of a finite three-term complex: B1 = d0, B2 = d1."""
     D = T.module
-    d0, d1 = _finite_diff_matrices(T)
+    d0, d1 = T.diffs
     dims, profiles = _hn_dims(d0, d1, d0, d1, None, D.p, D.s)
     euler = dims[0] - dims[1] + dims[2]
     return CohomologyReport(D.p, D.s, T.mode, T.kind, dims, profiles,
@@ -704,18 +628,16 @@ def _out_depth(D: PhiGammaModule, b: int) -> int:
 
 def _assemble(T: GammaComplex, b: int, top: int):
     """Raw d0 and d1 from the depth-b window into the window of depth
-    _out_depth(b), which holds every image, built by _block_matrix with the
+    _out_depth(b), which holds every image, built by _herr_pair with the
     rows they keep, and the window data read from them.  Returns ((d0, e0,
     k0, d1), (cols, X, d0 X, e0, d1 diag(X, X), e1)): e0, k0 and e1 hold the
-    exponent and the output component of each row (_block_matrix).  X is
-    the Delta basis, or None in free mode, where it is the identity; cols
+    exponent and the output component of each row (_herr_differentials).
+    X is the Delta basis, or None in free mode, where it is the identity; cols
     holds the exponent of each basis vector, that of the diagonal 1 of E
     whose column it is."""
     D = T.module
     q = D.p ** D.s
-    bo = _out_depth(D, b)
-    d0, e0, k0 = _block_matrix(D, T.diffs[0], b, bo, top)
-    d1, e1, _ = _block_matrix(D, T.diffs[1], b, bo, top)
+    d0, e0, k0, d1, e1 = _herr_pair(D, b, _out_depth(D, b), top)
     win = np.tile(np.arange(-b, top), D.rank)
     if T.mode != "delta":
         return (d0, e0, k0, d1), (win, None, d0, e0, d1, e1)
@@ -806,9 +728,13 @@ def _certify(T: GammaComplex, b: int, top: int, raw=None) -> None:
         cols = np.tile(np.arange(-B, top), D.rank) >= -b
         d0, e0, k0 = d0[np.ix_(rows, cols)], e0[rows], k0[rows]
     else:
-        B = bo
-        d0, e0, k0 = _block_matrix(D, T.diffs[0], b, bo, top)
-        d1 = _block_matrix(D, T.diffs[1], bo, _out_depth(D, bo), top)[0]
+        B, bo2 = bo, _out_depth(D, bo)
+        d0, e0, k0 = _herr_pair(D, b, bo, top)[:3]
+        # d1 = (1 - gamma, -(1 - phi)) builds 1 - gamma first: of two
+        # operators short of certified entries, it names gamma's need
+        gamma, phi = [_one_minus(D, t, bo, bo2, top)
+                      for t in _herr_terms(D)[::-1]]
+        d1 = _herr_differentials(D, phi, gamma, bo2, top)[3]
     # d0's output components are d1's input ones, each of depth B
     d1 = d1[:, k0 * (B + top) + e0 + B]
     if _matmul_mod(d1, d0, D.p ** D.s).any():
@@ -844,10 +770,10 @@ def cohomology(T: GammaComplex, schedule=None) -> CohomologyReport:
     D = T.module
     top = _tail_floor(D)
     deepest = max(2 * max(schedule), _out_depth(D, min(schedule)))
-    # d0 and d1 of the deepest window: each block maps rank * (deepest +
-    # top) columns to at most rank * (_out_depth(deepest) + top) rows
-    blocks = sum(len(d) * len(d[0]) for d in T.diffs)
-    _check_window_bytes(8 * blocks * D.rank**2 * (deepest + top)
+    # d0 and d1 of the deepest window hold four operator blocks, each from
+    # rank * (deepest + top) columns to at most rank * (_out_depth(deepest)
+    # + top) rows
+    _check_window_bytes(8 * 4 * D.rank**2 * (deepest + top)
                        * (_out_depth(D, deepest) + top),
                        f"the window of depth {deepest}")
     try:
@@ -924,10 +850,13 @@ def explicit_cocycle(T: GammaComplex, pair, samples) -> CocycleData:
         raise ValueError("explicit cocycle evaluation needs s = 1, rank 1")
     p = D.p
     x, y = pair
-    residual = T.d_apply(1, [[x], [y]])
-    if not all(v.is_zero() for slot in residual for v in slot):
+    g = D.generator("gamma")
+    chi = g.exponent
+    # d1(x, y) = (1 - gamma)x - (1 - phi)y
+    residual = ((x - g.matrix[0][0] * x.gamma(chi))
+                - (y - D.phi[0][0] * y.frobenius()))
+    if not residual.is_zero():
         raise InvariantError("input pair is not a 1-cocycle of the cone")
-    chi = D.generator("gamma").exponent
 
     xr, yr = x.reduce_mod_p(), y.reduce_mod_p()
     c = xr.terms().get(0, 0) % p

@@ -178,10 +178,6 @@ class ChainComplexZ:
         return _presentation_in(self.cocycles(n), self.coboundaries(n),
                                 self.cocycle_length(n))
 
-    def cohomology_profile(self, n: int) -> list:
-        return _subquotient_profile(self.cocycles(n), self.coboundaries(n),
-                                    self.cocycle_length(n))
-
     def cohomology_length(self, n: int) -> int:
         """l(H^n) = s*rank(n) - l(d_n) - l(d_(n-1)): d^2 = 0 is certified
         on construction, so im d_(n-1) lies in ker d_n."""

@@ -41,8 +41,6 @@ import re
 
 import numpy as np
 
-from .errors import PrecisionError
-
 __all__ = [
     "NormFieldElement",
     "RelativeNormElement",
@@ -326,12 +324,6 @@ class NormFieldElement(_Series):
                                  {n // x.p: c for n, c in x.coeffs.items()},
                                  x.prec_num // x.p)
         return x
-
-    def truncate(self, prec: Fraction | int) -> "NormFieldElement":
-        n = _to_grid(prec, self.p, self.m)
-        if n > self.prec_num:
-            raise PrecisionError("cannot extend a certified window")
-        return NormFieldElement(self.p, self.m, self.coeffs, n)
 
     def inverse(self) -> "NormFieldElement":
         """Multiplicative inverse; requires a nonzero element.
@@ -846,7 +838,8 @@ class RelativeNormElement:
             a.parts[j] == b.parts[j] for j in a.parts)
 
     def __repr__(self):
-        return f"RelativeNormElement({self.x_terms()!r})"
+        terms = self.x_terms()
+        return f"RelativeNormElement({terms!r})"
 
 
 def _one_plus_gen_power(p: int, mx: int, e: int, c: NormFieldElement) -> NormFieldElement:

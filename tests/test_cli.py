@@ -114,6 +114,25 @@ def test_cohomology_semidirect_report(runner, relative_mod):
     assert "use --complex semidirect" in res.output
 
 
+@pytest.mark.parametrize("chi, code", [(-2, 2), (3000001, 0),
+                                       (10**18 + 9, 0)])
+def test_semidirect_gamma_exponent(runner, relative_mod, chi, code):
+    # gamma~^chi and its geometric sum take O(log chi) products; a
+    # nonpositive chi is refused by name, without a traceback
+    doc = json.loads(open(relative_mod).read())
+    next(g for g in doc["generators"] if g["tag"] == "gamma")["exponent"] = chi
+    with open(relative_mod, "w") as f:
+        json.dump(doc, f)
+    res = runner.invoke(main, ["cohomology", relative_mod, "--complex",
+                               "semidirect"])
+    assert res.exit_code == code, res.output
+    assert "Traceback" not in res.output
+    if code:
+        assert f"got chi = {chi}" in res.output
+    else:
+        assert "verdict,stable" in res.output
+
+
 def test_cohomology_flag_mismatch_is_parse_error(runner, trivial_mod):
     res = runner.invoke(main, ["cohomology", "--prime", "5", trivial_mod])
     assert res.exit_code == 2
@@ -697,11 +716,15 @@ def _fuzz_file(data, tmp_path, doc, intact=0):
     return str(path)
 
 
-def _module_doc(relative=False):
+def _module_doc(relative=False, chi=CHI):
+    """A rank-1 module over Z/3; a relative one has gamma exponent chi,
+    written into the file unchecked."""
     I = identity_matrix(P, 1, 1, 40)
     gens = [("gamma_tilde", I, 1)] if relative else []
-    return json.loads(module_to_json(make_module(
+    doc = json.loads(module_to_json(make_module(
         P, 1, I, gens + [("gamma", I, CHI)], relative=relative)))
+    doc["generators"][-1]["exponent"] = chi
+    return doc
 
 
 def _cohomology_options(data, relative):
@@ -753,7 +776,8 @@ def test_fuzz_file_subcommands(command, tmp_path_factory):
         if command == "cohomology":
             # a relative module too, the input of --complex semidirect
             relative = data.draw(st.booleans())
-            doc = _module_doc(relative)
+            doc = _module_doc(relative, data.draw(st.sampled_from(
+                [-2, 0, 1 + P, 3000001, 10**18 + 9])) if relative else CHI)
             extra = _cohomology_options(data, relative)
         path = _fuzz_file(data, tmp_path, doc,
                           intact=8 if command == "cohomology" else 0)

@@ -19,16 +19,14 @@ from phigamma.complexes import (
     herr_complex,
     semidirect_gamma_complex,
     _assemble,
-    _block_matrix,
-    _const_matrix,
     _delta_actions,
     _divisor_report,
-    _finite_diff_matrices,
+    _herr_pair,
     _kernel_of,
     _matmul_mod,
-    _op,
     _operator_matrix,
     _out_depth,
+    _power_and_sum,
     _subquotient,
     _tail_floor,
     _window_data,
@@ -36,7 +34,6 @@ from phigamma.complexes import (
     build_ring_window,
     ring_gamma,
     ring_window,
-    RING_ID,
     RING_PHI,
 )
 from phigamma.errors import InvariantError, PrecisionError
@@ -68,36 +65,52 @@ def random_lift(rng, prec=40, lo=-5, hi=20):
 # -- cone structure ----------------------------------------------------------
 
 
+def _window_vector(x, b, top):
+    return np.array([x.coeffs.get(n, 0) for n in range(-b, top)])
+
+
 def test_cone_reproduces_standard_differentials():
+    # the window d0 and d1 of the trivial module, on the coefficients of
+    # random lifts in [-b, top), give the literal differentials of the lifts
+    # below pi^top: ((1 - phi)x, (1 - gamma)x) and (1 - gamma)a - (1 - phi)y
     D = trivial()
-    T = herr_complex(D, "delta")
+    top, b = _tail_floor(D), 5
+    bo = _out_depth(D, b)
+    d0, e0, k0, d1, e1 = _herr_pair(D, b, bo, top)
     rng = random.Random(41)
     for _ in range(10):
-        x = random_lift(rng)
-        (d0a,), (d0b,) = T.d_apply(0, [[x]])
-        assert d0a.agrees_with(x - x.frobenius())
-        assert d0b.agrees_with(x - x.gamma(CHI))
-        a, b = random_lift(rng), random_lift(rng)
-        ((d1,),) = T.d_apply(1, [[a], [b]])
-        want = (a - a.gamma(CHI)) - (b - b.frobenius())
-        assert d1.agrees_with(want)
+        x, a, y = (random_lift(rng, lo=-b, hi=top) for _ in range(3))
+        want = np.zeros(2 * (bo + top), dtype=np.int64)
+        for slot, v in enumerate((x - x.frobenius(), x - x.gamma(CHI))):
+            want[slot * (bo + top):(slot + 1) * (bo + top)] = \
+                _window_vector(v, bo, top) % P
+        got = _by_exponent((d0 @ _window_vector(x, b, top) % P)[:, None],
+                           e0, k0, bo, top, 2)
+        assert np.array_equal(got[:, 0], want)
+        v = (a - a.gamma(CHI)) - (y - y.frobenius())
+        got = d1 @ np.concatenate([_window_vector(a, b, top),
+                                   _window_vector(y, b, top)]) % P
+        assert np.array_equal(
+            _by_exponent(got[:, None], e1, _components(e1), bo, top, 1)[:, 0],
+            _window_vector(v, bo, top) % P)
 
 
 def test_constants_are_zero_cocycles():
-    T = herr_complex(trivial(), "delta")
+    # d0(c) = (c - phi(c), c - gamma(c)) on the trivial module
     c = ArithLiftElement.constant(P, 1, 2, 40)
-    out = T.d_apply(0, [[c]])
-    assert all(v.is_zero() for slot in out for v in slot)
+    assert (c - c.frobenius()).is_zero()
+    assert (c - c.gamma(CHI)).is_zero()
 
 
 def test_d_squared_vanishes_on_random_vectors():
-    T = herr_complex(trivial(), "delta")
+    # phi gamma = gamma phi on random lifts: on the trivial module d1(d0 x)
+    # = (1 - gamma)(1 - phi)x - (1 - phi)(1 - gamma)x = phi(gamma(x)) -
+    # gamma(phi(x))
     rng = random.Random(43)
     for _ in range(30):
         x = random_lift(rng)
-        step = T.d_apply(0, [[x]])
-        out = T.d_apply(1, step)
-        assert all(v.is_zero() for slot in out for v in slot)
+        a, b = x - x.frobenius(), x - x.gamma(CHI)
+        assert ((a - a.gamma(CHI)) - (b - b.frobenius())).is_zero()
 
 
 def test_herr_complex_refuses_a_relative_module():
@@ -191,7 +204,7 @@ def test_ring_window_corners_deepen_each_side(p, s):
     omega2 = pow(2, p ** 99, p ** 100)
     top = 7
     steps = [(4, 6), (9, 6), (9, 20), (2, 3), (12, 8), (5, 30), (0, 0)]
-    for ring in (RING_ID, RING_PHI, ring_gamma(1 + p), ring_gamma(-1),
+    for ring in (RING_PHI, ring_gamma(1 + p), ring_gamma(-1),
                  ring_gamma(omega2)):
         complexes._WINDOWS.clear()
         deepest = [0, 0]
@@ -271,12 +284,12 @@ def _direct_delta_action(D, u, bot, top):
     p, s = D.p, D.s
     M = s + (top + p * bot) // (p - 1) + 6
     a = pow(u, p ** (M - 1), p ** M)
-    ring = (RING_ID if u == 1 else ring_gamma(-1) if u == p - 1
-            else ring_gamma(a))
+    ring = ring_gamma(-1) if u == p - 1 else ring_gamma(a)
     scalar = pow(a, D.delta_character_exponent, p ** s)
     # a square window keeps every row
-    return _operator_matrix(D, _op(scalar, ring), bot, bot, top,
-                            np.ones(bot + top, dtype=bool))
+    return _operator_matrix(D, ring, identity_matrix(p, s, D.rank, top), bot,
+                            bot, top, np.ones(bot + top, dtype=bool)) \
+        * scalar % p ** s
 
 
 @pytest.mark.parametrize("p, s, g", DELTA_CELLS)
@@ -500,47 +513,72 @@ def _components(e):
     return np.concatenate([[0], np.cumsum(np.diff(e) <= 0)])
 
 
-def _dense_reference(D, blocks, bot_in, bot_out, top):
-    """Every row of a block matrix of constant-entry operators: the sum of
-    kron(c*A, R) over its terms, R their ring windows."""
-    r, q = D.rank, D.p ** D.s
-    h, w = r * (bot_out + top), r * (bot_in + top)
-    M = np.zeros((len(blocks) * h, len(blocks[0]) * w), dtype=np.int64)
-    for i, row in enumerate(blocks):
-        for j, op in enumerate(row):
-            for t in op or ():
-                A = (np.eye(r, dtype=np.int64) if t.matrix is None
-                     else _const_matrix(t.matrix, q))
-                M[i * h:(i + 1) * h, j * w:(j + 1) * w] += np.kron(
-                    t.coeff * A % q,
-                    ring_window(D.p, D.s, t.ring, bot_in, bot_out, top))
-    return M % q
+def _constant(M):
+    return all(x.coeffs.keys() <= {0} for row in M for x in row)
+
+
+def _literal_operators(D, b, bo, top):
+    """Every row of the Herr operators A = 1 - Phi*phi and B = 1 - G*gamma
+    from [-b, top) to [-bo, top), in the layout of _by_exponent: I - Phi (x)
+    R_phi and I - G (x) R_gamma for constant entries, R a fresh ring window;
+    for series entries, column by column from ArithLiftElement arithmetic,
+    x - M*act(x) on x = pi^n in each component."""
+    p, s, r, q = D.p, D.s, D.rank, D.p ** D.s
+    g = D.generator("gamma")
+    terms = ((D.phi, RING_PHI, lambda x: x.frobenius()),
+             (g.matrix, ring_gamma(g.exponent), lambda x: x.gamma(g.exponent)))
+    h, w = bo + top, b + top
+    out = []
+    for M, ring, act in terms:
+        if _constant(M):
+            C = np.array([[x.coeffs.get(0, 0) for x in row] for row in M])
+            R = build_ring_window(p, s, ring, b, bo, top)
+            one = np.eye(h, w, k=b - bo, dtype=np.int64)
+            out.append((np.kron(np.eye(r, dtype=np.int64), one)
+                        - np.kron(C, R)) % q)
+            continue
+        X = np.zeros((r * h, r * w), dtype=np.int64)
+        for n in range(-b, top):
+            y = act(ArithLiftElement.pi_power(p, s, n, top + p * b + 40))
+            for i in range(r):
+                for j in range(r):
+                    v = M[i][j] * y
+                    assert v.prec_num >= top
+                    for m, c in v.coeffs.items():
+                        assert m >= -bo
+                        if m < top:
+                            X[i * h + m + bo, j * w + n + b] -= c
+            for j in range(r):
+                X[j * h + n + bo, j * w + n + b] += 1
+        out.append(X % q)
+    return out
 
 
 @pytest.mark.parametrize("module, mode", CORNER_CASES)
 def test_window_builds_leave_out_only_zero_rows(module, mode):
-    # a build keeps every row of exponent at least -bot_in and leaves out
-    # only rows that are zero in the dense matrix; series entries keep all
+    # d0 = (A; B) and d1 = (B, -A), laid out by exponent, equal the literal
+    # operators row for row: a build keeps every row of exponent at least
+    # -bot_in and leaves out only rows that are zero there; series entries
+    # keep all
     D = module()
-    T = herr_complex(D, mode)
+    r, q = D.rank, D.p ** D.s
     top = _tail_floor(D)
+    series = not all(_constant(M) for M in (D.phi,
+                                            D.generator("gamma").matrix))
     for b in (top, 5, 12):
         bo = _out_depth(D, b)
-        for blocks in T.diffs:
-            M, e, k = _block_matrix(D, blocks, b, bo, top)
-            n = len(blocks) * D.rank
-            assert M.shape[0] == len(e) == len(k)
-            assert np.count_nonzero(e >= -b) == n * (b + top)
-            dense = _by_exponent(M, e, k, bo, top, n)
-            try:
-                ref = _dense_reference(D, blocks, b, bo, top)
-            except InvariantError:
-                # the u-basis module has series entries
-                assert np.array_equal(e, np.tile(np.arange(-bo, top), n))
-                assert np.array_equal(dense, M)
-                continue
-            assert M.shape[0] < n * (bo + top)
-            assert np.array_equal(dense, ref)
+        A, B = _literal_operators(D, b, bo, top)
+        d0, e0, k0, d1, e1 = _herr_pair(D, b, bo, top)
+        assert d0.shape[0] == len(e0) == len(k0) and d1.shape[0] == len(e1)
+        assert np.count_nonzero(e0 >= -b) == 2 * r * (b + top)
+        assert np.count_nonzero(e1 >= -b) == r * (b + top)
+        assert np.array_equal(_by_exponent(d0, e0, k0, bo, top, 2 * r),
+                              np.vstack([A, B]))
+        assert np.array_equal(
+            _by_exponent(d1, e1, _components(e1), bo, top, r),
+            np.hstack([B, -A % q]))
+        # the u-basis module keeps every row; the others leave some out
+        assert (len(e0) == 2 * r * (bo + top)) == series
 
 
 @pytest.mark.parametrize("module, mode", CORNER_CASES)
@@ -572,9 +610,9 @@ def test_window_data_corners_match_fresh_builds(module, mode):
                 _by_exponent(w, we, _components(we), bo, top, n))
     assert list(cache) == [deep]
     # the certificate's pair at depth b: d0 from b into bo, d1 from bo on
-    bo_deep = _out_depth(D, deep)
-    d1_raw, e1, k1 = _block_matrix(D, T.diffs[1], deep, bo_deep, top)
+    *_, d1_raw, e1 = _herr_pair(D, deep, _out_depth(D, deep), top)
     assert np.array_equal(d1_raw, d1)
+    k1 = _components(e1)
     win = np.tile(np.arange(-deep, top), r)
     for b in (top, 5):
         bo = _out_depth(D, b)
@@ -583,14 +621,89 @@ def test_window_data_corners_match_fresh_builds(module, mode):
         assert np.array_equal(
             _by_exponent(d0[np.ix_(rows, win >= -b)], e0[rows], k0[rows],
                          bo, top, 2 * r),
-            _by_exponent(*_block_matrix(D, T.diffs[0], b, bo, top), bo, top,
-                         2 * r))
+            _by_exponent(*_herr_pair(D, b, bo, top)[:3], bo, top, 2 * r))
         rows = e1 >= -bo2
+        fresh, fresh_e = _herr_pair(D, bo, bo2, top)[3:]
         assert np.array_equal(
             _by_exponent(d1[np.ix_(rows, np.tile(win, 2) >= -bo)], e1[rows],
                          k1[rows], bo2, top, r),
-            _by_exponent(*_block_matrix(D, T.diffs[1], bo, bo2, top), bo2,
-                         top, r))
+            _by_exponent(fresh, fresh_e, _components(fresh_e), bo2, top, r))
+
+
+# sha256 of d0, e0, k0, d1, e1 and X (b"None" in free mode) of _assemble at
+# depths 5 and 12, each array's dtype and shape before its bytes, recorded
+# before d0 and d1 were read off the two Herr operators
+ASSEMBLY_DIGESTS = {
+    ("Z/3^1(1)-delta", 5):
+        "a6cf9c888685123e0bcaadb4ea630316e096525a01faad694a145b998db65a57",
+    ("Z/3^1(1)-delta", 12):
+        "9a787a6c3c29ccf0d95c0bc5cbc6dc7d4ea9f6fc789a6c9c15ce0e106ba7df03",
+    ("Z/3^1(1)-free", 5):
+        "4ceb85837e2277eb560870b8294c9fb4b0e12e7014e678c3e454cdcc1f0d4af3",
+    ("Z/3^1(1)-free", 12):
+        "b55e37941f84a4460bd3c86f91ef68abe4bd0a0c8968e8325c17d81067c60c3c",
+    ("Z/3^3(1)-delta", 5):
+        "6a1ed92bf37a32e3e1dce31d62ff10ec83aec99823429090a6c88b6cb900bb55",
+    ("Z/3^3(1)-delta", 12):
+        "725535216ab73cf39d830ac4a95d9b1dc9184db373bf7a6294b261cc7c58736c",
+    ("Z/3^3(1)-free", 5):
+        "1fc110b430b076796a7893d3f46965ae9a7af835798608391a505477ab5fdc25",
+    ("Z/3^3(1)-free", 12):
+        "36f28ae1cced10a4c8a6a7b0654e6b180f0d80bd6812ea3b5b354fbd7478ffcc",
+    ("Z/5^2(1)-delta", 5):
+        "74802974d3c9d58cd64630bab0fd1f632c32febfef0fbdad0de170b261b73c44",
+    ("Z/5^2(1)-delta", 12):
+        "57f970ee594b806d17e197ae7d9ca9567fdafa25e5f6d04fd72ff4876f3462ab",
+    ("Z/5^2(1)-free", 5):
+        "a2ed858940c934601c2ef02cd5ec452c14f4161fb66dfeb64075829f29ae5f62",
+    ("Z/5^2(1)-free", 12):
+        "07d565db7f86ee68668695863ae95f329a79ade1fbf629ac533bc75193823f53",
+    ("Z/7^1(1)-delta", 5):
+        "e53c7076368faccc3fe9d2c6a13b05940b90183568bcf598ee6cbac021e32e75",
+    ("Z/7^1(1)-delta", 12):
+        "52dee01fe1ec23077b52449c7590accafb93dbb1d7e4863e72c59ae0b0ea8f4b",
+    ("Z/7^1(1)-free", 5):
+        "63601f247c44afc113b3c21465fe1385711cd43ef4466002e54e49a9d9d5e704",
+    ("Z/7^1(1)-free", 12):
+        "2175f0fa122f7c501d88cf8f8199a19cc2793034d737bd3670ce9fbb58e31fea",
+    ("Z/7^3(1)-delta", 5):
+        "bedd03ea3504ba38d8d8d2a0f9a64205fba9e515612addcd82e157242da2c40d",
+    ("Z/7^3(1)-delta", 12):
+        "779a16f6ed9662db1f760619a3601a481e4f28028e2283d7acbe470a7355b70d",
+    ("Z/7^3(1)-free", 5):
+        "c56801065b38a69b7fddf3664e340b9fccce2ab6818d80295d141f49598b6d4a",
+    ("Z/7^3(1)-free", 12):
+        "2341a0cf91669e694e1ef6f747a0e8b2517b173895a79b9dfd48ff7f1ccaf86b",
+    ("Z/3^2(1)^2-delta", 5):
+        "2f12a102230fd619400d925e84c4594356cb5e43f6f75b6a96942ba789a8a7d7",
+    ("Z/3^2(1)^2-delta", 12):
+        "a9581d8cada6078592ec742a5ff776d67a06671110c82d727a5d96914bcbc542",
+    ("Z/5(0)+Z/5(1)-free", 5):
+        "ba4c7f5660fecaf28eddc74c54ac370fd61e7adaa1a39c3c34e44a18c11ca085",
+    ("Z/5(0)+Z/5(1)-free", 12):
+        "ebef1b6f704d468bc308bf363a14171b03539e462c517ba4e23b453d666847c7",
+    ("u-basis-free", 5):
+        "7e4232b48989f876e22e819785926e1608b6921410896a433e4906b93a63f26b",
+    ("u-basis-free", 12):
+        "10acf5e11125407b172f422201bc4a47662353c839c86fe1ef726cda8941d342",
+}
+
+
+@pytest.mark.parametrize("module, mode", CORNER_CASES)
+def test_assembly_arrays_are_pinned(module, mode, request):
+    T = herr_complex(module(), mode)
+    top = _tail_floor(T.module)
+    case = request.node.callspec.id
+    for b in (5, 12):
+        (d0, e0, k0, d1), (_, X, _, _, _, e1) = _assemble(T, b, top)
+        h = hashlib.sha256()
+        for a in (d0, e0, k0, d1, e1, X):
+            if a is None:
+                h.update(b"None")
+            else:
+                h.update(f"{a.dtype}{a.shape}".encode())
+                h.update(np.ascontiguousarray(a).tobytes())
+        assert h.hexdigest() == ASSEMBLY_DIGESTS[case, b], (case, b)
 
 
 @pytest.mark.parametrize("prec, need", [(90, 91), (95, 97)])
@@ -624,23 +737,27 @@ def test_certificate_reads_the_deepest_build(monkeypatch):
     # certificate reads both its matrices off it.  When that build raises,
     # the certificate runs on its own and raises what it always raised
     built = []
-    block = complexes._block_matrix
+    one_minus = complexes._one_minus
 
-    def counted(D, blocks, bot_in, bot_out, top):
-        built.append(bot_in)
-        return block(D, blocks, bot_in, bot_out, top)
+    def counted(D, term, bot_in, bot_out, top):
+        built.append((term[0][0], bot_in))
+        return one_minus(D, term, bot_in, bot_out, top)
 
-    monkeypatch.setattr(complexes, "_block_matrix", counted)
+    monkeypatch.setattr(complexes, "_one_minus", counted)
     T = herr_complex(_series_module(100), "free")
     assert _out_depth(T.module, 8) == 30
     rep = cohomology(T, (8, 9, 10))
     assert rep.trace == tuple((b, (1, 4, 1)) for b in (8, 9, 10))
-    assert rep.verdict == "stable" and built == [30, 30]
+    # 1 - phi and 1 - gamma, each built once
+    assert rep.verdict == "stable" and built == [("phi", 30), ("gamma", 30)]
     built.clear()
     with pytest.raises(PrecisionError,
                        match=r"certified to pi\^91, got pi\^80$"):
         cohomology(herr_complex(_series_module(80), "free"), (8, 9, 10))
-    assert built == [30, 8, 30]
+    # the deepest build fails at 1 - phi; the certificate's d0 is built at
+    # 8, and its d1 at 30 builds 1 - gamma first
+    assert built == [("phi", 30), ("phi", 8), ("gamma", 8), ("gamma", 30),
+                     ("phi", 30)]
 
 
 @pytest.mark.parametrize("mode", ["delta", "free"])
@@ -781,8 +898,9 @@ def test_semidirect_trivial_dims_and_zero_differentials():
     D = make_module(P, 1, I, [("gamma_tilde", I, 1), ("gamma", I, CHI)],
                     relative=True)
     T = semidirect_gamma_complex(D)
-    for M in _finite_diff_matrices(T):
-        assert not (M % P).any()
+    assert len(T.diffs) == 2
+    for M in T.diffs:
+        assert M.dtype == np.int64 and not (M % P).any()
     rep = cohomology(T)
     assert rep.dims == (1, 2, 1)
     assert rep.profiles == ((3,), (3, 3), (3,))
@@ -792,11 +910,65 @@ def test_semidirect_random_fixtures_square_to_zero():
     rng = random.Random(59)
     for _ in range(5):
         T = semidirect_gamma_complex(relative_fixture(rng))
+        d0, d1 = T.diffs
         for _ in range(20):
-            vec = [[ArithLiftElement.constant(P, 1, rng.randrange(P), 24)
-                    for _ in range(T.module.rank)]]
-            out = T.d_apply(1, T.d_apply(0, vec))
-            assert all(v.is_zero() for slot in out for v in slot)
+            v = np.array([rng.randrange(P) for _ in range(T.module.rank)])
+            assert not (d1 @ (d0 @ v % P) % P).any()
+
+
+def test_power_and_sum_match_the_term_by_term_sum():
+    # gamma~^chi and sum_{i<chi} gamma~^i by binary splitting, against chi
+    # products one by one
+    rng = np.random.default_rng(83)
+    for q, rank in ((3, 2), (9, 3), (27, 2), (49, 3), (5**6, 2)):
+        G = rng.integers(0, q, (rank, rank))
+        power = np.eye(rank, dtype=object)
+        total = np.zeros((rank, rank), dtype=object)
+        for chi in range(41):
+            got = _power_and_sum(G, chi, q)
+            assert all(M.dtype == np.int64 for M in got)
+            assert np.array_equal(got[0], power % q), (q, chi)
+            assert np.array_equal(got[1], total % q), (q, chi)
+            total = total + power
+            power = power.dot(G.astype(object)) % q
+
+
+def _unipotent_relative_module(chi, s=2):
+    # gamma~ = [[1, 1], [0, 1]] and gamma = diag(chi, 1) mod 3^s satisfy
+    # gamma gamma~ = gamma~^chi gamma, as gamma~^chi = [[1, chi], [0, 1]]
+    q = P ** s
+
+    def const(rows):
+        return [[ArithLiftElement.constant(P, s, c, 24) for c in row]
+                for row in rows]
+
+    return make_module(P, s, identity_matrix(P, s, 2, 24),
+                       [("gamma_tilde", const([[1, 1], [0, 1]]), 1),
+                        ("gamma", const([[chi % q, 0], [0, 1]]), chi)],
+                       relative=True)
+
+
+@pytest.mark.parametrize("chi", [4, 3000001, 10**18 + 9])
+def test_semidirect_large_exponent_matches_the_closed_form(chi):
+    # d1 = (gamma - q, 1 - gamma~^chi) with q = sum_{i<chi} gamma~^i =
+    # [[chi, chi(chi - 1)/2], [0, chi]]
+    q = P ** 2
+    T = semidirect_gamma_complex(_unipotent_relative_module(chi))
+    d0, d1 = T.diffs
+    Gg = np.array([[chi % q, 0], [0, 1]])
+    geometric = np.array([[chi, chi * (chi - 1) // 2], [0, chi]],
+                         dtype=object) % q
+    power = np.array([[1, chi], [0, 1]], dtype=object) % q
+    assert np.array_equal(d0, np.array([[0, 1], [0, 0], [chi % q - 1, 0],
+                                        [0, 0]]) % q)
+    assert np.array_equal(d1[:, :2], (Gg - geometric) % q)
+    assert np.array_equal(d1[:, 2:], (np.eye(2, dtype=int) - power) % q)
+
+
+@pytest.mark.parametrize("chi", [-2, -1])
+def test_semidirect_refuses_a_nonpositive_exponent(chi):
+    with pytest.raises(ValueError, match=rf"chi = {chi}$"):
+        semidirect_gamma_complex(_unipotent_relative_module(chi))
 
 
 def test_subquotient_escape_names_its_degree():

@@ -114,8 +114,8 @@ def test_complex_rejects_bad_shape():
 def test_cohomology_mult_by_p_complex():
     # Z/9 --3--> Z/9: H^0 = H^1 = Z/3
     X = ChainComplexZ(P, S, {0: 1, 1: 1}, {0: [[3]]})
-    assert X.cohomology_profile(0) == [3]
-    assert X.cohomology_profile(1) == [3]
+    assert module_profile(X.cohomology(0)) == [3]
+    assert module_profile(X.cohomology(1)) == [3]
 
 
 def test_cohomology_random_euler_characteristic_vanishes():
@@ -466,7 +466,7 @@ def test_cohomology_length_by_rank_nullity_on_split_complexes(s):
         ranks = [rng.randint(0, 3) for _ in range(4)]
         X, want = split_complex(rng, s, ranks, zero=trial == 0)
         for n in range(-1, 5):
-            assert X.cohomology_profile(n) == sorted(want.get(n, []))
+            assert module_profile(X.cohomology(n)) == sorted(want.get(n, []))
             assert X.cohomology_length(n) == X.cohomology(n).length()
 
 

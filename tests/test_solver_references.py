@@ -88,7 +88,7 @@ def reference_solve_as_positive(b: NormFieldElement) -> ASSolution:
     a = NormFieldElement.zero(b.p, b.prec, b.m)
     t = b
     while not t.is_zero() and t.valuation() < b.prec:
-        a = a - t.truncate(b.prec)
+        a = a - t.truncate_to_num(b.prec_num)
         t = t.frobenius()
     window = _check_residual_base(a, b)
     return ASSolution(a, 0, window, v, a.valuation())

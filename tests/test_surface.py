@@ -1,11 +1,12 @@
-"""The public surface: every name in a module's __all__ has a caller.
+"""The public surface: every name in a module's __all__ has a caller, and
+so has every method of a class there whose name has no leading underscore.
 
 A name counts as called when it appears as a Python name outside its own
 definition and outside __all__ in some module of src/phigamma (comments and
 strings there are not calls), or as a word in a Python file under bench/
 (whose tracer wraps entry points by their names) or in the CI workflow.  A
 name nothing calls is deleted, or listed in ALLOWED with the reason it
-stays.
+stays; a method is listed as Class.method.
 
 Also: no module under src/phigamma or tests/ imports a name it never reads.
 """
@@ -35,6 +36,10 @@ ALLOWED = {
                          "a construction of the paper",
     "solve_phi_fixed": "the fixed line of phi on a rank-1 module, a "
                        "construction of the paper",
+    "NormFieldElement.p_th_root": "the inverse of phi on the perfection, a "
+                                  "construction of the paper",
+    "CyclotomicElement.zeta": "the primitive p^n-th root of unity, the "
+                              "generator of the cyclotomic tower",
 }
 
 
@@ -66,8 +71,21 @@ def _public(tree):
     return names, own
 
 
+def _methods(tree, names):
+    """(class, method, lines of its definition) for each method of a class
+    in names whose name has no leading underscore."""
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef) and node.name in names:
+            for item in node.body:
+                if (isinstance(item, ast.FunctionDef)
+                        and not item.name.startswith("_")):
+                    yield (node.name, item.name,
+                           set(range(item.lineno, item.end_lineno + 1)))
+
+
 def uncalled(src=SRC, root=ROOT):
-    """(module, name) for each name in an __all__ that nothing calls."""
+    """(module, name) for each name in an __all__ that nothing calls, and
+    (module, Class.method) for each such method of a class there."""
     texts = {f.stem: f.read_text() for f in sorted(src.glob("*.py"))}
     outside = "\n".join(
         [f.read_text() for f in sorted((root / "bench").rglob("*.py"))]
@@ -75,14 +93,18 @@ def uncalled(src=SRC, root=ROOT):
     used = {mod: _names(text) for mod, text in texts.items()}
     found = []
     for mod, text in texts.items():
-        names, own = _public(ast.parse(text))
-        for name in names:
-            skip = own["__all__"] | own.get(name, set())
+        tree = ast.parse(text)
+        names, own = _public(tree)
+        entries = [(name, name, own["__all__"] | own.get(name, set()))
+                   for name in names]
+        entries += [(f"{cls}.{name}", name, lines)
+                    for cls, name, lines in _methods(tree, names)]
+        for label, name, skip in entries:
             called = (re.search(rf"\b{re.escape(name)}\b", outside)
                       or any(name in u for m, u in used.items() if m != mod)
                       or used[mod].get(name, set()) - skip)
             if not called:
-                found.append((mod, name))
+                found.append((mod, label))
     return found
 
 
@@ -117,7 +139,10 @@ def test_every_public_name_has_a_caller():
 def test_allowed_names_are_public():
     public = set()
     for f in SRC.glob("*.py"):
-        public |= set(_public(ast.parse(f.read_text()))[0])
+        tree = ast.parse(f.read_text())
+        names = _public(tree)[0]
+        public |= set(names)
+        public |= {f"{cls}.{name}" for cls, name, _ in _methods(tree, names)}
     assert sorted(set(ALLOWED) - public) == []
 
 

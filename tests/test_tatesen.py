@@ -603,16 +603,17 @@ def test_decompletion_builds_each_side_once(monkeypatch):
     # each side assembles its raw pair once, deep enough for the d^2 = 0
     # certificate at its least depth to read its matrices off it
     built = []
-    block = complexes._block_matrix
+    one_minus = complexes._one_minus
 
-    def counted(D, blocks, bot_in, bot_out, top):
-        built.append(bot_in)
-        return block(D, blocks, bot_in, bot_out, top)
+    def counted(D, term, bot_in, bot_out, top):
+        built.append((term[0][0], bot_in))
+        return one_minus(D, term, bot_in, bot_out, top)
 
-    monkeypatch.setattr(complexes, "_block_matrix", counted)
+    monkeypatch.setattr(complexes, "_one_minus", counted)
     r = decompletion_compare(tate_twist(trivial_module(), 1), 1)
     assert r["degrees"] == {0: (0, 0), 1: (2, 2)}
-    assert built == [21, 21, 60, 60]
+    # 1 - phi and 1 - gamma once per side
+    assert built == [("phi", 21), ("gamma", 21), ("phi", 60), ("gamma", 60)]
 
 
 def test_decompletion_matches_engine_report():
