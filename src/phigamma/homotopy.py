@@ -10,25 +10,30 @@ lists (the constructors of ChainComplexZ, ChainMap, ShortExactSequence,
 DoubleComplex and Tower, and their from_json readers) go through the
 validating ZModMatrix constructor, save a [] for a block with no rows,
 which is its zero matrix (_matrix), and the readers bound ranks and degrees
-before anything is sized from them.  Matrices built here from canonical
-arrays (cones, their splitting maps, total complexes, window kernels and
-the slices and blocks read from them, zero blocks) are wrapped by
-ZModMatrix._trusted, and the structure checks (d^2 = 0, chain-map squares,
-the splitting identities, anticommutation) compare canonical arrays.
+(for a double complex, also the total rank of each degree) before anything
+is sized from them.  Matrices built here from canonical arrays (cones,
+their splitting maps, total complexes and the slices read from them,
+kernels, zero blocks) are wrapped by ZModMatrix._trusted, and the structure
+checks (d^2 = 0, chain-map squares, the splitting identities) compare
+canonical arrays.
 
 Each page and each length is computed once.  d^2 = 0 is certified when a
 complex is built, so cocycle and cohomology lengths come by rank-nullity
 from the valuations of the differentials, and H^n is presented by one
-elimination of [Z, -B] (its profile by zmodlin._subquotient_profile).
-les_check and spectral_E_pages run under zmodlin.smith_memo, so at every s
-a matrix is reduced once per call for its lengths and at most once more for
-its kernel.  On a grid of W columns no d_r with r >= W has a target, so
+elimination of [Z, -B] (its profile by zmodlin._subquotient_profile).  A
+double complex is its total complex (DoubleComplex.total): d_tot^2 = 0 is
+its one structure check, and every span of a spectral page is a kernel of
+a slice of the total differential, cut by filtration column.  les_check and
+spectral_E_pages run under zmodlin.smith_memo, so at every s a matrix is
+reduced once per call for its lengths and at most once more for its
+kernel.  On a grid of W columns no d_r with r >= W has a target, so
 E_W = E_∞ and the pages past W are copies of page W.
 """
 
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -63,7 +68,6 @@ __all__ = [
     "total_complex",
     "spectral_E_pages",
     "tower_lim_lim1",
-    "subquotient_presentation",
 ]
 
 
@@ -405,7 +409,11 @@ def les_check(ses: ShortExactSequence) -> dict:
 
 class DoubleComplex:
     """Bounded first-quadrant grid with anticommuting differentials
-    (d_h d_v + d_v d_h = 0); the total differential is d_h + d_v."""
+    (d_h d_v + d_v d_h = 0), kept with its total complex, self.total, whose
+    differential is d_h + d_v.  Building it certifies d_tot^2 = 0, the one
+    structure check: from a spot, d_tot^2 lands on three distinct spots by
+    d_h^2, d_v d_h + d_h d_v and d_v^2, so it vanishes exactly when all
+    three do."""
 
     def __init__(self, p: int, s: int, ranks: dict, dh: dict, dv: dict):
         self.p, self.s = p, s
@@ -426,17 +434,7 @@ class DoubleComplex:
                 m = table[a, b] = _matrix(p, s, v, *shape)
                 if (m.rows, m.cols) != shape:
                     raise InvariantError(f"{name} at {(a, b)} is misshaped")
-        for pq in self.ranks:
-            pp, qq = pq
-            if not (self.d_h(pp + 1, qq) @ self.d_h(pp, qq)).is_zero():
-                raise InvariantError(f"d_h^2 != 0 at {pq}")
-            if not (self.d_v(pp, qq + 1) @ self.d_v(pp, qq)).is_zero():
-                raise InvariantError(f"d_v^2 != 0 at {pq}")
-            vh = self.d_v(pp + 1, qq) @ self.d_h(pp, qq)
-            hv = self.d_h(pp, qq + 1) @ self.d_v(pp, qq)
-            if not np.array_equal(vh.entries, (-hv).entries):
-                raise InvariantError(
-                    f"differentials do not anticommute at {pq}")
+        self.total = total_complex(self)
 
     @staticmethod
     def _key(key):
@@ -482,40 +480,44 @@ class DoubleComplex:
         doc = json_fields(json.loads(text), "double-complex document",
                           format="double-complex", p=int, s=int, ranks=dict,
                           dh=dict, dv=dict)
-        _check_file_sizes(doc["ranks"].values(),
-                          (n for key in doc["ranks"] for n in cls._key(key)))
+        spots = {cls._key(key): r for key, r in doc["ranks"].items()}
+        _check_file_sizes(spots.values(), (n for pq in spots for n in pq))
+        # the spectral pages work on the total complex, so its ranks are
+        # bounded as a chain-complex file's are
+        totals = Counter()
+        for (a, b), r in spots.items():
+            totals[a + b] += r
+        for n, total in sorted(totals.items()):
+            if total > MAX_FILE_RANK:
+                raise ValueError(f"total rank {total} in degree {n} exceeds "
+                                 f"the file limit of {MAX_FILE_RANK}")
         return cls(doc["p"], doc["s"], doc["ranks"], doc["dh"], doc["dv"])
 
 
+def _starts(DC: DoubleComplex, n: int, W: int) -> np.ndarray:
+    """starts[c] for c = 0 .. W: where column c begins in the basis of
+    Tot^n, which runs through the spots (c, n - c) in increasing column c."""
+    return np.cumsum([0] + [DC.rank(c, n - c) for c in range(W)])
+
+
 def total_complex(DC: DoubleComplex) -> ChainComplexZ:
-    """Tot^n = ⊕_{p+q=n} C^{p,q} with differential d_h + d_v."""
+    """Tot^n = ⊕_{p+q=n} C^{p,q} with differential d_h + d_v, its basis laid
+    out by _starts."""
     W, H = DC.extent()
-    ranks, offsets = {}, {}
-    for n in range(W + H - 1):
-        off, total = {}, 0
-        for pp in range(max(0, n - H + 1), min(W, n + 1)):
-            if DC.rank(pp, n - pp):
-                off[(pp, n - pp)] = total
-                total += DC.rank(pp, n - pp)
-        if total:
-            ranks[n] = total
-            offsets[n] = off
+    starts = {n: _starts(DC, n, W) for n in range(W + H)}
+    ranks = {n: int(j[-1]) for n, j in starts.items() if j[-1]}
     diffs = {}
-    for n, off in offsets.items():
-        if n + 1 not in offsets:
+    for n in ranks:
+        if n + 1 not in ranks:
             continue
+        i, j = starts[n + 1], starts[n]
         d = np.zeros((ranks[n + 1], ranks[n]), dtype=np.int64)
-        off2 = offsets[n + 1]
-        for (pp, qq), c0 in off.items():
-            r = DC.rank(pp, qq)
-            if (pp + 1, qq) in off2:
-                r0 = off2[(pp + 1, qq)]
-                d[r0:r0 + DC.rank(pp + 1, qq), c0:c0 + r] = \
-                    DC.d_h(pp, qq).entries
-            if (pp, qq + 1) in off2:
-                r0 = off2[(pp, qq + 1)]
-                d[r0:r0 + DC.rank(pp, qq + 1), c0:c0 + r] = \
-                    DC.d_v(pp, qq).entries
+        for c in range(W):
+            if (c, n - c) in DC.ranks:
+                cols = slice(j[c], j[c + 1])
+                d[i[c]:i[c + 1], cols] = DC.d_v(c, n - c).entries
+                if c + 1 < W:
+                    d[i[c + 1]:i[c + 2], cols] = DC.d_h(c, n - c).entries
         # every entry comes from one block, so d is canonical
         diffs[n] = ZModMatrix._trusted(DC.p, DC.s, d)
     return ChainComplexZ(DC.p, DC.s, ranks, diffs)
@@ -536,132 +538,77 @@ class SpectralPage:
         return self.lengths.get((pp, qq), 0)
 
 
-def _window_kernel(DC: DoubleComplex, cols_idx, rows_idx, memo: dict):
-    """Kernel generators for the total-differential constraints carrying
-    the listed column spots into the listed row spots.  They depend only on
-    the two lists, which repeat from page to page once the window covers
-    the grid, so each is computed once per memo."""
-    key = (tuple(cols_idx), tuple(rows_idx))
-    if key in memo:
-        return memo[key]
-    p, s = DC.p, DC.s
-    sizes = [DC.rank(*pq) for pq in cols_idx]
-    row_sizes = [DC.rank(*pq) for pq in rows_idx]
-    M = np.zeros((sum(row_sizes), sum(sizes)), dtype=np.int64)
-    roff = np.cumsum([0] + row_sizes)
-    coff = np.cumsum([0] + sizes)
-    for j, (cp, cq) in enumerate(cols_idx):
-        for i, (rp, rq) in enumerate(rows_idx):
-            if (rp, rq) == (cp, cq + 1):
-                blk = DC.d_v(cp, cq).entries
-            elif (rp, rq) == (cp + 1, cq):
-                blk = DC.d_h(cp, cq).entries
-            else:
-                continue
-            M[roff[i]:roff[i + 1], coff[j]:coff[j + 1]] = blk
-    memo[key] = kernel_generators(ZModMatrix._trusted(p, s, M)), coff
-    return memo[key]
-
-
-def _zr_span(DC: DoubleComplex, pp: int, qq: int, r: int, memo: dict):
-    """Leading components of x ∈ F_p Tot with dx ∈ F_{p+r}, and the d_r
-    values d_h(x_{p+r-1}) of the same generating solutions."""
-    p, s = DC.p, DC.s
-    tgt_rank = DC.rank(pp + r, qq - r + 1)
-    cols_idx = [(pp + t, qq - t) for t in range(r)
-                if qq - t >= 0 and DC.rank(pp + t, qq - t)]
-    rows_idx = [(pp + t, qq - t + 1) for t in range(r)
-                if DC.rank(pp + t, qq - t + 1)]
-    K, coff = _window_kernel(DC, cols_idx, rows_idx, memo)
-    lead = ZModMatrix._trusted(p, s, K.entries[: DC.rank(pp, qq)])
-    last = (pp + r - 1, qq - r + 1)
-    if cols_idx and cols_idx[-1] == last and tgt_rank:
-        j = len(cols_idx) - 1
-        dr = DC.d_h(*last) @ ZModMatrix._trusted(
-            p, s, K.entries[coff[j]:coff[j + 1]])
-    else:
-        dr = ZModMatrix.zeros(p, s, tgt_rank, K.cols)
-    return lead, dr
-
-
-def _br_span(DC: DoubleComplex, pp: int, qq: int, r: int,
-             memo: dict) -> ZModMatrix:
-    """Column-p components of d(y) for y ∈ F_{p-r+1} with dy ∈ F_p."""
-    p, s = DC.p, DC.s
-    tgt = DC.rank(pp, qq)
-    cols_idx = [(pp - t, qq + t - 1) for t in range(r - 1, -1, -1)
-                if pp - t >= 0 and qq + t - 1 >= 0
-                and DC.rank(pp - t, qq + t - 1)]
-    if not cols_idx:
-        return ZModMatrix.zeros(p, s, tgt, 0)
-    rows_idx = [(pp - t, qq + t) for t in range(r - 1, 0, -1)
-                if DC.rank(pp - t, qq + t)]
-    K, coff = _window_kernel(DC, cols_idx, rows_idx, memo)
-    acc = ZModMatrix.zeros(p, s, tgt, K.cols)
-    for j, (cp, cq) in enumerate(cols_idx):
-        blk = ZModMatrix._trusted(p, s, K.entries[coff[j]:coff[j + 1]])
-        if (cp + 1, cq) == (pp, qq):
-            acc = acc + DC.d_h(cp, cq) @ blk
-        if (cp, cq + 1) == (pp, qq):
-            acc = acc + DC.d_v(cp, cq) @ blk
-    return acc
-
-
-def _page(DC: DoubleComplex, r: int, kernels: dict) -> SpectralPage:
+def _page(DC: DoubleComplex, r: int) -> SpectralPage:
     """Page E_r: the profile and length of Z_r / B_r at every spot, and
-    the length of each d_r image inside its target's E_r.  kernels holds the
-    window kernels by spot lists (_window_kernel), shared between pages."""
-    p = DC.p
+    the length of each d_r image inside its target's E_r, all read off
+    DC.total: the columns [a, b) of Tot^n are its indices
+    [at(n, a), at(n, b)) (_starts)."""
+    p, s = DC.p, DC.s
+    W, H = DC.extent()
+    starts = {n: _starts(DC, n, W) for n in range(-1, W + H)}
+    diffs = {n: DC.total.diff(n).entries for n in starts}
+
+    def at(n, c):
+        return starts[n][min(max(c, 0), W)]
+
+    def cut(n, rows, cols):
+        """d_n from the columns [cols) of Tot^n to the columns [rows) of
+        Tot^(n+1)."""
+        return ZModMatrix._trusted(p, s, diffs[n][
+            at(n + 1, rows[0]):at(n + 1, rows[1]),
+            at(n, cols[0]):at(n, cols[1])])
+
     spots = sorted(DC.ranks)
-    profiles, lengths, d_lengths = {}, {}, {}
-    # a d_r with a nonzero target lands on a spot, so every B_r span this
-    # page needs is one of these
-    Bsp = {pq: _br_span(DC, *pq, r, kernels) for pq in spots}
+    # B_r at (p, q): the column p of dy for y in the columns [p - r + 1, p]
+    # with dy in F^p.  A d_r with a nonzero target lands on a spot, so every
+    # B_r this page needs is one of these
+    Bsp = {}
     for pp, qq in spots:
-        Z, dr = _zr_span(DC, pp, qq, r, kernels)
-        prof = module_profile(subquotient_presentation(Z, Bsp[(pp, qq)]))
-        profiles[(pp, qq)] = list(prof)
-        lengths[(pp, qq)] = divisors_length(p, prof)
-        if dr.rows and dr.cols:
-            Bt = Bsp[(pp + r, qq - r + 1)]
-            d_lengths[(pp, qq)] = _induced_image_length(dr, Bt)
-        else:
-            d_lengths[(pp, qq)] = 0
+        n, lo = pp + qq - 1, pp - r + 1
+        Bsp[pp, qq] = cut(n, (pp, pp + 1), (lo, pp + 1)) @ kernel_generators(
+            cut(n, (lo, pp), (lo, pp + 1)))
+    # Z_r at (p, q): the column p of x in the columns [p, p + r) with dx in
+    # F^(p + r); d_r x is the column p + r of dx
+    profiles, lengths, d_lengths = {}, {}, {}
+    for pp, qq in spots:
+        n, hi = pp + qq, pp + r
+        K = kernel_generators(cut(n, (pp, hi), (pp, hi)))
+        Z = ZModMatrix._trusted(p, s, K.entries[:DC.rank(pp, qq)])
+        dr = cut(n, (hi, hi + 1), (pp, hi)) @ K
+        prof = module_profile(subquotient_presentation(Z, Bsp[pp, qq]))
+        profiles[pp, qq] = list(prof)
+        lengths[pp, qq] = divisors_length(p, prof)
+        d_lengths[pp, qq] = _induced_image_length(
+            dr, Bsp[hi, qq - r + 1]) if dr.rows and dr.cols else 0
     return SpectralPage(r, profiles, lengths, d_lengths)
 
 
 @smith_memo()
-def spectral_E_pages(DC: DoubleComplex, r_max: int | None = None):
-    """Pages E_1 .. E_{r_max} of the column filtration plus the abutment
-    comparison against the total complex.
+def spectral_E_pages(DC: DoubleComplex):
+    """Pages E_1 .. E_max(W + H, 2) of the column filtration on a grid of W
+    columns and H rows, plus the abutment comparison against DC.total.
 
-    On a grid of W columns and H rows, a page r > c = min(W, H + 1) is page
-    c relabelled, sharing its dicts (E_c = E_∞).  The spot lists of a Z_r
-    or B_r span step one column and one row per step of r, so they stop
-    growing once r reaches W, the grid's width, or H + 1, past which every
-    row they would add is below row 0 or above row H - 1; and from page c
-    on no d_r has a target: it lands in a column >= W, which holds no spot,
-    or, for r > H, in the row q - r + 1 < 0.  Passage from page to page,
-    copies included, is certified by exact length bookkeeping: the length
-    of E_{r+1}^{p,q} must equal the length of ker d_r / im d_r on page r, else
-    InvariantError.  Returns (pages, abutment) where the abutment dict pairs
-    each E_∞ diagonal sum with the total cohomology length in that degree
-    (by rank-nullity, ChainComplexZ.cohomology_length).
+    Every span is a slice of the total differential (_page), and the spans
+    that repeat between pages are answered by smith_memo.  A page
+    r > c = min(W, H + 1) is page c relabelled, sharing its dicts
+    (E_c = E_∞): the column ranges of a Z_r or B_r span step one column per
+    step of r, so its spots stop changing once r reaches W, the grid's
+    width, or H + 1, past which every spot it would add is below row 0 or
+    above row H - 1; and from page c on no d_r has a target: it lands in a
+    column >= W, which holds no spot, or, for r > H, in the row
+    q - r + 1 < 0.  Passage from page to page, copies included, is
+    certified by exact length bookkeeping: the length of E_{r+1}^{p,q} must
+    equal the length of ker d_r / im d_r on page r, else InvariantError.
+    Returns (pages, abutment) where the abutment dict pairs each E_∞
+    diagonal sum with the total cohomology length in that degree (by
+    rank-nullity, ChainComplexZ.cohomology_length).
     """
     W, H = DC.extent()
-    if r_max is None:
-        r_max = max(W + H, 2)
     spots = sorted(DC.ranks)
     pages = []
-    # window kernels by spot lists, which repeat between pages once a span
-    # reaches the grid's edge
-    kernels = {}
     settled = max(min(W, H + 1), 1)
-    for r in range(1, r_max + 1):
-        if r > settled:
-            page = replace(pages[-1], r=r)
-        else:
-            page = _page(DC, r, kernels)
+    for r in range(1, max(W + H, 2) + 1):
+        page = replace(pages[-1], r=r) if r > settled else _page(DC, r)
         if pages:
             prev = pages[-1]
             for pp, qq in spots:
@@ -675,12 +622,11 @@ def spectral_E_pages(DC: DoubleComplex, r_max: int | None = None):
                         f"{r - 1}: expected length {want}, got "
                         f"{page.length(pp, qq)}")
         pages.append(page)
-    tot = total_complex(DC)
     last = pages[-1]
     abutment = {"equal": True, "degrees": {}}
     for n in range(max(W + H - 1, 1)):
         diag = sum(last.length(pp, n - pp) for pp in range(0, n + 1))
-        tlen = tot.cohomology_length(n)
+        tlen = DC.total.cohomology_length(n)
         abutment["degrees"][n] = (diag, tlen)
         if diag != tlen:
             abutment["equal"] = False

@@ -449,15 +449,18 @@ def decompose_element(z: RelativeNormElement, m: int):
 # -- decompletion comparison -------------------------------------------------
 
 
-def decompletion_compare(D, m: int, schedule=(3, 4, 6)):
+DECOMPLETION_SCHEDULE = (3, 4, 6)
+
+
+def decompletion_compare(D, m: int):
     """Paired stabilized dims of H^j(Gamma, level-0 window) and
     H^j(Gamma, level-m window) for j = 0, 1.
 
     Both sides are delta-mode windows of complexes.cohomology, the level-m
-    one of depth p^m * d for a level-0 depth d (module docstring).  Schedule
-    entry b is read at depth d(b) = floor((2p - 1) b / 3), so the default
-    (3, 4, 6) starts at 2p - 1.  That rule is empirical: from depth 2p - 1
-    on, h1 is right for every twist Z/p(n) measured (b = 2..39, p in
+    one of depth p^m * d for a level-0 depth d (module docstring).  Entry b
+    of DECOMPLETION_SCHEDULE is read at depth d(b) = floor((2p - 1) b / 3),
+    so the schedule starts at 2p - 1.  That rule is empirical: from depth
+    2p - 1 on, h1 is right for every twist Z/p(n) measured (b = 2..39, p in
     {3, 5, 7}); below it, n = 1 mod p - 1 reads h1 one short.  A certified
     window depth is to replace it.  NonStabilizationError if the last two
     entries of either side disagree.
@@ -472,7 +475,7 @@ def decompletion_compare(D, m: int, schedule=(3, 4, 6)):
             any(n != 0 for n in D.phi[0][0].coeffs):
         raise ValueError("constant generator matrices required")
     T = herr_complex(D, "delta")
-    depths = [(2 * p - 1) * b // 3 for b in schedule]
+    depths = [(2 * p - 1) * b // 3 for b in DECOMPLETION_SCHEDULE]
     out = {}
     for tag, steps in (("level_0", 1), ("level_m", p ** m)):
         rep = cohomology(T, [steps * d for d in depths])

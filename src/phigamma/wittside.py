@@ -432,13 +432,12 @@ class WeakNeighborhood:
     h: int
 
 
-def w_r_valuation(z: WittVector, radii, N: int | None = None) -> ValuationReport:
-    """Report of v_E^{<=N} and w_r(z) = inf_k (r v_E(z_k) + k) over the window."""
-    if N is None:
-        N = z.s - 1
+def w_r_valuation(z: WittVector, radii) -> ValuationReport:
+    """Report of v_E^{<=N} for N = 0 .. s - 1 and
+    w_r(z) = inf_k (r v_E(z_k) + k) over the window."""
     v_le = {}
     limited = False
-    for k in range(N + 1):
+    for k in range(z.s):
         v, flag = v_le_n(z, k)
         v_le[k] = v
         limited = limited or flag

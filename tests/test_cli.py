@@ -511,9 +511,17 @@ def _size_files(tmp_path, rank, corner):
 
 
 def test_oversized_file_sizes_exit_2_quickly(runner, tmp_path):
-    # a cone of rank-30000 complexes asked for a 6.7 GiB zero block, and a
-    # grid reaching (30000, 30000) walked every cell of its extent
-    for argv in _size_files(tmp_path, 30000, "30000,30000"):
+    # a cone of rank-30000 complexes asked for a 6.7 GiB zero block, a
+    # grid reaching (30000, 30000) walked every cell of its extent, and a
+    # 24 x 24 grid of rank 96 at every spot, within the rank and degree
+    # limits, has total ranks up to 2304 and ran out of memory
+    wide = tmp_path / "wide.json"
+    wide.write_text(json.dumps({
+        "format": "double-complex", "p": 3, "s": 1,
+        "ranks": {f"{x},{y}": 96 for x in range(24) for y in range(24)},
+        "dh": {}, "dv": {}}))
+    for argv in [*_size_files(tmp_path, 30000, "30000,30000"),
+                 ["spectral", str(wide)]]:
         start = time.perf_counter()
         res = runner.invoke(main, argv)
         assert time.perf_counter() - start < 5
